@@ -33,7 +33,8 @@ from .surface import (
     standard_presentation,
     surface_representation,
 )
-from .toledo import RootFormReport, lagrangian_pair_check, milnor_wood_check, root_form, signature
+from .toledo import (RootFormReport, lagrangian_pair_check, milnor_wood_check, root_cohomology,
+                     root_form, signature)
 from .engine import (
     BalanceProblem,
     FlexibilityReport,
@@ -88,6 +89,7 @@ __all__ = [
     "quaternion_multiply",
     "rank",
     "realify",
+    "root_cohomology",
     "root_form",
     "signature",
     "simultaneous_eigenspaces",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -20,13 +21,11 @@ import numpy as np
 from . import __version__
 from .config import DEFAULT, FlexcheckError, NumericalAbort, ParseError, seed_from_env
 from .catalog import build_case_representation, default_cases, find_case
-from .engine import classify_PN, balanced, verdict
-from .liealg import build_classical, center_of, centralizer
-from .roots import decompose
+from .engine import Pipeline, verdict
+from .liealg import build_classical
 from .scalars import Field, Quaternion, left_block
-from .surface import (adjoint_module, cohomology, cup_pairing, restricted_module,
-                      standard_presentation, surface_representation)
-from .toledo import root_form
+from .surface import cohomology, standard_module, standard_presentation, surface_representation
+from .toledo import gram_matrix, signature
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -56,6 +55,8 @@ def _parse_entry(entry, field: Field, where: str):
         comps = [float(c) for c in entry]
     except (TypeError, ValueError):
         raise ParseError(f"{where}: entry must be a list of numbers, got {entry!r}")
+    if not all(math.isfinite(c) for c in comps):
+        raise ParseError(f"{where}: entry must be finite, got {entry!r}")
     want = field.dim
     if len(comps) != want:
         raise ParseError(f"{where}: expected {want} component(s) for field "
@@ -82,22 +83,34 @@ def _parse_matrix(rows, field: Field, where: str) -> np.ndarray:
     return out
 
 
+def _int(value, where: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"{where} must be an integer, got {value!r}")
+
+
+def _tolerance(value, where: str) -> float:
+    if isinstance(value, (int, float)) and math.isfinite(value) and value > 0:
+        return float(value)
+    raise ParseError(f"{where} must be a positive finite number, got {value!r}")
+
+
 def load_problem(args) -> dict:
     """Resolve CLI flags / input file into a problem description."""
     tol = DEFAULT.with_seed(seed_from_env(0))
     if args.seed is not None:
         tol = tol.with_seed(args.seed)
     if args.tol_rank is not None:
-        tol = replace(tol, rank=args.tol_rank)
+        tol = replace(tol, rank=_tolerance(args.tol_rank, "--tol-rank"))
     if args.tol_cluster is not None:
-        tol = replace(tol, cluster=args.tol_cluster)
+        tol = replace(tol, cluster=_tolerance(args.tol_cluster, "--tol-cluster"))
 
     if args.catalog and args.input:
         raise ParseError("give either --catalog or --input, not both")
     if args.catalog:
-        case = find_case(args.catalog)
-        rep = build_case_representation(case, genus=args.genus, tol=tol)
-        return {"rep": rep, "tol": tol, "source": f"catalog:{case.name}"}
+        rep = build_case_representation(args.catalog, genus=args.genus, tol=tol)
+        return {"rep": rep, "tol": tol, "source": f"catalog:{args.catalog}"}
     if not args.input:
         raise ParseError("a problem is required: --catalog NAME or --input FILE")
 
@@ -109,26 +122,35 @@ def load_problem(args) -> dict:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{args.input}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})")
 
+    if not isinstance(doc, dict):
+        raise ParseError("a problem must be a JSON object")
     if "seed" in doc and args.seed is None:
-        tol = tol.with_seed(int(doc["seed"]))
-    for key, attr in (("rank", "rank"), ("cluster", "cluster")):
-        if key in doc.get("tolerances", {}):
-            tol = replace(tol, **{attr: float(doc["tolerances"][key])})
+        tol = tol.with_seed(_int(doc["seed"], "seed"))
+    tols = doc.get("tolerances", {})
+    if not isinstance(tols, dict):
+        raise ParseError("tolerances must be an object")
+    for key in ("rank", "cluster"):
+        if key in tols:
+            tol = replace(tol, **{key: _tolerance(tols[key], f"tolerances.{key}")})
 
     group = doc.get("group")
-    if not isinstance(group, dict) or "family" not in group:
+    if not isinstance(group, dict) or not isinstance(group.get("family"), str):
         raise ParseError("problem needs group: {family, params}")
     family = group["family"]
     params = group.get("params", [])
-    genus = int(doc.get("genus", args.genus))
+    if not isinstance(params, list):
+        raise ParseError("group.params must be a list of integers")
+    params = [_int(p, "group.params entry") for p in params]
+    genus = _int(doc.get("genus", args.genus), "genus")
 
     repdoc = doc.get("representation")
     if not isinstance(repdoc, dict):
         raise ParseError("problem needs a representation object")
     source = repdoc.get("source")
     if source == "catalog":
-        rep = build_case_representation(repdoc["case"], genus=genus, tol=tol)
-        return {"rep": rep, "tol": tol, "source": f"catalog:{repdoc['case']}"}
+        case = find_case(repdoc.get("case"))
+        rep = build_case_representation(case, genus=genus, tol=tol)
+        return {"rep": rep, "tol": tol, "source": f"catalog:{case.name}"}
     if source != "matrices":
         raise ParseError(f"unknown representation source {source!r}")
 
@@ -170,64 +192,39 @@ def _provenance(problem) -> dict:
     }
 
 
-def _decomposition_report(problem) -> dict:
+def _header(problem) -> dict:
     rep = problem["rep"]
-    tol = problem["tol"]
-    z = centralizer(rep.model, rep.images, tol, kind="group")
-    c = center_of(z, tol)
-    dec = decompose(rep.model, c, tol)
-    roots = []
-    for r in dec.roots:
-        roots.append({
-            "values": [_cnum(v) for v in r.values],
-            "classification": r.classification,
-            "complex_dim": r.complex_dim,
-            "real_dim": r.real_dim,
-            "t_vector": [_cnum(v) for v in r.t_vector],
-        })
+    return {"provenance": _provenance(problem), "group": rep.model.name,
+            "genus": rep.presentation.genus}
+
+
+def _decomposition_report(problem) -> dict:
+    pipe = Pipeline(problem["rep"], problem["tol"])
+    roots = [{"values": [_cnum(v) for v in r.values], "classification": r.classification,
+              "complex_dim": r.complex_dim, "real_dim": r.real_dim,
+              "t_vector": [_cnum(v) for v in r.t_vector]} for r in pipe.decomposition.roots]
     return {
-        "provenance": _provenance(problem),
-        "group": rep.model.name,
-        "genus": rep.presentation.genus,
-        "centralizer_dim": z.dim,
-        "torus_dim": c.dim,
-        "g0_dim": dec.g0_dim,
+        **_header(problem),
+        "centralizer_dim": pipe.z.dim,
+        "torus_dim": pipe.center.dim,
+        "g0_dim": pipe.decomposition.g0_dim,
         "roots": roots,
     }
 
 
 def _cohomology_report(problem) -> dict:
-    rep = problem["rep"]
-    tol = problem["tol"]
-    ws = cohomology(rep, adjoint_module(rep), tol)
-    out = {
-        "provenance": _provenance(problem),
-        "group": rep.model.name,
-        "genus": rep.presentation.genus,
-        "adjoint": {"h0": ws.h0_dim, "h1": ws.h1_dim, "h2": ws.h2_dim,
-                    "z1": int(ws.z1.shape[1]), "b1": int(ws.b1.shape[1])},
-        "root_modules": [],
-    }
-    z = centralizer(rep.model, rep.images, tol, kind="group")
-    c = center_of(z, tol)
-    dec = decompose(rep.model, c, tol)
-    adj = adjoint_module(rep)
-    for r in dec.roots:
-        mod = restricted_module(adj, r.real_basis, tol=tol.membership * 10)
-        wsr = cohomology(rep, mod, tol)
-        out["root_modules"].append({
-            "values": [_cnum(v) for v in r.values],
-            "dim": r.real_dim,
-            "h0": wsr.h0_dim, "h1": wsr.h1_dim, "h2": wsr.h2_dim,
-        })
-    return out
+    pipe = Pipeline(problem["rep"], problem["tol"])
+    ws = cohomology(pipe.rep, pipe.adjoint, pipe.tol)
+    adjoint = {"h0": ws.h0_dim, "h1": ws.h1_dim, "h2": ws.h2_dim,
+               "z1": int(ws.z1.shape[1]), "b1": int(ws.b1.shape[1])}
+    roots = [{"values": [_cnum(v) for v in s.root.values], "dim": s.root.real_dim,
+              "h0": s.workspace.h0_dim, "h1": s.workspace.h1_dim, "h2": s.workspace.h2_dim}
+             for s in pipe.root_stages]
+    return {**_header(problem), "adjoint": adjoint, "root_modules": roots}
 
 
 def _standard_module_report(problem) -> dict:
     """Meyer signature of the standard symplectic module (real 2x2 / sp(2n,R))."""
-    from .surface import standard_module
-    from .toledo import signature as _sig
-
     rep = problem["rep"]
     tol = problem["tol"]
     model = rep.model
@@ -239,16 +236,11 @@ def _standard_module_report(problem) -> dict:
         raise ParseError(
             "--standard-module needs an sl(2,R) or sp(2n,R) ambient group")
     ws = cohomology(rep, standard_module(rep), tol)
-    h = ws.h1
-    gram = np.array([[cup_pairing(ws, omega, h[:, i], h[:, j], tol)
-                      for j in range(h.shape[1])] for i in range(h.shape[1])])
-    sig = _sig(0.5 * (gram + gram.T), tol.gram)
+    sig = signature(gram_matrix(ws, omega, tol), tol.gram)
     chi = rep.presentation.euler_characteristic
     toledo = sig // 4
     return {
-        "provenance": _provenance(problem),
-        "group": rep.model.name,
-        "genus": rep.presentation.genus,
+        **_header(problem),
         "module": "standard",
         "h1_dim": ws.h1_dim,
         "signature": sig,
@@ -259,19 +251,14 @@ def _standard_module_report(problem) -> dict:
 
 
 def _toledo_report(problem, root_index: int | None) -> dict:
-    rep = problem["rep"]
-    tol = problem["tol"]
-    z = centralizer(rep.model, rep.images, tol, kind="group")
-    c = center_of(z, tol)
-    dec = decompose(rep.model, c, tol)
-    chi = rep.presentation.euler_characteristic
+    pipe = Pipeline(problem["rep"], problem["tol"])
+    n = len(pipe.decomposition.roots)
+    chi = pipe.rep.presentation.euler_characteristic
+    if root_index is not None and not (0 <= root_index < n):
+        raise ParseError(f"--root {root_index} out of range; decomposition has {n} root(s)")
     entries = []
-    if root_index is not None and not (0 <= root_index < len(dec.roots)):
-        raise ParseError(
-            f"--root {root_index} out of range; decomposition has {len(dec.roots)} root(s)")
-    roots = dec.roots if root_index is None else (dec.roots[root_index],)
-    for r in roots:
-        rr = root_form(rep, dec, r, tol)
+    for stage in pipe.root_stages if root_index is None else (pipe.root_stages[root_index],):
+        r, rr = stage.root, stage.form
         entries.append({
             "values": [_cnum(v) for v in r.values],
             "classification": r.classification,
@@ -284,32 +271,21 @@ def _toledo_report(problem, root_index: int | None) -> dict:
             "milnor_wood_slack": rr.milnor_wood_slack,
             "status": rr.status,
         })
-    return {
-        "provenance": _provenance(problem),
-        "group": rep.model.name,
-        "genus": rep.presentation.genus,
-        "roots": entries,
-    }
+    return {**_header(problem), "roots": entries}
 
 
 def _balanced_report(problem) -> dict:
-    rep = problem["rep"]
-    tol = problem["tol"]
-    z = centralizer(rep.model, rep.images, tol, kind="group")
-    c = center_of(z, tol)
-    dec = decompose(rep.model, c, tol)
-    reports = [root_form(rep, dec, r, tol) for r in dec.roots]
-    p_reports, n_values, problem_lp = classify_PN(reports, tol)
-    result = balanced(problem_lp, tol)
+    pipe = Pipeline(problem["rep"], problem["tol"])
+    p_reports, n_values, _ = pipe.split
     return {
         "provenance": _provenance(problem),
-        "group": rep.model.name,
-        "torus_dim": c.dim,
+        "group": pipe.rep.model.name,
+        "torus_dim": pipe.center.dim,
         "P": [[_cnum(v) for v in pr.root.values] for pr in p_reports],
         "N": [[_cnum(v) for v in vals] for vals in n_values],
-        "balanced": result.balanced,
-        "quotient_dim": result.quotient_dim,
-        "certificate": _round_cert(result.certificate()),
+        "balanced": pipe.balance.balanced,
+        "quotient_dim": pipe.balance.quotient_dim,
+        "certificate": _round_cert(pipe.balance.certificate()),
     }
 
 
@@ -322,26 +298,11 @@ def _round_cert(cert: dict) -> dict:
 
 
 def _verdict_report(problem) -> dict:
-    rep = problem["rep"]
-    tol = problem["tol"]
-    rv = verdict(rep, tol)
-    roots = []
-    for r in rv.roots:
-        roots.append({
-            "values": [_cnum(v) for v in r.values],
-            "classification": r.classification,
-            "real_dim": r.real_dim,
-            "h1_dim": r.h1_dim,
-            "signature": r.signature,
-            "toledo": r.toledo,
-            "definite": r.definite,
-            "milnor_wood_slack": r.milnor_wood_slack,
-            "in_P": r.in_P,
-        })
-    out = {
-        "provenance": _provenance(problem),
-        "group": rep.model.name,
-        "genus": rv.genus,
+    rv = verdict(problem["rep"], problem["tol"])
+    # a root's fields in RootSummary order, with the values rounded
+    roots = [{**vars(r), "values": [_cnum(v) for v in r.values]} for r in rv.roots]
+    return {
+        **_header(problem),
         "genus_threshold": rv.genus_threshold,
         "centralizer_dim": rv.centralizer_dim,
         "reductive": rv.reductive,
@@ -353,7 +314,10 @@ def _verdict_report(problem) -> dict:
         "caveats": list(rv.caveats),
         "message": rv.message,
     }
-    return out
+
+
+REPORTS = {"decompose": _decomposition_report, "cohomology": _cohomology_report,
+           "balanced": _balanced_report, "verdict": _verdict_report}
 
 
 def _catalog_report() -> dict:
@@ -487,26 +451,16 @@ def main(argv=None) -> int:
     try:
         if args.command == "catalog":
             report = _catalog_report()
-        else:
+        elif args.command == "toledo":
             problem = load_problem(args)
-            if args.command == "decompose":
-                report = _decomposition_report(problem)
-            elif args.command == "cohomology":
-                report = _cohomology_report(problem)
-            elif args.command == "toledo":
-                report = (_standard_module_report(problem) if args.standard_module
-                          else _toledo_report(problem, args.root))
-            elif args.command == "balanced":
-                report = _balanced_report(problem)
-            else:
-                report = _verdict_report(problem)
-    except ParseError as exc:
-        print(f"flexcheck: parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (NumericalAbort,) as exc:
+            report = (_standard_module_report(problem) if args.standard_module
+                      else _toledo_report(problem, args.root))
+        else:
+            report = REPORTS[args.command](load_problem(args))
+    except (NumericalAbort, np.linalg.LinAlgError) as exc:
         print(f"flexcheck: numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except FlexcheckError as exc:
+    except FlexcheckError as exc:           # ParseError and other input errors
         print(f"flexcheck: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

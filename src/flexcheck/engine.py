@@ -11,16 +11,17 @@ certifies failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .config import DEFAULT, NumericalAbort, Tolerances
-from .liealg import center_of, centralizer, killing_restriction_nondegenerate
+from .liealg import SubalgebraHandle, center_of, centralizer, killing_restriction_nondegenerate
 from .linalg import nullspace, orthonormal_columns, rank
-from .roots import IMAGINARY, TorusRootDecomposition, decompose
-from .surface import SurfaceRepresentation, adjoint_module, cohomology
-from .toledo import RootFormReport, root_form
+from .roots import IMAGINARY, RootDatum, TorusRootDecomposition, decompose
+from .surface import CohomologyWorkspace, Module, SurfaceRepresentation, adjoint_module, cohomology
+from .toledo import RootFormReport, root_cohomology, root_form
 
 
 @dataclass(frozen=True)
@@ -177,8 +178,6 @@ def classify_PN(
 
 def _flip_representative(rep: RootFormReport) -> RootFormReport:
     """Replace lambda by -lambda: Omega and the form change sign."""
-    from dataclasses import replace
-
     root = rep.root
     swap = {"+l": "-l", "-l": "+l", "+c": "-c", "-c": "+c"}
     flipped_root = replace(
@@ -278,58 +277,118 @@ TUBE_TYPE_MESSAGE = (
     "closure acts transitively on a tube type Hermitian symmetric space")
 
 
+@dataclass(frozen=True, eq=False)
+class Pipeline:
+    """The decision chain for one representation; each stage runs once, on first use."""
+
+    rep: SurfaceRepresentation
+    tol: Tolerances = DEFAULT
+
+    @cached_property
+    def z(self) -> SubalgebraHandle:
+        """Lie algebra of the centralizer of the image."""
+        return centralizer(self.rep.model, self.rep.images, self.tol, kind="group")
+
+    @cached_property
+    def reductivity(self) -> tuple[bool, float]:
+        """Killing-form nondegeneracy on the centralizer and its condition number."""
+        return killing_restriction_nondegenerate(self.rep.model, self.z, self.tol)
+
+    @cached_property
+    def center(self) -> SubalgebraHandle:
+        return center_of(self.z, self.tol)
+
+    @cached_property
+    def decomposition(self) -> TorusRootDecomposition:
+        return decompose(self.rep.model, self.center, self.tol)
+
+    @cached_property
+    def adjoint(self) -> Module:
+        return adjoint_module(self.rep)
+
+    @cached_property
+    def root_stages(self) -> tuple[_RootStages, ...]:
+        # no back-reference to the pipeline: a cycle would keep the
+        # workspaces alive until the cyclic garbage collector runs
+        return tuple(_RootStages(self.rep, self.adjoint, r, self.tol)
+                     for r in self.decomposition.roots)
+
+    @cached_property
+    def forms(self) -> tuple[RootFormReport, ...]:
+        return tuple(stage.form for stage in self.root_stages)
+
+    @cached_property
+    def split(self) -> tuple[list[RootFormReport], list[np.ndarray], BalanceProblem]:
+        """``classify_PN`` of the root forms: P reports, N values, balance problem."""
+        return classify_PN(list(self.forms), self.tol)
+
+    @cached_property
+    def balance(self) -> BalanceResult:
+        return balanced(self.split[2], self.tol)
+
+
+@dataclass(frozen=True, eq=False)
+class _RootStages:
+    """One root's stages, built apart from the other roots' (toledo --root)."""
+
+    rep: SurfaceRepresentation
+    adjoint: Module
+    root: RootDatum
+    tol: Tolerances
+
+    @cached_property
+    def workspace(self) -> CohomologyWorkspace:
+        return root_cohomology(self.rep, self.adjoint, self.root, self.tol)
+
+    @cached_property
+    def form(self) -> RootFormReport:
+        return root_form(self.workspace, self.root, self.tol)
+
+
 def verdict(rep: SurfaceRepresentation, tol: Tolerances = DEFAULT) -> FlexibilityReport:
     """Full pipeline: centralizer, center, roots, P/N, balanced, verdict."""
-    model = rep.model
     genus = rep.presentation.genus
-    threshold = 2 * model.dim ** 2
+    threshold = 2 * rep.model.dim ** 2
     caveats = []
     if genus < threshold:
         caveats.append(
             f"genus {genus} is below the theorem threshold 2 dim(G)^2 = {threshold}; "
             "the criterion is evaluated anyway")
 
-    z = centralizer(model, rep.images, tol, kind="group")
-    reductive, cond = killing_restriction_nondegenerate(model, z, tol)
+    pipe = Pipeline(rep, tol)
+    reductive, cond = pipe.reductivity
     if not reductive:
         return FlexibilityReport(
             verdict="inconclusive",
-            centralizer_dim=z.dim, reductive=False, reductive_condition=cond,
+            centralizer_dim=pipe.z.dim, reductive=False, reductive_condition=cond,
             center_dim=-1, roots=(), balance=None, genus=genus,
             genus_threshold=threshold, caveats=tuple(caveats),
             message=("inconclusive: the Killing form degenerates on the centralizer, "
                      "so the Zariski closure is likely non-reductive; apply "
                      "conjugation_limit with a suitable direction and retry"))
 
-    c = center_of(z, tol)
-    decomp = decompose(model, c, tol)
-    reports = [root_form(rep, decomp, r, tol) for r in decomp.roots]
-    p_reports, n_values, problem = classify_PN(reports, tol)
-    result = balanced(problem, tol)
+    p_reports = pipe.split[0]
+    summaries = [RootSummary(
+        values=[complex(v) for v in rr.root.values],
+        classification=rr.classification,
+        real_dim=rr.module_dim,
+        h1_dim=rr.h1_dim,
+        signature=rr.signature,
+        toledo=rr.toledo,
+        definite=rr.definite,
+        milnor_wood_slack=rr.milnor_wood_slack,
+        in_P=any(rr is pr for pr in p_reports),
+    ) for rr in _aligned(pipe.forms, p_reports)]
 
-    summaries = []
-    for rr in _aligned(reports, p_reports):
-        summaries.append(RootSummary(
-            values=[complex(v) for v in rr.root.values],
-            classification=rr.classification,
-            real_dim=rr.module_dim,
-            h1_dim=rr.h1_dim,
-            signature=rr.signature,
-            toledo=rr.toledo,
-            definite=rr.definite,
-            milnor_wood_slack=rr.milnor_wood_slack,
-            in_P=any(rr is pr for pr in p_reports),
-        ))
-
-    flexible = result.balanced
+    flexible = pipe.balance.balanced
     return FlexibilityReport(
         verdict="flexible" if flexible else "rigid",
-        centralizer_dim=z.dim, reductive=True, reductive_condition=cond,
-        center_dim=c.dim, roots=tuple(summaries), balance=result,
+        centralizer_dim=pipe.z.dim, reductive=True, reductive_condition=cond,
+        center_dim=pipe.center.dim, roots=tuple(summaries), balance=pipe.balance,
         genus=genus, genus_threshold=threshold, caveats=tuple(caveats),
         message="flexible: the center of the centralizer is balanced"
         if flexible else TUBE_TYPE_MESSAGE,
-        decomposition=decomp, p_reports=tuple(p_reports))
+        decomposition=pipe.decomposition, p_reports=tuple(p_reports))
 
 
 def _aligned(reports, p_reports):

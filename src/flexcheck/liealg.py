@@ -202,6 +202,11 @@ def build_classical(family: str, *params: int, tol: Tolerances = DEFAULT) -> Lie
         raise ExcludedFamilyError(
             f"{family}: octonionic/exceptional constructions are excluded from computation"
         )
+    arity = {"sl": 1, "spr": 1, "su": 2, "so": 2, "sp": 2}.get(family)
+    if arity is None:
+        raise FlexcheckError(f"unknown family {family!r}")
+    if len(params) != arity:
+        raise FlexcheckError(f"{family} takes {arity} parameter(s), got {len(params)}")
     if family == "sl":
         (n,) = params
         if n < 2:
@@ -232,8 +237,10 @@ def build_classical(family: str, *params: int, tol: Tolerances = DEFAULT) -> Lie
             "so": n * (n - 1) // 2,
             "sp": n * (2 * n + 1),
         }[family]
-    elif family == "spr":
+    else:
         (n,) = params  # sp(2n, R)
+        if n < 1:
+            raise FlexcheckError("sp(2n,R) needs n >= 1")
         size = 2 * n
         J = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
         mats = []
@@ -245,8 +252,6 @@ def build_classical(family: str, *params: int, tol: Tolerances = DEFAULT) -> Lie
                 mats.append(-J @ s)
         model = _finish_model(f"sp({size},R)", Field.REAL, size, family, mats, J, (n,), tol)
         expected = n * (2 * n + 1)
-    else:
-        raise FlexcheckError(f"unknown family {family!r}")
 
     if model.dim != expected:
         raise NumericalAbort(f"{model.name}: dimension {model.dim} != classical value {expected}")
@@ -255,12 +260,6 @@ def build_classical(family: str, *params: int, tol: Tolerances = DEFAULT) -> Lie
         if kr != model.dim:
             raise NumericalAbort(f"{model.name}: Killing matrix is singular (rank {kr})")
     return model
-
-
-def unitary_algebra_basis(fld: Field, p: int, q: int):
-    """Realified basis of o(p+q-forms...): u(p,q) for C, so(p,q) for R, sp(p,q) for H."""
-    mats, _ = _indefinite_basis(fld, p, q, traceless=False)
-    return mats
 
 
 def subalgebra_from_matrices(

@@ -27,7 +27,7 @@ class Field(enum.Enum):
 
     @classmethod
     def parse(cls, tag: str) -> "Field":
-        tag = tag.strip().upper()
+        tag = str(tag).strip().upper()
         for f in cls:
             if f.value == tag:
                 return f
@@ -193,19 +193,3 @@ def imaginary_units(field: Field):
     if field is Field.COMPLEX:
         return (1j,)
     return (Q_I, Q_J, Q_K)
-
-
-def random_scalar(field: Field, rng: np.random.Generator):
-    if field is Field.REAL:
-        return float(rng.standard_normal())
-    if field is Field.COMPLEX:
-        return complex(rng.standard_normal(), rng.standard_normal())
-    return Quaternion(*rng.standard_normal(4))
-
-
-def conjugate_scalar(value, field: Field):
-    if field is Field.REAL:
-        return value
-    if field is Field.COMPLEX:
-        return np.conj(value)
-    return value.conjugate()

@@ -34,9 +34,6 @@ class SurfaceGroupPresentation:
     def euler_characteristic(self) -> int:
         return 2 - 2 * self.genus
 
-    def generator_names(self) -> list[str]:
-        return [f"{'ab'[i % 2]}{i // 2 + 1}" for i in range(self.generator_count)]
-
 
 def standard_presentation(genus: int) -> SurfaceGroupPresentation:
     if genus < 2:

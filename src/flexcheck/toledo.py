@@ -17,12 +17,11 @@ import numpy as np
 
 from .config import DEFAULT, NumericalAbort, Tolerances
 from .linalg import complex_half_basis, orthonormal_columns, rank
-from .roots import MIXED, REAL, RootDatum, TorusRootDecomposition
+from .roots import MIXED, REAL, RootDatum
 from .surface import (
     CohomologyWorkspace,
     Module,
     SurfaceRepresentation,
-    adjoint_module,
     cohomology,
     cup_pairing,
     restricted_module,
@@ -63,7 +62,8 @@ class RootFormReport:
         return self.root.classification
 
 
-def _gram_matrix(ws: CohomologyWorkspace, omega: np.ndarray, tol: Tolerances) -> np.ndarray:
+def gram_matrix(ws: CohomologyWorkspace, omega: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Symmetrized Gram matrix of the omega-valued cup pairing on H^1."""
     h = ws.h1
     k = h.shape[1]
     out = np.zeros((k, k), dtype=complex if np.iscomplexobj(omega) else float)
@@ -75,35 +75,39 @@ def _gram_matrix(ws: CohomologyWorkspace, omega: np.ndarray, tol: Tolerances) ->
     return 0.5 * (out + out.T)
 
 
-def root_form(
+def root_cohomology(
     rep: SurfaceRepresentation,
-    decomp: TorusRootDecomposition,
+    adjoint: Module,
+    root: RootDatum,
+    tol: Tolerances = DEFAULT,
+) -> CohomologyWorkspace:
+    """H^* of the realified root space of ``root`` in the adjoint module; aborts if not invariant."""
+    mod = restricted_module(adjoint, root.real_basis, tol=tol.membership * 10)
+    return cohomology(rep, mod, tol)
+
+
+def root_form(
+    ws: CohomologyWorkspace,
     root: RootDatum,
     tol: Tolerances = DEFAULT,
 ) -> RootFormReport:
     """Build Q_lambda on H^1 of the realified root space and read off T.
 
-    Preconditions: the representation centralizes the torus (the root
-    space must be an invariant module) and H^0 of the root module must
-    vanish; both are checked and violations abort.
+    ``ws`` is the cohomology of the root module (see ``root_cohomology``).
+    Precondition: H^0 of the root module vanishes; a violation aborts.
     """
-    if root not in decomp.roots:
-        raise NumericalAbort("root does not belong to this decomposition")
-    adj = adjoint_module(rep)
-    mod = restricted_module(adj, root.real_basis, tol=tol.membership * 10)
-    ws = cohomology(rep, mod, tol)
     if ws.h0_dim != 0:
         raise NumericalAbort(
             "H^0 is nonzero on a nonzero root space; the torus is not the "
             "center of the centralizer of this representation")
-    chi = rep.presentation.euler_characteristic
+    chi = ws.rep.presentation.euler_characteristic
     mdim = root.real_dim
 
     if root.classification == MIXED:
-        gramc = _gram_matrix(ws, root.omega, tol)
+        gramc = gram_matrix(ws, root.omega, tol)
         # J acts on cohomology classes; nondegeneracy of a J-bilinear form
         # is read off a complex half basis, not the full real Gram.
-        j_coch = np.kron(np.eye(rep.presentation.generator_count), root.j_matrix)
+        j_coch = np.kron(np.eye(ws.rep.presentation.generator_count), root.j_matrix)
         j_cls = ws.h1.T @ j_coch @ ws.h1
         half = complex_half_basis(j_cls)
         half_gram = half.T @ gramc @ half
@@ -118,7 +122,7 @@ def root_form(
             milnor_wood_slack=None, min_eig_separation=sep, status=status)
 
     omega_real = root.omega.real if root.classification == REAL else root.omega.imag
-    gram = _gram_matrix(ws, omega_real, tol)
+    gram = gram_matrix(ws, omega_real, tol)
     scale = max(float(np.abs(gram).max(initial=0.0)), 1.0)
     ev = np.linalg.eigvalsh(gram)
     sep = float(np.abs(ev).min()) / scale if ev.size else np.inf

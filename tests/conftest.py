@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from flexcheck.catalog import build_case_representation, find_case
-from flexcheck.liealg import build_classical, center_of, centralizer
-from flexcheck.roots import decompose
+from flexcheck.engine import Pipeline
+from flexcheck.liealg import build_classical
 from flexcheck.surface import fuchsian_genus2
 
 
@@ -32,11 +32,8 @@ def case_pipeline():
 
     def run(name: str):
         if name not in cache:
-            rep = build_case_representation(find_case(name))
-            z = centralizer(rep.model, rep.images, kind="group")
-            c = center_of(z)
-            dec = decompose(rep.model, c)
-            cache[name] = (rep, z, c, dec)
+            pipe = Pipeline(build_case_representation(find_case(name)))
+            cache[name] = (pipe.rep, pipe.z, pipe.center, pipe.decomposition)
         return cache[name]
 
     return run

@@ -20,7 +20,13 @@ from flexcheck.surface import (
     standard_module,
     surface_representation,
 )
-from flexcheck.toledo import lagrangian_pair_check, root_form, scan_invariant_lagrangians, signature
+from flexcheck.toledo import (
+    lagrangian_pair_check,
+    root_cohomology,
+    root_form,
+    scan_invariant_lagrangians,
+    signature,
+)
 
 
 def _report(num: int, text: str):
@@ -63,7 +69,7 @@ def test_acceptance_02_so41_flexible(case_pipeline):
     l1 = np.stack(l1, axis=1)
     l2 = np.stack(l2, axis=1)
     assert lagrangian_pair_check(mod, root.omega.imag, l1, l2)   # {c2=0}, {c1=0}
-    rr = root_form(rep, dec, root)
+    rr = root_form(cohomology(rep, mod), root)
     assert rr.signature == 0 and rr.toledo == 0
     out = verdict(rep)
     assert out.verdict == "flexible"
@@ -76,12 +82,12 @@ def test_acceptance_02_so41_flexible(case_pipeline):
 def test_acceptance_03_sp21_cline(case_pipeline, rng):
     t0 = time.monotonic()
     rep, z, c, dec = case_pipeline("sp21-cline")
-    reports = {r.real_dim: root_form(rep, dec, r) for r in dec.roots}
+    adj = adjoint_module(rep)
+    reports = {r.real_dim: root_form(root_cohomology(rep, adj, r), r) for r in dec.roots}
     # the root realizing the stated SO(4,1) reduction: signature 0, T = 0
     assert 6 in reports
     rr6 = reports[6]
     assert rr6.signature == 0 and rr6.toledo == 0
-    adj = adjoint_module(rep)
     root6 = [r for r in dec.roots if r.real_dim == 6][0]
     mod = restricted_module(adj, root6.real_basis)
     pair = scan_invariant_lagrangians(mod, root6.omega.imag, rng)
@@ -100,8 +106,9 @@ def test_acceptance_03_sp21_cline(case_pipeline, rng):
 def test_acceptance_04_su31_scaling(case_pipeline):
     rep2, _, _, dec2 = case_pipeline("su21-cline")
     rep3, _, _, dec3 = case_pipeline("su31-cline")
-    t2 = root_form(rep2, dec2, dec2.roots[0]).toledo
-    t3 = root_form(rep3, dec3, dec3.roots[0]).toledo
+    root2, root3 = dec2.roots[0], dec3.roots[0]
+    t2 = root_form(root_cohomology(rep2, adjoint_module(rep2), root2), root2).toledo
+    t3 = root_form(root_cohomology(rep3, adjoint_module(rep3), root3), root3).toledo
     assert abs(t2) == 2 and abs(t3) == 4
     assert abs(t3) == 2 * abs(t2)
     _report(4, f"su(3,1) C-line Toledo scaling: |T(3)| = {abs(t3)} = 2 x |T(2)|")

@@ -13,7 +13,8 @@ from flexcheck.catalog import (
     splitso,
 )
 from flexcheck.scalars import Field, Quaternion
-from flexcheck.toledo import root_form
+from flexcheck.surface import adjoint_module
+from flexcheck.toledo import root_cohomology, root_form
 
 
 def test_splitso_dims():
@@ -110,15 +111,17 @@ def test_composed_relator_residual(case_pipeline):
 def test_su_cline_toledo_scaling(case_pipeline):
     rep2, _, _, dec2 = case_pipeline("su21-cline")
     rep3, _, _, dec3 = case_pipeline("su31-cline")
-    t2 = root_form(rep2, dec2, dec2.roots[0]).toledo
-    t3 = root_form(rep3, dec3, dec3.roots[0]).toledo
+    root2, root3 = dec2.roots[0], dec3.roots[0]
+    t2 = root_form(root_cohomology(rep2, adjoint_module(rep2), root2), root2).toledo
+    t3 = root_form(root_cohomology(rep3, adjoint_module(rep3), root3), root3).toledo
     assert abs(t3) == 2 * abs(t2)
 
 
 def test_sp_cline_has_vanishing_toledo_root(case_pipeline):
     for name in ("sp21-cline", "sp31-cline"):
         rep, _, _, dec = case_pipeline(name)
-        reports = [root_form(rep, dec, r) for r in dec.roots]
+        adj = adjoint_module(rep)
+        reports = [root_form(root_cohomology(rep, adj, r), r) for r in dec.roots]
         assert any(rr.toledo == 0 and rr.signature == 0 for rr in reports), name
 
 

@@ -1,6 +1,9 @@
 import json
 import os
 
+import numpy as np
+import pytest
+
 from flexcheck.cli import main, round12, schema_path
 
 
@@ -186,3 +189,35 @@ def test_standard_module_toledo(tmp_path, capsys):
     doc = json.loads(out)
     assert abs(doc["toledo"]) == 1           # Milnor: |T| = genus - 1
     assert doc["milnor_wood_slack"] == 0
+
+
+_IDENTITY = {
+    "group": {"family": "sl", "params": [2]},
+    "genus": 2,
+    "representation": {"source": "matrices", "field": "R",
+                       "generators": [[[[1.0], [0.0]], [[0.0], [1.0]]]] * 4},
+}
+
+
+@pytest.mark.parametrize("doc", [
+    [_IDENTITY],
+    {**_IDENTITY, "group": {"family": "sl", "params": []}},
+    {**_IDENTITY, "seed": "abc"},
+    {**_IDENTITY, "genus": "two"},
+    {**_IDENTITY, "tolerances": {"rank": -1.0}},
+    {**_IDENTITY, "representation": {**_IDENTITY["representation"], "generators": [
+        [[[float("nan")], [0.0]], [[0.0], [1.0]]]] * 4}},
+], ids=["array", "empty-params", "seed", "genus", "negative-tolerance", "nan-entry"])
+def test_malformed_problem_is_a_parse_error(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "verdict", "--input", str(path))
+    assert code == 2 and "parse error" in err
+
+
+def test_linalg_error_exit_code(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr("flexcheck.cli.verdict", fail)
+    code, _, err = run_cli(capsys, "verdict", "--catalog", "su21-cline")
+    assert code == 3 and "numerical abort" in err

@@ -1,3 +1,6 @@
+import sys
+from collections import Counter
+
 import numpy as np
 
 from flexcheck.engine import (
@@ -9,9 +12,9 @@ from flexcheck.engine import (
     verdict,
     virtual_dimension,
 )
-from flexcheck.liealg import build_classical
-from flexcheck.surface import standard_presentation, surface_representation
-from flexcheck.toledo import root_form
+from flexcheck.liealg import build_classical, centralizer
+from flexcheck.surface import adjoint_module, standard_presentation, surface_representation
+from flexcheck.toledo import root_cohomology, root_form
 
 
 def test_virtual_dimension():
@@ -133,7 +136,8 @@ def test_balanced_invariance(rng):
 
 def test_classify_PN_reselects_positive(case_pipeline):
     rep, z, c, dec = case_pipeline("su21-cline")
-    reports = [root_form(rep, dec, r) for r in dec.roots]
+    adj = adjoint_module(rep)
+    reports = [root_form(root_cohomology(rep, adj, r), r) for r in dec.roots]
     p_reports, n_values, problem = classify_PN(reports)
     assert len(p_reports) == 1 and not n_values
     assert p_reports[0].toledo > 0
@@ -208,3 +212,20 @@ def test_verdict_genus3_explicit(fuchsian):
     assert out.genus == 3
     sm = smoothness_of_rep(rep)
     assert sm.smooth and sm.vdim == virtual_dimension(3, 3)
+
+
+def test_verdict_computes_shared_stages_once(case_pipeline, monkeypatch):
+    # sp21-cline has two roots; the adjoint module is built once for both
+    rep, _, _, _ = case_pipeline("sp21-cline")
+    calls = Counter()
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "flexcheck"]
+    for fn in (adjoint_module, centralizer):
+        def counting(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counting)
+    verdict(rep)
+    assert calls == {"adjoint_module": 1, "centralizer": 1}

@@ -16,6 +16,7 @@ from flexcheck.surface import (
 from flexcheck.toledo import (
     lagrangian_pair_check,
     milnor_wood_check,
+    root_cohomology,
     root_form,
     scan_invariant_lagrangians,
     signature,
@@ -54,7 +55,7 @@ def test_fuchsian_standard_module_signature(fuchsian):
 
 def test_su21_root_form(case_pipeline):
     rep, z, c, dec = case_pipeline("su21-cline")
-    rr = root_form(rep, dec, dec.roots[0])
+    rr = root_form(root_cohomology(rep, adjoint_module(rep), dec.roots[0]), dec.roots[0])
     assert rr.h1_dim == 8
     assert abs(rr.signature) == 8 and abs(rr.toledo) == 2
     assert rr.definite
@@ -64,7 +65,7 @@ def test_su21_root_form(case_pipeline):
 
 def test_so41_root_form(case_pipeline):
     rep, z, c, dec = case_pipeline("so41-rplane")
-    rr = root_form(rep, dec, dec.roots[0])
+    rr = root_form(root_cohomology(rep, adjoint_module(rep), dec.roots[0]), dec.roots[0])
     assert rr.h1_dim == 12
     assert rr.signature == 0 and rr.toledo == 0
     assert not rr.definite
@@ -81,7 +82,7 @@ def test_real_root_toledo_vanishes(models):
     torus = subalgebra_from_matrices(m, [h])
     dec = decompose(m, torus)
     assert len(dec.roots) == 1 and dec.roots[0].classification == "real"
-    rr = root_form(rep, dec, dec.roots[0])
+    rr = root_form(root_cohomology(rep, adjoint_module(rep), dec.roots[0]), dec.roots[0])
     assert rr.toledo == 0
     assert rr.status == "ok"
 
@@ -93,7 +94,7 @@ def test_root_form_rejects_noncentralized_torus(fuchsian, models):
     torus = subalgebra_from_matrices(m, [h])
     dec = decompose(m, torus)
     with pytest.raises(NumericalAbort):
-        root_form(fuchsian, dec, dec.roots[0])
+        root_form(root_cohomology(fuchsian, adjoint_module(fuchsian), dec.roots[0]), dec.roots[0])
 
 
 def _so41_lagrangians(case_pipeline):
@@ -120,7 +121,7 @@ def test_so41_lagrangian_pair(case_pipeline):
     rep, root, mod, l1, l2 = _so41_lagrangians(case_pipeline)
     omega = root.omega.imag
     assert lagrangian_pair_check(mod, omega, l1, l2)
-    rr = root_form(rep, case_pipeline("so41-rplane")[3], root)
+    rr = root_form(cohomology(rep, mod), root)
     assert rr.toledo == 0
     # mixing the two Lagrangians produces a non-isotropic subspace
     bad = l1.copy()
@@ -159,14 +160,14 @@ def test_sp21_second_root_is_so41_reduction(case_pipeline, rng):
     rep, z, c, dec = case_pipeline("sp21-cline")
     by_dim = {r.real_dim: r for r in dec.roots}
     assert set(by_dim) == {8, 6}
-    rr6 = root_form(rep, dec, by_dim[6])
-    assert rr6.signature == 0 and rr6.toledo == 0
     adj = adjoint_module(rep)
+    rr6 = root_form(root_cohomology(rep, adj, by_dim[6]), by_dim[6])
+    assert rr6.signature == 0 and rr6.toledo == 0
     mod = restricted_module(adj, by_dim[6].real_basis)
     found = scan_invariant_lagrangians(mod, by_dim[6].omega.imag, rng)
     assert found is not None
     # the Hom-block root is maximal: std + conj-std add up, not cancel
-    rr8 = root_form(rep, dec, by_dim[8])
+    rr8 = root_form(root_cohomology(rep, adj, by_dim[8]), by_dim[8])
     assert abs(rr8.toledo) == 4 and rr8.definite
 
 
@@ -191,15 +192,16 @@ def test_root_form_rejects_invariant_vectors(models):
     dec = decompose(m, torus)
     rep = surface_representation(standard_presentation(2), m,
                                  [np.eye(m.realified_size)] * 4)
+    ws = root_cohomology(rep, adjoint_module(rep), dec.roots[0])
     with pytest.raises(NumericalAbort):
-        root_form(rep, dec, dec.roots[0])
+        root_form(ws, dec.roots[0])
 
 
 def test_classify_PN_aborts_on_degenerate_report(case_pipeline):
     from dataclasses import replace
     from flexcheck.engine import classify_PN
     rep, z, c, dec = case_pipeline("su21-cline")
-    rr = root_form(rep, dec, dec.roots[0])
+    rr = root_form(root_cohomology(rep, adjoint_module(rep), dec.roots[0]), dec.roots[0])
     degenerate = replace(rr, status="degenerate", signature=None, toledo=None)
     with pytest.raises(NumericalAbort):
         classify_PN([degenerate])
@@ -210,7 +212,8 @@ def test_root_form_invariant_under_basis_rotation(case_pipeline, rng):
     from dataclasses import replace
     rep, z, c, dec = case_pipeline("su21-cline")
     root = dec.roots[0]
-    base = root_form(rep, dec, root)
+    adj = adjoint_module(rep)
+    base = root_form(root_cohomology(rep, adj, root), root)
     for _ in range(5):
         q, _ = np.linalg.qr(rng.standard_normal((root.real_dim, root.real_dim)))
         rotated = replace(
@@ -218,8 +221,7 @@ def test_root_form_invariant_under_basis_rotation(case_pipeline, rng):
             real_basis=root.real_basis @ q,
             omega=q.T @ root.omega @ q,
         )
-        dec_rot = replace(dec, roots=(rotated,))
-        got = root_form(rep, dec_rot, rotated)
+        got = root_form(root_cohomology(rep, adj, rotated), rotated)
         assert got.signature == base.signature
         assert got.toledo == base.toledo
         assert got.definite == base.definite
