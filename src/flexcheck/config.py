@@ -37,6 +37,15 @@ class Tolerances:
 
 DEFAULT = Tolerances()
 
+# Cup-pairing form invariance: |a^T omega a - omega| relative to
+# |omega| |a|^2, for every module action a.  The standard module's
+# symplectic form and the Killing-valued forms on the adjoint module are
+# invariant by construction, up to round-off and the rank cutoff of H^0.
+# Root-module forms are invariant only up to the root-space restriction's
+# acceptance, membership * 10 = 1e-7, which moves a^T omega a by about
+# twice that; 1e-6 sits about 5x above every case.
+FORM_INVARIANCE = 1e-6
+
 
 def seed_from_env(default: int = 0) -> int:
     raw = os.environ.get(DEFAULT_SEED_ENV)

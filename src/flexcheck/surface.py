@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, FlexcheckError, NumericalAbort, Tolerances
+from .config import DEFAULT, FORM_INVARIANCE, FlexcheckError, NumericalAbort, Tolerances
 from .liealg import LieAlgebraModel, build_classical
 from .linalg import matrix_scale, nullspace, orthonormal_columns
 
@@ -222,13 +222,15 @@ class CohomologyWorkspace:
     def module_dim(self) -> int:
         return self.module.dim
 
-    def generator_values(self, u: np.ndarray) -> list[np.ndarray]:
-        m = self.module.dim
-        return [u[s * m : (s + 1) * m] for s in range(self.rep.presentation.generator_count)]
+    def cocycle_residual(self, u: np.ndarray):
+        """Relator-map residual of a cochain, relative to its largest entry.
 
-    def cocycle_residual(self, u: np.ndarray) -> float:
-        scale = max(float(np.abs(u).max(initial=0.0)), 1.0)
-        return float(np.abs(self.relator_map @ u).max(initial=0.0)) / scale
+        A ``(2g m,)`` vector gives a float; a ``(2g m, k)`` column block
+        gives a length-k array, one residual per column.
+        """
+        scale = np.maximum(np.abs(u).max(axis=0, initial=0.0), 1.0)
+        resid = np.abs(self.relator_map @ u).max(axis=0, initial=0.0) / scale
+        return float(resid) if np.ndim(u) == 1 else resid
 
 
 def cohomology(rep: SurfaceRepresentation, module: Module, tol: Tolerances = DEFAULT) -> CohomologyWorkspace:
@@ -295,10 +297,12 @@ def cohomology(rep: SurfaceRepresentation, module: Module, tol: Tolerances = DEF
 
 
 def _check_invariant_form(ws: CohomologyWorkspace, omega: np.ndarray) -> None:
-    scale = max(float(np.abs(omega).max(initial=0.0)), 1.0)
+    """Abort unless every slice of ``omega`` ((m, m) or (K, m, m)) is module-invariant."""
+    forms = omega.reshape(-1, ws.module_dim, ws.module_dim)
+    scale = np.maximum(np.abs(forms).max(axis=(1, 2), initial=0.0), 1.0)
     for a in ws.module.actions:
-        resid = np.abs(a.T @ omega @ a - omega).max()
-        if resid > 1e-6 * scale * max(matrix_scale(a) ** 2, 1.0):
+        resid = np.abs(a.T @ forms @ a - forms).max(axis=(1, 2), initial=0.0)
+        if np.any(resid > FORM_INVARIANCE * scale * max(matrix_scale(a) ** 2, 1.0)):
             raise NumericalAbort("cup pairing needs a module-invariant bilinear form")
 
 
@@ -312,43 +316,44 @@ def cup_pairing(
     """Evaluate <omega(u cup v), [Sigma]> for cocycles u, v.
 
     omega may be a single (m, m) bilinear form (real or complex) or a
-    stack (k, m, m); the result is a scalar or a length-k vector.
+    stack (K, m, m).  u and v are (2g m,) cocycles or (2g m, k) blocks of
+    cocycle columns.  The pairing is bilinear: the result is u^T C v for
+    the cochain-level cup matrix C = I (x) omega + sum_k S_k^T omega A_k
+    (A_k the letter-k Fox block, S_k the sum of the A_j with j < k),
+    evaluated without forming C.  A vector pair gives a scalar (length-K
+    vector for a stack), a block pair a (ku, kv) matrix ((K, ku, kv)); a
+    vector on one side drops that side's axis.
     """
-    omega = np.asarray(omega)
-    stacked = omega.ndim == 3
-    for sl in omega if stacked else [omega]:
-        _check_invariant_form(ws, sl)
+    omega, u, v = np.asarray(omega), np.asarray(u), np.asarray(v)
+    _check_invariant_form(ws, omega)
     for w in (u, v):
-        if ws.cocycle_residual(w) > tol.cocycle * 10:
+        if np.any(ws.cocycle_residual(w) > tol.cocycle * 10):
             raise NumericalAbort("cup_pairing arguments must be cocycles")
 
     pres = ws.rep.presentation
     m = ws.module.dim
-    acts = ws.module.actions
-    invs = [np.linalg.inv(a) for a in acts]
-    us = ws.generator_values(u)
-    vs = ws.generator_values(v)
+    ngen = pres.generator_count
+    gens, signs = np.array(pres.letters).T
+    invs = np.linalg.inv(np.stack(ws.module.actions))
+    prefixes = np.stack(ws.prefix_actions[:-1])             # (4g, m, m)
 
-    def letter_value(vals, s, sign):
-        return vals[s] if sign > 0 else -(invs[s] @ vals[s])
+    def letter_blocks(w):
+        """Y_k = P_k L_k(w): each letter's cochain value moved by its prefix."""
+        blocks = w.reshape(ngen, m, -1)
+        inverted = -(invs @ blocks)
+        values = np.where(signs[:, None, None] > 0, blocks[gens], inverted[gens])
+        return blocks, prefixes @ values
 
-    def pair(x, y):
-        if stacked:
-            return np.einsum("a,kab,b->k", x, omega, y)
-        return x @ omega @ y
-
-    total = 0.0 if not stacked else np.zeros(omega.shape[0], dtype=omega.dtype)
-    if np.iscomplexobj(omega):
-        total = 0.0j if not stacked else np.zeros(omega.shape[0], dtype=complex)
-    uacc = np.zeros(m)
-    for k, (s, sign) in enumerate(pres.letters):
-        p = ws.prefix_actions[k]
-        if k > 0:
-            total = total + pair(uacc, p @ letter_value(vs, s, sign))
-        uacc = uacc + p @ letter_value(us, s, sign)
-    for s in range(pres.generator_count):
-        total = total + pair(us[s], vs[s])
-    return total
+    ublocks, yu = letter_blocks(u)
+    vblocks, yv = letter_blocks(v)
+    # exclusive prefix sums X_k = sum_{j<k} Y_j(u); X_0 = 0
+    xu = np.zeros_like(yu)
+    np.cumsum(yu[:-1], axis=0, out=xu[1:])
+    # sum_k X_k^T omega Y_k(v) plus the generator-diagonal sum_s u_s^T omega v_s
+    left = np.concatenate([xu, ublocks]).reshape(-1, xu.shape[-1])
+    right = omega[..., None, :, :] @ np.concatenate([yv, vblocks])
+    out = left.T @ right.reshape(*omega.shape[:-2], len(left), right.shape[-1])
+    return out.reshape(omega.shape[:-2] + u.shape[1:] + v.shape[1:])[()]
 
 
 def cup_square(ws: CohomologyWorkspace, u: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
@@ -360,15 +365,8 @@ def cup_square(ws: CohomologyWorkspace, u: np.ndarray, tol: Tolerances = DEFAULT
     if not ws.module.kind.startswith("adjoint"):
         raise FlexcheckError("cup_square is defined on the adjoint module")
     model = ws.rep.model
-    if ws.h0_dim == 0:
-        if ws.cocycle_residual(u) > tol.cocycle * 10:
-            raise NumericalAbort("cup_square argument must be a cocycle")
-        return np.zeros(0)
-    forms = np.stack([
-        np.einsum("ijk,k->ij", model.structure, model.killing @ ws.h0_basis[:, j])
-        for j in range(ws.h0_dim)
-    ])
-    return np.asarray(cup_pairing(ws, forms, u, u, tol))
+    forms = np.einsum("ijk,kl->lij", model.structure, model.killing @ ws.h0_basis)
+    return cup_pairing(ws, forms, u, u, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -64,15 +64,8 @@ class RootFormReport:
 
 def gram_matrix(ws: CohomologyWorkspace, omega: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Symmetrized Gram matrix of the omega-valued cup pairing on H^1."""
-    h = ws.h1
-    k = h.shape[1]
-    out = np.zeros((k, k), dtype=complex if np.iscomplexobj(omega) else float)
-    for i in range(k):
-        for j in range(i, k):
-            out[i, j] = cup_pairing(ws, omega, h[:, i], h[:, j], tol)
-            if j > i:
-                out[j, i] = cup_pairing(ws, omega, h[:, j], h[:, i], tol)
-    return 0.5 * (out + out.T)
+    gram = cup_pairing(ws, omega, ws.h1, ws.h1, tol)
+    return 0.5 * (gram + gram.T)
 
 
 def root_cohomology(

@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 
+from flexcheck.catalog import build_case_representation
 from flexcheck.engine import (
     BalanceProblem,
     balanced,
@@ -13,7 +14,13 @@ from flexcheck.engine import (
     virtual_dimension,
 )
 from flexcheck.liealg import build_classical, centralizer
-from flexcheck.surface import adjoint_module, standard_presentation, surface_representation
+from flexcheck.surface import (
+    _check_invariant_form,
+    adjoint_module,
+    cup_pairing,
+    standard_presentation,
+    surface_representation,
+)
 from flexcheck.toledo import root_cohomology, root_form
 
 
@@ -214,12 +221,11 @@ def test_verdict_genus3_explicit(fuchsian):
     assert sm.smooth and sm.vdim == virtual_dimension(3, 3)
 
 
-def test_verdict_computes_shared_stages_once(case_pipeline, monkeypatch):
-    # sp21-cline has two roots; the adjoint module is built once for both
-    rep, _, _, _ = case_pipeline("sp21-cline")
+def _count_calls(monkeypatch, *fns) -> Counter:
+    """Count calls to each function under every name a flexcheck module binds it to."""
     calls = Counter()
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "flexcheck"]
-    for fn in (adjoint_module, centralizer):
+    for fn in fns:
         def counting(*args, _fn=fn, **kwargs):
             calls[_fn.__name__] += 1
             return _fn(*args, **kwargs)
@@ -227,5 +233,42 @@ def test_verdict_computes_shared_stages_once(case_pipeline, monkeypatch):
             for attr, value in list(vars(mod).items()):
                 if value is fn:
                     monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+def test_verdict_computes_shared_stages_once(case_pipeline, monkeypatch):
+    # sp21-cline has two roots; the adjoint module is built once for both
+    rep, _, _, _ = case_pipeline("sp21-cline")
+    calls = _count_calls(monkeypatch, adjoint_module, centralizer)
     verdict(rep)
     assert calls == {"adjoint_module": 1, "centralizer": 1}
+
+
+def test_verdict_pairs_each_root_form_in_one_cup_call(case_pipeline, monkeypatch):
+    # one block cup pairing per root Gram, not one call per pair of H^1 classes
+    rep, _, _, _ = case_pipeline("sp21-cline")
+    calls = _count_calls(monkeypatch, cup_pairing, _check_invariant_form)
+    report = verdict(rep)
+    assert len(report.roots) == 2 and all(r.h1_dim > 1 for r in report.roots)
+    assert calls["cup_pairing"] == len(report.roots)
+    assert calls["_check_invariant_form"] <= calls["cup_pairing"]
+
+
+def test_verdict_at_theorem_threshold_genus():
+    # su21-cline with the extra handles pinched to the identity, at genus
+    # 2 dim(G)^2 = 128; expectations from closed forms only: H^0 = H^2 = 0 on
+    # the root module gives h1 = (2g - 2) real_dim, |T| keeps its genus-2
+    # value real_dim / 2, the root is no longer definite, so P is empty and
+    # the one-dimensional center is balanced
+    base = build_case_representation("su21-cline")
+    genus = 2 * base.model.dim ** 2
+    assert genus == 128
+    ident = np.eye(base.images[0].shape[0])
+    images = list(base.images) + [ident] * (2 * genus - 4)
+    rep = surface_representation(standard_presentation(genus), base.model, images)
+    report = verdict(rep)
+    assert report.verdict == "flexible"
+    assert report.genus_threshold == genus
+    assert not any("below the theorem threshold" in c for c in report.caveats)
+    assert [(abs(r.toledo), r.h1_dim, r.real_dim) for r in report.roots] == [
+        (2, (2 * genus - 2) * 4, 4)]

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from flexcheck.config import FlexcheckError, NumericalAbort
-from flexcheck.liealg import build_classical
+from flexcheck.liealg import build_classical, subalgebra_from_matrices
+from flexcheck.roots import decompose
 from flexcheck.scalars import Field, realify
 from flexcheck.surface import (
+    _expm,
     adjoint_module,
     cohomology,
     correct_relator,
@@ -16,6 +18,7 @@ from flexcheck.surface import (
     surface_representation,
     trivial_module,
 )
+from flexcheck.toledo import root_cohomology
 
 
 def test_standard_presentation():
@@ -183,12 +186,132 @@ def test_cup_square_polarization(fuchsian, rng):
     v = ws.z1 @ rng.standard_normal(k)
     lhs = cup_square(ws, u + v) - cup_square(ws, u) - cup_square(ws, v)
     # mixed term evaluated directly with the same Killing-valued forms
-    forms = np.stack([
+    forms = _killing_forms(ws)
+    mixed = np.asarray(cup_pairing(ws, forms, u, v)) + np.asarray(cup_pairing(ws, forms, v, u))
+    assert np.abs(lhs - mixed).max() < 1e-8 * max(np.abs(lhs).max(), 1.0)
+
+
+def _fan_chain_pairing(ws, omega, u, v):
+    """Reference: the fan-chain sum for one pair of cocycle vectors, letter by letter."""
+    pres = ws.rep.presentation
+    m = ws.module.dim
+    invs = [np.linalg.inv(a) for a in ws.module.actions]
+    us = [u[s * m : (s + 1) * m] for s in range(pres.generator_count)]
+    vs = [v[s * m : (s + 1) * m] for s in range(pres.generator_count)]
+
+    def letter_value(vals, s, sign):
+        return vals[s] if sign > 0 else -(invs[s] @ vals[s])
+
+    def pair(x, y):
+        return np.einsum("a,...ab,b->...", x, omega, y)
+
+    total = 0.0
+    uacc = np.zeros(m)
+    for k, (s, sign) in enumerate(pres.letters):
+        p = ws.prefix_actions[k]
+        if k > 0:
+            total = total + pair(uacc, p @ letter_value(vs, s, sign))
+        uacc = uacc + p @ letter_value(us, s, sign)
+    for s in range(pres.generator_count):
+        total = total + pair(us[s], vs[s])
+    return total
+
+
+def _killing_forms(ws):
+    model = ws.rep.model
+    return np.stack([
         np.einsum("ijk,k->ij", model.structure, model.killing @ ws.h0_basis[:, j])
         for j in range(ws.h0_dim)
     ])
-    mixed = np.asarray(cup_pairing(ws, forms, u, v)) + np.asarray(cup_pairing(ws, forms, v, u))
-    assert np.abs(lhs - mixed).max() < 1e-8 * max(np.abs(lhs).max(), 1.0)
+
+
+def _abelian_root(model, x, kind):
+    """Cohomology and Omega of the ``kind`` root of the torus R x, for a
+    representation into exp(R x), which centralizes that torus."""
+    n = model.realified_size
+    images = [_expm(0.3 * x), _expm(0.2 * x), np.eye(n), np.eye(n)]
+    rep = surface_representation(standard_presentation(2), model, images)
+    dec = decompose(model, subalgebra_from_matrices(model, [x]))
+    root = next(r for r in dec.roots if r.classification == kind)
+    return root_cohomology(rep, adjoint_module(rep), root), root.omega
+
+
+def _catalog_root(case_pipeline, case, index):
+    rep, _, _, dec = case_pipeline(case)
+    root = dec.roots[index]
+    return root_cohomology(rep, adjoint_module(rep), root), root.omega
+
+
+# Each builder takes (case_pipeline, fuchsian, models) and returns the
+# (workspace, omega) pair to compare against the reference.
+
+def _su41_imaginary_root(case_pipeline, fuchsian, models):
+    ws, omega = _catalog_root(case_pipeline, "su41-cline", 0)
+    return ws, omega.imag
+
+
+def _sl2_real_root(case_pipeline, fuchsian, models):
+    ws, omega = _abelian_root(models["sl2"], np.diag([1.0, -1.0]), "real")
+    return ws, omega.real
+
+
+def _sp21_complex_omega(case_pipeline, fuchsian, models):
+    return _catalog_root(case_pipeline, "sp21-cline", 1)
+
+
+def _so31_mixed_root(case_pipeline, fuchsian, models):
+    x = np.zeros((4, 4))
+    x[0, 1], x[1, 0], x[2, 3], x[3, 2] = -1.0, 1.0, 1.0, 1.0   # rotation + boost
+    return _abelian_root(models["so31"], x, "mixed")
+
+
+def _octagon_standard_module(case_pipeline, fuchsian, models):
+    return cohomology(fuchsian, standard_module(fuchsian)), np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def _su31_killing_stack(case_pipeline, fuchsian, models):
+    rep, _, _, _ = case_pipeline("su31-cline")                   # h0 = 4
+    ws = cohomology(rep, adjoint_module(rep))
+    return ws, _killing_forms(ws)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(_su41_imaginary_root, id="su41-cline imaginary root"),
+    pytest.param(_sl2_real_root, id="sl2 real root"),
+    pytest.param(_sp21_complex_omega, id="sp21-cline complex omega"),
+    pytest.param(_so31_mixed_root, id="so31 mixed root"),
+    pytest.param(_octagon_standard_module, id="octagon standard module"),
+    pytest.param(_su31_killing_stack, id="su31-cline Killing stack"),
+])
+def test_block_cup_pairing_matches_fan_chain_reference(build, case_pipeline, fuchsian, models):
+    ws, omega = build(case_pipeline, fuchsian, models)
+    h = ws.h1
+    assert h.shape[1] > 0
+    got = cup_pairing(ws, omega, h, h)
+    want = np.array([[_fan_chain_pairing(ws, omega, h[:, i], h[:, j])
+                      for j in range(h.shape[1])] for i in range(h.shape[1])])
+    want = np.moveaxis(want, (0, 1), (-2, -1))       # (K, k, k) for a stack
+    assert got.shape == want.shape
+    assert np.iscomplexobj(got) == np.iscomplexobj(omega)
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_cup_pairing_shapes(fuchsian, case_pipeline):
+    ws = cohomology(fuchsian, standard_module(fuchsian))
+    omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    h = ws.h1
+    block = cup_pairing(ws, omega, h, h)
+    scalar = cup_pairing(ws, omega, h[:, 0], h[:, 1])
+    assert np.ndim(scalar) == 0 and abs(scalar - block[0, 1]) < 1e-12
+    assert np.allclose(cup_pairing(ws, omega, h[:, 0], h), block[0], atol=1e-12)
+    assert np.allclose(cup_pairing(ws, omega, h, h[:, 1]), block[:, 1], atol=1e-12)
+    assert np.allclose(ws.cocycle_residual(h), [ws.cocycle_residual(c) for c in h.T])
+    rep, _, _, _ = case_pipeline("su31-cline")
+    adj = cohomology(rep, adjoint_module(rep))
+    forms = _killing_forms(adj)
+    stacked = cup_pairing(adj, forms, adj.h1[:, 0], adj.h1[:, 1])
+    assert stacked.shape == (adj.h0_dim,)
+    assert cup_pairing(adj, forms, adj.h1, adj.h1).shape == (adj.h0_dim,) + (adj.h1_dim,) * 2
 
 
 def test_central_lift_flag():
@@ -214,7 +337,6 @@ def test_correct_relator(fuchsian, rng):
     images = []
     for g in fuchsian.images:
         move = 1e-3 * rng.standard_normal(3)
-        from flexcheck.surface import _expm
         images.append(g @ _expm(np.tensordot(move, model.basis, axes=(0, 0))))
     rel = relator_product(fuchsian.presentation, images)
     assert np.abs(rel - np.eye(2)).max() > 1e-6   # perturbation broke the relator
@@ -248,6 +370,9 @@ def test_cup_pairing_rejects_non_cocycles(fuchsian, rng):
         cup_pairing(ws, omega, bad, good)
     with pytest.raises(NumericalAbort):
         cup_pairing(ws, omega, good, bad)
+    # one bad column spoils a block
+    with pytest.raises(NumericalAbort):
+        cup_pairing(ws, omega, ws.z1, np.column_stack([ws.z1, bad]))
 
 
 def test_cup_pairing_rejects_noninvariant_form(fuchsian):
