@@ -15,17 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT, ExcludedFamilyError, FlexcheckError, NumericalAbort, Tolerances
-from .liealg import build_classical
-from .scalars import (
-    Field,
-    Quaternion,
-    field_units,
-    imaginary_units,
-    left_block,
-    realified_entry_block,
-)
+from .liealg import _form_matrix, _indefinite_basis, build_classical
+from .scalars import Field, Quaternion, field_units, left_block, realify
 from .surface import (
     SurfaceRepresentation,
+    _expm,
     fuchsian_genus2,
     standard_presentation,
     surface_representation,
@@ -50,92 +44,60 @@ class SplitsoDecomposition:
     def dims(self) -> tuple[int, int, int]:
         return (len(self.compact_block), len(self.indefinite_block), len(self.hom_block))
 
-    def hom_element(self, b: np.ndarray) -> np.ndarray:
-        """Realified block matrix for B in F^{(p+q) x (m-p)} (component array).
+    def hom_element(self, b) -> np.ndarray:
+        """Realified block matrix for B in F^{(p+q) x (m-p)}.
 
         ``b`` has shape (p+q, m-p) with entries scalars of the field
-        (complex numbers or Quaternion instances).
+        (real or complex numbers, or Quaternion instances).
         """
-        return _hom_matrix(self.field, self.m, self.q, self.p, b)
+        return _hom_matrix(self.field, self.m, self.q, self.p, realify(b, self.field).real)
 
 
-def _anti_selfadjoint_basis(fld: Field, signs: np.ndarray, offset: int, total: int):
-    """Realified basis of {A : A* e + e A = 0} placed at a diagonal offset."""
-    k = len(signs)
-    out = []
-    units = field_units(fld)
-    for a in range(k):
-        for b in range(a + 1, k):
-            m = realified_entry_block(fld, total, offset + a, offset + b, signs[a] * units[0]) \
-                - realified_entry_block(fld, total, offset + b, offset + a, signs[b] * units[0])
-            out.append(m)
-            for u in imaginary_units(fld):
-                m = realified_entry_block(fld, total, offset + a, offset + b, _unit_scale(u, signs[a], fld)) \
-                    + realified_entry_block(fld, total, offset + b, offset + a, _unit_scale(u, signs[b], fld))
-                out.append(m)
-    for a in range(k):
-        for u in imaginary_units(fld):
-            out.append(realified_entry_block(fld, total, offset + a, offset + a, u))
-    return out
+def _hom_matrix(fld: Field, m: int, q: int, p: int, rb: np.ndarray) -> np.ndarray:
+    """[[0, -B* e], [B, 0]] realified, blocks (m-p) + (p+q), from rb = R(B).
 
-
-def _unit_scale(u, s: float, fld: Field):
-    if fld is Field.COMPLEX:
-        return u * s
-    if fld is Field.REAL:
-        return u * s
-    return Quaternion(*(np.array(u.components()) * s))
-
-
-def _hom_matrix(fld: Field, m: int, q: int, p: int, b) -> np.ndarray:
-    """[[0, -B* e], [B, 0]] realified, blocks (m-p) + (p+q)."""
-    total = m + q
-    top = m - p
-    e = np.concatenate([np.ones(p), -np.ones(q)])
-    out = np.zeros((fld.dim * total, fld.dim * total))
+    Realification turns B* into R(B)^T and e into the realified form.
+    """
     d = fld.dim
-    for k in range(p + q):
-        for l in range(top):
-            val = b[k][l] if not isinstance(b, np.ndarray) or b.dtype == object else b[k, l]
-            if fld is Field.QUATERNION:
-                val = val if isinstance(val, Quaternion) else Quaternion(*val)
-                conj = val.conjugate()
-                neg = Quaternion(*(-np.array(conj.components()) * e[k]))
-            else:
-                val = complex(val) if fld is Field.COMPLEX else float(val)
-                neg = -np.conj(val) * e[k] if fld is Field.COMPLEX else -val * e[k]
-            r, c = top + k, l
-            out[d * r : d * r + d, d * c : d * c + d] += left_block(val, fld)
-            out[d * c : d * c + d, d * r : d * r + d] += left_block(neg, fld)
+    top = d * (m - p)
+    out = np.zeros((d * (m + q), d * (m + q)))
+    out[top:, :top] = rb
+    out[:top, top:] = -rb.T @ _form_matrix(fld, p, q)
     return out
 
 
-def splitso(m: int, q: int, fld: Field, p: int) -> SplitsoDecomposition:
+def _on_diagonal(mats, offset: int, total: int, d: int) -> list:
+    """Realified square matrices placed at a diagonal offset of a total x total matrix."""
+    out = []
+    for x in mats:
+        big = np.zeros((d * total, d * total))
+        block = slice(d * offset, d * offset + len(x))
+        big[block, block] = x
+        out.append(big)
+    return out
+
+
+def splitso(m: int, q: int, fld: Field | str, p: int) -> SplitsoDecomposition:
     """Three-block decomposition of o(m, q, F) along an F^p x F^{m-p} split."""
     if isinstance(fld, str):
-        fld = Field.parse(fld) if fld.upper() in ("R", "C", "H") else fld
-    if fld == "O" or getattr(fld, "value", None) == "O":
-        raise ExcludedFamilyError("octonionic splitso is excluded")
+        if fld.strip().upper() == "O":
+            raise ExcludedFamilyError("octonionic splitso is excluded")
+        fld = Field.parse(fld)
     if not (0 < p < m):
         raise FlexcheckError("splitso needs 0 < p < m")
     total = m + q
     top = m - p
-    compact = _anti_selfadjoint_basis(fld, np.ones(top), 0, total)
-    lower = _anti_selfadjoint_basis(
-        fld, np.concatenate([np.ones(p), -np.ones(q)]), top, total)
+    d = fld.dim
+    compact = _on_diagonal(_indefinite_basis(fld, top, 0), 0, total, d)
+    lower = _on_diagonal(_indefinite_basis(fld, p, q), top, total, d)
     hom = []
     index = []
-    d = fld.dim
-    units = field_units(fld)
     for k in range(p + q):
         for l in range(top):
-            for u in units:
-                b = np.zeros((p + q, top), dtype=object)
-                for kk in range(p + q):
-                    for ll in range(top):
-                        b[kk, ll] = Quaternion() if fld is Field.QUATERNION else 0.0
-                b[k, l] = u
-                hom.append(_hom_matrix(fld, m, q, p, b))
+            for u in field_units(fld):
+                rb = np.zeros((d * (p + q), d * top))
+                rb[d * k : d * k + d, d * l : d * l + d] = left_block(u, fld)
+                hom.append(_hom_matrix(fld, m, q, p, rb))
                 index.append((k, l, u))
     dims = (len(compact), len(lower), len(hom))
     formula = {
@@ -152,81 +114,16 @@ def splitso(m: int, q: int, fld: Field, p: int) -> SplitsoDecomposition:
 def hom_bracket_closed_form(dec: SplitsoDecomposition, b, c):
     """Expected bracket of two hom-block elements: diag(C*eB - B*eC, CB*e - BC*e).
 
-    b, c are (p+q) x (m-p) component arrays over the field; the return is
-    the realified block-diagonal matrix of the closed form.
+    b, c are (p+q) x (m-p) matrices over the field; the closed form is
+    evaluated on their realifications, where B* becomes R(B)^T.
     """
     fld = dec.field
-    p, q, m = dec.p, dec.q, dec.m
-    top = m - p
-    e = np.concatenate([np.ones(p), -np.ones(q)])
-
-    if fld is Field.QUATERNION:
-        def conj_t(x):
-            return np.array([[x[r][s].conjugate() for r in range(len(x))]
-                             for s in range(len(x[0]))], dtype=object)
-
-        def mul(x, y):
-            rows, inner, cols = len(x), len(y), len(y[0])
-            out = np.empty((rows, cols), dtype=object)
-            for r in range(rows):
-                for s in range(cols):
-                    acc = Quaternion()
-                    for t in range(inner):
-                        acc = acc + x[r][t] * y[t][s]
-                    out[r, s] = acc
-            return out
-
-        def scale_rows(x, signs):
-            return np.array([[signs[r] * x[r][s] for s in range(len(x[0]))]
-                             for r in range(len(x))], dtype=object)
-
-        bstar, cstar = conj_t(b), conj_t(c)
-        # e acts on the (p+q)-index: rows of B, C and columns of B*, C*
-        upper = _obj_sub(mul(cstar, scale_rows(b, e)), mul(bstar, scale_rows(c, e)))
-        lower = _obj_sub(mul(c, _scale_cols(bstar, e)), mul(b, _scale_cols(cstar, e)))
-        out = np.zeros((4 * (m + q), 4 * (m + q)))
-        for r in range(top):
-            for s in range(top):
-                out[4 * r : 4 * r + 4, 4 * s : 4 * s + 4] = left_block(upper[r, s], fld)
-        for r in range(p + q):
-            for s in range(p + q):
-                rr, ss = top + r, top + s
-                out[4 * rr : 4 * rr + 4, 4 * ss : 4 * ss + 4] = left_block(lower[r, s], fld)
-        return out
-
-    b = np.asarray(b, dtype=complex if fld is Field.COMPLEX else float)
-    c = np.asarray(c, dtype=complex if fld is Field.COMPLEX else float)
-    emat = np.diag(e)
-    upper = c.conj().T @ emat @ b - b.conj().T @ emat @ c
-    lower = c @ b.conj().T @ emat - b @ c.conj().T @ emat
-    total = m + q
-    d = fld.dim
-    out = np.zeros((d * total, d * total))
-    for r in range(top):
-        for s in range(top):
-            out[d * r : d * r + d, d * s : d * s + d] = left_block(upper[r, s], fld)
-    for r in range(p + q):
-        for s in range(p + q):
-            rr, ss = top + r, top + s
-            out[d * rr : d * rr + d, d * ss : d * ss + d] = left_block(lower[r, s], fld)
-    return out
-
-
-def _obj_sub(x, y):
-    rows, cols = x.shape
-    out = np.empty((rows, cols), dtype=object)
-    for r in range(rows):
-        for s in range(cols):
-            out[r, s] = x[r, s] - y[r, s]
-    return out
-
-
-def _scale_cols(x, signs):
-    rows, cols = x.shape
-    out = np.empty((rows, cols), dtype=object)
-    for r in range(rows):
-        for s in range(cols):
-            out[r, s] = signs[s] * x[r, s]
+    rb, rc = realify(b, fld).real, realify(c, fld).real
+    e = _form_matrix(fld, dec.p, dec.q)
+    top = fld.dim * (dec.m - dec.p)
+    out = np.zeros((fld.dim * (dec.m + dec.q),) * 2)
+    out[:top, :top] = rc.T @ e @ rb - rb.T @ e @ rc
+    out[top:, top:] = rc @ rb.T @ e - rb @ rc.T @ e
     return out
 
 
@@ -392,7 +289,6 @@ def check_homomorphism(embedding, rng: np.random.Generator, samples: int = 8,
         x -= np.trace(x) / 2.0 * np.eye(2)
         y = rng.standard_normal((2, 2)) * 0.4
         y -= np.trace(y) / 2.0 * np.eye(2)
-        from .surface import _expm
         g, h = _expm(x), _expm(y)
         lhs = embedding(g @ h)
         rhs = embedding(g) @ embedding(h)

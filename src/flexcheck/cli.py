@@ -23,7 +23,7 @@ from .config import DEFAULT, FlexcheckError, NumericalAbort, ParseError, seed_fr
 from .catalog import build_case_representation, default_cases, find_case
 from .engine import Pipeline, verdict
 from .liealg import build_classical
-from .scalars import Field, Quaternion, left_block
+from .scalars import Field, Quaternion, realify
 from .surface import cohomology, standard_module, standard_presentation, surface_representation
 from .toledo import gram_matrix, signature
 
@@ -72,15 +72,13 @@ def _parse_matrix(rows, field: Field, where: str) -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise ParseError(f"{where}: matrix must be a non-empty list of rows")
     n = len(rows)
-    d = field.dim
-    out = np.zeros((d * n, d * n))
+    entries = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise ParseError(f"{where}: row {i} must have {n} entries")
-        for j, entry in enumerate(row):
-            val = _parse_entry(entry, field, f"{where}[{i}][{j}]")
-            out[d * i : d * i + d, d * j : d * j + d] = left_block(val, field)
-    return out
+        entries.append([_parse_entry(entry, field, f"{where}[{i}][{j}]")
+                        for j, entry in enumerate(row)])
+    return realify(entries, field).real
 
 
 def _int(value, where: str) -> int:

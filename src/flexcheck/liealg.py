@@ -17,7 +17,6 @@ from .config import DEFAULT, ExcludedFamilyError, FlexcheckError, NumericalAbort
 from .linalg import matrix_scale, nullspace, orthonormal_columns, rank
 from .scalars import (
     Field,
-    Quaternion,
     field_units,
     imaginary_units,
     realified_entry_block,
@@ -150,7 +149,7 @@ def _finish_model(name, fld, n, family, mats, form, params, tol: Tolerances) -> 
     return model
 
 
-def _indefinite_basis(fld: Field, p: int, q: int, traceless: bool):
+def _indefinite_basis(fld: Field, p: int, q: int, traceless: bool = False):
     """Basis of {M : M* e + e M = 0} (+ tracelessness for su) via M = e A."""
     n = p + q
     e = np.concatenate([np.ones(p), -np.ones(q)])
@@ -164,8 +163,8 @@ def _indefinite_basis(fld: Field, p: int, q: int, traceless: bool):
                 - realified_entry_block(fld, n, l, k, e[l] * one)
             mats.append(m)
             for u in imaginary_units(fld):
-                m = realified_entry_block(fld, n, k, l, _scale_unit(u, e[k], fld)) \
-                    + realified_entry_block(fld, n, l, k, _scale_unit(u, e[l], fld))
+                m = realified_entry_block(fld, n, k, l, u * e[k]) \
+                    + realified_entry_block(fld, n, l, k, u * e[l])
                 mats.append(m)
     # diagonal: A = u E_kk, u imaginary
     if fld is Field.COMPLEX and traceless:
@@ -175,14 +174,8 @@ def _indefinite_basis(fld: Field, p: int, q: int, traceless: bool):
     else:
         for k in range(n):
             for u in imaginary_units(fld):
-                mats.append(realified_entry_block(fld, n, k, k, _scale_unit(u, e[k] * e[k], fld)))
-    return mats, e
-
-
-def _scale_unit(u, s: float, fld: Field):
-    if fld is Field.COMPLEX:
-        return u * s
-    return Quaternion(*(np.array(u.components()) * s))
+                mats.append(realified_entry_block(fld, n, k, k, u * (e[k] * e[k])))
+    return mats
 
 
 def _form_matrix(fld: Field, p: int, q: int) -> np.ndarray:
@@ -228,7 +221,7 @@ def build_classical(family: str, *params: int, tol: Tolerances = DEFAULT) -> Lie
         if p < 1 or q < 0:
             raise FlexcheckError("parameters must satisfy p >= 1, q >= 0")
         fld = {"su": Field.COMPLEX, "so": Field.REAL, "sp": Field.QUATERNION}[family]
-        mats, _ = _indefinite_basis(fld, p, q, traceless=(family == "su"))
+        mats = _indefinite_basis(fld, p, q, traceless=(family == "su"))
         form = _form_matrix(fld, p, q)
         n = p + q
         model = _finish_model(f"{family}({p},{q})", fld, n, family, mats, form, (p, q), tol)

@@ -138,26 +138,21 @@ class RealizedMatrix:
 def realify(mat, field: Field) -> RealizedMatrix:
     """Realify a matrix with entries in the given field.
 
-    Accepts a real array, a complex array, or a nested sequence of
-    Quaternion / 4-component entries for the quaternionic case.
+    Accepts a 2-dimensional array or nested sequence whose entries are
+    scalars of the field: real numbers, complex numbers or Quaternions.
     """
-    d = field.dim
-    if field is Field.QUATERNION:
-        rows = len(mat)
-        cols = len(mat[0]) if rows else 0
-        out = np.zeros((d * rows, d * cols))
-        for i in range(rows):
-            for j in range(cols):
-                out[d * i : d * (i + 1), d * j : d * (j + 1)] = left_block(mat[i][j], field)
-        return RealizedMatrix(field, rows, cols, out)
-    arr = np.asarray(mat, dtype=complex if field is Field.COMPLEX else float)
-    if arr.ndim != 2:
+    try:
+        shape = np.shape(mat)
+    except ValueError:  # ragged rows
+        shape = ()
+    if len(shape) != 2:
         raise FlexcheckError("realify expects a 2-dimensional matrix")
-    rows, cols = arr.shape
+    rows, cols = shape
+    d = field.dim
     out = np.zeros((d * rows, d * cols))
     for i in range(rows):
         for j in range(cols):
-            out[d * i : d * (i + 1), d * j : d * (j + 1)] = left_block(arr[i, j], field)
+            out[d * i : d * (i + 1), d * j : d * (j + 1)] = left_block(mat[i][j], field)
     return RealizedMatrix(field, rows, cols, out)
 
 

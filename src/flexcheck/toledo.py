@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT, NumericalAbort, Tolerances
-from .linalg import complex_half_basis, orthonormal_columns, rank
+from .linalg import complex_half_basis, nullspace, orthonormal_columns, rank
 from .roots import MIXED, REAL, RootDatum
 from .surface import (
     CohomologyWorkspace,
@@ -199,8 +199,7 @@ def scan_invariant_lagrangians(
     rows = []
     for a in module.actions:
         rows.append(np.kron(np.eye(m), a) - np.kron(a.T, np.eye(m)))
-    from .linalg import nullspace as _ns
-    comm = _ns(np.vstack(rows), tol.rank)       # vectorized commutant
+    comm = nullspace(np.vstack(rows), tol.rank)  # vectorized commutant
     if comm.shape[1] == 0:
         return None
     for _ in range(tries):

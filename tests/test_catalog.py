@@ -23,8 +23,12 @@ def test_splitso_dims():
     assert splitso(2, 1, Field.QUATERNION, 1).dims == (3, 10, 8)
     with pytest.raises(FlexcheckError):
         splitso(2, 1, Field.REAL, 2)
+    with pytest.raises(FlexcheckError):
+        splitso(2, 1, "x", 1)
     with pytest.raises(ExcludedFamilyError):
         splitso(2, 1, "O", 1)
+    with pytest.raises(ExcludedFamilyError):
+        splitso(2, 1, "o", 1)
 
 
 def test_splitso_blocks_are_subalgebras(rng):

@@ -145,6 +145,29 @@ def test_explicit_matrix_input_matches_catalog(tmp_path, capsys):
     assert parsed["adjoint"]["z1"] == 9 and parsed["adjoint"]["h0"] == 0
 
 
+@pytest.mark.parametrize("case,family", [
+    ("su21-cline", "su"), ("sp21-cline", "sp"), ("so41-rplane", "so")])
+def test_field_matrix_input_matches_catalog(tmp_path, capsys, case, family):
+    # each realified d x d block is left multiplication by an entry whose
+    # components are the block's first column
+    from flexcheck.catalog import build_case_representation
+    rep = build_case_representation(case)
+    d, n = rep.model.field.dim, rep.model.ambient
+    gens = [[[[float(x) for x in g[d * i : d * i + d, d * j]] for j in range(n)]
+             for i in range(n)] for g in rep.images]
+    doc = {"group": {"family": family, "params": list(rep.model.params)}, "genus": 2,
+           "representation": {"source": "matrices", "field": rep.model.field.value,
+                              "generators": gens}}
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "verdict", "--input", str(path), "--format", "json")
+    want_code, want, _ = run_cli(capsys, "verdict", "--catalog", case, "--format", "json")
+    got, want = json.loads(out), json.loads(want)
+    assert got["provenance"].pop("source") == "matrices"
+    assert want["provenance"].pop("source") == f"catalog:{case}"
+    assert code == want_code and got == want
+
+
 def test_schema_ships():
     assert os.path.exists(schema_path())
     with open(schema_path()) as fh:

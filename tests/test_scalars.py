@@ -59,6 +59,14 @@ def test_realify_quaternion_block_count():
     assert out.rows == out.cols == 2
 
 
+@pytest.mark.parametrize("field", list(Field))
+def test_realify_rejects_non_matrix_shapes(field):
+    one = {Field.REAL: 1.0, Field.COMPLEX: 1j, Field.QUATERNION: Q_ONE}[field]
+    for mat in ([one], [[one], []]):
+        with pytest.raises(FlexcheckError, match="2-dimensional"):
+            realify(mat, field)
+
+
 def test_realify_is_ring_homomorphism(rng):
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
