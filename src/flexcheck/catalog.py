@@ -242,40 +242,27 @@ def sl2_to_su11(m: np.ndarray) -> np.ndarray:
     return _CAYLEY @ m.astype(complex) @ _CAYLEY_INV
 
 
-def embed_base(case: CatalogCase):
+def embed_base(case: CatalogCase, tol: Tolerances = DEFAULT):
     """(model, embedding) for a catalog case; embedding maps SL(2,R) matrices."""
     if not case.computable:
         raise ExcludedFamilyError(f"{case.name}: {case.note}")
     m = case.m
     fld = {"so": Field.REAL, "su": Field.COMPLEX, "sp": Field.QUATERNION}[case.family]
-    model = build_classical(case.family, m, 1)
+    model = build_classical(case.family, m, 1, tol=tol)
     n = m + 1
-    d = fld.dim
-
     if case.stabilized == "rplane":
-        def embedding(g: np.ndarray) -> np.ndarray:
-            block = sl2_to_so21(g)
-            out = np.eye(d * n)
-            for r in range(3):
-                for c in range(3):
-                    rr, cc = m - 2 + r, m - 2 + c
-                    out[d * rr : d * rr + d, d * cc : d * cc + d] = \
-                        block[r, c] * np.eye(d)
-            return out
+        corner, to_block = 3, sl2_to_so21
+    elif fld is Field.REAL:
+        raise FlexcheckError("the complex-line case needs F = C or H")
     else:
-        if fld is Field.REAL:
-            raise FlexcheckError("the complex-line case needs F = C or H")
+        corner, to_block = 2, sl2_to_su11
 
-        def embedding(g: np.ndarray) -> np.ndarray:
-            h = sl2_to_su11(g)
-            out = np.eye(d * n)
-            for r in range(2):
-                for c in range(2):
-                    rr, cc = m - 1 + r, m - 1 + c
-                    val = h[r, c] if fld is Field.COMPLEX else \
-                        Quaternion(h[r, c].real, h[r, c].imag, 0.0, 0.0)
-                    out[d * rr : d * rr + d, d * cc : d * cc + d] = left_block(val, fld)
-            return out
+    def embedding(g: np.ndarray) -> np.ndarray:
+        image = np.eye(n, dtype=float if fld is Field.REAL else complex)
+        image[n - corner:, n - corner:] = to_block(g)
+        if fld is Field.QUATERNION:
+            image = [[Quaternion(v.real, v.imag, 0.0, 0.0) for v in row] for row in image]
+        return realify(image, fld).real
 
     return model, embedding
 
@@ -310,7 +297,7 @@ def build_case_representation(
         raise FlexcheckError(
             "catalog representations are built at genus 2 (octagon construction); "
             "supply explicit generator matrices for other genera")
-    model, embedding = embed_base(case)
+    model, embedding = embed_base(case, tol)
     base = fuchsian_genus2(tol)
     images = [embedding(g) for g in base.images]
     return surface_representation(standard_presentation(2), model, images, tol=tol)

@@ -46,6 +46,17 @@ DEFAULT = Tolerances()
 # twice that; 1e-6 sits about 5x above every case.
 FORM_INVARIANCE = 1e-6
 
+# Model construction: bracket-closure residual of a classical basis,
+# relative to |basis|^2.  Not a Tolerances field: liealg caches each
+# model's construction per (family, params) for the whole process, so no
+# caller's Tolerances may reach it.
+MODEL_CLOSURE = 1e-9
+
+# Model construction: Jacobi residual of the structure constants, relative
+# to max(|c|, 1)^2 * dim.  Not a Tolerances field, for the same reason as
+# MODEL_CLOSURE: the cached construction never sees a caller's Tolerances.
+MODEL_JACOBI = 1e-10
+
 
 def seed_from_env(default: int = 0) -> int:
     raw = os.environ.get(DEFAULT_SEED_ENV)

@@ -9,11 +9,20 @@ and basis independent.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT, ExcludedFamilyError, FlexcheckError, NumericalAbort, Tolerances
+from .config import (
+    DEFAULT,
+    MODEL_CLOSURE,
+    MODEL_JACOBI,
+    ExcludedFamilyError,
+    FlexcheckError,
+    NumericalAbort,
+    Tolerances,
+)
 from .linalg import matrix_scale, nullspace, orthonormal_columns, rank
 from .scalars import (
     Field,
@@ -114,7 +123,23 @@ class SubalgebraHandle:
         return self.matrices.shape[0]
 
 
-def _finish_model(name, fld, n, family, mats, form, params, tol: Tolerances) -> LieAlgebraModel:
+def _jacobi_residual(c: np.ndarray) -> float:
+    """Largest |c[i,j,m] c[m,k,l] + c[j,k,m] c[m,i,l] + c[k,i,m] c[m,j,l]|.
+
+    Summed over the cyclic permutations of (i, j, k) one slice l at a time,
+    so it needs dim^3 memory, not dim^4.
+    """
+    dim = c.shape[0]
+    pairs = c.reshape(dim * dim, dim)
+    worst = 0.0
+    for l in range(dim):
+        t = (pairs @ c[:, :, l]).reshape(dim, dim, dim)  # t[i,j,k] = c[i,j,m] c[m,k,l]
+        cyclic = t + t.transpose(2, 0, 1) + t.transpose(1, 2, 0)
+        worst = max(worst, float(np.abs(cyclic).max(initial=0.0)))
+    return worst
+
+
+def _finish_model(name, fld, n, family, mats, form, params) -> LieAlgebraModel:
     basis = np.array(mats)
     dim, size, _ = basis.shape
     if size > AMBIENT_CAP:
@@ -127,26 +152,23 @@ def _finish_model(name, fld, n, family, mats, form, params, tol: Tolerances) -> 
     recon = np.einsum("ijk,kab->ijab", c, basis)
     resid = np.abs(recon - brackets).max(initial=0.0)
     scale = max(np.abs(basis).max(), 1.0)
-    if resid > 1e-9 * scale * scale:
+    if resid > MODEL_CLOSURE * scale * scale:
         raise NumericalAbort(f"{name}: basis is not bracket-closed (residual {resid:.3e})")
     killing = np.einsum("ikl,jlk->ij", c, c)
 
-    # jacobi[i,j,k,l] = sum over cyclic permutations of c[i,j,m] c[m,k,l]
-    jacobi = (
-        np.einsum("ijm,mkl->ijkl", c, c)
-        + np.einsum("jkm,mil->ijkl", c, c)
-        + np.einsum("kim,mjl->ijkl", c, c)
-    )
-    jresid = np.abs(jacobi).max(initial=0.0)
-    if jresid > 1e-10 * max(np.abs(c).max(initial=0.0), 1.0) ** 2 * dim:
+    jresid = _jacobi_residual(c)
+    if jresid > MODEL_JACOBI * max(np.abs(c).max(initial=0.0), 1.0) ** 2 * dim:
         raise NumericalAbort(f"{name}: Jacobi identity fails (residual {jresid:.3e})")
 
-    model = LieAlgebraModel(
+    # the model is shared by every caller of build_classical: freeze it
+    for arr in (basis, flat, pinv, c, killing, form):
+        if arr is not None:
+            arr.flags.writeable = False
+    return LieAlgebraModel(
         name=name, field=fld, ambient=n, family=family, basis=basis,
         structure=c, killing=killing, form=form, params=params,
         _flat=flat, _pinv=pinv,
     )
-    return model
 
 
 def _indefinite_basis(fld: Field, p: int, q: int, traceless: bool = False):
@@ -188,7 +210,9 @@ def build_classical(family: str, *params: int, tol: Tolerances = DEFAULT) -> Lie
     """Construct sl(n,R), su(p,q), so(p,q), sp(p,q) over H, or sp(2n,R).
 
     Family tags: "sl", "su", "so", "sp" (quaternionic) and "spr" (real
-    symplectic).  Octonionic and exceptional requests raise.
+    symplectic).  Octonionic and exceptional requests raise.  Each group is
+    constructed once per process and shared: the model's arrays are
+    read-only.  ``tol.rank`` gates the Killing rank check on every call.
     """
     family = family.lower()
     if family in ("f4", "g2", "spin7", "o"):
@@ -200,10 +224,31 @@ def build_classical(family: str, *params: int, tol: Tolerances = DEFAULT) -> Lie
         raise FlexcheckError(f"unknown family {family!r}")
     if len(params) != arity:
         raise FlexcheckError(f"{family} takes {arity} parameter(s), got {len(params)}")
+    if family == "sl" and params[0] < 2:
+        raise FlexcheckError("sl(n,R) needs n >= 2")
+    if family in ("su", "so", "sp") and (params[0] < 1 or params[1] < 0):
+        raise FlexcheckError("parameters must satisfy p >= 1, q >= 0")
+    if family == "spr" and params[0] < 1:
+        raise FlexcheckError("sp(2n,R) needs n >= 1")
+
+    model = _construct(family, *params)
+    if family != "spr":  # all listed families are semisimple; Cartan self-check
+        kr = rank(model.killing, tol.rank)
+        if kr != model.dim:
+            raise NumericalAbort(f"{model.name}: Killing matrix is singular (rank {kr})")
+    return model
+
+
+# typed: a float parameter gets its own key and fails as it always did,
+# rather than hitting the entry of the equal integer
+@functools.lru_cache(maxsize=32, typed=True)
+def _construct(family: str, *params: int) -> LieAlgebraModel:
+    """Basis, structure constants and self-checks of a validated group.
+
+    Reads no Tolerances, so one construction serves every caller.
+    """
     if family == "sl":
         (n,) = params
-        if n < 2:
-            raise FlexcheckError("sl(n,R) needs n >= 2")
         mats = []
         for k in range(n):
             for l in range(n):
@@ -214,17 +259,15 @@ def build_classical(family: str, *params: int, tol: Tolerances = DEFAULT) -> Lie
                 realified_entry_block(Field.REAL, n, k, k, 1.0)
                 - realified_entry_block(Field.REAL, n, k + 1, k + 1, 1.0)
             )
-        model = _finish_model(f"sl({n},R)", Field.REAL, n, family, mats, None, (n,), tol)
+        model = _finish_model(f"sl({n},R)", Field.REAL, n, family, mats, None, (n,))
         expected = n * n - 1
     elif family in ("su", "so", "sp"):
         p, q = params
-        if p < 1 or q < 0:
-            raise FlexcheckError("parameters must satisfy p >= 1, q >= 0")
         fld = {"su": Field.COMPLEX, "so": Field.REAL, "sp": Field.QUATERNION}[family]
         mats = _indefinite_basis(fld, p, q, traceless=(family == "su"))
         form = _form_matrix(fld, p, q)
         n = p + q
-        model = _finish_model(f"{family}({p},{q})", fld, n, family, mats, form, (p, q), tol)
+        model = _finish_model(f"{family}({p},{q})", fld, n, family, mats, form, (p, q))
         expected = {
             "su": n * n - 1,
             "so": n * (n - 1) // 2,
@@ -232,8 +275,6 @@ def build_classical(family: str, *params: int, tol: Tolerances = DEFAULT) -> Lie
         }[family]
     else:
         (n,) = params  # sp(2n, R)
-        if n < 1:
-            raise FlexcheckError("sp(2n,R) needs n >= 1")
         size = 2 * n
         J = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
         mats = []
@@ -243,15 +284,11 @@ def build_classical(family: str, *params: int, tol: Tolerances = DEFAULT) -> Lie
                 s[k, l] += 1.0
                 s[l, k] += 1.0
                 mats.append(-J @ s)
-        model = _finish_model(f"sp({size},R)", Field.REAL, size, family, mats, J, (n,), tol)
+        model = _finish_model(f"sp({size},R)", Field.REAL, size, family, mats, J, (n,))
         expected = n * (2 * n + 1)
 
     if model.dim != expected:
         raise NumericalAbort(f"{model.name}: dimension {model.dim} != classical value {expected}")
-    if family != "spr":  # all listed families are semisimple; Cartan self-check
-        kr = rank(model.killing, tol.rank)
-        if kr != model.dim:
-            raise NumericalAbort(f"{model.name}: Killing matrix is singular (rank {kr})")
     return model
 
 

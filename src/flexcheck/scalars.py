@@ -152,7 +152,12 @@ def realify(mat, field: Field) -> RealizedMatrix:
     out = np.zeros((d * rows, d * cols))
     for i in range(rows):
         for j in range(cols):
-            out[d * i : d * (i + 1), d * j : d * (j + 1)] = left_block(mat[i][j], field)
+            try:
+                out[d * i : d * (i + 1), d * j : d * (j + 1)] = left_block(mat[i][j], field)
+            except (TypeError, ValueError) as exc:
+                raise FlexcheckError(
+                    f"realify: entry ({i}, {j}) is not a scalar of the field {field.value}"
+                ) from exc
     return RealizedMatrix(field, rows, cols, out)
 
 

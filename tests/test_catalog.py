@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from flexcheck.config import ExcludedFamilyError, FlexcheckError
+from flexcheck.config import DEFAULT, ExcludedFamilyError, FlexcheckError, NumericalAbort
 from flexcheck.catalog import (
     build_case_representation,
     check_homomorphism,
@@ -104,6 +106,15 @@ def test_embeddings_are_homomorphisms(rng):
     for name in ("su21-cline", "su31-rplane", "sp21-cline", "sp31-rplane", "so41-rplane"):
         model, emb = embed_base(find_case(name))
         assert check_homomorphism(emb, rng) < 1e-8
+
+
+def test_case_model_build_uses_callers_rank_tolerance():
+    # a rank cutoff above 1 makes every Killing matrix singular, so the
+    # caller's tol.rank must abort the build of su(2,1) itself, before the
+    # Fuchsian group's sl(2,R)
+    tol = replace(DEFAULT, rank=2.0)
+    with pytest.raises(NumericalAbort, match=r"su\(2,1\): Killing matrix is singular"):
+        build_case_representation("su21-cline", tol=tol)
 
 
 def test_composed_relator_residual(case_pipeline):

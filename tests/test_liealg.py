@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from flexcheck.config import ExcludedFamilyError, NumericalAbort
+from flexcheck import liealg
+from flexcheck.config import ExcludedFamilyError, FlexcheckError, NumericalAbort, Tolerances
 from flexcheck.liealg import (
+    _jacobi_residual,
     build_classical,
     center_of,
     centralizer,
@@ -56,6 +58,56 @@ def test_jacobi_residual(models):
                + np.einsum("jkm,mil->ijkl", c, c)
                + np.einsum("kim,mjl->ijkl", c, c))
         assert np.abs(jac).max() < 1e-10 * max(np.abs(c).max() ** 2, 1.0) * m.dim
+
+
+def test_sliced_jacobi_residual_matches_einsum(rng):
+    # random structure tensors are not Lie, so every residual is large
+    for dim in (2, 5, 13):
+        c = rng.standard_normal((dim, dim, dim))
+        jac = (np.einsum("ijm,mkl->ijkl", c, c)
+               + np.einsum("jkm,mil->ijkl", c, c)
+               + np.einsum("kim,mjl->ijkl", c, c))
+        ref = np.abs(jac).max()
+        assert abs(_jacobi_residual(c) - ref) <= 1e-12 * ref
+
+
+def test_models_are_built_once_and_shared():
+    assert build_classical("su", 2, 1) is build_classical("SU", 2, 1)
+
+
+def test_shared_model_is_read_only(models):
+    m = models["su21"]
+    with pytest.raises(ValueError):
+        m.basis[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        m.structure[0, 0, 0] = 1.0
+
+
+def test_bad_parameters_raise_on_every_call():
+    for _ in range(2):
+        with pytest.raises(FlexcheckError, match="takes 2 parameter"):
+            build_classical("su", 2)
+
+
+def test_same_group_is_finished_once(monkeypatch):
+    calls = []
+    finish = liealg._finish_model
+
+    def counting(*args):
+        calls.append(args[0])
+        return finish(*args)
+
+    monkeypatch.setattr(liealg, "_finish_model", counting)
+    liealg._construct.cache_clear()
+    build_classical("so", 3, 2)
+    build_classical("so", 3, 2)
+    assert calls == ["so(3,2)"]
+
+
+def test_killing_rank_check_runs_on_every_call():
+    build_classical("su", 2, 1)
+    with pytest.raises(NumericalAbort, match="Killing matrix is singular"):
+        build_classical("su", 2, 1, tol=Tolerances(rank=2.0))
 
 
 def test_centralizer_su21_block(models, fuchsian, case_pipeline):

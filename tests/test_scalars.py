@@ -67,6 +67,14 @@ def test_realify_rejects_non_matrix_shapes(field):
             realify(mat, field)
 
 
+@pytest.mark.parametrize("field, bad", [
+    (Field.REAL, 1j), (Field.COMPLEX, "x"), (Field.QUATERNION, "x")])
+def test_realify_rejects_entries_outside_the_field(field, bad):
+    one = {Field.REAL: 1.0, Field.COMPLEX: 1j, Field.QUATERNION: Q_ONE}[field]
+    with pytest.raises(FlexcheckError, match=rf"entry \(0, 1\).* field {field.value}"):
+        realify([[one, bad]], field)
+
+
 def test_realify_is_ring_homomorphism(rng):
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
