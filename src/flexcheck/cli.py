@@ -255,8 +255,8 @@ def _toledo_report(problem, root_index: int | None) -> dict:
     if root_index is not None and not (0 <= root_index < n):
         raise ParseError(f"--root {root_index} out of range; decomposition has {n} root(s)")
     entries = []
-    for stage in pipe.root_stages if root_index is None else (pipe.root_stages[root_index],):
-        r, rr = stage.root, stage.form
+    for rr in pipe.forms if root_index is None else (pipe.form(root_index),):
+        r = rr.root
         entries.append({
             "values": [_cnum(v) for v in r.values],
             "classification": r.classification,

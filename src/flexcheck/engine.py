@@ -191,9 +191,23 @@ def _flip_representative(rep: RootFormReport) -> RootFormReport:
         rep,
         root=flipped_root,
         gram=None if rep.gram is None else -rep.gram,
+        gram_complex=None if rep.gram_complex is None else -rep.gram_complex,
         signature=None if rep.signature is None else -rep.signature,
         toledo=None if rep.toledo is None else -rep.toledo,
     )
+
+
+def _orient(rep: RootFormReport, sign: int) -> RootFormReport:
+    """``rep`` after the center's basis vector is multiplied by ``sign``.
+
+    For -1 the root is lambda's negative, whose values on the negated
+    vector are the same numbers as lambda's on the old one.
+    """
+    if sign > 0:
+        return rep
+    flipped = _flip_representative(rep)
+    return replace(flipped, root=replace(flipped.root, values=rep.root.values,
+                                         t_vector=rep.root.t_vector))
 
 
 def smooth_point_check(
@@ -313,9 +327,56 @@ class Pipeline:
         return tuple(_RootStages(self.rep, self.adjoint, r, self.tol)
                      for r in self.decomposition.roots)
 
+    def _toledo_sign(self, stop: int) -> int:
+        """Sign of T on the first root before index ``stop`` with T != 0; +1 if none.
+
+        Always +1 unless the center is a line: a center of dimension >= 2
+        keeps the orientation ``decompose`` gives it (no computable catalog
+        case has one).
+        """
+        if self.center.dim == 1:
+            for stage in self.root_stages[:stop]:
+                if stage.form.toledo:
+                    return -1 if stage.form.toledo < 0 else 1
+        return 1
+
+    @cached_property
+    def orientation(self) -> int:
+        """Sign to put on the center's basis vector so the first nonzero T is positive.
+
+        The basis vector comes out of an SVD with an arbitrary sign, and
+        ``decompose`` names each root by the larger of the value keys of
+        lambda and -lambda in those coordinates, so T would follow LAPACK's
+        sign.  With -1 the vector is negated and every root lambda swapped
+        for -lambda: the printed values still name the chosen root.  If
+        every T is 0, ``decompose``'s key rule stands.
+        """
+        return self._toledo_sign(len(self.root_stages))
+
     @cached_property
     def forms(self) -> tuple[RootFormReport, ...]:
-        return tuple(stage.form for stage in self.root_stages)
+        """Every root's form, in the canonical orientation."""
+        return tuple(_orient(stage.form, self.orientation) for stage in self.root_stages)
+
+    def form(self, i: int) -> RootFormReport:
+        """Root i's form in the canonical orientation, building only roots 0..i.
+
+        When root i has T != 0, the first root with T != 0 is among those.
+        When it has none, its values, signature and T read the same in
+        either orientation, and it is returned as built.
+        """
+        form = self.root_stages[i].form
+        return _orient(form, self._toledo_sign(i + 1)) if form.toledo else form
+
+    @cached_property
+    def oriented(self) -> TorusRootDecomposition:
+        """``decomposition`` in the canonical orientation (see ``orientation``)."""
+        dec = self.decomposition
+        if self.orientation > 0:
+            return dec
+        torus = replace(dec.torus, matrices=-dec.torus.matrices, coords=-dec.torus.coords)
+        return replace(dec, torus=torus, roots=tuple(f.root for f in self.forms),
+                       all_values=tuple(-v for v in dec.all_values))
 
     @cached_property
     def split(self) -> tuple[list[RootFormReport], list[np.ndarray], BalanceProblem]:
@@ -388,7 +449,7 @@ def verdict(rep: SurfaceRepresentation, tol: Tolerances = DEFAULT) -> Flexibilit
         genus=genus, genus_threshold=threshold, caveats=tuple(caveats),
         message="flexible: the center of the centralizer is balanced"
         if flexible else TUBE_TYPE_MESSAGE,
-        decomposition=pipe.decomposition, p_reports=tuple(p_reports))
+        decomposition=pipe.oriented, p_reports=tuple(p_reports))
 
 
 def _aligned(reports, p_reports):

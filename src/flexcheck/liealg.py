@@ -86,8 +86,7 @@ class LieAlgebraModel:
 
     def adjoint_group_matrix(self, g: np.ndarray, tol: float = 1e-7) -> np.ndarray:
         """Matrix of Ad(g) on model coordinates."""
-        ginv = np.linalg.inv(g)
-        moved = np.einsum("ab,ibc,cd->iad", g, self.basis, ginv)
+        moved = g @ self.basis @ np.linalg.inv(g)
         flat = moved.reshape(self.dim, -1).T
         coeff = self._pinv @ flat
         resid = self._flat @ coeff - flat
@@ -99,15 +98,24 @@ class LieAlgebraModel:
     def group_membership_residual(self, g: np.ndarray) -> float:
         """Residual of the defining relations of the ambient group at g."""
         res = 0.0
-        scale = max(matrix_scale(g) ** 2, 1.0)
+        norm = matrix_scale(g)
+        scale = max(norm ** 2, 1.0)
         if self.form is not None:
             res = max(res, float(np.abs(g.T @ self.form @ g - self.form).max()) / scale)
         else:
             res = max(res, abs(float(np.linalg.det(g)) - 1.0) / scale)
-        for unit in imaginary_units(self.field):
-            r = right_multiplication_operator(self.field, self.ambient, unit)
-            res = max(res, float(np.abs(g @ r - r @ g).max()) / max(matrix_scale(g), 1.0))
+        for r in _unit_operators(self.field, self.ambient):
+            res = max(res, float(np.abs(g @ r - r @ g).max()) / max(norm, 1.0))
         return res
+
+
+@functools.lru_cache(maxsize=32)
+def _unit_operators(fld: Field, n: int) -> tuple[np.ndarray, ...]:
+    """Right multiplications by the imaginary units on F^n, read-only and shared."""
+    ops = tuple(right_multiplication_operator(fld, n, u) for u in imaginary_units(fld))
+    for op in ops:
+        op.flags.writeable = False
+    return ops
 
 
 @dataclass(frozen=True)

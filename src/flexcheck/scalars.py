@@ -9,6 +9,7 @@ runs on real matrices.  A complex entry a+bi turns into the 2x2 block
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,15 +91,27 @@ def quaternion_multiply(p: Quaternion, q: Quaternion) -> Quaternion:
     return p * q
 
 
+def _field_scalar(value, field: Field):
+    """``value`` as a scalar of the field (see ``realify``); TypeError otherwise."""
+    if field is Field.QUATERNION:
+        if isinstance(value, Quaternion):
+            return value
+        if isinstance(value, numbers.Real):
+            return Quaternion(float(value))
+    elif isinstance(value, numbers.Real if field is Field.REAL else numbers.Complex):
+        return value
+    raise TypeError(f"{value!r} is not a scalar of the field {field.value}")
+
+
 def left_block(value, field: Field) -> np.ndarray:
     """Realified block of left multiplication by a scalar of the given field."""
+    value = _field_scalar(value, field)
     if field is Field.REAL:
         return np.array([[float(value)]])
     if field is Field.COMPLEX:
         a, b = float(np.real(value)), float(np.imag(value))
         return np.array([[a, -b], [b, a]])
-    q = value if isinstance(value, Quaternion) else Quaternion(*value)
-    a, b, c, d = q.components()
+    a, b, c, d = value.components()
     return np.array(
         [
             [a, -b, -c, -d],
@@ -111,11 +124,9 @@ def left_block(value, field: Field) -> np.ndarray:
 
 def right_block(value, field: Field) -> np.ndarray:
     """Realified block of right multiplication (used for structure checks)."""
-    if field is Field.REAL:
-        return np.array([[float(value)]])
-    if field is Field.COMPLEX:
-        return left_block(value, field)  # C is commutative
-    q = value if isinstance(value, Quaternion) else Quaternion(*value)
+    if field is not Field.QUATERNION:
+        return left_block(value, field)  # R and C are commutative
+    q = _field_scalar(value, field)
     basis = (Q_ONE, Q_I, Q_J, Q_K)
     cols = [(e * q).components() for e in basis]
     return np.array(cols).T
@@ -139,7 +150,9 @@ def realify(mat, field: Field) -> RealizedMatrix:
     """Realify a matrix with entries in the given field.
 
     Accepts a 2-dimensional array or nested sequence whose entries are
-    scalars of the field: real numbers, complex numbers or Quaternions.
+    scalars of the field: real numbers for R, real or complex numbers for C,
+    real numbers or Quaternions for H.  Any other entry, a string say,
+    raises FlexcheckError.
     """
     try:
         shape = np.shape(mat)

@@ -4,8 +4,10 @@ For a representation centralizing the torus, each realified root space is
 an invariant module; the cup-square pairing valued in Omega_lambda gives a
 quadratic form on H^1 whose signature is four times the Toledo invariant
 (Meyer's signature formula, used here as the definition of the computed
-invariant).  Real roots force T = 0; an invariant Lagrangian pair also
-forces T = 0 and is verified directly.
+invariant).  The pipeline reads T from the Gram signature alone.  Real
+roots force T = 0, and so does an invariant Lagrangian pair:
+``scan_invariant_lagrangians`` and ``lagrangian_pair_check`` look for and
+check one, as a cross-check outside the pipeline.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ class RootFormReport:
     milnor_wood_slack: int | None
     min_eig_separation: float         # min |eig| / scale of the real Gram
     status: str                       # "ok" | "degenerate"
-    lagrangian_note: str | None = None
 
     @property
     def classification(self) -> str:
@@ -207,14 +208,16 @@ def scan_invariant_lagrangians(
         k = (comm @ coeff).reshape(m, m)        # invariant operator
         ev, vecs = np.linalg.eig(k)
         real_mask = np.abs(ev.imag) < 1e-9 * max(np.abs(ev).max(), 1.0)
-        reals = np.unique(np.round(ev[real_mask].real, 7))
-        # split eigenvalues into two groups along each cut between real values
+        rounded = np.round(ev.real, 7)
+        reals = np.unique(rounded[real_mask])
+        # split along each cut between real values: the real eigenvalues up
+        # to the cut against the rest; a repeated real eigenvalue may come
+        # with complex eigenvectors, so each side is the span of real and
+        # imaginary parts
         for cut in reals[:-1]:
-            sel = ev.real <= cut + 1e-9
-            l1 = orthonormal_columns(vecs[:, sel].real) if sel.any() else None
-            l2 = orthonormal_columns(vecs[:, ~sel].real) if (~sel).any() else None
-            if l1 is None or l2 is None:
-                continue
+            sel = real_mask & (rounded <= cut)
+            l1, l2 = (orthonormal_columns(np.hstack([v.real, v.imag]), tol.rank)
+                      for v in (vecs[:, sel], vecs[:, ~sel]))
             if l1.shape[1] == l2.shape[1] == m // 2:
                 if lagrangian_pair_check(module, omega, l1, l2, tol):
                     return l1, l2

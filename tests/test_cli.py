@@ -244,3 +244,45 @@ def test_linalg_error_exit_code(capsys, monkeypatch):
     monkeypatch.setattr("flexcheck.cli.verdict", fail)
     code, _, err = run_cli(capsys, "verdict", "--catalog", "su21-cline")
     assert code == 3 and "numerical abort" in err
+
+
+def _computable_case_names():
+    from flexcheck.catalog import default_cases
+    return [c.name for c in default_cases() if c.computable]
+
+
+def test_negated_center_leaves_signed_reports_unchanged(capsys, monkeypatch):
+    # the center's basis vector has no preferred sign; the canonical
+    # orientation (first nonzero T positive) must undo a flip of it
+    from dataclasses import replace
+
+    from flexcheck import engine
+
+    def reports():
+        return {(name, sub): run_cli(capsys, sub, "--catalog", name, "--format", "json")
+                for name in _computable_case_names()
+                for sub in ("toledo", "verdict", "balanced")}
+
+    before = reports()
+    center_of = engine.center_of
+
+    def negated(sub, tol):
+        c = center_of(sub, tol)
+        return replace(c, matrices=-c.matrices, coords=-c.coords)
+
+    monkeypatch.setattr(engine, "center_of", negated)
+    after = reports()
+    assert len(before) == 36
+    for key, value in before.items():
+        assert after[key] == value, key
+
+
+@pytest.mark.parametrize("name", ["su41-cline", "sp31-cline", "sp21-cline"])
+def test_toledo_root_matches_full_report(capsys, name):
+    # toledo --root i orients from roots 0..i only, and agrees with the full report
+    _, out, _ = run_cli(capsys, "toledo", "--catalog", name, "--format", "json")
+    full = json.loads(out)["roots"]
+    for i, entry in enumerate(full):
+        _, out, _ = run_cli(capsys, "toledo", "--catalog", name, "--root", str(i), "--format", "json")
+        assert json.loads(out)["roots"] == [entry]
+    assert next(r["toledo"] for r in full if r["toledo"]) > 0

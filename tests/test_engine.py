@@ -6,6 +6,7 @@ import numpy as np
 from flexcheck.catalog import build_case_representation
 from flexcheck.engine import (
     BalanceProblem,
+    Pipeline,
     balanced,
     classify_PN,
     smooth_point_check,
@@ -272,3 +273,18 @@ def test_verdict_at_theorem_threshold_genus():
     assert not any("below the theorem threshold" in c for c in report.caveats)
     assert [(abs(r.toledo), r.h1_dim, r.real_dim) for r in report.roots] == [
         (2, (2 * genus - 2) * 4, 4)]
+
+
+def test_su31_pinched_toledo_sign_is_canonical():
+    # with the two real handles placed among g slots and the rest pinched to
+    # the identity, the one root keeps T = +4 at every genus and placement;
+    # without an orientation rule the sign followed LAPACK's singular vectors
+    base = build_case_representation("su31-cline")
+    ident = np.eye(base.images[0].shape[0])
+    for genus in range(2, 17):
+        for slots in {(0, 1), (0, genus - 1), (genus - 2, genus - 1), (genus // 3, 2 * genus // 3)}:
+            images = [ident] * (2 * genus)
+            for handle, slot in enumerate(slots):
+                images[2 * slot:2 * slot + 2] = base.images[2 * handle:2 * handle + 2]
+            rep = surface_representation(standard_presentation(genus), base.model, images)
+            assert [r.toledo for r in Pipeline(rep).forms] == [4], (genus, slots)

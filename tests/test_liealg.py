@@ -13,7 +13,10 @@ from flexcheck.liealg import (
     subalgebra_from_matrices,
     subspace_projection_residual,
 )
-from flexcheck.scalars import Field, realify
+from flexcheck.catalog import build_case_representation, default_cases
+from flexcheck.linalg import matrix_scale
+from flexcheck.scalars import Field, imaginary_units, realify, right_multiplication_operator
+from flexcheck.surface import _expm
 
 
 def test_dimensions(models):
@@ -222,6 +225,71 @@ def test_group_membership(models, fuchsian):
     for g in fuchsian.images:
         assert m.group_membership_residual(g) < 1e-10
     assert m.group_membership_residual(2.0 * np.eye(2)) > 1e-3
+
+
+def _adjoint_reference(model, g):
+    """Ad(g) on model coordinates by the dim * N^4 einsum the model once used."""
+    moved = np.einsum("ab,ibc,cd->iad", g, model.basis, np.linalg.inv(g))
+    return model._pinv @ moved.reshape(model.dim, -1).T
+
+
+def _membership_reference(model, g):
+    """The membership residual with one 2-norm and one kron per imaginary unit."""
+    res = 0.0
+    scale = max(matrix_scale(g) ** 2, 1.0)
+    if model.form is not None:
+        res = max(res, float(np.abs(g.T @ model.form @ g - model.form).max()) / scale)
+    else:
+        res = max(res, abs(float(np.linalg.det(g)) - 1.0) / scale)
+    for unit in imaginary_units(model.field):
+        r = right_multiplication_operator(model.field, model.ambient, unit)
+        res = max(res, float(np.abs(g @ r - r @ g).max()) / max(matrix_scale(g), 1.0))
+    return res
+
+
+def _catalog_images_and_conjugates(rng):
+    """(model, g a g^-1) for each image a of each computable catalog case.
+
+    g = exp(sX) for a normal random X of the model and s = 0 (the image
+    itself), 0.4 and 1.0.
+    """
+    for case in default_cases():
+        if not case.computable:
+            continue
+        rep = build_case_representation(case)
+        for scale in (0.0, 0.4, 1.0):
+            g = _expm(rep.model.matrix(scale * rng.standard_normal(rep.model.dim)))
+            ginv = np.linalg.inv(g)
+            for a in rep.images:
+                yield rep.model, g @ a @ ginv
+
+
+def test_adjoint_matches_einsum_reference(rng):
+    fields = set()
+    for model, g in _catalog_images_and_conjugates(rng):
+        fields.add(model.field)
+        ref = _adjoint_reference(model, g)
+        got = model.adjoint_group_matrix(g)
+        assert np.abs(got - ref).max() <= 1e-13 * max(np.abs(ref).max(), 1.0)
+    assert fields == set(Field)
+
+
+def test_adjoint_of_a_matrix_outside_the_group_aborts(models, rng):
+    m = models["su21"]                     # a generic real 6 x 6 is not C-linear
+    g = rng.standard_normal((m.realified_size, m.realified_size))
+    with pytest.raises(NumericalAbort, match="not in the group"):
+        m.adjoint_group_matrix(g)
+
+
+def test_membership_residual_matches_per_unit_reference(models, rng):
+    # bit for bit, for R (so, sl, spr), C (su) and H (sp), on and off the group
+    mats = [(model, g) for model, g in _catalog_images_and_conjugates(rng)]
+    for model in (*models.values(), build_classical("spr", 2)):
+        n = model.realified_size
+        mats += [(model, rng.standard_normal((n, n))), (model, 3.0 * np.eye(n))]
+    assert {model.field for model, _ in mats} == set(Field)
+    for model, g in mats:
+        assert model.group_membership_residual(g) == _membership_reference(model, g)
 
 
 def test_ambient_cap():

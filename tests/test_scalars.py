@@ -75,6 +75,21 @@ def test_realify_rejects_entries_outside_the_field(field, bad):
         realify([[one, bad]], field)
 
 
+@pytest.mark.parametrize("field", list(Field))
+def test_realify_rejects_strings(field):
+    for bad in ("1", "", "1+2j"):
+        with pytest.raises(FlexcheckError, match=rf"entry \(0, 0\).* field {field.value}"):
+            realify([[bad]], field)
+
+
+@pytest.mark.parametrize("field", list(Field))
+def test_realify_accepts_real_numbers(field):
+    # R sits inside C and H: a real entry realifies to a multiple of the identity
+    for value in (1.0, -2, np.float64(0.5)):
+        out = realify([[value, 0.0]], field).real
+        assert np.array_equal(out, np.hstack([value * np.eye(field.dim), np.zeros((field.dim,) * 2)]))
+
+
 def test_realify_is_ring_homomorphism(rng):
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))

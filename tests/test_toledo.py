@@ -171,6 +171,20 @@ def test_sp21_second_root_is_so41_reduction(case_pipeline, rng):
     assert abs(rr8.toledo) == 4 and rr8.definite
 
 
+def test_sp21_scan_finds_pair_for_every_seed(case_pipeline):
+    # each real-spectrum draw splits into the pair: a repeated real
+    # eigenvalue may come with complex eigenvectors, and the cut is compared
+    # at the rounding it was taken at
+    rep, z, c, dec = case_pipeline("sp21-cline")
+    root = next(r for r in dec.roots if r.real_dim == 6)
+    mod = restricted_module(adjoint_module(rep), root.real_basis)
+    omega = root.omega.imag
+    for seed in range(10):
+        found = scan_invariant_lagrangians(mod, omega, np.random.default_rng(seed), tries=3)
+        assert found is not None, seed
+        assert lagrangian_pair_check(mod, omega, *found)
+
+
 def test_gram_on_coboundaries_vanishes(case_pipeline, rng):
     rep, z, c, dec = case_pipeline("su21-cline")
     root = dec.roots[0]
