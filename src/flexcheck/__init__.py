@@ -8,7 +8,8 @@ criterion that decides the flexible/rigid verdict.
 
 __version__ = "0.1.0"
 
-from .config import DEFAULT, ExcludedFamilyError, FlexcheckError, NumericalAbort, ParseError, Tolerances
+from .config import (DEFAULT, ExcludedFamilyError, FlexcheckError, Inconclusive, NumericalAbort,
+                     ParseError, Tolerances)
 from .scalars import Field, Quaternion, RealizedMatrix, quaternion_multiply, realify
 from .linalg import nullspace, rank, simultaneous_eigenspaces
 from .liealg import (
@@ -54,6 +55,7 @@ __all__ = [
     "Field",
     "FlexcheckError",
     "FlexibilityReport",
+    "Inconclusive",
     "LieAlgebraModel",
     "NumericalAbort",
     "ParseError",

@@ -19,7 +19,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .config import DEFAULT, FlexcheckError, NumericalAbort, ParseError, seed_from_env
+from .config import DEFAULT, FlexcheckError, Inconclusive, NumericalAbort, ParseError, seed_from_env
 from .catalog import build_case_representation, default_cases, find_case
 from .engine import Pipeline, verdict
 from .liealg import build_classical
@@ -212,12 +212,13 @@ def _decomposition_report(problem) -> dict:
 
 def _cohomology_report(problem) -> dict:
     pipe = Pipeline(problem["rep"], problem["tol"])
+    stages = pipe.root_stages          # the center first: non-reductive input is inconclusive
     ws = cohomology(pipe.rep, pipe.adjoint, pipe.tol)
     adjoint = {"h0": ws.h0_dim, "h1": ws.h1_dim, "h2": ws.h2_dim,
                "z1": int(ws.z1.shape[1]), "b1": int(ws.b1.shape[1])}
     roots = [{"values": [_cnum(v) for v in s.root.values], "dim": s.root.real_dim,
               "h0": s.workspace.h0_dim, "h1": s.workspace.h1_dim, "h2": s.workspace.h2_dim}
-             for s in pipe.root_stages]
+             for s in stages]
     return {**_header(problem), "adjoint": adjoint, "root_modules": roots}
 
 
@@ -458,6 +459,9 @@ def main(argv=None) -> int:
     except (NumericalAbort, np.linalg.LinAlgError) as exc:
         print(f"flexcheck: numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except Inconclusive as exc:             # decompose, cohomology, toledo, balanced
+        print(f"flexcheck: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     except FlexcheckError as exc:           # ParseError and other input errors
         print(f"flexcheck: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

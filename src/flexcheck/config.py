@@ -80,5 +80,9 @@ class NumericalAbort(FlexcheckError):
     """A computation could not be certified at the configured tolerances."""
 
 
+class Inconclusive(FlexcheckError):
+    """The criterion does not apply to this input; the message says why."""
+
+
 class ExcludedFamilyError(FlexcheckError):
     """Octonionic / exceptional constructions are documented but not computed."""

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT, NumericalAbort, Tolerances
+from .config import DEFAULT, Inconclusive, NumericalAbort, Tolerances
 from .liealg import SubalgebraHandle, center_of, centralizer, killing_restriction_nondegenerate
 from .linalg import nullspace, orthonormal_columns, rank
 from .roots import IMAGINARY, RootDatum, TorusRootDecomposition, decompose
@@ -290,6 +290,11 @@ TUBE_TYPE_MESSAGE = (
     "rigid: some maximal symplectic root representation persists; the Zariski "
     "closure acts transitively on a tube type Hermitian symmetric space")
 
+NON_REDUCTIVE_MESSAGE = (
+    "inconclusive: the Killing form degenerates on the centralizer, "
+    "so the Zariski closure is likely non-reductive; apply "
+    "conjugation_limit with a suitable direction and retry")
+
 
 @dataclass(frozen=True, eq=False)
 class Pipeline:
@@ -300,8 +305,8 @@ class Pipeline:
 
     @cached_property
     def z(self) -> SubalgebraHandle:
-        """Lie algebra of the centralizer of the image."""
-        return centralizer(self.rep.model, self.rep.images, self.tol, kind="group")
+        """Lie algebra of the centralizer of the image, from the adjoint module's Ad matrices."""
+        return centralizer(self.rep.model, self.adjoint.actions, self.tol, kind="adjoint")
 
     @cached_property
     def reductivity(self) -> tuple[bool, float]:
@@ -310,6 +315,9 @@ class Pipeline:
 
     @cached_property
     def center(self) -> SubalgebraHandle:
+        """Center of the centralizer; raises Inconclusive if the centralizer is not reductive."""
+        if not self.reductivity[0]:
+            raise Inconclusive(NON_REDUCTIVE_MESSAGE)
         return center_of(self.z, self.tol)
 
     @cached_property
@@ -423,10 +431,7 @@ def verdict(rep: SurfaceRepresentation, tol: Tolerances = DEFAULT) -> Flexibilit
             verdict="inconclusive",
             centralizer_dim=pipe.z.dim, reductive=False, reductive_condition=cond,
             center_dim=-1, roots=(), balance=None, genus=genus,
-            genus_threshold=threshold, caveats=tuple(caveats),
-            message=("inconclusive: the Killing form degenerates on the centralizer, "
-                     "so the Zariski closure is likely non-reductive; apply "
-                     "conjugation_limit with a suitable direction and retry"))
+            genus_threshold=threshold, caveats=tuple(caveats), message=NON_REDUCTIVE_MESSAGE)
 
     p_reports = pipe.split[0]
     summaries = [RootSummary(

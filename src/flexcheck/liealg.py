@@ -23,7 +23,7 @@ from .config import (
     NumericalAbort,
     Tolerances,
 )
-from .linalg import matrix_scale, nullspace, orthonormal_columns, rank
+from .linalg import matrix_scale, nullspace, orthonormal_columns, rank, spectral_norms
 from .scalars import (
     Field,
     field_units,
@@ -58,15 +58,18 @@ class LieAlgebraModel:
         return self.basis.shape[1]
 
     def matrix(self, coords: np.ndarray) -> np.ndarray:
-        return np.tensordot(coords, self.basis, axes=(0, 0))
+        """Matrix of a coordinate vector; a (k, dim) block gives a (k, N, N) stack."""
+        return np.tensordot(coords, self.basis, axes=(-1, 0))
 
     def coords(self, mat: np.ndarray, tol: float = 1e-8, check: bool = True) -> np.ndarray:
-        vec = np.asarray(mat).reshape(-1)
-        c = self._pinv @ vec
+        """Coordinates of a matrix; a (k, N, N) stack gives a (k, dim) block."""
+        mat = np.asarray(mat)
+        vec = mat.reshape(*mat.shape[:-2], -1)
+        c = vec @ self._pinv.T
         if check:
-            resid = self._flat @ c - vec
-            scale = max(float(np.abs(vec).max(initial=0.0)), 1.0)
-            if np.abs(resid).max(initial=0.0) > tol * scale:
+            resid = np.abs(c @ self._flat.T - vec).max(axis=-1, initial=0.0)
+            scale = np.maximum(np.abs(vec).max(axis=-1, initial=0.0), 1.0)
+            if np.any(resid > tol * scale):
                 raise NumericalAbort("matrix does not lie in the model span")
         return c
 
@@ -74,8 +77,11 @@ class LieAlgebraModel:
         return np.einsum("i,j,ijk->k", x, y, self.structure)
 
     def ad(self, coords: np.ndarray) -> np.ndarray:
-        """Matrix of ad_X on model coordinates, X given by coordinates."""
-        return np.einsum("i,ijk->kj", coords, self.structure)
+        """Matrix of ad_X on model coordinates, X given by coordinates.
+
+        A (k, dim) block of coordinates gives the (k, dim, dim) stack, in one einsum.
+        """
+        return np.einsum("...i,ijk->...kj", coords, self.structure)
 
     def killing_form(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(x @ self.killing @ y)
@@ -85,28 +91,39 @@ class LieAlgebraModel:
         return self.killing_form(self.coords(X, tol), self.coords(Y, tol))
 
     def adjoint_group_matrix(self, g: np.ndarray, tol: float = 1e-7) -> np.ndarray:
-        """Matrix of Ad(g) on model coordinates."""
-        moved = g @ self.basis @ np.linalg.inv(g)
-        flat = moved.reshape(self.dim, -1).T
+        """Matrix of Ad(g) on model coordinates.
+
+        A (K, N, N) stack of group elements gives the (K, dim, dim) stack
+        of their Ad matrices, from one batched inverse and product.
+        """
+        g = np.asarray(g)
+        moved = g[..., None, :, :] @ self.basis @ np.linalg.inv(g)[..., None, :, :]
+        flat = np.swapaxes(moved.reshape(*g.shape[:-2], self.dim, -1), -1, -2)
         coeff = self._pinv @ flat
-        resid = self._flat @ coeff - flat
-        scale = max(float(np.abs(flat).max(initial=0.0)), 1.0)
-        if np.abs(resid).max(initial=0.0) > tol * scale:
+        resid = np.abs(self._flat @ coeff - flat).max(axis=(-2, -1), initial=0.0)
+        scale = np.maximum(np.abs(flat).max(axis=(-2, -1), initial=0.0), 1.0)
+        if np.any(resid > tol * scale):
             raise NumericalAbort("Ad(g) does not preserve the model span; g is not in the group")
         return coeff
 
-    def group_membership_residual(self, g: np.ndarray) -> float:
-        """Residual of the defining relations of the ambient group at g."""
-        res = 0.0
-        norm = matrix_scale(g)
-        scale = max(norm ** 2, 1.0)
+    def group_membership_residual(self, g: np.ndarray):
+        """Residual of the defining relations of the ambient group at g.
+
+        Relative to max(|g|^2, 1) for the form (or determinant) and to
+        max(|g|, 1) for the imaginary units.  A (K, N, N) stack gives a
+        length-K array, one residual per image, from one batched SVD.
+        """
+        g = np.asarray(g)
+        norm = spectral_norms(g)
         if self.form is not None:
-            res = max(res, float(np.abs(g.T @ self.form @ g - self.form).max()) / scale)
+            res = np.abs(np.swapaxes(g, -1, -2) @ self.form @ g - self.form).max(axis=(-2, -1))
         else:
-            res = max(res, abs(float(np.linalg.det(g)) - 1.0) / scale)
+            res = np.abs(np.linalg.det(g) - 1.0)
+        res = res / np.maximum(norm ** 2, 1.0)
         for r in _unit_operators(self.field, self.ambient):
-            res = max(res, float(np.abs(g @ r - r @ g).max()) / max(norm, 1.0))
-        return res
+            units = np.abs(g @ r - r @ g).max(axis=(-2, -1)) / np.maximum(norm, 1.0)
+            res = np.maximum(res, units)
+        return float(res) if g.ndim == 2 else res
 
 
 @functools.lru_cache(maxsize=32)
@@ -308,14 +325,12 @@ def subalgebra_from_matrices(
 ) -> SubalgebraHandle:
     """Orthonormalize a spanning set into a SubalgebraHandle."""
     if len(mats) == 0:
-        k = 0
         empty = np.zeros((0, model.realified_size, model.realified_size))
         return SubalgebraHandle(model, empty, np.zeros((0, model.dim)), True, 0.0)
-    cols = np.stack([np.asarray(m).reshape(-1) for m in mats], axis=1)
-    on = orthonormal_columns(cols, tol.rank)
     n = model.realified_size
-    matrices = np.array([on[:, j].reshape(n, n) for j in range(on.shape[1])])
-    coords = np.array([model.coords(m) for m in matrices]) if on.shape[1] else np.zeros((0, model.dim))
+    on = orthonormal_columns(np.reshape(mats, (len(mats), -1)).T, tol.rank)
+    matrices = on.T.reshape(-1, n, n)
+    coords = model.coords(matrices)
     closed, resid = True, 0.0
     if check_closure and on.shape[1]:
         resid = _closure_residual(matrices, on)
@@ -324,17 +339,20 @@ def subalgebra_from_matrices(
 
 
 def _closure_residual(matrices: np.ndarray, on_cols: np.ndarray) -> float:
+    """Largest distance of a bracket [X_i, X_j] (i < j) from the span, relative to its size.
+
+    All products X_i X_j come from one batched matmul; the span's
+    orthonormal columns project without forming the N^2 x N^2 projector.
+    """
     k = matrices.shape[0]
-    worst = 0.0
-    proj = on_cols @ on_cols.T
-    for i in range(k):
-        for j in range(i + 1, k):
-            b = matrices[i] @ matrices[j] - matrices[j] @ matrices[i]
-            v = b.reshape(-1)
-            out = v - proj @ v
-            scale = max(float(np.abs(v).max(initial=0.0)), 1.0)
-            worst = max(worst, float(np.abs(out).max(initial=0.0)) / scale)
-    return worst
+    i, j = np.triu_indices(k, 1)
+    if not i.size:
+        return 0.0
+    prods = matrices[:, None] @ matrices[None]                   # X_i X_j
+    brackets = (prods[i, j] - prods[j, i]).reshape(i.size, -1)  # one row per pair
+    out = brackets - (brackets @ on_cols) @ on_cols.T
+    scale = np.maximum(np.abs(brackets).max(axis=1), 1.0)
+    return float((np.abs(out).max(axis=1) / scale).max())
 
 
 def centralizer(
@@ -343,31 +361,37 @@ def centralizer(
     """Lie algebra of the centralizer of a set of algebra or group elements.
 
     Algebra elements contribute the condition [s, X] = 0, group elements
-    Ad(s)X = X.  ``kind`` is "algebra", "group", or "auto" (decide per
-    element by membership in the model span; pass explicitly for elements
-    that happen to lie in both, e.g. rotations by pi/2 in SO(2)).
+    Ad(s)X = X.  ``kind`` is "algebra", "group", "adjoint" (the elements
+    are already matrices of Ad(s) on model coordinates, as
+    ``adjoint_group_matrix`` returns them), or "auto" (decide per element
+    by membership in the model span; pass explicitly for elements that
+    happen to lie in both, e.g. rotations by pi/2 in SO(2)).
     """
-    ops = []
-    for s in elements:
-        s = np.asarray(s, dtype=float)
-        use_algebra = kind == "algebra"
-        if kind == "auto":
-            try:
-                model.coords(s, tol=1e-6)
-                use_algebra = True
-            except NumericalAbort:
-                use_algebra = False
-        if use_algebra:
-            ops.append(model.ad(model.coords(s, tol=1e-6)))
-        else:
-            ops.append(model.adjoint_group_matrix(s) - np.eye(model.dim))
-    if not ops:
+    if len(elements) == 0:
         return subalgebra_from_matrices(model, list(model.basis), tol)
-    stacked = np.vstack(ops)
-    scale = max(matrix_scale(op) for op in ops)
-    kern = nullspace(stacked, tol.rank, scale=max(scale, 1.0))
-    mats = [model.matrix(kern[:, j]) for j in range(kern.shape[1])]
-    sub = subalgebra_from_matrices(model, mats, tol)
+    eye = np.eye(model.dim)
+    if kind == "adjoint":
+        ops = np.asarray(elements, dtype=float) - eye
+    elif kind == "group":
+        ops = model.adjoint_group_matrix(np.asarray(elements, dtype=float)) - eye
+    else:
+        ops = []
+        for s in elements:
+            s = np.asarray(s, dtype=float)
+            use_algebra = kind == "algebra"
+            if kind == "auto":
+                try:
+                    model.coords(s, tol=1e-6)
+                    use_algebra = True
+                except NumericalAbort:
+                    use_algebra = False
+            if use_algebra:
+                ops.append(model.ad(model.coords(s, tol=1e-6)))
+            else:
+                ops.append(model.adjoint_group_matrix(s) - eye)
+    # sigma_max of the stacked operator bounds each operator's, so only the floor 1 is left
+    kern = nullspace(np.reshape(ops, (-1, model.dim)), tol.rank, scale=1.0)
+    sub = subalgebra_from_matrices(model, model.matrix(kern.T), tol)
     if not sub.closed:
         raise NumericalAbort(f"centralizer is not bracket-closed (residual {sub.closure_residual:.3e})")
     return sub
@@ -381,16 +405,11 @@ def center_of(sub: SubalgebraHandle, tol: Tolerances = DEFAULT) -> SubalgebraHan
     if k == 0:
         return sub
     model = sub.model
-    rows = []
-    scale = 1.0
-    for i in range(k):
-        adi = model.ad(sub.coords[i])          # bracket with i-th basis element
-        scale = max(scale, matrix_scale(adi))
-        rows.append(adi @ sub.coords.T)        # columns: [b_i, b_j] coords
-    stacked = np.vstack(rows)                  # maps xi in R^k to all brackets
+    ads = model.ad(sub.coords)                     # ad of each basis element
+    scale = max(matrix_scale(ads), 1.0)
+    stacked = (ads @ sub.coords.T).reshape(-1, k)  # maps xi in R^k to all brackets [b_i, b_j]
     kern = nullspace(stacked, tol.rank, scale=scale)
-    mats = [model.matrix(sub.coords.T @ kern[:, j]) for j in range(kern.shape[1])]
-    return subalgebra_from_matrices(model, mats, tol)
+    return subalgebra_from_matrices(model, model.matrix(kern.T @ sub.coords), tol)
 
 
 def killing_restriction_nondegenerate(

@@ -11,18 +11,30 @@ import numpy as np
 from .config import DEFAULT, NumericalAbort, Tolerances
 
 
+def spectral_norms(a: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in a ``(..., m, n)`` stack, in one SVD call.
+
+    Each value is bit for bit ``np.linalg.norm(slice, 2)``.
+    """
+    return np.linalg.svd(a, compute_uv=False)[..., 0]
+
+
 def matrix_scale(a: np.ndarray) -> float:
-    s = float(np.linalg.norm(a, 2)) if a.size else 0.0
-    return s
+    """Spectral norm of a matrix, or the largest over a ``(K, m, n)`` stack."""
+    a = np.asarray(a)
+    return float(spectral_norms(a).max()) if a.size else 0.0
 
 
-def rank(a: np.ndarray, tol: float = DEFAULT.rank) -> int:
+def _kept(s: np.ndarray, tol: float, scale: float) -> int:
+    """How many of the descending singular values s exceed tol * max(sigma_max, scale)."""
+    return int(np.sum(s > tol * max(s[0] if s.size else 0.0, scale)))
+
+
+def rank(a: np.ndarray, tol: float = DEFAULT.rank, scale: float = 0.0) -> int:
+    """Numerical rank from the singular values alone; ``scale`` floors the cutoff as in nullspace."""
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+    return _kept(np.linalg.svd(a, compute_uv=False), tol, scale)
 
 
 def nullspace(a: np.ndarray, tol: float = DEFAULT.rank, scale: float = 0.0) -> np.ndarray:
@@ -31,18 +43,34 @@ def nullspace(a: np.ndarray, tol: float = DEFAULT.rank, scale: float = 0.0) -> n
     Singular values below ``tol * max(sigma_max, scale)`` count as zero;
     pass ``scale`` when the operator may consist entirely of noise (e.g.
     brackets of commuting elements) so the cutoff has an absolute floor.
+    A thin SVD serves tall and square input; wide input, such as a
+    relator map, needs the full V for its kernel.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[1] == 0:
         raise NumericalAbort("nullspace of an empty operator is undefined")
     if a.shape[0] == 0:
         return np.eye(a.shape[1])
-    _, s, vh = np.linalg.svd(a)
-    smax = s[0] if s.size else 0.0
-    if max(smax, scale) == 0.0:
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
+    if max(s[0], scale) == 0.0:
         return np.eye(a.shape[1], dtype=a.dtype)
-    nkeep = int(np.sum(s > tol * max(smax, scale)))
-    return vh[nkeep:].conj().T
+    return vh[_kept(s, tol, scale):].conj().T
+
+
+def span_and_kernel(a: np.ndarray, tol: float = DEFAULT.rank,
+                    scale: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of the column span and of the kernel of a tall matrix.
+
+    Both come from one thin SVD, with the cutoff of :func:`nullspace` and
+    :func:`orthonormal_columns`: the left vectors above it span the
+    image, the right vectors below it the kernel.
+    """
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] < a.shape[1] or a.shape[1] == 0:
+        raise NumericalAbort("span_and_kernel needs a tall, nonempty matrix")
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    keep = _kept(s, tol, scale)
+    return u[:, :keep], vh[keep:].conj().T
 
 
 def orthonormal_columns(vectors: np.ndarray, tol: float = DEFAULT.rank,
@@ -56,10 +84,7 @@ def orthonormal_columns(vectors: np.ndarray, tol: float = DEFAULT.rank,
     if v.size == 0:
         return v.reshape(v.shape[0] if v.ndim == 2 else 0, 0)
     u, s, _ = np.linalg.svd(v, full_matrices=False)
-    if s.size == 0 or max(s[0], scale) == 0.0:
-        return u[:, :0]
-    nkeep = int(np.sum(s > tol * max(s[0], scale)))
-    return u[:, :nkeep]
+    return u[:, :_kept(s, tol, scale)]
 
 
 def solve_in_span(basis: np.ndarray, vectors: np.ndarray, tol: float = 1e-8) -> np.ndarray:
@@ -118,7 +143,7 @@ def simultaneous_eigenspaces(
     for op in ops:
         if op.shape != (n, n):
             raise NumericalAbort("operators must share one square shape")
-    scale = max((matrix_scale(op) for op in ops), default=0.0)
+    scale = matrix_scale(np.stack(ops))
     if scale == 0.0:
         return [(tuple(0.0 + 0.0j for _ in ops), np.eye(n, dtype=complex))]
     ctol = tol.cluster * scale

@@ -106,9 +106,9 @@ def decompose(
             if np.abs(br).max() > tol.closure * 10:
                 raise NumericalAbort("torus is not abelian")
 
-    ads = [model.ad(torus.coords[i]) for i in range(r)]
-    scale = max(matrix_scale(a) for a in ads)
-    spaces = simultaneous_eigenspaces(ads, tol)
+    ads = model.ad(torus.coords)
+    scale = matrix_scale(ads)
+    spaces = simultaneous_eigenspaces(list(ads), tol)
 
     gram = torus.coords @ model.killing @ torus.coords.T
     sg = np.linalg.svd(gram, compute_uv=False)

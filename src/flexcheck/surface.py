@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import DEFAULT, FORM_INVARIANCE, FlexcheckError, NumericalAbort, Tolerances
 from .liealg import LieAlgebraModel, build_classical
-from .linalg import matrix_scale, nullspace, orthonormal_columns
+from .linalg import nullspace, rank, span_and_kernel, spectral_norms
 
 
 @dataclass(frozen=True)
@@ -55,13 +55,21 @@ class SurfaceRepresentation:
     relator_residual: float
 
 
-def relator_product(presentation: SurfaceGroupPresentation, images) -> np.ndarray:
-    invs = [np.linalg.inv(g) for g in images]
-    n = images[0].shape[0]
-    out = np.eye(n)
+def relator_prefixes(presentation: SurfaceGroupPresentation, images, invs=None) -> list:
+    """Products of the relator's first k letters, k = 0..4g; the last is the relator.
+
+    ``invs`` are the images' inverses, if the caller has them already.
+    """
+    if invs is None:
+        invs = np.linalg.inv(np.stack(images))
+    prefixes = [np.eye(images[0].shape[0])]
     for s, sign in presentation.letters:
-        out = out @ (images[s] if sign > 0 else invs[s])
-    return out
+        prefixes.append(prefixes[-1] @ (images[s] if sign > 0 else invs[s]))
+    return prefixes
+
+
+def relator_product(presentation: SurfaceGroupPresentation, images) -> np.ndarray:
+    return relator_prefixes(presentation, images)[-1]
 
 
 def surface_representation(
@@ -71,20 +79,27 @@ def surface_representation(
     central_lift: bool = False,
     tol: Tolerances = DEFAULT,
 ) -> SurfaceRepresentation:
-    """Validate generator images and the relator, then freeze the data."""
+    """Validate generator images and the relator, then freeze the data.
+
+    The relator residual is relative to the largest entry of the relator's
+    prefix products (at least 1), the rounding scale of the product, as in
+    ``cohomology``: conjugating the images leaves it about the same.
+    """
     if len(images) != presentation.generator_count:
         raise FlexcheckError(
             f"need {presentation.generator_count} generator images, got {len(images)}")
     images = tuple(np.asarray(g, dtype=float) for g in images)
-    for i, g in enumerate(images):
-        res = model.group_membership_residual(g)
-        if res > tol.membership * 100:
-            raise NumericalAbort(
-                f"generator image {i} violates the group relations (residual {res:.3e})")
-    rel = relator_product(presentation, images)
-    n = rel.shape[0]
-    res_plus = float(np.abs(rel - np.eye(n)).max())
-    res_minus = float(np.abs(rel + np.eye(n)).max())
+    residuals = model.group_membership_residual(np.stack(images))
+    bad = np.flatnonzero(residuals > tol.membership * 100)
+    if bad.size:
+        i = bad[0]
+        raise NumericalAbort(
+            f"generator image {i} violates the group relations (residual {residuals[i]:.3e})")
+    prefixes = relator_prefixes(presentation, images)
+    scale = max(float(np.abs(prefixes).max()), 1.0)
+    rel, n = prefixes[-1], len(images[0])
+    res_plus = float(np.abs(rel - np.eye(n)).max()) / scale
+    res_minus = float(np.abs(rel + np.eye(n)).max()) / scale
     if res_plus <= tol.relator:
         sign, res = 1, res_plus
     elif central_lift and res_minus <= tol.relator:
@@ -173,8 +188,9 @@ class Module:
 
 
 def adjoint_module(rep: SurfaceRepresentation) -> Module:
-    acts = tuple(rep.model.adjoint_group_matrix(g) for g in rep.images)
-    return Module(acts, kind="adjoint")
+    """Ad of every generator image, from one batched call."""
+    acts = rep.model.adjoint_group_matrix(np.stack(rep.images))
+    return Module(tuple(acts), kind="adjoint")
 
 
 def standard_module(rep: SurfaceRepresentation) -> Module:
@@ -184,16 +200,14 @@ def standard_module(rep: SurfaceRepresentation) -> Module:
 
 def restricted_module(module: Module, basis: np.ndarray, tol: float = 1e-8) -> Module:
     """Restrict a module to an invariant subspace with orthonormal basis columns."""
-    acts = []
-    for a in module.actions:
-        moved = a @ basis
-        small = basis.T @ moved
-        resid = np.abs(moved - basis @ small).max(initial=0.0)
-        if resid > tol * max(np.abs(moved).max(initial=0.0), 1.0):
-            raise NumericalAbort(
-                f"subspace is not invariant under the module action (residual {resid:.3e})")
-        acts.append(small)
-    return Module(tuple(acts), kind=f"{module.kind}|restricted")
+    moved = np.stack(module.actions) @ basis
+    small = basis.T @ moved
+    resid = np.abs(moved - basis @ small).max(axis=(1, 2), initial=0.0)
+    bad = np.flatnonzero(resid > tol * np.maximum(np.abs(moved).max(axis=(1, 2), initial=0.0), 1.0))
+    if bad.size:
+        raise NumericalAbort(
+            f"subspace is not invariant under the module action (residual {resid[bad[0]]:.3e})")
+    return Module(tuple(small), kind=f"{module.kind}|restricted")
 
 
 def trivial_module(rep: SurfaceRepresentation, dim: int) -> Module:
@@ -210,6 +224,7 @@ class CohomologyWorkspace:
     module: Module
     relator_map: np.ndarray          # (m, 2g m) Fox-calculus map
     prefix_actions: tuple            # module actions of relator prefixes, length 4g+1
+    inverse_actions: np.ndarray      # (2g, m, m) inverses of the module actions
     z1: np.ndarray                   # orthonormal columns, cocycles
     b1: np.ndarray                   # orthonormal columns, coboundaries
     h1: np.ndarray                   # orthonormal columns, harmonic representatives
@@ -238,30 +253,32 @@ def cohomology(rep: SurfaceRepresentation, module: Module, tol: Tolerances = DEF
     pres = rep.presentation
     m = module.dim
     ngen = pres.generator_count
-    acts = [np.asarray(a, dtype=float) for a in module.actions]
-    if len(acts) != ngen:
+    if len(module.actions) != ngen:
         raise FlexcheckError("module action count does not match generator count")
-    invs = [np.linalg.inv(a) for a in acts]
+    acts = np.array(module.actions, dtype=float)
+    invs = np.linalg.inv(acts)
+    eye = np.eye(m)
 
-    prefixes = [np.eye(m)]
-    for s, sign in pres.letters:
-        step = acts[s] if sign > 0 else invs[s]
-        prefixes.append(prefixes[-1] @ step)
-    scale = max(max(np.abs(p).max() for p in prefixes), 1.0)
-    if np.abs(prefixes[-1] - np.eye(m)).max() > tol.cocycle * scale * 10:
+    prefixes = np.array(relator_prefixes(pres, acts, invs))     # (4g + 1, m, m)
+    scale = max(float(np.abs(prefixes).max()), 1.0)
+    if np.abs(prefixes[-1] - eye).max() > tol.cocycle * scale * 10:
         raise NumericalAbort(
             "module action does not kill the relator "
             "(central lift with a module that sees the center?)")
 
-    relator_map = np.zeros((m, ngen * m))
-    for k, (s, sign) in enumerate(pres.letters):
-        p = prefixes[k]
-        block = p if sign > 0 else -p @ invs[s]
-        relator_map[:, s * m : (s + 1) * m] += block
+    # letter k adds its Fox block P_k (a generator) or -P_k L^-1 (an inverse)
+    gens, signs = np.array(pres.letters).T
+    steps, back = prefixes[:-1].copy(), signs < 0
+    steps[back] = -(steps[back] @ invs[gens[back]])
+    relator_map = np.zeros((m, ngen, m))
+    for k in range(len(gens)):
+        relator_map[:, gens[k]] += steps[k]
+    relator_map = relator_map.reshape(m, ngen * m)
 
     z1 = nullspace(relator_map, tol.rank, scale=scale)
-    cob = np.vstack([a - np.eye(m) for a in acts])       # (2g m, m)
-    b1 = orthonormal_columns(cob, tol.rank, scale=1.0)
+    # one thin SVD of the coboundary map v -> ((A_s - 1) v)_s: its left
+    # vectors span B^1, its right null vectors span H^0
+    b1, fixed = span_and_kernel((acts - eye).reshape(ngen * m, m), tol.rank, scale=1.0)
     if b1.shape[1]:
         worst = np.abs(relator_map @ b1).max() / scale
         if worst > tol.cocycle * 10:
@@ -274,9 +291,9 @@ def cohomology(rep: SurfaceRepresentation, module: Module, tol: Tolerances = DEF
         kern = np.eye(z1.shape[1])
     h1 = z1 @ kern
 
-    fixed = nullspace(np.vstack([a - np.eye(m) for a in acts]), tol.rank, scale=1.0)
-    cofixed = nullspace(np.vstack([a.T - np.eye(m) for a in acts]), tol.rank, scale=1.0)
-    h0, h2 = fixed.shape[1], cofixed.shape[1]
+    # H^2 is dual to the coinvariants: only its dimension is needed
+    h0 = fixed.shape[1]
+    h2 = m - rank((np.swapaxes(acts, 1, 2) - eye).reshape(ngen * m, m), tol.rank, scale=1.0)
     chi = pres.euler_characteristic
 
     zdim, bdim, hdim = z1.shape[1], b1.shape[1], h1.shape[1]
@@ -292,7 +309,7 @@ def cohomology(rep: SurfaceRepresentation, module: Module, tol: Tolerances = DEF
 
     return CohomologyWorkspace(
         rep=rep, module=module, relator_map=relator_map,
-        prefix_actions=tuple(prefixes), z1=z1, b1=b1, h1=h1,
+        prefix_actions=tuple(prefixes), inverse_actions=invs, z1=z1, b1=b1, h1=h1,
         h0_basis=fixed, h0_dim=h0, h1_dim=hdim, h2_dim=h2)
 
 
@@ -300,9 +317,10 @@ def _check_invariant_form(ws: CohomologyWorkspace, omega: np.ndarray) -> None:
     """Abort unless every slice of ``omega`` ((m, m) or (K, m, m)) is module-invariant."""
     forms = omega.reshape(-1, ws.module_dim, ws.module_dim)
     scale = np.maximum(np.abs(forms).max(axis=(1, 2), initial=0.0), 1.0)
-    for a in ws.module.actions:
+    norms = spectral_norms(np.stack(ws.module.actions))
+    for a, norm in zip(ws.module.actions, norms):
         resid = np.abs(a.T @ forms @ a - forms).max(axis=(1, 2), initial=0.0)
-        if np.any(resid > FORM_INVARIANCE * scale * max(matrix_scale(a) ** 2, 1.0)):
+        if np.any(resid > FORM_INVARIANCE * scale * max(norm ** 2, 1.0)):
             raise NumericalAbort("cup pairing needs a module-invariant bilinear form")
 
 
@@ -334,7 +352,7 @@ def cup_pairing(
     m = ws.module.dim
     ngen = pres.generator_count
     gens, signs = np.array(pres.letters).T
-    invs = np.linalg.inv(np.stack(ws.module.actions))
+    invs = ws.inverse_actions
     prefixes = np.stack(ws.prefix_actions[:-1])             # (4g, m, m)
 
     def letter_blocks(w):

@@ -20,7 +20,8 @@ def test_verdict_exit_codes(capsys):
     assert code == 0 and "flexible" in out
 
 
-def test_verdict_inconclusive_exit_code(tmp_path, capsys):
+def _write_parabolic(tmp_path):
+    """Unipotent generators: the centralizer is not reductive."""
     doc = {
         "group": {"family": "sl", "params": [2]},
         "genus": 2,
@@ -34,8 +35,26 @@ def test_verdict_inconclusive_exit_code(tmp_path, capsys):
     }
     path = tmp_path / "parabolic.json"
     path.write_text(json.dumps(doc))
+    return path
+
+
+def test_verdict_inconclusive_exit_code(tmp_path, capsys):
+    path = _write_parabolic(tmp_path)
     code, out, _ = run_cli(capsys, "verdict", "--input", str(path))
     assert code == 11 and "inconclusive" in out
+
+
+@pytest.mark.parametrize("command", ["decompose", "cohomology", "toledo", "balanced", "verdict"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_non_reductive_input_is_inconclusive_everywhere(tmp_path, capsys, command, fmt):
+    path = _write_parabolic(tmp_path)
+    code, out, err = run_cli(capsys, command, "--input", str(path), "--format", fmt)
+    assert code == 11
+    message = "the Killing form degenerates on the centralizer"
+    if command == "verdict":
+        assert message in out and err == ""
+    else:
+        assert out == "" and err.startswith("flexcheck: inconclusive: ") and message in err
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

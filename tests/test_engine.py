@@ -14,7 +14,7 @@ from flexcheck.engine import (
     verdict,
     virtual_dimension,
 )
-from flexcheck.liealg import build_classical, centralizer
+from flexcheck.liealg import LieAlgebraModel, build_classical, centralizer
 from flexcheck.surface import (
     _check_invariant_form,
     adjoint_module,
@@ -243,6 +243,21 @@ def test_verdict_computes_shared_stages_once(case_pipeline, monkeypatch):
     calls = _count_calls(monkeypatch, adjoint_module, centralizer)
     verdict(rep)
     assert calls == {"adjoint_module": 1, "centralizer": 1}
+
+
+def test_verdict_computes_ad_once(case_pipeline, monkeypatch):
+    # one batched Ad(g) for all generators, shared by the centralizer and the adjoint module
+    rep, _, _, _ = case_pipeline("sp21-cline")
+    calls = []
+    original = LieAlgebraModel.adjoint_group_matrix
+
+    def counting(self, g, *args, **kwargs):
+        calls.append(np.shape(g))
+        return original(self, g, *args, **kwargs)
+
+    monkeypatch.setattr(LieAlgebraModel, "adjoint_group_matrix", counting)
+    verdict(rep)
+    assert calls == [(4,) + rep.images[0].shape]
 
 
 def test_verdict_pairs_each_root_form_in_one_cup_call(case_pipeline, monkeypatch):

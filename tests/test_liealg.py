@@ -274,6 +274,84 @@ def test_adjoint_matches_einsum_reference(rng):
     assert fields == set(Field)
 
 
+def test_stacked_adjoint_matches_per_image_reference(rng):
+    by_model = {}
+    for model, g in _catalog_images_and_conjugates(rng):
+        by_model.setdefault(model.name, (model, []))[1].append(g)
+    for model, images in by_model.values():
+        got = model.adjoint_group_matrix(np.stack(images))
+        assert got.shape == (len(images), model.dim, model.dim)
+        for g, ad in zip(images, got):
+            ref = _adjoint_reference(model, g)
+            assert np.abs(ad - ref).max() <= 1e-13 * max(np.abs(ref).max(), 1.0)
+
+
+def test_stacked_membership_residual_is_the_per_image_one(models, rng):
+    for model, g in _catalog_images_and_conjugates(rng):
+        n = model.realified_size
+        stack = np.stack([g, rng.standard_normal((n, n)), 3.0 * np.eye(n)])
+        got = model.group_membership_residual(stack)
+        assert list(got) == [_membership_reference(model, h) for h in stack]
+
+
+def test_stacked_adjoint_aborts_if_any_image_is_outside_the_group(models, rng):
+    m = models["su21"]
+    n = m.realified_size
+    with pytest.raises(NumericalAbort, match="not in the group"):
+        m.adjoint_group_matrix(np.stack([np.eye(n), rng.standard_normal((n, n))]))
+
+
+def test_block_ad_matrix_and_coords_match_per_element(models, rng):
+    for model in models.values():
+        block = rng.standard_normal((5, model.dim))
+        mats = model.matrix(block)
+        assert np.allclose(model.ad(block), np.stack([model.ad(c) for c in block]),
+                           rtol=0, atol=1e-13 * np.abs(block).max())
+        assert np.allclose(mats, np.stack([model.matrix(c) for c in block]), rtol=0, atol=1e-13)
+        assert np.allclose(model.coords(mats), block, rtol=0, atol=1e-12)
+        bad = mats.copy()
+        bad[3] += rng.standard_normal(bad[3].shape)     # one slice off the span
+        with pytest.raises(NumericalAbort, match="model span"):
+            model.coords(bad)
+
+
+def _pairwise_closure_residual(matrices, on_cols):
+    """The bracket-closure residual one pair at a time, with the full projector."""
+    worst = 0.0
+    proj = on_cols @ on_cols.T
+    for i in range(len(matrices)):
+        for j in range(i + 1, len(matrices)):
+            v = (matrices[i] @ matrices[j] - matrices[j] @ matrices[i]).reshape(-1)
+            scale = max(float(np.abs(v).max(initial=0.0)), 1.0)
+            worst = max(worst, float(np.abs(v - proj @ v).max(initial=0.0)) / scale)
+    return worst
+
+
+def test_closure_residual_matches_pairwise_reference(models, rng):
+    su21 = models["su21"]
+    n = su21.realified_size
+    cases = [su21.basis[:1], su21.basis[:5], su21.basis,
+             rng.standard_normal((4, n, n)), 50.0 * rng.standard_normal((3, n, n))]
+    for mats in cases:
+        on = np.linalg.qr(mats.reshape(len(mats), -1).T)[0]
+        matrices = on.T.reshape(-1, n, n)
+        got = liealg._closure_residual(matrices, on)
+        ref = _pairwise_closure_residual(matrices, on)
+        assert abs(got - ref) <= 1e-12 * max(ref, 1.0)
+    assert liealg._closure_residual(su21.basis, np.linalg.qr(
+        su21.basis.reshape(su21.dim, -1).T)[0]) < 1e-12      # a Lie algebra is closed
+
+
+def test_centralizer_of_adjoint_matrices_is_that_of_the_group(case_pipeline):
+    rep, z, _, _ = case_pipeline("sp21-cline")
+    ads = rep.model.adjoint_group_matrix(np.stack(rep.images))
+    by_adjoint = centralizer(rep.model, ads, kind="adjoint")
+    by_group = centralizer(rep.model, rep.images, kind="group")
+    assert by_adjoint.dim == by_group.dim == z.dim
+    proj = [h.coords.T @ np.linalg.pinv(h.coords.T) for h in (by_adjoint, by_group)]
+    assert np.abs(proj[0] - proj[1]).max() < 1e-10
+
+
 def test_adjoint_of_a_matrix_outside_the_group_aborts(models, rng):
     m = models["su21"]                     # a generic real 6 x 6 is not C-linear
     g = rng.standard_normal((m.realified_size, m.realified_size))

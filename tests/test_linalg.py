@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+from flexcheck.catalog import build_case_representation
 from flexcheck.config import NumericalAbort
 from flexcheck.linalg import (
+    matrix_scale,
     nullspace,
     orthonormal_columns,
     rank,
     simultaneous_eigenspaces,
+    span_and_kernel,
+    spectral_norms,
     spectral_projectors,
 )
 from flexcheck.liealg import build_classical
@@ -93,3 +97,65 @@ def test_orthonormal_columns_rank(rng):
     on = orthonormal_columns(cols)
     assert on.shape == (6, 3)
     assert np.abs(on.T @ on - np.eye(3)).max() < 1e-12
+
+
+def _full_svd_nullspace(a, tol=1e-9, scale=0.0):
+    """The kernel from a full SVD, as nullspace computed it before its thin path."""
+    _, s, vh = np.linalg.svd(a)
+    if max(s[0], scale) == 0.0:
+        return np.eye(a.shape[1])
+    return vh[int(np.sum(s > tol * max(s[0], scale))):].T
+
+
+def _tall_stacks(rng):
+    """Tall test matrices: rank-deficient products, a stacked Ad - 1 and all-noise input."""
+    for rows, cols, r in ((12, 5, 3), (40, 8, 8), (30, 10, 0), (6, 6, 2)):
+        yield rng.standard_normal((rows, r)) @ rng.standard_normal((r, cols)), 0.0
+    rep = build_case_representation("su21-cline")          # a centralizer's operator
+    ads = rep.model.adjoint_group_matrix(np.stack(rep.images))
+    yield (ads - np.eye(rep.model.dim)).reshape(-1, rep.model.dim), 1.0
+    yield 1e-14 * rng.standard_normal((24, 6)), 1.0        # noise below the floor
+
+
+def test_matrix_scale_of_a_stack_is_the_largest_2_norm_bitwise(rng):
+    for shape in ((5, 4, 4), (3, 7, 2), (1, 6, 9), (8, 3, 3)):
+        stack = rng.standard_normal(shape) * rng.uniform(0.1, 100.0, size=(shape[0], 1, 1))
+        norms = [np.linalg.norm(a, 2) for a in stack]
+        assert matrix_scale(stack) == max(norms)
+        assert list(spectral_norms(stack)) == norms
+    single = rng.standard_normal((4, 6))
+    assert matrix_scale(single) == np.linalg.norm(single, 2)
+    assert matrix_scale(np.zeros((3, 0, 4))) == 0.0 and matrix_scale(np.zeros((0, 2, 2))) == 0.0
+
+
+def test_thin_nullspace_projector_matches_full_svd(rng):
+    for a, scale in _tall_stacks(rng):
+        got, ref = nullspace(a, scale=scale), _full_svd_nullspace(a, scale=scale)
+        assert got.shape == ref.shape
+        assert np.abs(got @ got.T - ref @ ref.T).max(initial=0.0) <= 1e-12
+    # all noise with the floor: the whole space is the kernel
+    noise = 1e-14 * rng.standard_normal((24, 6))
+    assert nullspace(noise, scale=1.0).shape == (6, 6)
+    assert nullspace(noise).shape[1] == 0
+
+
+def test_wide_nullspace_keeps_the_full_kernel(rng):
+    a = rng.standard_normal((3, 8))
+    ker = nullspace(a)
+    assert ker.shape == (8, 5) and np.abs(a @ ker).max() < 1e-12
+
+
+def test_span_and_kernel_match_orthonormal_columns_and_nullspace(rng):
+    for a, scale in _tall_stacks(rng):
+        span, kern = span_and_kernel(a, scale=scale)
+        ref_span, ref_kern = orthonormal_columns(a, scale=scale), _full_svd_nullspace(a, scale=scale)
+        assert span.shape == ref_span.shape and kern.shape == ref_kern.shape
+        assert np.abs(span @ span.T - ref_span @ ref_span.T).max(initial=0.0) <= 1e-12
+        assert np.abs(kern @ kern.T - ref_kern @ ref_kern.T).max(initial=0.0) <= 1e-12
+    with pytest.raises(NumericalAbort):
+        span_and_kernel(rng.standard_normal((2, 5)))
+
+
+def test_rank_scale_floor(rng):
+    noise = 1e-14 * rng.standard_normal((10, 4))
+    assert rank(noise) == 4 and rank(noise, scale=1.0) == 0

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from flexcheck.config import FlexcheckError, NumericalAbort
+from flexcheck.engine import Pipeline
 from flexcheck.liealg import build_classical, subalgebra_from_matrices
+from flexcheck.linalg import orthonormal_columns
 from flexcheck.roots import decompose
 from flexcheck.scalars import Field, realify
 from flexcheck.surface import (
@@ -12,6 +14,7 @@ from flexcheck.surface import (
     correct_relator,
     cup_pairing,
     cup_square,
+    relator_prefixes,
     relator_product,
     standard_module,
     standard_presentation,
@@ -379,3 +382,55 @@ def test_cup_pairing_rejects_noninvariant_form(fuchsian):
     ws = cohomology(fuchsian, standard_module(fuchsian))
     with pytest.raises(NumericalAbort):
         cup_pairing(ws, np.diag([1.0, 2.0]), ws.z1[:, 0], ws.z1[:, 1])
+
+
+def _full_svd_kernel(a):
+    """Kernel from a full SVD with the floor 1, as cohomology took H^0 and H^2 before."""
+    _, s, vh = np.linalg.svd(a)
+    return vh[int(np.sum(s > 1e-9 * max(s[0], 1.0))):].T
+
+
+def _cohomology_cases(fuchsian, case_pipeline):
+    """(rep, module) pairs with H^0, H^2 and B^1 of every size the suite meets."""
+    trivial = surface_representation(standard_presentation(2), fuchsian.model, [np.eye(2)] * 4)
+    yield fuchsian, adjoint_module(fuchsian)
+    yield fuchsian, standard_module(fuchsian)
+    yield fuchsian, trivial_module(fuchsian, 3)
+    yield trivial, adjoint_module(trivial)
+    for name in ("su21-cline", "sp21-cline", "so41-rplane"):
+        pipe = Pipeline(case_pipeline(name)[0])
+        yield pipe.rep, pipe.adjoint
+        for stage in pipe.root_stages:
+            yield pipe.rep, stage.workspace.module
+
+
+def test_cohomology_matches_separate_span_and_kernel_svds(fuchsian, case_pipeline):
+    for rep, module in _cohomology_cases(fuchsian, case_pipeline):
+        ws = cohomology(rep, module)
+        m = module.dim
+        cob = np.vstack([a - np.eye(m) for a in module.actions])
+        b1 = orthonormal_columns(cob, 1e-9, scale=1.0)
+        fixed = _full_svd_kernel(cob)
+        cofixed = _full_svd_kernel(np.vstack([a.T - np.eye(m) for a in module.actions]))
+        assert (ws.b1.shape[1], ws.h0_dim, ws.h2_dim) == (
+            b1.shape[1], fixed.shape[1], cofixed.shape[1])
+        assert np.abs(ws.b1 @ ws.b1.T - b1 @ b1.T).max() <= 1e-12
+        assert np.abs(ws.h0_basis @ ws.h0_basis.T - fixed @ fixed.T).max(initial=0.0) <= 1e-12
+        assert np.array_equal(ws.inverse_actions, np.linalg.inv(np.stack(module.actions)))
+
+
+def test_relator_check_is_relative_to_the_prefix_scale(fuchsian):
+    # a global conjugation by a large g leaves the relator exact, but its
+    # rounding grows with the prefix entries: the check must follow them
+    g = np.array([[40.0, 3.0], [13.0, 1.0]])
+    g /= np.sqrt(np.linalg.det(g))
+    images = [g @ a @ np.linalg.inv(g) for a in fuchsian.images]
+    prefixes = relator_prefixes(fuchsian.presentation, images)
+    scale = np.abs(prefixes).max()
+    absolute = np.abs(prefixes[-1] - np.eye(2)).max()
+    assert absolute > 1e-8 and absolute <= 1e-8 * scale
+    rep = surface_representation(fuchsian.presentation, fuchsian.model, images)
+    assert rep.relator_residual == absolute / scale
+    with pytest.raises(NumericalAbort, match="relator residual"):
+        surface_representation(fuchsian.presentation, fuchsian.model,
+                                [images[0] @ _expm(1e-3 * fuchsian.model.basis[0])] + images[1:])
