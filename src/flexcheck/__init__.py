@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .config import (DEFAULT, ExcludedFamilyError, FlexcheckError, Inconclusive, NumericalAbort,
                      ParseError, Tolerances)
-from .scalars import Field, Quaternion, RealizedMatrix, quaternion_multiply, realify
+from .scalars import Field, Quaternion, quaternion_multiply, realify
 from .linalg import nullspace, rank, simultaneous_eigenspaces
 from .liealg import (
     LieAlgebraModel,
@@ -60,7 +60,6 @@ __all__ = [
     "NumericalAbort",
     "ParseError",
     "Quaternion",
-    "RealizedMatrix",
     "RootDatum",
     "RootFormReport",
     "SubalgebraHandle",

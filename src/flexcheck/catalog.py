@@ -50,7 +50,7 @@ class SplitsoDecomposition:
         ``b`` has shape (p+q, m-p) with entries scalars of the field
         (real or complex numbers, or Quaternion instances).
         """
-        return _hom_matrix(self.field, self.m, self.q, self.p, realify(b, self.field).real)
+        return _hom_matrix(self.field, self.m, self.q, self.p, realify(b, self.field))
 
 
 def _hom_matrix(fld: Field, m: int, q: int, p: int, rb: np.ndarray) -> np.ndarray:
@@ -118,7 +118,7 @@ def hom_bracket_closed_form(dec: SplitsoDecomposition, b, c):
     evaluated on their realifications, where B* becomes R(B)^T.
     """
     fld = dec.field
-    rb, rc = realify(b, fld).real, realify(c, fld).real
+    rb, rc = realify(b, fld), realify(c, fld)
     e = _form_matrix(fld, dec.p, dec.q)
     top = fld.dim * (dec.m - dec.p)
     out = np.zeros((fld.dim * (dec.m + dec.q),) * 2)
@@ -262,7 +262,7 @@ def embed_base(case: CatalogCase, tol: Tolerances = DEFAULT):
         image[n - corner:, n - corner:] = to_block(g)
         if fld is Field.QUATERNION:
             image = [[Quaternion(v.real, v.imag, 0.0, 0.0) for v in row] for row in image]
-        return realify(image, fld).real
+        return realify(image, fld)
 
     return model, embedding
 

@@ -25,7 +25,7 @@ from .engine import Pipeline, verdict
 from .liealg import build_classical
 from .scalars import Field, Quaternion, realify
 from .surface import cohomology, standard_module, standard_presentation, surface_representation
-from .toledo import gram_matrix, signature
+from .toledo import symplectic_form_report
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -78,7 +78,7 @@ def _parse_matrix(rows, field: Field, where: str) -> np.ndarray:
             raise ParseError(f"{where}: row {i} must have {n} entries")
         entries.append([_parse_entry(entry, field, f"{where}[{i}][{j}]")
                         for j, entry in enumerate(row)])
-    return realify(entries, field).real
+    return realify(entries, field)
 
 
 def _int(value, where: str) -> int:
@@ -234,18 +234,15 @@ def _standard_module_report(problem) -> dict:
     else:
         raise ParseError(
             "--standard-module needs an sl(2,R) or sp(2n,R) ambient group")
-    ws = cohomology(rep, standard_module(rep), tol)
-    sig = signature(gram_matrix(ws, omega, tol), tol.gram)
-    chi = rep.presentation.euler_characteristic
-    toledo = sig // 4
+    form = symplectic_form_report(cohomology(rep, standard_module(rep), tol), omega, tol)
     return {
         **_header(problem),
         "module": "standard",
-        "h1_dim": ws.h1_dim,
-        "signature": sig,
-        "toledo": toledo,
-        "milnor_wood_bound": -chi * ws.module_dim,
-        "milnor_wood_slack": -chi * ws.module_dim - 4 * abs(toledo),
+        "h1_dim": form.h1_dim,
+        "signature": form.signature,
+        "toledo": form.toledo,
+        "milnor_wood_bound": -rep.presentation.euler_characteristic * form.module_dim,
+        "milnor_wood_slack": form.milnor_wood_slack,
     }
 
 
@@ -275,12 +272,12 @@ def _toledo_report(problem, root_index: int | None) -> dict:
 
 def _balanced_report(problem) -> dict:
     pipe = Pipeline(problem["rep"], problem["tol"])
-    p_reports, n_values, _ = pipe.split
+    forms, in_p, n_values, _ = pipe.split
     return {
         "provenance": _provenance(problem),
         "group": pipe.rep.model.name,
         "torus_dim": pipe.center.dim,
-        "P": [[_cnum(v) for v in pr.root.values] for pr in p_reports],
+        "P": [[_cnum(v) for v in rr.root.values] for rr, member in zip(forms, in_p) if member],
         "N": [[_cnum(v) for v in vals] for vals in n_values],
         "balanced": pipe.balance.balanced,
         "quotient_dim": pipe.balance.quotient_dim,

@@ -18,8 +18,8 @@ import numpy as np
 
 from .config import DEFAULT, Inconclusive, NumericalAbort, Tolerances
 from .liealg import SubalgebraHandle, center_of, centralizer, killing_restriction_nondegenerate
-from .linalg import nullspace, orthonormal_columns, rank
-from .roots import IMAGINARY, RootDatum, TorusRootDecomposition, decompose
+from .linalg import nullspace, orthonormal_columns, rank, value_key
+from .roots import IMAGINARY, MIXED, RootDatum, TorusRootDecomposition, decompose
 from .surface import CohomologyWorkspace, Module, SurfaceRepresentation, adjoint_module, cohomology
 from .toledo import RootFormReport, root_cohomology, root_form
 
@@ -133,18 +133,20 @@ def balanced(problem: BalanceProblem, tol: Tolerances = DEFAULT) -> BalanceResul
 def classify_PN(
     reports: list[RootFormReport],
     tol: Tolerances = DEFAULT,
-) -> tuple[list[RootFormReport], list[np.ndarray], BalanceProblem]:
+) -> tuple[list[RootFormReport], list[bool], list[np.ndarray], BalanceProblem]:
     """Split roots into P (definite imaginary, T > 0 representative) and N.
 
-    Returns the P reports (with representatives re-selected so the form is
-    positive definite), the value tuples of every root in N, and the
-    assembled balance problem.
+    Returns the reports in input order, each P member re-selected so its
+    form is positive definite; one flag per report, true for the P
+    members; the value tuples of every root in N; and the assembled
+    balance problem.
     """
     for rep in reports:
         if rep.status != "ok":
             raise NumericalAbort(
                 "a root form is numerically indefinite; P-membership is uncertain")
-    p_reports: list[RootFormReport] = []
+    selected: list[RootFormReport] = []
+    in_p: list[bool] = []
     n_values: list[np.ndarray] = []
     p_vectors: list[np.ndarray] = []
     n_vectors: list[np.ndarray] = []
@@ -152,19 +154,18 @@ def classify_PN(
     for rep in reports:
         root = rep.root
         dim = len(root.values)
-        orbit = [root.values, -root.values]
-        if root.classification == "mixed":
-            orbit += [root.values.conj(), -root.values.conj()]
-        if rep.classification == IMAGINARY and rep.definite:
-            flipped = rep
+        member = rep.classification == IMAGINARY and rep.definite
+        if member:
             if rep.toledo < 0:
-                flipped = _flip_representative(rep)
-            p_reports.append(flipped)
-            p_vectors.append(flipped.root.values.imag.copy())
+                rep = _flip_representative(rep)
+            p_vectors.append(rep.root.values.imag.copy())
         else:
+            orbit = [root.values, -root.values]
+            if root.classification == MIXED:
+                orbit += [root.values.conj(), -root.values.conj()]
             seen = set()
             for v in orbit:
-                key = tuple(np.round(v, 9))
+                key = value_key(v)
                 if key in seen:
                     continue
                 seen.add(key)
@@ -172,8 +173,10 @@ def classify_PN(
                 for part in (v.real, v.imag):
                     if np.abs(part).max(initial=0.0) > tol.cluster:
                         n_vectors.append(part.copy())
+        selected.append(rep)
+        in_p.append(member)
     problem = BalanceProblem(dim or 0, tuple(p_vectors), tuple(n_vectors))
-    return p_reports, n_values, problem
+    return selected, in_p, n_values, problem
 
 
 def _flip_representative(rep: RootFormReport) -> RootFormReport:
@@ -191,7 +194,6 @@ def _flip_representative(rep: RootFormReport) -> RootFormReport:
         rep,
         root=flipped_root,
         gram=None if rep.gram is None else -rep.gram,
-        gram_complex=None if rep.gram_complex is None else -rep.gram_complex,
         signature=None if rep.signature is None else -rep.signature,
         toledo=None if rep.toledo is None else -rep.toledo,
     )
@@ -306,7 +308,7 @@ class Pipeline:
     @cached_property
     def z(self) -> SubalgebraHandle:
         """Lie algebra of the centralizer of the image, from the adjoint module's Ad matrices."""
-        return centralizer(self.rep.model, self.adjoint.actions, self.tol, kind="adjoint")
+        return centralizer(self.rep.model, self.adjoint.actions, self.tol)
 
     @cached_property
     def reductivity(self) -> tuple[bool, float]:
@@ -387,13 +389,13 @@ class Pipeline:
                        all_values=tuple(-v for v in dec.all_values))
 
     @cached_property
-    def split(self) -> tuple[list[RootFormReport], list[np.ndarray], BalanceProblem]:
-        """``classify_PN`` of the root forms: P reports, N values, balance problem."""
+    def split(self) -> tuple[list[RootFormReport], list[bool], list[np.ndarray], BalanceProblem]:
+        """``classify_PN`` of the root forms: forms, P flags, N values, balance problem."""
         return classify_PN(list(self.forms), self.tol)
 
     @cached_property
     def balance(self) -> BalanceResult:
-        return balanced(self.split[2], self.tol)
+        return balanced(self.split[3], self.tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,7 +435,7 @@ def verdict(rep: SurfaceRepresentation, tol: Tolerances = DEFAULT) -> Flexibilit
             center_dim=-1, roots=(), balance=None, genus=genus,
             genus_threshold=threshold, caveats=tuple(caveats), message=NON_REDUCTIVE_MESSAGE)
 
-    p_reports = pipe.split[0]
+    forms, in_p = pipe.split[:2]
     summaries = [RootSummary(
         values=[complex(v) for v in rr.root.values],
         classification=rr.classification,
@@ -443,8 +445,8 @@ def verdict(rep: SurfaceRepresentation, tol: Tolerances = DEFAULT) -> Flexibilit
         toledo=rr.toledo,
         definite=rr.definite,
         milnor_wood_slack=rr.milnor_wood_slack,
-        in_P=any(rr is pr for pr in p_reports),
-    ) for rr in _aligned(pipe.forms, p_reports)]
+        in_P=member,
+    ) for rr, member in zip(forms, in_p)]
 
     flexible = pipe.balance.balanced
     return FlexibilityReport(
@@ -454,15 +456,5 @@ def verdict(rep: SurfaceRepresentation, tol: Tolerances = DEFAULT) -> Flexibilit
         genus=genus, genus_threshold=threshold, caveats=tuple(caveats),
         message="flexible: the center of the centralizer is balanced"
         if flexible else TUBE_TYPE_MESSAGE,
-        decomposition=pipe.oriented, p_reports=tuple(p_reports))
-
-
-def _aligned(reports, p_reports):
-    """Reports with P-members replaced by their re-selected versions."""
-    by_values = {tuple(np.round(pr.root.values, 9)): pr for pr in p_reports}
-    out = []
-    for rr in reports:
-        key_plus = tuple(np.round(rr.root.values, 9))
-        key_minus = tuple(np.round(-rr.root.values, 9))
-        out.append(by_values.get(key_plus) or by_values.get(key_minus) or rr)
-    return out
+        decomposition=pipe.oriented,
+        p_reports=tuple(rr for rr, member in zip(forms, in_p) if member))

@@ -61,16 +61,15 @@ class LieAlgebraModel:
         """Matrix of a coordinate vector; a (k, dim) block gives a (k, N, N) stack."""
         return np.tensordot(coords, self.basis, axes=(-1, 0))
 
-    def coords(self, mat: np.ndarray, tol: float = 1e-8, check: bool = True) -> np.ndarray:
+    def coords(self, mat: np.ndarray, tol: float = 1e-8) -> np.ndarray:
         """Coordinates of a matrix; a (k, N, N) stack gives a (k, dim) block."""
         mat = np.asarray(mat)
         vec = mat.reshape(*mat.shape[:-2], -1)
         c = vec @ self._pinv.T
-        if check:
-            resid = np.abs(c @ self._flat.T - vec).max(axis=-1, initial=0.0)
-            scale = np.maximum(np.abs(vec).max(axis=-1, initial=0.0), 1.0)
-            if np.any(resid > tol * scale):
-                raise NumericalAbort("matrix does not lie in the model span")
+        resid = np.abs(c @ self._flat.T - vec).max(axis=-1, initial=0.0)
+        scale = np.maximum(np.abs(vec).max(axis=-1, initial=0.0), 1.0)
+        if np.any(resid > tol * scale):
+            raise NumericalAbort("matrix does not lie in the model span")
         return c
 
     def bracket_coords(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -356,39 +355,15 @@ def _closure_residual(matrices: np.ndarray, on_cols: np.ndarray) -> float:
 
 
 def centralizer(
-    model: LieAlgebraModel, elements, tol: Tolerances = DEFAULT, kind: str = "auto"
+    model: LieAlgebraModel, adjoint, tol: Tolerances = DEFAULT
 ) -> SubalgebraHandle:
-    """Lie algebra of the centralizer of a set of algebra or group elements.
+    """Lie algebra {X : Ad(s) X = X for every s} of the centralizer of group elements s.
 
-    Algebra elements contribute the condition [s, X] = 0, group elements
-    Ad(s)X = X.  ``kind`` is "algebra", "group", "adjoint" (the elements
-    are already matrices of Ad(s) on model coordinates, as
-    ``adjoint_group_matrix`` returns them), or "auto" (decide per element
-    by membership in the model span; pass explicitly for elements that
-    happen to lie in both, e.g. rotations by pi/2 in SO(2)).
+    ``adjoint`` is the (K, dim, dim) stack of their Ad matrices on model
+    coordinates, as ``adjoint_group_matrix`` returns it; an empty stack
+    gives the whole algebra.
     """
-    if len(elements) == 0:
-        return subalgebra_from_matrices(model, list(model.basis), tol)
-    eye = np.eye(model.dim)
-    if kind == "adjoint":
-        ops = np.asarray(elements, dtype=float) - eye
-    elif kind == "group":
-        ops = model.adjoint_group_matrix(np.asarray(elements, dtype=float)) - eye
-    else:
-        ops = []
-        for s in elements:
-            s = np.asarray(s, dtype=float)
-            use_algebra = kind == "algebra"
-            if kind == "auto":
-                try:
-                    model.coords(s, tol=1e-6)
-                    use_algebra = True
-                except NumericalAbort:
-                    use_algebra = False
-            if use_algebra:
-                ops.append(model.ad(model.coords(s, tol=1e-6)))
-            else:
-                ops.append(model.adjoint_group_matrix(s) - eye)
+    ops = np.reshape(adjoint, (-1, model.dim, model.dim)) - np.eye(model.dim)
     # sigma_max of the stacked operator bounds each operator's, so only the floor 1 is left
     kern = nullspace(np.reshape(ops, (-1, model.dim)), tol.rank, scale=1.0)
     sub = subalgebra_from_matrices(model, model.matrix(kern.T), tol)

@@ -103,6 +103,11 @@ def solve_in_span(basis: np.ndarray, vectors: np.ndarray, tol: float = 1e-8) -> 
     return coeff
 
 
+def value_key(values) -> tuple:
+    """Hashable key of a tuple of complex values: real and imaginary parts to 9 digits."""
+    return tuple(x for v in values for x in (round(v.real, 9), round(v.imag, 9)))
+
+
 def _cluster_values(values: np.ndarray, tol: float) -> list[np.ndarray]:
     """Greedy clustering of complex scalars; returns index groups."""
     order = np.lexsort((values.imag, values.real))
@@ -184,7 +189,7 @@ def simultaneous_eigenspaces(
     total = sum(w.shape[1] for _, w in spaces)
     if total != n:
         raise NumericalAbort(f"eigenspace dimensions sum to {total}, expected {n}")
-    spaces.sort(key=lambda item: tuple(x for v in item[0] for x in (round(v.real, 9), round(v.imag, 9))))
+    spaces.sort(key=lambda item: value_key(item[0]))
     return spaces
 
 

@@ -16,7 +16,13 @@ import numpy as np
 
 from .config import DEFAULT, NumericalAbort, Tolerances
 from .liealg import LieAlgebraModel, SubalgebraHandle
-from .linalg import matrix_scale, orthonormal_columns, simultaneous_eigenspaces, solve_in_span
+from .linalg import (
+    matrix_scale,
+    orthonormal_columns,
+    simultaneous_eigenspaces,
+    solve_in_span,
+    value_key,
+)
 
 REAL, IMAGINARY, MIXED = "real", "imaginary", "mixed"
 
@@ -80,10 +86,6 @@ def classify_root(values: np.ndarray, tol: float = 1e-7) -> str:
     return MIXED
 
 
-def _value_key(values: np.ndarray) -> tuple:
-    return tuple(x for v in values for x in (round(v.real, 9), round(v.imag, 9)))
-
-
 def _real_span_basis(cols: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal real basis from real/imaginary parts of complex columns."""
     parts = np.hstack([cols.real, cols.imag])
@@ -126,7 +128,7 @@ def decompose(
             re = np.where(np.abs(v.real) <= snap, 0.0, v.real)
             im = np.where(np.abs(v.imag) <= snap, 0.0, v.imag)
             v = re + 1j * im
-            nonzero[_value_key(v)] = (v, w)
+            nonzero[value_key(v)] = (v, w)
 
     g0 = _real_span_basis(np.hstack(zero_cols) if zero_cols else np.zeros((dim, 0), dtype=complex),
                           tol.rank)
@@ -152,14 +154,14 @@ def decompose(
             orbit_keys[name] = k2
         used.update(orbit_keys.values())
         candidates = {nonzero[k][0].tobytes(): nonzero[k][0] for k in set(orbit_keys.values())}
-        rep = max(candidates.values(), key=_value_key)
+        rep = max(candidates.values(), key=value_key)
         roots.append(_build_root(model, torus, gram, rep, nonzero, find, tol))
 
     total = g0.shape[1] + sum(rd.real_dim for rd in roots)
     if total != dim:
         raise NumericalAbort(f"direct sum check failed: {total} != {dim}")
 
-    roots.sort(key=lambda rd: _value_key(rd.values))
+    roots.sort(key=lambda rd: value_key(rd.values))
     return TorusRootDecomposition(
         model, torus, g0, tuple(roots), tuple(all_values), gram)
 

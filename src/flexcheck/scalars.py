@@ -132,22 +132,8 @@ def right_block(value, field: Field) -> np.ndarray:
     return np.array(cols).T
 
 
-@dataclass(frozen=True)
-class RealizedMatrix:
-    """A matrix over R/C/H stored as its realification."""
-
-    field: Field
-    rows: int
-    cols: int
-    real: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.real.shape
-
-
-def realify(mat, field: Field) -> RealizedMatrix:
-    """Realify a matrix with entries in the given field.
+def realify(mat, field: Field) -> np.ndarray:
+    """Realify a matrix with entries in the given field: a (d rows, d cols) real array, d = dim F.
 
     Accepts a 2-dimensional array or nested sequence whose entries are
     scalars of the field: real numbers for R, real or complex numbers for C,
@@ -171,7 +157,7 @@ def realify(mat, field: Field) -> RealizedMatrix:
                 raise FlexcheckError(
                     f"realify: entry ({i}, {j}) is not a scalar of the field {field.value}"
                 ) from exc
-    return RealizedMatrix(field, rows, cols, out)
+    return out
 
 
 def realified_entry_block(field: Field, n: int, i: int, j: int, value) -> np.ndarray:

@@ -55,13 +55,9 @@ class SurfaceRepresentation:
     relator_residual: float
 
 
-def relator_prefixes(presentation: SurfaceGroupPresentation, images, invs=None) -> list:
-    """Products of the relator's first k letters, k = 0..4g; the last is the relator.
-
-    ``invs`` are the images' inverses, if the caller has them already.
-    """
-    if invs is None:
-        invs = np.linalg.inv(np.stack(images))
+def relator_prefixes(presentation: SurfaceGroupPresentation, images) -> list:
+    """Products of the relator's first k letters, k = 0..4g; the last is the relator."""
+    invs = np.linalg.inv(np.stack(images))
     prefixes = [np.eye(images[0].shape[0])]
     for s, sign in presentation.letters:
         prefixes.append(prefixes[-1] @ (images[s] if sign > 0 else invs[s]))
@@ -223,8 +219,7 @@ class CohomologyWorkspace:
     rep: SurfaceRepresentation
     module: Module
     relator_map: np.ndarray          # (m, 2g m) Fox-calculus map
-    prefix_actions: tuple            # module actions of relator prefixes, length 4g+1
-    inverse_actions: np.ndarray      # (2g, m, m) inverses of the module actions
+    fox_blocks: np.ndarray           # (4g, m, m) each letter's Fox block
     z1: np.ndarray                   # orthonormal columns, cocycles
     b1: np.ndarray                   # orthonormal columns, coboundaries
     h1: np.ndarray                   # orthonormal columns, harmonic representatives
@@ -256,23 +251,22 @@ def cohomology(rep: SurfaceRepresentation, module: Module, tol: Tolerances = DEF
     if len(module.actions) != ngen:
         raise FlexcheckError("module action count does not match generator count")
     acts = np.array(module.actions, dtype=float)
-    invs = np.linalg.inv(acts)
     eye = np.eye(m)
 
-    prefixes = np.array(relator_prefixes(pres, acts, invs))     # (4g + 1, m, m)
+    prefixes = np.array(relator_prefixes(pres, acts))           # (4g + 1, m, m)
     scale = max(float(np.abs(prefixes).max()), 1.0)
     if np.abs(prefixes[-1] - eye).max() > tol.cocycle * scale * 10:
         raise NumericalAbort(
             "module action does not kill the relator "
             "(central lift with a module that sees the center?)")
 
-    # letter k adds its Fox block P_k (a generator) or -P_k L^-1 (an inverse)
+    # letter k's Fox block is P_k for a generator and -P_k L^-1 = -P_{k+1}
+    # for an inverse; the relator map sums them per generator
     gens, signs = np.array(pres.letters).T
-    steps, back = prefixes[:-1].copy(), signs < 0
-    steps[back] = -(steps[back] @ invs[gens[back]])
+    fox = np.where((signs > 0)[:, None, None], prefixes[:-1], -prefixes[1:])
     relator_map = np.zeros((m, ngen, m))
     for k in range(len(gens)):
-        relator_map[:, gens[k]] += steps[k]
+        relator_map[:, gens[k]] += fox[k]
     relator_map = relator_map.reshape(m, ngen * m)
 
     z1 = nullspace(relator_map, tol.rank, scale=scale)
@@ -308,8 +302,7 @@ def cohomology(rep: SurfaceRepresentation, module: Module, tol: Tolerances = DEF
         raise NumericalAbort(f"dim Z1 = {zdim} != dim H2 + (1 - chi) dim = {h2 + (1 - chi) * m}")
 
     return CohomologyWorkspace(
-        rep=rep, module=module, relator_map=relator_map,
-        prefix_actions=tuple(prefixes), inverse_actions=invs, z1=z1, b1=b1, h1=h1,
+        rep=rep, module=module, relator_map=relator_map, fox_blocks=fox, z1=z1, b1=b1, h1=h1,
         h0_basis=fixed, h0_dim=h0, h1_dim=hdim, h2_dim=h2)
 
 
@@ -349,18 +342,12 @@ def cup_pairing(
             raise NumericalAbort("cup_pairing arguments must be cocycles")
 
     pres = ws.rep.presentation
-    m = ws.module.dim
-    ngen = pres.generator_count
-    gens, signs = np.array(pres.letters).T
-    invs = ws.inverse_actions
-    prefixes = np.stack(ws.prefix_actions[:-1])             # (4g, m, m)
+    gens = np.array(pres.letters)[:, 0]
 
     def letter_blocks(w):
-        """Y_k = P_k L_k(w): each letter's cochain value moved by its prefix."""
-        blocks = w.reshape(ngen, m, -1)
-        inverted = -(invs @ blocks)
-        values = np.where(signs[:, None, None] > 0, blocks[gens], inverted[gens])
-        return blocks, prefixes @ values
+        """Y_k = A_k w_{s_k}: each letter's Fox block applied to its generator's value."""
+        blocks = w.reshape(pres.generator_count, ws.module.dim, -1)
+        return blocks, ws.fox_blocks @ blocks[gens]
 
     ublocks, yu = letter_blocks(u)
     vblocks, yv = letter_blocks(v)
@@ -380,7 +367,7 @@ def cup_square(ws: CohomologyWorkspace, u: np.ndarray, tol: Tolerances = DEFAULT
     Requires the adjoint module; H^2 is identified with H^0 through the
     Killing form (the adjoint module is self-dual).
     """
-    if not ws.module.kind.startswith("adjoint"):
+    if ws.module.kind != "adjoint":
         raise FlexcheckError("cup_square is defined on the adjoint module")
     model = ws.rep.model
     forms = np.einsum("ijk,kl->lij", model.structure, model.killing @ ws.h0_basis)

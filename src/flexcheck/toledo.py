@@ -13,7 +13,7 @@ check one, as a cross-check outside the pipeline.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,11 +46,10 @@ def signature(mat: np.ndarray, tol: float = DEFAULT.gram) -> int:
 
 @dataclass(frozen=True)
 class RootFormReport:
-    root: RootDatum
+    root: RootDatum | None            # None for a module that is not a root space
     module_dim: int
     h1_dim: int
     gram: np.ndarray | None           # real symmetric Gram matrix (None for mixed)
-    gram_complex: np.ndarray | None   # complex-bilinear Gram (mixed roots)
     signature: int | None
     toledo: int | None
     definite: bool
@@ -80,6 +79,46 @@ def root_cohomology(
     return cohomology(rep, mod, tol)
 
 
+def symplectic_form_report(
+    ws: CohomologyWorkspace,
+    omega: np.ndarray,
+    tol: Tolerances = DEFAULT,
+) -> RootFormReport:
+    """Read T off the cup form of a real invariant symplectic form on H^1.
+
+    The Gram matrix of ``omega``'s cup pairing on ``ws.h1`` is degenerate
+    when its smallest |eigenvalue| is within ``tol.gram`` of its largest
+    entry (at least 1); the report then has no signature, T or slack.
+    Otherwise T is a quarter of the signature, and a signature that 4 does
+    not divide, or a violated Milnor-Wood bound 4|T| <= -chi dim, aborts.
+    The report's root is None; ``root_form`` fills it in.
+    """
+    chi = ws.rep.presentation.euler_characteristic
+    mdim = ws.module_dim
+    gram = gram_matrix(ws, omega, tol)
+    scale = max(float(np.abs(gram).max(initial=0.0)), 1.0)
+    ev = np.linalg.eigvalsh(gram)
+    sep = float(np.abs(ev).min()) / scale if ev.size else np.inf
+    if sep <= tol.gram:
+        return RootFormReport(
+            root=None, module_dim=mdim, h1_dim=ws.h1_dim, gram=gram,
+            signature=None, toledo=None, definite=False,
+            milnor_wood_slack=None, min_eig_separation=sep, status="degenerate")
+
+    sig = int(np.sum(ev > 0)) - int(np.sum(ev < 0))
+    if sig % 4 != 0:
+        raise NumericalAbort(f"signature {sig} is not divisible by 4; pipeline inconsistency")
+    toledo = sig // 4
+    slack = -chi * mdim - 4 * abs(toledo)
+    if slack < 0:
+        raise NumericalAbort(
+            f"Milnor-Wood violated: 4|T| = {4 * abs(toledo)} > {-chi * mdim}")
+    return RootFormReport(
+        root=None, module_dim=mdim, h1_dim=ws.h1_dim, gram=gram,
+        signature=sig, toledo=toledo, definite=abs(sig) == ws.h1_dim,
+        milnor_wood_slack=slack, min_eig_separation=sep, status="ok")
+
+
 def root_form(
     ws: CohomologyWorkspace,
     root: RootDatum,
@@ -89,13 +128,13 @@ def root_form(
 
     ``ws`` is the cohomology of the root module (see ``root_cohomology``).
     Precondition: H^0 of the root module vanishes; a violation aborts.
+    A real or imaginary root is read by ``symplectic_form_report`` from
+    the real or imaginary part of Omega_lambda.
     """
     if ws.h0_dim != 0:
         raise NumericalAbort(
             "H^0 is nonzero on a nonzero root space; the torus is not the "
             "center of the centralizer of this representation")
-    chi = ws.rep.presentation.euler_characteristic
-    mdim = root.real_dim
 
     if root.classification == MIXED:
         gramc = gram_matrix(ws, root.omega, tol)
@@ -107,38 +146,15 @@ def root_form(
         half_gram = half.T @ gramc @ half
         s = np.linalg.svd(half_gram, compute_uv=False)
         sep = float(s[-1] / max(s[0], 1e-300)) if s.size else 0.0
-        status = "ok" if (s.size and s[-1] > tol.gram * s[0]) else "degenerate"
-        if status != "ok":
+        if not (s.size and s[-1] > tol.gram * s[0]):
             raise NumericalAbort("complex-bilinear root form is numerically degenerate")
         return RootFormReport(
-            root=root, module_dim=mdim, h1_dim=ws.h1_dim, gram=None,
-            gram_complex=gramc, signature=None, toledo=None, definite=False,
-            milnor_wood_slack=None, min_eig_separation=sep, status=status)
+            root=root, module_dim=ws.module_dim, h1_dim=ws.h1_dim, gram=None,
+            signature=None, toledo=None, definite=False,
+            milnor_wood_slack=None, min_eig_separation=sep, status="ok")
 
     omega_real = root.omega.real if root.classification == REAL else root.omega.imag
-    gram = gram_matrix(ws, omega_real, tol)
-    scale = max(float(np.abs(gram).max(initial=0.0)), 1.0)
-    ev = np.linalg.eigvalsh(gram)
-    sep = float(np.abs(ev).min()) / scale if ev.size else np.inf
-    if sep <= tol.gram:
-        return RootFormReport(
-            root=root, module_dim=mdim, h1_dim=ws.h1_dim, gram=gram,
-            gram_complex=None, signature=None, toledo=None, definite=False,
-            milnor_wood_slack=None, min_eig_separation=sep, status="degenerate")
-
-    sig = int(np.sum(ev > 0)) - int(np.sum(ev < 0))
-    if sig % 4 != 0:
-        raise NumericalAbort(f"signature {sig} is not divisible by 4; pipeline inconsistency")
-    toledo = sig // 4
-    slack = -chi * mdim - 4 * abs(toledo)
-    if slack < 0:
-        raise NumericalAbort(
-            f"Milnor-Wood violated: 4|T| = {4 * abs(toledo)} > {-chi * mdim}")
-    definite = abs(sig) == ws.h1_dim
-    return RootFormReport(
-        root=root, module_dim=mdim, h1_dim=ws.h1_dim, gram=gram,
-        gram_complex=None, signature=sig, toledo=toledo, definite=definite,
-        milnor_wood_slack=slack, min_eig_separation=sep, status="ok")
+    return replace(symplectic_form_report(ws, omega_real, tol), root=root)
 
 
 def milnor_wood_check(report: RootFormReport) -> int:

@@ -146,13 +146,13 @@ def test_classify_PN_reselects_positive(case_pipeline):
     rep, z, c, dec = case_pipeline("su21-cline")
     adj = adjoint_module(rep)
     reports = [root_form(root_cohomology(rep, adj, r), r) for r in dec.roots]
-    p_reports, n_values, problem = classify_PN(reports)
-    assert len(p_reports) == 1 and not n_values
-    assert p_reports[0].toledo > 0
-    ev = np.linalg.eigvalsh(p_reports[0].gram)
+    forms, in_p, n_values, problem = classify_PN(reports)
+    assert in_p == [True] and not n_values
+    assert forms[0].toledo > 0
+    ev = np.linalg.eigvalsh(forms[0].gram)
     assert np.all(ev > 0)            # positive definite after re-selection
     assert len(problem.p_vectors) == 1
-    assert problem.p_vectors[0] @ p_reports[0].root.values.imag > 0
+    assert problem.p_vectors[0] @ forms[0].root.values.imag > 0
 
 
 def test_verdict_su21_rigid(case_pipeline):

@@ -1,15 +1,20 @@
 """Byte guard: sha256 of stdout and the exit code of every catalog report.
 
-The table covers the 12 computable catalog cases x 5 subcommands x
-json/text, run in-process through ``cli.main``.  A change that moves any
-report byte must update the table and say which reports moved and why.
+``GOLDEN`` covers the 12 computable catalog cases x 5 subcommands x
+json/text, run in-process through ``cli.main``.  ``GOLDEN_RUNS`` adds
+single-root Toledo reports and reports on matrix input files: the
+octagon's Fuchsian representation, the identity and a unipotent
+(parabolic) representation into SL(2,R).  A change that moves any report
+byte must update the table and say which reports moved and why.
 """
 
 import hashlib
+import json
 
 import pytest
 
-from flexcheck.cli import main
+from flexcheck.cli import main, round12
+from flexcheck.surface import fuchsian_genus2
 
 GOLDEN = {
     ("so31-rplane", "decompose", "json"): (0, "5802eff0854b37a45bf4158c09d5fd4a80102b056969246856cf37dfeb6977b1"),
@@ -141,3 +146,52 @@ def test_catalog_report_bytes(capsys, monkeypatch, case, command, fmt):
     code = main([command, "--catalog", case, "--format", fmt])
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[case, command, fmt]
+
+
+# (source, subcommand and options, format): a source is a catalog case or
+# the name of a matrix input built by _input_generators
+GOLDEN_RUNS = {
+    ("sp21-cline", "toledo --root 0", "json"): (0, "02f4172d1325a2c97c26d460724cd9428a69bf4a0b86f9e6ce70aba58c53d4a6"),
+    ("sp21-cline", "toledo --root 0", "text"): (0, "5d00773337ce8a84869f4a234385629d1768dbf0e74b60355647cedcad1b38b9"),
+    ("sp21-cline", "toledo --root 1", "json"): (0, "5400bc596d2a7e29254b6fc17a00768d78263cf8e61c55005012742e639ead4b"),
+    ("sp21-cline", "toledo --root 1", "text"): (0, "5dca4ec4df4e0b0cd94b06c2e3d7998a23fb502f82efddd2be69fc8aea1fcd3c"),
+    ("sp31-cline", "toledo --root 0", "json"): (0, "b9f0cb7f9cc12fddfed7f2f276f052ac51113c87d2580a839c282008731105c7"),
+    ("sp31-cline", "toledo --root 0", "text"): (0, "ea83ed34f06b9c945e4a225be643bfc4b4581732c8cb9d1b8caffce799dbcc60"),
+    ("sp31-cline", "toledo --root 1", "json"): (0, "683994c64f1a03a24a588535e9f22e17f3a94c17b6ff5fa150ee881e77060844"),
+    ("sp31-cline", "toledo --root 1", "text"): (0, "3888ee3bbab2cd91127694eadc5d531a5a91c2d65d9e41ff2cbd3eefc7c764a4"),
+    ("octagon", "toledo --standard-module", "json"): (0, "47397098188f71df7736c7cfd55d0a58d5e24f19eb0ece2d9a5d17ddfa7a3ddb"),
+    ("octagon", "toledo --standard-module", "text"): (0, "a22b573ab661fb0ed9e587470a52b381409cdbe17ff28792e8607aeef21b3925"),
+    ("identity", "toledo --standard-module", "json"): (0, "bd21af4c98809ababb44b5c2a1a5c847f06097371d8383eb5e273815e67abeaa"),
+    ("identity", "toledo --standard-module", "text"): (0, "aa2f0bebda2a31069cb0d4f7fa34d1d83fc5fd6e6a6c8dc9e3b8116bd3c3b39b"),
+    ("parabolic", "toledo --standard-module", "json"): (0, "19499a8bcc3bcad12563f12c4a73770487c05e292610d9a7572bede0b53ce4a8"),
+    ("parabolic", "toledo --standard-module", "text"): (0, "6d2e3fdbb15e73b99e697b2015631a072d83ffd4da53e4164bfbb531594332ee"),
+    ("parabolic", "verdict", "json"): (11, "dbe463ec744f2da9f0179c59d1aa6543faaaa861530d37813c1df9cb28137a0f"),
+    ("parabolic", "verdict", "text"): (11, "c7b033ed4051bd2857bd07682a5079aada2c34e690cdc4a6c64d731039570ff0"),
+}
+
+
+def _input_generators(name: str):
+    """SL(2,R) generator images in the problem-file layout, one [x] per entry."""
+    if name == "octagon":
+        return [[[[round12(float(g[i, j]))] for j in range(2)] for i in range(2)]
+                for g in fuchsian_genus2().images]
+    if name == "identity":
+        return [[[[1.0], [0.0]], [[0.0], [1.0]]]] * 4
+    return [[[[1.0], [t]], [[0.0], [1.0]]] for t in (1.0, 2.0, 3.0, 5.0)]
+
+
+@pytest.mark.parametrize("source, command, fmt", sorted(GOLDEN_RUNS))
+def test_run_report_bytes(tmp_path, capsys, monkeypatch, source, command, fmt):
+    monkeypatch.delenv("FLEXCHECK_SEED", raising=False)
+    if source in ("octagon", "identity", "parabolic"):
+        path = tmp_path / f"{source}.json"
+        path.write_text(json.dumps({
+            "group": {"family": "sl", "params": [2]}, "genus": 2,
+            "representation": {"source": "matrices", "field": "R",
+                               "generators": _input_generators(source)}}))
+        problem = ["--input", str(path)]
+    else:
+        problem = ["--catalog", source]
+    code = main([*command.split(), *problem, "--format", fmt])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_RUNS[source, command, fmt]

@@ -14,7 +14,7 @@ from flexcheck.liealg import (
     subspace_projection_residual,
 )
 from flexcheck.catalog import build_case_representation, default_cases
-from flexcheck.linalg import matrix_scale
+from flexcheck.linalg import matrix_scale, nullspace
 from flexcheck.scalars import Field, imaginary_units, realify, right_multiplication_operator
 from flexcheck.surface import _expm
 
@@ -116,15 +116,16 @@ def test_killing_rank_check_runs_on_every_call():
 def test_centralizer_su21_block(models, fuchsian, case_pipeline):
     rep, z, c, dec = case_pipeline("su21-cline")
     assert z.dim == 1
-    zmat = realify(np.diag([-2j, 1j, 1j]), Field.COMPLEX).real
+    zmat = realify(np.diag([-2j, 1j, 1j]), Field.COMPLEX)
     resid = subspace_projection_residual(z, subalgebra_from_matrices(rep.model, [zmat]))
     assert resid < 1e-8
 
 
 def test_centralizer_of_whole_algebra_is_zero(models):
+    # the centralizer of the whole algebra is its center; that of no element is everything
     m = models["su21"]
-    sub = centralizer(m, list(m.basis), kind="algebra")
-    assert sub.dim == 0
+    assert center_of(subalgebra_from_matrices(m, list(m.basis))).dim == 0
+    assert centralizer(m, []).dim == m.dim
 
 
 def test_centralizer_so41_block(case_pipeline):
@@ -134,8 +135,8 @@ def test_centralizer_so41_block(case_pipeline):
 
 def test_center_of_abelian_is_itself(models):
     m = models["su21"]
-    t1 = realify(np.diag([1j, 1j, -2j]), Field.COMPLEX).real
-    t2 = realify(np.diag([1j, -1j, 0j]), Field.COMPLEX).real
+    t1 = realify(np.diag([1j, 1j, -2j]), Field.COMPLEX)
+    t2 = realify(np.diag([1j, -1j, 0j]), Field.COMPLEX)
     sub = subalgebra_from_matrices(m, [t1, t2])
     assert sub.closed
     cen = center_of(sub)
@@ -345,10 +346,13 @@ def test_closure_residual_matches_pairwise_reference(models, rng):
 def test_centralizer_of_adjoint_matrices_is_that_of_the_group(case_pipeline):
     rep, z, _, _ = case_pipeline("sp21-cline")
     ads = rep.model.adjoint_group_matrix(np.stack(rep.images))
-    by_adjoint = centralizer(rep.model, ads, kind="adjoint")
-    by_group = centralizer(rep.model, rep.images, kind="group")
-    assert by_adjoint.dim == by_group.dim == z.dim
-    proj = [h.coords.T @ np.linalg.pinv(h.coords.T) for h in (by_adjoint, by_group)]
+    by_adjoint = centralizer(rep.model, ads)
+    # reference: model coordinates of the X with g X = X g, read off the matrices
+    commutators = np.concatenate([(g @ rep.model.basis - rep.model.basis @ g).reshape(
+        rep.model.dim, -1).T for g in rep.images])
+    by_group = nullspace(commutators, 1e-9, scale=1.0)
+    assert by_adjoint.dim == by_group.shape[1] == z.dim
+    proj = [h @ np.linalg.pinv(h) for h in (by_adjoint.coords.T, by_group)]
     assert np.abs(proj[0] - proj[1]).max() < 1e-10
 
 

@@ -60,7 +60,7 @@ def test_simultaneous_empty_ops():
 
 def test_simultaneous_su21_example():
     su21 = build_classical("su", 2, 1)
-    z = realify(np.diag([-2j, 1j, 1j]), Field.COMPLEX).real
+    z = realify(np.diag([-2j, 1j, 1j]), Field.COMPLEX)
     adz = su21.ad(su21.coords(z))
     spaces = simultaneous_eigenspaces([adz])
     dims = {}

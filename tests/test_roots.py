@@ -22,7 +22,7 @@ def test_su21_decomposition(case_pipeline):
     r = dec.roots[0]
     assert r.classification == "imaginary"
     assert r.real_dim == 4 and r.complex_dim == 2
-    zmat = realify(np.diag([-2j, 1j, 1j]), Field.COMPLEX).real
+    zmat = realify(np.diag([-2j, 1j, 1j]), Field.COMPLEX)
     val = dec.root_value_at(r, zmat)
     assert abs(abs(val.imag) - 3.0) < 1e-8 and abs(val.real) < 1e-8
     # full root list comes in +- pairs

@@ -48,15 +48,14 @@ def test_conjugation_antiautomorphism(rng):
 
 def test_realify_single_complex_entry():
     out = realify(np.array([[1j]]), Field.COMPLEX)
-    assert np.array_equal(out.real, np.array([[0.0, -1.0], [1.0, 0.0]]))
+    assert np.array_equal(out, np.array([[0.0, -1.0], [1.0, 0.0]]))
 
 
 def test_realify_quaternion_block_count():
     q = Quaternion(1.0, 2.0, 3.0, 4.0)
     mats = [[q, Q_ONE], [Q_J, Q_K]]
     out = realify(mats, Field.QUATERNION)
-    assert out.shape == (8, 8)
-    assert out.rows == out.cols == 2
+    assert isinstance(out, np.ndarray) and out.shape == (8, 8)
 
 
 @pytest.mark.parametrize("field", list(Field))
@@ -86,39 +85,39 @@ def test_realify_rejects_strings(field):
 def test_realify_accepts_real_numbers(field):
     # R sits inside C and H: a real entry realifies to a multiple of the identity
     for value in (1.0, -2, np.float64(0.5)):
-        out = realify([[value, 0.0]], field).real
+        out = realify([[value, 0.0]], field)
         assert np.array_equal(out, np.hstack([value * np.eye(field.dim), np.zeros((field.dim,) * 2)]))
 
 
 def test_realify_is_ring_homomorphism(rng):
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    lhs = realify(a @ b, Field.COMPLEX).real
-    rhs = realify(a, Field.COMPLEX).real @ realify(b, Field.COMPLEX).real
+    lhs = realify(a @ b, Field.COMPLEX)
+    rhs = realify(a, Field.COMPLEX) @ realify(b, Field.COMPLEX)
     assert np.abs(lhs - rhs).max() < 1e-12
 
     qa = [[Quaternion(*rng.standard_normal(4)) for _ in range(2)] for _ in range(2)]
     qb = [[Quaternion(*rng.standard_normal(4)) for _ in range(2)] for _ in range(2)]
     prod = [[qa[i][0] * qb[0][j] + qa[i][1] * qb[1][j] for j in range(2)] for i in range(2)]
-    lhs = realify(prod, Field.QUATERNION).real
-    rhs = realify(qa, Field.QUATERNION).real @ realify(qb, Field.QUATERNION).real
+    lhs = realify(prod, Field.QUATERNION)
+    rhs = realify(qa, Field.QUATERNION) @ realify(qb, Field.QUATERNION)
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
 def test_realify_sum_and_trace(rng):
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     b = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    lhs = realify(a + b, Field.COMPLEX).real
-    rhs = realify(a, Field.COMPLEX).real + realify(b, Field.COMPLEX).real
+    lhs = realify(a + b, Field.COMPLEX)
+    rhs = realify(a, Field.COMPLEX) + realify(b, Field.COMPLEX)
     assert np.abs(lhs - rhs).max() < 1e-12
-    assert abs(np.trace(realify(a, Field.COMPLEX).real) - 2 * np.trace(a).real) < 1e-12
+    assert abs(np.trace(realify(a, Field.COMPLEX)) - 2 * np.trace(a).real) < 1e-12
 
 
 def test_conjugate_transpose_realifies_to_transpose(rng):
     q = [[Quaternion(*rng.standard_normal(4)) for _ in range(2)] for _ in range(2)]
     qstar = [[q[j][i].conjugate() for j in range(2)] for i in range(2)]
-    assert np.abs(realify(qstar, Field.QUATERNION).real
-                  - realify(q, Field.QUATERNION).real.T).max() < 1e-13
+    assert np.abs(realify(qstar, Field.QUATERNION)
+                  - realify(q, Field.QUATERNION).T).max() < 1e-13
 
 
 def test_right_multiplication_commutes_with_left_blocks(rng):

@@ -157,6 +157,13 @@ def test_cup_square_discrete_centralizer(fuchsian):
     assert out.shape == (0,)
 
 
+def test_cup_square_rejects_a_restricted_root_module(case_pipeline):
+    ws = Pipeline(case_pipeline("su21-cline")[0]).root_stages[0].workspace
+    assert ws.module.kind == "adjoint|restricted"
+    with pytest.raises(FlexcheckError, match="adjoint module"):
+        cup_square(ws, ws.h1[:, 0])
+
+
 def test_cup_square_trivial_rep_commuting_orthogonal_directions():
     model = build_classical("so", 4, 0)   # so(4) = so(3) + so(3)
     n = model.realified_size
@@ -208,10 +215,11 @@ def _fan_chain_pairing(ws, omega, u, v):
     def pair(x, y):
         return np.einsum("a,...ab,b->...", x, omega, y)
 
+    prefixes = relator_prefixes(pres, ws.module.actions)
     total = 0.0
     uacc = np.zeros(m)
     for k, (s, sign) in enumerate(pres.letters):
-        p = ws.prefix_actions[k]
+        p = prefixes[k]
         if k > 0:
             total = total + pair(uacc, p @ letter_value(vs, s, sign))
         uacc = uacc + p @ letter_value(us, s, sign)
@@ -320,8 +328,8 @@ def test_cup_pairing_shapes(fuchsian, case_pipeline):
 def test_central_lift_flag():
     # [i, j] = -1 in the unit quaternions realized inside SU(2) = su(2,0)-group
     model = build_classical("su", 2, 0)
-    qi = realify(np.array([[1j, 0], [0, -1j]]), Field.COMPLEX).real
-    qj = realify(np.array([[0.0 + 0j, 1.0], [-1.0, 0.0]]), Field.COMPLEX).real
+    qi = realify(np.array([[1j, 0], [0, -1j]]), Field.COMPLEX)
+    qj = realify(np.array([[0.0 + 0j, 1.0], [-1.0, 0.0]]), Field.COMPLEX)
     eye = np.eye(4)
     images = [qi, qj, eye, eye]
     rel = relator_product(standard_presentation(2), images)
@@ -416,7 +424,14 @@ def test_cohomology_matches_separate_span_and_kernel_svds(fuchsian, case_pipelin
             b1.shape[1], fixed.shape[1], cofixed.shape[1])
         assert np.abs(ws.b1 @ ws.b1.T - b1 @ b1.T).max() <= 1e-12
         assert np.abs(ws.h0_basis @ ws.h0_basis.T - fixed @ fixed.T).max(initial=0.0) <= 1e-12
-        assert np.array_equal(ws.inverse_actions, np.linalg.inv(np.stack(module.actions)))
+        # a generator letter's Fox block is P_k, an inverse letter's -P_{k+1};
+        # the relator map is their sum over each generator's letters
+        prefixes = relator_prefixes(rep.presentation, module.actions)
+        relator_map = np.zeros((m, len(module.actions), m))
+        for k, (s, sign) in enumerate(rep.presentation.letters):
+            assert np.array_equal(ws.fox_blocks[k], prefixes[k] if sign > 0 else -prefixes[k + 1])
+            relator_map[:, s] += ws.fox_blocks[k]
+        assert np.array_equal(ws.relator_map, relator_map.reshape(m, -1))
 
 
 def test_relator_check_is_relative_to_the_prefix_scale(fuchsian):

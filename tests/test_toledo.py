@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flexcheck.config import NumericalAbort
+from flexcheck.config import NumericalAbort, Tolerances
 from flexcheck.liealg import subalgebra_from_matrices
 from flexcheck.roots import decompose
 from flexcheck.surface import (
@@ -20,6 +20,7 @@ from flexcheck.toledo import (
     root_form,
     scan_invariant_lagrangians,
     signature,
+    symplectic_form_report,
 )
 
 
@@ -51,6 +52,12 @@ def test_fuchsian_standard_module_signature(fuchsian):
             gram[i, j] = cup_pairing(ws, omega, h[:, i], h[:, j])
     sig = signature(0.5 * (gram + gram.T))
     assert abs(sig) == 4          # |T| = 1 = genus - 1
+    # the reader the roots use gives the same signature, and nulls when degenerate
+    form = symplectic_form_report(ws, omega)
+    assert (form.signature, form.toledo, form.definite, form.milnor_wood_slack) == (sig, sig // 4, True, 0)
+    degenerate = symplectic_form_report(ws, omega, Tolerances(gram=1.0))
+    assert degenerate.status == "degenerate"
+    assert degenerate.signature is degenerate.toledo is degenerate.milnor_wood_slack is None
 
 
 def test_su21_root_form(case_pipeline):
@@ -201,7 +208,7 @@ def test_root_form_rejects_invariant_vectors(models):
     # trivial representation: the root module has H^0 != 0
     m = models["su21"]
     from flexcheck.scalars import Field, realify
-    z = realify(np.diag([-2j, 1j, 1j]), Field.COMPLEX).real
+    z = realify(np.diag([-2j, 1j, 1j]), Field.COMPLEX)
     torus = subalgebra_from_matrices(m, [z])
     dec = decompose(m, torus)
     rep = surface_representation(standard_presentation(2), m,
