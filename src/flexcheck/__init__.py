@@ -28,6 +28,7 @@ from .surface import (
     SurfaceRepresentation,
     adjoint_module,
     cohomology,
+    correct_relator,
     cup_pairing,
     cup_square,
     fuchsian_genus2,
@@ -35,7 +36,7 @@ from .surface import (
     surface_representation,
 )
 from .toledo import (RootFormReport, lagrangian_pair_check, milnor_wood_check, root_cohomology,
-                     root_form, signature)
+                     root_form, scan_invariant_lagrangians, signature)
 from .engine import (
     BalanceProblem,
     FlexibilityReport,
@@ -45,7 +46,8 @@ from .engine import (
     verdict,
     virtual_dimension,
 )
-from .catalog import build_case_representation, default_cases, expected_table, find_case, splitso
+from .catalog import (build_case_representation, default_cases, expected_table, find_case,
+                      hom_bracket_closed_form, splitso)
 
 __all__ = [
     "BalanceProblem",
@@ -76,6 +78,7 @@ __all__ = [
     "classify_root",
     "cohomology",
     "conjugation_limit",
+    "correct_relator",
     "cup_pairing",
     "cup_square",
     "decompose",
@@ -83,6 +86,7 @@ __all__ = [
     "expected_table",
     "find_case",
     "fuchsian_genus2",
+    "hom_bracket_closed_form",
     "killing_restriction_nondegenerate",
     "lagrangian_pair_check",
     "milnor_wood_check",
@@ -92,6 +96,7 @@ __all__ = [
     "realify",
     "root_cohomology",
     "root_form",
+    "scan_invariant_lagrangians",
     "signature",
     "simultaneous_eigenspaces",
     "smooth_point_check",

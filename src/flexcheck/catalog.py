@@ -19,7 +19,6 @@ from .liealg import _form_matrix, _indefinite_basis, build_classical
 from .scalars import Field, Quaternion, field_units, left_block, realify
 from .surface import (
     SurfaceRepresentation,
-    _expm,
     fuchsian_genus2,
     standard_presentation,
     surface_representation,
@@ -265,24 +264,6 @@ def embed_base(case: CatalogCase, tol: Tolerances = DEFAULT):
         return realify(image, fld)
 
     return model, embedding
-
-
-def check_homomorphism(embedding, rng: np.random.Generator, samples: int = 8,
-                       tol: float = 1e-8) -> float:
-    """Residual of the homomorphism property on random SL(2,R) words."""
-    worst = 0.0
-    for _ in range(samples):
-        x = rng.standard_normal((2, 2)) * 0.4
-        x -= np.trace(x) / 2.0 * np.eye(2)
-        y = rng.standard_normal((2, 2)) * 0.4
-        y -= np.trace(y) / 2.0 * np.eye(2)
-        g, h = _expm(x), _expm(y)
-        lhs = embedding(g @ h)
-        rhs = embedding(g) @ embedding(h)
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    if worst > tol:
-        raise NumericalAbort(f"embedding is not a homomorphism (residual {worst:.3e})")
-    return worst
 
 
 def build_case_representation(

@@ -83,6 +83,9 @@ def _parse_matrix(rows, field: Field, where: str) -> np.ndarray:
 
 def _int(value, where: str) -> int:
     try:
+        # int() would truncate 2.5 and overflow on the inf that JSON reads for 1e400
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError
         return int(value)
     except (TypeError, ValueError):
         raise ParseError(f"{where} must be an integer, got {value!r}")
@@ -212,13 +215,13 @@ def _decomposition_report(problem) -> dict:
 
 def _cohomology_report(problem) -> dict:
     pipe = Pipeline(problem["rep"], problem["tol"])
-    stages = pipe.root_stages          # the center first: non-reductive input is inconclusive
+    roots = pipe.decomposition.roots    # the center first: non-reductive input is inconclusive
     ws = cohomology(pipe.rep, pipe.adjoint, pipe.tol)
     adjoint = {"h0": ws.h0_dim, "h1": ws.h1_dim, "h2": ws.h2_dim,
                "z1": int(ws.z1.shape[1]), "b1": int(ws.b1.shape[1])}
-    roots = [{"values": [_cnum(v) for v in s.root.values], "dim": s.root.real_dim,
-              "h0": s.workspace.h0_dim, "h1": s.workspace.h1_dim, "h2": s.workspace.h2_dim}
-             for s in stages]
+    roots = [{"values": [_cnum(v) for v in r.values], "dim": r.real_dim,
+              "h0": w.h0_dim, "h1": w.h1_dim, "h2": w.h2_dim}
+             for r, w in zip(roots, pipe.workspaces)]
     return {**_header(problem), "adjoint": adjoint, "root_modules": roots}
 
 
@@ -253,7 +256,7 @@ def _toledo_report(problem, root_index: int | None) -> dict:
     if root_index is not None and not (0 <= root_index < n):
         raise ParseError(f"--root {root_index} out of range; decomposition has {n} root(s)")
     entries = []
-    for rr in pipe.forms if root_index is None else (pipe.form(root_index),):
+    for rr in pipe.forms if root_index is None else (pipe.forms[root_index],):
         r = rr.root
         entries.append({
             "values": [_cnum(v) for v in r.values],

@@ -5,8 +5,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 DEFAULT_SEED_ENV = "FLEXCHECK_SEED"
 
 
@@ -30,9 +28,6 @@ class Tolerances:
 
     def with_seed(self, seed: int) -> "Tolerances":
         return replace(self, seed=seed)
-
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
 
 
 DEFAULT = Tolerances()

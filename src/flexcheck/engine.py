@@ -19,7 +19,7 @@ import numpy as np
 from .config import DEFAULT, Inconclusive, NumericalAbort, Tolerances
 from .liealg import SubalgebraHandle, center_of, centralizer, killing_restriction_nondegenerate
 from .linalg import nullspace, orthonormal_columns, rank, value_key
-from .roots import IMAGINARY, MIXED, RootDatum, TorusRootDecomposition, decompose
+from .roots import IMAGINARY, MIXED, TorusRootDecomposition, decompose
 from .surface import CohomologyWorkspace, Module, SurfaceRepresentation, adjoint_module, cohomology
 from .toledo import RootFormReport, root_cohomology, root_form
 
@@ -331,24 +331,16 @@ class Pipeline:
         return adjoint_module(self.rep)
 
     @cached_property
-    def root_stages(self) -> tuple[_RootStages, ...]:
-        # no back-reference to the pipeline: a cycle would keep the
-        # workspaces alive until the cyclic garbage collector runs
-        return tuple(_RootStages(self.rep, self.adjoint, r, self.tol)
+    def workspaces(self) -> tuple[CohomologyWorkspace, ...]:
+        """Each root's cohomology, in ``decomposition`` order."""
+        return tuple(root_cohomology(self.rep, self.adjoint, r, self.tol)
                      for r in self.decomposition.roots)
 
-    def _toledo_sign(self, stop: int) -> int:
-        """Sign of T on the first root before index ``stop`` with T != 0; +1 if none.
-
-        Always +1 unless the center is a line: a center of dimension >= 2
-        keeps the orientation ``decompose`` gives it (no computable catalog
-        case has one).
-        """
-        if self.center.dim == 1:
-            for stage in self.root_stages[:stop]:
-                if stage.form.toledo:
-                    return -1 if stage.form.toledo < 0 else 1
-        return 1
+    @cached_property
+    def _built_forms(self) -> tuple[RootFormReport, ...]:
+        """Each root's form, as ``decompose`` orients the center."""
+        return tuple(root_form(ws, r, self.tol)
+                     for ws, r in zip(self.workspaces, self.decomposition.roots))
 
     @cached_property
     def orientation(self) -> int:
@@ -359,24 +351,19 @@ class Pipeline:
         lambda and -lambda in those coordinates, so T would follow LAPACK's
         sign.  With -1 the vector is negated and every root lambda swapped
         for -lambda: the printed values still name the chosen root.  If
-        every T is 0, ``decompose``'s key rule stands.
+        every T is 0, ``decompose``'s key rule stands, and so does a
+        center of dimension >= 2 (no computable catalog case has one).
         """
-        return self._toledo_sign(len(self.root_stages))
+        if self.center.dim == 1:
+            for form in self._built_forms:
+                if form.toledo:
+                    return -1 if form.toledo < 0 else 1
+        return 1
 
     @cached_property
     def forms(self) -> tuple[RootFormReport, ...]:
         """Every root's form, in the canonical orientation."""
-        return tuple(_orient(stage.form, self.orientation) for stage in self.root_stages)
-
-    def form(self, i: int) -> RootFormReport:
-        """Root i's form in the canonical orientation, building only roots 0..i.
-
-        When root i has T != 0, the first root with T != 0 is among those.
-        When it has none, its values, signature and T read the same in
-        either orientation, and it is returned as built.
-        """
-        form = self.root_stages[i].form
-        return _orient(form, self._toledo_sign(i + 1)) if form.toledo else form
+        return tuple(_orient(form, self.orientation) for form in self._built_forms)
 
     @cached_property
     def oriented(self) -> TorusRootDecomposition:
@@ -396,24 +383,6 @@ class Pipeline:
     @cached_property
     def balance(self) -> BalanceResult:
         return balanced(self.split[3], self.tol)
-
-
-@dataclass(frozen=True, eq=False)
-class _RootStages:
-    """One root's stages, built apart from the other roots' (toledo --root)."""
-
-    rep: SurfaceRepresentation
-    adjoint: Module
-    root: RootDatum
-    tol: Tolerances
-
-    @cached_property
-    def workspace(self) -> CohomologyWorkspace:
-        return root_cohomology(self.rep, self.adjoint, self.root, self.tol)
-
-    @cached_property
-    def form(self) -> RootFormReport:
-        return root_form(self.workspace, self.root, self.tol)
 
 
 def verdict(rep: SurfaceRepresentation, tol: Tolerances = DEFAULT) -> FlexibilityReport:

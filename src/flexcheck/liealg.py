@@ -85,10 +85,6 @@ class LieAlgebraModel:
     def killing_form(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(x @ self.killing @ y)
 
-    def killing_pairing(self, X: np.ndarray, Y: np.ndarray, tol: float = 1e-8) -> float:
-        """Killing form on matrix arguments; raises if either is outside the span."""
-        return self.killing_form(self.coords(X, tol), self.coords(Y, tol))
-
     def adjoint_group_matrix(self, g: np.ndarray, tol: float = 1e-7) -> np.ndarray:
         """Matrix of Ad(g) on model coordinates.
 
@@ -165,9 +161,7 @@ def _jacobi_residual(c: np.ndarray) -> float:
 
 def _finish_model(name, fld, n, family, mats, form, params) -> LieAlgebraModel:
     basis = np.array(mats)
-    dim, size, _ = basis.shape
-    if size > AMBIENT_CAP:
-        raise FlexcheckError(f"realified ambient size {size} exceeds the cap {AMBIENT_CAP}")
+    dim = basis.shape[0]
     flat = basis.reshape(dim, -1).T
     pinv = np.linalg.pinv(flat)
     brackets = np.einsum("iab,jbc->ijac", basis, basis) - np.einsum("jab,ibc->ijac", basis, basis)
@@ -254,6 +248,10 @@ def build_classical(family: str, *params: int, tol: Tolerances = DEFAULT) -> Lie
         raise FlexcheckError("parameters must satisfy p >= 1, q >= 0")
     if family == "spr" and params[0] < 1:
         raise FlexcheckError("sp(2n,R) needs n >= 1")
+    # checked before any basis matrix is built: their stack grows as size^4
+    size = {"sl": 1, "spr": 2, "so": 1, "su": 2, "sp": 4}[family] * sum(params)
+    if size > AMBIENT_CAP:
+        raise FlexcheckError(f"realified ambient size {size} exceeds the cap {AMBIENT_CAP}")
 
     model = _construct(family, *params)
     if family != "spr":  # all listed families are semisimple; Cartan self-check
@@ -438,12 +436,3 @@ def conjugation_limit(
                 out[i, j] = 0.0
     return vecs @ out @ vecs.T
 
-
-def subspace_projection_residual(sub: SubalgebraHandle, other: SubalgebraHandle) -> float:
-    """Max residual of projecting `other`'s basis onto `sub` (mutual span check)."""
-    if other.dim == 0:
-        return 0.0
-    cols = other.matrices.reshape(other.dim, -1).T
-    base = sub.matrices.reshape(sub.dim, -1).T if sub.dim else np.zeros((cols.shape[0], 0))
-    proj = base @ (base.T @ cols) if sub.dim else np.zeros_like(cols)
-    return float(np.abs(cols - proj).max(initial=0.0))

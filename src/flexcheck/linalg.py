@@ -221,15 +221,3 @@ def complex_half_basis(j: np.ndarray, tol: float = 1e-8) -> np.ndarray:
         raise NumericalAbort("failed to extract a complex half basis")
     return np.column_stack(chosen)
 
-
-def spectral_projectors(spaces: list[tuple[tuple[complex, ...], np.ndarray]]) -> list[np.ndarray]:
-    """Projectors onto each joint eigenspace along the others."""
-    full = np.hstack([w for _, w in spaces])
-    inv = np.linalg.inv(full)
-    out = []
-    start = 0
-    for _, w in spaces:
-        k = w.shape[1]
-        out.append(full[:, start : start + k] @ inv[start : start + k, :])
-        start += k
-    return out

@@ -56,22 +56,6 @@ class TorusRootDecomposition:
     def g0_dim(self) -> int:
         return self.g0_basis.shape[1]
 
-    def root_value_at(self, root: RootDatum, element) -> complex:
-        """Evaluate the root functional at a torus element (matrix or coords)."""
-        el = np.asarray(element, dtype=float)
-        if el.ndim == 2:
-            coords = solve_in_span(self.torus.matrices.reshape(self.torus.dim, -1).T,
-                                   el.reshape(-1, 1))[:, 0]
-        else:
-            coords = el
-        return complex(np.dot(root.values, coords))
-
-    def torus_projection(self, x: np.ndarray) -> np.ndarray:
-        """Killing-orthogonal projection onto the torus, in torus coordinates."""
-        pair = np.array([self.model.killing_form(self.torus.coords[i], x)
-                         for i in range(self.torus.dim)])
-        return np.linalg.solve(self.killing_gram, pair)
-
 
 def classify_root(values: np.ndarray, tol: float = 1e-7) -> str:
     """Classify a nonzero root by the real/imaginary parts of its values."""
@@ -222,16 +206,3 @@ def _omega_and_j(model, cls, rep, spaces, real_basis, tol: Tolerances):
     omega = 0.5 * (omega - omega.T)
     return omega, jmat
 
-
-def omega_form(decomp: TorusRootDecomposition, root: RootDatum) -> np.ndarray:
-    """The stored alternating form of a representative root."""
-    if root not in decomp.roots:
-        raise NumericalAbort("root does not belong to this decomposition")
-    return root.omega
-
-
-def complex_structure(decomp: TorusRootDecomposition, root: RootDatum) -> np.ndarray:
-    """J_lambda for a mixed root: J^2 = -1 and Omega(JX, Y) = i Omega(X, Y)."""
-    if root.classification != MIXED:
-        raise NumericalAbort("complex_structure is defined for mixed roots only")
-    return root.j_matrix

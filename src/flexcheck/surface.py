@@ -206,10 +206,6 @@ def restricted_module(module: Module, basis: np.ndarray, tol: float = 1e-8) -> M
     return Module(tuple(small), kind=f"{module.kind}|restricted")
 
 
-def trivial_module(rep: SurfaceRepresentation, dim: int) -> Module:
-    return Module(tuple(np.eye(dim) for _ in rep.images), kind="trivial")
-
-
 # ---------------------------------------------------------------------------
 # Cohomology workspace
 # ---------------------------------------------------------------------------

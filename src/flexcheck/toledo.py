@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import DEFAULT, NumericalAbort, Tolerances
 from .linalg import complex_half_basis, nullspace, orthonormal_columns, rank
-from .roots import MIXED, REAL, RootDatum
+from .roots import MIXED, REAL, RootDatum, _real_span_basis
 from .surface import (
     CohomologyWorkspace,
     Module,
@@ -183,19 +183,16 @@ def lagrangian_pair_check(
         raise NumericalAbort("Lagrangian candidate dimensions do not match the module")
     if l1.shape[1] + l2.shape[1] != m:
         return False
-    joint = np.hstack([l1, l2])
-    if rank(joint, DEFAULT.rank) != m:
+    if rank(np.hstack([l1, l2]), tol.rank) != m:
         return False
     scale = max(float(np.abs(omega).max(initial=0.0)), 1.0)
     for sub in (l1, l2):
         if np.abs(sub.T @ omega @ sub).max(initial=0.0) > 1e-8 * scale:
             return False
-        on = orthonormal_columns(sub)
-        for a in module.actions:
-            moved = a @ on
-            resid = np.abs(moved - on @ (on.T @ moved)).max(initial=0.0)
-            if resid > tol.membership * 10 * max(float(np.abs(moved).max(initial=0.0)), 1.0):
-                return False
+        try:
+            restricted_module(module, orthonormal_columns(sub, tol.rank), tol.membership * 10)
+        except NumericalAbort:
+            return False
     return True
 
 
@@ -232,8 +229,7 @@ def scan_invariant_lagrangians(
         # imaginary parts
         for cut in reals[:-1]:
             sel = real_mask & (rounded <= cut)
-            l1, l2 = (orthonormal_columns(np.hstack([v.real, v.imag]), tol.rank)
-                      for v in (vecs[:, sel], vecs[:, ~sel]))
+            l1, l2 = (_real_span_basis(v, tol.rank) for v in (vecs[:, sel], vecs[:, ~sel]))
             if l1.shape[1] == l2.shape[1] == m // 2:
                 if lagrangian_pair_check(module, omega, l1, l2, tol):
                     return l1, l2

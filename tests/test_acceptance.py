@@ -156,7 +156,8 @@ def test_acceptance_06_torus_identity_suite(case_pipeline, rng):
                 x = r.real_basis @ xi
                 y = r.real_basis @ yi
                 br = model.bracket_coords(x, y)
-                tproj = dec.torus_projection(br)
+                # Killing-orthogonal projection onto the torus, in torus coordinates
+                tproj = np.linalg.solve(dec.killing_gram, dec.torus.coords @ model.killing @ br)
                 pred = np.real(complex(xi @ r.omega @ yi) * r.t_vector)
                 scale = max(np.abs(br).max(), 1.0)
                 worst_bracket = max(worst_bracket, np.abs(tproj - pred).max() / scale)

@@ -249,7 +249,11 @@ _IDENTITY = {
     {**_IDENTITY, "tolerances": {"rank": -1.0}},
     {**_IDENTITY, "representation": {**_IDENTITY["representation"], "generators": [
         [[[float("nan")], [0.0]], [[0.0], [1.0]]]] * 4}},
-], ids=["array", "empty-params", "seed", "genus", "negative-tolerance", "nan-entry"])
+    {**_IDENTITY, "seed": float("inf")},
+    {**_IDENTITY, "genus": float("inf")},
+    {**_IDENTITY, "genus": 2.5},
+], ids=["array", "empty-params", "seed", "genus", "negative-tolerance", "nan-entry",
+        "inf-seed", "inf-genus", "fractional-genus"])
 def test_malformed_problem_is_a_parse_error(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -278,9 +282,14 @@ def test_negated_center_leaves_signed_reports_unchanged(capsys, monkeypatch):
     from flexcheck import engine
 
     def reports():
-        return {(name, sub): run_cli(capsys, sub, "--catalog", name, "--format", "json")
-                for name in _computable_case_names()
-                for sub in ("toledo", "verdict", "balanced")}
+        out = {(name, sub): run_cli(capsys, sub, "--catalog", name, "--format", "json")
+               for name in _computable_case_names()
+               for sub in ("toledo", "verdict", "balanced")}
+        # single roots, among them a T = 0 root, read under either orientation
+        out.update({(name, f"toledo --root {i}"): run_cli(
+            capsys, "toledo", "--catalog", name, "--root", str(i), "--format", "json")
+            for name in ("sp21-cline", "sp31-cline") for i in (0, 1)})
+        return out
 
     before = reports()
     center_of = engine.center_of
@@ -291,14 +300,14 @@ def test_negated_center_leaves_signed_reports_unchanged(capsys, monkeypatch):
 
     monkeypatch.setattr(engine, "center_of", negated)
     after = reports()
-    assert len(before) == 36
+    assert len(before) == 40
     for key, value in before.items():
         assert after[key] == value, key
 
 
 @pytest.mark.parametrize("name", ["su41-cline", "sp31-cline", "sp21-cline"])
 def test_toledo_root_matches_full_report(capsys, name):
-    # toledo --root i orients from roots 0..i only, and agrees with the full report
+    # toledo --root i prints entry i of the full report
     _, out, _ = run_cli(capsys, "toledo", "--catalog", name, "--format", "json")
     full = json.loads(out)["roots"]
     for i, entry in enumerate(full):

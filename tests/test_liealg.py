@@ -11,7 +11,6 @@ from flexcheck.liealg import (
     conjugation_limit,
     killing_restriction_nondegenerate,
     subalgebra_from_matrices,
-    subspace_projection_residual,
 )
 from flexcheck.catalog import build_case_representation, default_cases
 from flexcheck.linalg import matrix_scale, nullspace
@@ -113,11 +112,18 @@ def test_killing_rank_check_runs_on_every_call():
         build_classical("su", 2, 1, tol=Tolerances(rank=2.0))
 
 
+def _off_span(sub, other) -> float:
+    """Largest entry of ``other``'s basis left after projecting onto the span of ``sub``."""
+    cols = other.matrices.reshape(other.dim, -1).T
+    base = sub.matrices.reshape(sub.dim, -1).T
+    return float(np.abs(cols - base @ (base.T @ cols)).max(initial=0.0))
+
+
 def test_centralizer_su21_block(models, fuchsian, case_pipeline):
     rep, z, c, dec = case_pipeline("su21-cline")
     assert z.dim == 1
     zmat = realify(np.diag([-2j, 1j, 1j]), Field.COMPLEX)
-    resid = subspace_projection_residual(z, subalgebra_from_matrices(rep.model, [zmat]))
+    resid = _off_span(z, subalgebra_from_matrices(rep.model, [zmat]))
     assert resid < 1e-8
 
 
@@ -141,7 +147,7 @@ def test_center_of_abelian_is_itself(models):
     assert sub.closed
     cen = center_of(sub)
     assert cen.dim == 2
-    assert subspace_projection_residual(sub, cen) < 1e-9
+    assert _off_span(sub, cen) < 1e-9
 
 
 def test_center_of_simple_is_zero(models):
@@ -159,8 +165,8 @@ def test_center_of_idempotent(case_pipeline):
     rep, z, c, dec = case_pipeline("su21-cline")
     again = center_of(c)
     assert again.dim == c.dim
-    assert subspace_projection_residual(c, again) < 1e-9
-    assert subspace_projection_residual(again, c) < 1e-9
+    assert _off_span(c, again) < 1e-9
+    assert _off_span(again, c) < 1e-9
 
 
 def test_killing_restriction_flags(models):
@@ -374,16 +380,22 @@ def test_membership_residual_matches_per_unit_reference(models, rng):
         assert model.group_membership_residual(g) == _membership_reference(model, g)
 
 
-def test_ambient_cap():
-    from flexcheck.config import FlexcheckError
-    with pytest.raises(FlexcheckError):
-        build_classical("sp", 9, 8)        # realified 4 * 17 = 68 > 64
+def test_ambient_cap(monkeypatch):
+    # rejected from the parameters alone, before any basis matrix is built
+    def construct(*args):
+        raise AssertionError(f"constructed {args} above the ambient cap")
+
+    monkeypatch.setattr(liealg, "_construct", construct)
+    for family, params, size in (("sl", (65,), 65), ("spr", (33,), 66), ("so", (40, 25), 65),
+                                 ("su", (30, 3), 66), ("sp", (9, 8), 68)):
+        with pytest.raises(FlexcheckError, match=f"realified ambient size {size} exceeds the cap"):
+            build_classical(family, *params)
 
 
 def test_killing_pairing_rejects_outside_span(models):
     m = models["sl2"]
     h = np.array([[1.0, 0.0], [0.0, -1.0]])
-    val = m.killing_pairing(h, h)
+    val = m.killing_form(m.coords(h), m.coords(h))
     assert abs(val - 8.0) < 1e-10          # B(H,H) = 4 tr = 8 for sl(2,R)
     with pytest.raises(NumericalAbort):
-        m.killing_pairing(np.eye(2), h)    # identity is not traceless
+        m.coords(np.eye(2))                # identity is not traceless

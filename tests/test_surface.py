@@ -8,6 +8,7 @@ from flexcheck.linalg import orthonormal_columns
 from flexcheck.roots import decompose
 from flexcheck.scalars import Field, realify
 from flexcheck.surface import (
+    Module,
     _expm,
     adjoint_module,
     cohomology,
@@ -19,7 +20,6 @@ from flexcheck.surface import (
     standard_module,
     standard_presentation,
     surface_representation,
-    trivial_module,
 )
 from flexcheck.toledo import root_cohomology
 
@@ -52,7 +52,7 @@ def test_fuchsian_irreducible(fuchsian):
 
 
 def test_trivial_module_cocycles(fuchsian):
-    ws = cohomology(fuchsian, trivial_module(fuchsian, 3))
+    ws = cohomology(fuchsian, Module(tuple(np.eye(3) for _ in fuchsian.images)))
     assert ws.z1.shape[1] == 4 * 3          # 2g * dim V
     assert ws.b1.shape[1] == 0
     assert ws.h0_dim == 3 and ws.h2_dim == 3
@@ -92,7 +92,7 @@ def _fan_oracle_trivial(pres, s_u, s_v):
 
 def test_orientation_calibration(fuchsian):
     pres = fuchsian.presentation
-    ws = cohomology(fuchsian, trivial_module(fuchsian, 1))
+    ws = cohomology(fuchsian, Module(tuple(np.eye(1) for _ in fuchsian.images)))
     omega = np.array([[1.0]])
 
     def dual(s):
@@ -158,7 +158,7 @@ def test_cup_square_discrete_centralizer(fuchsian):
 
 
 def test_cup_square_rejects_a_restricted_root_module(case_pipeline):
-    ws = Pipeline(case_pipeline("su21-cline")[0]).root_stages[0].workspace
+    ws = Pipeline(case_pipeline("su21-cline")[0]).workspaces[0]
     assert ws.module.kind == "adjoint|restricted"
     with pytest.raises(FlexcheckError, match="adjoint module"):
         cup_square(ws, ws.h1[:, 0])
@@ -403,13 +403,13 @@ def _cohomology_cases(fuchsian, case_pipeline):
     trivial = surface_representation(standard_presentation(2), fuchsian.model, [np.eye(2)] * 4)
     yield fuchsian, adjoint_module(fuchsian)
     yield fuchsian, standard_module(fuchsian)
-    yield fuchsian, trivial_module(fuchsian, 3)
+    yield fuchsian, Module(tuple(np.eye(3) for _ in fuchsian.images))
     yield trivial, adjoint_module(trivial)
     for name in ("su21-cline", "sp21-cline", "so41-rplane"):
         pipe = Pipeline(case_pipeline(name)[0])
         yield pipe.rep, pipe.adjoint
-        for stage in pipe.root_stages:
-            yield pipe.rep, stage.workspace.module
+        for ws in pipe.workspaces:
+            yield pipe.rep, ws.module
 
 
 def test_cohomology_matches_separate_span_and_kernel_svds(fuchsian, case_pipeline):

@@ -5,6 +5,7 @@ from flexcheck.config import NumericalAbort, Tolerances
 from flexcheck.liealg import subalgebra_from_matrices
 from flexcheck.roots import decompose
 from flexcheck.surface import (
+    Module,
     adjoint_module,
     cohomology,
     cup_pairing,
@@ -143,6 +144,16 @@ def test_so41_scan_finds_pair(case_pipeline, rng):
     assert found is not None
     f1, f2 = found
     assert lagrangian_pair_check(mod, root.omega.imag, f1, f2)
+
+
+def test_lagrangian_pair_check_uses_callers_rank_tolerance():
+    # e1 and e1 + 1e-11 e2 are complementary only under a rank cutoff below 1e-11
+    mod = Module(tuple(np.eye(2) for _ in range(4)))
+    omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    l1 = np.array([[1.0], [0.0]])
+    l2 = np.array([[1.0], [1e-11]])
+    assert lagrangian_pair_check(mod, omega, l1, l2, Tolerances(rank=1e-13))
+    assert not lagrangian_pair_check(mod, omega, l1, l2)
 
 
 def test_su21_no_lagrangian_pair(case_pipeline, rng):
