@@ -82,13 +82,14 @@ def _parse_matrix(rows, field: Field, where: str) -> np.ndarray:
 
 
 def _int(value, where: str) -> int:
-    try:
-        # int() would truncate 2.5 and overflow on the inf that JSON reads for 1e400
-        if isinstance(value, float) and not value.is_integer():
-            raise ValueError
+    # a JSON integer, or a float with an integral value; int() would also take
+    # the strings "2" and the booleans, truncate 2.5 and overflow on the inf
+    # that JSON reads for 1e400
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError):
-        raise ParseError(f"{where} must be an integer, got {value!r}")
+    raise ParseError(f"{where} must be an integer, got {value!r}")
 
 
 def _tolerance(value, where: str) -> float:

@@ -23,7 +23,7 @@ from .config import (
     NumericalAbort,
     Tolerances,
 )
-from .linalg import matrix_scale, nullspace, orthonormal_columns, rank, spectral_norms
+from .linalg import matrix_scale, nullspace, orthonormal_columns, singular_rank, spectral_norms
 from .scalars import (
     Field,
     field_units,
@@ -33,6 +33,14 @@ from .scalars import (
 )
 
 AMBIENT_CAP = 64  # realified matrix size guard
+# _finish_model holds the brackets of all dim^2 pairs of N x N basis matrices
+# (N the realified size) about five times over: two products, their
+# difference, its reconstruction from the structure constants and the
+# residual.  Time and memory grow as dim^2 N^2, about N^6: sl(14,R), at
+# 7.5e6 entries, took 36 s and 413 MB, and sl(20,R) exhausts memory.  The
+# budget admits sl(12,R) (2.9e6 entries, 10 s and 167 MB on one core); the
+# largest catalog group, sp(3,1), needs 3.3e5.
+BRACKET_BUDGET = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -48,6 +56,7 @@ class LieAlgebraModel:
     params: tuple[int, ...] = ()
     _flat: np.ndarray = field(repr=False, default=None)
     _pinv: np.ndarray = field(repr=False, default=None)
+    _killing_sv: np.ndarray = field(repr=False, default=None)  # singular values of killing
 
     @property
     def dim(self) -> int:
@@ -78,9 +87,12 @@ class LieAlgebraModel:
     def ad(self, coords: np.ndarray) -> np.ndarray:
         """Matrix of ad_X on model coordinates, X given by coordinates.
 
-        A (k, dim) block of coordinates gives the (k, dim, dim) stack, in one einsum.
+        A (k, dim) block of coordinates gives the (k, dim, dim) stack, in one
+        matmul against the structure constants: entry (l, j) is sum_i x_i c[i, j, l].
         """
-        return np.einsum("...i,ijk->...kj", coords, self.structure)
+        coords = np.asarray(coords)
+        flat = coords @ self.structure.reshape(self.dim, -1)
+        return np.swapaxes(flat.reshape(*coords.shape[:-1], self.dim, self.dim), -1, -2)
 
     def killing_form(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(x @ self.killing @ y)
@@ -178,14 +190,16 @@ def _finish_model(name, fld, n, family, mats, form, params) -> LieAlgebraModel:
     if jresid > MODEL_JACOBI * max(np.abs(c).max(initial=0.0), 1.0) ** 2 * dim:
         raise NumericalAbort(f"{name}: Jacobi identity fails (residual {jresid:.3e})")
 
+    killing_sv = np.linalg.svd(killing, compute_uv=False)
+
     # the model is shared by every caller of build_classical: freeze it
-    for arr in (basis, flat, pinv, c, killing, form):
+    for arr in (basis, flat, pinv, c, killing, killing_sv, form):
         if arr is not None:
             arr.flags.writeable = False
     return LieAlgebraModel(
         name=name, field=fld, ambient=n, family=family, basis=basis,
         structure=c, killing=killing, form=form, params=params,
-        _flat=flat, _pinv=pinv,
+        _flat=flat, _pinv=pinv, _killing_sv=killing_sv,
     )
 
 
@@ -224,6 +238,13 @@ def _form_matrix(fld: Field, p: int, q: int) -> np.ndarray:
     return np.kron(np.diag(e), np.eye(d))
 
 
+def _classical_dim(family: str, params) -> int:
+    """Real dimension of the group of a validated family tag and parameters."""
+    n = sum(params)
+    return {"sl": n * n - 1, "su": n * n - 1, "so": n * (n - 1) // 2,
+            "sp": n * (2 * n + 1), "spr": n * (2 * n + 1)}[family]
+
+
 def build_classical(family: str, *params: int, tol: Tolerances = DEFAULT) -> LieAlgebraModel:
     """Construct sl(n,R), su(p,q), so(p,q), sp(p,q) over H, or sp(2n,R).
 
@@ -253,9 +274,15 @@ def build_classical(family: str, *params: int, tol: Tolerances = DEFAULT) -> Lie
     if size > AMBIENT_CAP:
         raise FlexcheckError(f"realified ambient size {size} exceeds the cap {AMBIENT_CAP}")
 
+    entries = _classical_dim(family, params) ** 2 * size ** 2
+    if entries > BRACKET_BUDGET:
+        raise FlexcheckError(
+            f"{family}{params}: the model build needs {entries} bracket entries "
+            f"(dim^2 N^2), over the budget {BRACKET_BUDGET}")
+
     model = _construct(family, *params)
     if family != "spr":  # all listed families are semisimple; Cartan self-check
-        kr = rank(model.killing, tol.rank)
+        kr = singular_rank(model._killing_sv, tol.rank)
         if kr != model.dim:
             raise NumericalAbort(f"{model.name}: Killing matrix is singular (rank {kr})")
     return model
@@ -282,7 +309,6 @@ def _construct(family: str, *params: int) -> LieAlgebraModel:
                 - realified_entry_block(Field.REAL, n, k + 1, k + 1, 1.0)
             )
         model = _finish_model(f"sl({n},R)", Field.REAL, n, family, mats, None, (n,))
-        expected = n * n - 1
     elif family in ("su", "so", "sp"):
         p, q = params
         fld = {"su": Field.COMPLEX, "so": Field.REAL, "sp": Field.QUATERNION}[family]
@@ -290,11 +316,6 @@ def _construct(family: str, *params: int) -> LieAlgebraModel:
         form = _form_matrix(fld, p, q)
         n = p + q
         model = _finish_model(f"{family}({p},{q})", fld, n, family, mats, form, (p, q))
-        expected = {
-            "su": n * n - 1,
-            "so": n * (n - 1) // 2,
-            "sp": n * (2 * n + 1),
-        }[family]
     else:
         (n,) = params  # sp(2n, R)
         size = 2 * n
@@ -307,8 +328,8 @@ def _construct(family: str, *params: int) -> LieAlgebraModel:
                 s[l, k] += 1.0
                 mats.append(-J @ s)
         model = _finish_model(f"sp({size},R)", Field.REAL, size, family, mats, J, (n,))
-        expected = n * (2 * n + 1)
 
+    expected = _classical_dim(family, params)
     if model.dim != expected:
         raise NumericalAbort(f"{model.name}: dimension {model.dim} != classical value {expected}")
     return model
@@ -379,7 +400,9 @@ def center_of(sub: SubalgebraHandle, tol: Tolerances = DEFAULT) -> SubalgebraHan
         return sub
     model = sub.model
     ads = model.ad(sub.coords)                     # ad of each basis element
-    scale = max(matrix_scale(ads), 1.0)
+    # the Frobenius norm of the stack bounds every ad's spectral norm: an
+    # absolute floor for the cutoff, when every bracket is noise, with no SVD
+    scale = max(float(np.linalg.norm(ads)), 1.0)
     stacked = (ads @ sub.coords.T).reshape(-1, k)  # maps xi in R^k to all brackets [b_i, b_j]
     kern = nullspace(stacked, tol.rank, scale=scale)
     return subalgebra_from_matrices(model, model.matrix(kern.T @ sub.coords), tol)

@@ -25,8 +25,8 @@ def matrix_scale(a: np.ndarray) -> float:
     return float(spectral_norms(a).max()) if a.size else 0.0
 
 
-def _kept(s: np.ndarray, tol: float, scale: float) -> int:
-    """How many of the descending singular values s exceed tol * max(sigma_max, scale)."""
+def singular_rank(s: np.ndarray, tol: float = DEFAULT.rank, scale: float = 0.0) -> int:
+    """Numerical rank from descending singular values s: how many exceed tol * max(s[0], scale)."""
     return int(np.sum(s > tol * max(s[0] if s.size else 0.0, scale)))
 
 
@@ -34,7 +34,7 @@ def rank(a: np.ndarray, tol: float = DEFAULT.rank, scale: float = 0.0) -> int:
     """Numerical rank from the singular values alone; ``scale`` floors the cutoff as in nullspace."""
     if a.size == 0:
         return 0
-    return _kept(np.linalg.svd(a, compute_uv=False), tol, scale)
+    return singular_rank(np.linalg.svd(a, compute_uv=False), tol, scale)
 
 
 def nullspace(a: np.ndarray, tol: float = DEFAULT.rank, scale: float = 0.0) -> np.ndarray:
@@ -54,7 +54,7 @@ def nullspace(a: np.ndarray, tol: float = DEFAULT.rank, scale: float = 0.0) -> n
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     if max(s[0], scale) == 0.0:
         return np.eye(a.shape[1], dtype=a.dtype)
-    return vh[_kept(s, tol, scale):].conj().T
+    return vh[singular_rank(s, tol, scale):].conj().T
 
 
 def span_and_kernel(a: np.ndarray, tol: float = DEFAULT.rank,
@@ -69,7 +69,7 @@ def span_and_kernel(a: np.ndarray, tol: float = DEFAULT.rank,
     if a.ndim != 2 or a.shape[0] < a.shape[1] or a.shape[1] == 0:
         raise NumericalAbort("span_and_kernel needs a tall, nonempty matrix")
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    keep = _kept(s, tol, scale)
+    keep = singular_rank(s, tol, scale)
     return u[:, :keep], vh[keep:].conj().T
 
 
@@ -84,7 +84,7 @@ def orthonormal_columns(vectors: np.ndarray, tol: float = DEFAULT.rank,
     if v.size == 0:
         return v.reshape(v.shape[0] if v.ndim == 2 else 0, 0)
     u, s, _ = np.linalg.svd(v, full_matrices=False)
-    return u[:, :_kept(s, tol, scale)]
+    return u[:, :singular_rank(s, tol, scale)]
 
 
 def solve_in_span(basis: np.ndarray, vectors: np.ndarray, tol: float = 1e-8) -> np.ndarray:
@@ -131,6 +131,7 @@ def simultaneous_eigenspaces(
     ops: list[np.ndarray],
     tol: Tolerances = DEFAULT,
     dim: int | None = None,
+    scale: float | None = None,
 ) -> list[tuple[tuple[complex, ...], np.ndarray]]:
     """Joint eigenspace decomposition of pairwise-commuting real operators.
 
@@ -138,7 +139,15 @@ def simultaneous_eigenspaces(
     dimensions sum to the full space.  Raises on non-commuting input or
     when some operator is defective on a joint subspace.  An empty
     operator list needs ``dim`` and yields one eigenspace, the whole
-    space, with an empty eigenvalue tuple.
+    space, with an empty eigenvalue tuple.  ``scale`` is
+    ``matrix_scale`` of the stacked operators; a caller that has it
+    passes it on.
+
+    On a real joint subspace (the whole space, and each real eigenspace
+    of an earlier operator) the restricted operator is real: its
+    eigenvalues come in exact conjugate pairs, a real eigenvalue gets a
+    real kernel, and the eigenspace of conj(lambda) is the conjugate of
+    the eigenspace of lambda, so only Im lambda > 0 needs a complex SVD.
     """
     if not ops:
         if dim is None:
@@ -148,7 +157,8 @@ def simultaneous_eigenspaces(
     for op in ops:
         if op.shape != (n, n):
             raise NumericalAbort("operators must share one square shape")
-    scale = matrix_scale(np.stack(ops))
+    if scale is None:
+        scale = matrix_scale(np.stack(ops))
     if scale == 0.0:
         return [(tuple(0.0 + 0.0j for _ in ops), np.eye(n, dtype=complex))]
     ctol = tol.cluster * scale
@@ -160,11 +170,22 @@ def simultaneous_eigenspaces(
                     f"operators {i} and {j} do not commute: |[A,B]| = {matrix_scale(comm):.3e}"
                 )
 
-    spaces: list[tuple[tuple[complex, ...], np.ndarray]] = [((), np.eye(n, dtype=complex))]
+    def eigenspace(m: np.ndarray, lam: complex, mult: int) -> np.ndarray:
+        sub = nullspace(m - lam * np.eye(m.shape[0]),
+                        tol=max(tol.rank, ctol / max(scale, 1.0)), scale=scale)
+        if sub.shape[1] < mult:
+            raise NumericalAbort(
+                f"defective operator: eigenvalue {lam:.6g} has geometric multiplicity "
+                f"{sub.shape[1]} < algebraic {mult}"
+            )
+        return sub[:, :mult]
+
+    spaces: list[tuple[tuple[complex, ...], np.ndarray]] = [((), np.eye(n))]
     for op in ops:
         refined: list[tuple[tuple[complex, ...], np.ndarray]] = []
         for vals, w in spaces:
-            m = w.conj().T @ op.astype(complex) @ w
+            real = not np.iscomplexobj(w)
+            m = w.T @ op @ w if real else w.conj().T @ op.astype(complex) @ w
             invariance = np.abs(op @ w - w @ m).max()
             if invariance > 1e3 * tol.cluster * max(scale, 1.0):
                 raise NumericalAbort(
@@ -172,23 +193,29 @@ def simultaneous_eigenspaces(
                     "operators may be defective"
                 )
             eigvals = np.linalg.eigvals(m)
-            for group in _cluster_values(eigvals, ctol):
-                lam = complex(eigvals[group].mean())
-                sub = nullspace(m - lam * np.eye(m.shape[0]),
-                                tol=max(tol.rank, ctol / max(scale, 1.0)), scale=scale)
-                if sub.shape[1] < len(group):
-                    raise NumericalAbort(
-                        f"defective operator: eigenvalue {lam:.6g} has geometric multiplicity "
-                        f"{sub.shape[1]} < algebraic {len(group)}"
-                    )
-                if sub.shape[1] > len(group):
-                    sub = sub[:, : len(group)]
-                refined.append((vals + (lam,), w @ sub))
+            groups = _cluster_values(eigvals, ctol)
+            lams = [complex(eigvals[g].mean()) for g in groups]
+            subs: dict[int, np.ndarray] = {}
+            for i, lam in enumerate(lams):
+                if real and lam.imag < -ctol:
+                    continue                  # conjugated from its partner below
+                # a real cluster of a real m keeps a real kernel
+                subs[i] = eigenspace(m, lam.real if real and lam.imag <= ctol else lam,
+                                     len(groups[i]))
+            for i, lam in enumerate(lams):
+                if i not in subs:
+                    partner = next((j for j, mu in enumerate(lams)
+                                    if j in subs and abs(mu - lam.conjugate()) <= ctol
+                                    and len(groups[j]) == len(groups[i])), None)
+                    subs[i] = (subs[partner].conj() if partner is not None
+                               else eigenspace(m, lam, len(groups[i])))
+                refined.append((vals + (lam,), w @ subs[i]))
         spaces = refined
 
     total = sum(w.shape[1] for _, w in spaces)
     if total != n:
         raise NumericalAbort(f"eigenspace dimensions sum to {total}, expected {n}")
+    spaces = [(vals, w.astype(complex, copy=False)) for vals, w in spaces]
     spaces.sort(key=lambda item: value_key(item[0]))
     return spaces
 

@@ -94,7 +94,7 @@ def decompose(
 
     ads = model.ad(torus.coords)
     scale = matrix_scale(ads)
-    spaces = simultaneous_eigenspaces(list(ads), tol)
+    spaces = simultaneous_eigenspaces(list(ads), tol, scale=scale)
 
     gram = torus.coords @ model.killing @ torus.coords.T
     sg = np.linalg.svd(gram, compute_uv=False)

@@ -257,13 +257,14 @@ def cohomology(rep: SurfaceRepresentation, module: Module, tol: Tolerances = DEF
             "(central lift with a module that sees the center?)")
 
     # letter k's Fox block is P_k for a generator and -P_k L^-1 = -P_{k+1}
-    # for an inverse; the relator map sums them per generator
+    # for an inverse; the relator map sums them per generator, whose two
+    # letters in a surface relator come in letter order
     gens, signs = np.array(pres.letters).T
+    if np.any(np.bincount(gens, minlength=ngen) != 2):
+        raise FlexcheckError("each generator must occur twice in the relator")
     fox = np.where((signs > 0)[:, None, None], prefixes[:-1], -prefixes[1:])
-    relator_map = np.zeros((m, ngen, m))
-    for k in range(len(gens)):
-        relator_map[:, gens[k]] += fox[k]
-    relator_map = relator_map.reshape(m, ngen * m)
+    first, second = np.argsort(gens, kind="stable").reshape(ngen, 2).T
+    relator_map = np.swapaxes(fox[first] + fox[second], 0, 1).reshape(m, ngen * m)
 
     z1 = nullspace(relator_map, tol.rank, scale=scale)
     # one thin SVD of the coboundary map v -> ((A_s - 1) v)_s: its left
@@ -305,12 +306,12 @@ def cohomology(rep: SurfaceRepresentation, module: Module, tol: Tolerances = DEF
 def _check_invariant_form(ws: CohomologyWorkspace, omega: np.ndarray) -> None:
     """Abort unless every slice of ``omega`` ((m, m) or (K, m, m)) is module-invariant."""
     forms = omega.reshape(-1, ws.module_dim, ws.module_dim)
+    acts = np.stack(ws.module.actions)[:, None]             # (K, 1, m, m) against (F, m, m)
+    resid = np.abs(np.swapaxes(acts, -1, -2) @ forms @ acts - forms).max(axis=(2, 3), initial=0.0)
     scale = np.maximum(np.abs(forms).max(axis=(1, 2), initial=0.0), 1.0)
-    norms = spectral_norms(np.stack(ws.module.actions))
-    for a, norm in zip(ws.module.actions, norms):
-        resid = np.abs(a.T @ forms @ a - forms).max(axis=(1, 2), initial=0.0)
-        if np.any(resid > FORM_INVARIANCE * scale * max(norm ** 2, 1.0)):
-            raise NumericalAbort("cup pairing needs a module-invariant bilinear form")
+    norms = np.maximum(spectral_norms(acts[:, 0]) ** 2, 1.0)
+    if np.any(resid > FORM_INVARIANCE * scale * norms[:, None]):
+        raise NumericalAbort("cup pairing needs a module-invariant bilinear form")
 
 
 def cup_pairing(
@@ -332,8 +333,9 @@ def cup_pairing(
     vector on one side drops that side's axis.
     """
     omega, u, v = np.asarray(omega), np.asarray(u), np.asarray(v)
+    same = v is u                      # a Gram matrix: check and build u's blocks once
     _check_invariant_form(ws, omega)
-    for w in (u, v):
+    for w in (u,) if same else (u, v):
         if np.any(ws.cocycle_residual(w) > tol.cocycle * 10):
             raise NumericalAbort("cup_pairing arguments must be cocycles")
 
@@ -346,7 +348,7 @@ def cup_pairing(
         return blocks, ws.fox_blocks @ blocks[gens]
 
     ublocks, yu = letter_blocks(u)
-    vblocks, yv = letter_blocks(v)
+    vblocks, yv = (ublocks, yu) if same else letter_blocks(v)
     # exclusive prefix sums X_k = sum_{j<k} Y_j(u); X_0 = 0
     xu = np.zeros_like(yu)
     np.cumsum(yu[:-1], axis=0, out=xu[1:])

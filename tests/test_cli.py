@@ -252,8 +252,17 @@ _IDENTITY = {
     {**_IDENTITY, "seed": float("inf")},
     {**_IDENTITY, "genus": float("inf")},
     {**_IDENTITY, "genus": 2.5},
+    # the schema's integers: neither a numeric string nor a boolean passes
+    {**_IDENTITY, "genus": "2"},
+    {**_IDENTITY, "seed": "7"},
+    {**_IDENTITY, "group": {"family": "sl", "params": ["2"]}},
+    {**_IDENTITY, "genus": True},
+    {**_IDENTITY, "seed": False},
+    {"group": {"family": "su", "params": [2, True]}, "genus": 2,
+     "representation": {"source": "catalog", "case": "su21-cline"}},
 ], ids=["array", "empty-params", "seed", "genus", "negative-tolerance", "nan-entry",
-        "inf-seed", "inf-genus", "fractional-genus"])
+        "inf-seed", "inf-genus", "fractional-genus", "string-genus", "string-seed",
+        "string-param", "bool-genus", "bool-seed", "bool-param"])
 def test_malformed_problem_is_a_parse_error(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

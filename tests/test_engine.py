@@ -1,9 +1,13 @@
+import functools
 import sys
 from collections import Counter
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flexcheck.catalog import build_case_representation
+from flexcheck.catalog import build_case_representation, default_cases
 from flexcheck.engine import (
     BalanceProblem,
     Pipeline,
@@ -17,6 +21,7 @@ from flexcheck.engine import (
 from flexcheck.liealg import LieAlgebraModel, build_classical, centralizer
 from flexcheck.surface import (
     _check_invariant_form,
+    _expm,
     adjoint_module,
     cup_pairing,
     standard_presentation,
@@ -186,7 +191,6 @@ def test_verdict_sp21_flexible(case_pipeline):
 
 def test_verdict_conjugation_invariance(case_pipeline):
     rep, _, _, _ = case_pipeline("su21-cline")
-    from flexcheck.surface import _expm
     g = _expm(0.3 * rep.model.basis[0] + 0.1 * rep.model.basis[3])
     ginv = np.linalg.inv(g)
     moved = surface_representation(
@@ -195,6 +199,31 @@ def test_verdict_conjugation_invariance(case_pipeline):
     assert out.verdict == "rigid"
     assert out.centralizer_dim == 1 and out.center_dim == 1
     assert sorted(r.toledo for r in out.roots) == [2]
+
+
+def _invariants(report):
+    """Verdict, centralizer and center dimensions, and the sorted (real_dim, T, h1) of the roots."""
+    roots = sorted(((r.real_dim, r.toledo, r.h1_dim) for r in report.roots),
+                   key=lambda t: (t[0], t[1] is None, t[1] or 0, t[2]))
+    return report.verdict, report.centralizer_dim, report.center_dim, roots
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog_verdict(name: str):
+    rep = build_case_representation(name)
+    return rep, _invariants(verdict(rep))
+
+
+@pytest.mark.parametrize("name", [c.name for c in default_cases() if c.computable])
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(scale=st.floats(0.0, 0.4), seed=st.integers(0, 2**32 - 1))
+def test_verdict_invariant_under_global_conjugation(name, scale, seed):
+    # g = exp(X) with normal coefficients times scale, as perfbench's conjugates draws them
+    rep, want = _catalog_verdict(name)
+    g = _expm(rep.model.matrix(scale * np.random.default_rng(seed).standard_normal(rep.model.dim)))
+    ginv = np.linalg.inv(g)
+    moved = surface_representation(rep.presentation, rep.model, [g @ a @ ginv for a in rep.images])
+    assert _invariants(verdict(moved)) == want
 
 
 def test_verdict_nonreductive_inconclusive():

@@ -112,6 +112,34 @@ def test_killing_rank_check_runs_on_every_call():
         build_classical("su", 2, 1, tol=Tolerances(rank=2.0))
 
 
+def _count_svds(monkeypatch) -> list:
+    """Record the input shape of every np.linalg.svd call from here on."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return shapes
+
+
+def test_cached_build_makes_no_svd(monkeypatch):
+    # the Killing singular values are kept on the model; a call only applies tol.rank
+    build_classical("su", 2, 1)
+    shapes = _count_svds(monkeypatch)
+    build_classical("su", 2, 1)
+    build_classical("su", 2, 1, tol=Tolerances(rank=1e-6))
+    assert shapes == []
+
+
+def test_ad_matrix_applies_the_bracket(models, rng):
+    for model in models.values():
+        x, y = rng.standard_normal((2, model.dim))
+        assert np.allclose(model.ad(x) @ y, model.bracket_coords(x, y), rtol=0, atol=1e-12)
+
+
 def _off_span(sub, other) -> float:
     """Largest entry of ``other``'s basis left after projecting onto the span of ``sub``."""
     cols = other.matrices.reshape(other.dim, -1).T
@@ -378,6 +406,33 @@ def test_membership_residual_matches_per_unit_reference(models, rng):
     assert {model.field for model, _ in mats} == set(Field)
     for model, g in mats:
         assert model.group_membership_residual(g) == _membership_reference(model, g)
+
+
+def test_center_makes_no_stacked_svd(monkeypatch, case_pipeline):
+    # the cutoff's floor is a Frobenius norm, not the spectral norms of the ad stack
+    rep, z, c, _ = case_pipeline("sp31-cline")
+    shapes = _count_svds(monkeypatch)
+    again = center_of(z)
+    assert again.dim == c.dim == 1
+    assert shapes and all(len(shape) == 2 for shape in shapes)
+
+
+def test_bracket_budget(monkeypatch):
+    # rejected from the parameters alone, like the ambient cap: sl(20,R) is
+    # inside the cap but its model build would exhaust memory
+    def construct(*args):
+        raise AssertionError(f"constructed {args} above the bracket budget")
+
+    monkeypatch.setattr(liealg, "_construct", construct)
+    with pytest.raises(FlexcheckError, match="bracket entries .* over the budget"):
+        build_classical("sl", 20)
+
+
+def test_catalog_groups_are_well_inside_the_bracket_budget():
+    for case in default_cases():
+        if case.computable:
+            model = build_classical(case.family, case.m, 1)
+            assert model.dim ** 2 * model.realified_size ** 2 * 8 <= liealg.BRACKET_BUDGET
 
 
 def test_ambient_cap(monkeypatch):

@@ -68,6 +68,43 @@ def test_simultaneous_su21_example():
     assert dims == {0j: 4, 3j: 2, -3j: 2}
 
 
+def _real_similar(rng, blocks) -> np.ndarray:
+    """A random real conjugate of the block-diagonal matrix of ``blocks``."""
+    n = sum(len(b) for b in blocks)
+    d = np.zeros((n, n))
+    i = 0
+    for b in blocks:
+        d[i:i + len(b), i:i + len(b)] = b
+        i += len(b)
+    g = rng.standard_normal((n, n)) + 3 * np.eye(n)
+    return g @ d @ np.linalg.inv(g)
+
+
+def test_real_operator_conjugate_clusters_are_exact_conjugates(rng):
+    def rot(a, b):                  # eigenvalues a +- bi
+        return np.array([[a, -b], [b, a]])
+
+    op = _real_similar(rng, [rot(0.5, 2.0), rot(0.5, 2.0), rot(-1.0, 0.7), [[0.3]], [[0.0]]])
+    spaces = simultaneous_eigenspaces([op])
+    assert [w.shape[1] for _, w in spaces] == [1, 1, 1, 1, 2, 2]
+    by_value = {complex(np.round(v[0], 6)): w for v, w in spaces}
+    for lam in (-1.0 + 0.7j, 0.5 + 2.0j):
+        assert np.array_equal(by_value[lam.conjugate()], by_value[lam].conj())
+    # real eigenvalues get real kernels
+    for lam in (0.0, 0.3):
+        assert not np.any(by_value[lam].imag)
+    for (lam,), w in spaces:
+        assert np.abs(op @ w - lam * w).max() < 1e-9
+
+
+def test_real_conjugate_jordan_pair_is_defective(rng):
+    # a +- bi each with algebraic multiplicity 2 and a one-dimensional eigenspace
+    c = np.array([[0.5, -2.0], [2.0, 0.5]])
+    op = _real_similar(rng, [np.block([[c, np.eye(2)], [np.zeros((2, 2)), c]])])
+    with pytest.raises(NumericalAbort, match="defective"):
+        simultaneous_eigenspaces([op])
+
+
 def test_noncommuting_rejected():
     a = np.diag([1.0, 2.0])
     b = np.array([[0.0, 1.0], [0.0, 0.0]])

@@ -390,6 +390,11 @@ def test_cup_pairing_rejects_noninvariant_form(fuchsian):
     ws = cohomology(fuchsian, standard_module(fuchsian))
     with pytest.raises(NumericalAbort):
         cup_pairing(ws, np.diag([1.0, 2.0]), ws.z1[:, 0], ws.z1[:, 1])
+    # in a stack, one non-invariant slice is enough; SL(2) preserves the area form
+    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    assert cup_pairing(ws, np.stack([j, 2 * j]), ws.z1[:, 0], ws.z1[:, 1]).shape == (2,)
+    with pytest.raises(NumericalAbort, match="module-invariant"):
+        cup_pairing(ws, np.stack([j, np.diag([1.0, 2.0])]), ws.z1[:, 0], ws.z1[:, 1])
 
 
 def _full_svd_kernel(a):
@@ -432,6 +437,16 @@ def test_cohomology_matches_separate_span_and_kernel_svds(fuchsian, case_pipelin
             assert np.array_equal(ws.fox_blocks[k], prefixes[k] if sign > 0 else -prefixes[k + 1])
             relator_map[:, s] += ws.fox_blocks[k]
         assert np.array_equal(ws.relator_map, relator_map.reshape(m, -1))
+
+
+def test_cohomology_needs_two_letters_per_generator(fuchsian):
+    # the relator map pairs each generator's two letters
+    from dataclasses import replace
+    letters = fuchsian.presentation.letters
+    bad = replace(fuchsian, presentation=replace(
+        fuchsian.presentation, letters=((1, 1),) + letters[1:]))
+    with pytest.raises(FlexcheckError, match="occur twice"):
+        cohomology(bad, Module(tuple(np.eye(2) for _ in fuchsian.images)))
 
 
 def test_relator_check_is_relative_to_the_prefix_scale(fuchsian):
