@@ -35,8 +35,8 @@ from .surface import (
     standard_presentation,
     surface_representation,
 )
-from .toledo import (RootFormReport, lagrangian_pair_check, milnor_wood_check, root_cohomology,
-                     root_form, scan_invariant_lagrangians, signature)
+from .toledo import (RootFormReport, lagrangian_pair_check, root_cohomology, root_form,
+                     scan_invariant_lagrangians, signature)
 from .engine import (
     BalanceProblem,
     FlexibilityReport,
@@ -89,7 +89,6 @@ __all__ = [
     "hom_bracket_closed_form",
     "killing_restriction_nondegenerate",
     "lagrangian_pair_check",
-    "milnor_wood_check",
     "nullspace",
     "quaternion_multiply",
     "rank",

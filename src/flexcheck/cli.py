@@ -93,7 +93,9 @@ def _int(value, where: str) -> int:
 
 
 def _tolerance(value, where: str) -> float:
-    if isinstance(value, (int, float)) and math.isfinite(value) and value > 0:
+    # a JSON true is an int to isinstance, and would run as 1.0
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0):
         return float(value)
     raise ParseError(f"{where} must be a positive finite number, got {value!r}")
 
@@ -172,9 +174,11 @@ def load_problem(args) -> dict:
             raise ParseError(
                 f"generators[{i}]: realified size {g.shape[0]} does not match "
                 f"{model.name} ({model.realified_size})")
+    central_lift = repdoc.get("central_lift", False)
+    if not isinstance(central_lift, bool):      # bool("false") is True
+        raise ParseError(f"representation.central_lift must be a boolean, got {central_lift!r}")
     rep = surface_representation(
-        standard_presentation(genus), model, images,
-        central_lift=bool(repdoc.get("central_lift", False)), tol=tol)
+        standard_presentation(genus), model, images, central_lift=central_lift, tol=tol)
     return {"rep": rep, "tol": tol, "source": "matrices"}
 
 

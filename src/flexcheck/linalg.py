@@ -219,32 +219,3 @@ def simultaneous_eigenspaces(
     spaces.sort(key=lambda item: value_key(item[0]))
     return spaces
 
-
-def complex_half_basis(j: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Columns u_1..u_{m/2} such that (u, J u) spans the space.
-
-    j must square to minus the identity; a J-bilinear form is
-    nondegenerate iff its Gram matrix on such a half basis is.
-    """
-    m = j.shape[0]
-    if m % 2:
-        raise NumericalAbort("complex structure needs an even-dimensional space")
-    if np.abs(j @ j + np.eye(m)).max() > 1e-6:
-        raise NumericalAbort("complex_half_basis: J^2 != -1")
-    chosen: list[np.ndarray] = []
-    span = np.zeros((m, 0))
-    for k in range(m):
-        if len(chosen) == m // 2:
-            break
-        cand = np.zeros(m)
-        cand[k] = 1.0
-        resid = cand - span @ (span.T @ cand)
-        if np.linalg.norm(resid) < 0.3:
-            continue
-        resid /= np.linalg.norm(resid)
-        chosen.append(resid)
-        span = orthonormal_columns(np.column_stack([span, resid, j @ resid]), tol)
-    if len(chosen) != m // 2:
-        raise NumericalAbort("failed to extract a complex half basis")
-    return np.column_stack(chosen)
-

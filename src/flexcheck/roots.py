@@ -36,7 +36,6 @@ class RootDatum:
     real_basis: np.ndarray           # (D, m) orthonormal real basis of g_{lambda,R}
     t_vector: np.ndarray             # coords of t_lambda in the (complex) torus basis
     omega: np.ndarray                # (m, m) complex alternating matrix on real_basis
-    j_matrix: np.ndarray | None      # complex structure on real_basis, mixed roots only
 
     @property
     def real_dim(self) -> int:
@@ -47,14 +46,10 @@ class RootDatum:
 class TorusRootDecomposition:
     model: LieAlgebraModel
     torus: SubalgebraHandle
-    g0_basis: np.ndarray             # (D, k) real orthonormal basis of g_0
+    g0_dim: int                      # dim g_0, the widths of the zero clusters
     roots: tuple[RootDatum, ...]     # one representative per orbit
     all_values: tuple                # every nonzero root value tuple (full list Lambda)
     killing_gram: np.ndarray         # Killing Gram matrix of the torus basis
-
-    @property
-    def g0_dim(self) -> int:
-        return self.g0_basis.shape[1]
 
 
 def classify_root(values: np.ndarray, tol: float = 1e-7) -> str:
@@ -83,8 +78,7 @@ def decompose(
     r = torus.dim
     dim = model.dim
     if r == 0:
-        return TorusRootDecomposition(
-            model, torus, np.eye(dim), (), (), np.zeros((0, 0)))
+        return TorusRootDecomposition(model, torus, dim, (), (), np.zeros((0, 0)))
 
     for i in range(r):
         for j in range(i + 1, r):
@@ -102,20 +96,17 @@ def decompose(
         raise NumericalAbort("Killing form is degenerate on the torus")
 
     snap = tol.cluster * max(scale, 1.0)
-    zero_cols = []
+    g0_dim = 0
     nonzero: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
     for vals, w in spaces:
         v = np.array(vals)
         if np.abs(v).max(initial=0.0) <= snap:
-            zero_cols.append(w)
+            g0_dim += w.shape[1]
         else:
             re = np.where(np.abs(v.real) <= snap, 0.0, v.real)
             im = np.where(np.abs(v.imag) <= snap, 0.0, v.imag)
             v = re + 1j * im
             nonzero[value_key(v)] = (v, w)
-
-    g0 = _real_span_basis(np.hstack(zero_cols) if zero_cols else np.zeros((dim, 0), dtype=complex),
-                          tol.rank)
 
     def find(v: np.ndarray):
         for key, (vv, ww) in nonzero.items():
@@ -141,13 +132,13 @@ def decompose(
         rep = max(candidates.values(), key=value_key)
         roots.append(_build_root(model, torus, gram, rep, nonzero, find, tol))
 
-    total = g0.shape[1] + sum(rd.real_dim for rd in roots)
+    total = g0_dim + sum(rd.real_dim for rd in roots)
     if total != dim:
         raise NumericalAbort(f"direct sum check failed: {total} != {dim}")
 
     roots.sort(key=lambda rd: value_key(rd.values))
     return TorusRootDecomposition(
-        model, torus, g0, tuple(roots), tuple(all_values), gram)
+        model, torus, g0_dim, tuple(roots), tuple(all_values), gram)
 
 
 def _build_root(model, torus, gram, rep, nonzero, find, tol: Tolerances) -> RootDatum:
@@ -168,23 +159,16 @@ def _build_root(model, torus, gram, rep, nonzero, find, tol: Tolerances) -> Root
 
     t_vec = np.linalg.solve(gram.astype(complex), rep)
 
-    omega, jmat = _omega_and_j(model, cls, rep, spaces, real_basis, tol)
     return RootDatum(
         values=rep, classification=cls, complex_dim=k, spaces=spaces,
-        real_basis=real_basis, t_vector=t_vec, omega=omega, j_matrix=jmat)
+        real_basis=real_basis, t_vector=t_vec, omega=_omega(model, cls, spaces, real_basis))
 
 
-def _omega_and_j(model, cls, rep, spaces, real_basis, tol: Tolerances):
-    """Matrix of Omega_lambda (and J_lambda when mixed) on the real basis."""
-    m = real_basis.shape[1]
-    if cls == MIXED:
-        stack = np.hstack([spaces["+l"], spaces["-l"], spaces["+c"], spaces["-c"]])
-        sizes = [spaces[k].shape[1] for k in ("+l", "-l", "+c", "-c")]
-    else:
-        stack = np.hstack([spaces["+l"], spaces["-l"]])
-        sizes = [spaces[k].shape[1] for k in ("+l", "-l")]
-    comp = solve_in_span(stack, real_basis.astype(complex), tol=1e-7)
-    ofs = np.concatenate([[0], np.cumsum(sizes)])
+def _omega(model, cls: str, spaces: dict, real_basis: np.ndarray) -> np.ndarray:
+    """Matrix of Omega_lambda on the real basis."""
+    # spaces runs +l, -l (then +c, -c for a mixed root), spanning real_basis
+    comp = solve_in_span(np.hstack(list(spaces.values())), real_basis.astype(complex), tol=1e-7)
+    ofs = np.concatenate([[0], np.cumsum([w.shape[1] for w in spaces.values()])])
     plus = spaces["+l"] @ comp[ofs[0]:ofs[1]]
     minus = spaces["-l"] @ comp[ofs[1]:ofs[2]]
 
@@ -194,15 +178,9 @@ def _omega_and_j(model, cls, rep, spaces, real_basis, tol: Tolerances):
     omega = diff.T @ K @ summ
     if cls == MIXED:
         omega = 2.0 * omega
-        pm = plus + minus                      # component in g_{+-lambda}
-        jcols = 1j * pm + np.conj(1j * pm)     # i on g_{+-l}, -i on the conjugate
-        jmat = solve_in_span(real_basis, jcols.real.astype(float), tol=1e-7)
-    else:
-        jmat = None
 
     asym = np.abs(omega + omega.T).max(initial=0.0)
     if asym > 1e-7 * max(np.abs(omega).max(initial=0.0), 1.0):
         raise NumericalAbort(f"Omega is not alternating (residual {asym:.3e})")
-    omega = 0.5 * (omega - omega.T)
-    return omega, jmat
+    return 0.5 * (omega - omega.T)
 

@@ -86,7 +86,7 @@ def surface_representation(
             f"need {presentation.generator_count} generator images, got {len(images)}")
     images = tuple(np.asarray(g, dtype=float) for g in images)
     residuals = model.group_membership_residual(np.stack(images))
-    bad = np.flatnonzero(residuals > tol.membership * 100)
+    bad = np.flatnonzero(~(residuals <= tol.membership * 100))     # NaN is bad too
     if bad.size:
         i = bad[0]
         raise NumericalAbort(
@@ -404,7 +404,10 @@ def correct_relator(
 
     Newton iteration on F(g) = relator(g) - sign * I with tangent moves
     g_i -> g_i exp(eps X) along the model basis; each step solves the
-    linearized equation in the least-squares sense.
+    linearized equation in the least-squares sense.  It stops when the
+    residual, relative to the prefix scale as in ``surface_representation``,
+    is below ``tol``, and returns only images that ``surface_representation``
+    accepts; a singular or non-finite iterate aborts.
     """
     gens = [np.asarray(g, dtype=float).copy() for g in images]
     n = gens[0].shape[0]
@@ -415,26 +418,32 @@ def correct_relator(
         return (relator_product(presentation, gs) - target).reshape(-1)
 
     h = 1e-6
-    for _ in range(max_iter):
-        f0 = residual(gens)
-        scale = max(float(np.abs(f0).max(initial=0.0)), 0.0)
-        if scale < tol:
-            return gens
-        cols = []
-        for i in range(len(gens)):
-            for k in range(dim):
-                step = _expm(h * model.basis[k])
-                step_inv = _expm(-h * model.basis[k])
-                plus = list(gens)
-                plus[i] = gens[i] @ step
-                minus = list(gens)
-                minus[i] = gens[i] @ step_inv
-                cols.append((residual(plus) - residual(minus)) / (2 * h))
-        jac = np.stack(cols, axis=1)
-        # the relator lives in the group, so the Jacobian is rank deficient
-        # as a map into all matrices; truncate firmly
-        delta, _, _, _ = np.linalg.lstsq(jac, -f0, rcond=1e-8)
-        for i in range(len(gens)):
-            move = np.tensordot(delta[i * dim : (i + 1) * dim], model.basis, axes=(0, 0))
-            gens[i] = gens[i] @ _expm(move)
+    try:
+        for _ in range(max_iter):
+            prefixes = relator_prefixes(presentation, gens)
+            if not np.isfinite(prefixes).all():
+                raise NumericalAbort("relator correction diverged: non-finite generator images")
+            f0 = (prefixes[-1] - target).reshape(-1)
+            if np.abs(f0).max() < tol * max(float(np.abs(prefixes).max()), 1.0):
+                surface_representation(presentation, model, gens, central_lift=target_sign < 0)
+                return gens
+            cols = []
+            for i in range(len(gens)):
+                for k in range(dim):
+                    step = _expm(h * model.basis[k])
+                    step_inv = _expm(-h * model.basis[k])
+                    plus = list(gens)
+                    plus[i] = gens[i] @ step
+                    minus = list(gens)
+                    minus[i] = gens[i] @ step_inv
+                    cols.append((residual(plus) - residual(minus)) / (2 * h))
+            jac = np.stack(cols, axis=1)
+            # the relator lives in the group, so the Jacobian is rank deficient
+            # as a map into all matrices; truncate firmly
+            delta, _, _, _ = np.linalg.lstsq(jac, -f0, rcond=1e-8)
+            for i in range(len(gens)):
+                move = np.tensordot(delta[i * dim : (i + 1) * dim], model.basis, axes=(0, 0))
+                gens[i] = gens[i] @ _expm(move)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalAbort(f"relator correction failed: {exc}") from exc
     raise NumericalAbort("relator correction did not converge")

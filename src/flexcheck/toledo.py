@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import DEFAULT, NumericalAbort, Tolerances
-from .linalg import complex_half_basis, nullspace, orthonormal_columns, rank
+from .linalg import nullspace, orthonormal_columns, rank
 from .roots import MIXED, REAL, RootDatum, _real_span_basis
 from .surface import (
     CohomologyWorkspace,
@@ -54,7 +54,7 @@ class RootFormReport:
     toledo: int | None
     definite: bool
     milnor_wood_slack: int | None
-    min_eig_separation: float         # min |eig| / scale of the real Gram
+    min_eig_separation: float | None  # min |eig| / scale of the real Gram (None for mixed)
     status: str                       # "ok" | "degenerate"
 
     @property
@@ -129,7 +129,9 @@ def root_form(
     ``ws`` is the cohomology of the root module (see ``root_cohomology``).
     Precondition: H^0 of the root module vanishes; a violation aborts.
     A real or imaginary root is read by ``symplectic_form_report`` from
-    the real or imaginary part of Omega_lambda.
+    the real or imaginary part of Omega_lambda.  A mixed root is never in
+    P: it enters the balanced test through its values alone, so its
+    report builds no form.
     """
     if ws.h0_dim != 0:
         raise NumericalAbort(
@@ -137,33 +139,13 @@ def root_form(
             "center of the centralizer of this representation")
 
     if root.classification == MIXED:
-        gramc = gram_matrix(ws, root.omega, tol)
-        # J acts on cohomology classes; nondegeneracy of a J-bilinear form
-        # is read off a complex half basis, not the full real Gram.
-        j_coch = np.kron(np.eye(ws.rep.presentation.generator_count), root.j_matrix)
-        j_cls = ws.h1.T @ j_coch @ ws.h1
-        half = complex_half_basis(j_cls)
-        half_gram = half.T @ gramc @ half
-        s = np.linalg.svd(half_gram, compute_uv=False)
-        sep = float(s[-1] / max(s[0], 1e-300)) if s.size else 0.0
-        if not (s.size and s[-1] > tol.gram * s[0]):
-            raise NumericalAbort("complex-bilinear root form is numerically degenerate")
         return RootFormReport(
             root=root, module_dim=ws.module_dim, h1_dim=ws.h1_dim, gram=None,
             signature=None, toledo=None, definite=False,
-            milnor_wood_slack=None, min_eig_separation=sep, status="ok")
+            milnor_wood_slack=None, min_eig_separation=None, status="ok")
 
     omega_real = root.omega.real if root.classification == REAL else root.omega.imag
     return replace(symplectic_form_report(ws, omega_real, tol), root=root)
-
-
-def milnor_wood_check(report: RootFormReport) -> int:
-    """Slack of the Milnor-Wood inequality; negative slack is a pipeline bug."""
-    if report.milnor_wood_slack is None:
-        raise NumericalAbort("no Milnor-Wood slack for this root (mixed or degenerate)")
-    if report.milnor_wood_slack < 0:
-        raise NumericalAbort("negative Milnor-Wood slack")
-    return report.milnor_wood_slack
 
 
 def lagrangian_pair_check(

@@ -4,7 +4,30 @@ import pytest
 from flexcheck.catalog import build_case_representation, find_case
 from flexcheck.engine import Pipeline
 from flexcheck.liealg import build_classical
-from flexcheck.surface import fuchsian_genus2
+from flexcheck.scalars import Field, realify
+from flexcheck.surface import fuchsian_genus2, standard_presentation, surface_representation
+
+
+def bent_genus2():
+    """The genus-2 Fuchsian group bent inside SL(2,C), realified into SL(5,R).
+
+    With c = [a2, b2] and h = exp(0.3i log c) (from the eigendecomposition
+    of c), the images are a1, b1, h a2 h^-1, h b2 h^-1: h commutes with c,
+    so the relator holds.  Each is realified over C into the top-left 4x4
+    block of the 5x5 identity.  The center of the centralizer is 2-dimensional
+    with one imaginary and one mixed root.
+    """
+    a1, b1, a2, b2 = fuchsian_genus2().images
+    c = a2 @ b2 @ np.linalg.inv(a2) @ np.linalg.inv(b2)
+    lam, vecs = np.linalg.eig(c)
+    h = vecs @ np.diag(np.exp(0.3j * np.log(lam.astype(complex)))) @ np.linalg.inv(vecs)
+    hinv = np.linalg.inv(h)
+    images = []
+    for g in (a1, b1, h @ a2 @ hinv, h @ b2 @ hinv):
+        image = np.eye(5)
+        image[:4, :4] = realify(g.astype(complex), Field.COMPLEX)
+        images.append(image)
+    return surface_representation(standard_presentation(2), build_classical("sl", 5), images)
 
 
 @pytest.fixture(scope="session")

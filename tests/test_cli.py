@@ -260,9 +260,14 @@ _IDENTITY = {
     {**_IDENTITY, "seed": False},
     {"group": {"family": "su", "params": [2, True]}, "genus": 2,
      "representation": {"source": "catalog", "case": "su21-cline"}},
+    # the schema's boolean is a JSON boolean, and a tolerance is not one
+    {**_IDENTITY, "representation": {**_IDENTITY["representation"], "central_lift": "false"}},
+    {**_IDENTITY, "tolerances": {"cluster": True}},
+    {**_IDENTITY, "tolerances": {"rank": True}},
 ], ids=["array", "empty-params", "seed", "genus", "negative-tolerance", "nan-entry",
         "inf-seed", "inf-genus", "fractional-genus", "string-genus", "string-seed",
-        "string-param", "bool-genus", "bool-seed", "bool-param"])
+        "string-param", "bool-genus", "bool-seed", "bool-param", "string-central-lift",
+        "bool-cluster", "bool-rank"])
 def test_malformed_problem_is_a_parse_error(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

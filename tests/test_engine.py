@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bent_genus2
 from flexcheck.catalog import build_case_representation, default_cases
 from flexcheck.engine import (
     BalanceProblem,
@@ -210,11 +211,12 @@ def _invariants(report):
 
 @functools.lru_cache(maxsize=None)
 def _catalog_verdict(name: str):
-    rep = build_case_representation(name)
+    rep = bent_genus2() if name == "bent-sl5" else build_case_representation(name)
     return rep, _invariants(verdict(rep))
 
 
-@pytest.mark.parametrize("name", [c.name for c in default_cases() if c.computable])
+# the computable catalog cases, and a rank-2 center with a mixed root
+@pytest.mark.parametrize("name", [c.name for c in default_cases() if c.computable] + ["bent-sl5"])
 @settings(max_examples=6, deadline=None, derandomize=True, database=None)
 @given(scale=st.floats(0.0, 0.4), seed=st.integers(0, 2**32 - 1))
 def test_verdict_invariant_under_global_conjugation(name, scale, seed):

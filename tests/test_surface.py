@@ -359,6 +359,32 @@ def test_correct_relator(fuchsian, rng):
         assert np.abs(a - b).max() < 1e-2
 
 
+def _perturbed(case_pipeline, name: str):
+    rep = case_pipeline(name)[0]
+    rng = np.random.default_rng(1)
+    return rep, [g @ _expm(rep.model.matrix(1e-3 * rng.standard_normal(rep.model.dim)))
+                 for g in rep.images]
+
+
+def test_correct_relator_stops_on_the_relative_residual(case_pipeline):
+    # the relator of su(2,1)'s R-plane images has prefix scale ~70: an absolute
+    # stop at 1e-12 never came, and the iteration ran out of steps
+    rep, images = _perturbed(case_pipeline, "su21-rplane")
+    fixed = correct_relator(images, rep.presentation, rep.model)
+    moved = surface_representation(rep.presentation, rep.model, fixed)
+    assert moved.relator_residual < 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("name", ["so31-rplane", "so41-rplane"])
+def test_correct_relator_divergence_aborts(case_pipeline, name):
+    # Newton diverges here: a singular iterate (so31) or images of size 1e158
+    # whose membership residual is NaN (so41) abort instead of leaking out
+    rep, images = _perturbed(case_pipeline, name)
+    with pytest.raises(NumericalAbort):
+        correct_relator(images, rep.presentation, rep.model)
+
+
 def test_genus3_cohomology(fuchsian):
     # pinch two handles: genus-3 representation through the genus-2 group
     model = fuchsian.model
