@@ -191,6 +191,8 @@ def _finish_model(name, fld, n, family, mats, form, params) -> LieAlgebraModel:
         raise NumericalAbort(f"{name}: Jacobi identity fails (residual {jresid:.3e})")
 
     killing_sv = np.linalg.svd(killing, compute_uv=False)
+    # C order makes the (dim, dim^2) matrix that ad() multiplies a view, not a copy per call
+    c = np.ascontiguousarray(c)
 
     # the model is shared by every caller of build_classical: freeze it
     for arr in (basis, flat, pinv, c, killing, killing_sv, form):

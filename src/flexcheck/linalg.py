@@ -27,7 +27,7 @@ def matrix_scale(a: np.ndarray) -> float:
 
 def singular_rank(s: np.ndarray, tol: float = DEFAULT.rank, scale: float = 0.0) -> int:
     """Numerical rank from descending singular values s: how many exceed tol * max(s[0], scale)."""
-    return int(np.sum(s > tol * max(s[0] if s.size else 0.0, scale)))
+    return int(np.count_nonzero(s > tol * max(float(s[0]) if s.size else 0.0, scale)))
 
 
 def rank(a: np.ndarray, tol: float = DEFAULT.rank, scale: float = 0.0) -> int:
@@ -87,44 +87,84 @@ def orthonormal_columns(vectors: np.ndarray, tol: float = DEFAULT.rank,
     return u[:, :singular_rank(s, tol, scale)]
 
 
-def solve_in_span(basis: np.ndarray, vectors: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Coordinates of ``vectors`` (columns) in the column span of ``basis``.
-
-    Raises if a vector does not lie in the span to relative tolerance.
-    """
-    coeff, _, _, _ = np.linalg.lstsq(basis, vectors, rcond=None)
-    resid = basis @ coeff - vectors
-    scale = max(np.abs(vectors).max(initial=0.0), 1.0)
-    worst = np.abs(resid).max(initial=0.0)
-    if worst > tol * scale:
-        raise NumericalAbort(
-            f"vector outside span: residual {worst:.3e} exceeds {tol:.1e} * {scale:.3e}"
-        )
-    return coeff
+def value_keys(values: np.ndarray) -> list[tuple]:
+    """:func:`value_key` of each row of a 2-D complex array, in one rounding."""
+    v = np.ascontiguousarray(values, dtype=complex)
+    parts = np.round(v.view(np.float64), 9)     # re, im interleaved
+    return [tuple(row) for row in parts.reshape(len(v), -1).tolist()]
 
 
 def value_key(values) -> tuple:
     """Hashable key of a tuple of complex values: real and imaginary parts to 9 digits."""
-    return tuple(x for v in values for x in (round(v.real, 9), round(v.imag, 9)))
+    return value_keys(np.asarray(values, dtype=complex)[None])[0]
 
 
-def _cluster_values(values: np.ndarray, tol: float) -> list[np.ndarray]:
+def _cluster_values(values: np.ndarray, tol: float) -> list[list[int]]:
     """Greedy clustering of complex scalars; returns index groups."""
-    order = np.lexsort((values.imag, values.real))
+    points = values.tolist()
     groups: list[list[int]] = []
     reps: list[complex] = []
-    for idx in order:
-        v = values[idx]
-        placed = False
+    for idx in np.lexsort((values.imag, values.real)).tolist():
         for g, r in zip(groups, reps):
-            if abs(v - r) <= tol:
+            if abs(points[idx] - r) <= tol:
                 g.append(idx)
-                placed = True
                 break
-        if not placed:
+        else:
             groups.append([idx])
-            reps.append(v)
-    return [np.array(g) for g in groups]
+            reps.append(points[idx])
+    return groups
+
+
+def joint_eigenspace(ops: np.ndarray, values, width: int, tol: Tolerances,
+                     scale: float) -> np.ndarray:
+    """Orthonormal basis of the joint eigenspace of an ``(r, n, n)`` stack at ``values``.
+
+    One thin SVD of the stacked ``op_i - values_i I``, cut as a cluster
+    (``tol.cluster * scale``, floored by ``tol.rank``); real values keep a
+    real kernel.  A kernel thinner than ``width`` means a defective operator.
+    """
+    values = np.asarray(values)
+    if not values.imag.any():
+        values = values.real
+    n = ops.shape[-1]
+    _, s, vh = np.linalg.svd((ops - values[:, None, None] * np.eye(n)).reshape(-1, n),
+                             full_matrices=False)
+    kernel = vh[singular_rank(s, max(tol.rank, tol.cluster * scale / max(scale, 1.0)), scale):]
+    if len(kernel) < width:
+        raise NumericalAbort(f"defective operator: eigenvalue {np.round(values, 6)} has "
+                             f"geometric multiplicity {len(kernel)} < algebraic {width}")
+    return kernel[:width].conj().T
+
+
+def joint_eigenvalues(ops: np.ndarray, tol: Tolerances, scale: float) -> list[tuple[tuple, int]]:
+    """Joint eigenvalue clusters of a commuting ``(r, n, n)`` stack: (values, width) pairs.
+
+    The first operator's eigenvalues are clustered at ``tol.cluster * scale``
+    and valued at their means; each later operator, compressed to a
+    cluster's joint eigenspace, splits it.  One operator costs no SVD.
+    """
+    # an eigenspace known to cluster accuracy eps is off by eps * scale / gap:
+    # with clusters sqrt(eps) * scale apart, a commuting operator keeps it
+    # invariant to sqrt(eps) * scale
+    invariance_tol = tol.cluster ** 0.5 * max(scale, 1.0)
+    clusters: list = [((), ops.shape[-1])]
+    for i, op in enumerate(ops):
+        refined = []
+        for vals, width in clusters:
+            m = op
+            if i:
+                w = joint_eigenspace(ops[:i], vals, width, tol, scale)
+                m = w.conj().T @ op @ w
+                invariance = np.abs(op @ w - w @ m).max()
+                if invariance > invariance_tol:
+                    raise NumericalAbort(f"joint subspace is not invariant (residual "
+                                         f"{invariance:.3e}); operators may be defective")
+            eigvals = np.linalg.eigvals(m)
+            # sum / len is np.mean's own arithmetic, without its overhead
+            refined += [(vals + (eigvals[g].sum() / len(g),), len(g))
+                        for g in _cluster_values(eigvals, tol.cluster * scale)]
+        clusters = refined
+    return clusters
 
 
 def simultaneous_eigenspaces(
@@ -135,87 +175,37 @@ def simultaneous_eigenspaces(
 ) -> list[tuple[tuple[complex, ...], np.ndarray]]:
     """Joint eigenspace decomposition of pairwise-commuting real operators.
 
-    Returns ``[(eigenvalue tuple, complex orthonormal basis), ...]`` whose
-    dimensions sum to the full space.  Raises on non-commuting input or
-    when some operator is defective on a joint subspace.  An empty
-    operator list needs ``dim`` and yields one eigenspace, the whole
-    space, with an empty eigenvalue tuple.  ``scale`` is
-    ``matrix_scale`` of the stacked operators; a caller that has it
-    passes it on.
-
-    On a real joint subspace (the whole space, and each real eigenspace
-    of an earlier operator) the restricted operator is real: its
-    eigenvalues come in exact conjugate pairs, a real eigenvalue gets a
-    real kernel, and the eigenspace of conj(lambda) is the conjugate of
-    the eigenspace of lambda, so only Im lambda > 0 needs a complex SVD.
+    Returns ``[(eigenvalue tuple, complex orthonormal basis), ...]`` over the
+    clusters of :func:`joint_eigenvalues`, sorted by :func:`value_key`.  A
+    real eigenvalue gets a real kernel and conj(lambda) the conjugate of
+    lambda's basis.  Raises on non-commuting or defective operators.  An
+    empty operator list needs ``dim`` and yields the whole space.  ``scale``
+    is ``matrix_scale`` of the stacked operators.
     """
     if not ops:
         if dim is None:
             raise NumericalAbort("empty operator list: pass dim to fix the ambient space")
         return [((), np.eye(dim, dtype=complex))]
     n = ops[0].shape[0]
-    for op in ops:
-        if op.shape != (n, n):
-            raise NumericalAbort("operators must share one square shape")
-    if scale is None:
-        scale = matrix_scale(np.stack(ops))
+    if any(op.shape != (n, n) for op in ops):
+        raise NumericalAbort("operators must share one square shape")
+    stack = np.stack(ops)
+    scale = matrix_scale(stack) if scale is None else scale
     if scale == 0.0:
         return [(tuple(0.0 + 0.0j for _ in ops), np.eye(n, dtype=complex))]
     ctol = tol.cluster * scale
     for i in range(len(ops)):
         for j in range(i + 1, len(ops)):
-            comm = ops[i] @ ops[j] - ops[j] @ ops[i]
-            if matrix_scale(comm) > tol.cluster * scale * scale:
-                raise NumericalAbort(
-                    f"operators {i} and {j} do not commute: |[A,B]| = {matrix_scale(comm):.3e}"
-                )
-
-    def eigenspace(m: np.ndarray, lam: complex, mult: int) -> np.ndarray:
-        sub = nullspace(m - lam * np.eye(m.shape[0]),
-                        tol=max(tol.rank, ctol / max(scale, 1.0)), scale=scale)
-        if sub.shape[1] < mult:
-            raise NumericalAbort(
-                f"defective operator: eigenvalue {lam:.6g} has geometric multiplicity "
-                f"{sub.shape[1]} < algebraic {mult}"
-            )
-        return sub[:, :mult]
-
-    spaces: list[tuple[tuple[complex, ...], np.ndarray]] = [((), np.eye(n))]
-    for op in ops:
-        refined: list[tuple[tuple[complex, ...], np.ndarray]] = []
-        for vals, w in spaces:
-            real = not np.iscomplexobj(w)
-            m = w.T @ op @ w if real else w.conj().T @ op.astype(complex) @ w
-            invariance = np.abs(op @ w - w @ m).max()
-            if invariance > 1e3 * tol.cluster * max(scale, 1.0):
-                raise NumericalAbort(
-                    f"joint subspace is not invariant (residual {invariance:.3e}); "
-                    "operators may be defective"
-                )
-            eigvals = np.linalg.eigvals(m)
-            groups = _cluster_values(eigvals, ctol)
-            lams = [complex(eigvals[g].mean()) for g in groups]
-            subs: dict[int, np.ndarray] = {}
-            for i, lam in enumerate(lams):
-                if real and lam.imag < -ctol:
-                    continue                  # conjugated from its partner below
-                # a real cluster of a real m keeps a real kernel
-                subs[i] = eigenspace(m, lam.real if real and lam.imag <= ctol else lam,
-                                     len(groups[i]))
-            for i, lam in enumerate(lams):
-                if i not in subs:
-                    partner = next((j for j, mu in enumerate(lams)
-                                    if j in subs and abs(mu - lam.conjugate()) <= ctol
-                                    and len(groups[j]) == len(groups[i])), None)
-                    subs[i] = (subs[partner].conj() if partner is not None
-                               else eigenspace(m, lam, len(groups[i])))
-                refined.append((vals + (lam,), w @ subs[i]))
-        spaces = refined
-
-    total = sum(w.shape[1] for _, w in spaces)
-    if total != n:
-        raise NumericalAbort(f"eigenspace dimensions sum to {total}, expected {n}")
-    spaces = [(vals, w.astype(complex, copy=False)) for vals, w in spaces]
-    spaces.sort(key=lambda item: value_key(item[0]))
-    return spaces
-
+            comm = matrix_scale(ops[i] @ ops[j] - ops[j] @ ops[i])
+            if comm > tol.cluster * scale * scale:
+                raise NumericalAbort(f"operators {i} and {j} do not commute: |[A,B]| = {comm:.3e}")
+    spaces: list[tuple[np.ndarray, np.ndarray]] = []
+    for vals, width in joint_eigenvalues(stack, tol, scale):
+        vals = np.array(vals)
+        real = np.abs(vals.imag).max() <= ctol
+        partner = None if real else next((w for mu, w in spaces if w.shape[1] == width
+                                          and np.abs(mu - vals.conj()).max() <= ctol), None)
+        spaces.append((vals, partner.conj() if partner is not None else
+                       joint_eigenspace(stack, vals.real if real else vals, width, tol, scale)))
+    return sorted(((tuple(complex(v) for v in vals), w.astype(complex, copy=False))
+                   for vals, w in spaces), key=lambda item: value_key(item[0]))

@@ -16,13 +16,7 @@ import numpy as np
 
 from .config import DEFAULT, NumericalAbort, Tolerances
 from .liealg import LieAlgebraModel, SubalgebraHandle
-from .linalg import (
-    matrix_scale,
-    orthonormal_columns,
-    simultaneous_eigenspaces,
-    solve_in_span,
-    value_key,
-)
+from .linalg import joint_eigenspace, joint_eigenvalues, singular_rank, value_keys
 
 REAL, IMAGINARY, MIXED = "real", "imaginary", "mixed"
 
@@ -32,7 +26,7 @@ class RootDatum:
     values: np.ndarray               # complex values of the root on the torus basis
     classification: str              # "real" | "imaginary" | "mixed"
     complex_dim: int                 # dim_C of g_lambda
-    spaces: dict                     # value-key -> complex eigenbasis (coords space)
+    spaces: dict                     # "+l", "-l" (and "+c", "-c" if mixed) -> eigenbasis
     real_basis: np.ndarray           # (D, m) orthonormal real basis of g_{lambda,R}
     t_vector: np.ndarray             # coords of t_lambda in the (complex) torus basis
     omega: np.ndarray                # (m, m) complex alternating matrix on real_basis
@@ -52,135 +46,148 @@ class TorusRootDecomposition:
     killing_gram: np.ndarray         # Killing Gram matrix of the torus basis
 
 
-def classify_root(values: np.ndarray, tol: float = 1e-7) -> str:
-    """Classify a nonzero root by the real/imaginary parts of its values."""
-    v = np.asarray(values, dtype=complex)
-    scale = np.abs(v).max(initial=0.0)
+def classify_root(values: np.ndarray, tol: float = DEFAULT.cluster) -> str:
+    """Classify a nonzero root: a part below ``tol`` of its size counts as 0, as in clustering."""
+    v = np.ravel(values).astype(complex).tolist()
+    scale = max(map(abs, v), default=0.0)
     if scale <= tol:
         raise NumericalAbort("classify_root: zero root")
-    if np.abs(v.imag).max() <= tol * max(scale, 1.0):
+    cut = tol * max(scale, 1.0)
+    if max(abs(x.imag) for x in v) <= cut:
         return REAL
-    if np.abs(v.real).max() <= tol * max(scale, 1.0):
+    if max(abs(x.real) for x in v) <= cut:
         return IMAGINARY
     return MIXED
-
-
-def _real_span_basis(cols: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal real basis from real/imaginary parts of complex columns."""
-    parts = np.hstack([cols.real, cols.imag])
-    return orthonormal_columns(parts, tol)
 
 
 def decompose(
     model: LieAlgebraModel, torus: SubalgebraHandle, tol: Tolerances = DEFAULT
 ) -> TorusRootDecomposition:
-    """Split the model into g_0 and realified root spaces under the torus."""
+    """Split the model into g_0 and realified root spaces under the torus.
+
+    One SVD of the stacked torus ad's gives every cutoff's scale and dim
+    g_0, their joint kernel, which must match the zero clusters' widths.
+    A root orbit costs one kernel SVD per eigenspace that is not another's
+    conjugate (one for an imaginary root, two otherwise) and one SVD for
+    its real basis and Omega.
+    """
     r = torus.dim
     dim = model.dim
     if r == 0:
         return TorusRootDecomposition(model, torus, dim, (), (), np.zeros((0, 0)))
 
+    ads = model.ad(torus.coords)
+    sv = np.linalg.svd(ads.reshape(-1, dim), compute_uv=False)
+    scale = float(sv[0])
     for i in range(r):
         for j in range(i + 1, r):
-            br = model.bracket_coords(torus.coords[i], torus.coords[j])
-            if np.abs(br).max() > tol.closure * 10:
+            # [t_i, t_j] = ad(t_i) t_j is at most scale |t_j|; relative to that
+            # size, the brackets of an abelian torus are closure residuals
+            size = max(scale * float(np.linalg.norm(torus.coords[j])), 1.0)
+            if np.abs(ads[i] @ torus.coords[j]).max() > tol.closure * size:
                 raise NumericalAbort("torus is not abelian")
 
-    ads = model.ad(torus.coords)
-    scale = matrix_scale(ads)
-    spaces = simultaneous_eigenspaces(list(ads), tol, scale=scale)
-
     gram = torus.coords @ model.killing @ torus.coords.T
-    sg = np.linalg.svd(gram, compute_uv=False)
-    if sg[-1] <= tol.rank * sg[0]:
+    sg = np.abs(np.linalg.eigvalsh(gram))   # the singular values of a symmetric matrix
+    if sg.min() <= tol.rank * sg.max():
         raise NumericalAbort("Killing form is degenerate on the torus")
 
+    clusters = joint_eigenvalues(ads, tol, scale)
     snap = tol.cluster * max(scale, 1.0)
-    g0_dim = 0
-    nonzero: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-    for vals, w in spaces:
-        v = np.array(vals)
-        if np.abs(v).max(initial=0.0) <= snap:
-            g0_dim += w.shape[1]
-        else:
-            re = np.where(np.abs(v.real) <= snap, 0.0, v.real)
-            im = np.where(np.abs(v.imag) <= snap, 0.0, v.imag)
-            v = re + 1j * im
-            nonzero[value_key(v)] = (v, w)
+    zero = [max(map(abs, v)) <= snap for v, _ in clusters]
+    g0_dim = sum(k for (_, k), z in zip(clusters, zero) if z)
+    kernel_dim = dim - singular_rank(sv, tol.rank)
+    if g0_dim != kernel_dim:
+        raise NumericalAbort(
+            f"g_0 has dimension {g0_dim} by its eigenvalue clusters but {kernel_dim} as the "
+            "torus's kernel: the torus is defective, or the cluster tolerance merges roots with 0")
 
-    def find(v: np.ndarray):
-        for key, (vv, ww) in nonzero.items():
-            if np.abs(vv - v).max() <= 10 * tol.cluster * max(scale, 1.0):
-                return key
-        return None
+    raw = np.array([v for (v, _), z in zip(clusters, zero) if not z], dtype=complex).reshape(-1, r)
+    widths = [k for (_, k), z in zip(clusters, zero) if not z]
+    parts = raw.view(np.float64)       # re, im interleaved
+    vals = np.where(np.abs(parts) <= snap, 0.0, parts).view(complex)
+    shifts = np.where(vals.imag == 0, raw.real, raw)    # kernels at the raw means, real if real
+    keys = value_keys(vals)
+    points = vals.tolist()
 
-    roots: list[RootDatum] = []
-    all_values = [v for (v, _) in nonzero.values()]
+    def partner(target) -> int:
+        # two cluster means, each up to a cluster width off the root's value
+        d, j = min((max(abs(a - b) for a, b in zip(p, target)), j) for j, p in enumerate(points))
+        if d > 2.0 * snap:
+            raise NumericalAbort(f"root orbit incomplete: no eigenvalue cluster at {target}")
+        return j
+
+    order = sorted(range(len(points)), key=keys.__getitem__)
+    roots: list[tuple[tuple, RootDatum]] = []
     used: set = set()
-    for key in sorted(nonzero.keys()):
-        if key in used:
+    for i in order:
+        if i in used:
             continue
-        v, _ = nonzero[key]
-        orbit_keys = {}
-        for name, target in (("+l", v), ("-l", -v), ("+c", v.conj()), ("-c", -v.conj())):
-            k2 = find(target)
-            if k2 is None:
-                raise NumericalAbort(f"root orbit incomplete: missing {name} partner of {v}")
-            orbit_keys[name] = k2
-        used.update(orbit_keys.values())
-        candidates = {nonzero[k][0].tobytes(): nonzero[k][0] for k in set(orbit_keys.values())}
-        rep = max(candidates.values(), key=value_key)
-        roots.append(_build_root(model, torus, gram, rep, nonzero, find, tol))
+        v = points[i]
+        orbit = [partner(t) for t in (v, [-x for x in v], [x.conjugate() for x in v],
+                                      [-x.conjugate() for x in v])]    # l, -l, conj l, -conj l
+        if any(widths[j] != widths[i] for j in orbit):
+            raise NumericalAbort(f"root orbit of {v} has eigenspaces of unequal dimension")
+        used.update(orbit)
+        t = max(range(4), key=lambda a: keys[orbit[a]])
+        plus, minus = orbit[t], orbit[t ^ 1]    # the representative and its negative
+        roots.append((keys[plus], _build_root(model, ads, gram, vals[plus], shifts[plus],
+                                              shifts[minus], widths[i], tol, scale)))
 
-    total = g0_dim + sum(rd.real_dim for rd in roots)
+    total = g0_dim + sum(rd.real_dim for _, rd in roots)
     if total != dim:
         raise NumericalAbort(f"direct sum check failed: {total} != {dim}")
+    roots.sort(key=lambda kr: kr[0])
+    return TorusRootDecomposition(model, torus, g0_dim, tuple(rd for _, rd in roots),
+                                  tuple(vals[order]), gram)
 
-    roots.sort(key=lambda rd: value_key(rd.values))
-    return TorusRootDecomposition(
-        model, torus, g0_dim, tuple(roots), tuple(all_values), gram)
 
+def _build_root(model, ads, gram, rep, shift_plus, shift_minus, k: int,
+                tol: Tolerances, scale: float) -> RootDatum:
+    """The root datum of ``rep``, whose g_l and g_-l are the eigenspaces at the two shifts.
 
-def _build_root(model, torus, gram, rep, nonzero, find, tol: Tolerances) -> RootDatum:
-    cls = classify_root(rep, tol.cluster * 10)
-    w_plus = nonzero[find(rep)][1]
-    w_minus = nonzero[find(-rep)][1]
+    A real root's g_-l is its own real kernel, an imaginary root's is
+    conj(g_l); a mixed root's g_conj(l), g_-conj(l) are conj(g_l), conj(g_-l).
+    One SVD P = U S V^T of P = [Re W, Im W] (of W for a real root), W =
+    [w_plus, w_minus], gives the real basis U.  An imaginary root's columns
+    repeat, but they fix U's bits, and the Lagrangian scan's draws depend
+    on those.  With U = P Z, Z = V S^-1 on the kept singular values and z =
+    [I, -iI] Z / 2, U = W z + conj(W z) splits U into its g_l and g_-l parts.
+    """
+    cls = classify_root(rep, tol.cluster)
+    w_plus = joint_eigenspace(ads, shift_plus, k, tol, scale)
+    w_minus = (w_plus.conj() if cls == IMAGINARY
+               else joint_eigenspace(ads, shift_minus, k, tol, scale))
+    real = cls == REAL
+    p = np.hstack([w_plus, w_minus] if real else
+                  [w_plus.real, w_minus.real, w_plus.imag, w_minus.imag])
+    u, s, vh = np.linalg.svd(p, full_matrices=False)
+    found = singular_rank(s, tol.rank)
+    expected = 4 * k if cls == MIXED else 2 * k
+    if found != expected:
+        raise NumericalAbort(f"realified root space has dimension {found}, expected {expected}")
+    u, z = u[:, :found], vh[:found].T / s[:found]
+    if not real:
+        z = 0.5 * (z[:2 * k] - 1j * z[2 * k:])
+    plus, minus = w_plus @ z[:k], w_minus @ z[k:]
+    # U is the sum of its components up to round-off times P's condition,
+    # at most 1 / tol.rank; the eigenspaces are known to cluster accuracy
+    total = plus + minus
+    resid = np.abs((total if real else 2.0 * total.real) - u).max(initial=0.0)
+    if resid > tol.cluster:
+        raise NumericalAbort(f"root space basis outside its eigenspaces: residual {resid:.3e}")
+    if cls == IMAGINARY:        # conj(w_minus z_-) lies in g_l
+        plus = plus + minus.conj()
+        minus = plus.conj()
+
+    omega = (2.0 if cls == MIXED else 1.0) * (plus - minus).T @ model.killing @ (plus + minus)
+    # the symmetric part pairs eigenvector errors of cluster accuracy
+    asym = np.abs(omega + omega.T).max(initial=0.0)
+    if asym > tol.cluster * max(np.abs(omega).max(initial=0.0), 1.0):
+        raise NumericalAbort(f"Omega is not alternating (residual {asym:.3e})")
     spaces = {"+l": w_plus, "-l": w_minus}
     if cls == MIXED:
-        spaces["+c"] = nonzero[find(rep.conj())][1]
-        spaces["-c"] = nonzero[find(-rep.conj())][1]
-
-    real_basis = _real_span_basis(np.hstack([w_plus, w_minus]), tol.rank)
-    k = w_plus.shape[1]
-    expected = {REAL: 2 * k, IMAGINARY: 2 * k, MIXED: 4 * k}[cls]
-    if real_basis.shape[1] != expected:
-        raise NumericalAbort(
-            f"realified root space has dimension {real_basis.shape[1]}, expected {expected}")
-
-    t_vec = np.linalg.solve(gram.astype(complex), rep)
-
+        spaces.update({"+c": w_plus.conj(), "-c": w_minus.conj()})
     return RootDatum(
-        values=rep, classification=cls, complex_dim=k, spaces=spaces,
-        real_basis=real_basis, t_vector=t_vec, omega=_omega(model, cls, spaces, real_basis))
-
-
-def _omega(model, cls: str, spaces: dict, real_basis: np.ndarray) -> np.ndarray:
-    """Matrix of Omega_lambda on the real basis."""
-    # spaces runs +l, -l (then +c, -c for a mixed root), spanning real_basis
-    comp = solve_in_span(np.hstack(list(spaces.values())), real_basis.astype(complex), tol=1e-7)
-    ofs = np.concatenate([[0], np.cumsum([w.shape[1] for w in spaces.values()])])
-    plus = spaces["+l"] @ comp[ofs[0]:ofs[1]]
-    minus = spaces["-l"] @ comp[ofs[1]:ofs[2]]
-
-    K = model.killing.astype(complex)
-    diff = plus - minus
-    summ = plus + minus
-    omega = diff.T @ K @ summ
-    if cls == MIXED:
-        omega = 2.0 * omega
-
-    asym = np.abs(omega + omega.T).max(initial=0.0)
-    if asym > 1e-7 * max(np.abs(omega).max(initial=0.0), 1.0):
-        raise NumericalAbort(f"Omega is not alternating (residual {asym:.3e})")
-    return 0.5 * (omega - omega.T)
-
+        values=rep, classification=cls, complex_dim=k, spaces=spaces, real_basis=u,
+        t_vector=np.linalg.solve(gram.astype(complex), rep), omega=0.5 * (omega - omega.T))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import DEFAULT, NumericalAbort, Tolerances
 from .linalg import nullspace, orthonormal_columns, rank
-from .roots import MIXED, REAL, RootDatum, _real_span_basis
+from .roots import MIXED, REAL, RootDatum
 from .surface import (
     CohomologyWorkspace,
     Module,
@@ -211,7 +211,8 @@ def scan_invariant_lagrangians(
         # imaginary parts
         for cut in reals[:-1]:
             sel = real_mask & (rounded <= cut)
-            l1, l2 = (_real_span_basis(v, tol.rank) for v in (vecs[:, sel], vecs[:, ~sel]))
+            l1, l2 = (orthonormal_columns(np.hstack([v.real, v.imag]), tol.rank)
+                      for v in (vecs[:, sel], vecs[:, ~sel]))
             if l1.shape[1] == l2.shape[1] == m // 2:
                 if lagrangian_pair_check(module, omega, l1, l2, tol):
                     return l1, l2

@@ -328,3 +328,9 @@ def test_toledo_root_matches_full_report(capsys, name):
         _, out, _ = run_cli(capsys, "toledo", "--catalog", name, "--root", str(i), "--format", "json")
         assert json.loads(out)["roots"] == [entry]
     assert next(r["toledo"] for r in full if r["toledo"]) > 0
+
+
+def test_coarse_tol_cluster_exits_3(capsys):
+    # at a cluster tolerance of 0.9 every root merges with 0: an abort, not "flexible"
+    code, out, err = run_cli(capsys, "verdict", "--catalog", "su21-cline", "--tol-cluster", "0.9")
+    assert code == 3 and out == "" and "g_0 has dimension" in err

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import sys
 from collections import Counter
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import bent_genus2
 from flexcheck.catalog import build_case_representation, default_cases
+from flexcheck.config import DEFAULT, NumericalAbort, Tolerances
 from flexcheck.engine import (
     BalanceProblem,
     Pipeline,
@@ -226,6 +228,27 @@ def test_verdict_invariant_under_global_conjugation(name, scale, seed):
     ginv = np.linalg.inv(g)
     moved = surface_representation(rep.presentation, rep.model, [g @ a @ ginv for a in rep.images])
     assert _invariants(verdict(moved)) == want
+
+
+def test_verdict_stable_under_tolerance_scaling():
+    # every tolerance scaled by 10^-2 and 10^2 on every catalog case: the
+    # verdict stays, or the pipeline aborts; it never flips
+    fields = [f.name for f in dataclasses.fields(Tolerances) if f.name != "seed"]
+    outcomes = Counter()
+    for case in (c for c in default_cases() if c.computable):
+        rep = build_case_representation(case.name)
+        want = verdict(rep).verdict
+        for name in fields:
+            for factor in (1e-2, 1e2):
+                tol = dataclasses.replace(DEFAULT, **{name: getattr(DEFAULT, name) * factor})
+                try:
+                    got = verdict(rep, tol).verdict
+                except NumericalAbort:
+                    outcomes["abort"] += 1
+                    continue
+                assert got == want, (case.name, name, factor)
+                outcomes["same"] += 1
+    assert sum(outcomes.values()) == 12 * len(fields) * 2 == 168
 
 
 def test_verdict_nonreductive_inconclusive():

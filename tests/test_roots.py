@@ -1,10 +1,51 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from flexcheck.config import NumericalAbort
+from conftest import bent_genus2
+from flexcheck.catalog import build_case_representation, default_cases
+from flexcheck.config import DEFAULT, NumericalAbort
+from flexcheck.engine import Pipeline, verdict
 from flexcheck.liealg import subalgebra_from_matrices
 from flexcheck.roots import classify_root, decompose
 from flexcheck.scalars import Field, realify
+from flexcheck.surface import _expm, surface_representation
+
+# every catalog case with roots, two conjugates at scale 1.0 (g = exp(X), X
+# with normal coefficients, so that ad of the torus is far from normal) and
+# the rank-2 center of the bent genus-2 group, with a mixed root
+ROOT_CASES = ([c.name for c in default_cases() if c.computable and c.center_dim]
+              + ["sp31-cline conjugate", "su41-rplane conjugate", "bent-sl5"])
+
+
+def _conjugate(name: str, scale: float, seed: int):
+    rep = build_case_representation(name)
+    x = scale * np.random.default_rng(seed).standard_normal(rep.model.dim)
+    g = _expm(rep.model.matrix(x))
+    ginv = np.linalg.inv(g)
+    return surface_representation(rep.presentation, rep.model, [g @ a @ ginv for a in rep.images])
+
+
+@pytest.fixture(scope="module")
+def root_decompositions():
+    """(name, model, decomposition) for every entry of ROOT_CASES."""
+    out = []
+    for name in ROOT_CASES:
+        if name == "bent-sl5":
+            rep = bent_genus2()
+        elif name.endswith(" conjugate"):
+            rep = _conjugate(name.split()[0], 1.0, 0)
+        else:
+            rep = build_case_representation(name)
+        dec = Pipeline(rep).decomposition
+        assert dec.roots, name
+        if name.endswith(" conjugate"):
+            ad = rep.model.ad(dec.torus.coords[0])
+            assert np.abs(ad @ ad.T - ad.T @ ad).max() > 1e-2 * np.abs(ad).max() ** 2, name
+        out.append((name, rep.model, dec))
+    assert {r.classification for _, _, dec in out for r in dec.roots} == {"imaginary", "mixed"}
+    return out
 
 
 def test_classify_root_basics():
@@ -54,10 +95,8 @@ def test_empty_torus(models):
     assert dec.roots == ()
 
 
-def test_direct_sum_and_orthogonality(case_pipeline):
-    for name in ("su21-cline", "sp21-cline"):
-        rep, z, c, dec = case_pipeline(name)
-        model = rep.model
+def test_direct_sum_and_orthogonality(root_decompositions):
+    for name, model, dec in root_decompositions:
         total = dec.g0_dim + sum(r.real_dim for r in dec.roots)
         assert total == model.dim
         for i, r1 in enumerate(dec.roots):
@@ -66,10 +105,8 @@ def test_direct_sum_and_orthogonality(case_pipeline):
                 assert np.abs(cross).max() < 1e-9 * max(np.abs(model.killing).max(), 1.0)
 
 
-def test_omega_alternating_and_bracket_identity(case_pipeline, rng):
-    for name in ("su21-cline", "so41-rplane", "sp21-cline"):
-        rep, z, c, dec = case_pipeline(name)
-        model = rep.model
+def test_omega_alternating_and_bracket_identity(root_decompositions, rng):
+    for name, model, dec in root_decompositions:
         for r in dec.roots:
             om = r.omega
             assert np.abs(om + om.T).max() < 1e-8 * max(np.abs(om).max(), 1.0)
@@ -82,13 +119,14 @@ def test_omega_alternating_and_bracket_identity(case_pipeline, rng):
                 # Killing-orthogonal projection onto the torus, in torus coordinates
                 tproj = np.linalg.solve(dec.killing_gram, dec.torus.coords @ model.killing @ br)
                 pred = np.real(complex(xi @ om @ yi) * r.t_vector)
-                scale = max(np.abs(br).max(), 1.0)
+                # relative to the larger side: on a conjugated torus the Killing
+                # Gram shrinks (to 3e-4) and the torus coordinates grow past br
+                scale = max(np.abs(br).max(), np.abs(tproj).max(), 1.0)
                 assert np.abs(tproj - pred).max() < 1e-8 * scale
 
 
-def test_t_vector_defining_relation(case_pipeline):
-    for name in ("su21-cline", "so41-rplane", "sp21-cline"):
-        rep, z, c, dec = case_pipeline(name)
+def test_t_vector_defining_relation(root_decompositions):
+    for name, model, dec in root_decompositions:
         for r in dec.roots:
             resid = np.abs(dec.killing_gram.astype(complex) @ r.t_vector - r.values).max()
             assert resid < 1e-9 * max(np.abs(r.values).max(), 1.0)
@@ -140,15 +178,21 @@ def test_nonabelian_torus_rejected(models):
         decompose(m, bad)
 
 
+def _coords_in_span(basis, vectors):
+    """Least-squares coordinates of ``vectors`` in the span of ``basis``, checked to lie in it."""
+    coeff = np.linalg.lstsq(basis, vectors.astype(complex), rcond=None)[0]
+    assert np.abs(basis @ coeff - vectors).max() < 1e-8
+    return coeff
+
+
 def test_omega_sign_under_representative_flip(case_pipeline):
     # Omega_{-lambda} = -Omega_lambda: rebuild the form with the roles of
     # g_lambda and g_{-lambda} exchanged
     rep, z, c, dec = case_pipeline("su21-cline")
     r = dec.roots[0]
     model = rep.model
-    from flexcheck.linalg import solve_in_span
     stack = np.hstack([r.spaces["+l"], r.spaces["-l"]])
-    comp = solve_in_span(stack, r.real_basis.astype(complex))
+    comp = _coords_in_span(stack, r.real_basis)
     k = r.spaces["+l"].shape[1]
     plus = r.spaces["+l"] @ comp[:k]
     minus = r.spaces["-l"] @ comp[k:]
@@ -166,10 +210,9 @@ def test_omega_conjugate_for_mixed(models):
     torus = subalgebra_from_matrices(m, [rot + boost])
     dec = decompose(m, torus)
     r = [rr for rr in dec.roots if rr.classification == "mixed"][0]
-    from flexcheck.linalg import solve_in_span
     stack = np.hstack([r.spaces[k] for k in ("+l", "-l", "+c", "-c")])
     sizes = np.cumsum([0] + [r.spaces[k].shape[1] for k in ("+l", "-l", "+c", "-c")])
-    comp = solve_in_span(stack, r.real_basis.astype(complex))
+    comp = _coords_in_span(stack, r.real_basis)
     kmat = m.killing.astype(complex)
     # conjugate representative: the +c/-c spaces take over the +l/-l roles
     plus_c = r.spaces["+c"] @ comp[sizes[2]:sizes[3]]
@@ -187,3 +230,30 @@ def test_defective_torus_rejected(models):
     with pytest.raises(NumericalAbort):
         decompose(m, sub)
 
+
+@pytest.mark.parametrize("name", ["su21-cline", "su31-cline", "su41-cline"])
+def test_coarse_cluster_tolerance_aborts(name):
+    # every eigenvalue snaps into the zero cluster: g_0 would be the whole
+    # algebra, but the kernel of ad(t) is its centralizer
+    coarse = dataclasses.replace(DEFAULT, cluster=0.9)
+    with pytest.raises(NumericalAbort, match="g_0 has dimension"):
+        verdict(build_case_representation(name), coarse)
+
+
+def test_decompose_factorization_count(monkeypatch):
+    # one SVD of the torus ad's, then per root orbit one kernel and one
+    # real-basis SVD; no least-squares solve
+    pipe = Pipeline(build_case_representation("sp31-cline"))
+    center = pipe.center
+    calls = {"svd": 0, "lstsq": 0}
+    for fname in calls:
+        original = getattr(np.linalg, fname)
+
+        def counted(*args, _name=fname, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, fname, counted)
+    dec = decompose(pipe.rep.model, center)
+    assert [r.classification for r in dec.roots] == ["imaginary", "imaginary"]
+    assert calls["lstsq"] == 0 and calls["svd"] <= 1 + 2 * len(dec.roots) == 5
