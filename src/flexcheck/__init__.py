@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .config import (DEFAULT, ExcludedFamilyError, FlexcheckError, Inconclusive, NumericalAbort,
                      ParseError, Tolerances)
 from .scalars import Field, Quaternion, quaternion_multiply, realify
-from .linalg import nullspace, rank, simultaneous_eigenspaces
+from .linalg import nullspace, rank
 from .liealg import (
     LieAlgebraModel,
     SubalgebraHandle,
@@ -97,7 +97,6 @@ __all__ = [
     "root_form",
     "scan_invariant_lagrangians",
     "signature",
-    "simultaneous_eigenspaces",
     "smooth_point_check",
     "smoothness_of_rep",
     "splitso",

@@ -165,47 +165,3 @@ def joint_eigenvalues(ops: np.ndarray, tol: Tolerances, scale: float) -> list[tu
                         for g in _cluster_values(eigvals, tol.cluster * scale)]
         clusters = refined
     return clusters
-
-
-def simultaneous_eigenspaces(
-    ops: list[np.ndarray],
-    tol: Tolerances = DEFAULT,
-    dim: int | None = None,
-    scale: float | None = None,
-) -> list[tuple[tuple[complex, ...], np.ndarray]]:
-    """Joint eigenspace decomposition of pairwise-commuting real operators.
-
-    Returns ``[(eigenvalue tuple, complex orthonormal basis), ...]`` over the
-    clusters of :func:`joint_eigenvalues`, sorted by :func:`value_key`.  A
-    real eigenvalue gets a real kernel and conj(lambda) the conjugate of
-    lambda's basis.  Raises on non-commuting or defective operators.  An
-    empty operator list needs ``dim`` and yields the whole space.  ``scale``
-    is ``matrix_scale`` of the stacked operators.
-    """
-    if not ops:
-        if dim is None:
-            raise NumericalAbort("empty operator list: pass dim to fix the ambient space")
-        return [((), np.eye(dim, dtype=complex))]
-    n = ops[0].shape[0]
-    if any(op.shape != (n, n) for op in ops):
-        raise NumericalAbort("operators must share one square shape")
-    stack = np.stack(ops)
-    scale = matrix_scale(stack) if scale is None else scale
-    if scale == 0.0:
-        return [(tuple(0.0 + 0.0j for _ in ops), np.eye(n, dtype=complex))]
-    ctol = tol.cluster * scale
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            comm = matrix_scale(ops[i] @ ops[j] - ops[j] @ ops[i])
-            if comm > tol.cluster * scale * scale:
-                raise NumericalAbort(f"operators {i} and {j} do not commute: |[A,B]| = {comm:.3e}")
-    spaces: list[tuple[np.ndarray, np.ndarray]] = []
-    for vals, width in joint_eigenvalues(stack, tol, scale):
-        vals = np.array(vals)
-        real = np.abs(vals.imag).max() <= ctol
-        partner = None if real else next((w for mu, w in spaces if w.shape[1] == width
-                                          and np.abs(mu - vals.conj()).max() <= ctol), None)
-        spaces.append((vals, partner.conj() if partner is not None else
-                       joint_eigenspace(stack, vals.real if real else vals, width, tol, scale)))
-    return sorted(((tuple(complex(v) for v in vals), w.astype(complex, copy=False))
-                   for vals, w in spaces), key=lambda item: value_key(item[0]))

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from flexcheck.catalog import build_case_representation
-from flexcheck.config import NumericalAbort
+from flexcheck.config import DEFAULT, NumericalAbort
 from flexcheck.linalg import (
+    joint_eigenspace,
+    joint_eigenvalues,
     matrix_scale,
     nullspace,
     orthonormal_columns,
     rank,
-    simultaneous_eigenspaces,
     span_and_kernel,
     spectral_norms,
 )
@@ -40,9 +41,17 @@ def test_rank_plus_nullity(rng):
         assert rank(a) + nullspace(a).shape[1] == 7
 
 
+def _eigenspaces(ops) -> list[tuple[tuple, np.ndarray]]:
+    """(values, orthonormal basis) of each joint eigenvalue cluster of a commuting stack."""
+    stack = np.stack(ops)
+    scale = matrix_scale(stack)
+    return [(vals, joint_eigenspace(stack, vals, width, DEFAULT, scale))
+            for vals, width in joint_eigenvalues(stack, DEFAULT, scale)]
+
+
 def test_simultaneous_single_rotation():
     op = np.array([[0.0, -1.0], [1.0, 0.0]])
-    spaces = simultaneous_eigenspaces([op])
+    spaces = _eigenspaces([op])
     vals = sorted(v[0].imag for v, _ in spaces)
     assert np.allclose(vals, [-1.0, 1.0], atol=1e-12)
     assert all(abs(v[0].real) < 1e-12 for v, _ in spaces)
@@ -50,18 +59,15 @@ def test_simultaneous_single_rotation():
 
 
 def test_simultaneous_empty_ops():
-    spaces = simultaneous_eigenspaces([], dim=4)
-    assert len(spaces) == 1
-    vals, w = spaces[0]
-    assert vals == ()
-    assert w.shape == (4, 4)
+    # no operator leaves one cluster, the whole space, with no values
+    assert joint_eigenvalues(np.zeros((0, 4, 4)), DEFAULT, 0.0) == [((), 4)]
 
 
 def test_simultaneous_su21_example():
     su21 = build_classical("su", 2, 1)
     z = realify(np.diag([-2j, 1j, 1j]), Field.COMPLEX)
     adz = su21.ad(su21.coords(z))
-    spaces = simultaneous_eigenspaces([adz])
+    spaces = _eigenspaces([adz])
     dims = {}
     for (val,), w in spaces:
         dims[complex(np.round(val, 6))] = w.shape[1]
@@ -85,14 +91,17 @@ def test_real_operator_conjugate_clusters_are_exact_conjugates(rng):
         return np.array([[a, -b], [b, a]])
 
     op = _real_similar(rng, [rot(0.5, 2.0), rot(0.5, 2.0), rot(-1.0, 0.7), [[0.3]], [[0.0]]])
-    spaces = simultaneous_eigenspaces([op])
-    assert [w.shape[1] for _, w in spaces] == [1, 1, 1, 1, 2, 2]
-    by_value = {complex(np.round(v[0], 6)): w for v, w in spaces}
+    spaces = _eigenspaces([op])
+    assert sorted(w.shape[1] for _, w in spaces) == [1, 1, 1, 1, 2, 2]
+    by_value = {complex(np.round(v[0], 6)): (v[0], w) for v, w in spaces}
     for lam in (-1.0 + 0.7j, 0.5 + 2.0j):
-        assert np.array_equal(by_value[lam.conjugate()], by_value[lam].conj())
+        (mu, w), (mu_c, w_c) = by_value[lam], by_value[lam.conjugate()]
+        assert mu_c == mu.conjugate()
+        # the two kernels span conjugate spaces
+        assert np.abs(w_c @ w_c.conj().T - (w @ w.conj().T).conj()).max() < 1e-9
     # real eigenvalues get real kernels
     for lam in (0.0, 0.3):
-        assert not np.any(by_value[lam].imag)
+        assert by_value[lam][0].imag == 0 and not np.iscomplexobj(by_value[lam][1])
     for (lam,), w in spaces:
         assert np.abs(op @ w - lam * w).max() < 1e-9
 
@@ -102,14 +111,14 @@ def test_real_conjugate_jordan_pair_is_defective(rng):
     c = np.array([[0.5, -2.0], [2.0, 0.5]])
     op = _real_similar(rng, [np.block([[c, np.eye(2)], [np.zeros((2, 2)), c]])])
     with pytest.raises(NumericalAbort, match="defective"):
-        simultaneous_eigenspaces([op])
+        _eigenspaces([op])
 
 
 def test_noncommuting_rejected():
     a = np.diag([1.0, 2.0])
     b = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(NumericalAbort):
-        simultaneous_eigenspaces([a, b])
+    with pytest.raises(NumericalAbort, match="not invariant"):
+        _eigenspaces([a, b])
 
 
 def test_reconstruction_residual(rng):
@@ -118,7 +127,7 @@ def test_reconstruction_residual(rng):
     d = np.diag(rng.integers(-3, 4, size=6).astype(float))
     base = q @ d @ q.T
     ops = [base, base @ base - 2 * base]
-    spaces = simultaneous_eigenspaces(ops)
+    spaces = _eigenspaces(ops)
     full = np.hstack([w for _, w in spaces])
     for i, op in enumerate(ops):
         vals = np.concatenate([np.full(w.shape[1], v[i]) for v, w in spaces])
