@@ -34,13 +34,17 @@ from .scalars import (
 
 AMBIENT_CAP = 64  # realified matrix size guard
 # _finish_model holds the brackets of all dim^2 pairs of N x N basis matrices
-# (N the realified size) about five times over: two products, their
-# difference, its reconstruction from the structure constants and the
-# residual.  Time and memory grow as dim^2 N^2, about N^6: sl(14,R), at
-# 7.5e6 entries, took 36 s and 413 MB, and sl(20,R) exhausts memory.  The
-# budget admits sl(12,R) (2.9e6 entries, 10 s and 167 MB on one core); the
-# largest catalog group, sp(3,1), needs 3.3e5.
+# (N the realified size) once, dim^2 N^2 doubles, until the structure
+# constants are checked; the Jacobi check then holds 3 dim^3 doubles and its
+# dim^5 multiply-adds set the time.  For sl(n,R), dim ~ N^2, so memory grows
+# about as N^6: sl(14,R), at 7.5e6 entries, took 52 s and 276 MiB peak RSS.
+# The budget admits sl(12,R) (2.9e6 entries, 11 s and 122 MiB on one core);
+# the largest catalog group, sp(3,1), needs 3.3e5 and builds in about 20 ms.
 BRACKET_BUDGET = 2 ** 22
+# Ad(g) works on blocks of generators whose (k, dim, N, N) products hold at
+# most this many doubles (1 MiB).  The catalog groups at genus <= 8, and
+# sp(3,1) up to 14 generators, take one block.
+BLOCK_ENTRIES = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -101,15 +105,31 @@ class LieAlgebraModel:
         """Matrix of Ad(g) on model coordinates.
 
         A (K, N, N) stack of group elements gives the (K, dim, dim) stack
-        of their Ad matrices, from one batched inverse and product.
+        of their Ad matrices.  The stack goes through in blocks of
+        generators whose (k, dim, N, N) products hold at most BLOCK_ENTRIES
+        doubles, one batched inverse and product per block, so memory does
+        not grow with K beyond the input and the result.  Each slice's
+        arithmetic is the same whatever block it falls in.
         """
         g = np.asarray(g)
-        moved = g[..., None, :, :] @ self.basis @ np.linalg.inv(g)[..., None, :, :]
-        flat = np.swapaxes(moved.reshape(*g.shape[:-2], self.dim, -1), -1, -2)
+        n = self.realified_size
+        stack = g.reshape(-1, *g.shape[-2:])
+        out = np.empty((len(stack), self.dim, self.dim))
+        step = max(1, BLOCK_ENTRIES // (self.dim * n * n))
+        for k in range(0, len(stack), step):
+            out[k:k + step] = self._adjoint_block(stack[k:k + step], tol)
+        return out.reshape(*g.shape[:-2], self.dim, self.dim)
+
+    def _adjoint_block(self, g: np.ndarray, tol: float) -> np.ndarray:
+        """Ad matrices of a (k, N, N) block from one batched inverse and product."""
+        moved = g[:, None] @ self.basis @ np.linalg.inv(g)[:, None]
+        flat = np.swapaxes(moved.reshape(len(g), self.dim, -1), -1, -2)
         coeff = self._pinv @ flat
-        resid = np.abs(self._flat @ coeff - flat).max(axis=(-2, -1), initial=0.0)
+        resid = self._flat @ coeff
+        resid -= flat
+        worst = np.abs(resid, out=resid).max(axis=(-2, -1), initial=0.0)
         scale = np.maximum(np.abs(flat).max(axis=(-2, -1), initial=0.0), 1.0)
-        if np.any(resid > tol * scale):
+        if np.any(worst > tol * scale):
             raise NumericalAbort("Ad(g) does not preserve the model span; g is not in the group")
         return coeff
 
@@ -158,17 +178,43 @@ class SubalgebraHandle:
 def _jacobi_residual(c: np.ndarray) -> float:
     """Largest |c[i,j,m] c[m,k,l] + c[j,k,m] c[m,i,l] + c[k,i,m] c[m,j,l]|.
 
-    Summed over the cyclic permutations of (i, j, k) one slice l at a time,
-    so it needs dim^3 memory, not dim^4.
+    Summed over the cyclic permutations of (i, j, k) for a block of slices
+    l at a time, so it needs dim^3 memory, not dim^4.  A block holds at
+    most 2^14 entries (one slice if dim^3 is more): larger blocks leave
+    the cache and run slower than one slice at a time.
     """
     dim = c.shape[0]
     pairs = c.reshape(dim * dim, dim)
+    step = max(1, 2 ** 14 // dim ** 3)
     worst = 0.0
-    for l in range(dim):
-        t = (pairs @ c[:, :, l]).reshape(dim, dim, dim)  # t[i,j,k] = c[i,j,m] c[m,k,l]
-        cyclic = t + t.transpose(2, 0, 1) + t.transpose(1, 2, 0)
-        worst = max(worst, float(np.abs(cyclic).max(initial=0.0)))
+    for l0 in range(0, dim, step):
+        cols = c[:, :, l0:l0 + step]
+        # t[i,j,k,l] = c[i,j,m] c[m,k,l]
+        t = (pairs @ cols.reshape(dim, -1)).reshape(dim, dim, dim, cols.shape[2])
+        cyclic = t + t.transpose(2, 0, 1, 3)
+        cyclic += t.transpose(1, 2, 0, 3)
+        worst = max(worst, float(np.abs(cyclic, out=cyclic).max(initial=0.0)))
+        del t, cyclic  # before the next block allocates its own
     return worst
+
+
+def _brackets(basis: np.ndarray) -> np.ndarray:
+    """The (dim^2, N^2) array of all [X_i, X_j], row i * dim + j, C-contiguous.
+
+    The dim rows of X_i come from two GEMMs of the stacked basis, X_i X_j
+    and X_j X_i for every j, subtracted straight into the result, so the
+    only temporaries are 2 dim N^2 entries.  The basis entries are
+    small integers, so every product is exact and the bits do not depend
+    on the order of summation.
+    """
+    dim, n = basis.shape[:2]
+    side = basis.transpose(1, 0, 2).reshape(n, dim * n)  # X_0 | X_1 | ...
+    stacked = basis.reshape(dim * n, n)                   # X_0 over X_1 over ...
+    out = np.empty((dim, dim, n, n))
+    for i, x in enumerate(basis):
+        np.subtract((x @ side).reshape(n, dim, n).transpose(1, 0, 2),
+                    (stacked @ x).reshape(dim, n, n), out=out[i])
+    return out.reshape(dim * dim, n * n)
 
 
 def _finish_model(name, fld, n, family, mats, form, params) -> LieAlgebraModel:
@@ -176,23 +222,29 @@ def _finish_model(name, fld, n, family, mats, form, params) -> LieAlgebraModel:
     dim = basis.shape[0]
     flat = basis.reshape(dim, -1).T
     pinv = np.linalg.pinv(flat)
-    brackets = np.einsum("iab,jbc->ijac", basis, basis) - np.einsum("jab,ibc->ijac", basis, basis)
-    bflat = brackets.reshape(dim * dim, -1)
+    bflat = _brackets(basis)
+    # one GEMM: split into row blocks, it changes the last bit of some entries
+    # of c on su(3,1), su(4,1) and sp(2,1), and with them the reports
     c = (pinv @ bflat.T).T.reshape(dim, dim, dim)
-    recon = np.einsum("ijk,kab->ijab", c, basis)
-    resid = np.abs(recon - brackets).max(initial=0.0)
+    resid = 0.0
+    for i in range(dim):  # rebuild the brackets of row i from c, in place
+        recon = c[i] @ flat.T
+        recon -= bflat[i * dim:(i + 1) * dim]
+        resid = max(resid, float(np.abs(recon, out=recon).max(initial=0.0)))
+    del bflat
     scale = max(np.abs(basis).max(), 1.0)
     if resid > MODEL_CLOSURE * scale * scale:
         raise NumericalAbort(f"{name}: basis is not bracket-closed (residual {resid:.3e})")
     killing = np.einsum("ikl,jlk->ij", c, c)
+    # C order makes the (dim, dim^2) matrices that ad() and the Jacobi check
+    # multiply views, not copies
+    c = np.ascontiguousarray(c)
 
     jresid = _jacobi_residual(c)
     if jresid > MODEL_JACOBI * max(np.abs(c).max(initial=0.0), 1.0) ** 2 * dim:
         raise NumericalAbort(f"{name}: Jacobi identity fails (residual {jresid:.3e})")
 
     killing_sv = np.linalg.svd(killing, compute_uv=False)
-    # C order makes the (dim, dim^2) matrix that ad() multiplies a view, not a copy per call
-    c = np.ascontiguousarray(c)
 
     # the model is shared by every caller of build_classical: freeze it
     for arr in (basis, flat, pinv, c, killing, killing_sv, form):

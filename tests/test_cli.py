@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import flexcheck
 from flexcheck.cli import main, round12, schema_path
 
 
@@ -185,6 +188,16 @@ def test_field_matrix_input_matches_catalog(tmp_path, capsys, case, family):
     assert got["provenance"].pop("source") == "matrices"
     assert want["provenance"].pop("source") == f"catalog:{case}"
     assert code == want_code and got == want
+
+
+def test_module_entry_point():
+    src = os.path.dirname(os.path.dirname(flexcheck.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "flexcheck", "catalog", "--format", "json"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert any(row["name"] == "sp31-cline" for row in json.loads(proc.stdout)["cases"])
 
 
 def test_schema_ships():

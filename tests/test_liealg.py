@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -433,6 +435,56 @@ def test_catalog_groups_are_well_inside_the_bracket_budget():
         if case.computable:
             model = build_classical(case.family, case.m, 1)
             assert model.dim ** 2 * model.realified_size ** 2 * 8 <= liealg.BRACKET_BUDGET
+
+
+def _bit_guard_groups():
+    """Every catalog group, sl(2..8,R), sp(4,R), so(2,2) and su(2,2)."""
+    groups = {(case.family, case.m, 1) for case in default_cases() if case.computable}
+    groups |= {("sl", n) for n in range(2, 9)} | {("spr", 2), ("so", 2, 2), ("su", 2, 2)}
+    return sorted(groups)
+
+
+@pytest.mark.parametrize("group", _bit_guard_groups(), ids=lambda g: "".join(map(str, g)))
+def test_structure_constants_keep_the_bits_of_the_einsum_route(group):
+    model = build_classical(*group)
+    basis, dim = model.basis, model.dim
+    # integer entries make every product X_i X_j exact, whatever the summation order
+    assert np.array_equal(basis, np.round(basis))
+    brackets = (np.einsum("iab,jbc->ijac", basis, basis)
+                - np.einsum("jab,ibc->ijac", basis, basis))
+    pinv = np.linalg.pinv(basis.reshape(dim, -1).T)
+    c = (pinv @ brackets.reshape(dim * dim, -1).T).T.reshape(dim, dim, dim)
+    assert np.array_equal(model.structure, c)
+    assert np.array_equal(model.killing, np.einsum("ikl,jlk->ij", c, c))
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_model_build_peak_memory():
+    # uncached, so the shared model is untouched; the brackets array is dim^2 N^2 doubles
+    model, peak = _traced_peak(liealg._construct.__wrapped__, "sp", 3, 1)
+    assert peak <= 1.5 * model.dim ** 2 * model.realified_size ** 2 * 8
+
+
+def test_stacked_adjoint_peak_memory_and_blocks(monkeypatch):
+    rep = build_case_representation("sp31-cline")
+    images = np.stack([rep.images[k % 4] for k in range(512)])
+    whole, peak = _traced_peak(rep.model.adjoint_group_matrix, images)
+    assert peak <= 16 * 2 ** 20
+    per_image = rep.model.dim * rep.model.realified_size ** 2
+    for size in (1, 5, 17, 40):
+        monkeypatch.setattr(liealg, "BLOCK_ENTRIES", size * per_image)
+        assert np.array_equal(rep.model.adjoint_group_matrix(images), whole)
+        parts = [rep.model.adjoint_group_matrix(images[k:k + size])
+                 for k in range(0, len(images), size)]
+        assert np.array_equal(np.concatenate(parts), whole)
 
 
 def test_ambient_cap(monkeypatch):
