@@ -64,8 +64,25 @@ def relator_prefixes(presentation: SurfaceGroupPresentation, images) -> list:
     return prefixes
 
 
-def relator_product(presentation: SurfaceGroupPresentation, images) -> np.ndarray:
-    return relator_prefixes(presentation, images)[-1]
+def _fox_calculus(presentation: SurfaceGroupPresentation, acts: np.ndarray):
+    """Relator prefixes, Fox blocks and relator map of per-generator actions.
+
+    ``acts`` is the (2g, m, m) stack of generator actions.  Returns the
+    (4g + 1, m, m) prefixes, the (4g, m, m) Fox block of each letter and
+    the (m, 2g m) relator map, the sum of each generator's two blocks.
+    """
+    ngen, m = presentation.generator_count, acts.shape[-1]
+    prefixes = np.array(relator_prefixes(presentation, acts))
+    # letter k's Fox block is P_k for a generator and -P_k L^-1 = -P_{k+1}
+    # for an inverse; the relator map sums them per generator, whose two
+    # letters in a surface relator come in letter order
+    gens, signs = np.array(presentation.letters).T
+    if np.any(np.bincount(gens, minlength=ngen) != 2):
+        raise FlexcheckError("each generator must occur twice in the relator")
+    fox = np.where((signs > 0)[:, None, None], prefixes[:-1], -prefixes[1:])
+    first, second = np.argsort(gens, kind="stable").reshape(ngen, 2).T
+    relator_map = np.swapaxes(fox[first] + fox[second], 0, 1).reshape(m, ngen * m)
+    return prefixes, fox, relator_map
 
 
 def surface_representation(
@@ -249,22 +266,12 @@ def cohomology(rep: SurfaceRepresentation, module: Module, tol: Tolerances = DEF
     acts = np.array(module.actions, dtype=float)
     eye = np.eye(m)
 
-    prefixes = np.array(relator_prefixes(pres, acts))           # (4g + 1, m, m)
+    prefixes, fox, relator_map = _fox_calculus(pres, acts)
     scale = max(float(np.abs(prefixes).max()), 1.0)
     if np.abs(prefixes[-1] - eye).max() > tol.cocycle * scale * 10:
         raise NumericalAbort(
             "module action does not kill the relator "
             "(central lift with a module that sees the center?)")
-
-    # letter k's Fox block is P_k for a generator and -P_k L^-1 = -P_{k+1}
-    # for an inverse; the relator map sums them per generator, whose two
-    # letters in a surface relator come in letter order
-    gens, signs = np.array(pres.letters).T
-    if np.any(np.bincount(gens, minlength=ngen) != 2):
-        raise FlexcheckError("each generator must occur twice in the relator")
-    fox = np.where((signs > 0)[:, None, None], prefixes[:-1], -prefixes[1:])
-    first, second = np.argsort(gens, kind="stable").reshape(ngen, 2).T
-    relator_map = np.swapaxes(fox[first] + fox[second], 0, 1).reshape(m, ngen * m)
 
     z1 = nullspace(relator_map, tol.rank, scale=scale)
     # one thin SVD of the coboundary map v -> ((A_s - 1) v)_s: its left
@@ -402,48 +409,37 @@ def correct_relator(
 ) -> list[np.ndarray]:
     """Move generator images back onto the relator variety.
 
-    Newton iteration on F(g) = relator(g) - sign * I with tangent moves
-    g_i -> g_i exp(eps X) along the model basis; each step solves the
-    linearized equation in the least-squares sense.  It stops when the
-    residual, relative to the prefix scale as in ``surface_representation``,
-    is below ``tol``, and returns only images that ``surface_representation``
-    accepts; a singular or non-finite iterate aborts.
+    Newton iteration on the relator R(g) with left moves
+    g_s -> exp(X_s) g_s.  To first order the moved relator is
+    (I + J x) R, J the Fox-calculus relator map of the adjoint module
+    (as in ``cohomology``), so each step solves J x = target R^-1 - I in
+    model coordinates by least squares, cut at ``DEFAULT.rank``.  It
+    stops when the residual, relative to the prefix scale as in
+    ``surface_representation``, is below ``tol``, and returns only images
+    that ``surface_representation`` accepts; a singular, overflowing or
+    non-finite iterate aborts.
     """
-    gens = [np.asarray(g, dtype=float).copy() for g in images]
-    n = gens[0].shape[0]
-    dim = model.dim
-    target = target_sign * np.eye(n)
-
-    def residual(gs):
-        return (relator_product(presentation, gs) - target).reshape(-1)
-
-    h = 1e-6
+    gens = np.array([np.asarray(g, dtype=float) for g in images])
+    eye = np.eye(gens.shape[-1])
+    target = target_sign * eye
     try:
-        for _ in range(max_iter):
-            prefixes = relator_prefixes(presentation, gens)
-            if not np.isfinite(prefixes).all():
-                raise NumericalAbort("relator correction diverged: non-finite generator images")
-            f0 = (prefixes[-1] - target).reshape(-1)
-            if np.abs(f0).max() < tol * max(float(np.abs(prefixes).max()), 1.0):
-                surface_representation(presentation, model, gens, central_lift=target_sign < 0)
-                return gens
-            cols = []
-            for i in range(len(gens)):
-                for k in range(dim):
-                    step = _expm(h * model.basis[k])
-                    step_inv = _expm(-h * model.basis[k])
-                    plus = list(gens)
-                    plus[i] = gens[i] @ step
-                    minus = list(gens)
-                    minus[i] = gens[i] @ step_inv
-                    cols.append((residual(plus) - residual(minus)) / (2 * h))
-            jac = np.stack(cols, axis=1)
-            # the relator lives in the group, so the Jacobian is rank deficient
-            # as a map into all matrices; truncate firmly
-            delta, _, _, _ = np.linalg.lstsq(jac, -f0, rcond=1e-8)
-            for i in range(len(gens)):
-                move = np.tensordot(delta[i * dim : (i + 1) * dim], model.basis, axes=(0, 0))
-                gens[i] = gens[i] @ _expm(move)
-    except np.linalg.LinAlgError as exc:
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(max_iter):
+                prefixes = relator_prefixes(presentation, gens)
+                if not np.isfinite(prefixes).all():
+                    raise NumericalAbort("relator correction diverged: non-finite generator images")
+                rel = prefixes[-1]
+                if np.abs(rel - target).max() < tol * max(float(np.abs(prefixes).max()), 1.0):
+                    fixed = list(gens)
+                    surface_representation(presentation, model, fixed, central_lift=target_sign < 0)
+                    return fixed
+                jac = _fox_calculus(presentation, model.adjoint_group_matrix(gens))[2]
+                # least squares onto the model span: the residual lies in the
+                # algebra only to first order, so no span check
+                rhs = model._pinv @ (target @ np.linalg.inv(rel) - eye).reshape(-1)
+                x = np.linalg.lstsq(jac, rhs, rcond=DEFAULT.rank)[0]
+                moves = model.matrix(x.reshape(len(gens), model.dim))
+                gens = np.array([_expm(move) @ g for move, g in zip(moves, gens)])
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
         raise NumericalAbort(f"relator correction failed: {exc}") from exc
     raise NumericalAbort("relator correction did not converge")
