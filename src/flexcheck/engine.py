@@ -112,8 +112,10 @@ def balanced(problem: BalanceProblem, tol: Tolerances = DEFAULT) -> BalanceResul
     if not proj:
         return BalanceResult(False, None, u[:, 0], k)
     pmat = np.stack(proj, axis=1)               # (k, |P|)
-    if rank(pmat, tol.rank) < k:
-        compl = nullspace(pmat.T, tol.rank)
+    # floored by the unprojected P: one inside span(N) projects to rounding noise
+    pscale = max(float(np.abs(p).max(initial=0.0)) for p in problem.p_vectors)
+    if rank(pmat, tol.rank, scale=pscale) < k:
+        compl = nullspace(pmat.T, tol.rank, scale=pscale)
         return BalanceResult(False, None, u @ compl[:, 0], k)
     feasible, nu, y = _phase1(pmat, -pmat.sum(axis=1))
     if feasible:

@@ -211,12 +211,13 @@ def standard_module(rep: SurfaceRepresentation) -> Module:
     return Module(tuple(rep.images), kind="standard")
 
 
-def restricted_module(module: Module, basis: np.ndarray, tol: float = 1e-8) -> Module:
+def restricted_module(module: Module, basis: np.ndarray, tol: Tolerances = DEFAULT) -> Module:
     """Restrict a module to an invariant subspace with orthonormal basis columns."""
     moved = np.stack(module.actions) @ basis
     small = basis.T @ moved
     resid = np.abs(moved - basis @ small).max(axis=(1, 2), initial=0.0)
-    bad = np.flatnonzero(resid > tol * np.maximum(np.abs(moved).max(axis=(1, 2), initial=0.0), 1.0))
+    scale = np.maximum(np.abs(moved).max(axis=(1, 2), initial=0.0), 1.0)
+    bad = np.flatnonzero(resid > tol.membership * 10 * scale)   # actions hold to tol.membership
     if bad.size:
         raise NumericalAbort(
             f"subspace is not invariant under the module action (residual {resid[bad[0]]:.3e})")
@@ -233,7 +234,6 @@ class CohomologyWorkspace:
     module: Module
     relator_map: np.ndarray          # (m, 2g m) Fox-calculus map
     fox_blocks: np.ndarray           # (4g, m, m) each letter's Fox block
-    z1: np.ndarray                   # orthonormal columns, cocycles
     b1: np.ndarray                   # orthonormal columns, coboundaries
     h1: np.ndarray                   # orthonormal columns, harmonic representatives
     h0_basis: np.ndarray             # invariant vectors of the module
@@ -244,6 +244,11 @@ class CohomologyWorkspace:
     @property
     def module_dim(self) -> int:
         return self.module.dim
+
+    @property
+    def z1(self) -> np.ndarray:
+        """Orthonormal cocycle columns [H^1 | B^1], spanning ker of the relator map."""
+        return np.hstack([self.h1, self.b1])
 
     def cocycle_residual(self, u: np.ndarray):
         """Relator-map residual of a cochain, relative to its largest entry.
@@ -257,7 +262,7 @@ class CohomologyWorkspace:
 
 
 def cohomology(rep: SurfaceRepresentation, module: Module, tol: Tolerances = DEFAULT) -> CohomologyWorkspace:
-    """Z^1, B^1, H^1 and the dimension bookkeeping for one module."""
+    """B^1, H^1 (the cocycles orthogonal to B^1) and the dimension bookkeeping of a module."""
     pres = rep.presentation
     m = module.dim
     ngen = pres.generator_count
@@ -273,7 +278,6 @@ def cohomology(rep: SurfaceRepresentation, module: Module, tol: Tolerances = DEF
             "module action does not kill the relator "
             "(central lift with a module that sees the center?)")
 
-    z1 = nullspace(relator_map, tol.rank, scale=scale)
     # one thin SVD of the coboundary map v -> ((A_s - 1) v)_s: its left
     # vectors span B^1, its right null vectors span H^0
     b1, fixed = span_and_kernel((acts - eye).reshape(ngen * m, m), tol.rank, scale=1.0)
@@ -281,32 +285,21 @@ def cohomology(rep: SurfaceRepresentation, module: Module, tol: Tolerances = DEF
         worst = np.abs(relator_map @ b1).max() / scale
         if worst > tol.cocycle * 10:
             raise NumericalAbort(f"coboundaries fail the cocycle condition ({worst:.3e})")
+    # H^1 = ker [J / scale; B^1^T]: scaled, J's rows share the orthonormal B^1^T
+    # rows' cutoff tol.rank * max(sigma_max, 1), the one ker J alone gets
+    h1 = nullspace(np.vstack([relator_map / scale, b1.T]), tol.rank, scale=1.0)
 
-    if b1.shape[1]:
-        overlap = b1.T @ z1
-        kern = nullspace(overlap, tol.rank) if overlap.size else np.eye(z1.shape[1])
-    else:
-        kern = np.eye(z1.shape[1])
-    h1 = z1 @ kern
-
-    # H^2 is dual to the coinvariants: only its dimension is needed
-    h0 = fixed.shape[1]
+    # H^2 is dual to the coinvariants: only its dimension is needed.  With
+    # B^1 in ker J, the Euler identity is the rank condition rank J = m - h2
+    h0, hdim = fixed.shape[1], h1.shape[1]
     h2 = m - rank((np.swapaxes(acts, 1, 2) - eye).reshape(ngen * m, m), tol.rank, scale=1.0)
     chi = pres.euler_characteristic
-
-    zdim, bdim, hdim = z1.shape[1], b1.shape[1], h1.shape[1]
-    if bdim != m - h0:
-        raise NumericalAbort(f"dim B1 = {bdim} != dim V - dim H0 = {m - h0}")
-    if zdim != hdim + bdim:
-        raise NumericalAbort(f"dim Z1 = {zdim} != dim H1 + dim B1 = {hdim + bdim}")
     if h0 - hdim + h2 != chi * m:
         raise NumericalAbort(
             f"Euler identity fails: {h0} - {hdim} + {h2} != chi * dim = {chi * m}")
-    if zdim != h2 + (1 - chi) * m:
-        raise NumericalAbort(f"dim Z1 = {zdim} != dim H2 + (1 - chi) dim = {h2 + (1 - chi) * m}")
 
     return CohomologyWorkspace(
-        rep=rep, module=module, relator_map=relator_map, fox_blocks=fox, z1=z1, b1=b1, h1=h1,
+        rep=rep, module=module, relator_map=relator_map, fox_blocks=fox, b1=b1, h1=h1,
         h0_basis=fixed, h0_dim=h0, h1_dim=hdim, h2_dim=h2)
 
 
@@ -414,22 +407,24 @@ def correct_relator(
     (I + J x) R, J the Fox-calculus relator map of the adjoint module
     (as in ``cohomology``), so each step solves J x = target R^-1 - I in
     model coordinates by least squares, cut at ``DEFAULT.rank``.  It
-    stops when the residual, relative to the prefix scale as in
-    ``surface_representation``, is below ``tol``, and returns only images
-    that ``surface_representation`` accepts; a singular, overflowing or
-    non-finite iterate aborts.
+    stops when the residual, relative to the input's prefix scale (as in
+    ``surface_representation``), is below ``tol``; a scale taken from each
+    iterate would grow with images that run off and accept them.  It
+    returns only images that ``surface_representation`` accepts; a
+    singular, overflowing or non-finite iterate aborts.
     """
     gens = np.array([np.asarray(g, dtype=float) for g in images])
     eye = np.eye(gens.shape[-1])
     target = target_sign * eye
     try:
         with np.errstate(over="raise", invalid="raise"):
+            stop = tol * max(float(np.abs(relator_prefixes(presentation, gens)).max()), 1.0)
             for _ in range(max_iter):
                 prefixes = relator_prefixes(presentation, gens)
                 if not np.isfinite(prefixes).all():
                     raise NumericalAbort("relator correction diverged: non-finite generator images")
                 rel = prefixes[-1]
-                if np.abs(rel - target).max() < tol * max(float(np.abs(prefixes).max()), 1.0):
+                if np.abs(rel - target).max() < stop:
                     fixed = list(gens)
                     surface_representation(presentation, model, fixed, central_lift=target_sign < 0)
                     return fixed

@@ -75,7 +75,7 @@ def root_cohomology(
     tol: Tolerances = DEFAULT,
 ) -> CohomologyWorkspace:
     """H^* of the realified root space of ``root`` in the adjoint module; aborts if not invariant."""
-    mod = restricted_module(adjoint, root.real_basis, tol=tol.membership * 10)
+    mod = restricted_module(adjoint, root.real_basis, tol)
     return cohomology(rep, mod, tol)
 
 
@@ -172,7 +172,7 @@ def lagrangian_pair_check(
         if np.abs(sub.T @ omega @ sub).max(initial=0.0) > 1e-8 * scale:
             return False
         try:
-            restricted_module(module, orthonormal_columns(sub, tol.rank), tol.membership * 10)
+            restricted_module(module, orthonormal_columns(sub, tol.rank), tol)
         except NumericalAbort:
             return False
     return True

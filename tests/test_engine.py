@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import sys
 from collections import Counter
 
@@ -148,6 +149,43 @@ def test_balanced_invariance(rng):
     # adjoining a vector already in span(N) changes nothing
     more = balanced(BalanceProblem(2, tuple(pts), (nvecs[0], 2.5 * nvecs[0]))).balanced
     assert more == base
+
+
+def _has_supporting_functional(dim, p, n):
+    """Brute force: is there an f != 0 with f.n = 0 on N and f.p >= 0 on P?
+
+    Exact on integer vectors.  The cone of such f, if not {0}, holds a line
+    (the rows [N; P] have rank < dim) or an extreme ray, the null vector of
+    dim - 1 independent rows, taken here as signed maximal minors.
+    """
+    rows = np.array(list(n) + list(p), dtype=float).reshape(-1, dim)
+    if np.linalg.matrix_rank(rows) < dim:
+        return True
+    for sub in itertools.combinations(rows, dim - 1):
+        sub = np.array(sub).reshape(dim - 1, dim)
+        f = np.round([(-1) ** i * np.linalg.det(np.delete(sub, i, axis=1)) for i in range(dim)])
+        if not f.any() or np.any(rows[:len(n)] @ f != 0):
+            continue
+        values = rows[len(n):] @ f
+        if np.all(values >= 0) or np.all(values <= 0):
+            return True
+    return False
+
+
+def test_balanced_matches_supporting_functional_enumeration():
+    # small integer vectors with quotient dimension <= 3; a P-vector inside
+    # span(N) projects to rounding noise and must not count as spanning
+    assert not balanced(BalanceProblem(2, (np.array([2.0, -2.0]),), (np.array([-1.0, 1.0]),))).balanced
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        dim = int(rng.integers(1, 5))
+        n = [v for v in rng.integers(-2, 3, size=(rng.integers(0, dim + 1), dim)) if v.any()]
+        p = [v for v in rng.integers(-2, 3, size=(rng.integers(0, 6), dim)) if v.any()]
+        if dim - np.linalg.matrix_rank(np.array(n, dtype=float).reshape(-1, dim)) > 3:
+            continue
+        res = balanced(BalanceProblem(dim, tuple(np.array(p, dtype=float)),
+                                      tuple(np.array(n, dtype=float))))
+        assert res.balanced != _has_supporting_functional(dim, p, n), (dim, p, n)
 
 
 def test_classify_PN_reselects_positive(case_pipeline):

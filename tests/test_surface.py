@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import bent_genus2
 from flexcheck.catalog import default_cases
-from flexcheck.config import FlexcheckError, NumericalAbort
+from flexcheck.config import DEFAULT, FlexcheckError, NumericalAbort
 from flexcheck.engine import Pipeline
 from flexcheck.liealg import build_classical, subalgebra_from_matrices
-from flexcheck.linalg import orthonormal_columns
+from flexcheck.linalg import nullspace, orthonormal_columns
 from flexcheck.roots import decompose
 from flexcheck.scalars import Field, realify
 from flexcheck.surface import (
@@ -408,6 +409,24 @@ def test_correct_relator_converges_near_every_case(case_pipeline, name, seed):
         assert np.abs(a - b).max() < 1e-2 * max(np.abs(b).max(), 1.0)
 
 
+def test_correct_relator_moves_little_when_it_converges(case_pipeline):
+    # the stop is relative to the input's prefix scale: relative to each
+    # iterate's, sp21-rplane at 1e-2 (seed 2) ran off to entries ~1e42 and
+    # was accepted there
+    converged = 0
+    for name in [c.name for c in default_cases() if c.computable]:
+        for seed in range(3):
+            rep, images = _perturbed(case_pipeline, name, seed, scale=1e-2)
+            try:
+                fixed = correct_relator(images, rep.presentation, rep.model)
+            except NumericalAbort:
+                continue
+            converged += 1
+            for a, b in zip(fixed, images):
+                assert np.abs(a - b).max() < 0.5 * np.abs(b).max(), (name, seed)
+    assert converged >= 24
+
+
 def test_correct_relator_divergence_aborts(case_pipeline):
     # so41-rplane perturbed at scale 1 (seed 0) is far from the relator
     # variety: Newton overflows, which aborts instead of warning
@@ -494,6 +513,24 @@ def test_cohomology_matches_separate_span_and_kernel_svds(fuchsian, case_pipelin
             assert np.array_equal(ws.fox_blocks[k], prefixes[k] if sign > 0 else -prefixes[k + 1])
             relator_map[:, s] += ws.fox_blocks[k]
         assert np.array_equal(ws.relator_map, relator_map.reshape(m, -1))
+
+
+def test_cocycles_match_the_relator_map_kernel(fuchsian, case_pipeline):
+    # Z^1 = [H^1 | B^1] from the stacked kernel spans what the relator map's
+    # own kernel, cut at the prefix scale, spans
+    pinched = surface_representation(
+        standard_presentation(3), fuchsian.model, list(fuchsian.images) + [np.eye(2)] * 2)
+    pipes = [Pipeline(rep) for rep in (fuchsian, pinched, bent_genus2())]
+    pipes += [Pipeline(case_pipeline(c.name)[0]) for c in default_cases() if c.computable]
+    for pipe in pipes:
+        for ws in (cohomology(pipe.rep, pipe.adjoint),) + pipe.workspaces:
+            prefixes = relator_prefixes(pipe.rep.presentation, ws.module.actions)
+            scale = max(float(np.abs(prefixes).max()), 1.0)
+            z1 = nullspace(ws.relator_map, DEFAULT.rank, scale=scale)
+            assert ws.z1.shape == z1.shape
+            assert np.abs(ws.z1 @ ws.z1.T - z1 @ z1.T).max(initial=0.0) < 1e-7
+            assert np.abs(ws.z1.T @ ws.z1 - np.eye(z1.shape[1])).max(initial=0.0) < 1e-12
+            assert np.abs(ws.h1.T @ ws.b1).max(initial=0.0) < 1e-12
 
 
 def test_cohomology_needs_two_letters_per_generator(fuchsian):
