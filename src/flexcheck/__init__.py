@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .config import (DEFAULT, ExcludedFamilyError, FlexcheckError, Inconclusive, NumericalAbort,
                      ParseError, Tolerances)
-from .scalars import Field, Quaternion, quaternion_multiply, realify
+from .scalars import Field, Quaternion, realify
 from .linalg import nullspace, rank
 from .liealg import (
     LieAlgebraModel,
@@ -30,24 +30,13 @@ from .surface import (
     cohomology,
     correct_relator,
     cup_pairing,
-    cup_square,
     fuchsian_genus2,
     standard_presentation,
     surface_representation,
 )
-from .toledo import (RootFormReport, lagrangian_pair_check, root_cohomology, root_form,
-                     scan_invariant_lagrangians, signature)
-from .engine import (
-    BalanceProblem,
-    FlexibilityReport,
-    balanced,
-    smooth_point_check,
-    smoothness_of_rep,
-    verdict,
-    virtual_dimension,
-)
-from .catalog import (build_case_representation, default_cases, expected_table, find_case,
-                      hom_bracket_closed_form, splitso)
+from .toledo import RootFormReport, root_cohomology, root_form
+from .engine import BalanceProblem, FlexibilityReport, balanced, verdict
+from .catalog import build_case_representation, default_cases, expected_table, find_case
 
 __all__ = [
     "BalanceProblem",
@@ -80,29 +69,19 @@ __all__ = [
     "conjugation_limit",
     "correct_relator",
     "cup_pairing",
-    "cup_square",
     "decompose",
     "default_cases",
     "expected_table",
     "find_case",
     "fuchsian_genus2",
-    "hom_bracket_closed_form",
     "killing_restriction_nondegenerate",
-    "lagrangian_pair_check",
     "nullspace",
-    "quaternion_multiply",
     "rank",
     "realify",
     "root_cohomology",
     "root_form",
-    "scan_invariant_lagrangians",
-    "signature",
-    "smooth_point_check",
-    "smoothness_of_rep",
-    "splitso",
     "standard_presentation",
     "surface_representation",
     "verdict",
-    "virtual_dimension",
     "__version__",
 ]

@@ -1,4 +1,4 @@
-"""Rank-one catalog: block embeddings, splitso decompositions, expected tables.
+"""Rank-one catalog: block embeddings and expected tables.
 
 Base cases: a Fuchsian genus-2 group mapped either through the adjoint
 SL(2,R) -> SO(2,1) into the real-plane block of o(m,1,F), or through the
@@ -14,117 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, ExcludedFamilyError, FlexcheckError, NumericalAbort, Tolerances
-from .liealg import _form_matrix, _indefinite_basis, build_classical
-from .scalars import Field, Quaternion, field_units, left_block, realify
+from .config import DEFAULT, ExcludedFamilyError, FlexcheckError, Tolerances
+from .liealg import build_classical
+from .scalars import Field, Quaternion, realify
 from .surface import (
     SurfaceRepresentation,
     fuchsian_genus2,
     standard_presentation,
     surface_representation,
 )
-
-# ---------------------------------------------------------------------------
-# splitso: o(m,q,F) = o(m-p,F) + o(p,q,F) + Hom_F(F^{m-p}, F^{p+q})
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SplitsoDecomposition:
-    field: Field
-    m: int
-    q: int
-    p: int
-    compact_block: list          # realified basis of o(m-p, F), upper-left
-    indefinite_block: list       # realified basis of o(p, q, F), lower-right
-    hom_block: list              # realified basis of the off-diagonal block
-    hom_index: list              # (row k in F^{p+q}, col l in F^{m-p}, unit) per basis element
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return (len(self.compact_block), len(self.indefinite_block), len(self.hom_block))
-
-    def hom_element(self, b) -> np.ndarray:
-        """Realified block matrix for B in F^{(p+q) x (m-p)}.
-
-        ``b`` has shape (p+q, m-p) with entries scalars of the field
-        (real or complex numbers, or Quaternion instances).
-        """
-        return _hom_matrix(self.field, self.m, self.q, self.p, realify(b, self.field))
-
-
-def _hom_matrix(fld: Field, m: int, q: int, p: int, rb: np.ndarray) -> np.ndarray:
-    """[[0, -B* e], [B, 0]] realified, blocks (m-p) + (p+q), from rb = R(B).
-
-    Realification turns B* into R(B)^T and e into the realified form.
-    """
-    d = fld.dim
-    top = d * (m - p)
-    out = np.zeros((d * (m + q), d * (m + q)))
-    out[top:, :top] = rb
-    out[:top, top:] = -rb.T @ _form_matrix(fld, p, q)
-    return out
-
-
-def _on_diagonal(mats, offset: int, total: int, d: int) -> list:
-    """Realified square matrices placed at a diagonal offset of a total x total matrix."""
-    out = []
-    for x in mats:
-        big = np.zeros((d * total, d * total))
-        block = slice(d * offset, d * offset + len(x))
-        big[block, block] = x
-        out.append(big)
-    return out
-
-
-def splitso(m: int, q: int, fld: Field | str, p: int) -> SplitsoDecomposition:
-    """Three-block decomposition of o(m, q, F) along an F^p x F^{m-p} split."""
-    if isinstance(fld, str):
-        if fld.strip().upper() == "O":
-            raise ExcludedFamilyError("octonionic splitso is excluded")
-        fld = Field.parse(fld)
-    if not (0 < p < m):
-        raise FlexcheckError("splitso needs 0 < p < m")
-    total = m + q
-    top = m - p
-    d = fld.dim
-    compact = _on_diagonal(_indefinite_basis(fld, top, 0), 0, total, d)
-    lower = _on_diagonal(_indefinite_basis(fld, p, q), top, total, d)
-    hom = []
-    index = []
-    for k in range(p + q):
-        for l in range(top):
-            for u in field_units(fld):
-                rb = np.zeros((d * (p + q), d * top))
-                rb[d * k : d * k + d, d * l : d * l + d] = left_block(u, fld)
-                hom.append(_hom_matrix(fld, m, q, p, rb))
-                index.append((k, l, u))
-    dims = (len(compact), len(lower), len(hom))
-    formula = {
-        Field.REAL: lambda n: n * (n - 1) // 2,
-        Field.COMPLEX: lambda n: n * n,
-        Field.QUATERNION: lambda n: n * (2 * n + 1),
-    }[fld]
-    if sum(dims) != formula(total):
-        raise NumericalAbort(
-            f"splitso dims {dims} do not sum to dim o({m},{q},{fld.value}) = {formula(total)}")
-    return SplitsoDecomposition(fld, m, q, p, compact, lower, hom, index)
-
-
-def hom_bracket_closed_form(dec: SplitsoDecomposition, b, c):
-    """Expected bracket of two hom-block elements: diag(C*eB - B*eC, CB*e - BC*e).
-
-    b, c are (p+q) x (m-p) matrices over the field; the closed form is
-    evaluated on their realifications, where B* becomes R(B)^T.
-    """
-    fld = dec.field
-    rb, rc = realify(b, fld), realify(c, fld)
-    e = _form_matrix(fld, dec.p, dec.q)
-    top = fld.dim * (dec.m - dec.p)
-    out = np.zeros((fld.dim * (dec.m + dec.q),) * 2)
-    out[:top, :top] = rc.T @ e @ rb - rb.T @ e @ rc
-    out[top:, top:] = rc @ rb.T @ e - rb @ rc.T @ e
-    return out
-
 
 # ---------------------------------------------------------------------------
 # Catalog cases

@@ -119,12 +119,14 @@ def load_problem(args) -> dict:
         raise ParseError("a problem is required: --catalog NAME or --input FILE")
 
     try:
-        with open(args.input) as fh:
+        with open(args.input, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {args.input}: {exc}")
     except json.JSONDecodeError as exc:
         raise ParseError(f"{args.input}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{args.input}: not UTF-8 text ({exc.reason} at byte {exc.start})")
 
     if not isinstance(doc, dict):
         raise ParseError("a problem must be a JSON object")
@@ -249,7 +251,7 @@ def _standard_module_report(problem) -> dict:
         "h1_dim": form.h1_dim,
         "signature": form.signature,
         "toledo": form.toledo,
-        "milnor_wood_bound": -rep.presentation.euler_characteristic * form.module_dim,
+        "milnor_wood_bound": form.milnor_wood_bound,
         "milnor_wood_slack": form.milnor_wood_slack,
     }
 
@@ -257,7 +259,6 @@ def _standard_module_report(problem) -> dict:
 def _toledo_report(problem, root_index: int | None) -> dict:
     pipe = Pipeline(problem["rep"], problem["tol"])
     n = len(pipe.decomposition.roots)
-    chi = pipe.rep.presentation.euler_characteristic
     if root_index is not None and not (0 <= root_index < n):
         raise ParseError(f"--root {root_index} out of range; decomposition has {n} root(s)")
     entries = []
@@ -271,7 +272,7 @@ def _toledo_report(problem, root_index: int | None) -> dict:
             "signature": rr.signature,
             "toledo": rr.toledo,
             "definite": rr.definite,
-            "milnor_wood_bound": -chi * r.real_dim,
+            "milnor_wood_bound": rr.milnor_wood_bound,
             "milnor_wood_slack": rr.milnor_wood_slack,
             "status": rr.status,
         })

@@ -20,7 +20,7 @@ from .config import DEFAULT, Inconclusive, NumericalAbort, Tolerances
 from .liealg import SubalgebraHandle, center_of, centralizer, killing_restriction_nondegenerate
 from .linalg import nullspace, orthonormal_columns, rank, value_key
 from .roots import IMAGINARY, MIXED, TorusRootDecomposition, decompose
-from .surface import CohomologyWorkspace, Module, SurfaceRepresentation, adjoint_module, cohomology
+from .surface import CohomologyWorkspace, Module, SurfaceRepresentation, adjoint_module
 from .toledo import RootFormReport, root_cohomology, root_form
 
 
@@ -212,52 +212,6 @@ def _orient(rep: RootFormReport, sign: int) -> RootFormReport:
     flipped = _flip_representative(rep)
     return replace(flipped, root=replace(flipped.root, values=rep.root.values,
                                          t_vector=rep.root.t_vector))
-
-
-def smooth_point_check(
-    decomp: TorusRootDecomposition,
-    components: dict,
-    tol: Tolerances = DEFAULT,
-) -> bool:
-    """Do the roots carrying a nonzero component span c* tensor C?
-
-    ``components`` maps representative roots to cohomology-class pieces
-    (anything with a norm); zero pieces are dropped.
-    """
-    r = decomp.torus.dim
-    if r == 0:
-        return True
-    rows = []
-    for root, piece in components.items():
-        if np.linalg.norm(np.asarray(piece)) > tol.cluster:
-            rows.append(root.values)
-    if not rows:
-        return False
-    mat = np.stack(rows, axis=0)
-    return rank(mat, tol.rank) == r
-
-
-def virtual_dimension(genus: int, dim_g: int, dim_radical: int = 0) -> int:
-    """(1 - chi) dim(G) + dim(radical) for a genus-g surface group."""
-    chi = 2 - 2 * genus
-    return (1 - chi) * dim_g + dim_radical
-
-
-@dataclass(frozen=True)
-class SmoothnessReport:
-    z1_dim: int
-    vdim: int
-    h0_dim: int
-    h2_dim: int
-    smooth: bool
-
-
-def smoothness_of_rep(rep: SurfaceRepresentation, tol: Tolerances = DEFAULT) -> SmoothnessReport:
-    """Compare dim Z^1 of the adjoint module with the virtual dimension."""
-    ws = cohomology(rep, adjoint_module(rep), tol)
-    vdim = virtual_dimension(rep.presentation.genus, rep.model.dim)
-    z1 = ws.z1.shape[1]
-    return SmoothnessReport(z1, vdim, ws.h0_dim, ws.h2_dim, z1 == vdim)
 
 
 @dataclass(frozen=True)

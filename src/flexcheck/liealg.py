@@ -23,7 +23,7 @@ from .config import (
     NumericalAbort,
     Tolerances,
 )
-from .linalg import matrix_scale, nullspace, orthonormal_columns, singular_rank, spectral_norms
+from .linalg import matrix_scale, nullspace, orthonormal_columns, singular_rank
 from .scalars import (
     Field,
     field_units,
@@ -136,17 +136,26 @@ class LieAlgebraModel:
     def group_membership_residual(self, g: np.ndarray):
         """Residual of the defining relations of the ambient group at g.
 
-        Relative to max(|g|^2, 1) for the form (or determinant) and to
-        max(|g|, 1) for the imaginary units.  A (K, N, N) stack gives a
-        length-K array, one residual per image, from one batched SVD.
+        Relative to max(|g|^2, 1) for the form, to the condition number
+        kappa(g) = sigma_max / sigma_min for the determinant (infinite for a
+        singular g), and to max(|g|, 1) for the imaginary units.  The
+        determinant needs kappa: against |g|^2, diag(1e9, 1) would pass, and
+        past 1e154 the square overflows to a zero residual.  A (K, N, N)
+        stack gives a length-K array, one residual per image, from one
+        batched SVD.
         """
         g = np.asarray(g)
-        norm = spectral_norms(g)
+        sv = np.linalg.svd(g, compute_uv=False)
+        norm = sv[..., 0]
         if self.form is not None:
             res = np.abs(np.swapaxes(g, -1, -2) @ self.form @ g - self.form).max(axis=(-2, -1))
+            res = res / np.maximum(norm ** 2, 1.0)
         else:
-            res = np.abs(np.linalg.det(g) - 1.0)
-        res = res / np.maximum(norm ** 2, 1.0)
+            regular = sv[..., -1] > 0
+            kappa = np.divide(norm, sv[..., -1], out=np.full_like(norm, np.inf), where=regular)
+            with np.errstate(over="ignore"):        # an overflowing det is inf: rejected
+                det = np.linalg.det(g)
+            res = np.where(regular, np.abs(det - 1.0) / kappa, np.inf)
         for r in _unit_operators(self.field, self.ambient):
             units = np.abs(g @ r - r @ g).max(axis=(-2, -1)) / np.maximum(norm, 1.0)
             res = np.maximum(res, units)

@@ -150,9 +150,10 @@ def _build_root(model, ads, gram, rep, shift_plus, shift_minus, k: int,
     conj(g_l); a mixed root's g_conj(l), g_-conj(l) are conj(g_l), conj(g_-l).
     One SVD P = U S V^T of P = [Re W, Im W] (of W for a real root), W =
     [w_plus, w_minus], gives the real basis U.  An imaginary root's columns
-    repeat, but they fix U's bits, and the Lagrangian scan's draws depend
-    on those.  With U = P Z, Z = V S^-1 on the kept singular values and z =
-    [I, -iI] Z / 2, U = W z + conj(W z) splits U into its g_l and g_-l parts.
+    repeat, but they fix U's bits, and the draws of the Lagrangian scan in
+    the tests (``tests/reference.py``) depend on those.  With U = P Z,
+    Z = V S^-1 on the kept singular values and z = [I, -iI] Z / 2,
+    U = W z + conj(W z) splits U into its g_l and g_-l parts.
     """
     cls = classify_root(rep, tol.cluster)
     w_plus = joint_eigenspace(ads, shift_plus, k, tol, scale)

@@ -84,13 +84,6 @@ Q_J = Quaternion(0.0, 0.0, 1.0)
 Q_K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
-def quaternion_multiply(p: Quaternion, q: Quaternion) -> Quaternion:
-    """Hamilton product; both arguments must be quaternions."""
-    if not isinstance(p, Quaternion) or not isinstance(q, Quaternion):
-        raise FlexcheckError("quaternion_multiply needs two Quaternion operands")
-    return p * q
-
-
 def _field_scalar(value, field: Field):
     """``value`` as a scalar of the field (see ``realify``); TypeError otherwise."""
     if field is Field.QUATERNION:

@@ -193,7 +193,6 @@ class Module:
     """Per-generator action matrices of a real coefficient module."""
 
     actions: tuple[np.ndarray, ...]
-    kind: str = "generic"
 
     @property
     def dim(self) -> int:
@@ -203,12 +202,12 @@ class Module:
 def adjoint_module(rep: SurfaceRepresentation) -> Module:
     """Ad of every generator image, from one batched call."""
     acts = rep.model.adjoint_group_matrix(np.stack(rep.images))
-    return Module(tuple(acts), kind="adjoint")
+    return Module(tuple(acts))
 
 
 def standard_module(rep: SurfaceRepresentation) -> Module:
     """The generator images acting on the ambient column space."""
-    return Module(tuple(rep.images), kind="standard")
+    return Module(tuple(rep.images))
 
 
 def restricted_module(module: Module, basis: np.ndarray, tol: Tolerances = DEFAULT) -> Module:
@@ -221,7 +220,7 @@ def restricted_module(module: Module, basis: np.ndarray, tol: Tolerances = DEFAU
     if bad.size:
         raise NumericalAbort(
             f"subspace is not invariant under the module action (residual {resid[bad[0]]:.3e})")
-    return Module(tuple(small), kind=f"{module.kind}|restricted")
+    return Module(tuple(small))
 
 
 # ---------------------------------------------------------------------------
@@ -359,19 +358,6 @@ def cup_pairing(
     return out.reshape(omega.shape[:-2] + u.shape[1:] + v.shape[1:])[()]
 
 
-def cup_square(ws: CohomologyWorkspace, u: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Class of [u cup u] in H^2, as Killing pairings against the H^0 basis.
-
-    Requires the adjoint module; H^2 is identified with H^0 through the
-    Killing form (the adjoint module is self-dual).
-    """
-    if ws.module.kind != "adjoint":
-        raise FlexcheckError("cup_square is defined on the adjoint module")
-    model = ws.rep.model
-    forms = np.einsum("ijk,kl->lij", model.structure, model.killing @ ws.h0_basis)
-    return cup_pairing(ws, forms, u, u, tol)
-
-
 # ---------------------------------------------------------------------------
 # Relator correction (Newton least squares on the representation variety)
 # ---------------------------------------------------------------------------
@@ -411,7 +397,8 @@ def correct_relator(
     ``surface_representation``), is below ``tol``; a scale taken from each
     iterate would grow with images that run off and accept them.  It
     returns only images that ``surface_representation`` accepts; a
-    singular, overflowing or non-finite iterate aborts.
+    singular, overflowing or non-finite iterate aborts, and so does one
+    that a step has moved out of the group.
     """
     gens = np.array([np.asarray(g, dtype=float) for g in images])
     eye = np.eye(gens.shape[-1])
@@ -419,7 +406,7 @@ def correct_relator(
     try:
         with np.errstate(over="raise", invalid="raise"):
             stop = tol * max(float(np.abs(relator_prefixes(presentation, gens)).max()), 1.0)
-            for _ in range(max_iter):
+            for step in range(max_iter):
                 prefixes = relator_prefixes(presentation, gens)
                 if not np.isfinite(prefixes).all():
                     raise NumericalAbort("relator correction diverged: non-finite generator images")
@@ -428,7 +415,15 @@ def correct_relator(
                     fixed = list(gens)
                     surface_representation(presentation, model, fixed, central_lift=target_sign < 0)
                     return fixed
-                jac = _fox_calculus(presentation, model.adjoint_group_matrix(gens))[2]
+                try:
+                    ads = model.adjoint_group_matrix(gens)
+                except NumericalAbort as exc:
+                    if step == 0:       # the caller's own images
+                        raise
+                    raise NumericalAbort(
+                        f"relator correction left the group after Newton step {step}: "
+                        "the undamped step moved an image off the model span") from exc
+                jac = _fox_calculus(presentation, ads)[2]
                 # least squares onto the model span: the residual lies in the
                 # algebra only to first order, so no span check
                 rhs = model._pinv @ (target @ np.linalg.inv(rel) - eye).reshape(-1)

@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from flexcheck.catalog import default_cases, hom_bracket_closed_form, splitso
+from flexcheck.catalog import default_cases
 from flexcheck.engine import BalanceProblem, balanced, verdict
 from flexcheck.scalars import Field, Quaternion
 from flexcheck.surface import (
@@ -20,12 +20,13 @@ from flexcheck.surface import (
     standard_module,
     surface_representation,
 )
-from flexcheck.toledo import (
+from flexcheck.toledo import root_cohomology, root_form
+from reference import (
+    hom_bracket_closed_form,
     lagrangian_pair_check,
-    root_cohomology,
-    root_form,
     scan_invariant_lagrangians,
     signature,
+    splitso,
 )
 
 

@@ -10,12 +10,11 @@ from flexcheck.catalog import (
     embed_base,
     expected_table,
     find_case,
-    hom_bracket_closed_form,
-    splitso,
 )
 from flexcheck.scalars import Field, Quaternion
 from flexcheck.surface import _expm, adjoint_module
 from flexcheck.toledo import root_cohomology, root_form
+from reference import hom_bracket_closed_form, splitso
 
 
 def test_splitso_dims():

@@ -69,6 +69,14 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    code, out, err = run_cli(capsys, "verdict", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("flexcheck: parse error: ") and "not UTF-8" in err
+
+
 def test_malformed_matrix_entry(tmp_path, capsys):
     doc = {
         "group": {"family": "sl", "params": [2]},

@@ -17,78 +17,19 @@ from flexcheck.engine import (
     Pipeline,
     balanced,
     classify_PN,
-    smooth_point_check,
-    smoothness_of_rep,
     verdict,
-    virtual_dimension,
 )
 from flexcheck.liealg import LieAlgebraModel, build_classical, centralizer
 from flexcheck.surface import (
     _check_invariant_form,
     _expm,
     adjoint_module,
+    cohomology,
     cup_pairing,
     standard_presentation,
     surface_representation,
 )
 from flexcheck.toledo import root_cohomology, root_form
-
-
-def test_virtual_dimension():
-    assert virtual_dimension(2, 3) == 9
-    assert virtual_dimension(2, 8) == 24
-    assert virtual_dimension(2, 8, 1) == 25
-    assert virtual_dimension(3, 3) == 15
-
-
-def test_smoothness_fuchsian(fuchsian):
-    rep = smoothness_of_rep(fuchsian)
-    assert rep.z1_dim == 9 and rep.vdim == 9 and rep.smooth
-    assert rep.h0_dim == 0 and rep.h2_dim == 0
-
-
-def test_smoothness_su21_block_fails(case_pipeline):
-    rep, z, c, dec = case_pipeline("su21-cline")
-    sm = smoothness_of_rep(rep)
-    assert sm.h0_dim == 1
-    assert sm.z1_dim == 25 and sm.vdim == 24
-    assert not sm.smooth
-
-
-def test_smoothness_trivial_rep():
-    model = build_classical("sl", 2)
-    rep = surface_representation(standard_presentation(2), model, [np.eye(2)] * 4)
-    sm = smoothness_of_rep(rep)
-    assert sm.h0_dim == 3
-    assert sm.z1_dim == 4 * 3
-    assert not sm.smooth
-
-
-def test_smooth_point_check(case_pipeline):
-    rep, z, c, dec = case_pipeline("su21-cline")
-    root = dec.roots[0]
-    assert smooth_point_check(dec, {root: np.array([1.0])})
-    assert not smooth_point_check(dec, {root: np.array([0.0])})
-    assert not smooth_point_check(dec, {})
-    # zero-dimensional center: vacuously smooth
-    rep0, z0, c0, dec0 = case_pipeline("su21-rplane")
-    assert smooth_point_check(dec0, {})
-
-
-def test_smooth_point_check_rank_deficient():
-    # two-dimensional torus, classes supported on one root only
-    class Dummy:
-        pass
-
-    dec = Dummy()
-    dec_torus = Dummy()
-    dec_torus.dim = 2
-    dec.torus = dec_torus
-
-    r1 = Dummy(); r1.values = np.array([1j, 0.0])
-    r2 = Dummy(); r2.values = np.array([0.0, 1j])
-    assert not smooth_point_check(dec, {r1: np.array([1.0])})
-    assert smooth_point_check(dec, {r1: np.array([1.0]), r2: np.array([1.0])})
 
 
 def test_balanced_one_dim_cases():
@@ -310,8 +251,9 @@ def test_verdict_genus3_explicit(fuchsian):
     assert out.verdict == "flexible"
     assert out.centralizer_dim == 0 and out.center_dim == 0
     assert out.genus == 3
-    sm = smoothness_of_rep(rep)
-    assert sm.smooth and sm.vdim == virtual_dimension(3, 3)
+    # a smooth point: Z^1 of the adjoint module has the virtual dimension (1 - chi) dim
+    ws = cohomology(rep, adjoint_module(rep))
+    assert ws.z1.shape[1] == (1 - rep.presentation.euler_characteristic) * rep.model.dim == 15
 
 
 def _count_calls(monkeypatch, *fns) -> Counter:

@@ -17,7 +17,7 @@ from flexcheck.liealg import (
 from flexcheck.catalog import build_case_representation, default_cases
 from flexcheck.linalg import matrix_scale, nullspace
 from flexcheck.scalars import Field, imaginary_units, realify, right_multiplication_operator
-from flexcheck.surface import _expm
+from flexcheck.surface import _expm, standard_presentation, surface_representation
 
 
 def test_dimensions(models):
@@ -264,6 +264,27 @@ def test_group_membership(models, fuchsian):
     assert m.group_membership_residual(2.0 * np.eye(2)) > 1e-3
 
 
+_UNIPOTENT = [np.array([[1.0, t], [0.0, 1.0]]) for t in (1.0, 2.0, 3.0, 5.0)]
+
+
+@pytest.mark.parametrize("images, accepted", [
+    ([np.diag([1e7, 1.0])] * 4, False),
+    ([np.diag([1e9, 1.0])] * 4, False),
+    ([np.diag([1e308, 1.0])] * 4, False),
+    ([np.diag([1.0, 0.0])] * 4, False),
+    ([np.diag([1e8, 1e-8])] * 4, True),
+    (_UNIPOTENT, True),
+], ids=["1e7", "1e9", "1e308", "singular", "1e8-1e-8", "unipotent"])
+def test_sl_determinant_is_judged_against_the_condition_number(models, images, accepted):
+    # against |g|^2, det(diag(1e9, 1)) = 1e9 would pass as 1, and past 1e154
+    # the square overflows to a zero residual
+    if accepted:
+        surface_representation(standard_presentation(2), models["sl2"], images)
+    else:
+        with pytest.raises(NumericalAbort, match="violates the group relations"):
+            surface_representation(standard_presentation(2), models["sl2"], images)
+
+
 def _adjoint_reference(model, g):
     """Ad(g) on model coordinates by the dim * N^4 einsum the model once used."""
     moved = np.einsum("ab,ibc,cd->iad", g, model.basis, np.linalg.inv(g))
@@ -277,7 +298,8 @@ def _membership_reference(model, g):
     if model.form is not None:
         res = max(res, float(np.abs(g.T @ model.form @ g - model.form).max()) / scale)
     else:
-        res = max(res, abs(float(np.linalg.det(g)) - 1.0) / scale)
+        cond = np.linalg.cond(g)
+        res = max(res, abs(float(np.linalg.det(g)) - 1.0) / cond if np.isfinite(cond) else np.inf)
     for unit in imaginary_units(model.field):
         r = right_multiplication_operator(model.field, model.ambient, unit)
         res = max(res, float(np.abs(g @ r - r @ g).max()) / max(matrix_scale(g), 1.0))

