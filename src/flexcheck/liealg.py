@@ -136,13 +136,13 @@ class LieAlgebraModel:
     def group_membership_residual(self, g: np.ndarray):
         """Residual of the defining relations of the ambient group at g.
 
-        Relative to max(|g|^2, 1) for the form, to the condition number
-        kappa(g) = sigma_max / sigma_min for the determinant (infinite for a
-        singular g), and to max(|g|, 1) for the imaginary units.  The
-        determinant needs kappa: against |g|^2, diag(1e9, 1) would pass, and
-        past 1e154 the square overflows to a zero residual.  A (K, N, N)
-        stack gives a length-K array, one residual per image, from one
-        batched SVD.
+        Relative to max(|g|^2, 1) for the form, to min(kappa(g), max(|g|^2, 1))
+        with kappa(g) = sigma_max / sigma_min for the determinant, and to
+        max(|g|, 1) for the imaginary units.  Against |g|^2 alone diag(1e9, 1)
+        would pass; against kappa alone so would diag(1, 1e-7), whose det is
+        far from 1 but whose kappa is large.  A singular g, or one whose scale
+        overflows, is rejected with an infinite residual.  A (K, N, N) stack
+        gives a length-K array, one residual per image, from one batched SVD.
         """
         g = np.asarray(g)
         sv = np.linalg.svd(g, compute_uv=False)
@@ -152,10 +152,12 @@ class LieAlgebraModel:
             res = res / np.maximum(norm ** 2, 1.0)
         else:
             regular = sv[..., -1] > 0
-            kappa = np.divide(norm, sv[..., -1], out=np.full_like(norm, np.inf), where=regular)
-            with np.errstate(over="ignore"):        # an overflowing det is inf: rejected
+            with np.errstate(over="ignore"):        # what overflows is inf: rejected below
+                kappa = np.divide(norm, sv[..., -1], out=np.full_like(norm, np.inf), where=regular)
+                scale = np.minimum(kappa, np.maximum(norm ** 2, 1.0))
                 det = np.linalg.det(g)
-            res = np.where(regular, np.abs(det - 1.0) / kappa, np.inf)
+            judged = regular & np.isfinite(scale)
+            res = np.divide(np.abs(det - 1.0), scale, out=np.full_like(norm, np.inf), where=judged)
         for r in _unit_operators(self.field, self.ambient):
             units = np.abs(g @ r - r @ g).max(axis=(-2, -1)) / np.maximum(norm, 1.0)
             res = np.maximum(res, units)

@@ -272,12 +272,19 @@ _UNIPOTENT = [np.array([[1.0, t], [0.0, 1.0]]) for t in (1.0, 2.0, 3.0, 5.0)]
     ([np.diag([1e9, 1.0])] * 4, False),
     ([np.diag([1e308, 1.0])] * 4, False),
     ([np.diag([1.0, 0.0])] * 4, False),
+    ([np.diag([1e8, 0.0])] * 4, False),
+    ([np.diag([1.0, 1e-7])] * 4, False),
+    ([np.diag([1.0, -1e-7])] * 4, False),
+    ([np.diag([1.0, 1e-310])] * 4, False),
+    ([np.diag([1e200, 1e-200])] * 4, False),
     ([np.diag([1e8, 1e-8])] * 4, True),
     (_UNIPOTENT, True),
-], ids=["1e7", "1e9", "1e308", "singular", "1e8-1e-8", "unipotent"])
+], ids=["1e7", "1e9", "1e308", "singular", "singular-1e8", "1e-7", "-1e-7", "1e-310",
+        "overflowing-scale", "1e8-1e-8", "unipotent"])
 def test_sl_determinant_is_judged_against_the_condition_number(models, images, accepted):
-    # against |g|^2, det(diag(1e9, 1)) = 1e9 would pass as 1, and past 1e154
-    # the square overflows to a zero residual
+    # against |g|^2 alone, det(diag(1e9, 1)) = 1e9 would pass as 1, and past
+    # 1e154 the square overflows to a zero residual; against kappa alone,
+    # det(diag(1, 1e-7)) = 1e-7 would pass as 1
     if accepted:
         surface_representation(standard_presentation(2), models["sl2"], images)
     else:
@@ -298,8 +305,10 @@ def _membership_reference(model, g):
     if model.form is not None:
         res = max(res, float(np.abs(g.T @ model.form @ g - model.form).max()) / scale)
     else:
-        cond = np.linalg.cond(g)
-        res = max(res, abs(float(np.linalg.det(g)) - 1.0) / cond if np.isfinite(cond) else np.inf)
+        det_scale = min(np.linalg.cond(g), scale)
+        regular = np.linalg.svd(g, compute_uv=False)[-1] > 0
+        res = (abs(float(np.linalg.det(g)) - 1.0) / det_scale
+               if regular and np.isfinite(det_scale) else np.inf)
     for unit in imaginary_units(model.field):
         r = right_multiplication_operator(model.field, model.ambient, unit)
         res = max(res, float(np.abs(g @ r - r @ g).max()) / max(matrix_scale(g), 1.0))
