@@ -93,11 +93,11 @@ def _int(value, where: str) -> int:
 
 
 def _tolerance(value, where: str) -> float:
-    # a JSON true is an int to isinstance, and would run as 1.0
-    if (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value) and value > 0):
+    # a JSON true is an int to isinstance, and would run as 1.0; Tolerances
+    # rejects a value below its floor
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
         return float(value)
-    raise ParseError(f"{where} must be a positive finite number, got {value!r}")
+    raise ParseError(f"{where} must be a finite number, got {value!r}")
 
 
 def load_problem(args) -> dict:

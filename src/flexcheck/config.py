@@ -1,11 +1,22 @@
-"""Shared tolerances, seeding and error types."""
+"""Shared tolerances, seeding and error types.
+
+The only module that knows a numerical threshold: a caller sets the
+``Tolerances`` fields, its properties derive the checks that follow a
+field, and the module constants are the checks no caller reaches.
+"""
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass, fields, replace
 
 DEFAULT_SEED_ENV = "FLEXCHECK_SEED"
+
+
+# Smallest Tolerances threshold, 100 units of double rounding: the cutoffs are
+# relative, and below it rounding decides (at rank 1e-18 su21-cline read flexible).
+TOLERANCE_FLOOR = 100 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -14,7 +25,8 @@ class Tolerances:
 
     All cutoffs are relative: ``rank`` against the largest singular value,
     ``cluster`` against the largest operator norm, the rest against the
-    natural scale of the quantity they gate.
+    natural scale of the quantity they gate.  Every threshold field must
+    be at least ``TOLERANCE_FLOOR``; a smaller one raises ``FlexcheckError``.
     """
 
     rank: float = 1e-9          # singular values below rank * sigma_max count as zero
@@ -26,18 +38,44 @@ class Tolerances:
     gram: float = 1e-6          # Gram eigenvalue separation from zero
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "seed" and not value >= TOLERANCE_FLOOR:     # NaN fails too
+                raise FlexcheckError(
+                    f"tolerance {f.name} = {value!r} is below the floor {TOLERANCE_FLOOR:.1e} "
+                    "(100 units of double rounding)")
+
     def with_seed(self, seed: int) -> "Tolerances":
         return replace(self, seed=seed)
 
+    # Checks derived from a field, each with the reason for its factor.
+    @property
+    def image_membership(self) -> float:
+        """Generator images: rounded entry by entry, and the relation is quadratic in g."""
+        return self.membership * 100
+
+    @property
+    def subspace_invariance(self) -> float:
+        """Invariant subspaces of a module: projecting onto one cut at ``rank`` costs a digit."""
+        return self.membership * 10
+
+    @property
+    def cocycle_check(self) -> float:
+        """Module relator, coboundaries, cup-pairing arguments: sums over the 4g letters."""
+        return self.cocycle * 10
+
 
 DEFAULT = Tolerances()
+
+# Checks that no caller's Tolerances reaches, each with the reason it is fixed.
 
 # Cup-pairing form invariance: |a^T omega a - omega| relative to
 # |omega| |a|^2, for every module action a.  The standard module's
 # symplectic form and the Killing-valued forms on the adjoint module are
 # invariant by construction, up to round-off and the rank cutoff of H^0.
 # Root-module forms are invariant only up to the root-space restriction's
-# acceptance, membership * 10 = 1e-7, which moves a^T omega a by about
+# acceptance, subspace_invariance = 1e-7, which moves a^T omega a by about
 # twice that; 1e-6 sits about 5x above every case.
 FORM_INVARIANCE = 1e-6
 
@@ -51,6 +89,23 @@ MODEL_CLOSURE = 1e-9
 # to max(|c|, 1)^2 * dim.  Not a Tolerances field, for the same reason as
 # MODEL_CLOSURE: the cached construction never sees a caller's Tolerances.
 MODEL_JACOBI = 1e-10
+
+# coords' default span residual: the basis is integral, so it only tells in-span from not.
+MODEL_SPAN = 1e-8
+# Ad(g) span residual: g X g^-1 carries inv(g)'s rounding, a digit over MODEL_SPAN.
+ADJOINT_SPAN = 1e-7
+# Balanced-LP simplex, run after the rank decisions: rounding bounds of a small dense
+# solve for pivots, phase-1 feasibility, the multipliers and the separating functional.
+SIMPLEX_PIVOT = 1e-11
+SIMPLEX_FEASIBLE = 1e-9
+SIMPLEX_MULTIPLIERS = 1e-7
+SIMPLEX_SEPARATION = 1e-9
+# conjugation_limit's symmetry check on the caller's direction u, not a pipeline decision.
+CONJUGATION_SYMMETRY = 1e-10
+# The genus-2 octagon's normalizer: closed-form arithmetic on O(1) numbers, no input.
+OCTAGON_NORMALIZER = 1e-9
+# correct_relator's default stop: four digits under DEFAULT.relator, so the result passes.
+RELATOR_CORRECTION = 1e-12
 
 
 def seed_from_env(default: int = 0) -> int:

@@ -16,7 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT, Inconclusive, NumericalAbort, Tolerances
+from .config import (DEFAULT, SIMPLEX_FEASIBLE, SIMPLEX_MULTIPLIERS, SIMPLEX_PIVOT,
+                     SIMPLEX_SEPARATION, Inconclusive, NumericalAbort, Tolerances)
 from .liealg import SubalgebraHandle, center_of, centralizer, killing_restriction_nondegenerate
 from .linalg import nullspace, orthonormal_columns, rank, value_key
 from .roots import IMAGINARY, MIXED, TorusRootDecomposition, decompose
@@ -46,7 +47,7 @@ class BalanceResult:
                 "functional": [float(x) for x in self.separating]}
 
 
-def _phase1(a: np.ndarray, b: np.ndarray, tol: float = 1e-11):
+def _phase1(a: np.ndarray, b: np.ndarray):
     """Phase-1 simplex for {x >= 0 : a x = b}.
 
     Returns (feasible, x, farkas_y); on infeasibility y satisfies
@@ -68,13 +69,13 @@ def _phase1(a: np.ndarray, b: np.ndarray, tol: float = 1e-11):
         reduced = cost - y @ tab
         enter = -1
         for j in range(n + m):                  # Bland's rule
-            if j not in basis and reduced[j] < -tol:
+            if j not in basis and reduced[j] < -SIMPLEX_PIVOT:
                 enter = j
                 break
         if enter < 0:
             break
         d = np.linalg.solve(tab[:, basis], tab[:, enter])
-        ratios = [(x_b[i] / d[i], basis[i], i) for i in range(m) if d[i] > tol]
+        ratios = [(x_b[i] / d[i], basis[i], i) for i in range(m) if d[i] > SIMPLEX_PIVOT]
         if not ratios:
             raise NumericalAbort("phase-1 simplex is unbounded; numerical trouble")
         _, _, leave = min(ratios, key=lambda t: (t[0], t[1]))
@@ -86,7 +87,7 @@ def _phase1(a: np.ndarray, b: np.ndarray, tol: float = 1e-11):
     objective = float(cost[basis] @ x_b)
     x = np.zeros(n + m)
     x[basis] = x_b
-    if objective <= 1e-9 * max(1.0, float(np.abs(b).max(initial=0.0))):
+    if objective <= SIMPLEX_FEASIBLE * max(1.0, float(np.abs(b).max(initial=0.0))):
         return True, x[:n], None
     y = np.linalg.solve(tab[:, basis].T, cost[basis])
     y[flip] *= -1.0
@@ -122,12 +123,12 @@ def balanced(problem: BalanceProblem, tol: Tolerances = DEFAULT) -> BalanceResul
         mu = nu + 1.0
         resid = np.abs(pmat @ mu).max(initial=0.0)
         scale = max(float(np.abs(pmat).max(initial=0.0)), 1.0)
-        if resid > 1e-7 * scale * max(float(mu.max(initial=1.0)), 1.0):
+        if resid > SIMPLEX_MULTIPLIERS * scale * max(float(mu.max(initial=1.0)), 1.0):
             raise NumericalAbort(f"balanced certificate fails to verify ({resid:.3e})")
         return BalanceResult(True, mu, None, k)
     f = u @ (-y)
     worst = min(float((-y) @ p) for p in proj)
-    if worst < -1e-9 * max(float(np.abs(pmat).max(initial=0.0)), 1.0):
+    if worst < -SIMPLEX_SEPARATION * max(float(np.abs(pmat).max(initial=0.0)), 1.0):
         raise NumericalAbort("separating functional fails to verify")
     return BalanceResult(False, None, f, k)
 

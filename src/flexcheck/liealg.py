@@ -15,9 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import (
+    ADJOINT_SPAN,
+    CONJUGATION_SYMMETRY,
     DEFAULT,
     MODEL_CLOSURE,
     MODEL_JACOBI,
+    MODEL_SPAN,
     ExcludedFamilyError,
     FlexcheckError,
     NumericalAbort,
@@ -74,7 +77,7 @@ class LieAlgebraModel:
         """Matrix of a coordinate vector; a (k, dim) block gives a (k, N, N) stack."""
         return np.tensordot(coords, self.basis, axes=(-1, 0))
 
-    def coords(self, mat: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    def coords(self, mat: np.ndarray, tol: float = MODEL_SPAN) -> np.ndarray:
         """Coordinates of a matrix; a (k, N, N) stack gives a (k, dim) block."""
         mat = np.asarray(mat)
         vec = mat.reshape(*mat.shape[:-2], -1)
@@ -101,7 +104,7 @@ class LieAlgebraModel:
     def killing_form(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(x @ self.killing @ y)
 
-    def adjoint_group_matrix(self, g: np.ndarray, tol: float = 1e-7) -> np.ndarray:
+    def adjoint_group_matrix(self, g: np.ndarray) -> np.ndarray:
         """Matrix of Ad(g) on model coordinates.
 
         A (K, N, N) stack of group elements gives the (K, dim, dim) stack
@@ -117,10 +120,10 @@ class LieAlgebraModel:
         out = np.empty((len(stack), self.dim, self.dim))
         step = max(1, BLOCK_ENTRIES // (self.dim * n * n))
         for k in range(0, len(stack), step):
-            out[k:k + step] = self._adjoint_block(stack[k:k + step], tol)
+            out[k:k + step] = self._adjoint_block(stack[k:k + step])
         return out.reshape(*g.shape[:-2], self.dim, self.dim)
 
-    def _adjoint_block(self, g: np.ndarray, tol: float) -> np.ndarray:
+    def _adjoint_block(self, g: np.ndarray) -> np.ndarray:
         """Ad matrices of a (k, N, N) block from one batched inverse and product."""
         moved = g[:, None] @ self.basis @ np.linalg.inv(g)[:, None]
         flat = np.swapaxes(moved.reshape(len(g), self.dim, -1), -1, -2)
@@ -129,7 +132,7 @@ class LieAlgebraModel:
         resid -= flat
         worst = np.abs(resid, out=resid).max(axis=(-2, -1), initial=0.0)
         scale = np.maximum(np.abs(flat).max(axis=(-2, -1), initial=0.0), 1.0)
-        if np.any(worst > tol * scale):
+        if np.any(worst > ADJOINT_SPAN * scale):
             raise NumericalAbort("Ad(g) does not preserve the model span; g is not in the group")
         return coeff
 
@@ -148,8 +151,11 @@ class LieAlgebraModel:
         sv = np.linalg.svd(g, compute_uv=False)
         norm = sv[..., 0]
         if self.form is not None:
-            res = np.abs(np.swapaxes(g, -1, -2) @ self.form @ g - self.form).max(axis=(-2, -1))
-            res = res / np.maximum(norm ** 2, 1.0)
+            with np.errstate(over="ignore", invalid="ignore"):  # inf, or nan from inf - inf
+                res = np.abs(np.swapaxes(g, -1, -2) @ self.form @ g - self.form).max(axis=(-2, -1))
+                scale = np.maximum(norm ** 2, 1.0)
+            judged = np.isfinite(res) & np.isfinite(scale)
+            res = np.divide(res, scale, out=np.full_like(norm, np.inf), where=judged)
         else:
             regular = sv[..., -1] > 0
             with np.errstate(over="ignore"):        # what overflows is inf: rejected below
@@ -159,8 +165,9 @@ class LieAlgebraModel:
             judged = regular & np.isfinite(scale)
             res = np.divide(np.abs(det - 1.0), scale, out=np.full_like(norm, np.inf), where=judged)
         for r in _unit_operators(self.field, self.ambient):
-            units = np.abs(g @ r - r @ g).max(axis=(-2, -1)) / np.maximum(norm, 1.0)
-            res = np.maximum(res, units)
+            with np.errstate(over="ignore", invalid="ignore"):
+                units = np.abs(g @ r - r @ g).max(axis=(-2, -1)) / np.maximum(norm, 1.0)
+            res = np.maximum(res, np.where(np.isnan(units), np.inf, units))
         return float(res) if g.ndim == 2 else res
 
 
@@ -501,7 +508,7 @@ def conjugation_limit(
     vanish or the limit diverges.
     """
     u = np.asarray(u, dtype=float)
-    if np.abs(u - u.T).max(initial=0.0) > 1e-10 * max(matrix_scale(u), 1.0):
+    if np.abs(u - u.T).max(initial=0.0) > CONJUGATION_SYMMETRY * max(matrix_scale(u), 1.0):
         raise NumericalAbort("conjugation_limit needs a symmetric direction u")
     vals, vecs = np.linalg.eigh(u)
     scale = max(float(np.abs(vals).max(initial=0.0)), 1.0)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, FORM_INVARIANCE, FlexcheckError, NumericalAbort, Tolerances
+from .config import (DEFAULT, FORM_INVARIANCE, OCTAGON_NORMALIZER, RELATOR_CORRECTION,
+                     FlexcheckError, NumericalAbort, Tolerances)
 from .liealg import LieAlgebraModel, build_classical
 from .linalg import nullspace, rank, span_and_kernel, spectral_norms
 
@@ -103,7 +104,7 @@ def surface_representation(
             f"need {presentation.generator_count} generator images, got {len(images)}")
     images = tuple(np.asarray(g, dtype=float) for g in images)
     residuals = model.group_membership_residual(np.stack(images))
-    bad = np.flatnonzero(~(residuals <= tol.membership * 100))     # NaN is bad too
+    bad = np.flatnonzero(~(residuals <= tol.image_membership))     # NaN is bad too
     if bad.size:
         i = bad[0]
         raise NumericalAbort(
@@ -147,7 +148,7 @@ def _normalizer(p1: complex, p2: complex) -> np.ndarray:
     rot = np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
     out = rot @ s
     z2r = _mobius(out, p2)
-    if abs(z2r.real) > 1e-9 or z2r.imag <= 1.0:
+    if abs(z2r.real) > OCTAGON_NORMALIZER or z2r.imag <= 1.0:
         raise NumericalAbort("octagon normalizer failed")
     return out
 
@@ -216,7 +217,7 @@ def restricted_module(module: Module, basis: np.ndarray, tol: Tolerances = DEFAU
     small = basis.T @ moved
     resid = np.abs(moved - basis @ small).max(axis=(1, 2), initial=0.0)
     scale = np.maximum(np.abs(moved).max(axis=(1, 2), initial=0.0), 1.0)
-    bad = np.flatnonzero(resid > tol.membership * 10 * scale)   # actions hold to tol.membership
+    bad = np.flatnonzero(resid > tol.subspace_invariance * scale)
     if bad.size:
         raise NumericalAbort(
             f"subspace is not invariant under the module action (residual {resid[bad[0]]:.3e})")
@@ -272,7 +273,7 @@ def cohomology(rep: SurfaceRepresentation, module: Module, tol: Tolerances = DEF
 
     prefixes, fox, relator_map = _fox_calculus(pres, acts)
     scale = max(float(np.abs(prefixes).max()), 1.0)
-    if np.abs(prefixes[-1] - eye).max() > tol.cocycle * scale * 10:
+    if np.abs(prefixes[-1] - eye).max() > tol.cocycle_check * scale:
         raise NumericalAbort(
             "module action does not kill the relator "
             "(central lift with a module that sees the center?)")
@@ -282,7 +283,7 @@ def cohomology(rep: SurfaceRepresentation, module: Module, tol: Tolerances = DEF
     b1, fixed = span_and_kernel((acts - eye).reshape(ngen * m, m), tol.rank, scale=1.0)
     if b1.shape[1]:
         worst = np.abs(relator_map @ b1).max() / scale
-        if worst > tol.cocycle * 10:
+        if worst > tol.cocycle_check:
             raise NumericalAbort(f"coboundaries fail the cocycle condition ({worst:.3e})")
     # H^1 = ker [J / scale; B^1^T]: scaled, J's rows share the orthonormal B^1^T
     # rows' cutoff tol.rank * max(sigma_max, 1), the one ker J alone gets
@@ -335,7 +336,7 @@ def cup_pairing(
     same = v is u                      # a Gram matrix: check and build u's blocks once
     _check_invariant_form(ws, omega)
     for w in (u,) if same else (u, v):
-        if np.any(ws.cocycle_residual(w) > tol.cocycle * 10):
+        if np.any(ws.cocycle_residual(w) > tol.cocycle_check):
             raise NumericalAbort("cup_pairing arguments must be cocycles")
 
     pres = ws.rep.presentation
@@ -366,7 +367,7 @@ def _expm(x: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring of the Taylor series."""
     n = x.shape[0]
     norm = float(np.abs(x).max(initial=0.0))
-    squarings = max(0, int(np.ceil(np.log2(max(norm, 1e-16) / 0.25))))
+    squarings = int(np.ceil(np.log2(max(norm, 0.25) / 0.25)))
     y = x / (2.0 ** squarings)
     out = np.eye(n)
     term = np.eye(n)
@@ -383,7 +384,7 @@ def correct_relator(
     presentation: SurfaceGroupPresentation,
     model: LieAlgebraModel,
     target_sign: int = 1,
-    tol: float = 1e-12,
+    tol: float = RELATOR_CORRECTION,
     max_iter: int = 60,
 ) -> list[np.ndarray]:
     """Move generator images back onto the relator variety.

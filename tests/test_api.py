@@ -1,4 +1,5 @@
-"""Every module-level function and class in the package is used.
+"""Every module-level function and class in the package is used, and
+config.py is the only module that knows a numerical threshold.
 
 A definition is used when package code outside ``__init__.py`` names it,
 outside the definition itself.  An export alone does not count: a helper
@@ -8,12 +9,21 @@ that only ``flexcheck.__all__`` and the tests keep alive is dead, unless
 """
 
 import ast
+import dataclasses
+import inspect
+import json
 import re
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import flexcheck
-from flexcheck.engine import NON_REDUCTIVE_MESSAGE
+from flexcheck import config
+from flexcheck.config import DEFAULT, FlexcheckError, Tolerances
+from flexcheck.engine import NON_REDUCTIVE_MESSAGE, _phase1
+from flexcheck.liealg import LieAlgebraModel
+from flexcheck.surface import correct_relator
 
 PACKAGE = Path(flexcheck.__file__).parent
 
@@ -70,3 +80,130 @@ def test_the_non_reductive_message_names_an_export():
 def test_exports_resolve():
     for name in flexcheck.__all__:
         assert hasattr(flexcheck, name), name
+
+
+# ---------------------------------------------------------------------------
+# One tolerance policy: config.py is the only module that knows a threshold
+# ---------------------------------------------------------------------------
+
+THRESHOLD_FIELDS = {f.name for f in dataclasses.fields(Tolerances)} - {"seed"}
+
+
+def _numeric(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
+            and not isinstance(node.value, bool))
+
+
+def _product_chain(node: ast.AST) -> list[ast.AST]:
+    """Operands of a chain of * and /, such as the three of ``tol.cocycle * scale * 10``."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
+        return _product_chain(node.left) + _product_chain(node.right)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        return _product_chain(node.operand)
+    return [node]
+
+
+def _threshold_literals(tree: ast.AST) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if _numeric(node) and isinstance(node.value, float) and 0 < abs(node.value) < 1e-3:
+            found.append(f"line {node.lineno}: literal {node.value!r}")
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
+            chain = _product_chain(node)
+            fields_ = [op.attr for op in chain
+                       if isinstance(op, ast.Attribute) and op.attr in THRESHOLD_FIELDS]
+            if fields_ and any(_numeric(op) for op in chain):
+                found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_no_threshold_outside_config():
+    """No small float literal, and no Tolerances field scaled by a literal, outside config.py."""
+    found = [f"{path.name} {hit}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "config.py"
+             for hit in _threshold_literals(ast.parse(path.read_text(), filename=str(path)))]
+    assert not found, "thresholds belong in config.py:\n" + "\n".join(found)
+
+
+@pytest.mark.parametrize("source", [
+    "x = 1e-9 * scale",
+    "bad = resid > tol.cocycle * scale * 10",
+    "bad = resid > -(tol.membership / 10) * scale",
+    "stop = 100 * DEFAULT.rank",
+])
+def test_the_threshold_guard_catches(source):
+    assert _threshold_literals(ast.parse(source))
+
+
+@pytest.mark.parametrize("source", [
+    "x = tol.cocycle_check * scale",
+    "x = tol.cluster ** 0.5 * max(scale, 1.0)",
+    "x = 2.0 * scale",
+    "x = root.dim * 10",
+])
+def test_the_threshold_guard_passes(source):
+    assert not _threshold_literals(ast.parse(source))
+
+
+# Each named threshold at DEFAULT, against the literal it replaced; the
+# derived ones as the arithmetic they replaced, so the bits are the same.
+PINNED = {
+    "SIMPLEX_PIVOT": 1e-11,
+    "SIMPLEX_FEASIBLE": 1e-9,
+    "SIMPLEX_MULTIPLIERS": 1e-7,
+    "SIMPLEX_SEPARATION": 1e-9,
+    "MODEL_SPAN": 1e-8,
+    "ADJOINT_SPAN": 1e-7,
+    "CONJUGATION_SYMMETRY": 1e-10,
+    "OCTAGON_NORMALIZER": 1e-9,
+    "RELATOR_CORRECTION": 1e-12,
+    "FORM_INVARIANCE": 1e-6,
+    "MODEL_CLOSURE": 1e-9,
+    "MODEL_JACOBI": 1e-10,
+    "TOLERANCE_FLOOR": 100 * 2.0 ** -52,
+}
+PINNED_DERIVED = {
+    "image_membership": 1e-8 * 100,
+    "subspace_invariance": 1e-8 * 10,
+    "cocycle_check": 1e-8 * 10,
+}
+
+
+def test_named_thresholds_keep_their_values():
+    constants = {name: value for name, value in vars(config).items()
+                 if name.isupper() and isinstance(value, float)}
+    assert constants == PINNED
+    derived = {name for name, value in vars(Tolerances).items() if isinstance(value, property)}
+    assert derived == set(PINNED_DERIVED)
+    for name, value in PINNED_DERIVED.items():
+        assert getattr(config.DEFAULT, name) == value, name
+    assert inspect.signature(LieAlgebraModel.coords).parameters["tol"].default == 1e-8
+    assert inspect.signature(correct_relator).parameters["tol"].default == 1e-12
+
+
+def test_tolerances_keep_their_fields_and_adjoint_takes_none():
+    assert [f.name for f in dataclasses.fields(Tolerances)] == [
+        "rank", "cluster", "closure", "membership", "relator", "cocycle", "gram", "seed"]
+    assert list(inspect.signature(LieAlgebraModel.adjoint_group_matrix).parameters) == ["self", "g"]
+    assert list(inspect.signature(_phase1).parameters) == ["a", "b"]
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"rank": 1e-15}, {"cluster": 1e-20}, {"gram": 0.0}, {"cocycle": -1.0}, {"rank": float("nan")},
+])
+def test_tolerances_below_the_floor_raise(kwargs):
+    with pytest.raises(FlexcheckError, match="below the floor"):
+        Tolerances(**kwargs)
+    with pytest.raises(FlexcheckError, match="below the floor"):
+        dataclasses.replace(DEFAULT, **kwargs)
+
+
+def test_the_floor_itself_is_a_valid_tolerance():
+    assert Tolerances(rank=config.TOLERANCE_FLOOR).rank == config.TOLERANCE_FLOOR
+
+
+def test_the_schema_states_the_floor():
+    schema = json.loads((PACKAGE / "schema" / "problem_spec.schema.json").read_text())
+    keys = schema["properties"]["tolerances"]["properties"]
+    assert {k: v["minimum"] for k, v in keys.items()} == {
+        "rank": config.TOLERANCE_FLOOR, "cluster": config.TOLERANCE_FLOOR}

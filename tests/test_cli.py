@@ -355,3 +355,34 @@ def test_coarse_tol_cluster_exits_3(capsys):
     # at a cluster tolerance of 0.9 every root merges with 0: an abort, not "flexible"
     code, out, err = run_cli(capsys, "verdict", "--catalog", "su21-cline", "--tol-cluster", "0.9")
     assert code == 3 and out == "" and "g_0 has dimension" in err
+
+
+@pytest.mark.parametrize("where", ["flag", "file"])
+def test_tolerance_below_the_floor_exits_2(tmp_path, capsys, where):
+    # at rank 1e-18 the rigid su21-cline case read flexible (exit 0)
+    if where == "flag":
+        argv = ["--catalog", "su21-cline", "--tol-rank", "1e-18"]
+    else:
+        path = tmp_path / "tiny.json"
+        doc = json.loads(_write_parabolic(tmp_path).read_text())
+        path.write_text(json.dumps(dict(doc, tolerances={"rank": 1e-18})))
+        argv = ["--input", str(path)]
+    code, out, err = run_cli(capsys, "verdict", *argv)
+    assert code == 2 and out == "" and "below the floor" in err
+
+
+def test_overflowing_image_exits_3_without_warnings(tmp_path):
+    big = [[[1e200], [0.0], [0.0]], [[0.0], [1.0], [0.0]], [[0.0], [0.0], [1.0]]]
+    eye = [[[float(i == j)] for j in range(3)] for i in range(3)]
+    doc = {"group": {"family": "so", "params": [2, 1]}, "genus": 2,
+           "representation": {"source": "matrices", "field": "R",
+                              "generators": [big, eye, eye, eye]}}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(flexcheck.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "flexcheck", "verdict", "--input", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "residual inf" in proc.stderr and "RuntimeWarning" not in proc.stderr

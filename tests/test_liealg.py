@@ -292,6 +292,20 @@ def test_sl_determinant_is_judged_against_the_condition_number(models, images, a
             surface_representation(standard_presentation(2), models["sl2"], images)
 
 
+@pytest.mark.parametrize("family, params, g", [
+    ("so", (2, 1), np.diag([1e200, 1.0, 1.0])),
+    ("su", (2, 1), 1e300 * np.arange(1.0, 37.0).reshape(6, 6)),
+    ("su", (2, 1), 1.5e308 * np.sign(np.arange(36.0).reshape(6, 6) % 3 - 1)),
+], ids=["so21-form", "su21-form", "su21-units"])
+def test_overflowing_images_have_an_infinite_residual(family, params, g):
+    # past about 1e154 g^T F g and |g|^2 overflow, and near 1e308 so do
+    # |g| and the unit commutators g r - r g; the residual is inf, not nan,
+    # and no RuntimeWarning leaks (pytest makes one an error here)
+    model = build_classical(family, *params)
+    assert model.group_membership_residual(g) == np.inf
+    assert list(model.group_membership_residual(np.stack([g, np.eye(len(g))]))) == [np.inf, 0.0]
+
+
 def _adjoint_reference(model, g):
     """Ad(g) on model coordinates by the dim * N^4 einsum the model once used."""
     moved = np.einsum("ab,ibc,cd->iad", g, model.basis, np.linalg.inv(g))
