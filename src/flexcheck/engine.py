@@ -185,18 +185,10 @@ def classify_PN(
 def _flip_representative(rep: RootFormReport) -> RootFormReport:
     """Replace lambda by -lambda: Omega and the form change sign."""
     root = rep.root
-    swap = {"+l": "-l", "-l": "+l", "+c": "-c", "-c": "+c"}
-    flipped_root = replace(
-        root,
-        values=-root.values,
-        t_vector=-root.t_vector,
-        omega=-root.omega,
-        spaces={swap[k]: v for k, v in root.spaces.items()},
-    )
+    flipped_root = replace(root, values=-root.values, t_vector=-root.t_vector, omega=-root.omega)
     return replace(
         rep,
         root=flipped_root,
-        gram=None if rep.gram is None else -rep.gram,
         signature=None if rep.signature is None else -rep.signature,
         toledo=None if rep.toledo is None else -rep.toledo,
     )
@@ -242,7 +234,6 @@ class FlexibilityReport:
     caveats: tuple[str, ...]
     message: str
     decomposition: TorusRootDecomposition | None = field(repr=False, default=None)
-    p_reports: tuple = field(repr=False, default=())
 
 
 TUBE_TYPE_MESSAGE = (
@@ -329,8 +320,7 @@ class Pipeline:
         if self.orientation > 0:
             return dec
         torus = replace(dec.torus, matrices=-dec.torus.matrices, coords=-dec.torus.coords)
-        return replace(dec, torus=torus, roots=tuple(f.root for f in self.forms),
-                       all_values=tuple(-v for v in dec.all_values))
+        return replace(dec, torus=torus, roots=tuple(f.root for f in self.forms))
 
     @cached_property
     def split(self) -> tuple[list[RootFormReport], list[bool], list[np.ndarray], BalanceProblem]:
@@ -382,5 +372,4 @@ def verdict(rep: SurfaceRepresentation, tol: Tolerances = DEFAULT) -> Flexibilit
         genus=genus, genus_threshold=threshold, caveats=tuple(caveats),
         message="flexible: the center of the centralizer is balanced"
         if flexible else TUBE_TYPE_MESSAGE,
-        decomposition=pipe.oriented,
-        p_reports=tuple(rr for rr, member in zip(forms, in_p) if member))
+        decomposition=pipe.oriented)

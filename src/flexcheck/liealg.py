@@ -60,7 +60,6 @@ class LieAlgebraModel:
     structure: np.ndarray        # c[i, j, k]:  [X_i, X_j] = sum_k c[i,j,k] X_k
     killing: np.ndarray          # (dim, dim)
     form: np.ndarray | None      # realified defining form (None for sl)
-    params: tuple[int, ...] = ()
     _flat: np.ndarray = field(repr=False, default=None)
     _pinv: np.ndarray = field(repr=False, default=None)
     _killing_sv: np.ndarray = field(repr=False, default=None)  # singular values of killing
@@ -88,9 +87,6 @@ class LieAlgebraModel:
             raise NumericalAbort("matrix does not lie in the model span")
         return c
 
-    def bracket_coords(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", x, y, self.structure)
-
     def ad(self, coords: np.ndarray) -> np.ndarray:
         """Matrix of ad_X on model coordinates, X given by coordinates.
 
@@ -100,9 +96,6 @@ class LieAlgebraModel:
         coords = np.asarray(coords)
         flat = coords @ self.structure.reshape(self.dim, -1)
         return np.swapaxes(flat.reshape(*coords.shape[:-1], self.dim, self.dim), -1, -2)
-
-    def killing_form(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(x @ self.killing @ y)
 
     def adjoint_group_matrix(self, g: np.ndarray) -> np.ndarray:
         """Matrix of Ad(g) on model coordinates.
@@ -235,7 +228,7 @@ def _brackets(basis: np.ndarray) -> np.ndarray:
     return out.reshape(dim * dim, n * n)
 
 
-def _finish_model(name, fld, n, family, mats, form, params) -> LieAlgebraModel:
+def _finish_model(name, fld, n, family, mats, form) -> LieAlgebraModel:
     basis = np.array(mats)
     dim = basis.shape[0]
     flat = basis.reshape(dim, -1).T
@@ -270,7 +263,7 @@ def _finish_model(name, fld, n, family, mats, form, params) -> LieAlgebraModel:
             arr.flags.writeable = False
     return LieAlgebraModel(
         name=name, field=fld, ambient=n, family=family, basis=basis,
-        structure=c, killing=killing, form=form, params=params,
+        structure=c, killing=killing, form=form,
         _flat=flat, _pinv=pinv, _killing_sv=killing_sv,
     )
 
@@ -380,14 +373,14 @@ def _construct(family: str, *params: int) -> LieAlgebraModel:
                 realified_entry_block(Field.REAL, n, k, k, 1.0)
                 - realified_entry_block(Field.REAL, n, k + 1, k + 1, 1.0)
             )
-        model = _finish_model(f"sl({n},R)", Field.REAL, n, family, mats, None, (n,))
+        model = _finish_model(f"sl({n},R)", Field.REAL, n, family, mats, None)
     elif family in ("su", "so", "sp"):
         p, q = params
         fld = {"su": Field.COMPLEX, "so": Field.REAL, "sp": Field.QUATERNION}[family]
         mats = _indefinite_basis(fld, p, q, traceless=(family == "su"))
         form = _form_matrix(fld, p, q)
         n = p + q
-        model = _finish_model(f"{family}({p},{q})", fld, n, family, mats, form, (p, q))
+        model = _finish_model(f"{family}({p},{q})", fld, n, family, mats, form)
     else:
         (n,) = params  # sp(2n, R)
         size = 2 * n
@@ -399,7 +392,7 @@ def _construct(family: str, *params: int) -> LieAlgebraModel:
                 s[k, l] += 1.0
                 s[l, k] += 1.0
                 mats.append(-J @ s)
-        model = _finish_model(f"sp({size},R)", Field.REAL, size, family, mats, J, (n,))
+        model = _finish_model(f"sp({size},R)", Field.REAL, size, family, mats, J)
 
     expected = _classical_dim(family, params)
     if model.dim != expected:
@@ -411,7 +404,6 @@ def subalgebra_from_matrices(
     model: LieAlgebraModel,
     mats,
     tol: Tolerances = DEFAULT,
-    check_closure: bool = True,
 ) -> SubalgebraHandle:
     """Orthonormalize a spanning set into a SubalgebraHandle."""
     if len(mats) == 0:
@@ -422,7 +414,7 @@ def subalgebra_from_matrices(
     matrices = on.T.reshape(-1, n, n)
     coords = model.coords(matrices)
     closed, resid = True, 0.0
-    if check_closure and on.shape[1]:
+    if on.shape[1]:
         resid = _closure_residual(matrices, on)
         closed = resid <= tol.closure
     return SubalgebraHandle(model, matrices, coords, closed, resid)

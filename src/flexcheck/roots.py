@@ -26,7 +26,6 @@ class RootDatum:
     values: np.ndarray               # complex values of the root on the torus basis
     classification: str              # "real" | "imaginary" | "mixed"
     complex_dim: int                 # dim_C of g_lambda
-    spaces: dict                     # "+l", "-l" (and "+c", "-c" if mixed) -> eigenbasis
     real_basis: np.ndarray           # (D, m) orthonormal real basis of g_{lambda,R}
     t_vector: np.ndarray             # coords of t_lambda in the (complex) torus basis
     omega: np.ndarray                # (m, m) complex alternating matrix on real_basis
@@ -42,8 +41,6 @@ class TorusRootDecomposition:
     torus: SubalgebraHandle
     g0_dim: int                      # dim g_0, the widths of the zero clusters
     roots: tuple[RootDatum, ...]     # one representative per orbit
-    all_values: tuple                # every nonzero root value tuple (full list Lambda)
-    killing_gram: np.ndarray         # Killing Gram matrix of the torus basis
 
 
 def classify_root(values: np.ndarray, tol: float = DEFAULT.cluster) -> str:
@@ -74,7 +71,7 @@ def decompose(
     r = torus.dim
     dim = model.dim
     if r == 0:
-        return TorusRootDecomposition(model, torus, dim, (), (), np.zeros((0, 0)))
+        return TorusRootDecomposition(model, torus, dim, ())
 
     ads = model.ad(torus.coords)
     sv = np.linalg.svd(ads.reshape(-1, dim), compute_uv=False)
@@ -138,8 +135,7 @@ def decompose(
     if total != dim:
         raise NumericalAbort(f"direct sum check failed: {total} != {dim}")
     roots.sort(key=lambda kr: kr[0])
-    return TorusRootDecomposition(model, torus, g0_dim, tuple(rd for _, rd in roots),
-                                  tuple(vals[order]), gram)
+    return TorusRootDecomposition(model, torus, g0_dim, tuple(rd for _, rd in roots))
 
 
 def _build_root(model, ads, gram, rep, shift_plus, shift_minus, k: int,
@@ -148,47 +144,47 @@ def _build_root(model, ads, gram, rep, shift_plus, shift_minus, k: int,
 
     A real root's g_-l is its own real kernel, an imaginary root's is
     conj(g_l); a mixed root's g_conj(l), g_-conj(l) are conj(g_l), conj(g_-l).
-    One SVD P = U S V^T of P = [Re W, Im W] (of W for a real root), W =
-    [w_plus, w_minus], gives the real basis U.  An imaginary root's columns
-    repeat, but they fix U's bits, and the draws of the Lagrangian scan in
-    the tests (``tests/reference.py``) depend on those.  With U = P Z,
-    Z = V S^-1 on the kept singular values and z = [I, -iI] Z / 2,
-    U = W z + conj(W z) splits U into its g_l and g_-l parts.
+    One SVD P = U S V^T gives the real basis U, with W = [w_plus, w_minus]
+    for a real or mixed root and W = w_plus for an imaginary one: P = W
+    for a real root, [Re W, Im W] otherwise.  With U = P Z, Z = V S^-1 on
+    the kept singular values, U = W Z for a real root; otherwise Z's rows
+    on Re W and Im W give z = (Z_re - i Z_im) / 2 and U = W z + conj(W z).
+    Either way U is split into its g_l and g_-l parts.
     """
     cls = classify_root(rep, tol.cluster)
     w_plus = joint_eigenspace(ads, shift_plus, k, tol, scale)
-    w_minus = (w_plus.conj() if cls == IMAGINARY
-               else joint_eigenspace(ads, shift_minus, k, tol, scale))
-    real = cls == REAL
-    p = np.hstack([w_plus, w_minus] if real else
-                  [w_plus.real, w_minus.real, w_plus.imag, w_minus.imag])
+    if cls == IMAGINARY:
+        p = np.hstack([w_plus.real, w_plus.imag])
+    else:
+        w_minus = joint_eigenspace(ads, shift_minus, k, tol, scale)
+        p = np.hstack([w_plus, w_minus] if cls == REAL else
+                      [w_plus.real, w_minus.real, w_plus.imag, w_minus.imag])
     u, s, vh = np.linalg.svd(p, full_matrices=False)
     found = singular_rank(s, tol.rank)
     expected = 4 * k if cls == MIXED else 2 * k
     if found != expected:
         raise NumericalAbort(f"realified root space has dimension {found}, expected {expected}")
     u, z = u[:, :found], vh[:found].T / s[:found]
-    if not real:
-        z = 0.5 * (z[:2 * k] - 1j * z[2 * k:])
-    plus, minus = w_plus @ z[:k], w_minus @ z[k:]
+    if cls == REAL:
+        plus, minus = w_plus @ z[:k], w_minus @ z[k:]
+    else:
+        half = len(z) // 2
+        z = 0.5 * (z[:half] - 1j * z[half:])
+        plus = w_plus @ z[:k]
+        # an imaginary root's g_-l part is the conjugate of its g_l part
+        minus = plus.conj() if cls == IMAGINARY else w_minus @ z[k:]
     # U is the sum of its components up to round-off times P's condition,
     # at most 1 / tol.rank; the eigenspaces are known to cluster accuracy
     total = plus + minus
-    resid = np.abs((total if real else 2.0 * total.real) - u).max(initial=0.0)
+    resid = np.abs((2.0 * total.real if cls == MIXED else total) - u).max(initial=0.0)
     if resid > tol.cluster:
         raise NumericalAbort(f"root space basis outside its eigenspaces: residual {resid:.3e}")
-    if cls == IMAGINARY:        # conj(w_minus z_-) lies in g_l
-        plus = plus + minus.conj()
-        minus = plus.conj()
 
     omega = (2.0 if cls == MIXED else 1.0) * (plus - minus).T @ model.killing @ (plus + minus)
     # the symmetric part pairs eigenvector errors of cluster accuracy
     asym = np.abs(omega + omega.T).max(initial=0.0)
     if asym > tol.cluster * max(np.abs(omega).max(initial=0.0), 1.0):
         raise NumericalAbort(f"Omega is not alternating (residual {asym:.3e})")
-    spaces = {"+l": w_plus, "-l": w_minus}
-    if cls == MIXED:
-        spaces.update({"+c": w_plus.conj(), "-c": w_minus.conj()})
     return RootDatum(
-        values=rep, classification=cls, complex_dim=k, spaces=spaces, real_basis=u,
+        values=rep, classification=cls, complex_dim=k, real_basis=u,
         t_vector=np.linalg.solve(gram.astype(complex), rep), omega=0.5 * (omega - omega.T))

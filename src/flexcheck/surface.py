@@ -51,9 +51,7 @@ class SurfaceRepresentation:
     presentation: SurfaceGroupPresentation
     model: LieAlgebraModel
     images: tuple[np.ndarray, ...]
-    central_lift: bool
-    relator_sign: int
-    relator_residual: float
+    relator_residual: float          # relative to the prefix scale; against -I if lifted
 
 
 def relator_prefixes(presentation: SurfaceGroupPresentation, images) -> list:
@@ -115,14 +113,14 @@ def surface_representation(
     res_plus = float(np.abs(rel - np.eye(n)).max()) / scale
     res_minus = float(np.abs(rel + np.eye(n)).max()) / scale
     if res_plus <= tol.relator:
-        sign, res = 1, res_plus
+        res = res_plus
     elif central_lift and res_minus <= tol.relator:
-        sign, res = -1, res_minus
+        res = res_minus
     else:
         raise NumericalAbort(
             f"relator residual {min(res_plus, res_minus):.3e} exceeds {tol.relator:.1e}"
             + ("" if central_lift else " (relator = -identity requires central_lift=True)"))
-    return SurfaceRepresentation(presentation, model, images, central_lift, sign, res)
+    return SurfaceRepresentation(presentation, model, images, res)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +234,6 @@ class CohomologyWorkspace:
     fox_blocks: np.ndarray           # (4g, m, m) each letter's Fox block
     b1: np.ndarray                   # orthonormal columns, coboundaries
     h1: np.ndarray                   # orthonormal columns, harmonic representatives
-    h0_basis: np.ndarray             # invariant vectors of the module
     h0_dim: int
     h1_dim: int
     h2_dim: int
@@ -300,7 +297,7 @@ def cohomology(rep: SurfaceRepresentation, module: Module, tol: Tolerances = DEF
 
     return CohomologyWorkspace(
         rep=rep, module=module, relator_map=relator_map, fox_blocks=fox, b1=b1, h1=h1,
-        h0_basis=fixed, h0_dim=h0, h1_dim=hdim, h2_dim=h2)
+        h0_dim=h0, h1_dim=hdim, h2_dim=h2)
 
 
 def _check_invariant_form(ws: CohomologyWorkspace, omega: np.ndarray) -> None:

@@ -35,7 +35,6 @@ class RootFormReport:
     module_dim: int
     h1_dim: int
     milnor_wood_bound: int            # -chi dim: 4|T| may not exceed it
-    gram: np.ndarray | None = None    # real symmetric Gram matrix (None for mixed)
     signature: int | None = None
     toledo: int | None = None
     definite: bool = False
@@ -94,12 +93,12 @@ def symplectic_form_report(
     ev = np.linalg.eigvalsh(gram)
     sep = float(np.abs(ev).min()) / scale if ev.size else np.inf
     if sep <= tol.gram:
-        return _form_report(ws, gram=gram, min_eig_separation=sep, status="degenerate")
+        return _form_report(ws, min_eig_separation=sep, status="degenerate")
 
     sig = int(np.sum(ev > 0)) - int(np.sum(ev < 0))
     if sig % 4 != 0:
         raise NumericalAbort(f"signature {sig} is not divisible by 4; pipeline inconsistency")
-    report = _form_report(ws, gram=gram, signature=sig, toledo=sig // 4,
+    report = _form_report(ws, signature=sig, toledo=sig // 4,
                           definite=abs(sig) == ws.h1_dim, min_eig_separation=sep)
     if report.milnor_wood_slack < 0:
         raise NumericalAbort(

@@ -9,7 +9,11 @@ the pipeline also reaches:
 - ``lagrangian_pair_check`` and ``scan_invariant_lagrangians``: an
   invariant Lagrangian pair, which forces T = 0 (Burger-Iozzi-Wienhard);
 - ``cup_square``: the class of [u cup u] in H^2 of the adjoint module;
-- ``signature``: the sign count of a symmetric matrix's eigenvalues.
+- ``signature``: the sign count of a symmetric matrix's eigenvalues;
+- ``bracket_coords``, ``killing_form``, ``torus_gram``,
+  ``root_eigenspace``, ``invariant_vectors`` and ``root_gram``: the
+  bracket, Killing pairings, eigenspaces, H^0 and cup-form Gram that the
+  pipeline uses internally and does not keep.
 """
 
 from __future__ import annotations
@@ -20,15 +24,49 @@ import numpy as np
 
 from flexcheck.config import DEFAULT, ExcludedFamilyError, FlexcheckError, NumericalAbort, Tolerances
 from flexcheck.liealg import _form_matrix, _indefinite_basis
-from flexcheck.linalg import nullspace, orthonormal_columns, rank
+from flexcheck.linalg import nullspace, orthonormal_columns, rank, span_and_kernel
+from flexcheck.roots import REAL, RootDatum
 from flexcheck.scalars import Field, field_units, left_block, realify
 from flexcheck.surface import CohomologyWorkspace, Module, cup_pairing, restricted_module
+from flexcheck.toledo import gram_matrix
 
 
 def signature(mat: np.ndarray) -> int:
     """Positive minus negative eigenvalues of a symmetric matrix."""
     ev = np.linalg.eigvalsh(mat)
     return int(np.sum(ev > 0)) - int(np.sum(ev < 0))
+
+
+def bracket_coords(model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coordinates of [x, y] from the structure constants."""
+    return np.einsum("i,j,ijk->k", x, y, model.structure)
+
+
+def killing_form(model, x: np.ndarray, y: np.ndarray) -> float:
+    return float(x @ model.killing @ y)
+
+
+def torus_gram(dec) -> np.ndarray:
+    """Killing Gram matrix of a decomposition's torus basis."""
+    return dec.torus.coords @ dec.model.killing @ dec.torus.coords.T
+
+
+def root_eigenspace(dec, values, tol: float = 1e-8) -> np.ndarray:
+    """Orthonormal basis of the joint eigenspace of ad(torus) at ``values``."""
+    ads = dec.model.ad(dec.torus.coords)
+    shifted = ads - np.asarray(values, dtype=complex)[:, None, None] * np.eye(dec.model.dim)
+    return nullspace(shifted.reshape(-1, dec.model.dim), tol)
+
+
+def invariant_vectors(module: Module, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """Orthonormal basis of H^0, the vectors every action fixes, cut as in ``cohomology``."""
+    cob = np.vstack([a - np.eye(module.dim) for a in module.actions])
+    return span_and_kernel(cob, tol.rank, scale=1.0)[1]
+
+
+def root_gram(ws: CohomologyWorkspace, root: RootDatum, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """The Gram matrix whose signature ``root_form`` reads, for a real or imaginary root."""
+    return gram_matrix(ws, root.omega.real if root.classification == REAL else root.omega.imag, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -170,26 +208,24 @@ def lagrangian_pair_check(
 def scan_invariant_lagrangians(
     module: Module,
     omega: np.ndarray,
-    rng: np.random.Generator,
-    tries: int = 12,
     tol: Tolerances = DEFAULT,
 ):
-    """Heuristic search for an invariant Lagrangian pair.
+    """Search for an invariant Lagrangian pair among commutant eigenspaces.
 
-    Draws random elements of the module's commutant and tests splittings
-    of the space into sums of their eigenspaces.  Returns (l1, l2) or
-    None; absence of a find is not a proof of absence.
+    Tries each element of an orthonormal basis of the module's commutant,
+    then each sum of two of them, and tests the splittings of the space
+    into sums of its eigenspaces.  Returns (l1, l2) or None; absence of a
+    find is not a proof of absence.  Nothing is drawn at random.
     """
     m = module.dim
-    rows = []
-    for a in module.actions:
-        rows.append(np.kron(np.eye(m), a) - np.kron(a.T, np.eye(m)))
+    # row-major vec(A X - X A) = (A (x) I - I (x) A^T) vec(X)
+    rows = [np.kron(a, np.eye(m)) - np.kron(np.eye(m), a.T) for a in module.actions]
     comm = nullspace(np.vstack(rows), tol.rank)  # vectorized commutant
-    if comm.shape[1] == 0:
-        return None
-    for _ in range(tries):
-        coeff = rng.standard_normal(comm.shape[1])
-        k = (comm @ coeff).reshape(m, m)        # invariant operator
+    d = comm.shape[1]
+    candidates = [comm[:, i] for i in range(d)]
+    candidates += [comm[:, i] + comm[:, j] for i in range(d) for j in range(i + 1, d)]
+    for vec in candidates:
+        k = vec.reshape(m, m)                   # invariant operator
         ev, vecs = np.linalg.eig(k)
         real_mask = np.abs(ev.imag) < 1e-9 * max(np.abs(ev).max(), 1.0)
         rounded = np.round(ev.real, 7)
@@ -221,5 +257,6 @@ def cup_square(ws: CohomologyWorkspace, u: np.ndarray, tol: Tolerances = DEFAULT
     if ws.module_dim != ws.rep.model.dim:
         raise FlexcheckError("cup_square is defined on the adjoint module")
     model = ws.rep.model
-    forms = np.einsum("ijk,kl->lij", model.structure, model.killing @ ws.h0_basis)
+    h0 = invariant_vectors(ws.module, tol)
+    forms = np.einsum("ijk,kl->lij", model.structure, model.killing @ h0)
     return cup_pairing(ws, forms, u, u, tol)

@@ -1,11 +1,15 @@
-"""Every module-level function and class in the package is used, and
-config.py is the only module that knows a numerical threshold.
+"""Every module-level function and class in the package is used, every
+field, method and property of its classes is read, and config.py is the
+only module that knows a numerical threshold.
 
 A definition is used when package code outside ``__init__.py`` names it,
 outside the definition itself.  An export alone does not count: a helper
 that only ``flexcheck.__all__`` and the tests keep alive is dead, unless
 ``ALLOWLIST`` names it with the reason it stays.  Names count only as code
-(``ast.Name`` or ``ast.Attribute``), not in docstrings or comments.
+(``ast.Name`` or ``ast.Attribute``), not in docstrings or comments.  A
+class member is read when package code loads an attribute of its name,
+outside the member's own definition; ``MEMBER_ALLOWLIST`` names the ones
+that stay unread, with the reason.
 """
 
 import ast
@@ -70,6 +74,83 @@ def test_every_export_is_used_or_allowlisted():
     unused = [name for name in flexcheck.__all__ if name not in ALLOWLIST and not used[name]]
     assert not unused, f"exported but named nowhere in the package: {unused}"
     assert set(ALLOWLIST) <= set(flexcheck.__all__)
+
+
+# ---------------------------------------------------------------------------
+# Every field, method and property of a package class is read
+# ---------------------------------------------------------------------------
+
+# "Class" covers every member of the class, "Class.name" one of them
+MEMBER_ALLOWLIST = {
+    "RootSummary": "the verdict report writes out its fields through vars()",
+    "FlexibilityReport.reductive_condition": "a margin for the report's diagnostics (ROADMAP item 8)",
+    "RootFormReport.min_eig_separation": "a margin for the report's diagnostics (ROADMAP item 8)",
+    "SurfaceRepresentation.relator_residual": "a margin for the report's diagnostics (ROADMAP item 8)",
+}
+
+
+def _attribute_reads(node: ast.AST) -> Counter:
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+
+
+def _class_members(tree: ast.Module):
+    """(class, name, node) of every annotated field and non-dunder method or property."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                yield cls.name, node.target.id, node
+            elif isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+                yield cls.name, node.name, node
+
+
+def _unread_members(trees: dict) -> list[str]:
+    """``module.Class.name`` of each member that no attribute load names.
+
+    Reads are matched by attribute name alone, so a read of ``x.dim`` counts
+    for every class with a ``dim``: the guard can miss a dead member whose
+    name another class shares, but never flags a read one.
+    """
+    reads = sum((_attribute_reads(tree) for tree in trees.values()), Counter())
+    return [f"{module}.{cls}.{name}"
+            for module, tree in trees.items() for cls, name, node in _class_members(tree)
+            if reads[name] - _attribute_reads(node)[name] <= 0]
+
+
+def _package_trees() -> dict:
+    return {path.stem: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+
+
+def _allowlisted(member: str) -> bool:
+    cls, name = member.split(".")[1:]
+    return cls in MEMBER_ALLOWLIST or f"{cls}.{name}" in MEMBER_ALLOWLIST
+
+
+def test_every_class_member_is_read_or_allowlisted():
+    unread = _unread_members(_package_trees())
+    dead = [member for member in unread if not _allowlisted(member)]
+    assert not dead, f"class members that no package code reads: {dead}"
+    # each single-member entry still names an unread member
+    named = {member.split(".", 1)[1] for member in unread}
+    assert {key for key in MEMBER_ALLOWLIST if "." in key} <= named
+
+
+def test_the_member_guard_catches():
+    tree = ast.parse(
+        "class A:\n"
+        "    kept: int\n"
+        "    dropped: int\n"
+        "    def again(self):\n"
+        "        return self.again()\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "def use(a, b):\n"
+        "    b.dropped = a.kept\n"
+        "    return A(dropped=1)\n")
+    assert _unread_members({"m": tree}) == ["m.A.dropped", "m.A.again"]
 
 
 def test_the_non_reductive_message_names_an_export():

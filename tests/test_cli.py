@@ -180,12 +180,12 @@ def test_explicit_matrix_input_matches_catalog(tmp_path, capsys):
 def test_field_matrix_input_matches_catalog(tmp_path, capsys, case, family):
     # each realified d x d block is left multiplication by an entry whose
     # components are the block's first column
-    from flexcheck.catalog import build_case_representation
+    from flexcheck.catalog import build_case_representation, find_case
     rep = build_case_representation(case)
     d, n = rep.model.field.dim, rep.model.ambient
     gens = [[[[float(x) for x in g[d * i : d * i + d, d * j]] for j in range(n)]
              for i in range(n)] for g in rep.images]
-    doc = {"group": {"family": family, "params": list(rep.model.params)}, "genus": 2,
+    doc = {"group": {"family": family, "params": [find_case(case).m, 1]}, "genus": 2,
            "representation": {"source": "matrices", "field": rep.model.field.value,
                               "generators": gens}}
     path = tmp_path / f"{case}.json"
@@ -294,6 +294,17 @@ def test_malformed_problem_is_a_parse_error(tmp_path, capsys, doc):
     path.write_text(json.dumps(doc))
     code, _, err = run_cli(capsys, "verdict", "--input", str(path))
     assert code == 2 and "parse error" in err
+
+
+def test_a_problem_without_genus_takes_the_genus_flag(tmp_path, capsys):
+    with open(schema_path()) as fh:
+        assert "genus" not in json.load(fh)["required"]
+    path = tmp_path / "no-genus.json"
+    path.write_text(json.dumps({k: v for k, v in _IDENTITY.items() if k != "genus"}))
+    code, out, _ = run_cli(capsys, "verdict", "--input", str(path), "--format", "json")
+    assert code == 0 and json.loads(out)["genus"] == 2     # --genus defaults to 2
+    code, _, err = run_cli(capsys, "verdict", "--input", str(path), "--genus", "3")
+    assert code == 2 and "need 6 generator matrices" in err
 
 
 def test_linalg_error_exit_code(capsys, monkeypatch):

@@ -30,6 +30,7 @@ from flexcheck.surface import (
     surface_representation,
 )
 from flexcheck.toledo import root_cohomology, root_form
+from reference import root_gram
 
 
 def test_balanced_one_dim_cases():
@@ -132,11 +133,12 @@ def test_balanced_matches_supporting_functional_enumeration():
 def test_classify_PN_reselects_positive(case_pipeline):
     rep, z, c, dec = case_pipeline("su21-cline")
     adj = adjoint_module(rep)
-    reports = [root_form(root_cohomology(rep, adj, r), r) for r in dec.roots]
+    workspaces = [root_cohomology(rep, adj, r) for r in dec.roots]
+    reports = [root_form(ws, r) for ws, r in zip(workspaces, dec.roots)]
     forms, in_p, n_values, problem = classify_PN(reports)
     assert in_p == [True] and not n_values
     assert forms[0].toledo > 0
-    ev = np.linalg.eigvalsh(forms[0].gram)
+    ev = np.linalg.eigvalsh(root_gram(workspaces[0], forms[0].root))
     assert np.all(ev > 0)            # positive definite after re-selection
     assert len(problem.p_vectors) == 1
     assert problem.p_vectors[0] @ forms[0].root.values.imag > 0

@@ -11,6 +11,7 @@ from flexcheck.liealg import subalgebra_from_matrices
 from flexcheck.roots import classify_root, decompose
 from flexcheck.scalars import Field, realify
 from flexcheck.surface import _expm, surface_representation
+from reference import bracket_coords, root_eigenspace, torus_gram
 
 # every catalog case with roots, two conjugates at scale 1.0 (g = exp(X), X
 # with normal coefficients, so that ad of the torus is far from normal) and
@@ -73,9 +74,10 @@ def test_su21_decomposition(case_pipeline):
     zmat = realify(np.diag([-2j, 1j, 1j]), Field.COMPLEX)
     val = _value_at(dec, r, zmat)
     assert abs(abs(val.imag) - 3.0) < 1e-8 and abs(val.real) < 1e-8
-    # full root list comes in +- pairs
-    vals = sorted(np.round(v[0].imag, 6) for v in dec.all_values)
-    assert vals[0] == -vals[1]
+    # full root list, the nonzero eigenvalues of ad(t), comes in +- pairs
+    ev = np.linalg.eigvals(rep.model.ad(dec.torus.coords[0]))
+    vals = sorted(set(np.round(ev[np.abs(ev) > 1e-8].imag, 6)))
+    assert len(vals) == 2 and vals[0] == -vals[1]
 
 
 def test_so41_decomposition(case_pipeline):
@@ -107,6 +109,7 @@ def test_direct_sum_and_orthogonality(root_decompositions):
 
 def test_omega_alternating_and_bracket_identity(root_decompositions, rng):
     for name, model, dec in root_decompositions:
+        gram = torus_gram(dec)
         for r in dec.roots:
             om = r.omega
             assert np.abs(om + om.T).max() < 1e-8 * max(np.abs(om).max(), 1.0)
@@ -115,7 +118,7 @@ def test_omega_alternating_and_bracket_identity(root_decompositions, rng):
                 yi = rng.standard_normal(r.real_dim)
                 x = r.real_basis @ xi
                 y = r.real_basis @ yi
-                br = model.bracket_coords(x, y)
+                br = bracket_coords(model, x, y)
                 scale = max(np.abs(br).max(), 1.0)
                 om_xy = complex(xi @ om @ yi)
                 # Killing pairings with the torus basis: gram @ t_vector = values
@@ -124,14 +127,15 @@ def test_omega_alternating_and_bracket_identity(root_decompositions, rng):
                 if name.endswith(" conjugate"):
                     continue    # Killing Gram down to 3e-4: solving with it loses 4 digits
                 # Killing-orthogonal projection onto the torus, in torus coordinates
-                tproj = np.linalg.solve(dec.killing_gram, dual)
+                tproj = np.linalg.solve(gram, dual)
                 assert np.abs(tproj - np.real(om_xy * r.t_vector)).max() < 1e-8 * scale
 
 
 def test_t_vector_defining_relation(root_decompositions):
     for name, model, dec in root_decompositions:
+        gram = torus_gram(dec)
         for r in dec.roots:
-            resid = np.abs(dec.killing_gram.astype(complex) @ r.t_vector - r.values).max()
+            resid = np.abs(gram.astype(complex) @ r.t_vector - r.values).max()
             assert resid < 1e-9 * max(np.abs(r.values).max(), 1.0)
 
 
@@ -176,7 +180,7 @@ def test_nonabelian_torus_rejected(models):
     m = models["sl2"]
     e = np.array([[0.0, 1.0], [0.0, 0.0]])
     f = np.array([[0.0, 0.0], [1.0, 0.0]])
-    bad = subalgebra_from_matrices(m, [e, f], check_closure=False)
+    bad = subalgebra_from_matrices(m, [e, f])
     with pytest.raises(NumericalAbort):
         decompose(m, bad)
 
@@ -194,11 +198,13 @@ def test_omega_sign_under_representative_flip(case_pipeline):
     rep, z, c, dec = case_pipeline("su21-cline")
     r = dec.roots[0]
     model = rep.model
-    stack = np.hstack([r.spaces["+l"], r.spaces["-l"]])
+    spaces = [root_eigenspace(dec, v) for v in (r.values, -r.values)]
+    stack = np.hstack(spaces)
     comp = _coords_in_span(stack, r.real_basis)
-    k = r.spaces["+l"].shape[1]
-    plus = r.spaces["+l"] @ comp[:k]
-    minus = r.spaces["-l"] @ comp[k:]
+    k = spaces[0].shape[1]
+    assert k == r.complex_dim
+    plus = spaces[0] @ comp[:k]
+    minus = spaces[1] @ comp[k:]
     kmat = model.killing.astype(complex)
     flipped = (minus - plus).T @ kmat @ (minus + plus)
     flipped = 0.5 * (flipped - flipped.T)
@@ -213,13 +219,16 @@ def test_omega_conjugate_for_mixed(models):
     torus = subalgebra_from_matrices(m, [rot + boost])
     dec = decompose(m, torus)
     r = [rr for rr in dec.roots if rr.classification == "mixed"][0]
-    stack = np.hstack([r.spaces[k] for k in ("+l", "-l", "+c", "-c")])
-    sizes = np.cumsum([0] + [r.spaces[k].shape[1] for k in ("+l", "-l", "+c", "-c")])
+    # g_l, g_-l, g_conj(l), g_-conj(l)
+    spaces = [root_eigenspace(dec, v) for v in (r.values, -r.values, r.values.conj(),
+                                                  -r.values.conj())]
+    stack = np.hstack(spaces)
+    sizes = np.cumsum([0] + [s.shape[1] for s in spaces])
     comp = _coords_in_span(stack, r.real_basis)
     kmat = m.killing.astype(complex)
-    # conjugate representative: the +c/-c spaces take over the +l/-l roles
-    plus_c = r.spaces["+c"] @ comp[sizes[2]:sizes[3]]
-    minus_c = r.spaces["-c"] @ comp[sizes[3]:sizes[4]]
+    # conjugate representative: the conj(l), -conj(l) spaces take over the l, -l roles
+    plus_c = spaces[2] @ comp[sizes[2]:sizes[3]]
+    minus_c = spaces[3] @ comp[sizes[3]:sizes[4]]
     om_conj = 2.0 * (plus_c - minus_c).T @ kmat @ (plus_c + minus_c)
     om_conj = 0.5 * (om_conj - om_conj.T)
     assert np.abs(om_conj - np.conj(r.omega)).max() < 1e-8 * np.abs(r.omega).max()

@@ -23,7 +23,7 @@ from flexcheck.surface import (
     surface_representation,
 )
 from flexcheck.toledo import root_cohomology
-from reference import cup_square
+from reference import bracket_coords, cup_square, invariant_vectors, killing_form
 
 
 def test_standard_presentation():
@@ -41,7 +41,6 @@ def test_standard_presentation():
 
 def test_fuchsian_relator_and_traces(fuchsian):
     assert fuchsian.relator_residual < 1e-8
-    assert fuchsian.relator_sign == 1
     rel = relator_prefixes(fuchsian.presentation, fuchsian.images)[-1]
     assert np.abs(rel - np.eye(2)).max() < 1e-8
     for g in fuchsian.images:
@@ -191,8 +190,8 @@ def test_cup_square_trivial_rep_commuting_orthogonal_directions():
     y = np.zeros((4, 4)); y[2, 3], y[3, 2] = 1.0, -1.0
     xc, yc = model.coords(x + x * 0), model.coords(y)
     x2 = model.coords(0.5 * (x - x.T))
-    assert np.abs(model.bracket_coords(xc, yc)).max() < 1e-12
-    assert abs(model.killing_form(xc, yc)) < 1e-12
+    assert np.abs(bracket_coords(model, xc, yc)).max() < 1e-12
+    assert abs(killing_form(model, xc, yc)) < 1e-12
     # u = a1* (x) X + a2* (x) Y: supports on letters with a1* cup a2* = 0
     u = np.zeros(4 * model.dim)
     u[0 * model.dim : 1 * model.dim] = xc
@@ -245,8 +244,9 @@ def _fan_chain_pairing(ws, omega, u, v):
 
 def _killing_forms(ws):
     model = ws.rep.model
+    h0 = invariant_vectors(ws.module)
     return np.stack([
-        np.einsum("ijk,k->ij", model.structure, model.killing @ ws.h0_basis[:, j])
+        np.einsum("ijk,k->ij", model.structure, model.killing @ h0[:, j])
         for j in range(ws.h0_dim)
     ])
 
@@ -352,7 +352,7 @@ def test_central_lift_flag():
     with pytest.raises(NumericalAbort):
         surface_representation(standard_presentation(2), model, images)
     rep = surface_representation(standard_presentation(2), model, images, central_lift=True)
-    assert rep.relator_sign == -1
+    assert np.abs(relator_prefixes(rep.presentation, rep.images)[-1] + eye).max() < 1e-12
     ws = cohomology(rep, adjoint_module(rep))   # adjoint kills the center
     assert ws.h0_dim == 0                        # nothing commutes with both i and j
     assert ws.h1_dim == 6
@@ -531,7 +531,8 @@ def test_cohomology_matches_separate_span_and_kernel_svds(fuchsian, case_pipelin
         assert (ws.b1.shape[1], ws.h0_dim, ws.h2_dim) == (
             b1.shape[1], fixed.shape[1], cofixed.shape[1])
         assert np.abs(ws.b1 @ ws.b1.T - b1 @ b1.T).max() <= 1e-12
-        assert np.abs(ws.h0_basis @ ws.h0_basis.T - fixed @ fixed.T).max(initial=0.0) <= 1e-12
+        h0 = invariant_vectors(module)
+        assert np.abs(h0 @ h0.T - fixed @ fixed.T).max(initial=0.0) <= 1e-12
         # a generator letter's Fox block is P_k, an inverse letter's -P_{k+1};
         # the relator map is their sum over each generator's letters
         prefixes = relator_prefixes(rep.presentation, module.actions)

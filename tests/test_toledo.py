@@ -112,9 +112,9 @@ def test_so41_lagrangian_pair(case_pipeline):
     assert not lagrangian_pair_check(mod, omega, bad, l2)
 
 
-def test_so41_scan_finds_pair(case_pipeline, rng):
+def test_so41_scan_finds_pair(case_pipeline):
     rep, root, mod, l1, l2 = _so41_lagrangians(case_pipeline)
-    found = scan_invariant_lagrangians(mod, root.omega.imag, rng)
+    found = scan_invariant_lagrangians(mod, root.omega.imag)
     assert found is not None
     f1, f2 = found
     assert lagrangian_pair_check(mod, root.omega.imag, f1, f2)
@@ -130,7 +130,7 @@ def test_lagrangian_pair_check_uses_callers_rank_tolerance():
     assert not lagrangian_pair_check(mod, omega, l1, l2)
 
 
-def test_su21_no_lagrangian_pair(case_pipeline, rng):
+def test_su21_no_lagrangian_pair(case_pipeline):
     # T = 2 != 0 forbids an invariant Lagrangian pair
     rep, z, c, dec = case_pipeline("su21-cline")
     root = dec.roots[0]
@@ -144,10 +144,10 @@ def test_su21_no_lagrangian_pair(case_pipeline, rng):
     for cols in itertools.combinations(range(m), m // 2):
         rest = [j for j in range(m) if j not in cols]
         assert not lagrangian_pair_check(mod, omega, eye[:, list(cols)], eye[:, rest])
-    assert scan_invariant_lagrangians(mod, omega, rng) is None
+    assert scan_invariant_lagrangians(mod, omega) is None
 
 
-def test_sp21_second_root_is_so41_reduction(case_pipeline, rng):
+def test_sp21_second_root_is_so41_reduction(case_pipeline):
     # the +-2i root of sp(2,1) carries the SO(4,1)-type structure: T = 0
     rep, z, c, dec = case_pipeline("sp21-cline")
     by_dim = {r.real_dim: r for r in dec.roots}
@@ -156,25 +156,47 @@ def test_sp21_second_root_is_so41_reduction(case_pipeline, rng):
     rr6 = root_form(root_cohomology(rep, adj, by_dim[6]), by_dim[6])
     assert rr6.signature == 0 and rr6.toledo == 0
     mod = restricted_module(adj, by_dim[6].real_basis)
-    found = scan_invariant_lagrangians(mod, by_dim[6].omega.imag, rng)
+    found = scan_invariant_lagrangians(mod, by_dim[6].omega.imag)
     assert found is not None
     # the Hom-block root is maximal: std + conj-std add up, not cancel
     rr8 = root_form(root_cohomology(rep, adj, by_dim[8]), by_dim[8])
     assert abs(rr8.toledo) == 4 and rr8.definite
 
 
-def test_sp21_scan_finds_pair_for_every_seed(case_pipeline):
-    # each real-spectrum draw splits into the pair: a repeated real
-    # eigenvalue may come with complex eigenvectors, and the cut is compared
-    # at the rounding it was taken at
+def _sp21_root6_module(case_pipeline):
     rep, z, c, dec = case_pipeline("sp21-cline")
     root = next(r for r in dec.roots if r.real_dim == 6)
-    mod = restricted_module(adjoint_module(rep), root.real_basis)
-    omega = root.omega.imag
+    return restricted_module(adjoint_module(rep), root.real_basis), root.omega.imag
+
+
+def _scan_in_basis(mod, omega, g):
+    """The scan's pair in the basis g of the module, checked there."""
+    moved = Module(tuple(np.linalg.solve(g, a @ g) for a in mod.actions))
+    omega = g.T @ omega @ g
+    found = scan_invariant_lagrangians(moved, omega)
+    return found is not None and lagrangian_pair_check(moved, omega, *found)
+
+
+def test_sp21_scan_finds_pair_for_every_seed(case_pipeline):
+    # the scan draws nothing at random, so the root module's basis is what
+    # varies: ten random orthonormal ones; a repeated real eigenvalue may
+    # come with complex eigenvectors, and the cut is compared at the
+    # rounding it was taken at
+    mod, omega = _sp21_root6_module(case_pipeline)
+    assert _scan_in_basis(mod, omega, np.eye(mod.dim))
     for seed in range(10):
-        found = scan_invariant_lagrangians(mod, omega, np.random.default_rng(seed), tries=3)
-        assert found is not None, seed
-        assert lagrangian_pair_check(mod, omega, *found)
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((mod.dim, mod.dim)))
+        assert _scan_in_basis(mod, omega, q), seed
+
+
+def test_sp21_scan_finds_pair_in_skewed_bases(case_pipeline):
+    # the transpose of a commutant element commutes with the actions only
+    # where the image is closed under transposition, as in an orthonormal
+    # basis: here the scan's vectorization must match its reshape
+    mod, omega = _sp21_root6_module(case_pipeline)
+    for seed in range(10):
+        g = np.random.default_rng(seed).standard_normal((mod.dim, mod.dim)) + 3.0 * np.eye(mod.dim)
+        assert _scan_in_basis(mod, omega, g), seed
 
 
 def test_gram_on_coboundaries_vanishes(case_pipeline, rng):
