@@ -19,8 +19,8 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .config import DEFAULT, FlexcheckError, Inconclusive, NumericalAbort, ParseError, seed_from_env
-from .catalog import build_case_representation, default_cases, find_case
+from .config import DEFAULT, FlexcheckError, Inconclusive, NumericalAbort, ParseError
+from .catalog import build_case_representation, default_cases
 from .engine import Pipeline, verdict
 from .liealg import build_classical
 from .scalars import Field, Quaternion, realify
@@ -100,11 +100,29 @@ def _tolerance(value, where: str) -> float:
     raise ParseError(f"{where} must be a finite number, got {value!r}")
 
 
+# The keys each object of a problem file may hold; the schema lists the same.
+PROBLEM_KEYS = {
+    "problem": ("group", "genus", "representation", "tolerances"),
+    "group": ("family", "params"),
+    "representation": ("source", "field", "generators", "central_lift"),
+    "tolerances": ("rank", "cluster"),
+}
+
+
+def _object(value, where: str) -> dict:
+    # a key the loader does not read would change nothing, so it is an error
+    if not isinstance(value, dict):
+        raise ParseError(f"{where} must be a JSON object")
+    for key in value:
+        if key not in PROBLEM_KEYS[where]:
+            raise ParseError(f"{where}: unknown key {key!r}; "
+                             f"known keys are {', '.join(PROBLEM_KEYS[where])}")
+    return value
+
+
 def load_problem(args) -> dict:
     """Resolve CLI flags / input file into a problem description."""
-    tol = DEFAULT.with_seed(seed_from_env(0))
-    if args.seed is not None:
-        tol = tol.with_seed(args.seed)
+    tol = DEFAULT
     if args.tol_rank is not None:
         tol = replace(tol, rank=_tolerance(args.tol_rank, "--tol-rank"))
     if args.tol_cluster is not None:
@@ -128,19 +146,13 @@ def load_problem(args) -> dict:
     except UnicodeDecodeError as exc:
         raise ParseError(f"{args.input}: not UTF-8 text ({exc.reason} at byte {exc.start})")
 
-    if not isinstance(doc, dict):
-        raise ParseError("a problem must be a JSON object")
-    if "seed" in doc and args.seed is None:
-        tol = tol.with_seed(_int(doc["seed"], "seed"))
-    tols = doc.get("tolerances", {})
-    if not isinstance(tols, dict):
-        raise ParseError("tolerances must be an object")
-    for key in ("rank", "cluster"):
-        if key in tols:
-            tol = replace(tol, **{key: _tolerance(tols[key], f"tolerances.{key}")})
+    doc = _object(doc, "problem")
+    tols = _object(doc.get("tolerances", {}), "tolerances")
+    for key, value in tols.items():
+        tol = replace(tol, **{key: _tolerance(value, f"tolerances.{key}")})
 
-    group = doc.get("group")
-    if not isinstance(group, dict) or not isinstance(group.get("family"), str):
+    group = _object(doc.get("group"), "group")
+    if not isinstance(group.get("family"), str):
         raise ParseError("problem needs group: {family, params}")
     family = group["family"]
     params = group.get("params", [])
@@ -149,16 +161,10 @@ def load_problem(args) -> dict:
     params = [_int(p, "group.params entry") for p in params]
     genus = _int(doc.get("genus", args.genus), "genus")
 
-    repdoc = doc.get("representation")
-    if not isinstance(repdoc, dict):
-        raise ParseError("problem needs a representation object")
-    source = repdoc.get("source")
-    if source == "catalog":
-        case = find_case(repdoc.get("case"))
-        rep = build_case_representation(case, genus=genus, tol=tol)
-        return {"rep": rep, "tol": tol, "source": f"catalog:{case.name}"}
-    if source != "matrices":
-        raise ParseError(f"unknown representation source {source!r}")
+    repdoc = _object(doc.get("representation"), "representation")
+    if repdoc.get("source") != "matrices":
+        raise ParseError(f"representation.source must be \"matrices\", got "
+                         f"{repdoc.get('source')!r}; a catalog case is --catalog NAME")
 
     try:
         model = build_classical(family, *params, tol=tol)
@@ -194,7 +200,6 @@ def _provenance(problem) -> dict:
         "tool": "flexcheck",
         "version": __version__,
         "source": problem["source"],
-        "seed": tol.seed,
         "tolerances": {"rank": round12(tol.rank), "cluster": round12(tol.cluster),
                        "relator": round12(tol.relator), "gram": round12(tol.gram)},
     }
@@ -369,7 +374,7 @@ def render_text(command: str, report: dict) -> str:
 
     prov = report.get("provenance", {})
     lines.append(f"flexcheck {prov.get('version', '')} {command} on {report.get('group', '')} "
-                 f"(genus {report.get('genus', '?')}, seed {prov.get('seed')})")
+                 f"(genus {report.get('genus', '?')})")
     if command == "decompose":
         lines.append(f"centralizer dim {report['centralizer_dim']}, torus dim "
                      f"{report['torus_dim']}, g0 dim {report['g0_dim']}")
@@ -424,7 +429,6 @@ def _add_common(sub):
     sub.add_argument("--catalog", help="catalog case name (see `flexcheck catalog`)")
     sub.add_argument("--input", help="problem description JSON file")
     sub.add_argument("--genus", type=int, default=2)
-    sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--tol-rank", type=float, default=None)
     sub.add_argument("--tol-cluster", type=float, default=None)
     sub.add_argument("--format", choices=("text", "json"), default="text")

@@ -1,4 +1,4 @@
-"""Shared tolerances, seeding and error types.
+"""Shared tolerances and error types.
 
 The only module that knows a numerical threshold: a caller sets the
 ``Tolerances`` fields, its properties derive the checks that follow a
@@ -7,11 +7,8 @@ field, and the module constants are the checks no caller reaches.
 
 from __future__ import annotations
 
-import os
 import sys
-from dataclasses import dataclass, fields, replace
-
-DEFAULT_SEED_ENV = "FLEXCHECK_SEED"
+from dataclasses import dataclass, fields
 
 
 # Smallest Tolerances threshold, 100 units of double rounding: the cutoffs are
@@ -25,8 +22,8 @@ class Tolerances:
 
     All cutoffs are relative: ``rank`` against the largest singular value,
     ``cluster`` against the largest operator norm, the rest against the
-    natural scale of the quantity they gate.  Every threshold field must
-    be at least ``TOLERANCE_FLOOR``; a smaller one raises ``FlexcheckError``.
+    natural scale of the quantity they gate.  Every field must be at
+    least ``TOLERANCE_FLOOR``; a smaller one raises ``FlexcheckError``.
     """
 
     rank: float = 1e-9          # singular values below rank * sigma_max count as zero
@@ -36,18 +33,14 @@ class Tolerances:
     relator: float = 1e-8       # surface relator residual
     cocycle: float = 1e-8       # relator-map residual for cocycles
     gram: float = 1e-6          # Gram eigenvalue separation from zero
-    seed: int = 0
 
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name != "seed" and not value >= TOLERANCE_FLOOR:     # NaN fails too
+            if not value >= TOLERANCE_FLOOR:        # NaN fails too
                 raise FlexcheckError(
                     f"tolerance {f.name} = {value!r} is below the floor {TOLERANCE_FLOOR:.1e} "
                     "(100 units of double rounding)")
-
-    def with_seed(self, seed: int) -> "Tolerances":
-        return replace(self, seed=seed)
 
     # Checks derived from a field, each with the reason for its factor.
     @property
@@ -106,16 +99,6 @@ CONJUGATION_SYMMETRY = 1e-10
 OCTAGON_NORMALIZER = 1e-9
 # correct_relator's default stop: four digits under DEFAULT.relator, so the result passes.
 RELATOR_CORRECTION = 1e-12
-
-
-def seed_from_env(default: int = 0) -> int:
-    raw = os.environ.get(DEFAULT_SEED_ENV)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"{DEFAULT_SEED_ENV} must be an integer, got {raw!r}")
 
 
 class FlexcheckError(Exception):

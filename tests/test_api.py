@@ -24,6 +24,7 @@ import pytest
 
 import flexcheck
 from flexcheck import config
+from flexcheck.cli import PROBLEM_KEYS
 from flexcheck.config import DEFAULT, FlexcheckError, Tolerances
 from flexcheck.engine import NON_REDUCTIVE_MESSAGE, _phase1
 from flexcheck.liealg import LieAlgebraModel
@@ -163,11 +164,24 @@ def test_exports_resolve():
         assert hasattr(flexcheck, name), name
 
 
+def test_the_readme_library_example_runs():
+    # the only reader of FlexibilityReport.decomposition, which the member
+    # guard counts as read because Pipeline.decomposition shares its name
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(block, namespace)
+    assert namespace["out"].verdict == "rigid"
+    assert namespace["rr"].toledo == 2 and namespace["rr"].definite
+
+
 # ---------------------------------------------------------------------------
 # One tolerance policy: config.py is the only module that knows a threshold
 # ---------------------------------------------------------------------------
 
-THRESHOLD_FIELDS = {f.name for f in dataclasses.fields(Tolerances)} - {"seed"}
+THRESHOLD_FIELDS = {f.name for f in dataclasses.fields(Tolerances)}
 
 
 def _numeric(node: ast.AST) -> bool:
@@ -264,7 +278,7 @@ def test_named_thresholds_keep_their_values():
 
 def test_tolerances_keep_their_fields_and_adjoint_takes_none():
     assert [f.name for f in dataclasses.fields(Tolerances)] == [
-        "rank", "cluster", "closure", "membership", "relator", "cocycle", "gram", "seed"]
+        "rank", "cluster", "closure", "membership", "relator", "cocycle", "gram"]
     assert list(inspect.signature(LieAlgebraModel.adjoint_group_matrix).parameters) == ["self", "g"]
     assert list(inspect.signature(_phase1).parameters) == ["a", "b"]
 
@@ -288,3 +302,13 @@ def test_the_schema_states_the_floor():
     keys = schema["properties"]["tolerances"]["properties"]
     assert {k: v["minimum"] for k, v in keys.items()} == {
         "rank": config.TOLERANCE_FLOOR, "cluster": config.TOLERANCE_FLOOR}
+
+
+def test_the_schema_states_the_keys_the_loader_reads():
+    schema = json.loads((PACKAGE / "schema" / "problem_spec.schema.json").read_text())
+    objects = {"problem": schema, **{k: schema["properties"][k] for k in PROBLEM_KEYS
+                                     if k != "problem"}}
+    assert objects.keys() == PROBLEM_KEYS.keys()
+    for name, obj in objects.items():
+        assert set(obj["properties"]) == set(PROBLEM_KEYS[name]), name
+        assert obj["additionalProperties"] is False, name

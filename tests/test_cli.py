@@ -131,20 +131,20 @@ def test_json_roundtrip_byte_identical(capsys):
     assert again == out
 
 
-def test_same_seed_same_bytes(capsys):
-    code, out1, _ = run_cli(capsys, "verdict", "--catalog", "sp21-cline", "--format", "json", "--seed", "7")
-    code, out2, _ = run_cli(capsys, "verdict", "--catalog", "sp21-cline", "--format", "json", "--seed", "7")
+def test_same_problem_same_bytes(capsys):
+    # the verdict is a function of the representation: nothing random to seed
+    code, out1, _ = run_cli(capsys, "verdict", "--catalog", "sp21-cline", "--format", "json")
+    code, out2, _ = run_cli(capsys, "verdict", "--catalog", "sp21-cline", "--format", "json")
     assert out1 == out2
     doc = json.loads(out1)
-    assert doc["provenance"]["seed"] == 7
+    assert "seed" not in doc["provenance"]
     assert doc["provenance"]["version"]
 
 
-def test_env_seed(capsys, monkeypatch):
-    monkeypatch.setenv("FLEXCHECK_SEED", "42")
-    code, out, _ = run_cli(capsys, "decompose", "--catalog", "su21-rplane", "--format", "json")
-    doc = json.loads(out)
-    assert doc["provenance"]["seed"] == 42
+def test_seed_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verdict", "--catalog", "su21-cline", "--seed", "7"])
+    assert exc.value.code == 2 and "--seed" in capsys.readouterr().err
 
 
 def test_catalog_listing(capsys):
@@ -262,38 +262,49 @@ _IDENTITY = {
 }
 
 
-@pytest.mark.parametrize("doc", [
-    [_IDENTITY],
-    {**_IDENTITY, "group": {"family": "sl", "params": []}},
-    {**_IDENTITY, "seed": "abc"},
-    {**_IDENTITY, "genus": "two"},
-    {**_IDENTITY, "tolerances": {"rank": -1.0}},
-    {**_IDENTITY, "representation": {**_IDENTITY["representation"], "generators": [
-        [[[float("nan")], [0.0]], [[0.0], [1.0]]]] * 4}},
-    {**_IDENTITY, "seed": float("inf")},
-    {**_IDENTITY, "genus": float("inf")},
-    {**_IDENTITY, "genus": 2.5},
+@pytest.mark.parametrize("doc, says", [
+    ([_IDENTITY], "problem must be a JSON object"),
+    ({**_IDENTITY, "group": {"family": "sl", "params": []}}, "sl takes 1 parameter(s), got 0"),
+    ({**_IDENTITY, "seed": "abc"}, "unknown key 'seed'"),
+    ({**_IDENTITY, "genus": "two"}, "genus must be an integer"),
+    ({**_IDENTITY, "tolerances": {"rank": -1.0}}, "tolerance rank = -1.0 is below the floor"),
+    ({**_IDENTITY, "representation": {**_IDENTITY["representation"], "generators": [
+        [[[float("nan")], [0.0]], [[0.0], [1.0]]]] * 4}}, "entry must be finite"),
+    ({**_IDENTITY, "seed": float("inf")}, "unknown key 'seed'"),
+    ({**_IDENTITY, "genus": float("inf")}, "genus must be an integer"),
+    ({**_IDENTITY, "genus": 2.5}, "genus must be an integer"),
     # the schema's integers: neither a numeric string nor a boolean passes
-    {**_IDENTITY, "genus": "2"},
-    {**_IDENTITY, "seed": "7"},
-    {**_IDENTITY, "group": {"family": "sl", "params": ["2"]}},
-    {**_IDENTITY, "genus": True},
-    {**_IDENTITY, "seed": False},
-    {"group": {"family": "su", "params": [2, True]}, "genus": 2,
-     "representation": {"source": "catalog", "case": "su21-cline"}},
+    ({**_IDENTITY, "genus": "2"}, "genus must be an integer"),
+    ({**_IDENTITY, "seed": "7"}, "unknown key 'seed'"),
+    ({**_IDENTITY, "group": {"family": "sl", "params": ["2"]}}, "group.params entry must be an integer"),
+    ({**_IDENTITY, "genus": True}, "genus must be an integer"),
+    ({**_IDENTITY, "seed": False}, "unknown key 'seed'"),
+    ({**_IDENTITY, "group": {"family": "su", "params": [2, True]}},
+     "group.params entry must be an integer"),
     # the schema's boolean is a JSON boolean, and a tolerance is not one
-    {**_IDENTITY, "representation": {**_IDENTITY["representation"], "central_lift": "false"}},
-    {**_IDENTITY, "tolerances": {"cluster": True}},
-    {**_IDENTITY, "tolerances": {"rank": True}},
+    ({**_IDENTITY, "representation": {**_IDENTITY["representation"], "central_lift": "false"}},
+     "central_lift must be a boolean"),
+    ({**_IDENTITY, "tolerances": {"cluster": True}}, "tolerances.cluster must be a finite number"),
+    ({**_IDENTITY, "tolerances": {"rank": True}}, "tolerances.rank must be a finite number"),
+    # a key the loader does not read would be an input that changes nothing
+    ({**_IDENTITY, "seed": 0}, "unknown key 'seed'"),
+    ({**_IDENTITY, "tolerances": {"gram": 1e-3}}, "tolerances: unknown key 'gram'"),
+    ({**_IDENTITY, "tolerance": {"rank": 1e-6}}, "unknown key 'tolerance'"),
+    # a catalog case comes from --catalog only: the file's group would go unread
+    ({**_IDENTITY, "representation": {"source": "catalog", "case": "su21-cline"}},
+     "representation: unknown key 'case'"),
+    ({**_IDENTITY, "representation": {**_IDENTITY["representation"], "source": "catalog"}},
+     "representation.source must be \"matrices\", got 'catalog'"),
 ], ids=["array", "empty-params", "seed", "genus", "negative-tolerance", "nan-entry",
         "inf-seed", "inf-genus", "fractional-genus", "string-genus", "string-seed",
         "string-param", "bool-genus", "bool-seed", "bool-param", "string-central-lift",
-        "bool-cluster", "bool-rank"])
-def test_malformed_problem_is_a_parse_error(tmp_path, capsys, doc):
+        "bool-cluster", "bool-rank", "zero-seed", "gram-tolerance", "misspelled-key",
+        "catalog-case", "catalog-source"])
+def test_malformed_problem_is_a_parse_error(tmp_path, capsys, doc, says):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     code, _, err = run_cli(capsys, "verdict", "--input", str(path))
-    assert code == 2 and "parse error" in err
+    assert code == 2 and err.startswith("flexcheck: parse error: ") and says in err
 
 
 def test_a_problem_without_genus_takes_the_genus_flag(tmp_path, capsys):

@@ -8,11 +8,12 @@ the centralizer has dimension 2, with one imaginary and one mixed root.
 
 ``GOLDEN`` holds the exit code and the sha256 of stdout of all five
 report subcommands in both formats, run in-process through ``cli.main``
-on the problem file below, with FLEXCHECK_SEED unset.  The hashes were
-produced by these same calls at commit bff0ae6, where ``root_form`` still
-built a complex structure J and a complex-bilinear Gram for the mixed
-root; they pin that deciding a mixed root by its values alone moves no
-report byte.
+on the problem file below.  The hashes were first produced by these
+same calls when ``root_form`` still built a complex structure J and a
+complex-bilinear Gram for the mixed root; they pin that deciding a mixed
+root by its values alone moves no report byte.  They were re-pinned when
+the seed was removed: the new bytes are those reports less the JSON
+provenance line ``"seed": 0,`` or the text header's ``, seed 0``.
 """
 
 import hashlib
@@ -24,16 +25,16 @@ from conftest import bent_genus2
 from flexcheck.cli import main
 
 GOLDEN = {
-    ("decompose", "json"): (0, "67e537c999c87a07f6b093a2158a423885f6de5253d399b8a2249efb22a2daee"),
-    ("decompose", "text"): (0, "ddb8998d7e9d96c25db223825cc64c6df1c8d49d6754ceb640b054d3b542331a"),
-    ("cohomology", "json"): (0, "c2388e1a3af018ffd0fbe91c74ea238905a94bbee7c7bcf5329a96fc211a0eee"),
-    ("cohomology", "text"): (0, "5f851a3473ae58500c71c9c06b74e239cf728fd568ee5deed912dbfb829efcf3"),
-    ("toledo", "json"): (0, "cf41a9ff8aa9de246dfd5609060b4930316609c2b707c0da56d6574a5536cba5"),
-    ("toledo", "text"): (0, "2782fe3586da7d32eab8436ef907aa22f5e84fc0b4e473e8eeae2af14299963c"),
-    ("balanced", "json"): (0, "46d5f536b115affc2c55b0b269731b5f656485c5fc5f2880838e55c496fc3d6e"),
-    ("balanced", "text"): (0, "4203782a210a040bdbde8997904b3319bd22aff1d426cdca92397b6d83267ebd"),
-    ("verdict", "json"): (0, "db11678c98fabd9737944a96d800a2af04d61e341f43bc1b66fc46ad41671946"),
-    ("verdict", "text"): (0, "2133f6ff2b84e0efdc1cf5abb89e10b6ff166fa4af7098c7a6b7dabe35d1cef1"),
+    ("decompose", "json"): (0, "ad4f904d11c846e9956f507624b6528c22593ef03630f49439ac64262484b231"),
+    ("decompose", "text"): (0, "23999af76575abd7bd0ad7fb589ff957e8a023ee5a65ccdfa72f5f17aff4ff34"),
+    ("cohomology", "json"): (0, "cffef522405e4f3ade707d30db02c425a0488e41f11b642cc8a3beb93bce6997"),
+    ("cohomology", "text"): (0, "7d04a6c1854effecdc849abc302192920fba18b6f1b889ac39e223ad9c279552"),
+    ("toledo", "json"): (0, "13d340bad9a2cc0a146adfacf8a834789beba7b85925292aab0c2958793338f3"),
+    ("toledo", "text"): (0, "bc749ad6da739cdc5732caded8897e741f4e6701299785681047e8e4c07315c4"),
+    ("balanced", "json"): (0, "ccbf2e6a41b57682f934ef47b492e05bd0f87f648f00e97477bdd00ef6536945"),
+    ("balanced", "text"): (0, "ed61a5b759d213841eab5d95c36f4014b4899b208db769e91374517560ef6cf8"),
+    ("verdict", "json"): (0, "5b2b8c4404d82869053ce4bdbc5c537d576b0e150bfac6883b2cd02dc5b6c46d"),
+    ("verdict", "text"): (0, "82c3b79394bced64c61f1c955f2f4484ba622efe63e69f56a98345561a928ef7"),
 }
 
 
@@ -52,8 +53,7 @@ def bent_problem(tmp_path_factory):
 
 
 @pytest.mark.parametrize("command, fmt", sorted(GOLDEN))
-def test_bent_report_bytes(bent_problem, capsys, monkeypatch, command, fmt):
-    monkeypatch.delenv("FLEXCHECK_SEED", raising=False)
+def test_bent_report_bytes(bent_problem, capsys, command, fmt):
     code = main([command, "--input", bent_problem, "--format", fmt])
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[command, fmt]
