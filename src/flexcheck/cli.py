@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: decompose, cohomology, toledo, balanced, verdict, catalog.
-Problems come from --catalog NAME or --input FILE (JSON; schema shipped at
-flexcheck/schema/problem_spec.schema.json).  Exit codes: 0 success (and
-"flexible" for verdict), 10 rigid, 11 inconclusive, 2 parse error, 3
-numerical abort.
+Problems come from --catalog NAME or --input FILE (JSON, checked against the
+schema shipped at flexcheck/schema/problem_spec.schema.json).  Exit codes: 0
+success (and "flexible" for verdict), 10 rigid, 11 inconclusive, 2 parse
+error, 3 numerical abort.
 """
 
 from __future__ import annotations
@@ -50,73 +50,76 @@ def _cnum(z: complex) -> list[float]:
 # Problem loading
 # ---------------------------------------------------------------------------
 
-def _parse_entry(entry, field: Field, where: str):
-    try:
-        comps = [float(c) for c in entry]
-    except (TypeError, ValueError):
-        raise ParseError(f"{where}: entry must be a list of numbers, got {entry!r}")
-    if not all(math.isfinite(c) for c in comps):
-        raise ParseError(f"{where}: entry must be finite, got {entry!r}")
-    want = field.dim
-    if len(comps) != want:
-        raise ParseError(f"{where}: expected {want} component(s) for field "
-                         f"{field.value}, got {len(comps)}")
-    if field is Field.REAL:
-        return comps[0]
-    if field is Field.COMPLEX:
-        return complex(comps[0], comps[1])
-    return Quaternion(*comps)
-
-
-def _parse_matrix(rows, field: Field, where: str) -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
-        raise ParseError(f"{where}: matrix must be a non-empty list of rows")
-    n = len(rows)
-    entries = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n:
-            raise ParseError(f"{where}: row {i} must have {n} entries")
-        entries.append([_parse_entry(entry, field, f"{where}[{i}][{j}]")
-                        for j, entry in enumerate(row)])
-    return realify(entries, field)
-
-
-def _int(value, where: str) -> int:
-    # a JSON integer, or a float with an integral value; int() would also take
-    # the strings "2" and the booleans, truncate 2.5 and overflow on the inf
-    # that JSON reads for 1e400
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ParseError(f"{where} must be an integer, got {value!r}")
-
-
-def _tolerance(value, where: str) -> float:
-    # a JSON true is an int to isinstance, and would run as 1.0; Tolerances
-    # rejects a value below its floor
-    if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
-        return float(value)
-    raise ParseError(f"{where} must be a finite number, got {value!r}")
-
-
-# The keys each object of a problem file may hold; the schema lists the same.
-PROBLEM_KEYS = {
-    "problem": ("group", "genus", "representation", "tolerances"),
-    "group": ("family", "params"),
-    "representation": ("source", "field", "generators", "central_lift"),
-    "tolerances": ("rank", "cluster"),
+# The JSON types the schema names: each one's name in errors, and its test.
+# Python's json reads NaN, Infinity and 1e400, none of which is a JSON number.
+_JSON_TYPES = {
+    "object": ("a JSON object", lambda v: isinstance(v, dict)),
+    "array": ("an array", lambda v: isinstance(v, list)),
+    "boolean": ("a boolean", lambda v: isinstance(v, bool)),
+    "integer": ("an integer", lambda v: (isinstance(v, int) and not isinstance(v, bool))
+                or (isinstance(v, float) and v.is_integer())),
+    "number": ("a finite number", lambda v: isinstance(v, (int, float))
+               and not isinstance(v, bool) and abs(v) <= sys.float_info.max),
 }
 
 
-def _object(value, where: str) -> dict:
-    # a key the loader does not read would change nothing, so it is an error
-    if not isinstance(value, dict):
-        raise ParseError(f"{where} must be a JSON object")
-    for key in value:
-        if key not in PROBLEM_KEYS[where]:
-            raise ParseError(f"{where}: unknown key {key!r}; "
-                             f"known keys are {', '.join(PROBLEM_KEYS[where])}")
+def _validate(value, schema: dict, where: str = "") -> None:
+    """Raise ParseError naming the path and the first rule of ``schema`` that ``value`` breaks.
+
+    Implements the keywords problem_spec.schema.json uses: type, enum,
+    minimum, additionalProperties (false only), required, properties,
+    minItems, maxItems and items.  Annotations such as description state no rule.
+    """
+    name = where or "problem"
+    if "type" in schema:
+        article, test = _JSON_TYPES[schema["type"]]
+        if not test(value):
+            raise ParseError(f"{name} must be {article}, got {value!r}")
+    if "enum" in schema and value not in schema["enum"]:
+        hint = f" ({schema['description']})" if "description" in schema else ""
+        raise ParseError(f"{name} must be one of {', '.join(map(repr, schema['enum']))}, "
+                         f"got {value!r}{hint}")
+    if "minimum" in schema and value < schema["minimum"]:
+        raise ParseError(f"{name} must be at least {schema['minimum']!r}, got {value!r}")
+    props = schema.get("properties", {})
+    if schema.get("additionalProperties") is False:
+        for key in value:
+            if key not in props:
+                raise ParseError(f"{name}: unknown key {key!r}; known keys are {', '.join(props)}")
+    for key in schema.get("required", ()):
+        if key not in value:
+            raise ParseError(f"{name} needs the key {key!r}")
+    for key, sub in props.items():
+        if key in value:
+            _validate(value[key], sub, f"{where}.{key}" if where else key)
+    if "minItems" in schema and len(value) < schema["minItems"]:
+        raise ParseError(f"{name} must have at least {schema['minItems']} item(s), "
+                         f"got {len(value)}")
+    if "maxItems" in schema and len(value) > schema["maxItems"]:
+        raise ParseError(f"{name} must have at most {schema['maxItems']} item(s), got {len(value)}")
+    for i, item in enumerate(value if "items" in schema else ()):
+        _validate(item, schema["items"], f"{name}[{i}]")
+
+
+_SCALARS = {Field.REAL: float, Field.COMPLEX: complex, Field.QUATERNION: Quaternion}
+
+
+def _parse_matrix(rows: list, field: Field, where: str) -> np.ndarray:
+    """Realify a schema-valid generator once it is square with field.dim components per entry."""
+    for i, row in enumerate(rows):
+        if len(row) != len(rows):
+            raise ParseError(f"{where}: row {i} must have {len(rows)} entries")
+        for j, comps in enumerate(row):
+            if len(comps) != field.dim:
+                raise ParseError(f"{where}[{i}][{j}]: expected {field.dim} component(s) for "
+                                 f"field {field.value}, got {len(comps)}")
+    return realify([[_SCALARS[field](*map(float, comps)) for comps in row] for row in rows], field)
+
+
+def _tolerance(value: float, flag: str) -> float:
+    # Tolerances rejects nan and a value below its floor, but not inf
+    if not math.isfinite(value):
+        raise ParseError(f"{flag} must be a finite number, got {value!r}")
     return value
 
 
@@ -145,48 +148,36 @@ def load_problem(args) -> dict:
         raise ParseError(f"{args.input}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{args.input}: not UTF-8 text ({exc.reason} at byte {exc.start})")
+    except ValueError as exc:       # an integer literal past int's 4300-digit limit
+        raise ParseError(f"{args.input}: invalid JSON ({exc})")
+    with open(schema_path(), encoding="utf-8") as fh:
+        _validate(doc, json.load(fh))
 
-    doc = _object(doc, "problem")
-    tols = _object(doc.get("tolerances", {}), "tolerances")
-    for key, value in tols.items():
-        tol = replace(tol, **{key: _tolerance(value, f"tolerances.{key}")})
-
-    group = _object(doc.get("group"), "group")
-    if not isinstance(group.get("family"), str):
-        raise ParseError("problem needs group: {family, params}")
-    family = group["family"]
-    params = group.get("params", [])
-    if not isinstance(params, list):
-        raise ParseError("group.params must be a list of integers")
-    params = [_int(p, "group.params entry") for p in params]
-    genus = _int(doc.get("genus", args.genus), "genus")
-
-    repdoc = _object(doc.get("representation"), "representation")
-    if repdoc.get("source") != "matrices":
-        raise ParseError(f"representation.source must be \"matrices\", got "
-                         f"{repdoc.get('source')!r}; a catalog case is --catalog NAME")
-
+    # the schema holds from here on; what follows are the rules it cannot state
+    for key, value in doc.get("tolerances", {}).items():
+        tol = replace(tol, **{key: float(value)})
+    family = doc["group"]["family"]
+    genus = int(doc.get("genus", args.genus))
     try:
-        model = build_classical(family, *params, tol=tol)
+        model = build_classical(family, *map(int, doc["group"].get("params", [])), tol=tol)
     except FlexcheckError as exc:
         raise ParseError(str(exc))
-    field = Field.parse(repdoc.get("field", model.field.value))
-    if field is not model.field:
-        raise ParseError(f"field {field.value} does not match group family {family}")
-    gens = repdoc.get("generators")
-    if not isinstance(gens, list) or len(gens) != 2 * genus:
+    repdoc = doc["representation"]
+    field = repdoc.get("field", model.field.value)
+    if field != model.field.value:
+        raise ParseError(f"field {field} does not match group family {family}")
+    gens = repdoc["generators"]
+    if len(gens) != 2 * genus:
         raise ParseError(f"need {2 * genus} generator matrices for genus {genus}")
-    images = [_parse_matrix(g, field, f"generators[{i}]") for i, g in enumerate(gens)]
+    images = [_parse_matrix(g, model.field, f"representation.generators[{i}]")
+              for i, g in enumerate(gens)]
     for i, g in enumerate(images):
         if g.shape[0] != model.realified_size:
             raise ParseError(
-                f"generators[{i}]: realified size {g.shape[0]} does not match "
+                f"representation.generators[{i}]: realified size {g.shape[0]} does not match "
                 f"{model.name} ({model.realified_size})")
-    central_lift = repdoc.get("central_lift", False)
-    if not isinstance(central_lift, bool):      # bool("false") is True
-        raise ParseError(f"representation.central_lift must be a boolean, got {central_lift!r}")
-    rep = surface_representation(
-        standard_presentation(genus), model, images, central_lift=central_lift, tol=tol)
+    rep = surface_representation(standard_presentation(genus), model, images,
+                                 central_lift=repdoc.get("central_lift", False), tol=tol)
     return {"rep": rep, "tol": tol, "source": "matrices"}
 
 

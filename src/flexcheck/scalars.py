@@ -26,14 +26,6 @@ class Field(enum.Enum):
     def dim(self) -> int:
         return {Field.REAL: 1, Field.COMPLEX: 2, Field.QUATERNION: 4}[self]
 
-    @classmethod
-    def parse(cls, tag: str) -> "Field":
-        tag = str(tag).strip().upper()
-        for f in cls:
-            if f.value == tag:
-                return f
-        raise FlexcheckError(f"unknown field tag {tag!r}, expected R, C or H")
-
 
 @dataclass(frozen=True)
 class Quaternion:

@@ -124,9 +124,12 @@ def _on_diagonal(mats, offset: int, total: int, d: int) -> list:
 def splitso(m: int, q: int, fld: Field | str, p: int) -> SplitsoDecomposition:
     """Three-block decomposition of o(m, q, F) along an F^p x F^{m-p} split."""
     if isinstance(fld, str):
-        if fld.strip().upper() == "O":
+        tag = fld.strip().upper()
+        if tag == "O":
             raise ExcludedFamilyError("octonionic splitso is excluded")
-        fld = Field.parse(fld)
+        if tag not in {f.value for f in Field}:
+            raise FlexcheckError(f"unknown field tag {tag!r}, expected R, C or H")
+        fld = Field(tag)
     if not (0 < p < m):
         raise FlexcheckError("splitso needs 0 < p < m")
     total = m + q

@@ -24,8 +24,8 @@ import pytest
 
 import flexcheck
 from flexcheck import config
-from flexcheck.cli import PROBLEM_KEYS
-from flexcheck.config import DEFAULT, FlexcheckError, Tolerances
+from flexcheck.cli import _JSON_TYPES, _validate
+from flexcheck.config import DEFAULT, FlexcheckError, ParseError, Tolerances
 from flexcheck.engine import NON_REDUCTIVE_MESSAGE, _phase1
 from flexcheck.liealg import LieAlgebraModel
 from flexcheck.surface import correct_relator
@@ -304,11 +304,46 @@ def test_the_schema_states_the_floor():
         "rank": config.TOLERANCE_FLOOR, "cluster": config.TOLERANCE_FLOOR}
 
 
-def test_the_schema_states_the_keys_the_loader_reads():
+# (schema, a value it takes, a value it rejects, the message) for each
+# keyword the problem-file validator implements
+KEYWORD_CASES = [
+    ({"type": "integer"}, 2.0, 2.5, "x must be an integer, got 2.5"),
+    ({"enum": ["a", "b"]}, "b", "B", "x must be one of 'a', 'b', got 'B'"),
+    ({"minimum": 2}, 2, 1.5, "x must be at least 2, got 1.5"),
+    ({"properties": {"k": {}}, "additionalProperties": False}, {"k": 1}, {"j": 1},
+     "x: unknown key 'j'; known keys are k"),
+    ({"required": ["k"]}, {"k": 1}, {}, "x needs the key 'k'"),
+    ({"properties": {"k": {"type": "boolean"}}}, {"k": False}, {"k": 0},
+     "x.k must be a boolean, got 0"),
+    ({"items": {"type": "number"}}, [1, 2.5], [1, float("inf")],
+     "x[1] must be a finite number, got inf"),
+    ({"minItems": 1}, [0], [], "x must have at least 1 item(s), got 0"),
+    ({"maxItems": 1}, [0], [0, 0], "x must have at most 1 item(s), got 2"),
+]
+VALIDATED = {keyword for schema, *_ in KEYWORD_CASES for keyword in schema}
+ANNOTATIONS = {"$schema", "$id", "title", "description", "default"}
+
+
+@pytest.mark.parametrize("schema, good, bad, says", KEYWORD_CASES)
+def test_the_validator_enforces_each_keyword(schema, good, bad, says):
+    _validate(good, schema, "x")
+    with pytest.raises(ParseError) as exc:
+        _validate(bad, schema, "x")
+    assert str(exc.value) == says
+
+
+def _subschemas(schema: dict):
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from _subschemas(sub)
+    if "items" in schema:
+        yield from _subschemas(schema["items"])
+
+
+def test_the_schema_states_no_rule_the_validator_skips():
     schema = json.loads((PACKAGE / "schema" / "problem_spec.schema.json").read_text())
-    objects = {"problem": schema, **{k: schema["properties"][k] for k in PROBLEM_KEYS
-                                     if k != "problem"}}
-    assert objects.keys() == PROBLEM_KEYS.keys()
-    for name, obj in objects.items():
-        assert set(obj["properties"]) == set(PROBLEM_KEYS[name]), name
-        assert obj["additionalProperties"] is False, name
+    for sub in _subschemas(schema):
+        assert set(sub) <= VALIDATED | ANNOTATIONS, set(sub) - VALIDATED - ANNOTATIONS
+        assert sub.get("type", "object") in _JSON_TYPES
+        if sub.get("type") == "object":
+            assert sub.get("additionalProperties") is False, sub

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,18 +159,19 @@ def test_catalog_listing(capsys):
     assert any(row["name"] == "sp31-cline" for row in doc["cases"])
 
 
+def _real_problem(tmp_path, family, params, images):
+    """A problem file of real generator images, rounded to 12 significant digits."""
+    gens = [[[[round12(float(x))] for x in row] for row in g] for g in images]
+    doc = {"group": {"family": family, "params": params}, "genus": len(images) // 2,
+           "representation": {"source": "matrices", "field": "R", "generators": gens}}
+    path = tmp_path / f"{family}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 def test_explicit_matrix_input_matches_catalog(tmp_path, capsys):
     from flexcheck.surface import fuchsian_genus2
-    rep = fuchsian_genus2()
-    gens = [[[[round12(float(g[i, j]))] for j in range(2)] for i in range(2)]
-            for g in rep.images]
-    doc = {
-        "group": {"family": "sl", "params": [2]},
-        "genus": 2,
-        "representation": {"source": "matrices", "field": "R", "generators": gens},
-    }
-    path = tmp_path / "fuchsian.json"
-    path.write_text(json.dumps(doc))
+    path = _real_problem(tmp_path, "sl", [2], fuchsian_genus2().images)
     code, out, _ = run_cli(capsys, "cohomology", "--input", str(path), "--format", "json")
     assert code == 0
     parsed = json.loads(out)
@@ -237,21 +240,36 @@ def test_numerical_abort_exit_code(tmp_path, capsys):
     assert code == 3 and "numerical abort" in err
 
 
-def test_standard_module_toledo(tmp_path, capsys):
-    from flexcheck.surface import fuchsian_genus2
-    rep = fuchsian_genus2()
-    gens = [[[[round12(float(g[i, j]))] for j in range(2)] for i in range(2)]
-            for g in rep.images]
-    doc = {"group": {"family": "sl", "params": [2]}, "genus": 2,
-           "representation": {"source": "matrices", "field": "R", "generators": gens}}
-    path = tmp_path / "fuchsian.json"
-    path.write_text(json.dumps(doc))
+def _standard_module(capsys, path):
     code, out, _ = run_cli(capsys, "toledo", "--input", str(path),
                            "--standard-module", "--format", "json")
     assert code == 0
-    doc = json.loads(out)
+    return json.loads(out)
+
+
+def test_standard_module_toledo(tmp_path, capsys):
+    from flexcheck.surface import fuchsian_genus2
+    doc = _standard_module(capsys, _real_problem(tmp_path, "sl", [2], fuchsian_genus2().images))
     assert abs(doc["toledo"]) == 1           # Milnor: |T| = genus - 1
     assert doc["milnor_wood_slack"] == 0
+
+
+def test_standard_module_toledo_on_sp4(tmp_path, capsys):
+    # the octagon group diagonally in Sp(4,R), g acting on each (e_i, f_i)
+    # plane: the standard module is two copies of sl(2,R)'s
+    from flexcheck.surface import fuchsian_genus2
+    images = fuchsian_genus2().images
+    diagonal = []
+    for g in images:
+        big = np.zeros((4, 4))
+        for i in (0, 1):
+            big[np.ix_([i, i + 2], [i, i + 2])] = g
+        diagonal.append(big)
+    sl2 = _standard_module(capsys, _real_problem(tmp_path, "sl", [2], images))
+    sp4 = _standard_module(capsys, _real_problem(tmp_path, "spr", [2], diagonal))
+    assert sp4["group"] == "sp(4,R)"
+    assert sp4["h1_dim"] == 8 and sp4["toledo"] == 2 * sl2["toledo"] == -2
+    assert sp4["signature"] == -8 and sp4["milnor_wood_slack"] == 0
 
 
 _IDENTITY = {
@@ -262,25 +280,34 @@ _IDENTITY = {
 }
 
 
+def _with_generators(generators):
+    return {**_IDENTITY, "representation": {**_IDENTITY["representation"],
+                                            "generators": generators}}
+
+
 @pytest.mark.parametrize("doc, says", [
     ([_IDENTITY], "problem must be a JSON object"),
-    ({**_IDENTITY, "group": {"family": "sl", "params": []}}, "sl takes 1 parameter(s), got 0"),
+    ({**_IDENTITY, "group": {"family": "sl", "params": []}},
+     "group.params must have at least 1 item(s), got 0"),
     ({**_IDENTITY, "seed": "abc"}, "unknown key 'seed'"),
     ({**_IDENTITY, "genus": "two"}, "genus must be an integer"),
-    ({**_IDENTITY, "tolerances": {"rank": -1.0}}, "tolerance rank = -1.0 is below the floor"),
+    ({**_IDENTITY, "tolerances": {"rank": -1.0}},
+     "tolerances.rank must be at least 2.220446049250313e-14, got -1.0"),
     ({**_IDENTITY, "representation": {**_IDENTITY["representation"], "generators": [
-        [[[float("nan")], [0.0]], [[0.0], [1.0]]]] * 4}}, "entry must be finite"),
+        [[[float("nan")], [0.0]], [[0.0], [1.0]]]] * 4}},
+     "representation.generators[0][0][0][0] must be a finite number, got nan"),
     ({**_IDENTITY, "seed": float("inf")}, "unknown key 'seed'"),
     ({**_IDENTITY, "genus": float("inf")}, "genus must be an integer"),
     ({**_IDENTITY, "genus": 2.5}, "genus must be an integer"),
     # the schema's integers: neither a numeric string nor a boolean passes
     ({**_IDENTITY, "genus": "2"}, "genus must be an integer"),
     ({**_IDENTITY, "seed": "7"}, "unknown key 'seed'"),
-    ({**_IDENTITY, "group": {"family": "sl", "params": ["2"]}}, "group.params entry must be an integer"),
+    ({**_IDENTITY, "group": {"family": "sl", "params": ["2"]}},
+     "group.params[0] must be an integer, got '2'"),
     ({**_IDENTITY, "genus": True}, "genus must be an integer"),
     ({**_IDENTITY, "seed": False}, "unknown key 'seed'"),
     ({**_IDENTITY, "group": {"family": "su", "params": [2, True]}},
-     "group.params entry must be an integer"),
+     "group.params[1] must be an integer, got True"),
     # the schema's boolean is a JSON boolean, and a tolerance is not one
     ({**_IDENTITY, "representation": {**_IDENTITY["representation"], "central_lift": "false"}},
      "central_lift must be a boolean"),
@@ -294,17 +321,88 @@ _IDENTITY = {
     ({**_IDENTITY, "representation": {"source": "catalog", "case": "su21-cline"}},
      "representation: unknown key 'case'"),
     ({**_IDENTITY, "representation": {**_IDENTITY["representation"], "source": "catalog"}},
-     "representation.source must be \"matrices\", got 'catalog'"),
+     "representation.source must be one of 'matrices', got 'catalog' (the generator images "
+     "below; a catalog case is the CLI's --catalog NAME)"),
+    # the schema's number is a JSON number, and its enums are exact strings
+    (_with_generators([[[["1"], [0.0]], [[0.0], [1.0]]]] * 4),
+     "representation.generators[0][0][0][0] must be a finite number, got '1'"),
+    (_with_generators([[[[True], [0.0]], [[0.0], [1.0]]]] * 4),
+     "representation.generators[0][0][0][0] must be a finite number, got True"),
+    (_with_generators([[[[10 ** 400], [0.0]], [[0.0], [1.0]]]] * 4),
+     "representation.generators[0][0][0][0] must be a finite number, got 1000"),
+    ({**_IDENTITY, "group": {"family": "SL", "params": [2]}},
+     "group.family must be one of 'sl', 'su', 'so', 'sp', 'spr', got 'SL'"),
+    ({**_IDENTITY, "representation": {**_IDENTITY["representation"], "field": "r"}},
+     "representation.field must be one of 'R', 'C', 'H', got 'r'"),
+    ({**_IDENTITY, "representation": {**_IDENTITY["representation"], "field": " R "}},
+     "representation.field must be one of 'R', 'C', 'H', got ' R '"),
+    # what JSON Schema cannot state: the shape of each matrix, checked in code
+    (_with_generators([[]] * 4),
+     "representation.generators[0] must have at least 1 item(s), got 0"),
+    (_with_generators([[[]]] * 4),
+     "representation.generators[0][0] must have at least 1 item(s), got 0"),
+    (_with_generators([[[[1.0], [0.0]], [[1.0]]]] * 4),
+     "representation.generators[0]: row 1 must have 2 entries"),
+    (_with_generators([[[[1.0, 0.0], [0.0]], [[0.0], [1.0]]]] * 4),
+     "representation.generators[0][0][0]: expected 1 component(s) for field R, got 2"),
+    (_with_generators([[[[float(i == j)] for j in range(3)] for i in range(3)]] * 4),
+     "representation.generators[0]: realified size 3 does not match sl(2,R) (2)"),
+    ({**_IDENTITY, "representation": {**_IDENTITY["representation"], "field": "C"}},
+     "field C does not match group family sl"),
+    ({**_IDENTITY, "representation": {"source": "matrices"}},
+     "representation needs the key 'generators'"),
 ], ids=["array", "empty-params", "seed", "genus", "negative-tolerance", "nan-entry",
         "inf-seed", "inf-genus", "fractional-genus", "string-genus", "string-seed",
         "string-param", "bool-genus", "bool-seed", "bool-param", "string-central-lift",
         "bool-cluster", "bool-rank", "zero-seed", "gram-tolerance", "misspelled-key",
-        "catalog-case", "catalog-source"])
+        "catalog-case", "catalog-source", "string-entry", "bool-entry", "huge-integer-entry",
+        "upper-family", "lower-field", "padded-field", "empty-matrix", "empty-row",
+        "ragged-row", "component-count", "realified-size", "field-mismatch", "no-generators"])
 def test_malformed_problem_is_a_parse_error(tmp_path, capsys, doc, says):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     code, _, err = run_cli(capsys, "verdict", "--input", str(path))
     assert code == 2 and err.startswith("flexcheck: parse error: ") and says in err
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["verdict", "--catalog", "su21-cline", "--input", "{identity}"],
+     "give either --catalog or --input, not both"),
+    (["verdict"], "a problem is required: --catalog NAME or --input FILE"),
+    (["verdict", "--input", "{missing}"], "cannot read {missing}"),
+    (["toledo", "--catalog", "su21-cline", "--root", "5"],
+     "--root 5 out of range; decomposition has 1 root(s)"),
+    (["toledo", "--catalog", "su21-cline", "--root", "-1"],
+     "--root -1 out of range; decomposition has 1 root(s)"),
+    (["toledo", "--input", "{so}", "--standard-module"],
+     "--standard-module needs an sl(2,R) or sp(2n,R) ambient group"),
+    (["verdict", "--catalog", "su21-cline", "--tol-rank", "nan"],
+     "--tol-rank must be a finite number, got nan"),
+    (["verdict", "--catalog", "su21-cline", "--tol-rank", "inf"],
+     "--tol-rank must be a finite number, got inf"),
+    pytest.param(["verdict", "--input", "{long}"], "{long}: invalid JSON (Exceeds the limit",
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                          reason="this Python reads integers of any length")),
+], ids=["catalog-and-input", "no-problem", "unreadable-input", "root-past-end", "negative-root",
+        "standard-module-on-so21", "nan-tol-rank", "inf-tol-rank", "over-long-integer"])
+def test_cli_misuse_is_a_parse_error(tmp_path, capsys, argv, says):
+    files = {"identity": tmp_path / "identity.json", "missing": tmp_path / "missing.json",
+             "so": _real_problem(tmp_path, "so", [2, 1], [np.eye(3)] * 4),
+             "long": tmp_path / "long.json"}
+    files["identity"].write_text(json.dumps(_IDENTITY))
+    files["long"].write_text('{"genus": ' + "9" * 5000 + "}")
+    code, out, err = run_cli(capsys, *(arg.format(**files) for arg in argv))
+    assert code == 2 and out == "" and err.startswith("flexcheck: parse error: ")
+    assert says.format(**files) in err
+
+
+def test_the_readme_problem_file_runs(tmp_path, capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```json\n(.*?)^```", readme, re.M | re.S)
+    path = tmp_path / "readme.json"
+    path.write_text(block)
+    code, out, _ = run_cli(capsys, "verdict", "--input", str(path), "--format", "json")
+    assert code == 11 and json.loads(out)["reductive"] is False
 
 
 def test_a_problem_without_genus_takes_the_genus_flag(tmp_path, capsys):
@@ -390,7 +488,8 @@ def test_tolerance_below_the_floor_exits_2(tmp_path, capsys, where):
         path.write_text(json.dumps(dict(doc, tolerances={"rank": 1e-18})))
         argv = ["--input", str(path)]
     code, out, err = run_cli(capsys, "verdict", *argv)
-    assert code == 2 and out == "" and "below the floor" in err
+    says = "below the floor" if where == "flag" else "tolerances.rank must be at least"
+    assert code == 2 and out == "" and says in err
 
 
 def test_overflowing_image_exits_3_without_warnings(tmp_path):

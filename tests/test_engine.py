@@ -29,7 +29,8 @@ from flexcheck.surface import (
     standard_presentation,
     surface_representation,
 )
-from flexcheck.toledo import root_cohomology, root_form
+from flexcheck.roots import IMAGINARY, RootDatum
+from flexcheck.toledo import RootFormReport, root_cohomology, root_form
 from reference import root_gram
 
 
@@ -142,6 +143,25 @@ def test_classify_PN_reselects_positive(case_pipeline):
     assert np.all(ev > 0)            # positive definite after re-selection
     assert len(problem.p_vectors) == 1
     assert problem.p_vectors[0] @ forms[0].root.values.imag > 0
+
+
+def test_classify_PN_flips_a_root_with_negative_toledo():
+    # every catalog P root comes out of the pipeline with T > 0 already
+    values = np.array([1.5j, -0.5j])
+    omega = np.kron(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2)) * 1.0j
+    root = RootDatum(values=values, classification=IMAGINARY, complex_dim=2,
+                     real_basis=np.eye(6)[:, :4], t_vector=np.array([0.3, -0.1]), omega=omega)
+    report = RootFormReport(root=root, module_dim=4, h1_dim=8, milnor_wood_bound=8,
+                            signature=-8, toledo=-2, definite=True)
+    forms, in_p, n_values, problem = classify_PN([report])
+    flipped = forms[0]
+    assert in_p == [True] and not n_values
+    assert flipped.toledo == 2 and flipped.signature == 8
+    assert np.array_equal(flipped.root.values, -values)
+    assert np.array_equal(flipped.root.omega, -omega)
+    assert np.array_equal(flipped.root.t_vector, -root.t_vector)
+    assert len(problem.p_vectors) == 1
+    assert np.array_equal(problem.p_vectors[0], (-values).imag)
 
 
 def test_verdict_su21_rigid(case_pipeline):
