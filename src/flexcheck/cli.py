@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -468,7 +469,12 @@ def main(argv=None) -> int:
         return EXIT_PARSE
 
     text = render_json(report) if args.format == "json" else render_text(args.command, report)
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader has gone: keep the report's exit code, and point stdout
+        # at devnull so that the interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if args.command == "verdict":
         return {"flexible": EXIT_OK, "rigid": EXIT_RIGID,
                 "inconclusive": EXIT_INCONCLUSIVE}[report["verdict"]]

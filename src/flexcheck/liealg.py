@@ -19,7 +19,6 @@ from .config import (
     CONJUGATION_SYMMETRY,
     DEFAULT,
     MODEL_CLOSURE,
-    MODEL_JACOBI,
     MODEL_SPAN,
     ExcludedFamilyError,
     FlexcheckError,
@@ -37,12 +36,12 @@ from .scalars import (
 
 AMBIENT_CAP = 64  # realified matrix size guard
 # _finish_model holds the brackets of all dim^2 pairs of N x N basis matrices
-# (N the realified size) once, dim^2 N^2 doubles, until the structure
-# constants are checked; the Jacobi check then holds 3 dim^3 doubles and its
-# dim^5 multiply-adds set the time.  For sl(n,R), dim ~ N^2, so memory grows
-# about as N^6: sl(14,R), at 7.5e6 entries, took 52 s and 276 MiB peak RSS.
-# The budget admits sl(12,R) (2.9e6 entries, 11 s and 122 MiB on one core);
-# the largest catalog group, sp(3,1), needs 3.3e5 and builds in about 20 ms.
+# (N the realified size), dim^2 N^2 doubles, beside the dim^3 structure
+# constants, and rebuilds the brackets from c in dim^3 N^2 multiply-adds.
+# For sl(n,R), dim ~ N^2, so memory grows about as N^6 and time as N^8.  The
+# budget admits sl(12,R) (2.9e6 entries, 0.7 s and 46 MiB traced on one core)
+# and rejects sl(13,R) (4.8e6); the largest catalog group, sp(3,1), needs
+# 3.3e5 and builds in under 10 ms.
 BRACKET_BUDGET = 2 ** 22
 # Ad(g) works on blocks of generators whose (k, dim, N, N) products hold at
 # most this many doubles (1 MiB).  The catalog groups at genus <= 8, and
@@ -186,29 +185,6 @@ class SubalgebraHandle:
         return self.matrices.shape[0]
 
 
-def _jacobi_residual(c: np.ndarray) -> float:
-    """Largest |c[i,j,m] c[m,k,l] + c[j,k,m] c[m,i,l] + c[k,i,m] c[m,j,l]|.
-
-    Summed over the cyclic permutations of (i, j, k) for a block of slices
-    l at a time, so it needs dim^3 memory, not dim^4.  A block holds at
-    most 2^14 entries (one slice if dim^3 is more): larger blocks leave
-    the cache and run slower than one slice at a time.
-    """
-    dim = c.shape[0]
-    pairs = c.reshape(dim * dim, dim)
-    step = max(1, 2 ** 14 // dim ** 3)
-    worst = 0.0
-    for l0 in range(0, dim, step):
-        cols = c[:, :, l0:l0 + step]
-        # t[i,j,k,l] = c[i,j,m] c[m,k,l]
-        t = (pairs @ cols.reshape(dim, -1)).reshape(dim, dim, dim, cols.shape[2])
-        cyclic = t + t.transpose(2, 0, 1, 3)
-        cyclic += t.transpose(1, 2, 0, 3)
-        worst = max(worst, float(np.abs(cyclic, out=cyclic).max(initial=0.0)))
-        del t, cyclic  # before the next block allocates its own
-    return worst
-
-
 def _brackets(basis: np.ndarray) -> np.ndarray:
     """The (dim^2, N^2) array of all [X_i, X_j], row i * dim + j, C-contiguous.
 
@@ -243,18 +219,19 @@ def _finish_model(name, fld, n, family, mats, form) -> LieAlgebraModel:
         recon -= bflat[i * dim:(i + 1) * dim]
         resid = max(resid, float(np.abs(recon, out=recon).max(initial=0.0)))
     del bflat
+    # Closure implies Jacobi, so it is the only check of c.  With the closure
+    # error E_ij = [X_i, X_j] - sum_m c_ij^m X_m, of largest entry delta, the
+    # Jacobi identity of matrix commutators gives the Jacobi sums of c as
+    #   J_ijk = -pinv sum_cyc (sum_m c_ij^m E_mk + [E_ij, X_k]),
+    # so |J_ijk^l| <= 3 |pinv|_inf (dim max|c| + 2 N max|X|) delta.  At
+    # MODEL_CLOSURE that is under 1e-10 max(|c|, 1)^2 dim on every group the
+    # budget admits.
     scale = max(np.abs(basis).max(), 1.0)
     if resid > MODEL_CLOSURE * scale * scale:
         raise NumericalAbort(f"{name}: basis is not bracket-closed (residual {resid:.3e})")
     killing = np.einsum("ikl,jlk->ij", c, c)
-    # C order makes the (dim, dim^2) matrices that ad() and the Jacobi check
-    # multiply views, not copies
+    # C order makes the (dim, dim^2) matrix that ad() multiplies a view, not a copy
     c = np.ascontiguousarray(c)
-
-    jresid = _jacobi_residual(c)
-    if jresid > MODEL_JACOBI * max(np.abs(c).max(initial=0.0), 1.0) ** 2 * dim:
-        raise NumericalAbort(f"{name}: Jacobi identity fails (residual {jresid:.3e})")
-
     killing_sv = np.linalg.svd(killing, compute_uv=False)
 
     # the model is shared by every caller of build_classical: freeze it
@@ -334,12 +311,15 @@ def build_classical(family: str, *params: int, tol: Tolerances = DEFAULT) -> Lie
         raise FlexcheckError("parameters must satisfy p >= 1, q >= 0")
     if family == "spr" and params[0] < 1:
         raise FlexcheckError("sp(2n,R) needs n >= 1")
+    dim = _classical_dim(family, params)
+    if dim == 0:
+        raise FlexcheckError(f"{family}{params}: the group is zero-dimensional")
     # checked before any basis matrix is built: their stack grows as size^4
     size = {"sl": 1, "spr": 2, "so": 1, "su": 2, "sp": 4}[family] * sum(params)
     if size > AMBIENT_CAP:
         raise FlexcheckError(f"realified ambient size {size} exceeds the cap {AMBIENT_CAP}")
 
-    entries = _classical_dim(family, params) ** 2 * size ** 2
+    entries = dim ** 2 * size ** 2
     if entries > BRACKET_BUDGET:
         raise FlexcheckError(
             f"{family}{params}: the model build needs {entries} bracket entries "

@@ -56,7 +56,10 @@ class SurfaceRepresentation:
 
 def relator_prefixes(presentation: SurfaceGroupPresentation, images) -> list:
     """Products of the relator's first k letters, k = 0..4g; the last is the relator."""
-    invs = np.linalg.inv(np.stack(images))
+    try:
+        invs = np.linalg.inv(np.stack(images))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalAbort(f"a generator image cannot be inverted: {exc}") from exc
     prefixes = [np.eye(images[0].shape[0])]
     for s, sign in presentation.letters:
         prefixes.append(prefixes[-1] @ (images[s] if sign > 0 else invs[s]))
@@ -101,7 +104,11 @@ def surface_representation(
         raise FlexcheckError(
             f"need {presentation.generator_count} generator images, got {len(images)}")
     images = tuple(np.asarray(g, dtype=float) for g in images)
-    residuals = model.group_membership_residual(np.stack(images))
+    stack = np.stack(images)
+    bad = np.flatnonzero(~np.isfinite(stack).all(axis=(-2, -1)))
+    if bad.size:
+        raise NumericalAbort(f"generator image {bad[0]} has a non-finite entry")
+    residuals = model.group_membership_residual(stack)
     bad = np.flatnonzero(~(residuals <= tol.image_membership))     # NaN is bad too
     if bad.size:
         i = bad[0]

@@ -253,8 +253,7 @@ PINNED = {
     "OCTAGON_NORMALIZER": 1e-9,
     "RELATOR_CORRECTION": 1e-12,
     "FORM_INVARIANCE": 1e-6,
-    "MODEL_CLOSURE": 1e-9,
-    "MODEL_JACOBI": 1e-10,
+    "MODEL_CLOSURE": 1e-12,
     "TOLERANCE_FLOOR": 100 * 2.0 ** -52,
 }
 PINNED_DERIVED = {

@@ -201,12 +201,17 @@ def test_field_matrix_input_matches_catalog(tmp_path, capsys, case, family):
     assert code == want_code and got == want
 
 
-def test_module_entry_point():
+def _run_module(*argv, **kwargs):
+    """``python -m flexcheck ARGV`` in a fresh interpreter, on this checkout's package."""
     src = os.path.dirname(os.path.dirname(flexcheck.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "flexcheck", "catalog", "--format", "json"],
-                          capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-m", "flexcheck", *argv],
+                          text=True, env=env, timeout=120, **kwargs)
+
+
+def test_module_entry_point():
+    proc = _run_module("catalog", "--format", "json", capture_output=True)
     assert proc.returncode == 0, proc.stderr
     assert any(row["name"] == "sp31-cline" for row in json.loads(proc.stdout)["cases"])
 
@@ -500,10 +505,31 @@ def test_overflowing_image_exits_3_without_warnings(tmp_path):
                               "generators": [big, eye, eye, eye]}}
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(doc))
-    src = os.path.dirname(os.path.dirname(flexcheck.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "flexcheck", "verdict", "--input", str(path)],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = _run_module("verdict", "--input", str(path), capture_output=True)
     assert proc.returncode == 3, proc.stderr
     assert "residual inf" in proc.stderr and "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("command, code", [
+    (("catalog", "--format", "json"), 0),
+    (("verdict", "--catalog", "su21-cline"), 10),
+])
+def test_closed_stdout_keeps_the_exit_code_without_a_traceback(command, code):
+    read, write = os.pipe()
+    os.close(read)  # the reader has gone before the report is written
+    try:
+        proc = _run_module(*command, stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert proc.returncode == code and proc.stderr == ""
+
+
+@pytest.mark.parametrize("family, field, entry", [("su", "C", [1.0, 0.0]), ("so", "R", [1.0])])
+def test_zero_dimensional_group_exits_2(tmp_path, capsys, family, field, entry):
+    doc = {"group": {"family": family, "params": [1, 0]}, "genus": 2,
+           "representation": {"source": "matrices", "field": field,
+                              "generators": [[[entry]]] * 4}}
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verdict", "--input", str(path))
+    assert code == 2 and out == "" and "zero-dimensional" in err

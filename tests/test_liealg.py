@@ -1,12 +1,13 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from flexcheck import liealg
-from flexcheck.config import ExcludedFamilyError, FlexcheckError, NumericalAbort, Tolerances
+from flexcheck.config import (MODEL_CLOSURE, ExcludedFamilyError, FlexcheckError, NumericalAbort,
+                              Tolerances)
 from flexcheck.liealg import (
-    _jacobi_residual,
     build_classical,
     center_of,
     centralizer,
@@ -65,15 +66,66 @@ def test_jacobi_residual(models):
         assert np.abs(jac).max() < 1e-10 * max(np.abs(c).max() ** 2, 1.0) * m.dim
 
 
-def test_sliced_jacobi_residual_matches_einsum(rng):
-    # random structure tensors are not Lie, so every residual is large
-    for dim in (2, 5, 13):
-        c = rng.standard_normal((dim, dim, dim))
-        jac = (np.einsum("ijm,mkl->ijkl", c, c)
-               + np.einsum("jkm,mil->ijkl", c, c)
-               + np.einsum("kim,mjl->ijkl", c, c))
-        ref = np.abs(jac).max()
-        assert abs(_jacobi_residual(c) - ref) <= 1e-12 * ref
+def _closure_error_and_jacobi_factor(model):
+    """The largest entry delta of [X_i, X_j] - sum_m c_ij^m X_m, and the
+    factor 3 |pinv|_inf (dim max|c| + 2 N max|X|) that bounds every Jacobi
+    sum of c by factor * delta (the bound in liealg._finish_model)."""
+    basis, c, dim = model.basis, model.structure, model.dim
+    flat = basis.reshape(dim, -1)
+    delta = 0.0
+    for i, x in enumerate(basis):  # one row of brackets at a time
+        brackets = np.einsum("ab,jbc->jac", x, basis) - np.einsum("jab,bc->jac", basis, x)
+        delta = max(delta, float(np.abs(brackets.reshape(dim, -1) - c[i] @ flat).max()))
+    pinv = np.linalg.pinv(flat.T)
+    factor = 3 * np.abs(pinv).sum(axis=1).max() * (
+        dim * np.abs(c).max() + 2 * model.realified_size * np.abs(basis).max())
+    return delta, factor
+
+
+def _assert_closure_check_implies_jacobi(model):
+    delta, factor = _closure_error_and_jacobi_factor(model)
+    scale = max(np.abs(model.basis).max(), 1.0) ** 2
+    jacobi_threshold = 1e-10 * max(np.abs(model.structure).max(), 1.0) ** 2 * model.dim
+    # the measured error sits far under the closure tolerance ...
+    assert delta <= MODEL_CLOSURE * scale / 10, model.name
+    # ... and whatever the tolerance lets through keeps every Jacobi sum
+    # under the threshold of the Jacobi check the closure check replaced
+    assert factor * MODEL_CLOSURE * scale < jacobi_threshold, model.name
+
+
+def test_closure_check_implies_jacobi_on_the_catalog_groups():
+    for case in default_cases():
+        if case.computable:
+            _assert_closure_check_implies_jacobi(build_classical(case.family, case.m, 1))
+
+
+def test_closure_check_implies_jacobi_on_the_largest_admitted_group():
+    # sl(12,R) is the largest sl(n,R) within the bracket budget; built
+    # uncached, so the shared cache does not keep its 23 MB of structure constants
+    assert liealg._classical_dim("sl", (13,)) ** 2 * 13 ** 2 > liealg.BRACKET_BUDGET
+    _assert_closure_check_implies_jacobi(liealg._construct.__wrapped__("sl", 12))
+
+
+def test_basis_that_is_not_bracket_closed_is_rejected(models):
+    m = models["su21"]
+    with pytest.raises(NumericalAbort, match=r"su\(2,1\): basis is not bracket-closed"):
+        liealg._finish_model(m.name, m.field, m.ambient, m.family, list(m.basis[:-1]), m.form)
+
+
+@pytest.mark.parametrize("family", ["su", "so"])
+def test_zero_dimensional_groups_are_rejected(family):
+    with pytest.raises(FlexcheckError, match="zero-dimensional"):
+        build_classical(family, 1, 0)
+
+
+def test_every_small_group_builds_or_raises_a_flexcheck_error():
+    for family, arity in (("sl", 1), ("spr", 1), ("su", 2), ("so", 2), ("sp", 2)):
+        for params in itertools.product(range(4), repeat=arity):
+            try:
+                model = build_classical(family, *params)
+            except FlexcheckError:
+                continue
+            assert model.dim == liealg._classical_dim(family, params) > 0
 
 
 def test_models_are_built_once_and_shared():

@@ -358,6 +358,28 @@ def test_central_lift_flag():
     assert ws.h1_dim == 6
 
 
+def test_uninvertible_and_non_finite_images_abort(case_pipeline, capfd):
+    rep = case_pipeline("so31-rplane")[0]
+    # rewrite the first handle five times, a -> ab and b -> ba in turn: the
+    # relator is kept exactly and the images stay in the group, but their
+    # entries reach 3.3e9 and inv finds them singular
+    images = list(rep.images)
+    for step in range(5):
+        if step % 2 == 0:
+            images[0] = images[0] @ images[1]
+        else:
+            images[1] = images[1] @ images[0]
+    assert np.all(rep.model.group_membership_residual(np.stack(images)) <= 1e-12)
+    with pytest.raises(NumericalAbort, match="cannot be inverted"):
+        surface_representation(rep.presentation, rep.model, images)
+    # rejected before the membership SVD, which would not converge
+    images = list(rep.images)
+    images[2] = np.full_like(images[2], np.nan)
+    with pytest.raises(NumericalAbort, match="generator image 2 has a non-finite entry"):
+        surface_representation(rep.presentation, rep.model, images)
+    assert capfd.readouterr().err == ""
+
+
 def test_correct_relator(fuchsian, rng):
     model = fuchsian.model
     images = []
