@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -25,7 +24,7 @@ from .catalog import build_case_representation, default_cases
 from .engine import Pipeline, verdict
 from .liealg import build_classical
 from .scalars import Field, Quaternion, realify
-from .surface import cohomology, standard_module, standard_presentation, surface_representation
+from .surface import cohomology, standard_presentation, surface_representation
 from .toledo import symplectic_form_report
 
 EXIT_OK = 0
@@ -117,20 +116,13 @@ def _parse_matrix(rows: list, field: Field, where: str) -> np.ndarray:
     return realify([[_SCALARS[field](*map(float, comps)) for comps in row] for row in rows], field)
 
 
-def _tolerance(value: float, flag: str) -> float:
-    # Tolerances rejects nan and a value below its floor, but not inf
-    if not math.isfinite(value):
-        raise ParseError(f"{flag} must be a finite number, got {value!r}")
-    return value
-
-
 def load_problem(args) -> dict:
     """Resolve CLI flags / input file into a problem description."""
     tol = DEFAULT
     if args.tol_rank is not None:
-        tol = replace(tol, rank=_tolerance(args.tol_rank, "--tol-rank"))
+        tol = replace(tol, rank=args.tol_rank)
     if args.tol_cluster is not None:
-        tol = replace(tol, cluster=_tolerance(args.tol_cluster, "--tol-cluster"))
+        tol = replace(tol, cluster=args.tol_cluster)
 
     if args.catalog and args.input:
         raise ParseError("give either --catalog or --input, not both")
@@ -167,16 +159,8 @@ def load_problem(args) -> dict:
     field = repdoc.get("field", model.field.value)
     if field != model.field.value:
         raise ParseError(f"field {field} does not match group family {family}")
-    gens = repdoc["generators"]
-    if len(gens) != 2 * genus:
-        raise ParseError(f"need {2 * genus} generator matrices for genus {genus}")
     images = [_parse_matrix(g, model.field, f"representation.generators[{i}]")
-              for i, g in enumerate(gens)]
-    for i, g in enumerate(images):
-        if g.shape[0] != model.realified_size:
-            raise ParseError(
-                f"representation.generators[{i}]: realified size {g.shape[0]} does not match "
-                f"{model.name} ({model.realified_size})")
+              for i, g in enumerate(repdoc["generators"])]
     rep = surface_representation(standard_presentation(genus), model, images,
                                  central_lift=repdoc.get("central_lift", False), tol=tol)
     return {"rep": rep, "tol": tol, "source": "matrices"}
@@ -241,7 +225,7 @@ def _standard_module_report(problem) -> dict:
     else:
         raise ParseError(
             "--standard-module needs an sl(2,R) or sp(2n,R) ambient group")
-    form = symplectic_form_report(cohomology(rep, standard_module(rep), tol), omega, tol)
+    form = symplectic_form_report(cohomology(rep, rep.images, tol), omega, tol)
     return {
         **_header(problem),
         "module": "standard",

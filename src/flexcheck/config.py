@@ -7,6 +7,7 @@ field, and the module constants are the checks no caller reaches.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, fields
 
@@ -22,8 +23,8 @@ class Tolerances:
 
     All cutoffs are relative: ``rank`` against the largest singular value,
     ``cluster`` against the largest operator norm, the rest against the
-    natural scale of the quantity they gate.  Every field must be at
-    least ``TOLERANCE_FLOOR``; a smaller one raises ``FlexcheckError``.
+    natural scale of the quantity they gate.  Every field must be finite
+    and at least ``TOLERANCE_FLOOR``; any other value raises ``FlexcheckError``.
     """
 
     rank: float = 1e-9          # singular values below rank * sigma_max count as zero
@@ -37,10 +38,10 @@ class Tolerances:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if not value >= TOLERANCE_FLOOR:        # NaN fails too
+            if not TOLERANCE_FLOOR <= value < math.inf:        # NaN fails too
                 raise FlexcheckError(
-                    f"tolerance {f.name} = {value!r} is below the floor {TOLERANCE_FLOOR:.1e} "
-                    "(100 units of double rounding)")
+                    f"tolerance {f.name} = {value!r} must be a finite number, not below the "
+                    f"floor {TOLERANCE_FLOOR:.1e} (100 units of double rounding)")
 
     # Checks derived from a field, each with the reason for its factor.
     @property

@@ -21,7 +21,7 @@ from .config import (DEFAULT, SIMPLEX_FEASIBLE, SIMPLEX_MULTIPLIERS, SIMPLEX_PIV
 from .liealg import SubalgebraHandle, center_of, centralizer, killing_restriction_nondegenerate
 from .linalg import nullspace, orthonormal_columns, rank, value_key
 from .roots import IMAGINARY, MIXED, TorusRootDecomposition, decompose
-from .surface import CohomologyWorkspace, Module, SurfaceRepresentation, adjoint_module
+from .surface import CohomologyWorkspace, SurfaceRepresentation, adjoint_module
 from .toledo import RootFormReport, root_cohomology, root_form
 
 
@@ -186,12 +186,7 @@ def _flip_representative(rep: RootFormReport) -> RootFormReport:
     """Replace lambda by -lambda: Omega and the form change sign."""
     root = rep.root
     flipped_root = replace(root, values=-root.values, t_vector=-root.t_vector, omega=-root.omega)
-    return replace(
-        rep,
-        root=flipped_root,
-        signature=None if rep.signature is None else -rep.signature,
-        toledo=None if rep.toledo is None else -rep.toledo,
-    )
+    return replace(rep, root=flipped_root, toledo=None if rep.toledo is None else -rep.toledo)
 
 
 def _orient(rep: RootFormReport, sign: int) -> RootFormReport:
@@ -256,7 +251,7 @@ class Pipeline:
     @cached_property
     def z(self) -> SubalgebraHandle:
         """Lie algebra of the centralizer of the image, from the adjoint module's Ad matrices."""
-        return centralizer(self.rep.model, self.adjoint.actions, self.tol)
+        return centralizer(self.rep.model, self.adjoint, self.tol)
 
     @cached_property
     def reductivity(self) -> tuple[bool, float]:
@@ -275,7 +270,8 @@ class Pipeline:
         return decompose(self.rep.model, self.center, self.tol)
 
     @cached_property
-    def adjoint(self) -> Module:
+    def adjoint(self) -> np.ndarray:
+        """The (2g, dim, dim) stack of Ad of the generator images."""
         return adjoint_module(self.rep)
 
     @cached_property
@@ -319,7 +315,7 @@ class Pipeline:
         dec = self.decomposition
         if self.orientation > 0:
             return dec
-        torus = replace(dec.torus, matrices=-dec.torus.matrices, coords=-dec.torus.coords)
+        torus = replace(dec.torus, coords=-dec.torus.coords)
         return replace(dec, torus=torus, roots=tuple(f.root for f in self.forms))
 
     @cached_property

@@ -34,14 +34,14 @@ from .scalars import (
     right_multiplication_operator,
 )
 
-AMBIENT_CAP = 64  # realified matrix size guard
 # _finish_model holds the brackets of all dim^2 pairs of N x N basis matrices
 # (N the realified size), dim^2 N^2 doubles, beside the dim^3 structure
 # constants, and rebuilds the brackets from c in dim^3 N^2 multiply-adds.
 # For sl(n,R), dim ~ N^2, so memory grows about as N^6 and time as N^8.  The
 # budget admits sl(12,R) (2.9e6 entries, 0.7 s and 46 MiB traced on one core)
 # and rejects sl(13,R) (4.8e6); the largest catalog group, sp(3,1), needs
-# 3.3e5 and builds in under 10 ms.
+# 3.3e5 and builds in under 10 ms.  No group it admits has a realified size
+# above 24, so it also bounds the stack of basis matrices.
 BRACKET_BUDGET = 2 ** 22
 # Ad(g) works on blocks of generators whose (k, dim, N, N) products hold at
 # most this many doubles (1 MiB).  The catalog groups at genus <= 8, and
@@ -174,15 +174,14 @@ def _unit_operators(fld: Field, n: int) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class SubalgebraHandle:
+    """A bracket-closed subalgebra: coordinates of a basis orthonormal w.r.t. Trace(X^T Y)."""
+
     model: LieAlgebraModel
-    matrices: np.ndarray        # (k, N, N), orthonormal w.r.t. Trace(X^T Y)
     coords: np.ndarray          # (k, dim)
-    closed: bool
-    closure_residual: float
 
     @property
     def dim(self) -> int:
-        return self.matrices.shape[0]
+        return self.coords.shape[0]
 
 
 def _brackets(basis: np.ndarray) -> np.ndarray:
@@ -316,9 +315,6 @@ def build_classical(family: str, *params: int, tol: Tolerances = DEFAULT) -> Lie
         raise FlexcheckError(f"{family}{params}: the group is zero-dimensional")
     # checked before any basis matrix is built: their stack grows as size^4
     size = {"sl": 1, "spr": 2, "so": 1, "su": 2, "sp": 4}[family] * sum(params)
-    if size > AMBIENT_CAP:
-        raise FlexcheckError(f"realified ambient size {size} exceeds the cap {AMBIENT_CAP}")
-
     entries = dim ** 2 * size ** 2
     if entries > BRACKET_BUDGET:
         raise FlexcheckError(
@@ -385,19 +381,19 @@ def subalgebra_from_matrices(
     mats,
     tol: Tolerances = DEFAULT,
 ) -> SubalgebraHandle:
-    """Orthonormalize a spanning set into a SubalgebraHandle."""
+    """Orthonormalize a spanning set into a SubalgebraHandle.
+
+    Aborts unless the span is bracket-closed to within ``tol.closure``.
+    """
     if len(mats) == 0:
-        empty = np.zeros((0, model.realified_size, model.realified_size))
-        return SubalgebraHandle(model, empty, np.zeros((0, model.dim)), True, 0.0)
+        return SubalgebraHandle(model, np.zeros((0, model.dim)))
     n = model.realified_size
     on = orthonormal_columns(np.reshape(mats, (len(mats), -1)).T, tol.rank)
     matrices = on.T.reshape(-1, n, n)
-    coords = model.coords(matrices)
-    closed, resid = True, 0.0
-    if on.shape[1]:
-        resid = _closure_residual(matrices, on)
-        closed = resid <= tol.closure
-    return SubalgebraHandle(model, matrices, coords, closed, resid)
+    resid = _closure_residual(matrices, on)
+    if resid > tol.closure:
+        raise NumericalAbort(f"span is not bracket-closed (residual {resid:.3e})")
+    return SubalgebraHandle(model, model.coords(matrices))
 
 
 def _closure_residual(matrices: np.ndarray, on_cols: np.ndarray) -> float:
@@ -429,16 +425,11 @@ def centralizer(
     ops = np.reshape(adjoint, (-1, model.dim, model.dim)) - np.eye(model.dim)
     # sigma_max of the stacked operator bounds each operator's, so only the floor 1 is left
     kern = nullspace(np.reshape(ops, (-1, model.dim)), tol.rank, scale=1.0)
-    sub = subalgebra_from_matrices(model, model.matrix(kern.T), tol)
-    if not sub.closed:
-        raise NumericalAbort(f"centralizer is not bracket-closed (residual {sub.closure_residual:.3e})")
-    return sub
+    return subalgebra_from_matrices(model, model.matrix(kern.T), tol)
 
 
 def center_of(sub: SubalgebraHandle, tol: Tolerances = DEFAULT) -> SubalgebraHandle:
-    """Center {x in z : [x, z] = 0} of a bracket-closed subalgebra."""
-    if not sub.closed:
-        raise NumericalAbort("center_of needs a bracket-closed subalgebra")
+    """Center {x in z : [x, z] = 0} of a subalgebra."""
     k = sub.dim
     if k == 0:
         return sub

@@ -50,17 +50,20 @@ def standard_presentation(genus: int) -> SurfaceGroupPresentation:
 class SurfaceRepresentation:
     presentation: SurfaceGroupPresentation
     model: LieAlgebraModel
-    images: tuple[np.ndarray, ...]
+    images: np.ndarray               # (2g, N, N) read-only generator images
     relator_residual: float          # relative to the prefix scale; against -I if lifted
 
 
-def relator_prefixes(presentation: SurfaceGroupPresentation, images) -> list:
-    """Products of the relator's first k letters, k = 0..4g; the last is the relator."""
+def relator_prefixes(presentation: SurfaceGroupPresentation, images: np.ndarray) -> list:
+    """Products of the relator's first k letters, k = 0..4g; the last is the relator.
+
+    ``images`` is the (2g, m, m) stack of generator actions.
+    """
     try:
-        invs = np.linalg.inv(np.stack(images))
+        invs = np.linalg.inv(images)
     except np.linalg.LinAlgError as exc:
         raise NumericalAbort(f"a generator image cannot be inverted: {exc}") from exc
-    prefixes = [np.eye(images[0].shape[0])]
+    prefixes = [np.eye(invs.shape[-1])]
     for s, sign in presentation.letters:
         prefixes.append(prefixes[-1] @ (images[s] if sign > 0 else invs[s]))
     return prefixes
@@ -96,19 +99,25 @@ def surface_representation(
 ) -> SurfaceRepresentation:
     """Validate generator images and the relator, then freeze the data.
 
+    The images are copied into one read-only (2g, N, N) stack, N the
+    model's realified size; a wrong count or shape raises FlexcheckError.
     The relator residual is relative to the largest entry of the relator's
     prefix products (at least 1), the rounding scale of the product, as in
     ``cohomology``: conjugating the images leaves it about the same.
     """
-    if len(images) != presentation.generator_count:
-        raise FlexcheckError(
-            f"need {presentation.generator_count} generator images, got {len(images)}")
-    images = tuple(np.asarray(g, dtype=float) for g in images)
-    stack = np.stack(images)
-    bad = np.flatnonzero(~np.isfinite(stack).all(axis=(-2, -1)))
+    ngen, n = presentation.generator_count, model.realified_size
+    if len(images) != ngen:
+        raise FlexcheckError(f"need {ngen} generator images, got {len(images)}")
+    for i, g in enumerate(images):
+        if np.shape(g) != (n, n):
+            raise FlexcheckError(f"generator image {i} has shape {np.shape(g)}, not the "
+                                 f"realified size {(n, n)} of {model.name}")
+    images = np.array(images, dtype=float)
+    images.flags.writeable = False
+    bad = np.flatnonzero(~np.isfinite(images).all(axis=(-2, -1)))
     if bad.size:
         raise NumericalAbort(f"generator image {bad[0]} has a non-finite entry")
-    residuals = model.group_membership_residual(stack)
+    residuals = model.group_membership_residual(images)
     bad = np.flatnonzero(~(residuals <= tol.image_membership))     # NaN is bad too
     if bad.size:
         i = bad[0]
@@ -116,7 +125,7 @@ def surface_representation(
             f"generator image {i} violates the group relations (residual {residuals[i]:.3e})")
     prefixes = relator_prefixes(presentation, images)
     scale = max(float(np.abs(prefixes).max()), 1.0)
-    rel, n = prefixes[-1], len(images[0])
+    rel = prefixes[-1]
     res_plus = float(np.abs(rel - np.eye(n)).max()) / scale
     res_minus = float(np.abs(rel + np.eye(n)).max()) / scale
     if res_plus <= tol.relator:
@@ -194,31 +203,15 @@ def fuchsian_genus2(tol: Tolerances = DEFAULT) -> SurfaceRepresentation:
 # Coefficient modules
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Module:
-    """Per-generator action matrices of a real coefficient module."""
-
-    actions: tuple[np.ndarray, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.actions[0].shape[0]
+def adjoint_module(rep: SurfaceRepresentation) -> np.ndarray:
+    """The (2g, dim, dim) stack of Ad of every generator image, from one batched call."""
+    return rep.model.adjoint_group_matrix(rep.images)
 
 
-def adjoint_module(rep: SurfaceRepresentation) -> Module:
-    """Ad of every generator image, from one batched call."""
-    acts = rep.model.adjoint_group_matrix(np.stack(rep.images))
-    return Module(tuple(acts))
-
-
-def standard_module(rep: SurfaceRepresentation) -> Module:
-    """The generator images acting on the ambient column space."""
-    return Module(tuple(rep.images))
-
-
-def restricted_module(module: Module, basis: np.ndarray, tol: Tolerances = DEFAULT) -> Module:
-    """Restrict a module to an invariant subspace with orthonormal basis columns."""
-    moved = np.stack(module.actions) @ basis
+def restricted_module(actions: np.ndarray, basis: np.ndarray,
+                      tol: Tolerances = DEFAULT) -> np.ndarray:
+    """Restrict a (2g, m, m) action stack to an invariant subspace with orthonormal basis columns."""
+    moved = actions @ basis
     small = basis.T @ moved
     resid = np.abs(moved - basis @ small).max(axis=(1, 2), initial=0.0)
     scale = np.maximum(np.abs(moved).max(axis=(1, 2), initial=0.0), 1.0)
@@ -226,7 +219,7 @@ def restricted_module(module: Module, basis: np.ndarray, tol: Tolerances = DEFAU
     if bad.size:
         raise NumericalAbort(
             f"subspace is not invariant under the module action (residual {resid[bad[0]]:.3e})")
-    return Module(tuple(small))
+    return small
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +229,7 @@ def restricted_module(module: Module, basis: np.ndarray, tol: Tolerances = DEFAU
 @dataclass(frozen=True)
 class CohomologyWorkspace:
     rep: SurfaceRepresentation
-    module: Module
+    actions: np.ndarray              # (2g, m, m) the module's generator actions
     relator_map: np.ndarray          # (m, 2g m) Fox-calculus map
     fox_blocks: np.ndarray           # (4g, m, m) each letter's Fox block
     b1: np.ndarray                   # orthonormal columns, coboundaries
@@ -247,7 +240,7 @@ class CohomologyWorkspace:
 
     @property
     def module_dim(self) -> int:
-        return self.module.dim
+        return self.actions.shape[-1]
 
     @property
     def z1(self) -> np.ndarray:
@@ -265,17 +258,19 @@ class CohomologyWorkspace:
         return float(resid) if np.ndim(u) == 1 else resid
 
 
-def cohomology(rep: SurfaceRepresentation, module: Module, tol: Tolerances = DEFAULT) -> CohomologyWorkspace:
-    """B^1, H^1 (the cocycles orthogonal to B^1) and the dimension bookkeeping of a module."""
+def cohomology(rep: SurfaceRepresentation, actions: np.ndarray,
+               tol: Tolerances = DEFAULT) -> CohomologyWorkspace:
+    """B^1, H^1 (the cocycles orthogonal to B^1) and the dimension bookkeeping of a module.
+
+    ``actions`` is the (2g, m, m) stack of the module's generator actions.
+    """
     pres = rep.presentation
-    m = module.dim
-    ngen = pres.generator_count
-    if len(module.actions) != ngen:
+    ngen, m = pres.generator_count, actions.shape[-1]
+    if len(actions) != ngen:
         raise FlexcheckError("module action count does not match generator count")
-    acts = np.array(module.actions, dtype=float)
     eye = np.eye(m)
 
-    prefixes, fox, relator_map = _fox_calculus(pres, acts)
+    prefixes, fox, relator_map = _fox_calculus(pres, actions)
     scale = max(float(np.abs(prefixes).max()), 1.0)
     if np.abs(prefixes[-1] - eye).max() > tol.cocycle_check * scale:
         raise NumericalAbort(
@@ -284,7 +279,7 @@ def cohomology(rep: SurfaceRepresentation, module: Module, tol: Tolerances = DEF
 
     # one thin SVD of the coboundary map v -> ((A_s - 1) v)_s: its left
     # vectors span B^1, its right null vectors span H^0
-    b1, fixed = span_and_kernel((acts - eye).reshape(ngen * m, m), tol.rank, scale=1.0)
+    b1, fixed = span_and_kernel((actions - eye).reshape(ngen * m, m), tol.rank, scale=1.0)
     if b1.shape[1]:
         worst = np.abs(relator_map @ b1).max() / scale
         if worst > tol.cocycle_check:
@@ -296,21 +291,21 @@ def cohomology(rep: SurfaceRepresentation, module: Module, tol: Tolerances = DEF
     # H^2 is dual to the coinvariants: only its dimension is needed.  With
     # B^1 in ker J, the Euler identity is the rank condition rank J = m - h2
     h0, hdim = fixed.shape[1], h1.shape[1]
-    h2 = m - rank((np.swapaxes(acts, 1, 2) - eye).reshape(ngen * m, m), tol.rank, scale=1.0)
+    h2 = m - rank((np.swapaxes(actions, 1, 2) - eye).reshape(ngen * m, m), tol.rank, scale=1.0)
     chi = pres.euler_characteristic
     if h0 - hdim + h2 != chi * m:
         raise NumericalAbort(
             f"Euler identity fails: {h0} - {hdim} + {h2} != chi * dim = {chi * m}")
 
     return CohomologyWorkspace(
-        rep=rep, module=module, relator_map=relator_map, fox_blocks=fox, b1=b1, h1=h1,
+        rep=rep, actions=actions, relator_map=relator_map, fox_blocks=fox, b1=b1, h1=h1,
         h0_dim=h0, h1_dim=hdim, h2_dim=h2)
 
 
 def _check_invariant_form(ws: CohomologyWorkspace, omega: np.ndarray) -> None:
     """Abort unless every slice of ``omega`` ((m, m) or (K, m, m)) is module-invariant."""
     forms = omega.reshape(-1, ws.module_dim, ws.module_dim)
-    acts = np.stack(ws.module.actions)[:, None]             # (K, 1, m, m) against (F, m, m)
+    acts = ws.actions[:, None]                              # (K, 1, m, m) against (F, m, m)
     resid = np.abs(np.swapaxes(acts, -1, -2) @ forms @ acts - forms).max(axis=(2, 3), initial=0.0)
     scale = np.maximum(np.abs(forms).max(axis=(1, 2), initial=0.0), 1.0)
     norms = np.maximum(spectral_norms(acts[:, 0]) ** 2, 1.0)
@@ -348,7 +343,7 @@ def cup_pairing(
 
     def letter_blocks(w):
         """Y_k = A_k w_{s_k}: each letter's Fox block applied to its generator's value."""
-        blocks = w.reshape(pres.generator_count, ws.module.dim, -1)
+        blocks = w.reshape(pres.generator_count, ws.module_dim, -1)
         return blocks, ws.fox_blocks @ blocks[gens]
 
     ublocks, yu = letter_blocks(u)

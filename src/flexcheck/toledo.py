@@ -21,7 +21,6 @@ from .config import DEFAULT, NumericalAbort, Tolerances
 from .roots import MIXED, REAL, RootDatum
 from .surface import (
     CohomologyWorkspace,
-    Module,
     SurfaceRepresentation,
     cohomology,
     cup_pairing,
@@ -35,15 +34,23 @@ class RootFormReport:
     module_dim: int
     h1_dim: int
     milnor_wood_bound: int            # -chi dim: 4|T| may not exceed it
-    signature: int | None = None
     toledo: int | None = None
-    definite: bool = False
     min_eig_separation: float | None = None   # min |eig| / scale of the real Gram (None for mixed)
     status: str = "ok"                # "ok" | "degenerate"
 
     @property
     def classification(self) -> str:
         return self.root.classification
+
+    @property
+    def signature(self) -> int | None:
+        """Signature of the cup form on H^1, which is 4T."""
+        return None if self.toledo is None else 4 * self.toledo
+
+    @property
+    def definite(self) -> bool:
+        """Whether the cup form on H^1 is definite: 4|T| = h^1."""
+        return self.toledo is not None and 4 * abs(self.toledo) == self.h1_dim
 
     @property
     def milnor_wood_slack(self) -> int | None:
@@ -65,11 +72,14 @@ def gram_matrix(ws: CohomologyWorkspace, omega: np.ndarray, tol: Tolerances) -> 
 
 def root_cohomology(
     rep: SurfaceRepresentation,
-    adjoint: Module,
+    adjoint: np.ndarray,
     root: RootDatum,
     tol: Tolerances = DEFAULT,
 ) -> CohomologyWorkspace:
-    """H^* of the realified root space of ``root`` in the adjoint module; aborts if not invariant."""
+    """H^* of the realified root space of ``root`` under the (2g, dim, dim) adjoint actions.
+
+    Aborts if the root space is not invariant.
+    """
     mod = restricted_module(adjoint, root.real_basis, tol)
     return cohomology(rep, mod, tol)
 
@@ -98,8 +108,7 @@ def symplectic_form_report(
     sig = int(np.sum(ev > 0)) - int(np.sum(ev < 0))
     if sig % 4 != 0:
         raise NumericalAbort(f"signature {sig} is not divisible by 4; pipeline inconsistency")
-    report = _form_report(ws, signature=sig, toledo=sig // 4,
-                          definite=abs(sig) == ws.h1_dim, min_eig_separation=sep)
+    report = _form_report(ws, toledo=sig // 4, min_eig_separation=sep)
     if report.milnor_wood_slack < 0:
         raise NumericalAbort(
             f"Milnor-Wood violated: 4|T| = {4 * abs(report.toledo)} > {report.milnor_wood_bound}")

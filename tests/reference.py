@@ -27,7 +27,7 @@ from flexcheck.liealg import _form_matrix, _indefinite_basis
 from flexcheck.linalg import nullspace, orthonormal_columns, rank, span_and_kernel
 from flexcheck.roots import REAL, RootDatum
 from flexcheck.scalars import Field, field_units, left_block, realify
-from flexcheck.surface import CohomologyWorkspace, Module, cup_pairing, restricted_module
+from flexcheck.surface import CohomologyWorkspace, cup_pairing, restricted_module
 from flexcheck.toledo import gram_matrix
 
 
@@ -58,9 +58,9 @@ def root_eigenspace(dec, values, tol: float = 1e-8) -> np.ndarray:
     return nullspace(shifted.reshape(-1, dec.model.dim), tol)
 
 
-def invariant_vectors(module: Module, tol: Tolerances = DEFAULT) -> np.ndarray:
+def invariant_vectors(actions: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
     """Orthonormal basis of H^0, the vectors every action fixes, cut as in ``cohomology``."""
-    cob = np.vstack([a - np.eye(module.dim) for a in module.actions])
+    cob = np.vstack([a - np.eye(actions.shape[-1]) for a in actions])
     return span_and_kernel(cob, tol.rank, scale=1.0)[1]
 
 
@@ -179,7 +179,7 @@ def hom_bracket_closed_form(dec: SplitsoDecomposition, b, c):
 # ---------------------------------------------------------------------------
 
 def lagrangian_pair_check(
-    module: Module,
+    actions: np.ndarray,
     omega: np.ndarray,
     l1: np.ndarray,
     l2: np.ndarray,
@@ -190,7 +190,7 @@ def lagrangian_pair_check(
     l1, l2 are column bases inside the module's coordinate space; omega is
     the real symplectic form on that space.
     """
-    m = module.dim
+    m = actions.shape[-1]
     if l1.shape[0] != m or l2.shape[0] != m:
         raise NumericalAbort("Lagrangian candidate dimensions do not match the module")
     if l1.shape[1] + l2.shape[1] != m:
@@ -202,14 +202,14 @@ def lagrangian_pair_check(
         if np.abs(sub.T @ omega @ sub).max(initial=0.0) > 1e-8 * scale:
             return False
         try:
-            restricted_module(module, orthonormal_columns(sub, tol.rank), tol)
+            restricted_module(actions, orthonormal_columns(sub, tol.rank), tol)
         except NumericalAbort:
             return False
     return True
 
 
 def scan_invariant_lagrangians(
-    module: Module,
+    actions: np.ndarray,
     omega: np.ndarray,
     tol: Tolerances = DEFAULT,
 ):
@@ -220,9 +220,9 @@ def scan_invariant_lagrangians(
     into sums of its eigenspaces.  Returns (l1, l2) or None; absence of a
     find is not a proof of absence.  Nothing is drawn at random.
     """
-    m = module.dim
+    m = actions.shape[-1]
     # row-major vec(A X - X A) = (A (x) I - I (x) A^T) vec(X)
-    rows = [np.kron(a, np.eye(m)) - np.kron(np.eye(m), a.T) for a in module.actions]
+    rows = [np.kron(a, np.eye(m)) - np.kron(np.eye(m), a.T) for a in actions]
     comm = nullspace(np.vstack(rows), tol.rank)  # vectorized commutant
     d = comm.shape[1]
     candidates = [comm[:, i] for i in range(d)]
@@ -242,7 +242,7 @@ def scan_invariant_lagrangians(
             l1, l2 = (orthonormal_columns(np.hstack([v.real, v.imag]), tol.rank)
                       for v in (vecs[:, sel], vecs[:, ~sel]))
             if l1.shape[1] == l2.shape[1] == m // 2:
-                if lagrangian_pair_check(module, omega, l1, l2, tol):
+                if lagrangian_pair_check(actions, omega, l1, l2, tol):
                     return l1, l2
     return None
 
@@ -260,6 +260,6 @@ def cup_square(ws: CohomologyWorkspace, u: np.ndarray, tol: Tolerances = DEFAULT
     if ws.module_dim != ws.rep.model.dim:
         raise FlexcheckError("cup_square is defined on the adjoint module")
     model = ws.rep.model
-    h0 = invariant_vectors(ws.module, tol)
+    h0 = invariant_vectors(ws.actions, tol)
     forms = np.einsum("ijk,kl->lij", model.structure, model.killing @ h0)
     return cup_pairing(ws, forms, u, u, tol)

@@ -17,7 +17,6 @@ from flexcheck.surface import (
     correct_relator,
     cup_pairing,
     restricted_module,
-    standard_module,
     surface_representation,
 )
 from flexcheck.toledo import root_cohomology, root_form
@@ -120,7 +119,7 @@ def test_acceptance_04_su31_scaling(case_pipeline):
 
 
 def test_acceptance_05_meyer_milnor_suite(fuchsian, rng):
-    ws = cohomology(fuchsian, standard_module(fuchsian))
+    ws = cohomology(fuchsian, fuchsian.images)
     omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
     h = ws.h1
     gram = np.array([[cup_pairing(ws, omega, h[:, i], h[:, j])
@@ -136,7 +135,7 @@ def test_acceptance_05_meyer_milnor_suite(fuchsian, rng):
             images.append(g @ _expm(np.tensordot(move, fuchsian.model.basis, axes=(0, 0))))
         fixed = correct_relator(images, fuchsian.presentation, fuchsian.model)
         rep = surface_representation(fuchsian.presentation, fuchsian.model, fixed)
-        wsp = cohomology(rep, standard_module(rep))
+        wsp = cohomology(rep, rep.images)
         hp = wsp.h1
         gp = np.array([[cup_pairing(wsp, omega, hp[:, i], hp[:, j])
                         for j in range(hp.shape[1])] for i in range(hp.shape[1])])
@@ -184,7 +183,7 @@ def test_acceptance_07_cohomology_dimension_suite(case_pipeline):
         modules = [adj] + [restricted_module(adj, r.real_basis) for r in dec.roots]
         for mod in modules:
             ws = cohomology(rep, mod)
-            m = mod.dim
+            m = ws.module_dim
             assert ws.h0_dim - ws.h1_dim + ws.h2_dim == chi * m
             assert ws.z1.shape[1] == ws.h2_dim + (1 - chi) * m
             checked += 1

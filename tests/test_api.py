@@ -14,6 +14,7 @@ that stay unread, with the reason.
 
 import ast
 import dataclasses
+import importlib
 import inspect
 import json
 import re
@@ -24,9 +25,10 @@ import pytest
 
 import flexcheck
 from flexcheck import config
+from flexcheck.catalog import build_case_representation
 from flexcheck.cli import _JSON_TYPES, _validate
 from flexcheck.config import DEFAULT, FlexcheckError, ParseError, Tolerances
-from flexcheck.engine import NON_REDUCTIVE_MESSAGE, _phase1
+from flexcheck.engine import NON_REDUCTIVE_MESSAGE, Pipeline, _phase1
 from flexcheck.liealg import LieAlgebraModel
 from flexcheck.surface import correct_relator
 
@@ -178,6 +180,51 @@ def test_the_readme_library_example_runs():
 
 
 # ---------------------------------------------------------------------------
+# The benchmark's tracing hooks name live package code
+# ---------------------------------------------------------------------------
+
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
+
+
+def _top_level_value(path: Path, name: str) -> ast.expr:
+    """The expression assigned to ``name`` at the top of ``path``, read without importing it."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return node.value
+    raise AssertionError(f"{path.name} assigns no {name}")
+
+
+def test_the_benchmark_hooks_resolve():
+    # the tracer getattr's each SPANNED and COUNTED name; selftest.py checks
+    # that the "flexcheck.<module>.<name>" bindings it names were wrapped
+    spans = PERFBENCH / "spans.py"
+    names = [f"{layer}.{fname}" for table in ("SPANNED", "COUNTED")
+             for layer, fnames in ast.literal_eval(_top_level_value(spans, table)).items()
+             for fname in fnames]
+    selftest = ast.parse((PERFBENCH / "selftest.py").read_text())
+    bindings = [node.value.removeprefix("flexcheck.") for node in ast.walk(selftest)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and node.value.startswith("flexcheck.")]
+    assert {"toledo.cup_pairing", "engine.root_form", "cli.verdict"} <= set(bindings)
+    for name in names + bindings:
+        module, _, attr = name.rpartition(".")
+        home = importlib.import_module(".".join(filter(None, ("flexcheck", module))))
+        assert callable(getattr(home, attr, None)), name
+
+
+def test_the_benchmark_work_sizes_read_live_members():
+    # each COMPUTED lambda reads members of a traced call's result
+    pipe = Pipeline(build_case_representation("su21-cline"))
+    results = {"surface.cohomology": pipe.workspaces[0], "toledo.root_form": pipe.forms[0]}
+    computed = _top_level_value(PERFBENCH / "spans.py", "COMPUTED")
+    assert {ast.literal_eval(key) for key in computed.keys} == set(results)
+    for key, value in zip(computed.keys, computed.values):
+        size = eval(compile(ast.Expression(value.elts[1]), "spans.py", "eval"))
+        assert size(results[ast.literal_eval(key)]) > 0
+
+
+# ---------------------------------------------------------------------------
 # One tolerance policy: config.py is the only module that knows a threshold
 # ---------------------------------------------------------------------------
 
@@ -290,6 +337,14 @@ def test_tolerances_below_the_floor_raise(kwargs):
         Tolerances(**kwargs)
     with pytest.raises(FlexcheckError, match="below the floor"):
         dataclasses.replace(DEFAULT, **kwargs)
+
+
+@pytest.mark.parametrize("name", sorted(THRESHOLD_FIELDS))
+@pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+def test_infinite_tolerances_raise(name, value):
+    # an infinite rank once passed, and verdict died in a reshape of an empty array
+    with pytest.raises(FlexcheckError, match=f"tolerance {name} = -?inf must be a finite number"):
+        Tolerances(**{name: value})
 
 
 def test_the_floor_itself_is_a_valid_tolerance():

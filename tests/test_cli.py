@@ -351,7 +351,7 @@ def _with_generators(generators):
     (_with_generators([[[[1.0, 0.0], [0.0]], [[0.0], [1.0]]]] * 4),
      "representation.generators[0][0][0]: expected 1 component(s) for field R, got 2"),
     (_with_generators([[[[float(i == j)] for j in range(3)] for i in range(3)]] * 4),
-     "representation.generators[0]: realified size 3 does not match sl(2,R) (2)"),
+     "generator image 0 has shape (3, 3), not the realified size (2, 2) of sl(2,R)"),
     ({**_IDENTITY, "representation": {**_IDENTITY["representation"], "field": "C"}},
      "field C does not match group family sl"),
     ({**_IDENTITY, "representation": {"source": "matrices"}},
@@ -382,14 +382,17 @@ def test_malformed_problem_is_a_parse_error(tmp_path, capsys, doc, says):
     (["toledo", "--input", "{so}", "--standard-module"],
      "--standard-module needs an sl(2,R) or sp(2n,R) ambient group"),
     (["verdict", "--catalog", "su21-cline", "--tol-rank", "nan"],
-     "--tol-rank must be a finite number, got nan"),
+     "tolerance rank = nan must be a finite number"),
     (["verdict", "--catalog", "su21-cline", "--tol-rank", "inf"],
-     "--tol-rank must be a finite number, got inf"),
+     "tolerance rank = inf must be a finite number"),
+    (["verdict", "--catalog", "su21-cline", "--tol-cluster=-inf"],
+     "tolerance cluster = -inf must be a finite number"),
     pytest.param(["verdict", "--input", "{long}"], "{long}: invalid JSON (Exceeds the limit",
                  marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                                           reason="this Python reads integers of any length")),
 ], ids=["catalog-and-input", "no-problem", "unreadable-input", "root-past-end", "negative-root",
-        "standard-module-on-so21", "nan-tol-rank", "inf-tol-rank", "over-long-integer"])
+        "standard-module-on-so21", "nan-tol-rank", "inf-tol-rank", "minus-inf-tol-cluster",
+        "over-long-integer"])
 def test_cli_misuse_is_a_parse_error(tmp_path, capsys, argv, says):
     files = {"identity": tmp_path / "identity.json", "missing": tmp_path / "missing.json",
              "so": _real_problem(tmp_path, "so", [2, 1], [np.eye(3)] * 4),
@@ -418,7 +421,7 @@ def test_a_problem_without_genus_takes_the_genus_flag(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verdict", "--input", str(path), "--format", "json")
     assert code == 0 and json.loads(out)["genus"] == 2     # --genus defaults to 2
     code, _, err = run_cli(capsys, "verdict", "--input", str(path), "--genus", "3")
-    assert code == 2 and "need 6 generator matrices" in err
+    assert code == 2 and "need 6 generator images, got 4" in err
 
 
 def test_linalg_error_exit_code(capsys, monkeypatch):
@@ -456,7 +459,7 @@ def test_negated_center_leaves_signed_reports_unchanged(capsys, monkeypatch):
 
     def negated(sub, tol):
         c = center_of(sub, tol)
-        return replace(c, matrices=-c.matrices, coords=-c.coords)
+        return replace(c, coords=-c.coords)
 
     monkeypatch.setattr(engine, "center_of", negated)
     after = reports()

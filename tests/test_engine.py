@@ -151,8 +151,7 @@ def test_classify_PN_flips_a_root_with_negative_toledo():
     omega = np.kron(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2)) * 1.0j
     root = RootDatum(values=values, classification=IMAGINARY, complex_dim=2,
                      real_basis=np.eye(6)[:, :4], t_vector=np.array([0.3, -0.1]), omega=omega)
-    report = RootFormReport(root=root, module_dim=4, h1_dim=8, milnor_wood_bound=8,
-                            signature=-8, toledo=-2, definite=True)
+    report = RootFormReport(root=root, module_dim=4, h1_dim=8, milnor_wood_bound=8, toledo=-2)
     forms, in_p, n_values, problem = classify_PN([report])
     flipped = forms[0]
     assert in_p == [True] and not n_values

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import tracemalloc
 
@@ -197,8 +198,8 @@ def test_ad_matrix_applies_the_bracket(models, rng):
 
 def _off_span(sub, other) -> float:
     """Largest entry of ``other``'s basis left after projecting onto the span of ``sub``."""
-    cols = other.matrices.reshape(other.dim, -1).T
-    base = sub.matrices.reshape(sub.dim, -1).T
+    cols = other.model.matrix(other.coords).reshape(other.dim, -1).T
+    base = sub.model.matrix(sub.coords).reshape(sub.dim, -1).T
     return float(np.abs(cols - base @ (base.T @ cols)).max(initial=0.0))
 
 
@@ -217,6 +218,14 @@ def test_centralizer_of_whole_algebra_is_zero(models):
     assert centralizer(m, []).dim == m.dim
 
 
+def test_a_span_that_is_not_bracket_closed_is_no_subalgebra(models):
+    # [e, f] = h lies outside span{e, f}
+    e = np.array([[0.0, 1.0], [0.0, 0.0]])
+    f = np.array([[0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(NumericalAbort, match="not bracket-closed"):
+        subalgebra_from_matrices(models["sl2"], [e, f])
+
+
 def test_centralizer_so41_block(case_pipeline):
     rep, z, c, dec = case_pipeline("so41-rplane")
     assert z.dim == 1
@@ -227,7 +236,6 @@ def test_center_of_abelian_is_itself(models):
     t1 = realify(np.diag([1j, 1j, -2j]), Field.COMPLEX)
     t2 = realify(np.diag([1j, -1j, 0j]), Field.COMPLEX)
     sub = subalgebra_from_matrices(m, [t1, t2])
-    assert sub.closed
     cen = center_of(sub)
     assert cen.dim == 2
     assert _off_span(sub, cen) < 1e-9
@@ -517,14 +525,16 @@ def test_center_makes_no_stacked_svd(monkeypatch, case_pipeline):
 
 
 def test_bracket_budget(monkeypatch):
-    # rejected from the parameters alone, like the ambient cap: sl(20,R) is
-    # inside the cap but its model build would exhaust memory
+    # rejected from the parameters alone: sl(20,R) has realified size 20 but
+    # its model build would exhaust memory; so(65,0) and sp(17,0) are just
+    # past the realified size 64 that a separate cap once rejected
     def construct(*args):
         raise AssertionError(f"constructed {args} above the bracket budget")
 
     monkeypatch.setattr(liealg, "_construct", construct)
-    with pytest.raises(FlexcheckError, match="bracket entries .* over the budget"):
-        build_classical("sl", 20)
+    for family, params in (("sl", (20,)), ("so", (65, 0)), ("sp", (17, 0))):
+        with pytest.raises(FlexcheckError, match="bracket entries .* over the budget"):
+            build_classical(family, *params)
 
 
 def test_catalog_groups_are_well_inside_the_bracket_budget():
@@ -585,15 +595,32 @@ def test_stacked_adjoint_peak_memory_and_blocks(monkeypatch):
 
 
 def test_ambient_cap(monkeypatch):
-    # rejected from the parameters alone, before any basis matrix is built
-    def construct(*args):
-        raise AssertionError(f"constructed {args} above the ambient cap")
+    # the bracket budget is the only size guard: from the parameters alone,
+    # before any basis matrix is built, it rejects each family just past the
+    # size 64 of an earlier cap, and every group with parameters below 70
+    # and realified size above 24
+    admitted = []
+
+    def construct(family, *params):
+        admitted.append(_realified_size(family, params))
+        raise FlexcheckError("admitted")
 
     monkeypatch.setattr(liealg, "_construct", construct)
-    for family, params, size in (("sl", (65,), 65), ("spr", (33,), 66), ("so", (40, 25), 65),
-                                 ("su", (30, 3), 66), ("sp", (9, 8), 68)):
-        with pytest.raises(FlexcheckError, match=f"realified ambient size {size} exceeds the cap"):
+    for family, params in (("sl", (65,)), ("spr", (33,)), ("so", (40, 25)), ("su", (30, 3)),
+                           ("sp", (9, 8))):
+        with pytest.raises(FlexcheckError, match="over the budget"):
             build_classical(family, *params)
+    groups = [(family, (n,)) for family in ("sl", "spr") for n in range(70)]
+    groups += [(family, (p, q)) for family in ("su", "so", "sp")
+               for p in range(70) for q in range(70)]
+    for family, params in groups:
+        with contextlib.suppress(FlexcheckError):
+            build_classical(family, *params)
+    assert max(admitted) == 24
+
+
+def _realified_size(family, params) -> int:
+    return {"sl": 1, "spr": 2, "so": 1, "su": 2, "sp": 4}[family] * sum(params)
 
 
 def test_killing_pairing_rejects_outside_span(models):

@@ -60,7 +60,7 @@ def test_classify_root_basics():
 def _value_at(dec, root, mat) -> complex:
     """The root's value at a torus element given as a matrix."""
     # the torus matrices are orthonormal in the trace form, so they read off its coordinates
-    coords = dec.torus.matrices.reshape(dec.torus.dim, -1) @ mat.reshape(-1)
+    coords = dec.model.matrix(dec.torus.coords).reshape(dec.torus.dim, -1) @ mat.reshape(-1)
     return complex(root.values @ coords)
 
 
@@ -178,10 +178,11 @@ def test_mixed_roots_on_so31(models):
 
 def test_nonabelian_torus_rejected(models):
     m = models["sl2"]
+    # span{h, e} is bracket-closed, [h, e] = 2e, but not abelian
+    h = np.array([[1.0, 0.0], [0.0, -1.0]])
     e = np.array([[0.0, 1.0], [0.0, 0.0]])
-    f = np.array([[0.0, 0.0], [1.0, 0.0]])
-    bad = subalgebra_from_matrices(m, [e, f])
-    with pytest.raises(NumericalAbort):
+    bad = subalgebra_from_matrices(m, [h, e])
+    with pytest.raises(NumericalAbort, match="torus is not abelian"):
         decompose(m, bad)
 
 

@@ -10,7 +10,6 @@ from flexcheck.linalg import nullspace, orthonormal_columns
 from flexcheck.roots import decompose
 from flexcheck.scalars import Field, realify
 from flexcheck.surface import (
-    Module,
     _expm,
     _fox_calculus,
     adjoint_module,
@@ -18,7 +17,6 @@ from flexcheck.surface import (
     correct_relator,
     cup_pairing,
     relator_prefixes,
-    standard_module,
     standard_presentation,
     surface_representation,
 )
@@ -53,7 +51,7 @@ def test_fuchsian_irreducible(fuchsian):
 
 
 def test_trivial_module_cocycles(fuchsian):
-    ws = cohomology(fuchsian, Module(tuple(np.eye(3) for _ in fuchsian.images)))
+    ws = cohomology(fuchsian, np.stack([np.eye(3) for _ in fuchsian.images]))
     assert ws.z1.shape[1] == 4 * 3          # 2g * dim V
     assert ws.b1.shape[1] == 0
     assert ws.h0_dim == 3 and ws.h2_dim == 3
@@ -106,7 +104,7 @@ def _fan_oracle_trivial(pres, s_u, s_v):
 
 def test_orientation_calibration(fuchsian):
     pres = fuchsian.presentation
-    ws = cohomology(fuchsian, Module(tuple(np.eye(1) for _ in fuchsian.images)))
+    ws = cohomology(fuchsian, np.stack([np.eye(1) for _ in fuchsian.images]))
     omega = np.array([[1.0]])
 
     def dual(s):
@@ -129,7 +127,7 @@ def test_orientation_calibration(fuchsian):
 
 
 def test_coboundary_pairing_vanishes(fuchsian, rng):
-    ws = cohomology(fuchsian, standard_module(fuchsian))
+    ws = cohomology(fuchsian, fuchsian.images)
     omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
     for i in range(ws.b1.shape[1]):
         for j in range(ws.z1.shape[1]):
@@ -140,7 +138,7 @@ def test_coboundary_pairing_vanishes(fuchsian, rng):
 
 
 def test_skew_form_gives_symmetric_pairing(fuchsian, rng):
-    ws = cohomology(fuchsian, standard_module(fuchsian))
+    ws = cohomology(fuchsian, fuchsian.images)
     omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
     for _ in range(10):
         u = ws.z1 @ rng.standard_normal(ws.z1.shape[1])
@@ -155,7 +153,7 @@ def test_trivial_rep_symplectic_signature_zero(fuchsian):
     model = build_classical("sl", 2)
     images = [np.eye(2)] * 4
     rep = surface_representation(standard_presentation(2), model, images)
-    ws = cohomology(rep, standard_module(rep))
+    ws = cohomology(rep, rep.images)
     omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
     h = ws.h1
     gram = np.array([[cup_pairing(ws, omega, h[:, i], h[:, j])
@@ -218,8 +216,8 @@ def test_cup_square_polarization(fuchsian, rng):
 def _fan_chain_pairing(ws, omega, u, v):
     """Reference: the fan-chain sum for one pair of cocycle vectors, letter by letter."""
     pres = ws.rep.presentation
-    m = ws.module.dim
-    invs = [np.linalg.inv(a) for a in ws.module.actions]
+    m = ws.module_dim
+    invs = [np.linalg.inv(a) for a in ws.actions]
     us = [u[s * m : (s + 1) * m] for s in range(pres.generator_count)]
     vs = [v[s * m : (s + 1) * m] for s in range(pres.generator_count)]
 
@@ -229,7 +227,7 @@ def _fan_chain_pairing(ws, omega, u, v):
     def pair(x, y):
         return np.einsum("a,...ab,b->...", x, omega, y)
 
-    prefixes = relator_prefixes(pres, ws.module.actions)
+    prefixes = relator_prefixes(pres, ws.actions)
     total = 0.0
     uacc = np.zeros(m)
     for k, (s, sign) in enumerate(pres.letters):
@@ -244,7 +242,7 @@ def _fan_chain_pairing(ws, omega, u, v):
 
 def _killing_forms(ws):
     model = ws.rep.model
-    h0 = invariant_vectors(ws.module)
+    h0 = invariant_vectors(ws.actions)
     return np.stack([
         np.einsum("ijk,k->ij", model.structure, model.killing @ h0[:, j])
         for j in range(ws.h0_dim)
@@ -292,7 +290,7 @@ def _so31_mixed_root(case_pipeline, fuchsian, models):
 
 
 def _octagon_standard_module(case_pipeline, fuchsian, models):
-    return cohomology(fuchsian, standard_module(fuchsian)), np.array([[0.0, 1.0], [-1.0, 0.0]])
+    return cohomology(fuchsian, fuchsian.images), np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def _su31_killing_stack(case_pipeline, fuchsian, models):
@@ -323,7 +321,7 @@ def test_block_cup_pairing_matches_fan_chain_reference(build, case_pipeline, fuc
 
 
 def test_cup_pairing_shapes(fuchsian, case_pipeline):
-    ws = cohomology(fuchsian, standard_module(fuchsian))
+    ws = cohomology(fuchsian, fuchsian.images)
     omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
     h = ws.h1
     block = cup_pairing(ws, omega, h, h)
@@ -378,6 +376,25 @@ def test_uninvertible_and_non_finite_images_abort(case_pipeline, capfd):
     with pytest.raises(NumericalAbort, match="generator image 2 has a non-finite entry"):
         surface_representation(rep.presentation, rep.model, images)
     assert capfd.readouterr().err == ""
+
+
+def test_images_are_copied_into_a_read_only_stack(fuchsian):
+    images = [g.copy() for g in fuchsian.images]
+    rep = surface_representation(fuchsian.presentation, fuchsian.model, images)
+    images[0][0, 0] = 7.0
+    assert np.array_equal(rep.images, fuchsian.images)
+    assert rep.images.shape == (4, 2, 2) and not rep.images.flags.writeable
+
+
+@pytest.mark.parametrize("images, bad", [
+    ([np.eye(3)] * 4, 0),                              # passed, then verdict died in matmul
+    ([np.eye(2), np.eye(2), np.eye(3), np.eye(2)], 2),  # np.stack raised ValueError
+    ([np.eye(2)[:, :1]] * 4, 0),                       # not square
+], ids=["wrong-size", "mixed-sizes", "not-square"])
+def test_image_shapes_are_checked(fuchsian, images, bad):
+    with pytest.raises(FlexcheckError, match=f"generator image {bad} has shape .* not the "
+                       r"realified size \(2, 2\) of sl\(2,R\)"):
+        surface_representation(fuchsian.presentation, fuchsian.model, images)
 
 
 def test_correct_relator(fuchsian, rng):
@@ -496,7 +513,7 @@ def test_genus3_cohomology(fuchsian):
 
 
 def test_cup_pairing_rejects_non_cocycles(fuchsian, rng):
-    ws = cohomology(fuchsian, standard_module(fuchsian))
+    ws = cohomology(fuchsian, fuchsian.images)
     omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
     bad = rng.standard_normal(8)
     bad -= ws.z1 @ (ws.z1.T @ bad)          # component orthogonal to Z^1
@@ -512,7 +529,7 @@ def test_cup_pairing_rejects_non_cocycles(fuchsian, rng):
 
 
 def test_cup_pairing_rejects_noninvariant_form(fuchsian):
-    ws = cohomology(fuchsian, standard_module(fuchsian))
+    ws = cohomology(fuchsian, fuchsian.images)
     with pytest.raises(NumericalAbort):
         cup_pairing(ws, np.diag([1.0, 2.0]), ws.z1[:, 0], ws.z1[:, 1])
     # in a stack, one non-invariant slice is enough; SL(2) preserves the area form
@@ -529,36 +546,36 @@ def _full_svd_kernel(a):
 
 
 def _cohomology_cases(fuchsian, case_pipeline):
-    """(rep, module) pairs with H^0, H^2 and B^1 of every size the suite meets."""
+    """(rep, actions) pairs with H^0, H^2 and B^1 of every size the suite meets."""
     trivial = surface_representation(standard_presentation(2), fuchsian.model, [np.eye(2)] * 4)
     yield fuchsian, adjoint_module(fuchsian)
-    yield fuchsian, standard_module(fuchsian)
-    yield fuchsian, Module(tuple(np.eye(3) for _ in fuchsian.images))
+    yield fuchsian, fuchsian.images
+    yield fuchsian, np.stack([np.eye(3) for _ in fuchsian.images])
     yield trivial, adjoint_module(trivial)
     for name in ("su21-cline", "sp21-cline", "so41-rplane"):
         pipe = Pipeline(case_pipeline(name)[0])
         yield pipe.rep, pipe.adjoint
         for ws in pipe.workspaces:
-            yield pipe.rep, ws.module
+            yield pipe.rep, ws.actions
 
 
 def test_cohomology_matches_separate_span_and_kernel_svds(fuchsian, case_pipeline):
-    for rep, module in _cohomology_cases(fuchsian, case_pipeline):
-        ws = cohomology(rep, module)
-        m = module.dim
-        cob = np.vstack([a - np.eye(m) for a in module.actions])
+    for rep, actions in _cohomology_cases(fuchsian, case_pipeline):
+        ws = cohomology(rep, actions)
+        m = actions.shape[-1]
+        cob = np.vstack([a - np.eye(m) for a in actions])
         b1 = orthonormal_columns(cob, 1e-9, scale=1.0)
         fixed = _full_svd_kernel(cob)
-        cofixed = _full_svd_kernel(np.vstack([a.T - np.eye(m) for a in module.actions]))
+        cofixed = _full_svd_kernel(np.vstack([a.T - np.eye(m) for a in actions]))
         assert (ws.b1.shape[1], ws.h0_dim, ws.h2_dim) == (
             b1.shape[1], fixed.shape[1], cofixed.shape[1])
         assert np.abs(ws.b1 @ ws.b1.T - b1 @ b1.T).max() <= 1e-12
-        h0 = invariant_vectors(module)
+        h0 = invariant_vectors(actions)
         assert np.abs(h0 @ h0.T - fixed @ fixed.T).max(initial=0.0) <= 1e-12
         # a generator letter's Fox block is P_k, an inverse letter's -P_{k+1};
         # the relator map is their sum over each generator's letters
-        prefixes = relator_prefixes(rep.presentation, module.actions)
-        relator_map = np.zeros((m, len(module.actions), m))
+        prefixes = relator_prefixes(rep.presentation, actions)
+        relator_map = np.zeros((m, len(actions), m))
         for k, (s, sign) in enumerate(rep.presentation.letters):
             assert np.array_equal(ws.fox_blocks[k], prefixes[k] if sign > 0 else -prefixes[k + 1])
             relator_map[:, s] += ws.fox_blocks[k]
@@ -574,7 +591,7 @@ def test_cocycles_match_the_relator_map_kernel(fuchsian, case_pipeline):
     pipes += [Pipeline(case_pipeline(c.name)[0]) for c in default_cases() if c.computable]
     for pipe in pipes:
         for ws in (cohomology(pipe.rep, pipe.adjoint),) + pipe.workspaces:
-            prefixes = relator_prefixes(pipe.rep.presentation, ws.module.actions)
+            prefixes = relator_prefixes(pipe.rep.presentation, ws.actions)
             scale = max(float(np.abs(prefixes).max()), 1.0)
             z1 = nullspace(ws.relator_map, DEFAULT.rank, scale=scale)
             assert ws.z1.shape == z1.shape
@@ -590,7 +607,7 @@ def test_cohomology_needs_two_letters_per_generator(fuchsian):
     bad = replace(fuchsian, presentation=replace(
         fuchsian.presentation, letters=((1, 1),) + letters[1:]))
     with pytest.raises(FlexcheckError, match="occur twice"):
-        cohomology(bad, Module(tuple(np.eye(2) for _ in fuchsian.images)))
+        cohomology(bad, np.stack([np.eye(2) for _ in fuchsian.images]))
 
 
 def test_relator_check_is_relative_to_the_prefix_scale(fuchsian):

@@ -5,12 +5,10 @@ from flexcheck.config import NumericalAbort, Tolerances
 from flexcheck.liealg import subalgebra_from_matrices
 from flexcheck.roots import decompose
 from flexcheck.surface import (
-    Module,
     adjoint_module,
     cohomology,
     cup_pairing,
     restricted_module,
-    standard_module,
     standard_presentation,
     surface_representation,
 )
@@ -19,7 +17,7 @@ from reference import lagrangian_pair_check, scan_invariant_lagrangians, signatu
 
 
 def test_fuchsian_standard_module_signature(fuchsian):
-    ws = cohomology(fuchsian, standard_module(fuchsian))
+    ws = cohomology(fuchsian, fuchsian.images)
     omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
     h = ws.h1
     k = h.shape[1]
@@ -122,7 +120,7 @@ def test_so41_scan_finds_pair(case_pipeline):
 
 def test_lagrangian_pair_check_uses_callers_rank_tolerance():
     # e1 and e1 + 1e-11 e2 are complementary only under a rank cutoff below 1e-11
-    mod = Module(tuple(np.eye(2) for _ in range(4)))
+    mod = np.stack([np.eye(2) for _ in range(4)])
     omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
     l1 = np.array([[1.0], [0.0]])
     l2 = np.array([[1.0], [1e-11]])
@@ -139,7 +137,7 @@ def test_su21_no_lagrangian_pair(case_pipeline):
     omega = root.omega.imag
     # exhaustive scan over coordinate subspace pairs
     import itertools
-    m = mod.dim
+    m = mod.shape[-1]
     eye = np.eye(m)
     for cols in itertools.combinations(range(m), m // 2):
         rest = [j for j in range(m) if j not in cols]
@@ -171,7 +169,7 @@ def _sp21_root6_module(case_pipeline):
 
 def _scan_in_basis(mod, omega, g):
     """The scan's pair in the basis g of the module, checked there."""
-    moved = Module(tuple(np.linalg.solve(g, a @ g) for a in mod.actions))
+    moved = np.stack([np.linalg.solve(g, a @ g) for a in mod])
     omega = g.T @ omega @ g
     found = scan_invariant_lagrangians(moved, omega)
     return found is not None and lagrangian_pair_check(moved, omega, *found)
@@ -183,9 +181,10 @@ def test_sp21_scan_finds_pair_for_every_seed(case_pipeline):
     # come with complex eigenvectors, and the cut is compared at the
     # rounding it was taken at
     mod, omega = _sp21_root6_module(case_pipeline)
-    assert _scan_in_basis(mod, omega, np.eye(mod.dim))
+    m = mod.shape[-1]
+    assert _scan_in_basis(mod, omega, np.eye(m))
     for seed in range(10):
-        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((mod.dim, mod.dim)))
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m)))
         assert _scan_in_basis(mod, omega, q), seed
 
 
@@ -194,8 +193,9 @@ def test_sp21_scan_finds_pair_in_skewed_bases(case_pipeline):
     # where the image is closed under transposition, as in an orthonormal
     # basis: here the scan's vectorization must match its reshape
     mod, omega = _sp21_root6_module(case_pipeline)
+    m = mod.shape[-1]
     for seed in range(10):
-        g = np.random.default_rng(seed).standard_normal((mod.dim, mod.dim)) + 3.0 * np.eye(mod.dim)
+        g = np.random.default_rng(seed).standard_normal((m, m)) + 3.0 * np.eye(m)
         assert _scan_in_basis(mod, omega, g), seed
 
 
@@ -230,7 +230,7 @@ def test_classify_PN_aborts_on_degenerate_report(case_pipeline):
     from flexcheck.engine import classify_PN
     rep, z, c, dec = case_pipeline("su21-cline")
     rr = root_form(root_cohomology(rep, adjoint_module(rep), dec.roots[0]), dec.roots[0])
-    degenerate = replace(rr, status="degenerate", signature=None, toledo=None)
+    degenerate = replace(rr, status="degenerate", toledo=None)
     with pytest.raises(NumericalAbort):
         classify_PN([degenerate])
 
@@ -320,7 +320,7 @@ def test_milnor_euler_number_oracle(fuchsian):
     e_vec = _circle_euler_number(fuchsian, 2 * np.pi)
     assert 2 * e_vec == e_p1
 
-    ws = cohomology(fuchsian, standard_module(fuchsian))
+    ws = cohomology(fuchsian, fuchsian.images)
     omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
     h = ws.h1
     gram = np.array([[cup_pairing(ws, omega, h[:, i], h[:, j])
