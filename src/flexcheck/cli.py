@@ -237,56 +237,50 @@ def _standard_module_report(problem) -> dict:
     }
 
 
+def _root_entry(rr, *keys: str) -> dict:
+    """The fields the toledo and verdict reports share for one root, then ``keys`` of ``rr``."""
+    return {"values": [_cnum(v) for v in rr.root.values], "classification": rr.classification,
+            "real_dim": rr.real_dim, "h1_dim": rr.h1_dim, "signature": rr.signature,
+            "toledo": rr.toledo, "definite": rr.definite, **{k: getattr(rr, k) for k in keys}}
+
+
 def _toledo_report(problem, root_index: int | None) -> dict:
     pipe = Pipeline(problem["rep"], problem["tol"])
     n = len(pipe.decomposition.roots)
     if root_index is not None and not (0 <= root_index < n):
         raise ParseError(f"--root {root_index} out of range; decomposition has {n} root(s)")
-    entries = []
-    for rr in pipe.forms if root_index is None else (pipe.forms[root_index],):
-        r = rr.root
-        entries.append({
-            "values": [_cnum(v) for v in r.values],
-            "classification": r.classification,
-            "real_dim": r.real_dim,
-            "h1_dim": rr.h1_dim,
-            "signature": rr.signature,
-            "toledo": rr.toledo,
-            "definite": rr.definite,
-            "milnor_wood_bound": rr.milnor_wood_bound,
-            "milnor_wood_slack": rr.milnor_wood_slack,
-            "status": rr.status,
-        })
-    return {**_header(problem), "roots": entries}
+    forms = pipe.forms if root_index is None else (pipe.forms[root_index],)
+    return {**_header(problem), "roots": [
+        _root_entry(rr, "milnor_wood_bound", "milnor_wood_slack", "status") for rr in forms]}
+
+
+def _certificate(balance) -> dict:
+    """The balance decision's certificate, rounded: its multipliers, or its separating functional."""
+    if balance.balanced:
+        kind, key, values = "multipliers", "multipliers", balance.multipliers
+    else:
+        kind, key, values = "separating_functional", "functional", balance.separating
+    return {"kind": kind} if values is None else {"kind": kind, key: [round12(x) for x in values]}
 
 
 def _balanced_report(problem) -> dict:
     pipe = Pipeline(problem["rep"], problem["tol"])
-    forms, in_p, n_values, _ = pipe.split
+    forms, n_values, _ = pipe.split
     return {
         "provenance": _provenance(problem),
         "group": pipe.rep.model.name,
         "torus_dim": pipe.center.dim,
-        "P": [[_cnum(v) for v in rr.root.values] for rr, member in zip(forms, in_p) if member],
+        "P": [[_cnum(v) for v in rr.root.values] for rr in forms if rr.in_P],
         "N": [[_cnum(v) for v in vals] for vals in n_values],
         "balanced": pipe.balance.balanced,
         "quotient_dim": pipe.balance.quotient_dim,
-        "certificate": _round_cert(pipe.balance.certificate()),
+        "certificate": _certificate(pipe.balance),
     }
-
-
-def _round_cert(cert: dict) -> dict:
-    out = {"kind": cert["kind"]}
-    for key in ("multipliers", "functional"):
-        if cert.get(key) is not None:
-            out[key] = [round12(x) for x in cert[key]]
-    return out
 
 
 def _verdict_report(problem) -> dict:
     rv = verdict(problem["rep"], problem["tol"])
-    # a root's fields in RootSummary order, with the values rounded
-    roots = [{**vars(r), "values": [_cnum(v) for v in r.values]} for r in rv.roots]
+    roots = [_root_entry(rr, "milnor_wood_slack", "in_P") for rr in rv.roots]
     return {
         **_header(problem),
         "genus_threshold": rv.genus_threshold,
@@ -295,7 +289,7 @@ def _verdict_report(problem) -> dict:
         "center_dim": rv.center_dim,
         "roots": roots,
         "balanced": None if rv.balance is None else rv.balance.balanced,
-        "certificate": None if rv.balance is None else _round_cert(rv.balance.certificate()),
+        "certificate": None if rv.balance is None else _certificate(rv.balance),
         "verdict": rv.verdict,
         "caveats": list(rv.caveats),
         "message": rv.message,

@@ -11,7 +11,7 @@ certifies failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -19,8 +19,8 @@ import numpy as np
 from .config import (DEFAULT, SIMPLEX_FEASIBLE, SIMPLEX_MULTIPLIERS, SIMPLEX_PIVOT,
                      SIMPLEX_SEPARATION, Inconclusive, NumericalAbort, Tolerances)
 from .liealg import SubalgebraHandle, center_of, centralizer, killing_restriction_nondegenerate
-from .linalg import nullspace, orthonormal_columns, rank, value_key
-from .roots import IMAGINARY, MIXED, TorusRootDecomposition, decompose
+from .linalg import nullspace, orthonormal_columns, rank
+from .roots import MIXED, TorusRootDecomposition, decompose
 from .surface import CohomologyWorkspace, SurfaceRepresentation, adjoint_module
 from .toledo import RootFormReport, root_cohomology, root_form
 
@@ -38,13 +38,6 @@ class BalanceResult:
     multipliers: np.ndarray | None            # weights >= 1 on P-vectors (success)
     separating: np.ndarray | None             # functional >= 0 on projected P (failure)
     quotient_dim: int
-
-    def certificate(self) -> dict:
-        if self.balanced:
-            mult = None if self.multipliers is None else [float(x) for x in self.multipliers]
-            return {"kind": "multipliers", "multipliers": mult}
-        return {"kind": "separating_functional",
-                "functional": [float(x) for x in self.separating]}
 
 
 def _phase1(a: np.ndarray, b: np.ndarray):
@@ -136,20 +129,20 @@ def balanced(problem: BalanceProblem, tol: Tolerances = DEFAULT) -> BalanceResul
 def classify_PN(
     reports: list[RootFormReport],
     tol: Tolerances = DEFAULT,
-) -> tuple[list[RootFormReport], list[bool], list[np.ndarray], BalanceProblem]:
-    """Split roots into P (definite imaginary, T > 0 representative) and N.
+) -> tuple[tuple[RootFormReport, ...], list[np.ndarray], BalanceProblem]:
+    """Split roots into P (``RootFormReport.in_P``, T > 0 representative) and N.
 
     Returns the reports in input order, each P member re-selected so its
-    form is positive definite; one flag per report, true for the P
-    members; the value tuples of every root in N; and the assembled
-    balance problem.
+    form is positive definite; the value tuples of every root in N, its
+    whole orbit (2 values, or 4 for a mixed root: distinct, as a root is
+    nonzero and a mixed one has nonzero real and imaginary parts); and
+    the assembled balance problem.
     """
     for rep in reports:
         if rep.status != "ok":
             raise NumericalAbort(
                 "a root form is numerically indefinite; P-membership is uncertain")
     selected: list[RootFormReport] = []
-    in_p: list[bool] = []
     n_values: list[np.ndarray] = []
     p_vectors: list[np.ndarray] = []
     n_vectors: list[np.ndarray] = []
@@ -157,8 +150,7 @@ def classify_PN(
     for rep in reports:
         root = rep.root
         dim = len(root.values)
-        member = rep.classification == IMAGINARY and rep.definite
-        if member:
+        if rep.in_P:
             if rep.toledo < 0:
                 rep = _flip_representative(rep)
             p_vectors.append(rep.root.values.imag.copy())
@@ -166,20 +158,14 @@ def classify_PN(
             orbit = [root.values, -root.values]
             if root.classification == MIXED:
                 orbit += [root.values.conj(), -root.values.conj()]
-            seen = set()
             for v in orbit:
-                key = value_key(v)
-                if key in seen:
-                    continue
-                seen.add(key)
                 n_values.append(v)
                 for part in (v.real, v.imag):
                     if np.abs(part).max(initial=0.0) > tol.cluster:
                         n_vectors.append(part.copy())
         selected.append(rep)
-        in_p.append(member)
     problem = BalanceProblem(dim or 0, tuple(p_vectors), tuple(n_vectors))
-    return selected, in_p, n_values, problem
+    return tuple(selected), n_values, problem
 
 
 def _flip_representative(rep: RootFormReport) -> RootFormReport:
@@ -203,32 +189,17 @@ def _orient(rep: RootFormReport, sign: int) -> RootFormReport:
 
 
 @dataclass(frozen=True)
-class RootSummary:
-    values: list                       # complex values on the torus basis
-    classification: str
-    real_dim: int
-    h1_dim: int
-    signature: int | None
-    toledo: int | None
-    definite: bool
-    milnor_wood_slack: int | None
-    in_P: bool
-
-
-@dataclass(frozen=True)
 class FlexibilityReport:
     verdict: str                                   # "flexible" | "rigid" | "inconclusive"
     centralizer_dim: int
     reductive: bool
     reductive_condition: float
     center_dim: int
-    roots: tuple[RootSummary, ...]
+    roots: tuple[RootFormReport, ...]              # oriented, P members with T > 0
     balance: BalanceResult | None
-    genus: int
     genus_threshold: int
     caveats: tuple[str, ...]
     message: str
-    decomposition: TorusRootDecomposition | None = field(repr=False, default=None)
 
 
 TUBE_TYPE_MESSAGE = (
@@ -310,22 +281,13 @@ class Pipeline:
         return tuple(_orient(form, self.orientation) for form in self._built_forms)
 
     @cached_property
-    def oriented(self) -> TorusRootDecomposition:
-        """``decomposition`` in the canonical orientation (see ``orientation``)."""
-        dec = self.decomposition
-        if self.orientation > 0:
-            return dec
-        torus = replace(dec.torus, coords=-dec.torus.coords)
-        return replace(dec, torus=torus, roots=tuple(f.root for f in self.forms))
-
-    @cached_property
-    def split(self) -> tuple[list[RootFormReport], list[bool], list[np.ndarray], BalanceProblem]:
-        """``classify_PN`` of the root forms: forms, P flags, N values, balance problem."""
+    def split(self) -> tuple[tuple[RootFormReport, ...], list[np.ndarray], BalanceProblem]:
+        """``classify_PN`` of the root forms: forms, N values, balance problem."""
         return classify_PN(list(self.forms), self.tol)
 
     @cached_property
     def balance(self) -> BalanceResult:
-        return balanced(self.split[3], self.tol)
+        return balanced(self.split[2], self.tol)
 
 
 def verdict(rep: SurfaceRepresentation, tol: Tolerances = DEFAULT) -> FlexibilityReport:
@@ -344,28 +306,14 @@ def verdict(rep: SurfaceRepresentation, tol: Tolerances = DEFAULT) -> Flexibilit
         return FlexibilityReport(
             verdict="inconclusive",
             centralizer_dim=pipe.z.dim, reductive=False, reductive_condition=cond,
-            center_dim=-1, roots=(), balance=None, genus=genus,
+            center_dim=-1, roots=(), balance=None,
             genus_threshold=threshold, caveats=tuple(caveats), message=NON_REDUCTIVE_MESSAGE)
-
-    forms, in_p = pipe.split[:2]
-    summaries = [RootSummary(
-        values=[complex(v) for v in rr.root.values],
-        classification=rr.classification,
-        real_dim=rr.module_dim,
-        h1_dim=rr.h1_dim,
-        signature=rr.signature,
-        toledo=rr.toledo,
-        definite=rr.definite,
-        milnor_wood_slack=rr.milnor_wood_slack,
-        in_P=member,
-    ) for rr, member in zip(forms, in_p)]
 
     flexible = pipe.balance.balanced
     return FlexibilityReport(
         verdict="flexible" if flexible else "rigid",
         centralizer_dim=pipe.z.dim, reductive=True, reductive_condition=cond,
-        center_dim=pipe.center.dim, roots=tuple(summaries), balance=pipe.balance,
-        genus=genus, genus_threshold=threshold, caveats=tuple(caveats),
+        center_dim=pipe.center.dim, roots=pipe.split[0], balance=pipe.balance,
+        genus_threshold=threshold, caveats=tuple(caveats),
         message="flexible: the center of the centralizer is balanced"
-        if flexible else TUBE_TYPE_MESSAGE,
-        decomposition=pipe.oriented)
+        if flexible else TUBE_TYPE_MESSAGE)

@@ -88,15 +88,10 @@ def orthonormal_columns(vectors: np.ndarray, tol: float = DEFAULT.rank,
 
 
 def value_keys(values: np.ndarray) -> list[tuple]:
-    """:func:`value_key` of each row of a 2-D complex array, in one rounding."""
+    """Hashable key of each row of a 2-D complex array: real and imaginary parts to 9 digits."""
     v = np.ascontiguousarray(values, dtype=complex)
     parts = np.round(v.view(np.float64), 9)     # re, im interleaved
     return [tuple(row) for row in parts.reshape(len(v), -1).tolist()]
-
-
-def value_key(values) -> tuple:
-    """Hashable key of a tuple of complex values: real and imaginary parts to 9 digits."""
-    return value_keys(np.asarray(values, dtype=complex)[None])[0]
 
 
 def _cluster_values(values: np.ndarray, tol: float) -> list[list[int]]:

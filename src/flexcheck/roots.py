@@ -38,7 +38,6 @@ class RootDatum:
 @dataclass(frozen=True)
 class TorusRootDecomposition:
     model: LieAlgebraModel
-    torus: SubalgebraHandle
     g0_dim: int                      # dim g_0, the widths of the zero clusters
     roots: tuple[RootDatum, ...]     # one representative per orbit
 
@@ -71,7 +70,7 @@ def decompose(
     r = torus.dim
     dim = model.dim
     if r == 0:
-        return TorusRootDecomposition(model, torus, dim, ())
+        return TorusRootDecomposition(model, dim, ())
 
     ads = model.ad(torus.coords)
     sv = np.linalg.svd(ads.reshape(-1, dim), compute_uv=False)
@@ -135,7 +134,7 @@ def decompose(
     if total != dim:
         raise NumericalAbort(f"direct sum check failed: {total} != {dim}")
     roots.sort(key=lambda kr: kr[0])
-    return TorusRootDecomposition(model, torus, g0_dim, tuple(rd for _, rd in roots))
+    return TorusRootDecomposition(model, g0_dim, tuple(rd for _, rd in roots))
 
 
 def _build_root(model, ads, gram, rep, shift_plus, shift_minus, k: int,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import DEFAULT, NumericalAbort, Tolerances
-from .roots import MIXED, REAL, RootDatum
+from .roots import IMAGINARY, MIXED, REAL, RootDatum
 from .surface import (
     CohomologyWorkspace,
     SurfaceRepresentation,
@@ -31,7 +31,7 @@ from .surface import (
 @dataclass(frozen=True)
 class RootFormReport:
     root: RootDatum | None            # None for a module that is not a root space
-    module_dim: int
+    real_dim: int                     # the module's real dimension
     h1_dim: int
     milnor_wood_bound: int            # -chi dim: 4|T| may not exceed it
     toledo: int | None = None
@@ -56,11 +56,16 @@ class RootFormReport:
     def milnor_wood_slack(self) -> int | None:
         return None if self.toledo is None else self.milnor_wood_bound - 4 * abs(self.toledo)
 
+    @property
+    def in_P(self) -> bool:
+        """Whether the root is in P: imaginary, with a definite cup form."""
+        return self.classification == IMAGINARY and self.definite
+
 
 def _form_report(ws: CohomologyWorkspace, root: RootDatum | None = None, **fields) -> RootFormReport:
     """A report on ``ws``'s module, with its Milnor-Wood bound -chi dim."""
     bound = -ws.rep.presentation.euler_characteristic * ws.module_dim
-    return RootFormReport(root=root, module_dim=ws.module_dim, h1_dim=ws.h1_dim,
+    return RootFormReport(root=root, real_dim=ws.module_dim, h1_dim=ws.h1_dim,
                           milnor_wood_bound=bound, **fields)
 
 

@@ -46,16 +46,17 @@ def killing_form(model, x: np.ndarray, y: np.ndarray) -> float:
     return float(x @ model.killing @ y)
 
 
-def torus_gram(dec) -> np.ndarray:
-    """Killing Gram matrix of a decomposition's torus basis."""
-    return dec.torus.coords @ dec.model.killing @ dec.torus.coords.T
+def torus_gram(torus) -> np.ndarray:
+    """Killing Gram matrix of a torus handle's basis."""
+    return torus.coords @ torus.model.killing @ torus.coords.T
 
 
-def root_eigenspace(dec, values, tol: float = 1e-8) -> np.ndarray:
+def root_eigenspace(torus, values, tol: float = 1e-8) -> np.ndarray:
     """Orthonormal basis of the joint eigenspace of ad(torus) at ``values``."""
-    ads = dec.model.ad(dec.torus.coords)
-    shifted = ads - np.asarray(values, dtype=complex)[:, None, None] * np.eye(dec.model.dim)
-    return nullspace(shifted.reshape(-1, dec.model.dim), tol)
+    model = torus.model
+    ads = model.ad(torus.coords)
+    shifted = ads - np.asarray(values, dtype=complex)[:, None, None] * np.eye(model.dim)
+    return nullspace(shifted.reshape(-1, model.dim), tol)
 
 
 def invariant_vectors(actions: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:

@@ -49,8 +49,7 @@ def test_acceptance_01_su21_rigid(case_pipeline):
     assert root.milnor_wood_slack == 0
     assert out.verdict == "rigid"
     pipe = Pipeline(rep)
-    forms, in_p = pipe.split[:2]
-    [(ws, rr)] = [(ws, f) for ws, f, member in zip(pipe.workspaces, forms, in_p) if member]
+    [(ws, rr)] = [(ws, f) for ws, f in zip(pipe.workspaces, pipe.split[0]) if f.in_P]
     assert rr.min_eig_separation >= 1e-6                  # Gram eigs away from zero
     assert np.all(np.linalg.eigvalsh(root_gram(ws, rr.root)) > 0)
     elapsed = time.monotonic() - t0
@@ -153,7 +152,7 @@ def test_acceptance_06_torus_identity_suite(case_pipeline, rng):
     for name in ("su21-cline", "so41-rplane", "sp21-cline"):
         rep, z, c, dec = case_pipeline(name)
         model = rep.model
-        gram = torus_gram(dec)
+        gram = torus_gram(c)
         for r in dec.roots:
             for _ in range(100):
                 xi = rng.standard_normal(r.real_dim)
@@ -162,7 +161,7 @@ def test_acceptance_06_torus_identity_suite(case_pipeline, rng):
                 y = r.real_basis @ yi
                 br = bracket_coords(model, x, y)
                 # Killing-orthogonal projection onto the torus, in torus coordinates
-                tproj = np.linalg.solve(gram, dec.torus.coords @ model.killing @ br)
+                tproj = np.linalg.solve(gram, c.coords @ model.killing @ br)
                 pred = np.real(complex(xi @ r.omega @ yi) * r.t_vector)
                 scale = max(np.abs(br).max(), 1.0)
                 worst_bracket = max(worst_bracket, np.abs(tproj - pred).max() / scale)

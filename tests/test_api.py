@@ -85,7 +85,6 @@ def test_every_export_is_used_or_allowlisted():
 
 # "Class" covers every member of the class, "Class.name" one of them
 MEMBER_ALLOWLIST = {
-    "RootSummary": "the verdict report writes out its fields through vars()",
     "FlexibilityReport.reductive_condition": "a margin for the report's diagnostics (ROADMAP item 8)",
     "RootFormReport.min_eig_separation": "a margin for the report's diagnostics (ROADMAP item 8)",
     "SurfaceRepresentation.relator_residual": "a margin for the report's diagnostics (ROADMAP item 8)",
@@ -167,8 +166,6 @@ def test_exports_resolve():
 
 
 def test_the_readme_library_example_runs():
-    # the only reader of FlexibilityReport.decomposition, which the member
-    # guard counts as read because Pipeline.decomposition shares its name
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
     assert len(blocks) == 2
@@ -222,6 +219,39 @@ def test_the_benchmark_work_sizes_read_live_members():
     for key, value in zip(computed.keys, computed.values):
         size = eval(compile(ast.Expression(value.elts[1]), "spans.py", "eval"))
         assert size(results[ast.literal_eval(key)]) > 0
+
+
+def _definition(tree: ast.AST, *path: str) -> ast.AST:
+    """The def or class at ``path`` (a top-level name, then names nested in it) of ``tree``."""
+    for name in path:
+        tree = next(node for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name)
+    return tree
+
+
+def test_the_benchmark_library_checks_read_live_members():
+    # a renamed verdict() member would otherwise fail only a benchmark run
+    workloads = ast.parse((PERFBENCH / "workloads.py").read_text())
+    root_keys = {call.args[1].value for call in ast.walk(_definition(workloads, "root_table"))
+                 if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                 and call.func.id == "get"}
+    report_reads = {node.attr for node in ast.walk(_definition(workloads, "check_library_verdict"))
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "report"}
+    replaced = {kw.arg for node in ast.walk(_definition(workloads, "LibraryWorkload", "plant_wrong"))
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "replace" for kw in node.keywords}
+    # the parse finds each read the benchmark makes today
+    assert {"real_dim", "toledo", "h1_dim"} <= root_keys
+    assert {"verdict", "centralizer_dim", "center_dim", "roots"} <= report_reads
+    assert {"verdict"} <= replaced
+    out = flexcheck.verdict(build_case_representation("sp21-cline"))
+    assert len(out.roots) == 2
+    missing = [name for name in report_reads if not hasattr(out, name)]
+    missing += [f"roots[{i}].{key}" for i, root in enumerate(out.roots)
+                for key in root_keys if not hasattr(root, key)]
+    missing += [name for name in replaced if name not in {f.name for f in dataclasses.fields(out)}]
+    assert not missing, f"the benchmark reads what verdict() no longer returns: {missing}"
 
 
 # ---------------------------------------------------------------------------

@@ -178,9 +178,11 @@ def test_explicit_matrix_input_matches_catalog(tmp_path, capsys):
     assert parsed["adjoint"]["z1"] == 9 and parsed["adjoint"]["h0"] == 0
 
 
-@pytest.mark.parametrize("case,family", [
-    ("su21-cline", "su"), ("sp21-cline", "sp"), ("so41-rplane", "so")])
-def test_field_matrix_input_matches_catalog(tmp_path, capsys, case, family):
+@pytest.mark.parametrize("case,family,tolerances", [
+    ("su21-cline", "su", None), ("sp21-cline", "sp", None), ("so41-rplane", "so", None),
+    ("su21-cline", "su", {"rank": 1e-10, "cluster": 1e-8}),
+], ids=["su21-cline-su", "sp21-cline-sp", "so41-rplane-so", "su21-cline-su-tolerances"])
+def test_field_matrix_input_matches_catalog(tmp_path, capsys, case, family, tolerances):
     # each realified d x d block is left multiplication by an entry whose
     # components are the block's first column
     from flexcheck.catalog import build_case_representation, find_case
@@ -191,6 +193,8 @@ def test_field_matrix_input_matches_catalog(tmp_path, capsys, case, family):
     doc = {"group": {"family": family, "params": [find_case(case).m, 1]}, "genus": 2,
            "representation": {"source": "matrices", "field": rep.model.field.value,
                               "generators": gens}}
+    if tolerances:
+        doc["tolerances"] = tolerances
     path = tmp_path / f"{case}.json"
     path.write_text(json.dumps(doc))
     code, out, _ = run_cli(capsys, "verdict", "--input", str(path), "--format", "json")
@@ -198,7 +202,12 @@ def test_field_matrix_input_matches_catalog(tmp_path, capsys, case, family):
     got, want = json.loads(out), json.loads(want)
     assert got["provenance"].pop("source") == "matrices"
     assert want["provenance"].pop("source") == f"catalog:{case}"
-    assert code == want_code and got == want
+    if tolerances:
+        # the file's tolerances reach the run, and the decision stays the default run's
+        assert got["provenance"]["tolerances"] == {**want["provenance"]["tolerances"], **tolerances}
+        assert code == want_code and got["verdict"] == want["verdict"]
+    else:
+        assert code == want_code and got == want
 
 
 def _run_module(*argv, **kwargs):

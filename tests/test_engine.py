@@ -136,8 +136,8 @@ def test_classify_PN_reselects_positive(case_pipeline):
     adj = adjoint_module(rep)
     workspaces = [root_cohomology(rep, adj, r) for r in dec.roots]
     reports = [root_form(ws, r) for ws, r in zip(workspaces, dec.roots)]
-    forms, in_p, n_values, problem = classify_PN(reports)
-    assert in_p == [True] and not n_values
+    forms, n_values, problem = classify_PN(reports)
+    assert [rr.in_P for rr in forms] == [True] and not n_values
     assert forms[0].toledo > 0
     ev = np.linalg.eigvalsh(root_gram(workspaces[0], forms[0].root))
     assert np.all(ev > 0)            # positive definite after re-selection
@@ -151,10 +151,10 @@ def test_classify_PN_flips_a_root_with_negative_toledo():
     omega = np.kron(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2)) * 1.0j
     root = RootDatum(values=values, classification=IMAGINARY, complex_dim=2,
                      real_basis=np.eye(6)[:, :4], t_vector=np.array([0.3, -0.1]), omega=omega)
-    report = RootFormReport(root=root, module_dim=4, h1_dim=8, milnor_wood_bound=8, toledo=-2)
-    forms, in_p, n_values, problem = classify_PN([report])
+    report = RootFormReport(root=root, real_dim=4, h1_dim=8, milnor_wood_bound=8, toledo=-2)
+    forms, n_values, problem = classify_PN([report])
     flipped = forms[0]
-    assert in_p == [True] and not n_values
+    assert flipped.in_P and not n_values
     assert flipped.toledo == 2 and flipped.signature == 8
     assert np.array_equal(flipped.root.values, -values)
     assert np.array_equal(flipped.root.omega, -omega)
@@ -271,7 +271,7 @@ def test_verdict_genus3_explicit(fuchsian):
     out = verdict(rep)
     assert out.verdict == "flexible"
     assert out.centralizer_dim == 0 and out.center_dim == 0
-    assert out.genus == 3
+    assert rep.presentation.genus == 3
     # a smooth point: Z^1 of the adjoint module has the virtual dimension (1 - chi) dim
     ws = cohomology(rep, adjoint_module(rep))
     assert ws.z1.shape[1] == (1 - rep.presentation.euler_characteristic) * rep.model.dim == 15

@@ -30,7 +30,7 @@ def _conjugate(name: str, scale: float, seed: int):
 
 @pytest.fixture(scope="module")
 def root_decompositions():
-    """(name, model, decomposition) for every entry of ROOT_CASES."""
+    """(name, model, torus, decomposition) for every entry of ROOT_CASES."""
     out = []
     for name in ROOT_CASES:
         if name == "bent-sl5":
@@ -39,13 +39,14 @@ def root_decompositions():
             rep = _conjugate(name.split()[0], 1.0, 0)
         else:
             rep = build_case_representation(name)
-        dec = Pipeline(rep).decomposition
+        pipe = Pipeline(rep)
+        torus, dec = pipe.center, pipe.decomposition
         assert dec.roots, name
         if name.endswith(" conjugate"):
-            ad = rep.model.ad(dec.torus.coords[0])
+            ad = rep.model.ad(torus.coords[0])
             assert np.abs(ad @ ad.T - ad.T @ ad).max() > 1e-2 * np.abs(ad).max() ** 2, name
-        out.append((name, rep.model, dec))
-    assert {r.classification for _, _, dec in out for r in dec.roots} == {"imaginary", "mixed"}
+        out.append((name, rep.model, torus, dec))
+    assert {r.classification for *_, dec in out for r in dec.roots} == {"imaginary", "mixed"}
     return out
 
 
@@ -57,10 +58,10 @@ def test_classify_root_basics():
         classify_root(np.array([0.0 + 0j]))
 
 
-def _value_at(dec, root, mat) -> complex:
+def _value_at(torus, root, mat) -> complex:
     """The root's value at a torus element given as a matrix."""
     # the torus matrices are orthonormal in the trace form, so they read off its coordinates
-    coords = dec.model.matrix(dec.torus.coords).reshape(dec.torus.dim, -1) @ mat.reshape(-1)
+    coords = torus.model.matrix(torus.coords).reshape(torus.dim, -1) @ mat.reshape(-1)
     return complex(root.values @ coords)
 
 
@@ -72,10 +73,10 @@ def test_su21_decomposition(case_pipeline):
     assert r.classification == "imaginary"
     assert r.real_dim == 4 and r.complex_dim == 2
     zmat = realify(np.diag([-2j, 1j, 1j]), Field.COMPLEX)
-    val = _value_at(dec, r, zmat)
+    val = _value_at(c, r, zmat)
     assert abs(abs(val.imag) - 3.0) < 1e-8 and abs(val.real) < 1e-8
     # full root list, the nonzero eigenvalues of ad(t), comes in +- pairs
-    ev = np.linalg.eigvals(rep.model.ad(dec.torus.coords[0]))
+    ev = np.linalg.eigvals(rep.model.ad(c.coords[0]))
     vals = sorted(set(np.round(ev[np.abs(ev) > 1e-8].imag, 6)))
     assert len(vals) == 2 and vals[0] == -vals[1]
 
@@ -98,7 +99,7 @@ def test_empty_torus(models):
 
 
 def test_direct_sum_and_orthogonality(root_decompositions):
-    for name, model, dec in root_decompositions:
+    for name, model, torus, dec in root_decompositions:
         total = dec.g0_dim + sum(r.real_dim for r in dec.roots)
         assert total == model.dim
         for i, r1 in enumerate(dec.roots):
@@ -108,8 +109,8 @@ def test_direct_sum_and_orthogonality(root_decompositions):
 
 
 def test_omega_alternating_and_bracket_identity(root_decompositions, rng):
-    for name, model, dec in root_decompositions:
-        gram = torus_gram(dec)
+    for name, model, torus, dec in root_decompositions:
+        gram = torus_gram(torus)
         for r in dec.roots:
             om = r.omega
             assert np.abs(om + om.T).max() < 1e-8 * max(np.abs(om).max(), 1.0)
@@ -122,7 +123,7 @@ def test_omega_alternating_and_bracket_identity(root_decompositions, rng):
                 scale = max(np.abs(br).max(), 1.0)
                 om_xy = complex(xi @ om @ yi)
                 # Killing pairings with the torus basis: gram @ t_vector = values
-                dual = dec.torus.coords @ model.killing @ br
+                dual = torus.coords @ model.killing @ br
                 assert np.abs(dual - np.real(om_xy * r.values)).max() < 1e-8 * scale
                 if name.endswith(" conjugate"):
                     continue    # Killing Gram down to 3e-4: solving with it loses 4 digits
@@ -132,8 +133,8 @@ def test_omega_alternating_and_bracket_identity(root_decompositions, rng):
 
 
 def test_t_vector_defining_relation(root_decompositions):
-    for name, model, dec in root_decompositions:
-        gram = torus_gram(dec)
+    for name, model, torus, dec in root_decompositions:
+        gram = torus_gram(torus)
         for r in dec.roots:
             resid = np.abs(gram.astype(complex) @ r.t_vector - r.values).max()
             assert resid < 1e-9 * max(np.abs(r.values).max(), 1.0)
@@ -159,7 +160,7 @@ def test_real_roots_on_sl2(models):
     assert np.abs(r.omega.imag).max() < 1e-9 * np.abs(r.omega).max()
     s = np.linalg.svd(r.omega.real, compute_uv=False)
     assert s[-1] > 1e-9 * s[0]
-    val = _value_at(dec, r, h)
+    val = _value_at(torus, r, h)
     assert abs(abs(val.real) - 2.0) < 1e-9 and abs(val.imag) < 1e-9
 
 
@@ -199,7 +200,7 @@ def test_omega_sign_under_representative_flip(case_pipeline):
     rep, z, c, dec = case_pipeline("su21-cline")
     r = dec.roots[0]
     model = rep.model
-    spaces = [root_eigenspace(dec, v) for v in (r.values, -r.values)]
+    spaces = [root_eigenspace(c, v) for v in (r.values, -r.values)]
     stack = np.hstack(spaces)
     comp = _coords_in_span(stack, r.real_basis)
     k = spaces[0].shape[1]
@@ -221,8 +222,8 @@ def test_omega_conjugate_for_mixed(models):
     dec = decompose(m, torus)
     r = [rr for rr in dec.roots if rr.classification == "mixed"][0]
     # g_l, g_-l, g_conj(l), g_-conj(l)
-    spaces = [root_eigenspace(dec, v) for v in (r.values, -r.values, r.values.conj(),
-                                                  -r.values.conj())]
+    spaces = [root_eigenspace(torus, v) for v in (r.values, -r.values, r.values.conj(),
+                                                    -r.values.conj())]
     stack = np.hstack(spaces)
     sizes = np.cumsum([0] + [s.shape[1] for s in spaces])
     comp = _coords_in_span(stack, r.real_basis)
