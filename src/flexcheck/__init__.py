@@ -21,7 +21,7 @@ from .liealg import (
     conjugation_limit,
     killing_restriction_nondegenerate,
 )
-from .roots import RootDatum, TorusRootDecomposition, classify_root, decompose
+from .roots import RootDatum, TorusRootDecomposition, decompose
 from .surface import (
     CohomologyWorkspace,
     SurfaceGroupPresentation,
@@ -64,7 +64,6 @@ __all__ = [
     "build_classical",
     "center_of",
     "centralizer",
-    "classify_root",
     "cohomology",
     "conjugation_limit",
     "correct_relator",

@@ -90,18 +90,16 @@ def _phase1(a: np.ndarray, b: np.ndarray):
 def balanced(problem: BalanceProblem, tol: Tolerances = DEFAULT) -> BalanceResult:
     """Decide the interior-point criterion with a certificate."""
     r = problem.dim
+    if not all(np.isfinite(v).all() for v in problem.p_vectors + problem.n_vectors):
+        raise NumericalAbort("balance problem has a non-finite P- or N-vector")
     if r == 0:
         return BalanceResult(True, None, None, 0)
-    nmat = (np.stack(problem.n_vectors, axis=1)
-            if problem.n_vectors else np.zeros((r, 0)))
+    nmat = np.stack(problem.n_vectors, axis=1) if problem.n_vectors else np.zeros((r, 0))
     span_n = orthonormal_columns(nmat, tol.rank)
     k = r - span_n.shape[1]
     if k == 0:
         return BalanceResult(True, None, None, 0)
-    if span_n.shape[1]:
-        u = nullspace(span_n.T, tol.rank)       # orthonormal basis of the quotient model
-    else:
-        u = np.eye(r)
+    u = nullspace(span_n.T, tol.rank)           # orthonormal basis of the quotient model
     proj = [u.T @ p for p in problem.p_vectors]
     if not proj:
         return BalanceResult(False, None, u[:, 0], k)
@@ -128,7 +126,6 @@ def balanced(problem: BalanceProblem, tol: Tolerances = DEFAULT) -> BalanceResul
 
 def classify_PN(
     reports: list[RootFormReport],
-    tol: Tolerances = DEFAULT,
 ) -> tuple[tuple[RootFormReport, ...], list[np.ndarray], BalanceProblem]:
     """Split roots into P (``RootFormReport.in_P``, T > 0 representative) and N.
 
@@ -152,7 +149,7 @@ def classify_PN(
         dim = len(root.values)
         if rep.in_P:
             if rep.toledo < 0:
-                rep = _flip_representative(rep)
+                rep = _negate(rep)
             p_vectors.append(rep.root.values.imag.copy())
         else:
             orbit = [root.values, -root.values]
@@ -161,31 +158,21 @@ def classify_PN(
             for v in orbit:
                 n_values.append(v)
                 for part in (v.real, v.imag):
-                    if np.abs(part).max(initial=0.0) > tol.cluster:
+                    if part.any():
                         n_vectors.append(part.copy())
         selected.append(rep)
     problem = BalanceProblem(dim or 0, tuple(p_vectors), tuple(n_vectors))
     return tuple(selected), n_values, problem
 
 
-def _flip_representative(rep: RootFormReport) -> RootFormReport:
-    """Replace lambda by -lambda: Omega and the form change sign."""
+def _negate(rep: RootFormReport, values: bool = True) -> RootFormReport:
+    """-lambda: Omega, T, values and t_lambda negated.  With ``values=False``
+    the values and t_lambda stay: lambda on the negated center vector."""
     root = rep.root
-    flipped_root = replace(root, values=-root.values, t_vector=-root.t_vector, omega=-root.omega)
-    return replace(rep, root=flipped_root, toledo=None if rep.toledo is None else -rep.toledo)
-
-
-def _orient(rep: RootFormReport, sign: int) -> RootFormReport:
-    """``rep`` after the center's basis vector is multiplied by ``sign``.
-
-    For -1 the root is lambda's negative, whose values on the negated
-    vector are the same numbers as lambda's on the old one.
-    """
-    if sign > 0:
-        return rep
-    flipped = _flip_representative(rep)
-    return replace(flipped, root=replace(flipped.root, values=rep.root.values,
-                                         t_vector=rep.root.t_vector))
+    if values:
+        root = replace(root, values=-root.values, t_vector=-root.t_vector)
+    return replace(rep, root=replace(root, omega=-root.omega),
+                   toledo=None if rep.toledo is None else -rep.toledo)
 
 
 @dataclass(frozen=True)
@@ -252,38 +239,25 @@ class Pipeline:
                      for r in self.decomposition.roots)
 
     @cached_property
-    def _built_forms(self) -> tuple[RootFormReport, ...]:
-        """Each root's form, as ``decompose`` orients the center."""
-        return tuple(root_form(ws, r, self.tol)
-                     for ws, r in zip(self.workspaces, self.decomposition.roots))
-
-    @cached_property
-    def orientation(self) -> int:
-        """Sign to put on the center's basis vector so the first nonzero T is positive.
-
-        The basis vector comes out of an SVD with an arbitrary sign, and
-        ``decompose`` names each root by the larger of the value keys of
-        lambda and -lambda in those coordinates, so T would follow LAPACK's
-        sign.  With -1 the vector is negated and every root lambda swapped
-        for -lambda: the printed values still name the chosen root.  If
-        every T is 0, ``decompose``'s key rule stands, and so does a
-        center of dimension >= 2 (no computable catalog case has one).
-        """
-        if self.center.dim == 1:
-            for form in self._built_forms:
-                if form.toledo:
-                    return -1 if form.toledo < 0 else 1
-        return 1
-
-    @cached_property
     def forms(self) -> tuple[RootFormReport, ...]:
-        """Every root's form, in the canonical orientation."""
-        return tuple(_orient(form, self.orientation) for form in self._built_forms)
+        """Every root's form, on a center vector signed so the first nonzero T is positive.
+
+        The vector's SVD sign picks which of lambda and -lambda names each
+        root in ``decompose``, so T would follow LAPACK.  A negative first
+        T negates the vector: the printed values stay and name the chosen
+        root.  If every T is 0, ``decompose``'s key rule stands, and so
+        does a center of dimension >= 2 (no computable catalog case has one).
+        """
+        forms = tuple(root_form(ws, r, self.tol)
+                      for ws, r in zip(self.workspaces, self.decomposition.roots))
+        if self.center.dim == 1 and next((f.toledo for f in forms if f.toledo), 0) < 0:
+            forms = tuple(_negate(f, values=False) for f in forms)
+        return forms
 
     @cached_property
     def split(self) -> tuple[tuple[RootFormReport, ...], list[np.ndarray], BalanceProblem]:
         """``classify_PN`` of the root forms: forms, N values, balance problem."""
-        return classify_PN(list(self.forms), self.tol)
+        return classify_PN(list(self.forms))
 
     @cached_property
     def balance(self) -> BalanceResult:

@@ -10,6 +10,7 @@ and basis independent.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -304,6 +305,10 @@ def build_classical(family: str, *params: int, tol: Tolerances = DEFAULT) -> Lie
         raise FlexcheckError(f"unknown family {family!r}")
     if len(params) != arity:
         raise FlexcheckError(f"{family} takes {arity} parameter(s), got {len(params)}")
+    try:
+        params = tuple(map(operator.index, params))
+    except TypeError:
+        raise FlexcheckError(f"{family} parameters must be integers, got {params}") from None
     if family == "sl" and params[0] < 2:
         raise FlexcheckError("sl(n,R) needs n >= 2")
     if family in ("su", "so", "sp") and (params[0] < 1 or params[1] < 0):
@@ -329,9 +334,7 @@ def build_classical(family: str, *params: int, tol: Tolerances = DEFAULT) -> Lie
     return model
 
 
-# typed: a float parameter gets its own key and fails as it always did,
-# rather than hitting the entry of the equal integer
-@functools.lru_cache(maxsize=32, typed=True)
+@functools.lru_cache(maxsize=32)
 def _construct(family: str, *params: int) -> LieAlgebraModel:
     """Basis, structure constants and self-checks of a validated group.
 
@@ -471,6 +474,8 @@ def conjugation_limit(
     vanish or the limit diverges.
     """
     u = np.asarray(u, dtype=float)
+    if not (np.isfinite(u).all() and np.isfinite(g).all()):
+        raise NumericalAbort("conjugation_limit needs finite g and u")
     if np.abs(u - u.T).max(initial=0.0) > CONJUGATION_SYMMETRY * max(matrix_scale(u), 1.0):
         raise NumericalAbort("conjugation_limit needs a symmetric direction u")
     vals, vecs = np.linalg.eigh(u)
@@ -478,19 +483,13 @@ def conjugation_limit(
     h = vecs.T @ g @ vecs
     gscale = max(float(np.abs(h).max(initial=0.0)), 1.0)
     out = h.copy()
-    n = h.shape[0]
-    for i in range(n):
-        for j in range(n):
-            gap = vals[j] - vals[i]
-            if abs(gap) <= tol.cluster * scale:
-                continue
-            if gap > 0:
-                if abs(h[i, j]) > tol.membership * gscale:
-                    raise NumericalAbort(
-                        f"conjugation limit diverges: growing entry ({i},{j}) = {h[i, j]:.3e}"
-                    )
-                out[i, j] = 0.0
-            else:
-                out[i, j] = 0.0
+    for i, j in np.ndindex(h.shape):
+        gap = vals[j] - vals[i]
+        if abs(gap) <= tol.cluster * scale:
+            continue
+        if gap > 0 and abs(h[i, j]) > tol.membership * gscale:
+            raise NumericalAbort(
+                f"conjugation limit diverges: growing entry ({i},{j}) = {h[i, j]:.3e}")
+        out[i, j] = 0.0
     return vecs @ out @ vecs.T
 

@@ -37,23 +37,8 @@ class RootDatum:
 
 @dataclass(frozen=True)
 class TorusRootDecomposition:
-    model: LieAlgebraModel
     g0_dim: int                      # dim g_0, the widths of the zero clusters
     roots: tuple[RootDatum, ...]     # one representative per orbit
-
-
-def classify_root(values: np.ndarray, tol: float = DEFAULT.cluster) -> str:
-    """Classify a nonzero root: a part below ``tol`` of its size counts as 0, as in clustering."""
-    v = np.ravel(values).astype(complex).tolist()
-    scale = max(map(abs, v), default=0.0)
-    if scale <= tol:
-        raise NumericalAbort("classify_root: zero root")
-    cut = tol * max(scale, 1.0)
-    if max(abs(x.imag) for x in v) <= cut:
-        return REAL
-    if max(abs(x.real) for x in v) <= cut:
-        return IMAGINARY
-    return MIXED
 
 
 def decompose(
@@ -65,12 +50,13 @@ def decompose(
     g_0, their joint kernel, which must match the zero clusters' widths.
     A root orbit costs one kernel SVD per eigenspace that is not another's
     conjugate (one for an imaginary root, two otherwise) and one SVD for
-    its real basis and Omega.
+    its real basis and Omega.  A part within tol.cluster * max(sigma_max, 1)
+    is 0, decided here only: classification and the N-vectors read it.
     """
     r = torus.dim
     dim = model.dim
     if r == 0:
-        return TorusRootDecomposition(model, dim, ())
+        return TorusRootDecomposition(dim, ())
 
     ads = model.ad(torus.coords)
     sv = np.linalg.svd(ads.reshape(-1, dim), compute_uv=False)
@@ -134,7 +120,7 @@ def decompose(
     if total != dim:
         raise NumericalAbort(f"direct sum check failed: {total} != {dim}")
     roots.sort(key=lambda kr: kr[0])
-    return TorusRootDecomposition(model, g0_dim, tuple(rd for _, rd in roots))
+    return TorusRootDecomposition(g0_dim, tuple(rd for _, rd in roots))
 
 
 def _build_root(model, ads, gram, rep, shift_plus, shift_minus, k: int,
@@ -150,7 +136,10 @@ def _build_root(model, ads, gram, rep, shift_plus, shift_minus, k: int,
     on Re W and Im W give z = (Z_re - i Z_im) / 2 and U = W z + conj(W z).
     Either way U is split into its g_l and g_-l parts.
     """
-    cls = classify_root(rep, tol.cluster)
+    re, im = rep.real.any(), rep.imag.any()     # decompose snapped the zero parts
+    if not (re or im):
+        raise NumericalAbort("a nonzero cluster has every part within the cluster cutoff")
+    cls = MIXED if re and im else REAL if re else IMAGINARY
     w_plus = joint_eigenspace(ads, shift_plus, k, tol, scale)
     if cls == IMAGINARY:
         p = np.hstack([w_plus.real, w_plus.imag])

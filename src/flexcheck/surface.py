@@ -10,6 +10,7 @@ symplectic intersection matrix: <a1* cup b1*> = +1.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,10 @@ class SurfaceGroupPresentation:
 
 
 def standard_presentation(genus: int) -> SurfaceGroupPresentation:
+    try:
+        genus = operator.index(genus)
+    except TypeError:
+        raise FlexcheckError(f"genus must be an integer, got {genus!r}") from None
     if genus < 2:
         raise FlexcheckError("closed surface of genus >= 2 required")
     letters = []

@@ -1,6 +1,7 @@
 """Every module-level function and class in the package is used, every
-field, method and property of its classes is read, and config.py is the
-only module that knows a numerical threshold.
+field, method and property of its classes is read, every top-level
+import is used, and config.py is the only module that knows a numerical
+threshold.
 
 A definition is used when package code outside ``__init__.py`` names it,
 outside the definition itself.  An export alone does not count: a helper
@@ -153,6 +154,55 @@ def test_the_member_guard_catches():
         "    b.dropped = a.kept\n"
         "    return A(dropped=1)\n")
     assert _unread_members({"m": tree}) == ["m.A.dropped", "m.A.again"]
+
+
+# ---------------------------------------------------------------------------
+# Every name a top-level import binds is used
+# ---------------------------------------------------------------------------
+
+def _annotations(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            a = node.args
+            args = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+            yield from (arg.annotation for arg in args if arg and arg.annotation)
+            if node.returns:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """``line n: name`` of each name that a top-level import binds and that
+    neither code nor a string annotation names."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update({a.asname or a.name.partition(".")[0]: node.lineno for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update({a.asname or a.name: node.lineno for a in node.names})
+    strings = [sub.value for annotation in _annotations(tree) for sub in ast.walk(annotation)
+               if isinstance(sub, ast.Constant) and isinstance(sub.value, str)]
+    used = {sub.id for code in [tree] + [ast.parse(s, mode="eval") for s in strings]
+            for sub in ast.walk(code) if isinstance(sub, ast.Name)}
+    return [f"line {line}: {name}" for name, line in bound.items() if name not in used]
+
+
+def test_every_top_level_import_is_used():
+    unused = [f"{stem}.py {hit}" for stem, tree in _package_trees().items()
+              for hit in _unused_imports(tree)]
+    assert not unused, f"imported but never used: {unused}"
+
+
+def test_the_import_guard_catches():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import a.b as c\n"
+        "from x import y, z\n"
+        "def f(v: 'list[z]') -> None:\n"
+        "    return os.sep\n")
+    assert _unused_imports(tree) == ["line 3: c", "line 4: y"]
 
 
 def test_the_non_reductive_message_names_an_export():

@@ -34,6 +34,13 @@ from flexcheck.toledo import RootFormReport, root_cohomology, root_form
 from reference import root_gram
 
 
+@pytest.mark.parametrize("p, n", [([np.nan, 0.0], []), ([1.0, 0.0], [np.inf, 0.0])])
+def test_balanced_rejects_non_finite_vectors(p, n):
+    problem = BalanceProblem(2, (np.array(p),), (np.array(n),) if n else ())
+    with pytest.raises(NumericalAbort, match="non-finite"):
+        balanced(problem)
+
+
 def test_balanced_one_dim_cases():
     res = balanced(BalanceProblem(1, (np.array([3.0]),), ()))
     assert not res.balanced

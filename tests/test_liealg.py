@@ -147,6 +147,16 @@ def test_bad_parameters_raise_on_every_call():
             build_classical("su", 2)
 
 
+@pytest.mark.parametrize("params", [("sl", 2.0), ("su", 2.0, 1), ("so", 3, "1"), ("spr", None)])
+def test_non_integer_parameters_raise(params):
+    with pytest.raises(FlexcheckError, match="parameters must be integers"):
+        build_classical(*params)
+
+
+def test_numpy_integer_parameters_share_the_cached_model():
+    assert build_classical("sl", np.int64(3)) is build_classical("sl", 3)
+
+
 def test_same_group_is_finished_once(monkeypatch):
     calls = []
     finish = liealg._finish_model
@@ -295,6 +305,15 @@ def test_conjugation_limit_divergence():
     g = np.array([[2.0, 0.0], [1.0, 0.5]])
     u = np.diag([1.0, -1.0])
     with pytest.raises(NumericalAbort):
+        conjugation_limit(g, u)
+
+
+@pytest.mark.parametrize("g, u", [
+    (np.array([[1.0, np.inf], [0.0, 1.0]]), np.diag([1.0, -1.0])),
+    (np.eye(2), np.diag([np.nan, -1.0])),
+])
+def test_conjugation_limit_rejects_non_finite_input(g, u):
+    with pytest.raises(NumericalAbort, match="needs finite g and u"):
         conjugation_limit(g, u)
 
 

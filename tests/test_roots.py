@@ -7,8 +7,8 @@ from conftest import bent_genus2
 from flexcheck.catalog import build_case_representation, default_cases
 from flexcheck.config import DEFAULT, NumericalAbort
 from flexcheck.engine import Pipeline, verdict
-from flexcheck.liealg import subalgebra_from_matrices
-from flexcheck.roots import classify_root, decompose
+from flexcheck.liealg import build_classical, subalgebra_from_matrices
+from flexcheck.roots import decompose
 from flexcheck.scalars import Field, realify
 from flexcheck.surface import _expm, surface_representation
 from reference import bracket_coords, root_eigenspace, torus_gram
@@ -50,12 +50,22 @@ def root_decompositions():
     return out
 
 
-def test_classify_root_basics():
-    assert classify_root(np.array([3j])) == "imaginary"
-    assert classify_root(np.array([2.0 + 0j])) == "real"
-    assert classify_root(np.array([1.0 + 1.0j])) == "mixed"
-    with pytest.raises(NumericalAbort):
-        classify_root(np.array([0.0 + 0j]))
+def test_decompose_snap_is_the_zero_rule():
+    # ad of X has eigenvalues 0 (twice), +-1.2247i and +-0.6124 +- 0.6124i
+    model = build_classical("sl", 3)
+    x = np.array([[0.1, 0.3, 0.0], [-0.3, 0.1, 0.0], [0.0, 0.0, -0.2]])
+    torus = subalgebra_from_matrices(model, [x])
+    dec = decompose(model, torus, dataclasses.replace(DEFAULT, cluster=0.1))
+    assert dec.g0_dim == 2
+    imag, mixed = dec.roots
+    assert imag.classification == "imaginary" and imag.values.real[0] == 0.0
+    assert abs(imag.values[0].imag) == pytest.approx(1.5 ** 0.5)
+    assert mixed.classification == "mixed"
+    assert np.abs(mixed.values).tolist() == pytest.approx([np.sqrt(0.75)])
+    # at 0.4 the snap 0.4 sigma_max ~ 0.775 takes both parts (0.612) of the
+    # mixed root, but its modulus (0.866) keeps the cluster out of g_0
+    with pytest.raises(NumericalAbort, match="every part within the cluster cutoff"):
+        decompose(model, torus, dataclasses.replace(DEFAULT, cluster=0.4))
 
 
 def _value_at(torus, root, mat) -> complex:

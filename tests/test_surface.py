@@ -35,6 +35,9 @@ def test_standard_presentation():
     assert all(v == 1 for v in counts.values()) and len(counts) == 8
     with pytest.raises(FlexcheckError):
         standard_presentation(1)
+    with pytest.raises(FlexcheckError, match="genus must be an integer, got 2.5"):
+        standard_presentation(2.5)
+    assert standard_presentation(np.int64(2)) == p2
 
 
 def test_fuchsian_relator_and_traces(fuchsian):
