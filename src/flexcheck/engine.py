@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import (DEFAULT, SIMPLEX_FEASIBLE, SIMPLEX_MULTIPLIERS, SIMPLEX_PIVOT,
-                     SIMPLEX_SEPARATION, Inconclusive, NumericalAbort, Tolerances)
+                     SIMPLEX_SEPARATION, FlexcheckError, Inconclusive, NumericalAbort, Tolerances)
 from .liealg import SubalgebraHandle, center_of, centralizer, killing_restriction_nondegenerate
 from .linalg import nullspace, orthonormal_columns, rank
 from .roots import MIXED, TorusRootDecomposition, decompose
@@ -90,6 +90,8 @@ def _phase1(a: np.ndarray, b: np.ndarray):
 def balanced(problem: BalanceProblem, tol: Tolerances = DEFAULT) -> BalanceResult:
     """Decide the interior-point criterion with a certificate."""
     r = problem.dim
+    if any(np.shape(v) != (r,) for v in problem.p_vectors + problem.n_vectors):
+        raise FlexcheckError(f"every P- and N-vector of a balance problem must have length {r}")
     if not all(np.isfinite(v).all() for v in problem.p_vectors + problem.n_vectors):
         raise NumericalAbort("balance problem has a non-finite P- or N-vector")
     if r == 0:

@@ -26,7 +26,7 @@ from .config import (
     NumericalAbort,
     Tolerances,
 )
-from .linalg import matrix_scale, nullspace, orthonormal_columns, singular_rank
+from .linalg import matrix_scale, nullspace, orthonormal_columns, relative_residual, singular_rank
 from .scalars import (
     Field,
     field_units,
@@ -81,9 +81,7 @@ class LieAlgebraModel:
         mat = np.asarray(mat)
         vec = mat.reshape(*mat.shape[:-2], -1)
         c = vec @ self._pinv.T
-        resid = np.abs(c @ self._flat.T - vec).max(axis=-1, initial=0.0)
-        scale = np.maximum(np.abs(vec).max(axis=-1, initial=0.0), 1.0)
-        if np.any(resid > tol * scale):
+        if np.any(relative_residual(c @ self._flat.T - vec, vec, axis=-1) > tol):
             raise NumericalAbort("matrix does not lie in the model span")
         return c
 
@@ -105,11 +103,14 @@ class LieAlgebraModel:
         generators whose (k, dim, N, N) products hold at most BLOCK_ENTRIES
         doubles, one batched inverse and product per block, so memory does
         not grow with K beyond the input and the result.  Each slice's
-        arithmetic is the same whatever block it falls in.
+        arithmetic is the same whatever block it falls in.  A singular
+        element aborts; one that is not N x N raises FlexcheckError.
         """
         g = np.asarray(g)
         n = self.realified_size
-        stack = g.reshape(-1, *g.shape[-2:])
+        if g.ndim < 2 or g.shape[-2:] != (n, n):
+            raise FlexcheckError(f"group elements of {self.name} are {n} x {n}, got {g.shape}")
+        stack = g.reshape(-1, n, n)
         out = np.empty((len(stack), self.dim, self.dim))
         step = max(1, BLOCK_ENTRIES // (self.dim * n * n))
         for k in range(0, len(stack), step):
@@ -118,14 +119,16 @@ class LieAlgebraModel:
 
     def _adjoint_block(self, g: np.ndarray) -> np.ndarray:
         """Ad matrices of a (k, N, N) block from one batched inverse and product."""
-        moved = g[:, None] @ self.basis @ np.linalg.inv(g)[:, None]
+        try:
+            inv = np.linalg.inv(g)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalAbort(f"a group element cannot be inverted: {exc}") from exc
+        moved = g[:, None] @ self.basis @ inv[:, None]
         flat = np.swapaxes(moved.reshape(len(g), self.dim, -1), -1, -2)
         coeff = self._pinv @ flat
         resid = self._flat @ coeff
         resid -= flat
-        worst = np.abs(resid, out=resid).max(axis=(-2, -1), initial=0.0)
-        scale = np.maximum(np.abs(flat).max(axis=(-2, -1), initial=0.0), 1.0)
-        if np.any(worst > ADJOINT_SPAN * scale):
+        if np.any(relative_residual(resid, flat, axis=(-2, -1)) > ADJOINT_SPAN):
             raise NumericalAbort("Ad(g) does not preserve the model span; g is not in the group")
         return coeff
 
@@ -295,6 +298,8 @@ def build_classical(family: str, *params: int, tol: Tolerances = DEFAULT) -> Lie
     constructed once per process and shared: the model's arrays are
     read-only.  ``tol.rank`` gates the Killing rank check on every call.
     """
+    if not isinstance(family, str):
+        raise FlexcheckError(f"the family must be a string tag, got {family!r}")
     family = family.lower()
     if family in ("f4", "g2", "spin7", "o"):
         raise ExcludedFamilyError(
@@ -411,9 +416,7 @@ def _closure_residual(matrices: np.ndarray, on_cols: np.ndarray) -> float:
         return 0.0
     prods = matrices[:, None] @ matrices[None]                   # X_i X_j
     brackets = (prods[i, j] - prods[j, i]).reshape(i.size, -1)  # one row per pair
-    out = brackets - (brackets @ on_cols) @ on_cols.T
-    scale = np.maximum(np.abs(brackets).max(axis=1), 1.0)
-    return float((np.abs(out).max(axis=1) / scale).max())
+    return float(relative_residual(brackets - brackets @ on_cols @ on_cols.T, brackets, 1).max())
 
 
 def centralizer(
@@ -457,10 +460,8 @@ def killing_restriction_nondegenerate(
         return True, 1.0
     gram = sub.coords @ model.killing @ sub.coords.T
     s = np.linalg.svd(gram, compute_uv=False)
-    if s[0] == 0.0:
-        return False, np.inf
     cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
-    return bool(s[-1] > tol.rank * s[0]), cond
+    return singular_rank(s, tol.rank) == sub.dim, cond
 
 
 def conjugation_limit(
@@ -473,7 +474,10 @@ def conjugation_limit(
     e^{t(mu_j - mu_i)}; decaying entries are zeroed, growing ones must
     vanish or the limit diverges.
     """
-    u = np.asarray(u, dtype=float)
+    u, g = np.asarray(u, dtype=float), np.asarray(g)
+    if u.ndim != 2 or g.shape != u.shape or u.shape[0] != u.shape[1]:
+        raise FlexcheckError(f"conjugation_limit needs square g and u of one size, got "
+                             f"{g.shape} and {u.shape}")
     if not (np.isfinite(u).all() and np.isfinite(g).all()):
         raise NumericalAbort("conjugation_limit needs finite g and u")
     if np.abs(u - u.T).max(initial=0.0) > CONJUGATION_SYMMETRY * max(matrix_scale(u), 1.0):

@@ -1,7 +1,13 @@
 """Tolerance-controlled numerical linear algebra.
 
-Rank decisions use a relative singular-value cutoff; joint eigenvalue
-tuples are merged by a clustering tolerance tied to the operator norms.
+Two rules are stated here and nowhere else.  The rank cut
+(:func:`singular_rank`): a singular value counts when it exceeds
+``tol * max(sigma_max, scale)``.  The residual rule
+(:func:`relative_residual`): a check takes the largest |entry| of a
+difference, divided by the larger of 1 and the largest |entry| of the
+quantities it came from, and compares that with its own tolerance.  Joint
+eigenvalue tuples are merged by a clustering tolerance tied to the
+operator norms.
 """
 
 from __future__ import annotations
@@ -25,16 +31,39 @@ def matrix_scale(a: np.ndarray) -> float:
     return float(spectral_norms(a).max()) if a.size else 0.0
 
 
+def residual_scale(ref, axis=None):
+    """Largest |ref| over ``axis``, at least 1: the scale of the relative residual."""
+    return np.maximum(np.abs(ref).max(axis=axis, initial=0.0), 1.0)
+
+
+def relative_residual(diff, ref, axis=None):
+    """Largest |diff| over ``axis``, divided by :func:`residual_scale` of ``ref``.
+
+    ``ref`` is what ``diff`` came from, or its scale.  inf / inf is NaN,
+    which passes every check, as ``inf > tol * inf`` did not hold either.
+    """
+    with np.errstate(invalid="ignore"):
+        out = np.abs(diff).max(axis=axis, initial=0.0) / residual_scale(ref, axis)
+    return float(out) if out.ndim == 0 else out
+
+
 def singular_rank(s: np.ndarray, tol: float = DEFAULT.rank, scale: float = 0.0) -> int:
     """Numerical rank from descending singular values s: how many exceed tol * max(s[0], scale)."""
     return int(np.count_nonzero(s > tol * max(float(s[0]) if s.size else 0.0, scale)))
+
+
+def _svd(a: np.ndarray, **kwargs):
+    """``np.linalg.svd`` of a finite matrix: it fails to converge on NaN, gives NaN on inf."""
+    if not np.isfinite(a).all():
+        raise NumericalAbort("the singular values of a non-finite matrix are undefined")
+    return np.linalg.svd(a, **kwargs)
 
 
 def rank(a: np.ndarray, tol: float = DEFAULT.rank, scale: float = 0.0) -> int:
     """Numerical rank from the singular values alone; ``scale`` floors the cutoff as in nullspace."""
     if a.size == 0:
         return 0
-    return singular_rank(np.linalg.svd(a, compute_uv=False), tol, scale)
+    return singular_rank(_svd(a, compute_uv=False), tol, scale)
 
 
 def nullspace(a: np.ndarray, tol: float = DEFAULT.rank, scale: float = 0.0) -> np.ndarray:
@@ -51,7 +80,7 @@ def nullspace(a: np.ndarray, tol: float = DEFAULT.rank, scale: float = 0.0) -> n
         raise NumericalAbort("nullspace of an empty operator is undefined")
     if a.shape[0] == 0:
         return np.eye(a.shape[1])
-    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
+    _, s, vh = _svd(a, full_matrices=a.shape[0] < a.shape[1])
     if max(s[0], scale) == 0.0:
         return np.eye(a.shape[1], dtype=a.dtype)
     return vh[singular_rank(s, tol, scale):].conj().T
@@ -68,7 +97,7 @@ def span_and_kernel(a: np.ndarray, tol: float = DEFAULT.rank,
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] < a.shape[1] or a.shape[1] == 0:
         raise NumericalAbort("span_and_kernel needs a tall, nonempty matrix")
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    u, s, vh = _svd(a, full_matrices=False)
     keep = singular_rank(s, tol, scale)
     return u[:, :keep], vh[keep:].conj().T
 
@@ -83,7 +112,7 @@ def orthonormal_columns(vectors: np.ndarray, tol: float = DEFAULT.rank,
     v = np.asarray(vectors)
     if v.size == 0:
         return v.reshape(v.shape[0] if v.ndim == 2 else 0, 0)
-    u, s, _ = np.linalg.svd(v, full_matrices=False)
+    u, s, _ = _svd(v, full_matrices=False)
     return u[:, :singular_rank(s, tol, scale)]
 
 

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, NumericalAbort, Tolerances
+from .config import DEFAULT, FlexcheckError, NumericalAbort, Tolerances
 from .liealg import LieAlgebraModel, SubalgebraHandle
-from .linalg import joint_eigenspace, joint_eigenvalues, singular_rank, value_keys
+from .linalg import (joint_eigenspace, joint_eigenvalues, relative_residual, singular_rank,
+                     value_keys)
 
 REAL, IMAGINARY, MIXED = "real", "imaginary", "mixed"
 
@@ -55,6 +56,9 @@ def decompose(
     """
     r = torus.dim
     dim = model.dim
+    if torus.coords.shape[-1] != dim:
+        raise FlexcheckError(f"torus coordinates have width {torus.coords.shape[-1]}, not "
+                             f"the dimension {dim} of {model.name}")
     if r == 0:
         return TorusRootDecomposition(dim, ())
 
@@ -70,8 +74,8 @@ def decompose(
                 raise NumericalAbort("torus is not abelian")
 
     gram = torus.coords @ model.killing @ torus.coords.T
-    sg = np.abs(np.linalg.eigvalsh(gram))   # the singular values of a symmetric matrix
-    if sg.min() <= tol.rank * sg.max():
+    sg = np.sort(np.abs(np.linalg.eigvalsh(gram)))[::-1]   # a symmetric matrix's singular values
+    if singular_rank(sg, tol.rank) < r:
         raise NumericalAbort("Killing form is degenerate on the torus")
 
     clusters = joint_eigenvalues(ads, tol, scale)
@@ -164,14 +168,14 @@ def _build_root(model, ads, gram, rep, shift_plus, shift_minus, k: int,
     # U is the sum of its components up to round-off times P's condition,
     # at most 1 / tol.rank; the eigenspaces are known to cluster accuracy
     total = plus + minus
-    resid = np.abs((2.0 * total.real if cls == MIXED else total) - u).max(initial=0.0)
+    resid = relative_residual((2.0 * total.real if cls == MIXED else total) - u, u)
     if resid > tol.cluster:
         raise NumericalAbort(f"root space basis outside its eigenspaces: residual {resid:.3e}")
 
     omega = (2.0 if cls == MIXED else 1.0) * (plus - minus).T @ model.killing @ (plus + minus)
     # the symmetric part pairs eigenvector errors of cluster accuracy
-    asym = np.abs(omega + omega.T).max(initial=0.0)
-    if asym > tol.cluster * max(np.abs(omega).max(initial=0.0), 1.0):
+    asym = relative_residual(omega + omega.T, omega)
+    if asym > tol.cluster:
         raise NumericalAbort(f"Omega is not alternating (residual {asym:.3e})")
     return RootDatum(
         values=rep, classification=cls, complex_dim=k, real_basis=u,

@@ -18,7 +18,8 @@ import numpy as np
 from .config import (DEFAULT, FORM_INVARIANCE, OCTAGON_NORMALIZER, RELATOR_CORRECTION,
                      FlexcheckError, NumericalAbort, Tolerances)
 from .liealg import LieAlgebraModel, build_classical
-from .linalg import nullspace, rank, span_and_kernel, spectral_norms
+from .linalg import (nullspace, rank, relative_residual, residual_scale, span_and_kernel,
+                     spectral_norms)
 
 
 @dataclass(frozen=True)
@@ -129,15 +130,10 @@ def surface_representation(
         raise NumericalAbort(
             f"generator image {i} violates the group relations (residual {residuals[i]:.3e})")
     prefixes = relator_prefixes(presentation, images)
-    scale = max(float(np.abs(prefixes).max()), 1.0)
-    rel = prefixes[-1]
-    res_plus = float(np.abs(rel - np.eye(n)).max()) / scale
-    res_minus = float(np.abs(rel + np.eye(n)).max()) / scale
-    if res_plus <= tol.relator:
-        res = res_plus
-    elif central_lift and res_minus <= tol.relator:
-        res = res_minus
-    else:
+    res_plus, res_minus = (relative_residual(prefixes[-1] - s * np.eye(n), prefixes)
+                           for s in (1, -1))
+    res = res_minus if central_lift and res_plus > tol.relator else res_plus
+    if not res <= tol.relator:                                      # NaN fails too
         raise NumericalAbort(
             f"relator residual {min(res_plus, res_minus):.3e} exceeds {tol.relator:.1e}"
             + ("" if central_lift else " (relator = -identity requires central_lift=True)"))
@@ -218,12 +214,10 @@ def restricted_module(actions: np.ndarray, basis: np.ndarray,
     """Restrict a (2g, m, m) action stack to an invariant subspace with orthonormal basis columns."""
     moved = actions @ basis
     small = basis.T @ moved
-    resid = np.abs(moved - basis @ small).max(axis=(1, 2), initial=0.0)
-    scale = np.maximum(np.abs(moved).max(axis=(1, 2), initial=0.0), 1.0)
-    bad = np.flatnonzero(resid > tol.subspace_invariance * scale)
-    if bad.size:
+    resid = relative_residual(moved - basis @ small, moved, axis=(1, 2))
+    if np.any(resid > tol.subspace_invariance):
         raise NumericalAbort(
-            f"subspace is not invariant under the module action (residual {resid[bad[0]]:.3e})")
+            f"subspace is not invariant under the module action (residual {resid.max():.3e})")
     return small
 
 
@@ -258,9 +252,7 @@ class CohomologyWorkspace:
         A ``(2g m,)`` vector gives a float; a ``(2g m, k)`` column block
         gives a length-k array, one residual per column.
         """
-        scale = np.maximum(np.abs(u).max(axis=0, initial=0.0), 1.0)
-        resid = np.abs(self.relator_map @ u).max(axis=0, initial=0.0) / scale
-        return float(resid) if np.ndim(u) == 1 else resid
+        return relative_residual(self.relator_map @ u, u, axis=0)
 
 
 def cohomology(rep: SurfaceRepresentation, actions: np.ndarray,
@@ -276,8 +268,8 @@ def cohomology(rep: SurfaceRepresentation, actions: np.ndarray,
     eye = np.eye(m)
 
     prefixes, fox, relator_map = _fox_calculus(pres, actions)
-    scale = max(float(np.abs(prefixes).max()), 1.0)
-    if np.abs(prefixes[-1] - eye).max() > tol.cocycle_check * scale:
+    scale = residual_scale(prefixes)
+    if relative_residual(prefixes[-1] - eye, scale) > tol.cocycle_check:
         raise NumericalAbort(
             "module action does not kill the relator "
             "(central lift with a module that sees the center?)")
@@ -285,10 +277,9 @@ def cohomology(rep: SurfaceRepresentation, actions: np.ndarray,
     # one thin SVD of the coboundary map v -> ((A_s - 1) v)_s: its left
     # vectors span B^1, its right null vectors span H^0
     b1, fixed = span_and_kernel((actions - eye).reshape(ngen * m, m), tol.rank, scale=1.0)
-    if b1.shape[1]:
-        worst = np.abs(relator_map @ b1).max() / scale
-        if worst > tol.cocycle_check:
-            raise NumericalAbort(f"coboundaries fail the cocycle condition ({worst:.3e})")
+    worst = relative_residual(relator_map @ b1, scale)
+    if worst > tol.cocycle_check:
+        raise NumericalAbort(f"coboundaries fail the cocycle condition ({worst:.3e})")
     # H^1 = ker [J / scale; B^1^T]: scaled, J's rows share the orthonormal B^1^T
     # rows' cutoff tol.rank * max(sigma_max, 1), the one ker J alone gets
     h1 = nullspace(np.vstack([relator_map / scale, b1.T]), tol.rank, scale=1.0)
@@ -311,10 +302,9 @@ def _check_invariant_form(ws: CohomologyWorkspace, omega: np.ndarray) -> None:
     """Abort unless every slice of ``omega`` ((m, m) or (K, m, m)) is module-invariant."""
     forms = omega.reshape(-1, ws.module_dim, ws.module_dim)
     acts = ws.actions[:, None]                              # (K, 1, m, m) against (F, m, m)
-    resid = np.abs(np.swapaxes(acts, -1, -2) @ forms @ acts - forms).max(axis=(2, 3), initial=0.0)
-    scale = np.maximum(np.abs(forms).max(axis=(1, 2), initial=0.0), 1.0)
+    resid = relative_residual(np.swapaxes(acts, -1, -2) @ forms @ acts - forms, forms, (-2, -1))
     norms = np.maximum(spectral_norms(acts[:, 0]) ** 2, 1.0)
-    if np.any(resid > FORM_INVARIANCE * scale * norms[:, None]):
+    if np.any(resid > FORM_INVARIANCE * norms[:, None]):
         raise NumericalAbort("cup pairing needs a module-invariant bilinear form")
 
 
@@ -410,13 +400,13 @@ def correct_relator(
     target = target_sign * eye
     try:
         with np.errstate(over="raise", invalid="raise"):
-            stop = tol * max(float(np.abs(relator_prefixes(presentation, gens)).max()), 1.0)
+            scale = residual_scale(relator_prefixes(presentation, gens))
             for step in range(max_iter):
                 prefixes = relator_prefixes(presentation, gens)
                 if not np.isfinite(prefixes).all():
                     raise NumericalAbort("relator correction diverged: non-finite generator images")
                 rel = prefixes[-1]
-                if np.abs(rel - target).max() < stop:
+                if relative_residual(rel - target, scale) < tol:
                     fixed = list(gens)
                     surface_representation(presentation, model, fixed, central_lift=target_sign < 0)
                     return fixed

@@ -1,7 +1,8 @@
 """Every module-level function and class in the package is used, every
 field, method and property of its classes is read, every top-level
-import is used, and config.py is the only module that knows a numerical
-threshold.
+import is used, config.py is the only module that knows a numerical
+threshold, linalg.py the only one that states the residual scale and the
+rank cut, and no numpy exception leaves a public function.
 
 A definition is used when package code outside ``__init__.py`` names it,
 outside the definition itself.  An export alone does not count: a helper
@@ -22,6 +23,7 @@ import re
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import flexcheck
@@ -29,8 +31,10 @@ from flexcheck import config
 from flexcheck.catalog import build_case_representation
 from flexcheck.cli import _JSON_TYPES, _validate
 from flexcheck.config import DEFAULT, FlexcheckError, ParseError, Tolerances
-from flexcheck.engine import NON_REDUCTIVE_MESSAGE, Pipeline, _phase1
-from flexcheck.liealg import LieAlgebraModel
+from flexcheck.engine import NON_REDUCTIVE_MESSAGE, BalanceProblem, Pipeline, _phase1, balanced
+from flexcheck.liealg import LieAlgebraModel, SubalgebraHandle, build_classical, conjugation_limit
+from flexcheck.linalg import nullspace, rank
+from flexcheck.roots import decompose
 from flexcheck.surface import correct_relator
 
 PACKAGE = Path(flexcheck.__file__).parent
@@ -436,6 +440,108 @@ def test_the_schema_states_the_floor():
     keys = schema["properties"]["tolerances"]["properties"]
     assert {k: v["minimum"] for k, v in keys.items()} == {
         "rank": config.TOLERANCE_FLOOR, "cluster": config.TOLERANCE_FLOOR}
+
+
+# ---------------------------------------------------------------------------
+# linalg.py is the only module that states the residual scale and the rank cut
+# ---------------------------------------------------------------------------
+
+# "module.function" of each check that keeps a scale of the same shape as
+# linalg.residual_scale, with the reason it is not a relative residual
+SCALE_ALLOWLIST = {
+    "liealg._finish_model": "the closure of brackets, quadratic in the basis: |basis|^2",
+    "liealg.conjugation_limit": "eigenvalue gaps of u and growing entries of its limit",
+    "engine._phase1": "the phase-1 objective is a sum of artificial variables, not a largest entry",
+    "engine.balanced": "LP certificates: the multipliers' size mu multiplies the scale",
+    "toledo.symplectic_form_report": "the Gram eigenvalues' separation from 0, a smallest value",
+}
+
+
+def _largest_abs(node: ast.AST) -> bool:
+    """``np.abs(x).max(...)``, or ``float`` of it."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+        node = node.args[0] if len(node.args) == 1 else node
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "max" and isinstance(node.func.value, ast.Call)
+            and isinstance(node.func.value.func, ast.Attribute)
+            and node.func.value.func.attr == "abs")
+
+
+def _restatements(tree: ast.AST) -> list[str]:
+    """``function: line n`` of each residual scale, ``max`` or ``np.maximum`` of a largest
+    |entry| and 1, and of each rank cut, a product with a ``.rank`` tolerance."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and len(child.args) == 2 and (
+                    getattr(child.func, "id", None) == "max"
+                    or getattr(child.func, "attr", None) == "maximum"):
+                one = [a for a in child.args if isinstance(a, ast.Constant) and a.value == 1]
+                if one and any(_largest_abs(a) for a in child.args):
+                    found.append(f"{where}: line {child.lineno} scale")
+            if isinstance(child, ast.BinOp) and isinstance(child.op, ast.Mult) and any(
+                    isinstance(op, ast.Attribute) and op.attr == "rank"
+                    for op in _product_chain(child)):
+                found.append(f"{where}: line {child.lineno} rank cut")
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, child.name if named else where)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_linalg_states_the_residual_scale_and_the_rank_cut():
+    hits = {stem: _restatements(tree) for stem, tree in _package_trees().items()}
+    assert [h.split(":")[0] for h in hits.pop("linalg")] == ["residual_scale"]
+    kept = [f"{stem}.{hit}" for stem, found in hits.items() for hit in found]
+    restated = [hit for hit in kept if hit.split(":")[0] not in SCALE_ALLOWLIST]
+    assert not restated, f"use linalg.relative_residual or linalg.singular_rank: {restated}"
+    # each entry still names a check with its own scale
+    assert {hit.split(":")[0] for hit in kept} == set(SCALE_ALLOWLIST)
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f(x):\n    return np.maximum(np.abs(x).max(axis=1), 1.0)", ["f: line 2 scale"]),
+    ("def f(x):\n    return max(float(np.abs(x).max()), 1.0)", ["f: line 2 scale"]),
+    ("class A:\n    def f(self, x):\n        s = max(1.0, np.abs(x).max())", ["f: line 3 scale"]),
+    ("def f(s, tol):\n    return s[-1] > tol.rank * s[0]", ["f: line 2 rank cut"]),
+    ("s = np.maximum(norm ** 2, 1.0)", []),
+    ("s = max(float(np.linalg.norm(x)), 1.0)", []),
+    ("s = max(np.abs(x).max(), 2.0)", []),
+    ("s = residual_scale(x)", []),
+], ids=["maximum", "max-float", "method", "rank-cut", "norm-squared", "frobenius", "floor-2",
+        "residual_scale"])
+def test_the_scale_guard_catches(source, found):
+    assert _restatements(ast.parse(source)) == found
+
+
+# ---------------------------------------------------------------------------
+# No numpy exception leaves a public function
+# ---------------------------------------------------------------------------
+
+def _sl2():
+    return build_classical("sl", 2)
+
+
+NUMPY_ERRORS = {
+    "balanced-short-vector": lambda: balanced(BalanceProblem(2, (np.array([1.0]),), ())),
+    "conjugation_limit-size-mismatch": lambda: conjugation_limit(np.eye(3), np.eye(2)),
+    "build_classical-int-family": lambda: build_classical(3, 2),
+    "adjoint_group_matrix-singular": lambda: _sl2().adjoint_group_matrix(np.zeros((2, 2))),
+    "adjoint_group_matrix-wrong-size": lambda: _sl2().adjoint_group_matrix(np.eye(3)),
+    "nullspace-nan": lambda: nullspace(np.array([[np.nan, 1.0], [1.0, 1.0]])),
+    "nullspace-inf": lambda: nullspace(np.array([[np.inf, 1.0], [1.0, 1.0]])),
+    "rank-nan": lambda: rank(np.array([[np.nan, 1.0], [1.0, 1.0]])),
+    "rank-inf": lambda: rank(np.array([[np.inf, 1.0], [1.0, 1.0]])),
+    "decompose-wrong-width": lambda: decompose(_sl2(), SubalgebraHandle(_sl2(), np.ones((1, 2)))),
+}
+
+
+@pytest.mark.parametrize("call", NUMPY_ERRORS.values(), ids=NUMPY_ERRORS)
+def test_no_numpy_exception_leaves_a_public_function(call):
+    with pytest.raises(FlexcheckError):
+        call()
 
 
 # (schema, a value it takes, a value it rejects, the message) for each
