@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .config import (DEFAULT, ExcludedFamilyError, FlexcheckError, Inconclusive, NumericalAbort,
                      ParseError, Tolerances)
-from .scalars import Field, Quaternion, realify
+from .scalars import Field, realify
 from .linalg import nullspace, rank
 from .liealg import (
     LieAlgebraModel,
@@ -50,7 +50,6 @@ __all__ = [
     "LieAlgebraModel",
     "NumericalAbort",
     "ParseError",
-    "Quaternion",
     "RootDatum",
     "RootFormReport",
     "SubalgebraHandle",

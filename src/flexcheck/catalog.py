@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import DEFAULT, ExcludedFamilyError, FlexcheckError, Tolerances
 from .liealg import build_classical
-from .scalars import Field, Quaternion, realify
+from .scalars import Field, realify
 from .surface import (
     SurfaceRepresentation,
     fuchsian_genus2,
@@ -155,11 +155,10 @@ def embed_base(case: CatalogCase, tol: Tolerances = DEFAULT):
         corner, to_block = 2, sl2_to_su11
 
     def embedding(g: np.ndarray) -> np.ndarray:
-        image = np.eye(n, dtype=float if fld is Field.REAL else complex)
+        image = np.eye(n, dtype=complex)
         image[n - corner:, n - corner:] = to_block(g)
-        if fld is Field.QUATERNION:
-            image = [[Quaternion(v.real, v.imag, 0.0, 0.0) for v in row] for row in image]
-        return realify(image, fld)
+        zero = np.zeros((n, n))
+        return realify(np.stack([image.real, image.imag, zero, zero], axis=-1)[..., :fld.dim], fld)
 
     return model, embedding
 

@@ -23,7 +23,7 @@ from .config import DEFAULT, FlexcheckError, Inconclusive, NumericalAbort, Parse
 from .catalog import build_case_representation, default_cases
 from .engine import Pipeline, verdict
 from .liealg import build_classical
-from .scalars import Field, Quaternion, realify
+from .scalars import Field, realify
 from .surface import cohomology, standard_presentation, surface_representation
 from .toledo import symplectic_form_report
 
@@ -101,9 +101,6 @@ def _validate(value, schema: dict, where: str = "") -> None:
         _validate(item, schema["items"], f"{name}[{i}]")
 
 
-_SCALARS = {Field.REAL: float, Field.COMPLEX: complex, Field.QUATERNION: Quaternion}
-
-
 def _parse_matrix(rows: list, field: Field, where: str) -> np.ndarray:
     """Realify a schema-valid generator once it is square with field.dim components per entry."""
     for i, row in enumerate(rows):
@@ -113,7 +110,7 @@ def _parse_matrix(rows: list, field: Field, where: str) -> np.ndarray:
             if len(comps) != field.dim:
                 raise ParseError(f"{where}[{i}][{j}]: expected {field.dim} component(s) for "
                                  f"field {field.value}, got {len(comps)}")
-    return realify([[_SCALARS[field](*map(float, comps)) for comps in row] for row in rows], field)
+    return realify(np.array(rows, float), field)
 
 
 def load_problem(args) -> dict:

@@ -27,13 +27,7 @@ from .config import (
     Tolerances,
 )
 from .linalg import matrix_scale, nullspace, orthonormal_columns, relative_residual, singular_rank
-from .scalars import (
-    Field,
-    field_units,
-    imaginary_units,
-    realified_entry_block,
-    right_multiplication_operator,
-)
+from .scalars import Field, realified_entry_block, right_multiplication_operator
 
 # _finish_model holds the brackets of all dim^2 pairs of N x N basis matrices
 # (N the realified size), dim^2 N^2 doubles, beside the dim^3 structure
@@ -79,6 +73,8 @@ class LieAlgebraModel:
     def coords(self, mat: np.ndarray, tol: float = MODEL_SPAN) -> np.ndarray:
         """Coordinates of a matrix; a (k, N, N) stack gives a (k, dim) block."""
         mat = np.asarray(mat)
+        if not np.isfinite(mat).all():
+            raise NumericalAbort("a matrix with a NaN or inf entry has no model coordinates")
         vec = mat.reshape(*mat.shape[:-2], -1)
         c = vec @ self._pinv.T
         if np.any(relative_residual(c @ self._flat.T - vec, vec, axis=-1) > tol):
@@ -104,12 +100,15 @@ class LieAlgebraModel:
         doubles, one batched inverse and product per block, so memory does
         not grow with K beyond the input and the result.  Each slice's
         arithmetic is the same whatever block it falls in.  A singular
-        element aborts; one that is not N x N raises FlexcheckError.
+        element, or one with a NaN or inf entry, aborts; one that is not
+        N x N raises FlexcheckError.
         """
         g = np.asarray(g)
         n = self.realified_size
         if g.ndim < 2 or g.shape[-2:] != (n, n):
             raise FlexcheckError(f"group elements of {self.name} are {n} x {n}, got {g.shape}")
+        if not np.isfinite(g).all():
+            raise NumericalAbort("Ad of a group element with a NaN or inf entry is undefined")
         stack = g.reshape(-1, n, n)
         out = np.empty((len(stack), self.dim, self.dim))
         step = max(1, BLOCK_ENTRIES // (self.dim * n * n))
@@ -170,7 +169,7 @@ class LieAlgebraModel:
 @functools.lru_cache(maxsize=32)
 def _unit_operators(fld: Field, n: int) -> tuple[np.ndarray, ...]:
     """Right multiplications by the imaginary units on F^n, read-only and shared."""
-    ops = tuple(right_multiplication_operator(fld, n, u) for u in imaginary_units(fld))
+    ops = tuple(right_multiplication_operator(fld, n, u) for u in np.eye(fld.dim)[1:])
     for op in ops:
         op.flags.writeable = False
     return ops
@@ -252,28 +251,25 @@ def _indefinite_basis(fld: Field, p: int, q: int, traceless: bool = False):
     """Basis of {M : M* e + e M = 0} (+ tracelessness for su) via M = e A."""
     n = p + q
     e = np.concatenate([np.ones(p), -np.ones(q)])
+    units = np.eye(fld.dim)  # components of 1, then of the imaginary units
     mats = []
-    units = field_units(fld)
     # off-diagonal: A = E_kl - E_lk and u (E_kl + E_lk), u imaginary
     for k in range(n):
         for l in range(k + 1, n):
-            one = units[0]
-            m = realified_entry_block(fld, n, k, l, e[k] * one) \
-                - realified_entry_block(fld, n, l, k, e[l] * one)
-            mats.append(m)
-            for u in imaginary_units(fld):
-                m = realified_entry_block(fld, n, k, l, u * e[k]) \
-                    + realified_entry_block(fld, n, l, k, u * e[l])
-                mats.append(m)
+            mats.append(realified_entry_block(fld, n, k, l, e[k] * units[0])
+                        - realified_entry_block(fld, n, l, k, e[l] * units[0]))
+            for u in units[1:]:
+                mats.append(realified_entry_block(fld, n, k, l, e[k] * u)
+                            + realified_entry_block(fld, n, l, k, e[l] * u))
     # diagonal: A = u E_kk, u imaginary
     if fld is Field.COMPLEX and traceless:
         for k in range(n - 1):
-            m = realified_entry_block(fld, n, k, k, 1j) - realified_entry_block(fld, n, k + 1, k + 1, 1j)
-            mats.append(m)
+            mats.append(realified_entry_block(fld, n, k, k, units[1])
+                        - realified_entry_block(fld, n, k + 1, k + 1, units[1]))
     else:
         for k in range(n):
-            for u in imaginary_units(fld):
-                mats.append(realified_entry_block(fld, n, k, k, u * (e[k] * e[k])))
+            for u in units[1:]:
+                mats.append(realified_entry_block(fld, n, k, k, u))
     return mats
 
 
@@ -347,16 +343,14 @@ def _construct(family: str, *params: int) -> LieAlgebraModel:
     """
     if family == "sl":
         (n,) = params
-        mats = []
+        mats, one = [], np.ones(1)
         for k in range(n):
             for l in range(n):
                 if k != l:
-                    mats.append(realified_entry_block(Field.REAL, n, k, l, 1.0))
+                    mats.append(realified_entry_block(Field.REAL, n, k, l, one))
         for k in range(n - 1):
-            mats.append(
-                realified_entry_block(Field.REAL, n, k, k, 1.0)
-                - realified_entry_block(Field.REAL, n, k + 1, k + 1, 1.0)
-            )
+            mats.append(realified_entry_block(Field.REAL, n, k, k, one)
+                        - realified_entry_block(Field.REAL, n, k + 1, k + 1, one))
         model = _finish_model(f"sl({n},R)", Field.REAL, n, family, mats, None)
     elif family in ("su", "so", "sp"):
         p, q = params

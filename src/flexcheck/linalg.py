@@ -39,12 +39,15 @@ def residual_scale(ref, axis=None):
 def relative_residual(diff, ref, axis=None):
     """Largest |diff| over ``axis``, divided by :func:`residual_scale` of ``ref``.
 
-    ``ref`` is what ``diff`` came from, or its scale.  inf / inf is NaN,
-    which passes every check, as ``inf > tol * inf`` did not hold either.
+    ``ref`` is what ``diff`` came from, or its scale.  A NaN quotient, from
+    a NaN entry or from inf / inf, reads inf, so it fails every check.
     """
     with np.errstate(invalid="ignore"):
         out = np.abs(diff).max(axis=axis, initial=0.0) / residual_scale(ref, axis)
-    return float(out) if out.ndim == 0 else out
+    if out.ndim == 0:
+        return float(out) if out == out else np.inf
+    out[np.isnan(out)] = np.inf
+    return out
 
 
 def singular_rank(s: np.ndarray, tol: float = DEFAULT.rank, scale: float = 0.0) -> int:

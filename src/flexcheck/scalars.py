@@ -1,16 +1,23 @@
 """Scalars over R, C, H and realification of matrices.
 
+A scalar of F is the vector of its d = dim F real components: (a) for R,
+(a, b) for a + bi, (w, x, y, z) for w + xi + yj + zk with Hamilton's
+relations ij = k.  A matrix over F is an (n, k, d) array of components.
 Quaternionic matrices are realified eagerly; every downstream computation
-runs on real matrices.  A complex entry a+bi turns into the 2x2 block
-[[a,-b],[b,a]], a quaternion into the 4x4 matrix of left multiplication on
-(1,i,j,k) coordinates, so realification is a ring homomorphism.
+runs on real matrices.  An entry turns into the d x d block of left
+multiplication on the components (a + bi into [[a, -b], [b, a]]), so
+realification is a ring homomorphism.
+
+One table states the multiplication: e_a e_b = _SIGN[a, b] e_(a XOR b) for
+the units e = (1, i, j, k); its leading 2 x 2 and 1 x 1 blocks are the
+tables of C and R.  Entry (p, q) of the block of x is then
+sign[p][q] * x[p XOR q], with sign read off _SIGN for x e_q (left) or
+e_q x (right multiplication).
 """
 
 from __future__ import annotations
 
 import enum
-import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,153 +34,53 @@ class Field(enum.Enum):
         return {Field.REAL: 1, Field.COMPLEX: 2, Field.QUATERNION: 4}[self]
 
 
-@dataclass(frozen=True)
-class Quaternion:
-    """A quaternion w + xi + yj + zk with Hamilton's relations ij = k."""
-
-    w: float = 0.0
-    x: float = 0.0
-    y: float = 0.0
-    z: float = 0.0
-
-    def __add__(self, q: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w + q.w, self.x + q.x, self.y + q.y, self.z + q.z)
-
-    def __sub__(self, q: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w - q.w, self.x - q.x, self.y - q.y, self.z - q.z)
-
-    def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
-
-    def __mul__(self, q: "Quaternion") -> "Quaternion":
-        if isinstance(q, (int, float)):
-            return Quaternion(self.w * q, self.x * q, self.y * q, self.z * q)
-        return Quaternion(
-            self.w * q.w - self.x * q.x - self.y * q.y - self.z * q.z,
-            self.w * q.x + self.x * q.w + self.y * q.z - self.z * q.y,
-            self.w * q.y - self.x * q.z + self.y * q.w + self.z * q.x,
-            self.w * q.z + self.x * q.y - self.y * q.x + self.z * q.w,
-        )
-
-    def __rmul__(self, c) -> "Quaternion":
-        if isinstance(c, (int, float)):
-            return Quaternion(self.w * c, self.x * c, self.y * c, self.z * c)
-        return NotImplemented
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def __abs__(self) -> float:
-        return float(np.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2))
-
-    def components(self) -> tuple[float, float, float, float]:
-        return (self.w, self.x, self.y, self.z)
+_SIGN = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, -1, -1, 1], [1, 1, -1, -1]], dtype=float)
+_P, _Q = np.indices((4, 4))
+_INDEX = _P ^ _Q
+_LEFT, _RIGHT = _SIGN[_INDEX, _Q], _SIGN[_Q, _INDEX]
 
 
-Q_ONE = Quaternion(1.0)
-Q_I = Quaternion(0.0, 1.0)
-Q_J = Quaternion(0.0, 0.0, 1.0)
-Q_K = Quaternion(0.0, 0.0, 0.0, 1.0)
+def _blocks(sign: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The d x d multiplication blocks of a (..., d) array of components, shape (..., d, d)."""
+    d = x.shape[-1]
+    return sign[:d, :d] * x[..., _INDEX[:d, :d]]
 
 
-def _field_scalar(value, field: Field):
-    """``value`` as a scalar of the field (see ``realify``); TypeError otherwise."""
-    if field is Field.QUATERNION:
-        if isinstance(value, Quaternion):
-            return value
-        if isinstance(value, numbers.Real):
-            return Quaternion(float(value))
-    elif isinstance(value, numbers.Real if field is Field.REAL else numbers.Complex):
-        return value
-    raise TypeError(f"{value!r} is not a scalar of the field {field.value}")
+def realify(parts, field: Field) -> np.ndarray:
+    """Realify an n x k matrix over the field: the (d n, d k) real matrix, d = dim F.
 
-
-def left_block(value, field: Field) -> np.ndarray:
-    """Realified block of left multiplication by a scalar of the given field."""
-    value = _field_scalar(value, field)
-    if field is Field.REAL:
-        return np.array([[float(value)]])
-    if field is Field.COMPLEX:
-        a, b = float(np.real(value)), float(np.imag(value))
-        return np.array([[a, -b], [b, a]])
-    a, b, c, d = value.components()
-    return np.array(
-        [
-            [a, -b, -c, -d],
-            [b, a, -d, c],
-            [c, d, a, -b],
-            [d, -c, b, a],
-        ]
-    )
-
-
-def right_block(value, field: Field) -> np.ndarray:
-    """Realified block of right multiplication (used for structure checks)."""
-    if field is not Field.QUATERNION:
-        return left_block(value, field)  # R and C are commutative
-    q = _field_scalar(value, field)
-    basis = (Q_ONE, Q_I, Q_J, Q_K)
-    cols = [(e * q).components() for e in basis]
-    return np.array(cols).T
-
-
-def realify(mat, field: Field) -> np.ndarray:
-    """Realify a matrix with entries in the given field: a (d rows, d cols) real array, d = dim F.
-
-    Accepts a 2-dimensional array or nested sequence whose entries are
-    scalars of the field: real numbers for R, real or complex numbers for C,
-    real numbers or Quaternions for H.  Any other entry, a string say,
-    raises FlexcheckError.
+    ``parts`` is an (n, k, d) array of real components: entry (i, j) of
+    the matrix is ``parts[i, j]``.  Any other shape, and components that
+    are not real numbers (complex values or strings, say), raise
+    FlexcheckError.
     """
-    try:
-        shape = np.shape(mat)
-    except ValueError:  # ragged rows
-        shape = ()
-    if len(shape) != 2:
-        raise FlexcheckError("realify expects a 2-dimensional matrix")
-    rows, cols = shape
     d = field.dim
-    out = np.zeros((d * rows, d * cols))
-    for i in range(rows):
-        for j in range(cols):
-            try:
-                out[d * i : d * (i + 1), d * j : d * (j + 1)] = left_block(mat[i][j], field)
-            except (TypeError, ValueError) as exc:
-                raise FlexcheckError(
-                    f"realify: entry ({i}, {j}) is not a scalar of the field {field.value}"
-                ) from exc
-    return out
+    try:
+        x = np.asarray(parts)
+    except ValueError:  # ragged rows
+        x = np.empty(0)
+    if x.ndim != 3 or x.shape[2] != d:
+        raise FlexcheckError(f"realify expects an (n, k, {d}) array of components over "
+                             f"{field.value}")
+    if x.dtype.kind not in "biuf":
+        raise FlexcheckError(f"realify: the components over {field.value} must be real numbers, "
+                             f"got {x.dtype}")
+    n, k = x.shape[:2]
+    return _blocks(_LEFT, x).transpose(0, 2, 1, 3).reshape(d * n, d * k)
 
 
 def realified_entry_block(field: Field, n: int, i: int, j: int, value) -> np.ndarray:
-    """Realification of value * E_ij inside an n x n matrix over the field."""
+    """Realification of value * E_ij inside an n x n matrix over the field; value is components."""
     d = field.dim
     out = np.zeros((d * n, d * n))
-    out[d * i : d * (i + 1), d * j : d * (j + 1)] = left_block(value, field)
+    out[d * i : d * (i + 1), d * j : d * (j + 1)] = _blocks(_LEFT, np.reshape(value, d))
     return out
 
 
 def right_multiplication_operator(field: Field, n: int, value) -> np.ndarray:
-    """Realified operator of right scalar multiplication on F^n-matrices.
+    """Realified operator of right multiplication by the components ``value`` on F^n.
 
     Commutes with every realified matrix; used to certify that a real
     matrix genuinely comes from the field's matrix algebra.
     """
-    blk = right_block(value, field)
-    return np.kron(np.eye(n), blk)
-
-
-def field_units(field: Field):
-    if field is Field.REAL:
-        return (1.0,)
-    if field is Field.COMPLEX:
-        return (1.0, 1j)
-    return (Q_ONE, Q_I, Q_J, Q_K)
-
-
-def imaginary_units(field: Field):
-    if field is Field.REAL:
-        return ()
-    if field is Field.COMPLEX:
-        return (1j,)
-    return (Q_I, Q_J, Q_K)
+    return np.kron(np.eye(n), _blocks(_RIGHT, np.reshape(value, field.dim)))

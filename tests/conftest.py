@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from flexcheck.catalog import build_case_representation, find_case
+from flexcheck.catalog import build_case_representation, find_case, sl2_to_su11
 from flexcheck.engine import Pipeline
 from flexcheck.liealg import build_classical
 from flexcheck.scalars import Field, realify
-from flexcheck.surface import fuchsian_genus2, standard_presentation, surface_representation
+from flexcheck.surface import _expm, fuchsian_genus2, standard_presentation, surface_representation
+from reference import components
 
 
 def bent_genus2():
@@ -25,9 +26,35 @@ def bent_genus2():
     images = []
     for g in (a1, b1, h @ a2 @ hinv, h @ b2 @ hinv):
         image = np.eye(5)
-        image[:4, :4] = realify(g.astype(complex), Field.COMPLEX)
+        image[:4, :4] = realify(components(g), Field.COMPLEX)
         images.append(image)
     return surface_representation(standard_presentation(2), build_classical("sl", 5), images)
+
+
+def fuchsian_sum(p: int, q: int, blocks, scale: float = 0.0, seed: int = 0):
+    """Genus-2 Fuchsian blocks in SU(1,1) on (+, -) coordinate pairs of SU(p,q), realified.
+
+    A block is "F", the octagon group, or "T" or "T2": F with a1 -> a1 b1 or
+    a1 -> a1 b1^2.  Those keep [a1, b1], so the relator holds, and are not
+    conjugate to F.  A trailing "bar" takes the complex conjugate, which
+    negates T.  Block i acts on coordinates i and p + i, through the Cayley
+    map of the catalog's complex-line cases.  The realified images are then
+    conjugated by exp(scale X), for a normal random X of su(p,q) drawn from
+    ``seed``.
+    """
+    a1, b1, a2, b2 = fuchsian_genus2().images
+    images = [np.eye(p + q, dtype=complex) for _ in range(4)]
+    for i, block in enumerate(blocks):
+        name = block.removesuffix("bar")
+        gens = (a1 @ np.linalg.matrix_power(b1, {"F": 0, "T": 1, "T2": 2}[name]), b1, a2, b2)
+        for image, g in zip(images, gens):
+            h = sl2_to_su11(g)
+            image[np.ix_([i, p + i], [i, p + i])] = h if name == block else h.conj()
+    model = build_classical("su", p, q)
+    g = _expm(model.matrix(scale * np.random.default_rng(seed).standard_normal(model.dim)))
+    ginv = np.linalg.inv(g)
+    return surface_representation(standard_presentation(2), model,
+                                  [g @ realify(components(a), Field.COMPLEX) @ ginv for a in images])
 
 
 @pytest.fixture(scope="session")

@@ -26,9 +26,15 @@ from flexcheck.config import DEFAULT, ExcludedFamilyError, FlexcheckError, Numer
 from flexcheck.liealg import _form_matrix, _indefinite_basis
 from flexcheck.linalg import nullspace, orthonormal_columns, rank, span_and_kernel
 from flexcheck.roots import REAL, RootDatum
-from flexcheck.scalars import Field, field_units, left_block, realify
+from flexcheck.scalars import Field, realify
 from flexcheck.surface import CohomologyWorkspace, cup_pairing, restricted_module
 from flexcheck.toledo import gram_matrix
+
+
+def components(z) -> np.ndarray:
+    """The (n, k, 2) components (re, im) of a complex matrix, as realify takes them over C."""
+    z = np.asarray(z, dtype=complex)
+    return np.stack([z.real, z.imag], axis=-1)
 
 
 def signature(mat: np.ndarray) -> int:
@@ -83,7 +89,7 @@ class SplitsoDecomposition:
     compact_block: list          # realified basis of o(m-p, F), upper-left
     indefinite_block: list       # realified basis of o(p, q, F), lower-right
     hom_block: list              # realified basis of the off-diagonal block
-    hom_index: list              # (row k in F^{p+q}, col l in F^{m-p}, unit) per basis element
+    hom_index: list              # (row k in F^{p+q}, col l in F^{m-p}, unit index) per element
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -92,8 +98,7 @@ class SplitsoDecomposition:
     def hom_element(self, b) -> np.ndarray:
         """Realified block matrix for B in F^{(p+q) x (m-p)}.
 
-        ``b`` has shape (p+q, m-p) with entries scalars of the field
-        (real or complex numbers, or Quaternion instances).
+        ``b`` is the (p+q, m-p, d) array of the components of B.
         """
         return _hom_matrix(self.field, self.m, self.q, self.p, realify(b, self.field))
 
@@ -138,15 +143,16 @@ def splitso(m: int, q: int, fld: Field | str, p: int) -> SplitsoDecomposition:
     d = fld.dim
     compact = _on_diagonal(_indefinite_basis(fld, top, 0), 0, total, d)
     lower = _on_diagonal(_indefinite_basis(fld, p, q), top, total, d)
+    units = realify(np.eye(d)[None], fld)  # the blocks of 1, i, j, k side by side
     hom = []
     index = []
     for k in range(p + q):
         for l in range(top):
-            for u in field_units(fld):
+            for a in range(d):
                 rb = np.zeros((d * (p + q), d * top))
-                rb[d * k : d * k + d, d * l : d * l + d] = left_block(u, fld)
+                rb[d * k : d * k + d, d * l : d * l + d] = units[:, d * a : d * a + d]
                 hom.append(_hom_matrix(fld, m, q, p, rb))
-                index.append((k, l, u))
+                index.append((k, l, a))
     dims = (len(compact), len(lower), len(hom))
     formula = {
         Field.REAL: lambda n: n * (n - 1) // 2,
@@ -162,8 +168,9 @@ def splitso(m: int, q: int, fld: Field | str, p: int) -> SplitsoDecomposition:
 def hom_bracket_closed_form(dec: SplitsoDecomposition, b, c):
     """Expected bracket of two hom-block elements: diag(C*eB - B*eC, CB*e - BC*e).
 
-    b, c are (p+q) x (m-p) matrices over the field; the closed form is
-    evaluated on their realifications, where B* becomes R(B)^T.
+    b, c are (p+q) x (m-p) matrices over the field, as arrays of
+    components; the closed form is evaluated on their realifications,
+    where B* becomes R(B)^T.
     """
     fld = dec.field
     rb, rc = realify(b, fld), realify(c, fld)

@@ -530,6 +530,11 @@ NUMPY_ERRORS = {
     "build_classical-int-family": lambda: build_classical(3, 2),
     "adjoint_group_matrix-singular": lambda: _sl2().adjoint_group_matrix(np.zeros((2, 2))),
     "adjoint_group_matrix-wrong-size": lambda: _sl2().adjoint_group_matrix(np.eye(3)),
+    "adjoint_group_matrix-nan": lambda: _sl2().adjoint_group_matrix(np.full((2, 2), np.nan)),
+    "adjoint_group_matrix-inf": lambda: _sl2().adjoint_group_matrix(np.array([[np.inf, 0.0],
+                                                                               [0.0, 1.0]])),
+    "coords-nan": lambda: _sl2().coords(np.full((2, 2), np.nan)),
+    "coords-inf": lambda: _sl2().coords(np.array([[np.inf, 0.0], [0.0, -np.inf]])),
     "nullspace-nan": lambda: nullspace(np.array([[np.nan, 1.0], [1.0, 1.0]])),
     "nullspace-inf": lambda: nullspace(np.array([[np.inf, 1.0], [1.0, 1.0]])),
     "rank-nan": lambda: rank(np.array([[np.nan, 1.0], [1.0, 1.0]])),

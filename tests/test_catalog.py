@@ -11,7 +11,7 @@ from flexcheck.catalog import (
     expected_table,
     find_case,
 )
-from flexcheck.scalars import Field, Quaternion
+from flexcheck.scalars import Field
 from flexcheck.surface import _expm, adjoint_module
 from flexcheck.toledo import root_cohomology, root_form
 from reference import hom_bracket_closed_form, splitso
@@ -43,14 +43,6 @@ def test_splitso_blocks_are_subalgebras(rng):
                 assert np.abs(cols @ coef - br.reshape(-1)).max() < 1e-10
 
 
-def _random_component(fld, rng):
-    if fld is Field.QUATERNION:
-        return Quaternion(*rng.standard_normal(4))
-    if fld is Field.COMPLEX:
-        return complex(rng.standard_normal(), rng.standard_normal())
-    return float(rng.standard_normal())
-
-
 @pytest.mark.parametrize("m,q,fld,p", [
     (4, 1, Field.REAL, 2),
     (2, 1, Field.COMPLEX, 1),
@@ -60,10 +52,7 @@ def test_hom_block_bracket_closed_form(m, q, fld, p, rng):
     dec = splitso(m, q, fld, p)
     rows, cols = p + q, m - p
     for _ in range(100):
-        b = np.array([[_random_component(fld, rng) for _ in range(cols)]
-                      for _ in range(rows)], dtype=object)
-        c = np.array([[_random_component(fld, rng) for _ in range(cols)]
-                      for _ in range(rows)], dtype=object)
+        b, c = rng.standard_normal((2, rows, cols, fld.dim))
         x, y = dec.hom_element(b), dec.hom_element(c)
         lhs = x @ y - y @ x
         rhs = hom_bracket_closed_form(dec, b, c)

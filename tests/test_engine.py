@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bent_genus2
+from conftest import bent_genus2, fuchsian_sum
 from flexcheck.catalog import build_case_representation, default_cases
 from flexcheck.config import DEFAULT, NumericalAbort, Tolerances
 from flexcheck.engine import (
@@ -235,6 +235,62 @@ def test_verdict_invariant_under_global_conjugation(name, scale, seed):
     ginv = np.linalg.inv(g)
     moved = surface_representation(rep.presentation, rep.model, [g @ a @ ginv for a in rep.images])
     assert _invariants(verdict(moved)) == want
+
+
+# Sums of pairwise non-isomorphic Fuchsian blocks in SU(p,q) whose centers
+# have rank 2 or 3: (p, q, blocks, verdict, centralizer = center dim, sorted
+# (real_dim, |T|, h1) of the roots, certificate).  The rigid rows are the
+# maximal sums in groups not of tube type (p > q, q blocks, one
+# orientation), rigid by Burger-Iozzi-Wienhard; tube type (p = q) reads
+# flexible.
+_IMAG, _ZERO = (4, 2, 8), (8, 0, 16)
+FUCHSIAN_SUMS = [
+    (3, 2, ("F", "T"), "rigid", 2, [_IMAG, _IMAG, _ZERO], "separating"),
+    (3, 2, ("F", "Tbar"), "flexible", 2, [_IMAG, _IMAG, _ZERO], "multipliers"),
+    (4, 3, ("F", "T", "T2"), "rigid", 3, 3 * [_IMAG] + 3 * [_ZERO], "separating"),
+    (4, 3, ("F", "T", "T2bar"), "flexible", 3, 3 * [_IMAG] + 3 * [_ZERO], "multipliers"),
+    (4, 3, ("F", "Tbar", "T2bar"), "flexible", 3, 3 * [_IMAG] + 3 * [_ZERO], "multipliers"),
+    (3, 3, ("F", "T", "T2"), "flexible", 2, 3 * [_ZERO], "none"),
+    (2, 2, ("F", "T"), "flexible", 1, [_ZERO], "none"),
+]
+
+
+def _check_balance_certificate(report):
+    """Re-verify the LP's certificate with this test's own arithmetic (lstsq and rank)."""
+    p = np.array([f.root.values.imag for f in report.roots if f.in_P]).reshape(-1, report.center_dim)
+    n = np.array([part for f in report.roots if not f.in_P
+                  for part in (f.root.values.real, f.root.values.imag)]).reshape(-1, report.center_dim)
+    bal = report.balance
+    if bal.multipliers is not None:
+        # mu >= 1 with sum mu_i p_i in span(N), and P + N spanning: 0 is interior
+        mu = bal.multipliers
+        assert len(mu) == len(p) and (mu >= 1.0 - 1e-12).all()
+        combo = mu @ p
+        coef = np.linalg.lstsq(n.T, combo, rcond=None)[0]
+        assert np.abs(n.T @ coef - combo).max() < 1e-9 * max(np.abs(combo).max(), 1.0)
+        assert np.linalg.matrix_rank(np.vstack([p, n])) == report.center_dim
+        return "multipliers"
+    if bal.separating is not None:
+        # f >= 0 on P and f = 0 on N: everything lies in a closed half-space
+        f = bal.separating / np.linalg.norm(bal.separating)
+        assert (p @ f >= -1e-9).all()
+        assert np.abs(n @ f).max(initial=0.0) < 1e-9
+        return "separating"
+    assert bal.quotient_dim == 0 and np.linalg.matrix_rank(n) == report.center_dim
+    return "none"
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.4])
+@pytest.mark.parametrize("p, q, blocks, expected, z, table, certificate", FUCHSIAN_SUMS,
+                         ids=["-".join((f"su{p}{q}",) + blocks) for p, q, blocks, *_ in FUCHSIAN_SUMS])
+def test_balanced_lp_decides_direct_sums_of_fuchsian_blocks(p, q, blocks, expected, z, table,
+                                                            certificate, scale):
+    report = verdict(fuchsian_sum(p, q, blocks, scale))
+    assert report.verdict == expected
+    assert report.centralizer_dim == report.center_dim == z
+    assert sorted((f.real_dim, abs(f.toledo), f.h1_dim) for f in report.roots) == table
+    assert sum(f.in_P for f in report.roots) == (z if certificate != "none" else 0)
+    assert _check_balance_certificate(report) == certificate
 
 
 def test_verdict_stable_under_tolerance_scaling():

@@ -18,9 +18,9 @@ from flexcheck.liealg import (
 )
 from flexcheck.catalog import build_case_representation, default_cases
 from flexcheck.linalg import matrix_scale, nullspace
-from flexcheck.scalars import Field, imaginary_units, realify, right_multiplication_operator
+from flexcheck.scalars import Field, realify, right_multiplication_operator
 from flexcheck.surface import _expm, standard_presentation, surface_representation
-from reference import bracket_coords, killing_form
+from reference import bracket_coords, components, killing_form
 
 
 def test_dimensions(models):
@@ -216,7 +216,7 @@ def _off_span(sub, other) -> float:
 def test_centralizer_su21_block(models, fuchsian, case_pipeline):
     rep, z, c, dec = case_pipeline("su21-cline")
     assert z.dim == 1
-    zmat = realify(np.diag([-2j, 1j, 1j]), Field.COMPLEX)
+    zmat = realify(components(np.diag([-2j, 1j, 1j])), Field.COMPLEX)
     resid = _off_span(z, subalgebra_from_matrices(rep.model, [zmat]))
     assert resid < 1e-8
 
@@ -243,8 +243,8 @@ def test_centralizer_so41_block(case_pipeline):
 
 def test_center_of_abelian_is_itself(models):
     m = models["su21"]
-    t1 = realify(np.diag([1j, 1j, -2j]), Field.COMPLEX)
-    t2 = realify(np.diag([1j, -1j, 0j]), Field.COMPLEX)
+    t1 = realify(components(np.diag([1j, 1j, -2j])), Field.COMPLEX)
+    t2 = realify(components(np.diag([1j, -1j, 0j])), Field.COMPLEX)
     sub = subalgebra_from_matrices(m, [t1, t2])
     cen = center_of(sub)
     assert cen.dim == 2
@@ -402,7 +402,7 @@ def _membership_reference(model, g):
         regular = np.linalg.svd(g, compute_uv=False)[-1] > 0
         res = (abs(float(np.linalg.det(g)) - 1.0) / det_scale
                if regular and np.isfinite(det_scale) else np.inf)
-    for unit in imaginary_units(model.field):
+    for unit in np.eye(model.field.dim)[1:]:
         r = right_multiplication_operator(model.field, model.ambient, unit)
         res = max(res, float(np.abs(g @ r - r @ g).max()) / max(matrix_scale(g), 1.0))
     return res

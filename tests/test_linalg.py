@@ -10,11 +10,13 @@ from flexcheck.linalg import (
     nullspace,
     orthonormal_columns,
     rank,
+    relative_residual,
     span_and_kernel,
     spectral_norms,
 )
 from flexcheck.liealg import build_classical
 from flexcheck.scalars import Field, realify
+from reference import components
 
 
 def test_nullspace_zero_and_identity():
@@ -22,6 +24,15 @@ def test_nullspace_zero_and_identity():
     assert nullspace(np.eye(3)).shape == (3, 0)
     with pytest.raises(NumericalAbort):
         nullspace(np.zeros((3, 0)))
+
+
+def test_a_nan_residual_fails_every_check():
+    # NaN > tol is false for every tol, so a NaN entry, or inf / inf, must read inf
+    assert relative_residual(np.array([np.nan, 0.0]), np.ones(2)) == np.inf
+    assert relative_residual(np.array([1.0]), np.array([np.nan])) == np.inf
+    assert relative_residual(np.array([np.inf]), np.array([np.inf])) == np.inf
+    rows = relative_residual(np.array([[np.nan, 1.0], [3.0, 0.0]]), np.full((2, 2), 2.0), axis=1)
+    assert list(rows) == [np.inf, 1.5]
 
 
 def test_nullspace_rank_one_outer(rng):
@@ -65,7 +76,7 @@ def test_simultaneous_empty_ops():
 
 def test_simultaneous_su21_example():
     su21 = build_classical("su", 2, 1)
-    z = realify(np.diag([-2j, 1j, 1j]), Field.COMPLEX)
+    z = realify(components(np.diag([-2j, 1j, 1j])), Field.COMPLEX)
     adz = su21.ad(su21.coords(z))
     spaces = _eigenspaces([adz])
     dims = {}

@@ -11,7 +11,7 @@ from flexcheck.liealg import build_classical, subalgebra_from_matrices
 from flexcheck.roots import decompose
 from flexcheck.scalars import Field, realify
 from flexcheck.surface import _expm, surface_representation
-from reference import bracket_coords, root_eigenspace, torus_gram
+from reference import bracket_coords, components, root_eigenspace, torus_gram
 
 # every catalog case with roots, two conjugates at scale 1.0 (g = exp(X), X
 # with normal coefficients, so that ad of the torus is far from normal) and
@@ -82,7 +82,7 @@ def test_su21_decomposition(case_pipeline):
     r = dec.roots[0]
     assert r.classification == "imaginary"
     assert r.real_dim == 4 and r.complex_dim == 2
-    zmat = realify(np.diag([-2j, 1j, 1j]), Field.COMPLEX)
+    zmat = realify(components(np.diag([-2j, 1j, 1j])), Field.COMPLEX)
     val = _value_at(c, r, zmat)
     assert abs(abs(val.imag) - 3.0) < 1e-8 and abs(val.real) < 1e-8
     # full root list, the nonzero eigenvalues of ad(t), comes in +- pairs

@@ -21,7 +21,7 @@ from flexcheck.surface import (
     surface_representation,
 )
 from flexcheck.toledo import root_cohomology
-from reference import bracket_coords, cup_square, invariant_vectors, killing_form
+from reference import bracket_coords, components, cup_square, invariant_vectors, killing_form
 
 
 def test_standard_presentation():
@@ -344,8 +344,8 @@ def test_cup_pairing_shapes(fuchsian, case_pipeline):
 def test_central_lift_flag():
     # [i, j] = -1 in the unit quaternions realized inside SU(2) = su(2,0)-group
     model = build_classical("su", 2, 0)
-    qi = realify(np.array([[1j, 0], [0, -1j]]), Field.COMPLEX)
-    qj = realify(np.array([[0.0 + 0j, 1.0], [-1.0, 0.0]]), Field.COMPLEX)
+    qi = realify(components([[1j, 0], [0, -1j]]), Field.COMPLEX)
+    qj = realify(components([[0.0, 1.0], [-1.0, 0.0]]), Field.COMPLEX)
     eye = np.eye(4)
     images = [qi, qj, eye, eye]
     rel = relator_prefixes(standard_presentation(2), images)[-1]

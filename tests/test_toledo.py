@@ -13,7 +13,7 @@ from flexcheck.surface import (
     surface_representation,
 )
 from flexcheck.toledo import root_cohomology, root_form, symplectic_form_report
-from reference import lagrangian_pair_check, scan_invariant_lagrangians, signature, splitso
+from reference import components, lagrangian_pair_check, scan_invariant_lagrangians, signature, splitso
 
 
 def test_fuchsian_standard_module_signature(fuchsian):
@@ -215,7 +215,7 @@ def test_root_form_rejects_invariant_vectors(models):
     # trivial representation: the root module has H^0 != 0
     m = models["su21"]
     from flexcheck.scalars import Field, realify
-    z = realify(np.diag([-2j, 1j, 1j]), Field.COMPLEX)
+    z = realify(components(np.diag([-2j, 1j, 1j])), Field.COMPLEX)
     torus = subalgebra_from_matrices(m, [z])
     dec = decompose(m, torus)
     rep = surface_representation(standard_presentation(2), m,
