@@ -113,8 +113,8 @@ def _parse_matrix(rows: list, field: Field, where: str) -> np.ndarray:
     return realify(np.array(rows, float), field)
 
 
-def load_problem(args) -> dict:
-    """Resolve CLI flags / input file into a problem description."""
+def load_problem(args) -> tuple[Pipeline, str]:
+    """Resolve CLI flags / input file into the problem's pipeline and its source."""
     tol = DEFAULT
     if args.tol_rank is not None:
         tol = replace(tol, rank=args.tol_rank)
@@ -125,7 +125,7 @@ def load_problem(args) -> dict:
         raise ParseError("give either --catalog or --input, not both")
     if args.catalog:
         rep = build_case_representation(args.catalog, genus=args.genus, tol=tol)
-        return {"rep": rep, "tol": tol, "source": f"catalog:{args.catalog}"}
+        return Pipeline(rep, tol), f"catalog:{args.catalog}"
     if not args.input:
         raise ParseError("a problem is required: --catalog NAME or --input FILE")
 
@@ -160,37 +160,33 @@ def load_problem(args) -> dict:
               for i, g in enumerate(repdoc["generators"])]
     rep = surface_representation(standard_presentation(genus), model, images,
                                  central_lift=repdoc.get("central_lift", False), tol=tol)
-    return {"rep": rep, "tol": tol, "source": "matrices"}
+    return Pipeline(rep, tol), "matrices"
 
 
 # ---------------------------------------------------------------------------
 # Report assembly (fixed field order, floats rounded to 12 significant digits)
 # ---------------------------------------------------------------------------
 
-def _provenance(problem) -> dict:
-    tol = problem["tol"]
+def _header(pipe, source: str, genus: bool = True) -> dict:
+    tol = pipe.tol
     return {
-        "tool": "flexcheck",
-        "version": __version__,
-        "source": problem["source"],
-        "tolerances": {"rank": round12(tol.rank), "cluster": round12(tol.cluster),
-                       "relator": round12(tol.relator), "gram": round12(tol.gram)},
+        "provenance": {
+            "tool": "flexcheck",
+            "version": __version__,
+            "source": source,
+            "tolerances": {"rank": round12(tol.rank), "cluster": round12(tol.cluster),
+                           "relator": round12(tol.relator), "gram": round12(tol.gram)},
+        },
+        "group": pipe.rep.model.name,
+        **({"genus": pipe.rep.presentation.genus} if genus else {}),
     }
 
 
-def _header(problem) -> dict:
-    rep = problem["rep"]
-    return {"provenance": _provenance(problem), "group": rep.model.name,
-            "genus": rep.presentation.genus}
-
-
-def _decomposition_report(problem) -> dict:
-    pipe = Pipeline(problem["rep"], problem["tol"])
+def _decomposition_report(pipe, args) -> dict:
     roots = [{"values": [_cnum(v) for v in r.values], "classification": r.classification,
               "complex_dim": r.complex_dim, "real_dim": r.real_dim,
               "t_vector": [_cnum(v) for v in r.t_vector]} for r in pipe.decomposition.roots]
     return {
-        **_header(problem),
         "centralizer_dim": pipe.z.dim,
         "torus_dim": pipe.center.dim,
         "g0_dim": pipe.decomposition.g0_dim,
@@ -198,8 +194,7 @@ def _decomposition_report(problem) -> dict:
     }
 
 
-def _cohomology_report(problem) -> dict:
-    pipe = Pipeline(problem["rep"], problem["tol"])
+def _cohomology_report(pipe, args) -> dict:
     roots = pipe.decomposition.roots    # the center first: non-reductive input is inconclusive
     ws = cohomology(pipe.rep, pipe.adjoint, pipe.tol)
     adjoint = {"h0": ws.h0_dim, "h1": ws.h1_dim, "h2": ws.h2_dim,
@@ -207,31 +202,7 @@ def _cohomology_report(problem) -> dict:
     roots = [{"values": [_cnum(v) for v in r.values], "dim": r.real_dim,
               "h0": w.h0_dim, "h1": w.h1_dim, "h2": w.h2_dim}
              for r, w in zip(roots, pipe.workspaces)]
-    return {**_header(problem), "adjoint": adjoint, "root_modules": roots}
-
-
-def _standard_module_report(problem) -> dict:
-    """Meyer signature of the standard symplectic module (real 2x2 / sp(2n,R))."""
-    rep = problem["rep"]
-    tol = problem["tol"]
-    model = rep.model
-    if model.family == "sl" and model.ambient == 2:
-        omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    elif model.family == "spr":
-        omega = model.form
-    else:
-        raise ParseError(
-            "--standard-module needs an sl(2,R) or sp(2n,R) ambient group")
-    form = symplectic_form_report(cohomology(rep, rep.images, tol), omega, tol)
-    return {
-        **_header(problem),
-        "module": "standard",
-        "h1_dim": form.h1_dim,
-        "signature": form.signature,
-        "toledo": form.toledo,
-        "milnor_wood_bound": form.milnor_wood_bound,
-        "milnor_wood_slack": form.milnor_wood_slack,
-    }
+    return {"adjoint": adjoint, "root_modules": roots}
 
 
 def _root_entry(rr, *keys: str) -> dict:
@@ -241,13 +212,31 @@ def _root_entry(rr, *keys: str) -> dict:
             "toledo": rr.toledo, "definite": rr.definite, **{k: getattr(rr, k) for k in keys}}
 
 
-def _toledo_report(problem, root_index: int | None) -> dict:
-    pipe = Pipeline(problem["rep"], problem["tol"])
+def _toledo_report(pipe, args) -> dict:
+    if args.standard_module:            # Meyer signature of the standard symplectic module
+        model = pipe.rep.model
+        if model.family == "sl" and model.ambient == 2:
+            omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        elif model.family == "spr":
+            omega = model.form
+        else:
+            raise ParseError(
+                "--standard-module needs an sl(2,R) or sp(2n,R) ambient group")
+        form = symplectic_form_report(cohomology(pipe.rep, pipe.rep.images, pipe.tol), omega,
+                                      pipe.tol)
+        return {
+            "module": "standard",
+            "h1_dim": form.h1_dim,
+            "signature": form.signature,
+            "toledo": form.toledo,
+            "milnor_wood_bound": form.milnor_wood_bound,
+            "milnor_wood_slack": form.milnor_wood_slack,
+        }
     n = len(pipe.decomposition.roots)
-    if root_index is not None and not (0 <= root_index < n):
-        raise ParseError(f"--root {root_index} out of range; decomposition has {n} root(s)")
-    forms = pipe.forms if root_index is None else (pipe.forms[root_index],)
-    return {**_header(problem), "roots": [
+    if args.root is not None and not (0 <= args.root < n):
+        raise ParseError(f"--root {args.root} out of range; decomposition has {n} root(s)")
+    forms = pipe.forms if args.root is None else (pipe.forms[args.root],)
+    return {"roots": [
         _root_entry(rr, "milnor_wood_bound", "milnor_wood_slack", "status") for rr in forms]}
 
 
@@ -260,12 +249,9 @@ def _certificate(balance) -> dict:
     return {"kind": kind} if values is None else {"kind": kind, key: [round12(x) for x in values]}
 
 
-def _balanced_report(problem) -> dict:
-    pipe = Pipeline(problem["rep"], problem["tol"])
+def _balanced_report(pipe, args) -> dict:
     forms, n_values, _ = pipe.split
     return {
-        "provenance": _provenance(problem),
-        "group": pipe.rep.model.name,
         "torus_dim": pipe.center.dim,
         "P": [[_cnum(v) for v in rr.root.values] for rr in forms if rr.in_P],
         "N": [[_cnum(v) for v in vals] for vals in n_values],
@@ -275,11 +261,10 @@ def _balanced_report(problem) -> dict:
     }
 
 
-def _verdict_report(problem) -> dict:
-    rv = verdict(problem["rep"], problem["tol"])
+def _verdict_report(pipe, args) -> dict:
+    rv = verdict(pipe.rep, pipe.tol)
     roots = [_root_entry(rr, "milnor_wood_slack", "in_P") for rr in rv.roots]
     return {
-        **_header(problem),
         "genus_threshold": rv.genus_threshold,
         "centralizer_dim": rv.centralizer_dim,
         "reductive": rv.reductive,
@@ -293,8 +278,10 @@ def _verdict_report(problem) -> dict:
     }
 
 
+# Each problem subcommand's report body, (pipeline, args) -> dict, in help order.
 REPORTS = {"decompose": _decomposition_report, "cohomology": _cohomology_report,
-           "balanced": _balanced_report, "verdict": _verdict_report}
+           "toledo": _toledo_report, "balanced": _balanced_report, "verdict": _verdict_report}
+EXIT_CODES = {"rigid": EXIT_RIGID, "inconclusive": EXIT_INCONCLUSIVE}
 
 
 def _catalog_report() -> dict:
@@ -408,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=f"Problem JSON schema: {schema_path()}")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in ("decompose", "cohomology", "toledo", "balanced", "verdict"):
+    for name in REPORTS:
         sub = subs.add_parser(name)
         _add_common(sub)
         if name == "toledo":
@@ -427,12 +414,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "catalog":
             report = _catalog_report()
-        elif args.command == "toledo":
-            problem = load_problem(args)
-            report = (_standard_module_report(problem) if args.standard_module
-                      else _toledo_report(problem, args.root))
         else:
-            report = REPORTS[args.command](load_problem(args))
+            pipe, source = load_problem(args)
+            report = {**_header(pipe, source, genus=args.command != "balanced"),
+                      **REPORTS[args.command](pipe, args)}
     except (NumericalAbort, np.linalg.LinAlgError) as exc:
         print(f"flexcheck: numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -450,10 +435,7 @@ def main(argv=None) -> int:
         # the reader has gone: keep the report's exit code, and point stdout
         # at devnull so that the interpreter's final flush stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    if args.command == "verdict":
-        return {"flexible": EXIT_OK, "rigid": EXIT_RIGID,
-                "inconclusive": EXIT_INCONCLUSIVE}[report["verdict"]]
-    return EXIT_OK
+    return EXIT_CODES.get(report.get("verdict"), EXIT_OK)
 
 
 if __name__ == "__main__":
