@@ -32,6 +32,8 @@ EXIT_PARSE = 2
 EXIT_NUMERICAL = 3
 EXIT_RIGID = 10
 EXIT_INCONCLUSIVE = 11
+# a verdict report's exit code; every other report exits EXIT_OK
+VERDICT_EXIT = {"flexible": EXIT_OK, "rigid": EXIT_RIGID, "inconclusive": EXIT_INCONCLUSIVE}
 
 
 def schema_path() -> str:
@@ -167,7 +169,7 @@ def load_problem(args) -> tuple[Pipeline, str]:
 # Report assembly (fixed field order, floats rounded to 12 significant digits)
 # ---------------------------------------------------------------------------
 
-def _header(pipe, source: str, genus: bool = True) -> dict:
+def _header(pipe, source: str) -> dict:
     tol = pipe.tol
     return {
         "provenance": {
@@ -178,7 +180,7 @@ def _header(pipe, source: str, genus: bool = True) -> dict:
                            "relator": round12(tol.relator), "gram": round12(tol.gram)},
         },
         "group": pipe.rep.model.name,
-        **({"genus": pipe.rep.presentation.genus} if genus else {}),
+        "genus": pipe.rep.presentation.genus,
     }
 
 
@@ -281,7 +283,6 @@ def _verdict_report(pipe, args) -> dict:
 # Each problem subcommand's report body, (pipeline, args) -> dict, in help order.
 REPORTS = {"decompose": _decomposition_report, "cohomology": _cohomology_report,
            "toledo": _toledo_report, "balanced": _balanced_report, "verdict": _verdict_report}
-EXIT_CODES = {"rigid": EXIT_RIGID, "inconclusive": EXIT_INCONCLUSIVE}
 
 
 def _catalog_report() -> dict:
@@ -326,9 +327,8 @@ def render_text(command: str, report: dict) -> str:
                 f"  center {c['center_dim']}  expected {c['expected_verdict']}{mark}")
         return "\n".join(lines)
 
-    prov = report.get("provenance", {})
-    lines.append(f"flexcheck {prov.get('version', '')} {command} on {report.get('group', '')} "
-                 f"(genus {report.get('genus', '?')})")
+    lines.append(f"flexcheck {report['provenance']['version']} {command} on {report['group']} "
+                 f"(genus {report['genus']})")
     if command == "decompose":
         lines.append(f"centralizer dim {report['centralizer_dim']}, torus dim "
                      f"{report['torus_dim']}, g0 dim {report['g0_dim']}")
@@ -416,8 +416,7 @@ def main(argv=None) -> int:
             report = _catalog_report()
         else:
             pipe, source = load_problem(args)
-            report = {**_header(pipe, source, genus=args.command != "balanced"),
-                      **REPORTS[args.command](pipe, args)}
+            report = {**_header(pipe, source), **REPORTS[args.command](pipe, args)}
     except (NumericalAbort, np.linalg.LinAlgError) as exc:
         print(f"flexcheck: numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -435,7 +434,7 @@ def main(argv=None) -> int:
         # the reader has gone: keep the report's exit code, and point stdout
         # at devnull so that the interpreter's final flush stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return EXIT_CODES.get(report.get("verdict"), EXIT_OK)
+    return VERDICT_EXIT.get(report.get("verdict"), EXIT_OK)
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ field, and the module constants are the checks no caller reaches.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, fields
 
@@ -38,7 +39,8 @@ class Tolerances:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if not TOLERANCE_FLOOR <= value < math.inf:        # NaN fails too
+            # NaN fails too
+            if not (isinstance(value, numbers.Real) and TOLERANCE_FLOOR <= value < math.inf):
                 raise FlexcheckError(
                     f"tolerance {f.name} = {value!r} must be a finite number, not below the "
                     f"floor {TOLERANCE_FLOOR:.1e} (100 units of double rounding)")

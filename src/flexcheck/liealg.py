@@ -68,11 +68,17 @@ class LieAlgebraModel:
 
     def matrix(self, coords: np.ndarray) -> np.ndarray:
         """Matrix of a coordinate vector; a (k, dim) block gives a (k, N, N) stack."""
+        if np.shape(coords)[-1:] != (self.dim,):
+            raise FlexcheckError(f"coordinates on {self.name} have length {self.dim}, "
+                                 f"got shape {np.shape(coords)}")
         return np.tensordot(coords, self.basis, axes=(-1, 0))
 
     def coords(self, mat: np.ndarray, tol: float = MODEL_SPAN) -> np.ndarray:
         """Coordinates of a matrix; a (k, N, N) stack gives a (k, dim) block."""
         mat = np.asarray(mat)
+        n = self.realified_size
+        if mat.shape[-2:] != (n, n):
+            raise FlexcheckError(f"matrices of {self.name} are {n} x {n}, got {mat.shape}")
         if not np.isfinite(mat).all():
             raise NumericalAbort("a matrix with a NaN or inf entry has no model coordinates")
         vec = mat.reshape(*mat.shape[:-2], -1)
@@ -181,6 +187,11 @@ class SubalgebraHandle:
 
     model: LieAlgebraModel
     coords: np.ndarray          # (k, dim)
+
+    def __post_init__(self) -> None:
+        if np.ndim(self.coords) != 2 or np.shape(self.coords)[1] != self.model.dim:
+            raise FlexcheckError(f"subalgebra coordinates on {self.model.name} must be (k, "
+                                 f"{self.model.dim}), got shape {np.shape(self.coords)}")
 
     @property
     def dim(self) -> int:
@@ -328,10 +339,10 @@ def build_classical(family: str, *params: int, tol: Tolerances = DEFAULT) -> Lie
             f"(dim^2 N^2), over the budget {BRACKET_BUDGET}")
 
     model = _construct(family, *params)
-    if family != "spr":  # all listed families are semisimple; Cartan self-check
-        kr = singular_rank(model._killing_sv, tol.rank)
-        if kr != model.dim:
-            raise NumericalAbort(f"{model.name}: Killing matrix is singular (rank {kr})")
+    # every listed family is semisimple: Cartan's criterion is a self-check
+    kr = singular_rank(model._killing_sv, tol.rank)
+    if kr != model.dim:
+        raise NumericalAbort(f"{model.name}: Killing matrix is singular (rank {kr})")
     return model
 
 
@@ -422,6 +433,9 @@ def centralizer(
     coordinates, as ``adjoint_group_matrix`` returns it; an empty stack
     gives the whole algebra.
     """
+    if np.size(adjoint) and np.shape(adjoint)[-2:] != (model.dim, model.dim):
+        raise FlexcheckError(f"Ad matrices on {model.name} are {model.dim} x {model.dim}, "
+                             f"got shape {np.shape(adjoint)}")
     ops = np.reshape(adjoint, (-1, model.dim, model.dim)) - np.eye(model.dim)
     # sigma_max of the stacked operator bounds each operator's, so only the floor 1 is left
     kern = nullspace(np.reshape(ops, (-1, model.dim)), tol.rank, scale=1.0)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT, NumericalAbort, Tolerances
+from .config import DEFAULT, FlexcheckError, NumericalAbort, Tolerances
 
 
 def spectral_norms(a: np.ndarray) -> np.ndarray:
@@ -57,6 +57,8 @@ def singular_rank(s: np.ndarray, tol: float = DEFAULT.rank, scale: float = 0.0) 
 
 def _svd(a: np.ndarray, **kwargs):
     """``np.linalg.svd`` of a finite matrix: it fails to converge on NaN, gives NaN on inf."""
+    if a.ndim != 2:
+        raise FlexcheckError(f"singular values need a matrix, got an array of shape {a.shape}")
     if not np.isfinite(a).all():
         raise NumericalAbort("the singular values of a non-finite matrix are undefined")
     return np.linalg.svd(a, **kwargs)
@@ -146,21 +148,21 @@ def joint_eigenspace(ops: np.ndarray, values, width: int, tol: Tolerances,
                      scale: float) -> np.ndarray:
     """Orthonormal basis of the joint eigenspace of an ``(r, n, n)`` stack at ``values``.
 
-    One thin SVD of the stacked ``op_i - values_i I``, cut as a cluster
-    (``tol.cluster * scale``, floored by ``tol.rank``); real values keep a
-    real kernel.  A kernel thinner than ``width`` means a defective operator.
+    The :func:`nullspace` of the stacked ``op_i - values_i I``, cut as a
+    cluster (``tol.cluster * scale``, floored by ``tol.rank``); real values
+    keep a real kernel.  A kernel thinner than ``width`` means a defective
+    operator.
     """
     values = np.asarray(values)
     if not values.imag.any():
         values = values.real
     n = ops.shape[-1]
-    _, s, vh = np.linalg.svd((ops - values[:, None, None] * np.eye(n)).reshape(-1, n),
-                             full_matrices=False)
-    kernel = vh[singular_rank(s, max(tol.rank, tol.cluster * scale / max(scale, 1.0)), scale):]
-    if len(kernel) < width:
+    kernel = nullspace((ops - values[:, None, None] * np.eye(n)).reshape(-1, n),
+                       max(tol.rank, tol.cluster * scale / max(scale, 1.0)), scale)
+    if kernel.shape[1] < width:
         raise NumericalAbort(f"defective operator: eigenvalue {np.round(values, 6)} has "
-                             f"geometric multiplicity {len(kernel)} < algebraic {width}")
-    return kernel[:width].conj().T
+                             f"geometric multiplicity {kernel.shape[1]} < algebraic {width}")
+    return kernel[:, :width]
 
 
 def joint_eigenvalues(ops: np.ndarray, tol: Tolerances, scale: float) -> list[tuple[tuple, int]]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, FlexcheckError, NumericalAbort, Tolerances
+from .config import DEFAULT, NumericalAbort, Tolerances
 from .liealg import LieAlgebraModel, SubalgebraHandle
 from .linalg import (joint_eigenspace, joint_eigenvalues, relative_residual, singular_rank,
                      value_keys)
@@ -56,9 +56,6 @@ def decompose(
     """
     r = torus.dim
     dim = model.dim
-    if torus.coords.shape[-1] != dim:
-        raise FlexcheckError(f"torus coordinates have width {torus.coords.shape[-1]}, not "
-                             f"the dimension {dim} of {model.name}")
     if r == 0:
         return TorusRootDecomposition(dim, ())
 

@@ -63,8 +63,12 @@ class SurfaceRepresentation:
 def relator_prefixes(presentation: SurfaceGroupPresentation, images: np.ndarray) -> list:
     """Products of the relator's first k letters, k = 0..4g; the last is the relator.
 
-    ``images`` is the (2g, m, m) stack of generator actions.
+    ``images`` is the (2g, m, m) stack of generator actions; any other
+    count raises FlexcheckError.
     """
+    if len(images) != presentation.generator_count:
+        raise FlexcheckError(f"need {presentation.generator_count} generator actions, "
+                             f"got {len(images)}")
     try:
         invs = np.linalg.inv(images)
     except np.linalg.LinAlgError as exc:
@@ -115,9 +119,16 @@ def surface_representation(
     if len(images) != ngen:
         raise FlexcheckError(f"need {ngen} generator images, got {len(images)}")
     for i, g in enumerate(images):
-        if np.shape(g) != (n, n):
-            raise FlexcheckError(f"generator image {i} has shape {np.shape(g)}, not the "
+        try:
+            shape = np.shape(g)
+        except ValueError:  # ragged rows
+            shape = "ragged"
+        if shape != (n, n):
+            raise FlexcheckError(f"generator image {i} has shape {shape}, not the "
                                  f"realified size {(n, n)} of {model.name}")
+    dtype = np.asarray(images).dtype
+    if dtype.kind not in "biuf":
+        raise FlexcheckError(f"generator images must be real numbers, got {dtype}")
     images = np.array(images, dtype=float)
     images.flags.writeable = False
     bad = np.flatnonzero(~np.isfinite(images).all(axis=(-2, -1)))
@@ -263,8 +274,6 @@ def cohomology(rep: SurfaceRepresentation, actions: np.ndarray,
     """
     pres = rep.presentation
     ngen, m = pres.generator_count, actions.shape[-1]
-    if len(actions) != ngen:
-        raise FlexcheckError("module action count does not match generator count")
     eye = np.eye(m)
 
     prefixes, fox, relator_map = _fox_calculus(pres, actions)
@@ -324,9 +333,16 @@ def cup_pairing(
     (A_k the letter-k Fox block, S_k the sum of the A_j with j < k),
     evaluated without forming C.  A vector pair gives a scalar (length-K
     vector for a stack), a block pair a (ku, kv) matrix ((K, ku, kv)); a
-    vector on one side drops that side's axis.
+    vector on one side drops that side's axis.  Any other shape raises
+    FlexcheckError.
     """
     omega, u, v = np.asarray(omega), np.asarray(u), np.asarray(v)
+    m, width = ws.module_dim, ws.relator_map.shape[1]
+    if omega.ndim not in (2, 3) or omega.shape[-2:] != (m, m):
+        raise FlexcheckError(f"omega must be ({m}, {m}) or (K, {m}, {m}), got {omega.shape}")
+    if any(w.ndim not in (1, 2) or len(w) != width for w in (u, v)):
+        raise FlexcheckError(f"cocycles must be ({width},) or ({width}, k), got "
+                             f"{u.shape} and {v.shape}")
     same = v is u                      # a Gram matrix: check and build u's blocks once
     _check_invariant_form(ws, omega)
     for w in (u,) if same else (u, v):

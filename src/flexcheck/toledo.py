@@ -39,8 +39,8 @@ class RootFormReport:
     status: str = "ok"                # "ok" | "degenerate"
 
     @property
-    def classification(self) -> str:
-        return self.root.classification
+    def classification(self) -> str | None:
+        return None if self.root is None else self.root.classification
 
     @property
     def signature(self) -> int | None:

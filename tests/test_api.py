@@ -32,10 +32,12 @@ from flexcheck.catalog import build_case_representation
 from flexcheck.cli import _JSON_TYPES, _validate
 from flexcheck.config import DEFAULT, FlexcheckError, ParseError, Tolerances
 from flexcheck.engine import NON_REDUCTIVE_MESSAGE, BalanceProblem, Pipeline, _phase1, balanced
-from flexcheck.liealg import LieAlgebraModel, SubalgebraHandle, build_classical, conjugation_limit
-from flexcheck.linalg import nullspace, rank
+from flexcheck.liealg import (LieAlgebraModel, SubalgebraHandle, build_classical, centralizer,
+                              conjugation_limit, killing_restriction_nondegenerate)
+from flexcheck.linalg import nullspace, orthonormal_columns, rank
 from flexcheck.roots import decompose
-from flexcheck.surface import correct_relator
+from flexcheck.surface import (cohomology, correct_relator, cup_pairing, fuchsian_genus2,
+                               standard_presentation, surface_representation)
 
 PACKAGE = Path(flexcheck.__file__).parent
 
@@ -524,6 +526,18 @@ def _sl2():
     return build_classical("sl", 2)
 
 
+def _images(images):
+    """A genus-2 representation into SL(2,R) from four generator images."""
+    return surface_representation(standard_presentation(2), _sl2(), images)
+
+
+def _octagon_cup(omega=((0.0, 1.0), (-1.0, 0.0)), u=None):
+    """The cup pairing of the octagon group's standard module, H^1 against H^1 by default."""
+    rep = fuchsian_genus2()
+    ws = cohomology(rep, rep.images)
+    return cup_pairing(ws, omega, ws.h1 if u is None else u, ws.h1)
+
+
 NUMPY_ERRORS = {
     "balanced-short-vector": lambda: balanced(BalanceProblem(2, (np.array([1.0]),), ())),
     "conjugation_limit-size-mismatch": lambda: conjugation_limit(np.eye(3), np.eye(2)),
@@ -540,6 +554,21 @@ NUMPY_ERRORS = {
     "rank-nan": lambda: rank(np.array([[np.nan, 1.0], [1.0, 1.0]])),
     "rank-inf": lambda: rank(np.array([[np.inf, 1.0], [1.0, 1.0]])),
     "decompose-wrong-width": lambda: decompose(_sl2(), SubalgebraHandle(_sl2(), np.ones((1, 2)))),
+    "surface_representation-strings": lambda: _images([[["a", "b"], ["c", "d"]]] * 4),
+    "surface_representation-ragged": lambda: _images([[[1.0, 0.0], [0.0]]] * 4),
+    "surface_representation-complex": lambda: _images([np.eye(2) * 1j] * 4),
+    "killing_restriction_nondegenerate-wrong-width": lambda: killing_restriction_nondegenerate(
+        _sl2(), SubalgebraHandle(_sl2(), np.ones((1, 2)))),
+    "centralizer-wrong-size": lambda: centralizer(_sl2(), np.zeros((2, 4, 4))),
+    "coords-wrong-size": lambda: _sl2().coords(np.ones((3, 3))),
+    "matrix-wrong-length": lambda: _sl2().matrix(np.ones(2)),
+    "cup_pairing-wrong-omega": lambda: _octagon_cup(omega=np.eye(3)),
+    "cup_pairing-wrong-cocycle-length": lambda: _octagon_cup(u=np.ones(3)),
+    "rank-vector": lambda: rank(np.ones(3)),
+    "orthonormal_columns-vector": lambda: orthonormal_columns(np.ones(3)),
+    "correct_relator-too-few-images": lambda: correct_relator([np.eye(2)] * 3,
+                                                              standard_presentation(2), _sl2()),
+    "Tolerances-string": lambda: Tolerances(rank="a"),
 }
 
 

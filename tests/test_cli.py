@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import flexcheck
-from flexcheck.cli import main, round12, schema_path
+from flexcheck.cli import REPORTS, build_parser, main, round12, schema_path
 
 
 def run_cli(capsys, *argv):
@@ -124,6 +125,30 @@ def test_balanced_output(capsys):
     doc = json.loads(out)
     assert doc["balanced"] is False
     assert doc["certificate"]["kind"] == "separating_functional"
+
+
+# every problem subcommand on a catalog case and on an input file (the
+# octagon group in SL(2,R)), and the standard-module view, which needs one
+HEADER_RUNS = ([("catalog", name) for name in REPORTS] + [("input", name) for name in REPORTS]
+               + [("input", "toledo --standard-module")])
+
+
+@pytest.mark.parametrize("source, command", HEADER_RUNS)
+def test_every_problem_report_starts_with_the_common_header(tmp_path, capsys, source, command):
+    from flexcheck.surface import fuchsian_genus2
+    if source == "catalog":
+        problem, want_source = ["--catalog", "su21-cline"], "catalog:su21-cline"
+    else:
+        path = _real_problem(tmp_path, "sl", [2], fuchsian_genus2().images)
+        problem, want_source = ["--input", str(path)], "matrices"
+    code, out, _ = run_cli(capsys, *command.split(), *problem, "--format", "json")
+    doc = json.loads(out)
+    assert list(doc)[:3] == ["provenance", "group", "genus"]
+    assert doc["provenance"]["source"] == want_source and doc["genus"] == 2
+    assert doc["group"] == ("su(2,1)" if source == "catalog" else "sl(2,R)")
+    code, out, _ = run_cli(capsys, *command.split(), *problem)
+    head = f"flexcheck {flexcheck.__version__} {command.split()[0]} on {doc['group']} (genus 2)"
+    assert out.splitlines()[0] == head
 
 
 def test_json_roundtrip_byte_identical(capsys):
@@ -420,6 +445,19 @@ def test_the_readme_problem_file_runs(tmp_path, capsys):
     path.write_text(block)
     code, out, _ = run_cli(capsys, "verdict", "--input", str(path), "--format", "json")
     assert code == 11 and json.loads(out)["reductive"] is False
+
+
+def test_the_readme_documents_the_parser():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    parser = build_parser()
+    (subs,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    listed = re.search(r"^Subcommands: (.*?)\.", section, re.M | re.S).group(1)
+    assert re.findall(r"`(\w+)`", listed) == list(subs)
+    options = {s for p in (parser, *subs.values()) for a in p._actions for s in a.option_strings}
+    named = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", section))
+    assert options - named == set(), "options the Command line section does not name"
+    assert {f for f in named if f.startswith("--")} - options == set(), "flags that do not exist"
 
 
 def test_a_problem_without_genus_takes_the_genus_flag(tmp_path, capsys):

@@ -35,6 +35,13 @@ def test_fuchsian_standard_module_signature(fuchsian):
     assert degenerate.signature is degenerate.toledo is degenerate.milnor_wood_slack is None
 
 
+def test_a_standard_module_report_has_no_root_class(fuchsian):
+    # the standard module is not a root space: no class, and never in P
+    ws = cohomology(fuchsian, fuchsian.images)
+    form = symplectic_form_report(ws, np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    assert form.root is None and form.classification is None and form.in_P is False
+
+
 def test_su21_root_form(case_pipeline):
     rep, z, c, dec = case_pipeline("su21-cline")
     rr = root_form(root_cohomology(rep, adjoint_module(rep), dec.roots[0]), dec.roots[0])
