@@ -39,8 +39,8 @@ class Tolerances:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            # NaN fails too
-            if not (isinstance(value, numbers.Real) and TOLERANCE_FLOOR <= value < math.inf):
+            if not (isinstance(value, numbers.Real)
+                    and TOLERANCE_FLOOR <= value < math.inf):       # NaN fails too
                 raise FlexcheckError(
                     f"tolerance {f.name} = {value!r} must be a finite number, not below the "
                     f"floor {TOLERANCE_FLOOR:.1e} (100 units of double rounding)")

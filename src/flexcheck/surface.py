@@ -126,10 +126,10 @@ def surface_representation(
         if shape != (n, n):
             raise FlexcheckError(f"generator image {i} has shape {shape}, not the "
                                  f"realified size {(n, n)} of {model.name}")
-    dtype = np.asarray(images).dtype
-    if dtype.kind not in "biuf":
-        raise FlexcheckError(f"generator images must be real numbers, got {dtype}")
-    images = np.array(images, dtype=float)
+    images = np.array(images)
+    if images.dtype.kind not in "biuf":
+        raise FlexcheckError(f"generator images must be real numbers, got {images.dtype}")
+    images = images.astype(float, copy=False)
     images.flags.writeable = False
     bad = np.flatnonzero(~np.isfinite(images).all(axis=(-2, -1)))
     if bad.size:

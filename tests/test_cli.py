@@ -141,12 +141,12 @@ def test_every_problem_report_starts_with_the_common_header(tmp_path, capsys, so
     else:
         path = _real_problem(tmp_path, "sl", [2], fuchsian_genus2().images)
         problem, want_source = ["--input", str(path)], "matrices"
-    code, out, _ = run_cli(capsys, *command.split(), *problem, "--format", "json")
+    _, out, _ = run_cli(capsys, *command.split(), *problem, "--format", "json")
     doc = json.loads(out)
     assert list(doc)[:3] == ["provenance", "group", "genus"]
     assert doc["provenance"]["source"] == want_source and doc["genus"] == 2
     assert doc["group"] == ("su(2,1)" if source == "catalog" else "sl(2,R)")
-    code, out, _ = run_cli(capsys, *command.split(), *problem)
+    _, out, _ = run_cli(capsys, *command.split(), *problem)
     head = f"flexcheck {flexcheck.__version__} {command.split()[0]} on {doc['group']} (genus 2)"
     assert out.splitlines()[0] == head
 
