@@ -198,9 +198,11 @@ def _decomposition_report(pipe, args) -> dict:
 
 def _cohomology_report(pipe, args) -> dict:
     roots = pipe.decomposition.roots    # the center first: non-reductive input is inconclusive
-    ws = cohomology(pipe.rep, pipe.adjoint, pipe.tol)
-    adjoint = {"h0": ws.h0_dim, "h1": ws.h1_dim, "h2": ws.h2_dim,
-               "z1": int(ws.z1.shape[1]), "b1": int(ws.b1.shape[1])}
+    # H^0 of the adjoint module is the centralizer, and H^2 its dual by the
+    # nondegenerate Killing form; the Euler characteristic gives h1
+    h0, dim = pipe.z.dim, pipe.rep.model.dim
+    h1 = 2 * h0 - pipe.rep.presentation.euler_characteristic * dim
+    adjoint = {"h0": h0, "h1": h1, "h2": h0, "z1": h1 + dim - h0, "b1": dim - h0}
     roots = [{"values": [_cnum(v) for v in r.values], "dim": r.real_dim,
               "h0": w.h0_dim, "h1": w.h1_dim, "h2": w.h2_dim}
              for r, w in zip(roots, pipe.workspaces)]

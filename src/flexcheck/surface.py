@@ -242,7 +242,6 @@ class CohomologyWorkspace:
     actions: np.ndarray              # (2g, m, m) the module's generator actions
     relator_map: np.ndarray          # (m, 2g m) Fox-calculus map
     fox_blocks: np.ndarray           # (4g, m, m) each letter's Fox block
-    b1: np.ndarray                   # orthonormal columns, coboundaries
     h1: np.ndarray                   # orthonormal columns, harmonic representatives
     h0_dim: int
     h1_dim: int
@@ -251,11 +250,6 @@ class CohomologyWorkspace:
     @property
     def module_dim(self) -> int:
         return self.actions.shape[-1]
-
-    @property
-    def z1(self) -> np.ndarray:
-        """Orthonormal cocycle columns [H^1 | B^1], spanning ker of the relator map."""
-        return np.hstack([self.h1, self.b1])
 
     def cocycle_residual(self, u: np.ndarray):
         """Relator-map residual of a cochain, relative to its largest entry.
@@ -268,7 +262,7 @@ class CohomologyWorkspace:
 
 def cohomology(rep: SurfaceRepresentation, actions: np.ndarray,
                tol: Tolerances = DEFAULT) -> CohomologyWorkspace:
-    """B^1, H^1 (the cocycles orthogonal to B^1) and the dimension bookkeeping of a module.
+    """H^1 (the cocycles orthogonal to B^1) and the dimension bookkeeping of a module.
 
     ``actions`` is the (2g, m, m) stack of the module's generator actions.
     """
@@ -303,7 +297,7 @@ def cohomology(rep: SurfaceRepresentation, actions: np.ndarray,
             f"Euler identity fails: {h0} - {hdim} + {h2} != chi * dim = {chi * m}")
 
     return CohomologyWorkspace(
-        rep=rep, actions=actions, relator_map=relator_map, fox_blocks=fox, b1=b1, h1=h1,
+        rep=rep, actions=actions, relator_map=relator_map, fox_blocks=fox, h1=h1,
         h0_dim=h0, h1_dim=hdim, h2_dim=h2)
 
 

@@ -11,9 +11,10 @@ the pipeline also reaches:
 - ``cup_square``: the class of [u cup u] in H^2 of the adjoint module;
 - ``signature``: the sign count of a symmetric matrix's eigenvalues;
 - ``bracket_coords``, ``killing_form``, ``torus_gram``,
-  ``root_eigenspace``, ``invariant_vectors`` and ``root_gram``: the
-  bracket, Killing pairings, eigenspaces, H^0 and cup-form Gram that the
-  pipeline uses internally and does not keep.
+  ``root_eigenspace``, ``invariant_vectors``, ``coboundaries``,
+  ``cocycles`` and ``root_gram``: the bracket, Killing pairings,
+  eigenspaces, H^0, B^1, Z^1 and cup-form Gram that the pipeline uses
+  internally and does not keep.
 """
 
 from __future__ import annotations
@@ -65,10 +66,25 @@ def root_eigenspace(torus, values, tol: float = 1e-8) -> np.ndarray:
     return nullspace(shifted.reshape(-1, model.dim), tol)
 
 
-def invariant_vectors(actions: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Orthonormal basis of H^0, the vectors every action fixes, cut as in ``cohomology``."""
+def _coboundary_svd(actions: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """B^1 and H^0 from the stacked coboundary map v -> ((A_s - 1) v)_s, cut as in ``cohomology``."""
     cob = np.vstack([a - np.eye(actions.shape[-1]) for a in actions])
-    return span_and_kernel(cob, tol.rank, scale=1.0)[1]
+    return span_and_kernel(cob, tol.rank, scale=1.0)
+
+
+def invariant_vectors(actions: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """Orthonormal basis of H^0, the vectors every action fixes."""
+    return _coboundary_svd(actions, tol)[1]
+
+
+def coboundaries(ws: CohomologyWorkspace, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """Orthonormal columns spanning B^1, the ones ``cohomology`` takes H^1 orthogonal to."""
+    return _coboundary_svd(ws.actions, tol)[0]
+
+
+def cocycles(ws: CohomologyWorkspace, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """Orthonormal cocycle columns [H^1 | B^1], spanning the kernel of the relator map."""
+    return np.hstack([ws.h1, coboundaries(ws, tol)])
 
 
 def root_gram(ws: CohomologyWorkspace, root: RootDatum, tol: Tolerances = DEFAULT) -> np.ndarray:

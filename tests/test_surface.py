@@ -21,7 +21,8 @@ from flexcheck.surface import (
     surface_representation,
 )
 from flexcheck.toledo import root_cohomology
-from reference import bracket_coords, components, cup_square, invariant_vectors, killing_form
+from reference import (bracket_coords, coboundaries, cocycles, components, cup_square,
+                       invariant_vectors, killing_form)
 
 
 def test_standard_presentation():
@@ -55,18 +56,19 @@ def test_fuchsian_irreducible(fuchsian):
 
 def test_trivial_module_cocycles(fuchsian):
     ws = cohomology(fuchsian, np.stack([np.eye(3) for _ in fuchsian.images]))
-    assert ws.z1.shape[1] == 4 * 3          # 2g * dim V
-    assert ws.b1.shape[1] == 0
+    assert cocycles(ws).shape[1] == 4 * 3   # 2g * dim V
+    assert coboundaries(ws).shape[1] == 0
     assert ws.h0_dim == 3 and ws.h2_dim == 3
 
 
 def test_adjoint_dimensions(fuchsian):
     ws = cohomology(fuchsian, adjoint_module(fuchsian))
-    assert ws.z1.shape[1] == 9              # (1 - chi) * dim: a smooth point
+    z1 = cocycles(ws)
+    assert z1.shape[1] == 9                 # (1 - chi) * dim: a smooth point
     assert ws.h0_dim == 0 and ws.h2_dim == 0
-    assert ws.h1_dim == 6 and ws.b1.shape[1] == 3
+    assert ws.h1_dim == 6 and coboundaries(ws).shape[1] == 3
     # crude bound
-    assert ws.z1.shape[1] <= (3 - fuchsian.presentation.euler_characteristic) * 3
+    assert z1.shape[1] <= (3 - fuchsian.presentation.euler_characteristic) * 3
 
 
 def test_adjoint_cocycles_off_smooth_points(case_pipeline):
@@ -74,16 +76,16 @@ def test_adjoint_cocycles_off_smooth_points(case_pipeline):
     rep = case_pipeline("su21-cline")[0]
     ws = cohomology(rep, adjoint_module(rep))
     assert ws.h0_dim == ws.h2_dim == 1
-    assert ws.z1.shape[1] == (1 - rep.presentation.euler_characteristic) * rep.model.dim + 1 == 25
+    assert cocycles(ws).shape[1] == (1 - rep.presentation.euler_characteristic) * rep.model.dim + 1 == 25
     trivial = surface_representation(standard_presentation(2), build_classical("sl", 2),
                                      [np.eye(2)] * 4)
     ws = cohomology(trivial, adjoint_module(trivial))
-    assert ws.h0_dim == 3 and ws.z1.shape[1] == 4 * 3
+    assert ws.h0_dim == 3 and cocycles(ws).shape[1] == 4 * 3
 
 
 def test_coboundaries_are_cocycles(fuchsian):
     ws = cohomology(fuchsian, adjoint_module(fuchsian))
-    resid = np.abs(ws.relator_map @ ws.b1).max()
+    resid = np.abs(ws.relator_map @ coboundaries(ws)).max()
     assert resid < 1e-9 * max(np.abs(ws.relator_map).max(), 1.0)
 
 
@@ -132,20 +134,22 @@ def test_orientation_calibration(fuchsian):
 def test_coboundary_pairing_vanishes(fuchsian, rng):
     ws = cohomology(fuchsian, fuchsian.images)
     omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    for i in range(ws.b1.shape[1]):
-        for j in range(ws.z1.shape[1]):
-            val = cup_pairing(ws, omega, ws.b1[:, i], ws.z1[:, j])
+    b1, z1 = coboundaries(ws), cocycles(ws)
+    for i in range(b1.shape[1]):
+        for j in range(z1.shape[1]):
+            val = cup_pairing(ws, omega, b1[:, i], z1[:, j])
             assert abs(val) < 1e-9
-            val = cup_pairing(ws, omega, ws.z1[:, j], ws.b1[:, i])
+            val = cup_pairing(ws, omega, z1[:, j], b1[:, i])
             assert abs(val) < 1e-9
 
 
 def test_skew_form_gives_symmetric_pairing(fuchsian, rng):
     ws = cohomology(fuchsian, fuchsian.images)
     omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    z1 = cocycles(ws)
     for _ in range(10):
-        u = ws.z1 @ rng.standard_normal(ws.z1.shape[1])
-        v = ws.z1 @ rng.standard_normal(ws.z1.shape[1])
+        u = z1 @ rng.standard_normal(z1.shape[1])
+        v = z1 @ rng.standard_normal(z1.shape[1])
         a = cup_pairing(ws, omega, u, v)
         b = cup_pairing(ws, omega, v, u)
         assert abs(a - b) < 1e-9 * max(abs(a), 1.0)
@@ -168,7 +172,7 @@ def test_trivial_rep_symplectic_signature_zero(fuchsian):
 
 def test_cup_square_discrete_centralizer(fuchsian):
     ws = cohomology(fuchsian, adjoint_module(fuchsian))
-    out = cup_square(ws, ws.z1[:, 0])
+    out = cup_square(ws, cocycles(ws)[:, 0])
     assert out.shape == (0,)
 
 
@@ -206,9 +210,10 @@ def test_cup_square_polarization(fuchsian, rng):
     n = model.realified_size
     rep = surface_representation(standard_presentation(2), model, [np.eye(n)] * 4)
     ws = cohomology(rep, adjoint_module(rep))
-    k = ws.z1.shape[1]
-    u = ws.z1 @ rng.standard_normal(k)
-    v = ws.z1 @ rng.standard_normal(k)
+    z1 = cocycles(ws)
+    k = z1.shape[1]
+    u = z1 @ rng.standard_normal(k)
+    v = z1 @ rng.standard_normal(k)
     lhs = cup_square(ws, u + v) - cup_square(ws, u) - cup_square(ws, v)
     # mixed term evaluated directly with the same Killing-valued forms
     forms = _killing_forms(ws)
@@ -512,34 +517,36 @@ def test_genus3_cohomology(fuchsian):
     ws = cohomology(rep, adjoint_module(rep))
     assert ws.h0_dim == 0
     assert ws.h1_dim == -rep.presentation.euler_characteristic * 3   # 4 * 3
-    assert ws.z1.shape[1] == (1 - rep.presentation.euler_characteristic) * 3
+    assert cocycles(ws).shape[1] == (1 - rep.presentation.euler_characteristic) * 3
 
 
 def test_cup_pairing_rejects_non_cocycles(fuchsian, rng):
     ws = cohomology(fuchsian, fuchsian.images)
     omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    z1 = cocycles(ws)
     bad = rng.standard_normal(8)
-    bad -= ws.z1 @ (ws.z1.T @ bad)          # component orthogonal to Z^1
+    bad -= z1 @ (z1.T @ bad)                # component orthogonal to Z^1
     bad /= np.linalg.norm(bad)
-    good = ws.z1[:, 0]
+    good = z1[:, 0]
     with pytest.raises(NumericalAbort):
         cup_pairing(ws, omega, bad, good)
     with pytest.raises(NumericalAbort):
         cup_pairing(ws, omega, good, bad)
     # one bad column spoils a block
     with pytest.raises(NumericalAbort):
-        cup_pairing(ws, omega, ws.z1, np.column_stack([ws.z1, bad]))
+        cup_pairing(ws, omega, z1, np.column_stack([z1, bad]))
 
 
 def test_cup_pairing_rejects_noninvariant_form(fuchsian):
     ws = cohomology(fuchsian, fuchsian.images)
+    z1 = cocycles(ws)
     with pytest.raises(NumericalAbort):
-        cup_pairing(ws, np.diag([1.0, 2.0]), ws.z1[:, 0], ws.z1[:, 1])
+        cup_pairing(ws, np.diag([1.0, 2.0]), z1[:, 0], z1[:, 1])
     # in a stack, one non-invariant slice is enough; SL(2) preserves the area form
     j = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    assert cup_pairing(ws, np.stack([j, 2 * j]), ws.z1[:, 0], ws.z1[:, 1]).shape == (2,)
+    assert cup_pairing(ws, np.stack([j, 2 * j]), z1[:, 0], z1[:, 1]).shape == (2,)
     with pytest.raises(NumericalAbort, match="module-invariant"):
-        cup_pairing(ws, np.stack([j, np.diag([1.0, 2.0])]), ws.z1[:, 0], ws.z1[:, 1])
+        cup_pairing(ws, np.stack([j, np.diag([1.0, 2.0])]), z1[:, 0], z1[:, 1])
 
 
 def _full_svd_kernel(a):
@@ -570,9 +577,10 @@ def test_cohomology_matches_separate_span_and_kernel_svds(fuchsian, case_pipelin
         b1 = orthonormal_columns(cob, 1e-9, scale=1.0)
         fixed = _full_svd_kernel(cob)
         cofixed = _full_svd_kernel(np.vstack([a.T - np.eye(m) for a in actions]))
-        assert (ws.b1.shape[1], ws.h0_dim, ws.h2_dim) == (
+        ws_b1 = coboundaries(ws)
+        assert (ws_b1.shape[1], ws.h0_dim, ws.h2_dim) == (
             b1.shape[1], fixed.shape[1], cofixed.shape[1])
-        assert np.abs(ws.b1 @ ws.b1.T - b1 @ b1.T).max() <= 1e-12
+        assert np.abs(ws_b1 @ ws_b1.T - b1 @ b1.T).max() <= 1e-12
         h0 = invariant_vectors(actions)
         assert np.abs(h0 @ h0.T - fixed @ fixed.T).max(initial=0.0) <= 1e-12
         # a generator letter's Fox block is P_k, an inverse letter's -P_{k+1};
@@ -597,10 +605,11 @@ def test_cocycles_match_the_relator_map_kernel(fuchsian, case_pipeline):
             prefixes = relator_prefixes(pipe.rep.presentation, ws.actions)
             scale = max(float(np.abs(prefixes).max()), 1.0)
             z1 = nullspace(ws.relator_map, DEFAULT.rank, scale=scale)
-            assert ws.z1.shape == z1.shape
-            assert np.abs(ws.z1 @ ws.z1.T - z1 @ z1.T).max(initial=0.0) < 1e-7
-            assert np.abs(ws.z1.T @ ws.z1 - np.eye(z1.shape[1])).max(initial=0.0) < 1e-12
-            assert np.abs(ws.h1.T @ ws.b1).max(initial=0.0) < 1e-12
+            ws_z1 = cocycles(ws)
+            assert ws_z1.shape == z1.shape
+            assert np.abs(ws_z1 @ ws_z1.T - z1 @ z1.T).max(initial=0.0) < 1e-7
+            assert np.abs(ws_z1.T @ ws_z1 - np.eye(z1.shape[1])).max(initial=0.0) < 1e-12
+            assert np.abs(ws.h1.T @ coboundaries(ws)).max(initial=0.0) < 1e-12
 
 
 def test_cohomology_needs_two_letters_per_generator(fuchsian):
