@@ -169,7 +169,7 @@ def build_case_representation(
     tol: Tolerances = DEFAULT,
 ) -> SurfaceRepresentation:
     """Fuchsian genus-2 group composed with the case's block embedding."""
-    if isinstance(case, str):
+    if not isinstance(case, CatalogCase):      # a name; find_case rejects any other value
         case = find_case(case)
     if genus != 2:
         raise FlexcheckError(

@@ -100,7 +100,7 @@ SIMPLEX_SEPARATION = 1e-9
 CONJUGATION_SYMMETRY = 1e-10
 # The genus-2 octagon's normalizer: closed-form arithmetic on O(1) numbers, no input.
 OCTAGON_NORMALIZER = 1e-9
-# correct_relator's default stop: four digits under DEFAULT.relator, so the result passes.
+# correct_relator's stop: four digits under DEFAULT.relator, so the result passes.
 RELATOR_CORRECTION = 1e-12
 
 

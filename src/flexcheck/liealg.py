@@ -398,9 +398,11 @@ def subalgebra_from_matrices(
 
     Aborts unless the span is bracket-closed to within ``tol.closure``.
     """
+    n = model.realified_size
     if len(mats) == 0:
         return SubalgebraHandle(model, np.zeros((0, model.dim)))
-    n = model.realified_size
+    if np.shape(mats)[1:] != (n, n):
+        raise FlexcheckError(f"matrices of {model.name} are {n} x {n}, got shape {np.shape(mats)}")
     on = orthonormal_columns(np.reshape(mats, (len(mats), -1)).T, tol.rank)
     matrices = on.T.reshape(-1, n, n)
     resid = _closure_residual(matrices, on)
@@ -482,10 +484,12 @@ def conjugation_limit(
     e^{t(mu_j - mu_i)}; decaying entries are zeroed, growing ones must
     vanish or the limit diverges.
     """
-    u, g = np.asarray(u, dtype=float), np.asarray(g)
+    u, g = np.asarray(u), np.asarray(g)
     if u.ndim != 2 or g.shape != u.shape or u.shape[0] != u.shape[1]:
         raise FlexcheckError(f"conjugation_limit needs square g and u of one size, got "
                              f"{g.shape} and {u.shape}")
+    if g.dtype.kind not in "biuf" or u.dtype.kind not in "biuf":
+        raise FlexcheckError(f"conjugation_limit needs real g and u, got {g.dtype} and {u.dtype}")
     if not (np.isfinite(u).all() and np.isfinite(g).all()):
         raise NumericalAbort("conjugation_limit needs finite g and u")
     if np.abs(u - u.T).max(initial=0.0) > CONJUGATION_SYMMETRY * max(matrix_scale(u), 1.0):

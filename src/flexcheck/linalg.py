@@ -55,10 +55,17 @@ def singular_rank(s: np.ndarray, tol: float = DEFAULT.rank, scale: float = 0.0) 
     return int(np.count_nonzero(s > tol * max(float(s[0]) if s.size else 0.0, scale)))
 
 
-def _svd(a: np.ndarray, **kwargs):
-    """``np.linalg.svd`` of a finite matrix: it fails to converge on NaN, gives NaN on inf."""
+def _matrix(a) -> np.ndarray:
+    """``a`` as an array; one that is not a matrix raises FlexcheckError."""
+    a = np.asarray(a)
     if a.ndim != 2:
         raise FlexcheckError(f"singular values need a matrix, got an array of shape {a.shape}")
+    return a
+
+
+def _svd(a: np.ndarray, **kwargs):
+    """``np.linalg.svd`` of a finite matrix: it fails to converge on NaN, gives NaN on inf."""
+    a = _matrix(a)
     if not np.isfinite(a).all():
         raise NumericalAbort("the singular values of a non-finite matrix are undefined")
     return np.linalg.svd(a, **kwargs)
@@ -80,8 +87,8 @@ def nullspace(a: np.ndarray, tol: float = DEFAULT.rank, scale: float = 0.0) -> n
     A thin SVD serves tall and square input; wide input, such as a
     relator map, needs the full V for its kernel.
     """
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[1] == 0:
+    a = _matrix(a)
+    if a.shape[1] == 0:
         raise NumericalAbort("nullspace of an empty operator is undefined")
     if a.shape[0] == 0:
         return np.eye(a.shape[1])
@@ -99,8 +106,8 @@ def span_and_kernel(a: np.ndarray, tol: float = DEFAULT.rank,
     :func:`orthonormal_columns`: the left vectors above it span the
     image, the right vectors below it the kernel.
     """
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] < a.shape[1] or a.shape[1] == 0:
+    a = _matrix(a)
+    if a.shape[0] < a.shape[1] or a.shape[1] == 0:
         raise NumericalAbort("span_and_kernel needs a tall, nonempty matrix")
     u, s, vh = _svd(a, full_matrices=False)
     keep = singular_rank(s, tol, scale)

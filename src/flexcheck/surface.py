@@ -64,11 +64,11 @@ def relator_prefixes(presentation: SurfaceGroupPresentation, images: np.ndarray)
     """Products of the relator's first k letters, k = 0..4g; the last is the relator.
 
     ``images`` is the (2g, m, m) stack of generator actions; any other
-    count raises FlexcheckError.
+    shape raises FlexcheckError.
     """
-    if len(images) != presentation.generator_count:
-        raise FlexcheckError(f"need {presentation.generator_count} generator actions, "
-                             f"got {len(images)}")
+    shape, ngen = np.shape(images), presentation.generator_count
+    if len(shape) != 3 or shape[0] != ngen or shape[1] != shape[2]:
+        raise FlexcheckError(f"need a ({ngen}, m, m) stack of generator actions, got shape {shape}")
     try:
         invs = np.linalg.inv(images)
     except np.linalg.LinAlgError as exc:
@@ -100,6 +100,33 @@ def _fox_calculus(presentation: SurfaceGroupPresentation, acts: np.ndarray):
     return prefixes, fox, relator_map
 
 
+def _image_stack(presentation: SurfaceGroupPresentation, model: LieAlgebraModel,
+                 images) -> np.ndarray:
+    """A copy of the images as one (2g, N, N) float stack, N the model's realified size.
+
+    A wrong count, shape or entry type raises FlexcheckError.
+    """
+    ngen, n = presentation.generator_count, model.realified_size
+    try:
+        count = len(images)
+    except TypeError:
+        raise FlexcheckError(f"generator images must be a sequence, got {images!r}") from None
+    if count != ngen:
+        raise FlexcheckError(f"need {ngen} generator images, got {count}")
+    for i, g in enumerate(images):
+        try:
+            shape = np.shape(g)
+        except ValueError:  # ragged rows
+            shape = "ragged"
+        if shape != (n, n):
+            raise FlexcheckError(f"generator image {i} has shape {shape}, not the "
+                                 f"realified size {(n, n)} of {model.name}")
+    images = np.array(images)
+    if images.dtype.kind not in "biuf":
+        raise FlexcheckError(f"generator images must be real numbers, got {images.dtype}")
+    return images.astype(float, copy=False)
+
+
 def surface_representation(
     presentation: SurfaceGroupPresentation,
     model: LieAlgebraModel,
@@ -115,21 +142,8 @@ def surface_representation(
     prefix products (at least 1), the rounding scale of the product, as in
     ``cohomology``: conjugating the images leaves it about the same.
     """
-    ngen, n = presentation.generator_count, model.realified_size
-    if len(images) != ngen:
-        raise FlexcheckError(f"need {ngen} generator images, got {len(images)}")
-    for i, g in enumerate(images):
-        try:
-            shape = np.shape(g)
-        except ValueError:  # ragged rows
-            shape = "ragged"
-        if shape != (n, n):
-            raise FlexcheckError(f"generator image {i} has shape {shape}, not the "
-                                 f"realified size {(n, n)} of {model.name}")
-    images = np.array(images)
-    if images.dtype.kind not in "biuf":
-        raise FlexcheckError(f"generator images must be real numbers, got {images.dtype}")
-    images = images.astype(float, copy=False)
+    n = model.realified_size
+    images = _image_stack(presentation, model, images)
     images.flags.writeable = False
     bad = np.flatnonzero(~np.isfinite(images).all(axis=(-2, -1)))
     if bad.size:
@@ -223,6 +237,9 @@ def adjoint_module(rep: SurfaceRepresentation) -> np.ndarray:
 def restricted_module(actions: np.ndarray, basis: np.ndarray,
                       tol: Tolerances = DEFAULT) -> np.ndarray:
     """Restrict a (2g, m, m) action stack to an invariant subspace with orthonormal basis columns."""
+    if np.ndim(basis) != 2 or len(basis) != actions.shape[-1]:
+        raise FlexcheckError(f"need a basis of {actions.shape[-1]} rows, "
+                             f"got shape {np.shape(basis)}")
     moved = actions @ basis
     small = basis.T @ moved
     resid = relative_residual(moved - basis @ small, moved, axis=(1, 2))
@@ -255,8 +272,12 @@ class CohomologyWorkspace:
         """Relator-map residual of a cochain, relative to its largest entry.
 
         A ``(2g m,)`` vector gives a float; a ``(2g m, k)`` column block
-        gives a length-k array, one residual per column.
+        gives a length-k array, one residual per column.  Any other shape
+        raises FlexcheckError.
         """
+        u, width = np.asarray(u), self.relator_map.shape[1]
+        if u.ndim not in (1, 2) or len(u) != width:
+            raise FlexcheckError(f"cochains must be ({width},) or ({width}, k), got {u.shape}")
         return relative_residual(self.relator_map @ u, u, axis=0)
 
 
@@ -331,17 +352,15 @@ def cup_pairing(
     FlexcheckError.
     """
     omega, u, v = np.asarray(omega), np.asarray(u), np.asarray(v)
-    m, width = ws.module_dim, ws.relator_map.shape[1]
+    m = ws.module_dim
     if omega.ndim not in (2, 3) or omega.shape[-2:] != (m, m):
         raise FlexcheckError(f"omega must be ({m}, {m}) or (K, {m}, {m}), got {omega.shape}")
-    if any(w.ndim not in (1, 2) or len(w) != width for w in (u, v)):
-        raise FlexcheckError(f"cocycles must be ({width},) or ({width}, k), got "
-                             f"{u.shape} and {v.shape}")
     same = v is u                      # a Gram matrix: check and build u's blocks once
-    _check_invariant_form(ws, omega)
+    # the cocycles first: cocycle_residual raises FlexcheckError on a wrong shape
     for w in (u,) if same else (u, v):
         if np.any(ws.cocycle_residual(w) > tol.cocycle_check):
             raise NumericalAbort("cup_pairing arguments must be cocycles")
+    _check_invariant_form(ws, omega)
 
     pres = ws.rep.presentation
     gens = np.array(pres.letters)[:, 0]
@@ -387,38 +406,35 @@ def correct_relator(
     images,
     presentation: SurfaceGroupPresentation,
     model: LieAlgebraModel,
-    target_sign: int = 1,
-    tol: float = RELATOR_CORRECTION,
-    max_iter: int = 60,
 ) -> list[np.ndarray]:
-    """Move generator images back onto the relator variety.
+    """Move generator images back onto the relator variety R = I.
 
     Newton iteration on the relator R(g) with left moves
     g_s -> exp(X_s) g_s.  To first order the moved relator is
     (I + J x) R, J the Fox-calculus relator map of the adjoint module
-    (as in ``cohomology``), so each step solves J x = target R^-1 - I in
+    (as in ``cohomology``), so each step solves J x = R^-1 - I in
     model coordinates by least squares, cut at ``DEFAULT.rank``.  It
     stops when the residual, relative to the input's prefix scale (as in
-    ``surface_representation``), is below ``tol``; a scale taken from each
-    iterate would grow with images that run off and accept them.  It
-    returns only images that ``surface_representation`` accepts; a
-    singular, overflowing or non-finite iterate aborts, and so does one
-    that a step has moved out of the group.
+    ``surface_representation``), is below ``RELATOR_CORRECTION``; a scale
+    taken from each iterate would grow with images that run off and
+    accept them.  It returns only images that ``surface_representation``
+    accepts; a singular, overflowing or non-finite iterate aborts, and so
+    does one that a step has moved out of the group, or no convergence
+    in 60 steps.
     """
-    gens = np.array([np.asarray(g, dtype=float) for g in images])
+    gens = _image_stack(presentation, model, images)
     eye = np.eye(gens.shape[-1])
-    target = target_sign * eye
     try:
         with np.errstate(over="raise", invalid="raise"):
             scale = residual_scale(relator_prefixes(presentation, gens))
-            for step in range(max_iter):
+            for step in range(60):
                 prefixes = relator_prefixes(presentation, gens)
                 if not np.isfinite(prefixes).all():
                     raise NumericalAbort("relator correction diverged: non-finite generator images")
                 rel = prefixes[-1]
-                if relative_residual(rel - target, scale) < tol:
+                if relative_residual(rel - eye, scale) < RELATOR_CORRECTION:
                     fixed = list(gens)
-                    surface_representation(presentation, model, fixed, central_lift=target_sign < 0)
+                    surface_representation(presentation, model, fixed)
                     return fixed
                 try:
                     ads = model.adjoint_group_matrix(gens)
@@ -431,7 +447,7 @@ def correct_relator(
                 jac = _fox_calculus(presentation, ads)[2]
                 # least squares onto the model span: the residual lies in the
                 # algebra only to first order, so no span check
-                rhs = model._pinv @ (target @ np.linalg.inv(rel) - eye).reshape(-1)
+                rhs = model._pinv @ (np.linalg.inv(rel) - eye).reshape(-1)
                 x = np.linalg.lstsq(jac, rhs, rcond=DEFAULT.rank)[0]
                 moves = model.matrix(x.reshape(len(gens), model.dim))
                 gens = np.array([_expm(move) @ g for move, g in zip(moves, gens)])

@@ -29,15 +29,16 @@ import pytest
 import flexcheck
 from flexcheck import config
 from flexcheck.catalog import build_case_representation
+from flexcheck.liealg import subalgebra_from_matrices
 from flexcheck.cli import _JSON_TYPES, _validate
-from flexcheck.config import DEFAULT, FlexcheckError, ParseError, Tolerances
+from flexcheck.config import DEFAULT, FlexcheckError, NumericalAbort, ParseError, Tolerances
 from flexcheck.engine import NON_REDUCTIVE_MESSAGE, BalanceProblem, Pipeline, _phase1, balanced
 from flexcheck.liealg import (LieAlgebraModel, SubalgebraHandle, build_classical, centralizer,
                               conjugation_limit, killing_restriction_nondegenerate)
-from flexcheck.linalg import nullspace, orthonormal_columns, rank
+from flexcheck.linalg import nullspace, orthonormal_columns, rank, span_and_kernel
 from flexcheck.roots import decompose
 from flexcheck.surface import (cohomology, correct_relator, cup_pairing, fuchsian_genus2,
-                               standard_presentation, surface_representation)
+                               restricted_module, standard_presentation, surface_representation)
 
 PACKAGE = Path(flexcheck.__file__).parent
 
@@ -405,7 +406,9 @@ def test_named_thresholds_keep_their_values():
     for name, value in PINNED_DERIVED.items():
         assert getattr(config.DEFAULT, name) == value, name
     assert inspect.signature(LieAlgebraModel.coords).parameters["tol"].default == 1e-8
-    assert inspect.signature(correct_relator).parameters["tol"].default == 1e-12
+    # correct_relator stops at RELATOR_CORRECTION itself, with no stop, cap or sign to pass
+    assert list(inspect.signature(correct_relator).parameters) == [
+        "images", "presentation", "model"]
 
 
 def test_tolerances_keep_their_fields_and_adjoint_takes_none():
@@ -569,6 +572,26 @@ NUMPY_ERRORS = {
     "correct_relator-too-few-images": lambda: correct_relator([np.eye(2)] * 3,
                                                               standard_presentation(2), _sl2()),
     "Tolerances-string": lambda: Tolerances(rank="a"),
+    "surface_representation-int": lambda: surface_representation(standard_presentation(2),
+                                                                 _sl2(), 5),
+    "correct_relator-int": lambda: correct_relator(5, standard_presentation(2), _sl2()),
+    "build_case_representation-int": lambda: build_case_representation(3),
+    "subalgebra_from_matrices-wrong-size": lambda: subalgebra_from_matrices(_sl2(), [np.eye(3)]),
+    "restricted_module-wrong-rows": lambda: restricted_module(fuchsian_genus2().images,
+                                                              np.ones((3, 1))),
+    "cocycle_residual-wrong-length": lambda: cohomology(
+        fuchsian_genus2(), fuchsian_genus2().images).cocycle_residual(np.ones(3)),
+    "conjugation_limit-strings": lambda: conjugation_limit("a", "b"),
+}
+
+# Malformed input is an input error, not a numerical abort: a caller that
+# maps NumericalAbort to exit 3 must not read these as numerical failures.
+SHAPE_ERRORS = {
+    "rank-vector": lambda: rank(np.ones(3)),
+    "orthonormal_columns-vector": lambda: orthonormal_columns(np.ones(3)),
+    "nullspace-vector": lambda: nullspace(np.ones(3)),
+    "span_and_kernel-vector": lambda: span_and_kernel(np.ones(3)),
+    "cohomology-non-square-actions": lambda: cohomology(fuchsian_genus2(), np.zeros((4, 2, 3))),
 }
 
 
@@ -576,6 +599,13 @@ NUMPY_ERRORS = {
 def test_no_numpy_exception_leaves_a_public_function(call):
     with pytest.raises(FlexcheckError):
         call()
+
+
+@pytest.mark.parametrize("call", SHAPE_ERRORS.values(), ids=SHAPE_ERRORS)
+def test_shape_errors_are_not_numerical_aborts(call):
+    with pytest.raises(FlexcheckError) as exc:
+        call()
+    assert not isinstance(exc.value, NumericalAbort), exc.value
 
 
 # (schema, a value it takes, a value it rejects, the message) for each
