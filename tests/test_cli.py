@@ -203,18 +203,15 @@ def test_explicit_matrix_input_matches_catalog(tmp_path, capsys):
     assert parsed["adjoint"]["z1"] == 9 and parsed["adjoint"]["h0"] == 0
 
 
-@pytest.mark.parametrize("case,family,tolerances", [
-    ("su21-cline", "su", None), ("sp21-cline", "sp", None), ("so41-rplane", "so", None),
-    ("su21-cline", "su", {"rank": 1e-10, "cluster": 1e-8}),
-], ids=["su21-cline-su", "sp21-cline-sp", "so41-rplane-so", "su21-cline-su-tolerances"])
-def test_field_matrix_input_matches_catalog(tmp_path, capsys, case, family, tolerances):
+def _field_problem(tmp_path, case: str, family: str, images=None, tolerances=None):
+    """A problem file of a catalog case's group, with its images (the case's own by default)."""
     # each realified d x d block is left multiplication by an entry whose
     # components are the block's first column
     from flexcheck.catalog import build_case_representation, find_case
     rep = build_case_representation(case)
     d, n = rep.model.field.dim, rep.model.ambient
     gens = [[[[float(x) for x in g[d * i : d * i + d, d * j]] for j in range(n)]
-             for i in range(n)] for g in rep.images]
+             for i in range(n)] for g in (rep.images if images is None else images)]
     doc = {"group": {"family": family, "params": [find_case(case).m, 1]}, "genus": 2,
            "representation": {"source": "matrices", "field": rep.model.field.value,
                               "generators": gens}}
@@ -222,6 +219,15 @@ def test_field_matrix_input_matches_catalog(tmp_path, capsys, case, family, tole
         doc["tolerances"] = tolerances
     path = tmp_path / f"{case}.json"
     path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("case,family,tolerances", [
+    ("su21-cline", "su", None), ("sp21-cline", "sp", None), ("so41-rplane", "so", None),
+    ("su21-cline", "su", {"rank": 1e-10, "cluster": 1e-8}),
+], ids=["su21-cline-su", "sp21-cline-sp", "so41-rplane-so", "su21-cline-su-tolerances"])
+def test_field_matrix_input_matches_catalog(tmp_path, capsys, case, family, tolerances):
+    path = _field_problem(tmp_path, case, family, tolerances=tolerances)
     code, out, _ = run_cli(capsys, "verdict", "--input", str(path), "--format", "json")
     want_code, want, _ = run_cli(capsys, "verdict", "--catalog", case, "--format", "json")
     got, want = json.loads(out), json.loads(want)
@@ -233,6 +239,26 @@ def test_field_matrix_input_matches_catalog(tmp_path, capsys, case, family, tole
         assert code == want_code and got["verdict"] == want["verdict"]
     else:
         assert code == want_code and got == want
+
+
+def test_cohomology_of_a_conjugated_input_reads_the_centralizer(tmp_path, capsys):
+    # a global conjugate g rho g^-1, g = exp(X) with X = 0.4 times a normal
+    # vector of model coordinates, as in perfbench's conjugates; a Fox-calculus
+    # cohomology of the adjoint module aborts on it at the Euler identity
+    from flexcheck.catalog import build_case_representation
+    from flexcheck.surface import _expm
+    rep = build_case_representation("su31-rplane")
+    model = rep.model
+    g = _expm(model.matrix(0.4 * np.random.default_rng(3).standard_normal(model.dim)))
+    ginv = np.linalg.inv(g)
+    path = _field_problem(tmp_path, "su31-rplane", "su", [g @ a @ ginv for a in rep.images])
+    code, out, err = run_cli(capsys, "cohomology", "--input", str(path), "--format", "json")
+    assert code == 0, err
+    zdim = json.loads(run_cli(capsys, "decompose", "--input", str(path),
+                              "--format", "json")[1])["centralizer_dim"]
+    adjoint = json.loads(out)["adjoint"]
+    assert zdim == 1
+    assert (adjoint["h0"], adjoint["h1"], adjoint["h2"]) == (zdim, 2 * zdim + 2 * model.dim, zdim)
 
 
 def _run_module(*argv, **kwargs):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import bent_genus2, fuchsian_sum
 from flexcheck.catalog import build_case_representation, default_cases
+from flexcheck.cli import _cohomology_report
 from flexcheck.config import DEFAULT, NumericalAbort, Tolerances
 from flexcheck.engine import (
     BalanceProblem,
@@ -26,12 +27,13 @@ from flexcheck.surface import (
     adjoint_module,
     cohomology,
     cup_pairing,
+    fuchsian_genus2,
     standard_presentation,
     surface_representation,
 )
 from flexcheck.roots import IMAGINARY, RootDatum
 from flexcheck.toledo import RootFormReport, root_cohomology, root_form
-from reference import cocycles, root_gram
+from reference import coboundaries, cocycles, root_gram
 
 
 @pytest.mark.parametrize("p, n", [([np.nan, 0.0], []), ([1.0, 0.0], [np.inf, 0.0])])
@@ -291,6 +293,34 @@ def test_balanced_lp_decides_direct_sums_of_fuchsian_blocks(p, q, blocks, expect
     assert sorted((f.real_dim, abs(f.toledo), f.h1_dim) for f in report.roots) == table
     assert sum(f.in_P for f in report.roots) == (z if certificate != "none" else 0)
     assert _check_balance_certificate(report) == certificate
+
+
+def _pinched_genus3():
+    """The octagon group at genus 3, its third handle pinched to the identity."""
+    rep = fuchsian_genus2()
+    return surface_representation(standard_presentation(3), rep.model,
+                                  list(rep.images) + [np.eye(2)] * 2)
+
+
+ADJOINT_ORACLE_CASES = {
+    **{c.name: functools.partial(build_case_representation, c.name)
+       for c in default_cases() if c.computable},
+    "bent-sl5": bent_genus2,
+    "pinched-genus3": _pinched_genus3,
+    **{"-".join((f"su{p}{q}",) + blocks): functools.partial(fuchsian_sum, p, q, blocks)
+       for p, q, blocks, *_ in FUCHSIAN_SUMS},
+}
+
+
+@pytest.mark.parametrize("build", ADJOINT_ORACLE_CASES.values(), ids=ADJOINT_ORACLE_CASES)
+def test_cohomology_report_adjoint_block_matches_fox_calculus(build):
+    # the report reads the adjoint block off the centralizer; the Fox-calculus
+    # cohomology of the adjoint module is the independent route to it
+    pipe = Pipeline(build())
+    ws = cohomology(pipe.rep, pipe.adjoint)
+    assert _cohomology_report(pipe, None)["adjoint"] == {
+        "h0": ws.h0_dim, "h1": ws.h1_dim, "h2": ws.h2_dim,
+        "z1": cocycles(ws).shape[1], "b1": coboundaries(ws).shape[1]}
 
 
 def test_verdict_stable_under_tolerance_scaling():
