@@ -73,7 +73,7 @@ def _svd(a: np.ndarray, **kwargs):
 
 def rank(a: np.ndarray, tol: float = DEFAULT.rank, scale: float = 0.0) -> int:
     """Numerical rank from the singular values alone; ``scale`` floors the cutoff as in nullspace."""
-    if a.size == 0:
+    if np.size(a) == 0:
         return 0
     return singular_rank(_svd(a, compute_uv=False), tol, scale)
 

@@ -102,10 +102,7 @@ def _fox_calculus(presentation: SurfaceGroupPresentation, acts: np.ndarray):
 
 def _image_stack(presentation: SurfaceGroupPresentation, model: LieAlgebraModel,
                  images) -> np.ndarray:
-    """A copy of the images as one (2g, N, N) float stack, N the model's realified size.
-
-    A wrong count, shape or entry type raises FlexcheckError.
-    """
+    """The images copied into one (2g, N, N) float stack; a wrong count, shape or type raises."""
     ngen, n = presentation.generator_count, model.realified_size
     try:
         count = len(images)

@@ -214,3 +214,9 @@ def test_span_and_kernel_match_orthonormal_columns_and_nullspace(rng):
 def test_rank_scale_floor(rng):
     noise = 1e-14 * rng.standard_normal((10, 4))
     assert rank(noise) == 4 and rank(noise, scale=1.0) == 0
+
+
+def test_rank_and_nullspace_take_nested_lists():
+    # rank once read .size off its argument, so a list raised AttributeError
+    assert rank([[1.0, 2.0], [2.0, 4.0]]) == 1 and rank([]) == 0
+    assert nullspace([[1.0, 2.0], [2.0, 4.0]]).shape == (2, 1)
