@@ -217,6 +217,6 @@ def test_rank_scale_floor(rng):
 
 
 def test_rank_and_nullspace_take_nested_lists():
-    # rank once read .size off its argument, so a list raised AttributeError
+    # like numpy's own linear algebra, the entry points take any array-like
     assert rank([[1.0, 2.0], [2.0, 4.0]]) == 1 and rank([]) == 0
     assert nullspace([[1.0, 2.0], [2.0, 4.0]]).shape == (2, 1)

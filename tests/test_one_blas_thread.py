@@ -21,5 +21,6 @@ def test_golden_hashes_hold_with_one_blas_thread():
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "tests/test_golden.py", "tests/test_mixed_root.py"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
-    assert " passed" in proc.stdout and "failed" not in proc.stdout
+    # a run in which every test was skipped also exits 0
+    assert proc.returncode == 0 and " passed" in proc.stdout, (
+        proc.stdout[-4000:] + proc.stderr[-2000:])
