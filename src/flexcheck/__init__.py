@@ -1,9 +1,10 @@
 """Flexibility vs. rigidity of surface-group representations.
 
 Centralizer and root-space computations in classical real Lie algebras,
-surface-group cohomology with cup products, Toledo invariants from the
-signature of the cup-square form, and the balanced convex-geometry
-criterion that decides the flexible/rigid verdict.
+surface-group cohomology with cup products, Toledo invariants of root
+modules from the relator lifted to the universal cover of Sp(2n, R), and
+the balanced convex-geometry criterion that decides the flexible/rigid
+verdict.
 """
 
 __version__ = "0.1.0"
@@ -34,7 +35,7 @@ from .surface import (
     standard_presentation,
     surface_representation,
 )
-from .toledo import RootFormReport, root_cohomology, root_form
+from .toledo import RootFormReport, root_form
 from .engine import BalanceProblem, FlexibilityReport, balanced, verdict
 from .catalog import build_case_representation, default_cases, expected_table, find_case
 
@@ -76,7 +77,6 @@ __all__ = [
     "nullspace",
     "rank",
     "realify",
-    "root_cohomology",
     "root_form",
     "standard_presentation",
     "surface_representation",

@@ -199,13 +199,15 @@ def _decomposition_report(pipe, args) -> dict:
 def _cohomology_report(pipe, args) -> dict:
     roots = pipe.decomposition.roots    # the center first: non-reductive input is inconclusive
     # H^0 of the adjoint module is the centralizer, and H^2 its dual by the
-    # nondegenerate Killing form; the Euler characteristic gives h1
+    # nondegenerate Killing form; the Euler characteristic gives h1.  A root
+    # module meets no centralizer (the decomposition checks that it lies in
+    # g_0), so its H^0 and H^2 vanish and h1 = -chi dim
     h0, dim = pipe.z.dim, pipe.rep.model.dim
-    h1 = 2 * h0 - pipe.rep.presentation.euler_characteristic * dim
+    chi = pipe.rep.presentation.euler_characteristic
+    h1 = 2 * h0 - chi * dim
     adjoint = {"h0": h0, "h1": h1, "h2": h0, "z1": h1 + dim - h0, "b1": dim - h0}
     roots = [{"values": [_cnum(v) for v in r.values], "dim": r.real_dim,
-              "h0": w.h0_dim, "h1": w.h1_dim, "h2": w.h2_dim}
-             for r, w in zip(roots, pipe.workspaces)]
+              "h0": 0, "h1": -chi * r.real_dim, "h2": 0} for r in roots]
     return {"adjoint": adjoint, "root_modules": roots}
 
 

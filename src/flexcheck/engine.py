@@ -20,9 +20,9 @@ from .config import (DEFAULT, SIMPLEX_FEASIBLE, SIMPLEX_MULTIPLIERS, SIMPLEX_PIV
                      SIMPLEX_SEPARATION, FlexcheckError, Inconclusive, NumericalAbort, Tolerances)
 from .liealg import SubalgebraHandle, center_of, centralizer, killing_restriction_nondegenerate
 from .linalg import nullspace, orthonormal_columns, rank
-from .roots import MIXED, TorusRootDecomposition, decompose
-from .surface import CohomologyWorkspace, SurfaceRepresentation, adjoint_module
-from .toledo import RootFormReport, root_cohomology, root_form
+from .roots import MIXED, TorusRootDecomposition, check_in_g0, decompose
+from .surface import SurfaceRepresentation, adjoint_module
+from .toledo import RootFormReport, root_form
 
 
 @dataclass(frozen=True)
@@ -227,18 +227,15 @@ class Pipeline:
 
     @cached_property
     def decomposition(self) -> TorusRootDecomposition:
+        """The roots of the center, once the centralizer lies in g_0: every root
+        module then has H^0 = H^2 = 0, so h1 = -chi dim (``roots.check_in_g0``)."""
+        check_in_g0(self.center, self.z, self.tol)
         return decompose(self.rep.model, self.center, self.tol)
 
     @cached_property
     def adjoint(self) -> np.ndarray:
         """The (2g, dim, dim) stack of Ad of the generator images."""
         return adjoint_module(self.rep)
-
-    @cached_property
-    def workspaces(self) -> tuple[CohomologyWorkspace, ...]:
-        """Each root's cohomology, in ``decomposition`` order."""
-        return tuple(root_cohomology(self.rep, self.adjoint, r, self.tol)
-                     for r in self.decomposition.roots)
 
     @cached_property
     def forms(self) -> tuple[RootFormReport, ...]:
@@ -250,8 +247,8 @@ class Pipeline:
         root.  If every T is 0, ``decompose``'s key rule stands, and so
         does a center of dimension >= 2 (no computable catalog case has one).
         """
-        forms = tuple(root_form(ws, r, self.tol)
-                      for ws, r in zip(self.workspaces, self.decomposition.roots))
+        forms = tuple(root_form(self.rep, self.adjoint, r, self.tol)
+                      for r in self.decomposition.roots)
         if self.center.dim == 1 and next((f.toledo for f in forms if f.toledo), 0) < 0:
             forms = tuple(_negate(f, values=False) for f in forms)
         return forms

@@ -401,8 +401,12 @@ def subalgebra_from_matrices(
     n = model.realified_size
     if len(mats) == 0:
         return SubalgebraHandle(model, np.zeros((0, model.dim)))
-    if np.shape(mats)[1:] != (n, n):
-        raise FlexcheckError(f"matrices of {model.name} are {n} x {n}, got shape {np.shape(mats)}")
+    try:
+        shape = np.shape(mats)
+    except ValueError:  # ragged nesting
+        shape = "ragged"
+    if shape[1:] != (n, n):
+        raise FlexcheckError(f"matrices of {model.name} are {n} x {n}, got shape {shape}")
     on = orthonormal_columns(np.reshape(mats, (len(mats), -1)).T, tol.rank)
     matrices = on.T.reshape(-1, n, n)
     resid = _closure_residual(matrices, on)

@@ -16,8 +16,8 @@ import numpy as np
 
 from .config import DEFAULT, NumericalAbort, Tolerances
 from .liealg import LieAlgebraModel, SubalgebraHandle
-from .linalg import (joint_eigenspace, joint_eigenvalues, relative_residual, singular_rank,
-                     value_keys)
+from .linalg import (joint_eigenspace, joint_eigenvalues, rank, relative_residual,
+                     singular_rank, value_keys)
 
 REAL, IMAGINARY, MIXED = "real", "imaginary", "mixed"
 
@@ -122,6 +122,26 @@ def decompose(
         raise NumericalAbort(f"direct sum check failed: {total} != {dim}")
     roots.sort(key=lambda kr: kr[0])
     return TorusRootDecomposition(g0_dim, tuple(rd for _, rd in roots))
+
+
+def check_in_g0(torus: SubalgebraHandle, sub: SubalgebraHandle,
+                tol: Tolerances = DEFAULT) -> None:
+    """Abort unless ``sub`` lies in g_0 of ``torus``: ad(t) kills it, to the rank cut.
+
+    The pipeline passes the centralizer z of the image and its center.
+    z is ad(t)-invariant, so it lies in g_0 exactly when it meets no root
+    space; then H^0 = z meet g_lambda of every root module vanishes, and
+    so does H^2, dual to H^0 through the Killing form, which pairs g_lambda
+    with g_-lambda inside the module.  One product gives every bracket
+    [t_i, z_j]; the cut's floor is the Frobenius norm of the stacked
+    ad(t), as in ``center_of``.
+    """
+    ads = torus.model.ad(torus.coords)
+    brackets = (ads @ sub.coords.T).reshape(torus.dim * sub.model.dim, sub.dim)
+    if rank(brackets, tol.rank, scale=max(float(np.linalg.norm(ads)), 1.0)):
+        raise NumericalAbort(
+            "H^0 is nonzero on a nonzero root space; the torus is not the "
+            "center of the centralizer of this representation")
 
 
 def _build_root(model, ads, gram, rep, shift_plus, shift_minus, k: int,

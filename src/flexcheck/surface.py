@@ -60,15 +60,33 @@ class SurfaceRepresentation:
     relator_residual: float          # relative to the prefix scale; against -I if lifted
 
 
-def relator_prefixes(presentation: SurfaceGroupPresentation, images: np.ndarray) -> list:
+def action_stack(actions, count: int | None = None) -> np.ndarray:
+    """A module's generator actions as one (K, m, m) float array, K = ``count`` if given.
+
+    Any other shape, a ragged nesting or entries that are not real
+    numbers raise FlexcheckError.
+    """
+    try:
+        stack = np.asarray(actions)
+    except ValueError:  # ragged nesting
+        raise FlexcheckError("generator actions must be equal-sized square matrices, "
+                             "got a ragged nesting") from None
+    shape = stack.shape
+    if len(shape) != 3 or shape[1] != shape[2] or count not in (None, shape[0]):
+        raise FlexcheckError(f"need a ({count or 'K'}, m, m) stack of generator actions, "
+                             f"got shape {shape}")
+    if stack.dtype.kind not in "biuf":
+        raise FlexcheckError(f"generator actions must be real numbers, got {stack.dtype}")
+    return stack.astype(float, copy=False)
+
+
+def relator_prefixes(presentation: SurfaceGroupPresentation, images) -> list:
     """Products of the relator's first k letters, k = 0..4g; the last is the relator.
 
     ``images`` is the (2g, m, m) stack of generator actions; any other
     shape raises FlexcheckError.
     """
-    shape, ngen = np.shape(images), presentation.generator_count
-    if len(shape) != 3 or shape[0] != ngen or shape[1] != shape[2]:
-        raise FlexcheckError(f"need a ({ngen}, m, m) stack of generator actions, got shape {shape}")
+    images = action_stack(images, presentation.generator_count)
     try:
         invs = np.linalg.inv(images)
     except np.linalg.LinAlgError as exc:
@@ -231,9 +249,9 @@ def adjoint_module(rep: SurfaceRepresentation) -> np.ndarray:
     return rep.model.adjoint_group_matrix(rep.images)
 
 
-def restricted_module(actions: np.ndarray, basis: np.ndarray,
-                      tol: Tolerances = DEFAULT) -> np.ndarray:
+def restricted_module(actions, basis: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
     """Restrict a (2g, m, m) action stack to an invariant subspace with orthonormal basis columns."""
+    actions = action_stack(actions)
     if np.ndim(basis) != 2 or len(basis) != actions.shape[-1]:
         raise FlexcheckError(f"need a basis of {actions.shape[-1]} rows, "
                              f"got shape {np.shape(basis)}")
@@ -278,13 +296,15 @@ class CohomologyWorkspace:
         return relative_residual(self.relator_map @ u, u, axis=0)
 
 
-def cohomology(rep: SurfaceRepresentation, actions: np.ndarray,
+def cohomology(rep: SurfaceRepresentation, actions,
                tol: Tolerances = DEFAULT) -> CohomologyWorkspace:
     """H^1 (the cocycles orthogonal to B^1) and the dimension bookkeeping of a module.
 
-    ``actions`` is the (2g, m, m) stack of the module's generator actions.
+    ``actions`` is the (2g, m, m) stack of the module's generator actions
+    (``action_stack``).
     """
     pres = rep.presentation
+    actions = action_stack(actions, pres.generator_count)
     ngen, m = pres.generator_count, actions.shape[-1]
     eye = np.eye(m)
 
@@ -319,14 +339,18 @@ def cohomology(rep: SurfaceRepresentation, actions: np.ndarray,
         h0_dim=h0, h1_dim=hdim, h2_dim=h2)
 
 
-def _check_invariant_form(ws: CohomologyWorkspace, omega: np.ndarray) -> None:
-    """Abort unless every slice of ``omega`` ((m, m) or (K, m, m)) is module-invariant."""
-    forms = omega.reshape(-1, ws.module_dim, ws.module_dim)
-    acts = ws.actions[:, None]                              # (K, 1, m, m) against (F, m, m)
+def check_invariant_form(actions: np.ndarray, omega: np.ndarray) -> None:
+    """Abort unless every slice of ``omega`` ((m, m) or (F, m, m)) is invariant under the
+    (K, m, m) ``actions``: a^T omega a = omega, relative to |omega| |a|^2."""
+    m = actions.shape[-1]
+    forms = omega.reshape(-1, m, m)
+    acts = actions[:, None]                                 # (K, 1, m, m) against (F, m, m)
     resid = relative_residual(np.swapaxes(acts, -1, -2) @ forms @ acts - forms, forms, (-2, -1))
-    norms = np.maximum(spectral_norms(acts[:, 0]) ** 2, 1.0)
+    if np.all(resid <= FORM_INVARIANCE):        # the bound is at least FORM_INVARIANCE
+        return
+    norms = np.maximum(spectral_norms(actions) ** 2, 1.0)
     if np.any(resid > FORM_INVARIANCE * norms[:, None]):
-        raise NumericalAbort("cup pairing needs a module-invariant bilinear form")
+        raise NumericalAbort("the bilinear form is not module-invariant")
 
 
 def cup_pairing(
@@ -357,7 +381,7 @@ def cup_pairing(
     for w in (u,) if same else (u, v):
         if np.any(ws.cocycle_residual(w) > tol.cocycle_check):
             raise NumericalAbort("cup_pairing arguments must be cocycles")
-    _check_invariant_form(ws, omega)
+    check_invariant_form(ws.actions, omega)
 
     pres = ws.rep.presentation
     gens = np.array(pres.letters)[:, 0]

@@ -11,10 +11,13 @@ the pipeline also reaches:
 - ``cup_square``: the class of [u cup u] in H^2 of the adjoint module;
 - ``signature``: the sign count of a symmetric matrix's eigenvalues;
 - ``bracket_coords``, ``killing_form``, ``torus_gram``,
-  ``root_eigenspace``, ``invariant_vectors``, ``coboundaries``,
-  ``cocycles`` and ``root_gram``: the bracket, Killing pairings,
-  eigenspaces, H^0, B^1, Z^1 and cup-form Gram that the pipeline uses
-  internally and does not keep.
+  ``root_eigenspace``, ``invariant_vectors``, ``coboundaries`` and
+  ``cocycles``: the bracket, Killing pairings, eigenspaces, H^0, B^1 and
+  Z^1 that the pipeline uses internally and does not keep;
+- ``root_cohomology``, ``root_gram`` and ``gram_toledo``: a root module's
+  Fox-calculus cohomology and the cup-form Gram on its H^1, whose
+  signature is 4T: the route to T that the lifted relator replaced in
+  the pipeline.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from flexcheck.liealg import _form_matrix, _indefinite_basis
 from flexcheck.linalg import nullspace, orthonormal_columns, rank, span_and_kernel
 from flexcheck.roots import REAL, RootDatum
 from flexcheck.scalars import Field, realify
-from flexcheck.surface import CohomologyWorkspace, cup_pairing, restricted_module
-from flexcheck.toledo import gram_matrix
+from flexcheck.surface import CohomologyWorkspace, cohomology, cup_pairing, restricted_module
+from flexcheck.toledo import gram_matrix, symplectic_form_report
 
 
 def components(z) -> np.ndarray:
@@ -87,9 +90,25 @@ def cocycles(ws: CohomologyWorkspace, tol: Tolerances = DEFAULT) -> np.ndarray:
     return np.hstack([ws.h1, coboundaries(ws, tol)])
 
 
+def root_cohomology(rep, adjoint: np.ndarray, root: RootDatum,
+                    tol: Tolerances = DEFAULT) -> CohomologyWorkspace:
+    """H^* of the realified root space of ``root`` under the (2g, dim, dim) adjoint actions."""
+    return cohomology(rep, restricted_module(adjoint, root.real_basis, tol), tol)
+
+
+def _root_omega(root: RootDatum) -> np.ndarray:
+    return root.omega.real if root.classification == REAL else root.omega.imag
+
+
 def root_gram(ws: CohomologyWorkspace, root: RootDatum, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """The Gram matrix whose signature ``root_form`` reads, for a real or imaginary root."""
-    return gram_matrix(ws, root.omega.real if root.classification == REAL else root.omega.imag, tol)
+    """The cup-form Gram matrix on a real or imaginary root's H^1, with signature 4T."""
+    return gram_matrix(ws, _root_omega(root), tol)
+
+
+def gram_toledo(rep, adjoint: np.ndarray, root: RootDatum, tol: Tolerances = DEFAULT):
+    """T of a real or imaginary root read off the Gram signature, and the module's H^1 dimension."""
+    report = symplectic_form_report(root_cohomology(rep, adjoint, root, tol), _root_omega(root), tol)
+    return report.toledo, report.h1_dim
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,13 @@ from flexcheck.surface import (
     restricted_module,
     surface_representation,
 )
-from flexcheck.toledo import root_cohomology, root_form
+from flexcheck.toledo import root_form
 from reference import (
     bracket_coords,
     coboundaries,
     cocycles,
     lagrangian_pair_check,
+    root_cohomology,
     root_gram,
     scan_invariant_lagrangians,
     signature,
@@ -51,8 +52,9 @@ def test_acceptance_01_su21_rigid(case_pipeline):
     assert root.milnor_wood_slack == 0
     assert out.verdict == "rigid"
     pipe = Pipeline(rep)
-    [(ws, rr)] = [(ws, f) for ws, f in zip(pipe.workspaces, pipe.split[0]) if f.in_P]
-    assert rr.min_eig_separation >= 1e-6                  # Gram eigs away from zero
+    [rr] = [f for f in pipe.split[0] if f.in_P]
+    assert rr.lift_margin <= 1e-12                        # lifted relator at an integer T
+    ws = root_cohomology(rep, pipe.adjoint, rr.root)
     assert np.all(np.linalg.eigvalsh(root_gram(ws, rr.root)) > 0)
     elapsed = time.monotonic() - t0
     assert elapsed <= 10.0
@@ -74,7 +76,7 @@ def test_acceptance_02_so41_flexible(case_pipeline):
     l1 = np.stack(l1, axis=1)
     l2 = np.stack(l2, axis=1)
     assert lagrangian_pair_check(mod, root.omega.imag, l1, l2)   # {c2=0}, {c1=0}
-    rr = root_form(cohomology(rep, mod), root)
+    rr = root_form(rep, adj, root)
     assert rr.signature == 0 and rr.toledo == 0
     out = verdict(rep)
     assert out.verdict == "flexible"
@@ -88,7 +90,7 @@ def test_acceptance_03_sp21_cline(case_pipeline):
     t0 = time.monotonic()
     rep, z, c, dec = case_pipeline("sp21-cline")
     adj = adjoint_module(rep)
-    reports = {r.real_dim: root_form(root_cohomology(rep, adj, r), r) for r in dec.roots}
+    reports = {r.real_dim: root_form(rep, adj, r) for r in dec.roots}
     # the root realizing the stated SO(4,1) reduction: signature 0, T = 0
     assert 6 in reports
     rr6 = reports[6]
@@ -112,8 +114,8 @@ def test_acceptance_04_su31_scaling(case_pipeline):
     rep2, _, _, dec2 = case_pipeline("su21-cline")
     rep3, _, _, dec3 = case_pipeline("su31-cline")
     root2, root3 = dec2.roots[0], dec3.roots[0]
-    t2 = root_form(root_cohomology(rep2, adjoint_module(rep2), root2), root2).toledo
-    t3 = root_form(root_cohomology(rep3, adjoint_module(rep3), root3), root3).toledo
+    t2 = root_form(rep2, adjoint_module(rep2), root2).toledo
+    t3 = root_form(rep3, adjoint_module(rep3), root3).toledo
     assert abs(t2) == 2 and abs(t3) == 4
     assert abs(t3) == 2 * abs(t2)
     _report(4, f"su(3,1) C-line Toledo scaling: |T(3)| = {abs(t3)} = 2 x |T(2)|")

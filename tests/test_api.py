@@ -38,7 +38,9 @@ from flexcheck.liealg import (LieAlgebraModel, SubalgebraHandle, build_classical
 from flexcheck.linalg import nullspace, orthonormal_columns, rank, span_and_kernel
 from flexcheck.roots import decompose
 from flexcheck.surface import (cohomology, correct_relator, cup_pairing, fuchsian_genus2,
-                               restricted_module, standard_presentation, surface_representation)
+                               relator_prefixes, restricted_module, standard_presentation,
+                               surface_representation)
+from flexcheck.toledo import lifted_toledo
 
 PACKAGE = Path(flexcheck.__file__).parent
 
@@ -95,6 +97,9 @@ def test_every_export_is_used_or_allowlisted():
 MEMBER_ALLOWLIST = {
     "FlexibilityReport.reductive_condition": "a margin for the report's diagnostics (ROADMAP item 8)",
     "RootFormReport.min_eig_separation": "a margin for the report's diagnostics (ROADMAP item 8)",
+    "RootFormReport.lift_margin": "a margin for the report's diagnostics (ROADMAP item 8)",
+    "CohomologyWorkspace.h0_dim": "cohomology()'s count; the tests' Fox-calculus oracle reads it",
+    "CohomologyWorkspace.h2_dim": "cohomology()'s count; the tests' Fox-calculus oracle reads it",
     "SurfaceRepresentation.relator_residual": "a margin for the report's diagnostics (ROADMAP item 8)",
 }
 
@@ -270,7 +275,8 @@ def test_the_benchmark_hooks_resolve():
 def test_the_benchmark_work_sizes_read_live_members():
     # each COMPUTED lambda reads members of a traced call's result
     pipe = Pipeline(build_case_representation("su21-cline"))
-    results = {"surface.cohomology": pipe.workspaces[0], "toledo.root_form": pipe.forms[0]}
+    results = {"surface.cohomology": cohomology(pipe.rep, pipe.adjoint),
+               "toledo.root_form": pipe.forms[0]}
     computed = _top_level_value(PERFBENCH / "spans.py", "COMPUTED")
     assert {ast.literal_eval(key) for key in computed.keys} == set(results)
     for key, value in zip(computed.keys, computed.values):
@@ -387,6 +393,7 @@ PINNED = {
     "OCTAGON_NORMALIZER": 1e-9,
     "RELATOR_CORRECTION": 1e-12,
     "FORM_INVARIANCE": 1e-6,
+    "TOLEDO_LIFT": 1e-3,
     "MODEL_CLOSURE": 1e-12,
     "TOLERANCE_FLOOR": 100 * 2.0 ** -52,
 }
@@ -541,6 +548,17 @@ def _octagon_cup(omega=((0.0, 1.0), (-1.0, 0.0)), u=None):
     return cup_pairing(ws, omega, ws.h1 if u is None else u, ws.h1)
 
 
+_I2, _I3 = np.eye(2), np.eye(3)
+_J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+# lifted_toledo's malformed input: a wrong stack, an odd module, a form of another size
+LIFT_SHAPE_ERRORS = {
+    "wrong-count": lambda: lifted_toledo([_I2] * 3, _J2, standard_presentation(2)),
+    "ragged": lambda: lifted_toledo([_I2, _I3, _I2, _I2], _J2, standard_presentation(2)),
+    "odd-module": lambda: lifted_toledo([_I3] * 4, np.zeros((3, 3)), standard_presentation(2)),
+    "mismatched-omega": lambda: lifted_toledo([_I2] * 4, np.zeros((4, 4)), standard_presentation(2)),
+    "complex-omega": lambda: lifted_toledo([_I2] * 4, 1j * _J2, standard_presentation(2)),
+}
+
 NUMPY_ERRORS = {
     "balanced-short-vector": lambda: balanced(BalanceProblem(2, (np.array([1.0]),), ())),
     "conjugation_limit-size-mismatch": lambda: conjugation_limit(np.eye(3), np.eye(2)),
@@ -582,6 +600,13 @@ NUMPY_ERRORS = {
     "cocycle_residual-wrong-length": lambda: cohomology(
         fuchsian_genus2(), fuchsian_genus2().images).cocycle_residual(np.ones(3)),
     "conjugation_limit-strings": lambda: conjugation_limit("a", "b"),
+    "cohomology-ragged-list": lambda: cohomology(fuchsian_genus2(), [_I2, _I3, _I2, _I2]),
+    "cohomology-too-few-actions": lambda: cohomology(fuchsian_genus2(), [_I2] * 3),
+    "restricted_module-ragged-list": lambda: restricted_module([_I2, _I3], _I2),
+    "relator_prefixes-ragged-list": lambda: relator_prefixes(standard_presentation(2),
+                                                             [_I2, _I3, _I2, _I2]),
+    "subalgebra_from_matrices-ragged-list": lambda: subalgebra_from_matrices(_sl2(), [_I2, _I3]),
+    **{f"lifted_toledo-{name}": call for name, call in LIFT_SHAPE_ERRORS.items()},
 }
 
 # Malformed input is an input error, not a numerical abort: a caller that
@@ -592,7 +617,17 @@ SHAPE_ERRORS = {
     "nullspace-vector": lambda: nullspace(np.ones(3)),
     "span_and_kernel-vector": lambda: span_and_kernel(np.ones(3)),
     "cohomology-non-square-actions": lambda: cohomology(fuchsian_genus2(), np.zeros((4, 2, 3))),
+    **{f"lifted_toledo-{name}": call for name, call in LIFT_SHAPE_ERRORS.items()},
 }
+
+
+def test_lists_of_actions_are_stacks():
+    # a list of equal square matrices is a module like the array it stacks into
+    rep = fuchsian_genus2()
+    listed, stacked = cohomology(rep, list(rep.images)), cohomology(rep, rep.images)
+    assert (listed.h0_dim, listed.h1_dim, listed.h2_dim) == (0, 4, 0)
+    assert np.array_equal(listed.h1, stacked.h1)
+    assert np.array_equal(restricted_module([np.eye(2)] * 4, np.eye(2)), np.stack([np.eye(2)] * 4))
 
 
 @pytest.mark.parametrize("call", NUMPY_ERRORS.values(), ids=NUMPY_ERRORS)

@@ -13,7 +13,7 @@ from flexcheck.catalog import (
 )
 from flexcheck.scalars import Field
 from flexcheck.surface import _expm, adjoint_module
-from flexcheck.toledo import root_cohomology, root_form
+from flexcheck.toledo import root_form
 from reference import hom_bracket_closed_form, splitso
 
 
@@ -127,8 +127,8 @@ def test_su_cline_toledo_scaling(case_pipeline):
     rep2, _, _, dec2 = case_pipeline("su21-cline")
     rep3, _, _, dec3 = case_pipeline("su31-cline")
     root2, root3 = dec2.roots[0], dec3.roots[0]
-    t2 = root_form(root_cohomology(rep2, adjoint_module(rep2), root2), root2).toledo
-    t3 = root_form(root_cohomology(rep3, adjoint_module(rep3), root3), root3).toledo
+    t2 = root_form(rep2, adjoint_module(rep2), root2).toledo
+    t3 = root_form(rep3, adjoint_module(rep3), root3).toledo
     assert abs(t3) == 2 * abs(t2)
 
 
@@ -136,7 +136,7 @@ def test_sp_cline_has_vanishing_toledo_root(case_pipeline):
     for name in ("sp21-cline", "sp31-cline"):
         rep, _, _, dec = case_pipeline(name)
         adj = adjoint_module(rep)
-        reports = [root_form(root_cohomology(rep, adj, r), r) for r in dec.roots]
+        reports = [root_form(rep, adj, r) for r in dec.roots]
         assert any(rr.toledo == 0 and rr.signature == 0 for rr in reports), name
 
 

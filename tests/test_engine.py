@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -22,7 +23,6 @@ from flexcheck.engine import (
 )
 from flexcheck.liealg import LieAlgebraModel, build_classical, centralizer
 from flexcheck.surface import (
-    _check_invariant_form,
     _expm,
     adjoint_module,
     cohomology,
@@ -32,8 +32,8 @@ from flexcheck.surface import (
     surface_representation,
 )
 from flexcheck.roots import IMAGINARY, RootDatum
-from flexcheck.toledo import RootFormReport, root_cohomology, root_form
-from reference import coboundaries, cocycles, root_gram
+from flexcheck.toledo import RootFormReport, root_form
+from reference import coboundaries, cocycles, root_cohomology, root_gram
 
 
 @pytest.mark.parametrize("p, n", [([np.nan, 0.0], []), ([1.0, 0.0], [np.inf, 0.0])])
@@ -143,12 +143,11 @@ def test_balanced_matches_supporting_functional_enumeration():
 def test_classify_PN_reselects_positive(case_pipeline):
     rep, z, c, dec = case_pipeline("su21-cline")
     adj = adjoint_module(rep)
-    workspaces = [root_cohomology(rep, adj, r) for r in dec.roots]
-    reports = [root_form(ws, r) for ws, r in zip(workspaces, dec.roots)]
+    reports = [root_form(rep, adj, r) for r in dec.roots]
     forms, n_values, problem = classify_PN(reports)
     assert [rr.in_P for rr in forms] == [True] and not n_values
     assert forms[0].toledo > 0
-    ev = np.linalg.eigvalsh(root_gram(workspaces[0], forms[0].root))
+    ev = np.linalg.eigvalsh(root_gram(root_cohomology(rep, adj, dec.roots[0]), forms[0].root))
     assert np.all(ev > 0)            # positive definite after re-selection
     assert len(problem.p_vectors) == 1
     assert problem.p_vectors[0] @ forms[0].root.values.imag > 0
@@ -323,6 +322,20 @@ def test_cohomology_report_adjoint_block_matches_fox_calculus(build):
         "z1": cocycles(ws).shape[1], "b1": coboundaries(ws).shape[1]}
 
 
+@pytest.mark.parametrize("build", ADJOINT_ORACLE_CASES.values(), ids=ADJOINT_ORACLE_CASES)
+def test_cohomology_report_root_block_matches_fox_calculus(build):
+    # the report reads each root module's counts off h0 = h2 = 0 and
+    # h1 = -chi dim; the Fox-calculus cohomology of the module is the
+    # independent route to them
+    pipe = Pipeline(build())
+    entries = _cohomology_report(pipe, None)["root_modules"]
+    assert len(entries) == len(pipe.decomposition.roots)
+    for entry, root in zip(entries, pipe.decomposition.roots):
+        ws = root_cohomology(pipe.rep, pipe.adjoint, root)
+        assert (entry["dim"], entry["h0"], entry["h1"], entry["h2"]) == (
+            ws.module_dim, ws.h0_dim, ws.h1_dim, ws.h2_dim)
+
+
 def test_verdict_stable_under_tolerance_scaling():
     # every tolerance scaled by 10^-2 and 10^2 on every catalog case: the
     # verdict stays, or the pipeline aborts; it never flips
@@ -408,14 +421,37 @@ def test_verdict_computes_ad_once(case_pipeline, monkeypatch):
     assert calls == [(4,) + rep.images[0].shape]
 
 
-def test_verdict_pairs_each_root_form_in_one_cup_call(case_pipeline, monkeypatch):
-    # one block cup pairing per root Gram, not one call per pair of H^1 classes
+def test_verdict_calls_neither_cohomology_nor_cup_pairing(case_pipeline, monkeypatch):
+    # T comes from each root's lifted relator and h1 from the Euler
+    # characteristic: no H^1 basis and no Gram on the verdict path
     rep, _, _, _ = case_pipeline("sp21-cline")
-    calls = _count_calls(monkeypatch, cup_pairing, _check_invariant_form)
+    calls = _count_calls(monkeypatch, cohomology, cup_pairing, root_form)
     report = verdict(rep)
     assert len(report.roots) == 2 and all(r.h1_dim > 1 for r in report.roots)
-    assert calls["cup_pairing"] == len(report.roots)
-    assert calls["_check_invariant_form"] <= calls["cup_pairing"]
+    assert calls == {"root_form": 2}
+
+
+@pytest.mark.parametrize("name, genus, table", [("su21-cline", 128, (4, 2, 1016)),
+                                                 ("su31-cline", 450, (8, 4, 7184))])
+def test_threshold_genus_verdict_in_memory_linear_in_g(name, genus, table):
+    # pinched data at 2 dim(G)^2, with the closed-form roots of the test
+    # below; the Gram on H^1 alone would take h1^2 doubles (413 MB for
+    # su31-cline), the adjoint module takes 2g dim^2, and the verdict's peak
+    # must stay within a few of those
+    base = build_case_representation(name)
+    assert genus == 2 * base.model.dim ** 2
+    ident = np.eye(base.images[0].shape[0])
+    rep = surface_representation(standard_presentation(genus), base.model,
+                                 list(base.images) + [ident] * (2 * genus - 4))
+    tracemalloc.start()
+    try:
+        report = verdict(rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict == "flexible"
+    assert [(r.real_dim, abs(r.toledo), r.h1_dim) for r in report.roots] == [table]
+    assert peak <= 8 * (2 * genus * base.model.dim ** 2 * 8) + 2 ** 21
 
 
 def test_verdict_at_theorem_threshold_genus():

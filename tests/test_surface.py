@@ -20,9 +20,8 @@ from flexcheck.surface import (
     standard_presentation,
     surface_representation,
 )
-from flexcheck.toledo import root_cohomology
 from reference import (bracket_coords, coboundaries, cocycles, components, cup_square,
-                       invariant_vectors, killing_form)
+                       invariant_vectors, killing_form, root_cohomology)
 
 
 def test_standard_presentation():
@@ -177,7 +176,8 @@ def test_cup_square_discrete_centralizer(fuchsian):
 
 
 def test_cup_square_rejects_a_restricted_root_module(case_pipeline):
-    ws = Pipeline(case_pipeline("su21-cline")[0]).workspaces[0]
+    pipe = Pipeline(case_pipeline("su21-cline")[0])
+    ws = root_cohomology(pipe.rep, pipe.adjoint, pipe.decomposition.roots[0])
     assert ws.module_dim < ws.rep.model.dim
     with pytest.raises(FlexcheckError, match="adjoint module"):
         cup_square(ws, ws.h1[:, 0])
@@ -565,8 +565,8 @@ def _cohomology_cases(fuchsian, case_pipeline):
     for name in ("su21-cline", "sp21-cline", "so41-rplane"):
         pipe = Pipeline(case_pipeline(name)[0])
         yield pipe.rep, pipe.adjoint
-        for ws in pipe.workspaces:
-            yield pipe.rep, ws.actions
+        for root in pipe.decomposition.roots:
+            yield pipe.rep, root_cohomology(pipe.rep, pipe.adjoint, root).actions
 
 
 def test_cohomology_matches_separate_span_and_kernel_svds(fuchsian, case_pipeline):
@@ -601,7 +601,8 @@ def test_cocycles_match_the_relator_map_kernel(fuchsian, case_pipeline):
     pipes = [Pipeline(rep) for rep in (fuchsian, pinched, bent_genus2())]
     pipes += [Pipeline(case_pipeline(c.name)[0]) for c in default_cases() if c.computable]
     for pipe in pipes:
-        for ws in (cohomology(pipe.rep, pipe.adjoint),) + pipe.workspaces:
+        for ws in [cohomology(pipe.rep, pipe.adjoint)] + [
+                root_cohomology(pipe.rep, pipe.adjoint, root) for root in pipe.decomposition.roots]:
             prefixes = relator_prefixes(pipe.rep.presentation, ws.actions)
             scale = max(float(np.abs(prefixes).max()), 1.0)
             z1 = nullspace(ws.relator_map, DEFAULT.rank, scale=scale)

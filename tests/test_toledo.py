@@ -1,20 +1,27 @@
+import functools
+
 import numpy as np
 import pytest
 
-from flexcheck.config import NumericalAbort, Tolerances
-from flexcheck.liealg import subalgebra_from_matrices
-from flexcheck.roots import decompose
+from conftest import bent_genus2, fuchsian_sum
+from flexcheck.catalog import build_case_representation, default_cases
+from flexcheck.config import TOLEDO_LIFT, NumericalAbort, Tolerances
+from flexcheck.engine import Pipeline
+from flexcheck.liealg import centralizer, subalgebra_from_matrices
+from flexcheck.roots import MIXED, check_in_g0, decompose
 from flexcheck.surface import (
     adjoint_module,
     cohomology,
     cup_pairing,
+    fuchsian_genus2,
     restricted_module,
     standard_presentation,
     surface_representation,
 )
-from flexcheck.toledo import root_cohomology, root_form, symplectic_form_report
-from reference import (coboundaries, cocycles, components, lagrangian_pair_check,
-                       scan_invariant_lagrangians, signature, splitso)
+from flexcheck.toledo import lifted_toledo, root_form, symplectic_form_report
+from reference import (coboundaries, cocycles, components, gram_toledo, invariant_vectors,
+                       lagrangian_pair_check, scan_invariant_lagrangians, signature, splitso)
+from test_engine import FUCHSIAN_SUMS
 
 
 def test_fuchsian_standard_module_signature(fuchsian):
@@ -45,7 +52,7 @@ def test_a_standard_module_report_has_no_root_class(fuchsian):
 
 def test_su21_root_form(case_pipeline):
     rep, z, c, dec = case_pipeline("su21-cline")
-    rr = root_form(root_cohomology(rep, adjoint_module(rep), dec.roots[0]), dec.roots[0])
+    rr = root_form(rep, adjoint_module(rep), dec.roots[0])
     assert rr.h1_dim == 8
     assert abs(rr.signature) == 8 and abs(rr.toledo) == 2
     assert rr.definite
@@ -54,7 +61,7 @@ def test_su21_root_form(case_pipeline):
 
 def test_so41_root_form(case_pipeline):
     rep, z, c, dec = case_pipeline("so41-rplane")
-    rr = root_form(root_cohomology(rep, adjoint_module(rep), dec.roots[0]), dec.roots[0])
+    rr = root_form(rep, adjoint_module(rep), dec.roots[0])
     assert rr.h1_dim == 12
     assert rr.signature == 0 and rr.toledo == 0
     assert not rr.definite
@@ -71,7 +78,7 @@ def test_real_root_toledo_vanishes(models):
     torus = subalgebra_from_matrices(m, [h])
     dec = decompose(m, torus)
     assert len(dec.roots) == 1 and dec.roots[0].classification == "real"
-    rr = root_form(root_cohomology(rep, adjoint_module(rep), dec.roots[0]), dec.roots[0])
+    rr = root_form(rep, adjoint_module(rep), dec.roots[0])
     assert rr.toledo == 0
     assert rr.status == "ok"
 
@@ -83,7 +90,7 @@ def test_root_form_rejects_noncentralized_torus(fuchsian, models):
     torus = subalgebra_from_matrices(m, [h])
     dec = decompose(m, torus)
     with pytest.raises(NumericalAbort):
-        root_form(root_cohomology(fuchsian, adjoint_module(fuchsian), dec.roots[0]), dec.roots[0])
+        root_form(fuchsian, adjoint_module(fuchsian), dec.roots[0])
 
 
 def _so41_lagrangians(case_pipeline):
@@ -109,7 +116,7 @@ def test_so41_lagrangian_pair(case_pipeline):
     rep, root, mod, l1, l2 = _so41_lagrangians(case_pipeline)
     omega = root.omega.imag
     assert lagrangian_pair_check(mod, omega, l1, l2)
-    rr = root_form(cohomology(rep, mod), root)
+    rr = root_form(rep, adjoint_module(rep), root)
     assert rr.toledo == 0
     # mixing the two Lagrangians produces a non-isotropic subspace
     bad = l1.copy()
@@ -159,13 +166,13 @@ def test_sp21_second_root_is_so41_reduction(case_pipeline):
     by_dim = {r.real_dim: r for r in dec.roots}
     assert set(by_dim) == {8, 6}
     adj = adjoint_module(rep)
-    rr6 = root_form(root_cohomology(rep, adj, by_dim[6]), by_dim[6])
+    rr6 = root_form(rep, adj, by_dim[6])
     assert rr6.signature == 0 and rr6.toledo == 0
     mod = restricted_module(adj, by_dim[6].real_basis)
     found = scan_invariant_lagrangians(mod, by_dim[6].omega.imag)
     assert found is not None
     # the Hom-block root is maximal: std + conj-std add up, not cancel
-    rr8 = root_form(root_cohomology(rep, adj, by_dim[8]), by_dim[8])
+    rr8 = root_form(rep, adj, by_dim[8])
     assert abs(rr8.toledo) == 4 and rr8.definite
 
 
@@ -221,7 +228,9 @@ def test_gram_on_coboundaries_vanishes(case_pipeline, rng):
 
 
 def test_root_form_rejects_invariant_vectors(models):
-    # trivial representation: the root module has H^0 != 0
+    # trivial representation: the root module has H^0 != 0, as the whole
+    # algebra centralizes the image; root_form's precondition, that the
+    # centralizer lies in g_0, fails
     m = models["su21"]
     from flexcheck.scalars import Field, realify
     z = realify(components(np.diag([-2j, 1j, 1j])), Field.COMPLEX)
@@ -229,16 +238,17 @@ def test_root_form_rejects_invariant_vectors(models):
     dec = decompose(m, torus)
     rep = surface_representation(standard_presentation(2), m,
                                  [np.eye(m.realified_size)] * 4)
-    ws = root_cohomology(rep, adjoint_module(rep), dec.roots[0])
-    with pytest.raises(NumericalAbort):
-        root_form(ws, dec.roots[0])
+    adj = adjoint_module(rep)
+    assert invariant_vectors(restricted_module(adj, dec.roots[0].real_basis)).shape[1] > 0
+    with pytest.raises(NumericalAbort, match="H\\^0 is nonzero"):
+        check_in_g0(torus, centralizer(m, adj))
 
 
 def test_classify_PN_aborts_on_degenerate_report(case_pipeline):
     from dataclasses import replace
     from flexcheck.engine import classify_PN
     rep, z, c, dec = case_pipeline("su21-cline")
-    rr = root_form(root_cohomology(rep, adjoint_module(rep), dec.roots[0]), dec.roots[0])
+    rr = root_form(rep, adjoint_module(rep), dec.roots[0])
     degenerate = replace(rr, status="degenerate", toledo=None)
     with pytest.raises(NumericalAbort):
         classify_PN([degenerate])
@@ -250,7 +260,7 @@ def test_root_form_invariant_under_basis_rotation(case_pipeline, rng):
     rep, z, c, dec = case_pipeline("su21-cline")
     root = dec.roots[0]
     adj = adjoint_module(rep)
-    base = root_form(root_cohomology(rep, adj, root), root)
+    base = root_form(rep, adj, root)
     for _ in range(5):
         q, _ = np.linalg.qr(rng.standard_normal((root.real_dim, root.real_dim)))
         rotated = replace(
@@ -258,7 +268,7 @@ def test_root_form_invariant_under_basis_rotation(case_pipeline, rng):
             real_basis=root.real_basis @ q,
             omega=q.T @ root.omega @ q,
         )
-        got = root_form(root_cohomology(rep, adj, rotated), rotated)
+        got = root_form(rep, adj, rotated)
         assert got.signature == base.signature
         assert got.toledo == base.toledo
         assert got.definite == base.definite
@@ -336,3 +346,144 @@ def test_milnor_euler_number_oracle(fuchsian):
                       for j in range(h.shape[1])] for i in range(h.shape[1])])
     toledo = signature(0.5 * (gram + gram.T)) // 4
     assert toledo == e_vec
+
+
+# ---------------------------------------------------------------------------
+# The Gram signature is the lifted relator's oracle
+# ---------------------------------------------------------------------------
+
+COMPUTABLE = [c.name for c in default_cases() if c.computable]
+CONJUGATE_SCALES = (0.1, 0.4, 0.7, 1.0)
+GENUS_SWEEP = (("su21-cline", 4), ("su21-cline", 6), ("su21-cline", 8),
+               ("so41-rplane", 4), ("sp21-cline", 4))
+STANDARD_OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def _pinched(rep, genus: int):
+    """``rep`` at ``genus``: its first handle first, its second last, the others the identity."""
+    ident = np.eye(rep.images[0].shape[0])
+    images = list(rep.images[:2]) + [ident] * (2 * genus - 4) + list(rep.images[2:])
+    return surface_representation(standard_presentation(genus), rep.model, images)
+
+
+def _expm_one_norm(x: np.ndarray) -> np.ndarray:
+    """exp(x) by Taylor series, scaled by the 1-norm: perfbench's expm, bit for bit."""
+    norm = float(np.abs(x).sum(axis=1).max(initial=0.0))
+    squarings = max(0, int(np.ceil(np.log2(max(norm, 1e-300) / 0.5))))
+    y = x / 2.0 ** squarings
+    out = term = np.eye(x.shape[0])
+    for k in range(1, 20):
+        term = term @ y / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+@functools.cache
+def _conjugates() -> dict:
+    """The 48 inputs of perfbench's conjugates workload: the catalog conjugated by
+    exp(scale X), X's normal coefficients from one stream, in catalog then scale order."""
+    rng = np.random.default_rng([0])
+    out = {}
+    for name in COMPUTABLE:
+        rep = build_case_representation(name)
+        for scale in CONJUGATE_SCALES:
+            g = _expm_one_norm(rep.model.matrix(scale * rng.standard_normal(rep.model.dim)))
+            ginv = np.linalg.inv(g)
+            out[f"{name} {scale}"] = surface_representation(
+                rep.presentation, rep.model, [g @ a @ ginv for a in rep.images])
+    return out
+
+
+# su41-rplane at 0.7 fails the Gram route's module relator check (1e-7);
+# the test below it reads the lift alone there
+GRAM_ABORTS = ("su41-rplane 0.7",)
+
+LIFT_ORACLE_CASES = {
+    **{name: functools.partial(build_case_representation, name) for name in COMPUTABLE},
+    **{f"{name} genus {g}": functools.partial(
+        lambda n, k: _pinched(build_case_representation(n), k), name, g) for name, g in GENUS_SWEEP},
+    **{label: functools.partial(lambda k: _conjugates()[k], label)
+       for label in (f"{name} {s}" for name in COMPUTABLE for s in CONJUGATE_SCALES)
+       if label not in GRAM_ABORTS},
+    "bent-sl5": bent_genus2,
+    **{"-".join((f"su{p}{q}",) + blocks + (f"scale{scale}",)): functools.partial(
+        fuchsian_sum, p, q, blocks, scale)
+       for p, q, blocks, *_ in FUCHSIAN_SUMS for scale in (0.0, 0.4)},
+}
+
+
+@pytest.mark.parametrize("build", LIFT_ORACLE_CASES.values(), ids=LIFT_ORACLE_CASES)
+def test_lifted_toledo_matches_the_gram_signature(build):
+    # on every real or imaginary root, before the verdict orients the center:
+    # T of the lifted relator is a quarter of the cup form's signature, sign
+    # included, and h1 = -chi dim is the Fox-calculus H^1's dimension
+    pipe = Pipeline(build())
+    roots = [r for r in pipe.decomposition.roots if r.classification != MIXED]
+    for root in roots:
+        form = root_form(pipe.rep, pipe.adjoint, root)
+        assert (form.toledo, form.h1_dim) == gram_toledo(pipe.rep, pipe.adjoint, root)
+        assert form.lift_margin <= 1e-5
+
+
+@pytest.mark.parametrize("genus", range(2, 7))
+def test_lifted_toledo_of_the_octagon_standard_module(genus):
+    # the pinched octagon group is maximal at genus 2: T = -1 at every genus
+    rep = _pinched(fuchsian_genus2(), genus)
+    toledo, margin = lifted_toledo(rep.images, STANDARD_OMEGA, rep.presentation)
+    gram = symplectic_form_report(cohomology(rep, rep.images), STANDARD_OMEGA)
+    assert toledo == gram.toledo == -1 and margin <= 1e-12
+
+
+def test_lift_matches_the_circle_rotation_number(fuchsian):
+    # the vector-circle Euler number shares no arithmetic with the lift
+    toledo, _ = lifted_toledo(fuchsian.images, STANDARD_OMEGA, fuchsian.presentation)
+    assert toledo == _circle_euler_number(fuchsian, 2 * np.pi)
+
+
+def test_lift_reads_a_conjugate_the_gram_route_rejects():
+    # the root module's relator misses cocycle_check there, so cohomology
+    # aborts; the lift still reads T = 0, with a margin far from 0 but under
+    # TOLEDO_LIFT, and the verdict is the catalog's
+    [label] = GRAM_ABORTS
+    pipe = Pipeline(_conjugates()[label])
+    [root] = pipe.decomposition.roots
+    with pytest.raises(NumericalAbort, match="module action does not kill the relator"):
+        gram_toledo(pipe.rep, pipe.adjoint, root)
+    form = root_form(pipe.rep, pipe.adjoint, root)
+    assert form.toledo == 0 and 1e-5 < form.lift_margin < TOLEDO_LIFT
+    assert pipe.balance.balanced
+
+
+def test_lift_rejects_a_form_the_actions_do_not_preserve(case_pipeline, rng):
+    # an alternating form moved by a rotation the module does not commute with
+    rep, _, _, dec = case_pipeline("su21-cline")
+    root = dec.roots[0]
+    q, _ = np.linalg.qr(rng.standard_normal((root.real_dim, root.real_dim)))
+    module = restricted_module(adjoint_module(rep), root.real_basis)
+    lifted_toledo(module, root.omega.imag, rep.presentation)
+    with pytest.raises(NumericalAbort, match="module-invariant"):
+        lifted_toledo(module, q.T @ root.omega.imag @ q, rep.presentation)
+
+
+def test_lift_rejects_degenerate_and_symmetric_forms(fuchsian):
+    identity = np.stack([np.eye(4)] * 4)
+    degenerate = np.zeros((4, 4))
+    degenerate[0, 1], degenerate[1, 0] = 1.0, -1.0
+    with pytest.raises(NumericalAbort, match="degenerate"):
+        lifted_toledo(identity, degenerate, fuchsian.presentation)
+    with pytest.raises(NumericalAbort, match="alternating"):
+        lifted_toledo(fuchsian.images, np.eye(2), fuchsian.presentation)
+
+
+def test_lift_margin_trips_the_bound(fuchsian, monkeypatch):
+    # a relator that does not close can leave the lift between integers: a
+    # rotation by 1 radian and a diagonal element, whose commutator is not I
+    from flexcheck import toledo
+    c, s = np.cos(1.0), np.sin(1.0)
+    images = np.stack([np.array([[c, s], [-s, c]]), np.diag([2.0, 0.5]), np.eye(2), np.eye(2)])
+    with pytest.raises(NumericalAbort, match="turns from an integer"):
+        lifted_toledo(images, STANDARD_OMEGA, fuchsian.presentation)
+    monkeypatch.setattr(toledo, "TOLEDO_LIFT", 0.5)
+    assert lifted_toledo(images, STANDARD_OMEGA, fuchsian.presentation)[1] > 0.01
