@@ -24,8 +24,8 @@ from .catalog import build_case_representation, default_cases
 from .engine import Pipeline, verdict
 from .liealg import build_classical
 from .scalars import Field, realify
-from .surface import cohomology, standard_presentation, surface_representation
-from .toledo import symplectic_form_report
+from .surface import standard_presentation, surface_representation
+from .toledo import standard_form
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -177,7 +177,7 @@ def _header(pipe, source: str) -> dict:
             "version": __version__,
             "source": source,
             "tolerances": {"rank": round12(tol.rank), "cluster": round12(tol.cluster),
-                           "relator": round12(tol.relator), "gram": round12(tol.gram)},
+                           "relator": round12(tol.relator)},
         },
         "group": pipe.rep.model.name,
         "genus": pipe.rep.presentation.genus,
@@ -219,7 +219,7 @@ def _root_entry(rr, *keys: str) -> dict:
 
 
 def _toledo_report(pipe, args) -> dict:
-    if args.standard_module:            # Meyer signature of the standard symplectic module
+    if args.standard_module:            # T of the standard symplectic module
         model = pipe.rep.model
         if model.family == "sl" and model.ambient == 2:
             omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -228,8 +228,7 @@ def _toledo_report(pipe, args) -> dict:
         else:
             raise ParseError(
                 "--standard-module needs an sl(2,R) or sp(2n,R) ambient group")
-        form = symplectic_form_report(cohomology(pipe.rep, pipe.rep.images, pipe.tol), omega,
-                                      pipe.tol)
+        form = standard_form(pipe.rep, omega, pipe.tol)
         return {
             "module": "standard",
             "h1_dim": form.h1_dim,
@@ -243,7 +242,7 @@ def _toledo_report(pipe, args) -> dict:
         raise ParseError(f"--root {args.root} out of range; decomposition has {n} root(s)")
     forms = pipe.forms if args.root is None else (pipe.forms[args.root],)
     return {"roots": [
-        _root_entry(rr, "milnor_wood_bound", "milnor_wood_slack", "status") for rr in forms]}
+        _root_entry(rr, "milnor_wood_bound", "milnor_wood_slack") for rr in forms]}
 
 
 def _certificate(balance) -> dict:
@@ -360,7 +359,7 @@ def render_text(command: str, report: dict) -> str:
             lines.append(f"  root [{_fmt_values(r['values'])}] {r['classification']}, "
                          f"dim {r['real_dim']}, h1 {r['h1_dim']}: signature {sig}, "
                          f"T {tol_}, definite {r['definite']}, "
-                         f"MW slack {r['milnor_wood_slack']} ({r['status']})")
+                         f"MW slack {r['milnor_wood_slack']}")
     elif command == "balanced":
         lines.append(f"torus dim {report['torus_dim']}, quotient dim {report['quotient_dim']}")
         lines.append(f"P vectors: {len(report['P'])}, N roots: {len(report['N'])}")
@@ -406,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--root", type=int, default=None,
                              help="root index (default: all roots)")
             sub.add_argument("--standard-module", action="store_true",
-                             help="Meyer signature of the standard symplectic module")
+                             help="Toledo invariant of the standard symplectic module")
     cat = subs.add_parser("catalog")
     cat.add_argument("--format", choices=("text", "json"), default="text")
     return parser

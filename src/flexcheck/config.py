@@ -34,7 +34,6 @@ class Tolerances:
     membership: float = 1e-8    # group defining-relation residual
     relator: float = 1e-8       # surface relator residual
     cocycle: float = 1e-8       # relator-map residual for cocycles
-    gram: float = 1e-6          # Gram eigenvalue separation from zero
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -68,9 +67,10 @@ DEFAULT = Tolerances()
 
 # Form invariance, for the cup pairing and the lifted Toledo invariant:
 # |a^T omega a - omega| relative to |omega| |a|^2, for every module action
-# a (the lift also holds |omega + omega^T| / |omega| to it).  The standard module's symplectic form and the Killing-valued forms on
-# the adjoint module are invariant by construction, up to round-off and
-# the rank cutoff of H^0.  Root-module forms are invariant only up to the
+# a (the lift also holds |omega + omega^T| / |omega| to it).  The standard
+# module's symplectic form and the Killing-valued forms on the adjoint
+# module are invariant by construction, up to round-off and the rank
+# cutoff of H^0.  Root-module forms are invariant only up to the
 # root-space restriction's acceptance, subspace_invariance = 1e-7, which
 # moves a^T omega a by about twice that; 1e-6 sits about 5x above every case.
 FORM_INVARIANCE = 1e-6

@@ -137,10 +137,6 @@ def classify_PN(
     nonzero and a mixed one has nonzero real and imaginary parts); and
     the assembled balance problem.
     """
-    for rep in reports:
-        if rep.status != "ok":
-            raise NumericalAbort(
-                "a root form is numerically indefinite; P-membership is uncertain")
     selected: list[RootFormReport] = []
     n_values: list[np.ndarray] = []
     p_vectors: list[np.ndarray] = []

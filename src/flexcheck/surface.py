@@ -268,6 +268,17 @@ def restricted_module(actions, basis: np.ndarray, tol: Tolerances = DEFAULT) -> 
 # Cohomology workspace
 # ---------------------------------------------------------------------------
 
+def check_module_relator(prefixes, tol: Tolerances = DEFAULT) -> float:
+    """Abort unless a module's relator, the last of its ``relator_prefixes``, acts as I;
+    return the prefixes' ``residual_scale``, the one its residual is relative to."""
+    scale = residual_scale(prefixes)
+    if relative_residual(prefixes[-1] - np.eye(len(prefixes[-1])), scale) > tol.cocycle_check:
+        raise NumericalAbort(
+            "module action does not kill the relator "
+            "(central lift with a module that sees the center?)")
+    return scale
+
+
 @dataclass(frozen=True)
 class CohomologyWorkspace:
     rep: SurfaceRepresentation
@@ -309,11 +320,7 @@ def cohomology(rep: SurfaceRepresentation, actions,
     eye = np.eye(m)
 
     prefixes, fox, relator_map = _fox_calculus(pres, actions)
-    scale = residual_scale(prefixes)
-    if relative_residual(prefixes[-1] - eye, scale) > tol.cocycle_check:
-        raise NumericalAbort(
-            "module action does not kill the relator "
-            "(central lift with a module that sees the center?)")
+    scale = check_module_relator(prefixes, tol)
 
     # one thin SVD of the coboundary map v -> ((A_s - 1) v)_s: its left
     # vectors span B^1, its right null vectors span H^0

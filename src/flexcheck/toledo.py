@@ -13,10 +13,10 @@ module vanish, so h1 = -chi dim by the Euler characteristic (Goldman
 to.  Real roots force T = 0, and so does an invariant Lagrangian pair;
 the search for one is a cross-check in the tests (``tests/reference.py``).
 
-``symplectic_form_report`` reads T the older way, as a quarter of the
-signature of the omega-valued cup-square form on H^1 (Meyer's signature
-formula).  It serves ``flexcheck toledo --standard-module``, and the
-tests hold the lift to it.
+``standard_form`` reads the standard module of a representation into
+Sp(2n, R) the same way.  Its H^0 need not vanish, but omega makes the
+module self-dual, so h2 = h0 and h1 = 2 h0 - chi m by Poincare
+duality (Goldman 1984, section 1), with no basis of H^1.
 """
 
 from __future__ import annotations
@@ -27,15 +27,15 @@ import numpy as np
 
 from .config import (DEFAULT, FORM_INVARIANCE, TOLEDO_LIFT, FlexcheckError, NumericalAbort,
                      Tolerances)
-from .linalg import relative_residual, singular_rank
+from .linalg import rank, relative_residual, singular_rank
 from .roots import IMAGINARY, MIXED, REAL, RootDatum
 from .surface import (
-    CohomologyWorkspace,
     SurfaceGroupPresentation,
     SurfaceRepresentation,
     action_stack,
     check_invariant_form,
-    cup_pairing,
+    check_module_relator,
+    relator_prefixes,
     restricted_module,
 )
 
@@ -47,9 +47,7 @@ class RootFormReport:
     h1_dim: int
     milnor_wood_bound: int            # -chi dim: 4|T| may not exceed it
     toledo: int | None = None
-    lift_margin: float | None = None  # |T - round T| of the lifted relator (root forms)
-    min_eig_separation: float | None = None   # min |eig| / scale of the real Gram (Gram reader)
-    status: str = "ok"                # "ok" | "degenerate"
+    lift_margin: float | None = None  # |T - round T| of the lifted relator
 
     @property
     def classification(self) -> str | None:
@@ -100,8 +98,10 @@ def lifted_toledo(
 
     ``actions`` is the (2g, 2n, 2n) stack of generator actions and
     ``omega`` a real alternating form that they preserve, both to
-    ``FORM_INVARIANCE``.  The Darboux basis S, with
-    S^T omega S = J0 = [[0, I], [-I, 0]], comes from
+    ``FORM_INVARIANCE``.  Precondition: the relator acts as I
+    (``surface.check_module_relator``).  The lift does not check it: a
+    relator of -I, as a central lift has, still reads as an integer.  The
+    Darboux basis S, with S^T omega S = J0 = [[0, I], [-I, 0]], comes from
     ``eigh`` of i omega: each positive eigenvalue l with eigenvector v
     gives e = Im v sqrt(2/l) and f = Re v sqrt(2/l).  In S's coordinates
     an action is M = -J0 S^T omega A S, with complex picture
@@ -190,37 +190,27 @@ def root_form(
     return _within_milnor_wood(replace(report, toledo=toledo, lift_margin=margin))
 
 
-def gram_matrix(ws: CohomologyWorkspace, omega: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Symmetrized Gram matrix of the omega-valued cup pairing on H^1."""
-    gram = cup_pairing(ws, omega, ws.h1, ws.h1, tol)
-    return 0.5 * (gram + gram.T)
-
-
-def symplectic_form_report(
-    ws: CohomologyWorkspace,
+def standard_form(
+    rep: SurfaceRepresentation,
     omega: np.ndarray,
     tol: Tolerances = DEFAULT,
 ) -> RootFormReport:
-    """Read T off the cup form of a real invariant symplectic form on H^1.
+    """T of the standard module of ``rep``, which preserves ``omega``, with h1 by a count.
 
-    The Gram matrix of ``omega``'s cup pairing on ``ws.h1`` is degenerate
-    when its smallest |eigenvalue| is within ``tol.gram`` of its largest
-    entry (at least 1); the report then has no signature, T or slack.
-    Otherwise T is a quarter of the signature, and a signature that 4 does
-    not divide, or a violated Milnor-Wood bound 4|T| <= -chi dim, aborts.
+    The module's relator must act as I (``check_module_relator``): the
+    lift cannot tell a relator of -I, a central lift's, from I.  h0 is
+    the nullity of the stacked A_s - I, cut as in ``surface.cohomology``;
+    omega makes the module self-dual, so h2 = h0 and h1 = 2 h0 - chi m.
+    T is ``lifted_toledo``'s, and a violated Milnor-Wood bound aborts.
     The report's root is None.
     """
-    bound = -ws.rep.presentation.euler_characteristic * ws.module_dim
-    report = RootFormReport(root=None, real_dim=ws.module_dim, h1_dim=ws.h1_dim,
-                            milnor_wood_bound=bound)
-    gram = gram_matrix(ws, omega, tol)
-    scale = max(float(np.abs(gram).max(initial=0.0)), 1.0)
-    ev = np.linalg.eigvalsh(gram)
-    sep = float(np.abs(ev).min()) / scale if ev.size else np.inf
-    if sep <= tol.gram:
-        return replace(report, min_eig_separation=sep, status="degenerate")
-
-    sig = int(np.sum(ev > 0)) - int(np.sum(ev < 0))
-    if sig % 4 != 0:
-        raise NumericalAbort(f"signature {sig} is not divisible by 4; pipeline inconsistency")
-    return _within_milnor_wood(replace(report, toledo=sig // 4, min_eig_separation=sep))
+    pres = rep.presentation
+    acts = action_stack(rep.images, pres.generator_count)
+    check_module_relator(relator_prefixes(pres, acts), tol)
+    m = acts.shape[-1]
+    h0 = m - rank((acts - np.eye(m)).reshape(-1, m), tol.rank, scale=1.0)
+    bound = -pres.euler_characteristic * m
+    toledo, margin = lifted_toledo(acts, omega, pres, tol)
+    return _within_milnor_wood(RootFormReport(root=None, real_dim=m, h1_dim=2 * h0 + bound,
+                                              milnor_wood_bound=bound, toledo=toledo,
+                                              lift_margin=margin))

@@ -14,10 +14,11 @@ the pipeline also reaches:
   ``root_eigenspace``, ``invariant_vectors``, ``coboundaries`` and
   ``cocycles``: the bracket, Killing pairings, eigenspaces, H^0, B^1 and
   Z^1 that the pipeline uses internally and does not keep;
-- ``root_cohomology``, ``root_gram`` and ``gram_toledo``: a root module's
-  Fox-calculus cohomology and the cup-form Gram on its H^1, whose
-  signature is 4T: the route to T that the lifted relator replaced in
-  the pipeline.
+- ``gram_matrix`` and ``gram_signature_toledo``: the cup-form Gram of a
+  module's H^1 and T as a quarter of its signature (Meyer), the route to
+  T that the lifted relator replaced in the package;
+- ``root_cohomology``, ``root_gram`` and ``gram_toledo``: the same for a
+  root module, from its Fox-calculus cohomology.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from flexcheck.linalg import nullspace, orthonormal_columns, rank, span_and_kern
 from flexcheck.roots import REAL, RootDatum
 from flexcheck.scalars import Field, realify
 from flexcheck.surface import CohomologyWorkspace, cohomology, cup_pairing, restricted_module
-from flexcheck.toledo import gram_matrix, symplectic_form_report
 
 
 def components(z) -> np.ndarray:
@@ -90,6 +90,34 @@ def cocycles(ws: CohomologyWorkspace, tol: Tolerances = DEFAULT) -> np.ndarray:
     return np.hstack([ws.h1, coboundaries(ws, tol)])
 
 
+# The Gram's smallest |eigenvalue| over its largest entry (at least 1) below
+# which its signature is not read: the band the package's Gram reader used.
+GRAM_SEPARATION = 1e-6
+
+
+def gram_matrix(ws: CohomologyWorkspace, omega: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """Symmetrized Gram matrix of the omega-valued cup pairing on H^1."""
+    gram = cup_pairing(ws, omega, ws.h1, ws.h1, tol)
+    return 0.5 * (gram + gram.T)
+
+
+def gram_signature_toledo(ws: CohomologyWorkspace, omega: np.ndarray,
+                          tol: Tolerances = DEFAULT) -> int:
+    """T as a quarter of the signature of omega's cup form on ``ws.h1``.
+
+    A Gram within ``GRAM_SEPARATION`` of singular, or a signature that 4
+    does not divide, aborts.
+    """
+    gram = gram_matrix(ws, omega, tol)
+    ev = np.linalg.eigvalsh(gram)
+    if ev.size and np.abs(ev).min() <= GRAM_SEPARATION * max(np.abs(gram).max(), 1.0):
+        raise NumericalAbort("the cup form on H^1 is degenerate")
+    sig = signature(gram)
+    if sig % 4:
+        raise NumericalAbort(f"signature {sig} is not divisible by 4")
+    return sig // 4
+
+
 def root_cohomology(rep, adjoint: np.ndarray, root: RootDatum,
                     tol: Tolerances = DEFAULT) -> CohomologyWorkspace:
     """H^* of the realified root space of ``root`` under the (2g, dim, dim) adjoint actions."""
@@ -107,8 +135,8 @@ def root_gram(ws: CohomologyWorkspace, root: RootDatum, tol: Tolerances = DEFAUL
 
 def gram_toledo(rep, adjoint: np.ndarray, root: RootDatum, tol: Tolerances = DEFAULT):
     """T of a real or imaginary root read off the Gram signature, and the module's H^1 dimension."""
-    report = symplectic_form_report(root_cohomology(rep, adjoint, root, tol), _root_omega(root), tol)
-    return report.toledo, report.h1_dim
+    ws = root_cohomology(rep, adjoint, root, tol)
+    return gram_signature_toledo(ws, _root_omega(root), tol), ws.h1_dim
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,8 @@ PACKAGE = Path(flexcheck.__file__).parent
 ALLOWLIST = {
     "conjugation_limit": "NON_REDUCTIVE_MESSAGE, in the golden verdict bytes, tells users to call it",
     "correct_relator": "README-documented; ROADMAP items 5, 6 and 9 perturb images and correct them",
+    "cohomology": "perfbench's Tracer.install getattr's it, and it is the tests' Fox-calculus oracle",
+    "cup_pairing": "perfbench's Tracer.install getattr's it, and it is the tests' Fox-calculus oracle",
 }
 
 
@@ -96,8 +98,8 @@ def test_every_export_is_used_or_allowlisted():
 # "Class" covers every member of the class, "Class.name" one of them
 MEMBER_ALLOWLIST = {
     "FlexibilityReport.reductive_condition": "a margin for the report's diagnostics (ROADMAP item 8)",
-    "RootFormReport.min_eig_separation": "a margin for the report's diagnostics (ROADMAP item 8)",
     "RootFormReport.lift_margin": "a margin for the report's diagnostics (ROADMAP item 8)",
+    "CohomologyWorkspace.h1": "cohomology()'s H^1 basis; the tests' Fox-calculus oracle reads it",
     "CohomologyWorkspace.h0_dim": "cohomology()'s count; the tests' Fox-calculus oracle reads it",
     "CohomologyWorkspace.h2_dim": "cohomology()'s count; the tests' Fox-calculus oracle reads it",
     "SurfaceRepresentation.relator_residual": "a margin for the report's diagnostics (ROADMAP item 8)",
@@ -254,6 +256,12 @@ def _top_level_value(path: Path, name: str) -> ast.expr:
     raise AssertionError(f"{path.name} assigns no {name}")
 
 
+# selftest.py bindings that the package dropped on purpose, with the reason
+GONE_BINDINGS = {
+    "toledo.cup_pairing": "ROADMAP item 4 drops selftest's cup-pairing probe",
+}
+
+
 def test_the_benchmark_hooks_resolve():
     # the tracer getattr's each SPANNED and COUNTED name; selftest.py checks
     # that the "flexcheck.<module>.<name>" bindings it names were wrapped
@@ -265,11 +273,14 @@ def test_the_benchmark_hooks_resolve():
     bindings = [node.value.removeprefix("flexcheck.") for node in ast.walk(selftest)
                 if isinstance(node, ast.Constant) and isinstance(node.value, str)
                 and node.value.startswith("flexcheck.")]
-    assert {"toledo.cup_pairing", "engine.root_form", "cli.verdict"} <= set(bindings)
+    assert {"engine.root_form", "cli.verdict"} <= set(bindings)
+    # each gone binding is still named by selftest, so the entry fails once it is not
+    assert set(GONE_BINDINGS) <= set(bindings)
     for name in names + bindings:
         module, _, attr = name.rpartition(".")
         home = importlib.import_module(".".join(filter(None, ("flexcheck", module))))
-        assert callable(getattr(home, attr, None)), name
+        found = getattr(home, attr, None)
+        assert found is None if name in GONE_BINDINGS else callable(found), name
 
 
 def test_the_benchmark_work_sizes_read_live_members():
@@ -420,13 +431,13 @@ def test_named_thresholds_keep_their_values():
 
 def test_tolerances_keep_their_fields_and_adjoint_takes_none():
     assert [f.name for f in dataclasses.fields(Tolerances)] == [
-        "rank", "cluster", "closure", "membership", "relator", "cocycle", "gram"]
+        "rank", "cluster", "closure", "membership", "relator", "cocycle"]
     assert list(inspect.signature(LieAlgebraModel.adjoint_group_matrix).parameters) == ["self", "g"]
     assert list(inspect.signature(_phase1).parameters) == ["a", "b"]
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"rank": 1e-15}, {"cluster": 1e-20}, {"gram": 0.0}, {"cocycle": -1.0}, {"rank": float("nan")},
+    {"rank": 1e-15}, {"cluster": 1e-20}, {"closure": 0.0}, {"cocycle": -1.0}, {"rank": float("nan")},
 ])
 def test_tolerances_below_the_floor_raise(kwargs):
     with pytest.raises(FlexcheckError, match="below the floor"):
@@ -465,7 +476,6 @@ SCALE_ALLOWLIST = {
     "liealg.conjugation_limit": "eigenvalue gaps of u and growing entries of its limit",
     "engine._phase1": "the phase-1 objective is a sum of artificial variables, not a largest entry",
     "engine.balanced": "LP certificates: the multipliers' size mu multiplies the scale",
-    "toledo.symplectic_form_report": "the Gram eigenvalues' separation from 0, a smallest value",
 }
 
 

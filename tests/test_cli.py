@@ -337,6 +337,28 @@ def test_standard_module_toledo_on_sp4(tmp_path, capsys):
     assert sp4["signature"] == -8 and sp4["milnor_wood_slack"] == 0
 
 
+def _emb(z) -> np.ndarray:
+    """A + iB in U(n) as [[A, -B], [B, A]] in Sp(2n,R)."""
+    z = np.asarray(z, dtype=complex)
+    return np.block([[z.real, -z.imag], [z.imag, z.real]])
+
+
+def test_a_central_lift_through_the_standard_module_aborts(tmp_path, capsys):
+    # quaternion units i, j in U(2) < Sp(4,R): [i, j] = -I, a relator the
+    # lift reads as T = 0, so the module check must abort first
+    from flexcheck.surface import standard_presentation
+    from flexcheck.toledo import lifted_toledo
+    images = [_emb(np.diag([1j, -1j])), _emb([[0, 1], [-1, 0]]), np.eye(4), np.eye(4)]
+    omega = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
+    assert lifted_toledo(images, omega, standard_presentation(2)) == (0, 0.0)
+    path = _real_problem(tmp_path, "spr", [2], images)
+    doc = json.loads(path.read_text())
+    doc["representation"]["central_lift"] = True
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "toledo", "--input", str(path), "--standard-module")
+    assert code == 3 and "module action does not kill the relator" in err
+
+
 _IDENTITY = {
     "group": {"family": "sl", "params": [2]},
     "genus": 2,

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import bent_genus2, fuchsian_sum
 from flexcheck.catalog import build_case_representation, default_cases
-from flexcheck.cli import _cohomology_report
+from flexcheck.cli import EXIT_OK, EXIT_RIGID, REPORTS, _cohomology_report, main
 from flexcheck.config import DEFAULT, NumericalAbort, Tolerances
 from flexcheck.engine import (
     BalanceProblem,
@@ -34,6 +34,7 @@ from flexcheck.surface import (
 from flexcheck.roots import IMAGINARY, RootDatum
 from flexcheck.toledo import RootFormReport, root_form
 from reference import coboundaries, cocycles, root_cohomology, root_gram
+from test_cli import _real_problem
 
 
 @pytest.mark.parametrize("p, n", [([np.nan, 0.0], []), ([1.0, 0.0], [np.inf, 0.0])])
@@ -354,7 +355,7 @@ def test_verdict_stable_under_tolerance_scaling():
                     continue
                 assert got == want, (case.name, name, factor)
                 outcomes["same"] += 1
-    assert sum(outcomes.values()) == 12 * len(fields) * 2 == 168
+    assert sum(outcomes.values()) == 12 * len(fields) * 2 == 144
 
 
 def test_verdict_nonreductive_inconclusive():
@@ -429,6 +430,18 @@ def test_verdict_calls_neither_cohomology_nor_cup_pairing(case_pipeline, monkeyp
     report = verdict(rep)
     assert len(report.roots) == 2 and all(r.h1_dim > 1 for r in report.roots)
     assert calls == {"root_form": 2}
+
+
+@pytest.mark.parametrize("command", [*REPORTS, "toledo --standard-module"])
+def test_no_report_calls_cohomology_or_cup_pairing(command, tmp_path, capsys, monkeypatch):
+    # every report reads counts and lifted relators: no H^1 basis and no Gram
+    if command == "toledo --standard-module":
+        problem = ["--input", str(_real_problem(tmp_path, "sl", [2], fuchsian_genus2().images))]
+    else:
+        problem = ["--catalog", "sp21-cline"]
+    calls = _count_calls(monkeypatch, cohomology, cup_pairing)
+    assert main([*command.split(), *problem]) in (EXIT_OK, EXIT_RIGID)
+    assert capsys.readouterr().out and calls == {}
 
 
 @pytest.mark.parametrize("name, genus, table", [("su21-cline", 128, (4, 2, 1016)),

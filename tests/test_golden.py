@@ -14,6 +14,12 @@ The ``balanced`` hashes were re-pinned when that report took the common
 header: each one's new bytes are the old ones plus the JSON line
 ``"genus": 2,`` after ``"group"``, or the text header reads ``(genus 2)``
 where it read ``(genus ?)``; no exit code moved.
+The 80 hashes of reports that printed the tolerances' ``gram`` or a
+toledo root's status were re-pinned when the Gram left the package:
+each one's new bytes are the old ones less the JSON provenance line
+``"gram": 1e-06`` and each root's ``"status": "ok"``, each with the
+comma before it, or less each text root line's `` (ok)``; no exit code
+moved.
 """
 
 import hashlib
@@ -25,125 +31,125 @@ from flexcheck.cli import main, round12
 from flexcheck.surface import fuchsian_genus2
 
 GOLDEN = {
-    ("so31-rplane", "decompose", "json"): (0, "cc6e5fca993078e5826bee33de760e1df7c1791a5d4454c580f1d41f544e2769"),
+    ("so31-rplane", "decompose", "json"): (0, "0a6c03753ba045cf88bb8337d481ec5dfee3bb565f9b46d630d839006e858b72"),
     ("so31-rplane", "decompose", "text"): (0, "5114092340c236d128cd1f3f57620bdd68013c4fc8e9a858d3bb8a54af979862"),
-    ("so31-rplane", "cohomology", "json"): (0, "eaf18d625eaa3de2008637f0417b04b10386a7d4bbcea860a531eeb65cce2d9a"),
+    ("so31-rplane", "cohomology", "json"): (0, "cd124129951e6653d70bb4ca34a55fc3b9a0154bdb339a70457767909298d0c7"),
     ("so31-rplane", "cohomology", "text"): (0, "1976e08a99ae0c3d07f8bd0d878955d54561a2c7bb9073d2fb9ea10d10d62026"),
-    ("so31-rplane", "toledo", "json"): (0, "1b56527bf0c5b4bc23f120c739ebcc4d8f54adee4b0b1692ad6aba801dd69b1e"),
+    ("so31-rplane", "toledo", "json"): (0, "24c554ee695ee260daa66d77b1b745cad7a15f7d2a5145531e58ede78f87c3df"),
     ("so31-rplane", "toledo", "text"): (0, "4357b0616e955216c3407bf3ec31e8f7394b325721c3ca0c0e3ead38bfc5d808"),
-    ("so31-rplane", "balanced", "json"): (0, "52e4b0ef0bb87ca93fa00d597e86a6fa7debd3c29372be03b95396c785e58f5b"),
+    ("so31-rplane", "balanced", "json"): (0, "d486dc7b0613a2704e1b7f26bc043a71854360d224faef0fe95b01d947e69402"),
     ("so31-rplane", "balanced", "text"): (0, "eda9942cadad7d77d089d072f61d4e663313aa77dd56dfa0f581caf7acf71cf3"),
-    ("so31-rplane", "verdict", "json"): (0, "eb6a1850d347e8bc0201d4f70d02ff40f86ed1466e0de0cffa0d09d32d6a481e"),
+    ("so31-rplane", "verdict", "json"): (0, "a2916c1563684f8ee38b892e030007991ed3f3821eda3821e179cb043ca7ede4"),
     ("so31-rplane", "verdict", "text"): (0, "fb92277d9e845c85018b2a2c7067bd393a1ee461086a317ecade4226fa6067af"),
-    ("so41-rplane", "decompose", "json"): (0, "9a595ba86396b6520183bfc872f4c1adc66e4ccf71ad43b6e9911c6039293b53"),
+    ("so41-rplane", "decompose", "json"): (0, "8065d1fd94b4541d69c3d429fc00a95feda650cb027b880ab2f89fb0e9befbc2"),
     ("so41-rplane", "decompose", "text"): (0, "8707f58cf42a214ac951998c5811f7fe82b89b05a7c71b1aef03e4eb7b94a694"),
-    ("so41-rplane", "cohomology", "json"): (0, "4d948799a1fb3bb33b77e7a28606ffedb7734fa703b23af6b82f402f1ce90e47"),
+    ("so41-rplane", "cohomology", "json"): (0, "95dd208ddc1841395d65d811e3e7ffe7489f58c335888b07c9a690507bee3a40"),
     ("so41-rplane", "cohomology", "text"): (0, "27a53f55096c0883e84a40520c5f7741f3998ff23148802c03f9291f28fee291"),
-    ("so41-rplane", "toledo", "json"): (0, "694433f0a71cec9c1320cce1a9a0416c87ae0a15f774544267d7a5468cc2d291"),
-    ("so41-rplane", "toledo", "text"): (0, "3b0194eeb55020aa0de8d1d57d3b8ebecdde2c9f41861858a397a0baf4326af7"),
-    ("so41-rplane", "balanced", "json"): (0, "5e91a52265e3f245e00a0211d4868f9bfd3ac2f32aa8f8423f1827aaf7049a89"),
+    ("so41-rplane", "toledo", "json"): (0, "c188eecae9dda2f4c4e5ce799c3d0272fedc795c65f960ed87ad9c37523fb1d1"),
+    ("so41-rplane", "toledo", "text"): (0, "1834b2637b291b5da81a01a8feaafb9e00f95e7218514b0eabc04413be4dc761"),
+    ("so41-rplane", "balanced", "json"): (0, "dde0bd9c444761372f75148cf98551383821a0d516034d46000c5f9d61d38c91"),
     ("so41-rplane", "balanced", "text"): (0, "083d92b576973c1a13225c8ed1025f4d471ba13f8ed291d7f199b8a419cefabd"),
-    ("so41-rplane", "verdict", "json"): (0, "bc63586f8f2a55c5ff39176bd9dd2c69ec8bf5977f0c2a52cc6b95fcc989f360"),
+    ("so41-rplane", "verdict", "json"): (0, "d7b74b0a28921ab3a8144ffd2d11d9d42ee34d634a423ab5728260b96cd2f6b5"),
     ("so41-rplane", "verdict", "text"): (0, "bd2a06968758d145a8a511347a40f8bfff23b9955799b55a7e70b8bac1c309a1"),
-    ("su21-rplane", "decompose", "json"): (0, "34306e76d1695b8309ea1ca5e372864ad403cd4de9f6cdd2a4ad47ebf7156060"),
+    ("su21-rplane", "decompose", "json"): (0, "a739d25acd3af5a74e5fb3e3b0632b106badf6847a0163cacf2cdf4510251edf"),
     ("su21-rplane", "decompose", "text"): (0, "339c923e17b5dc2b74ab3268271f535780f628ead9f2e1606886831defcc81eb"),
-    ("su21-rplane", "cohomology", "json"): (0, "9b05a12ac26c6bacaa93abbf7c6f4549f02d62e1523ddf3385812376fb60b55c"),
+    ("su21-rplane", "cohomology", "json"): (0, "8f2dfeffd5dc171469b0acde1975244c2c7a7bd52a09f0a5d0b24f2ff13bbace"),
     ("su21-rplane", "cohomology", "text"): (0, "8047ae066700dacfcd9773aa646f894caba8ba822938ce08e34ef99a34ec3733"),
-    ("su21-rplane", "toledo", "json"): (0, "bebe367e7f909be116f951ac86bff183349ac3f884df2dafcd64906abc422021"),
+    ("su21-rplane", "toledo", "json"): (0, "f79a387c80231654c20f865522c5df8be5587a1fb08685c375ca414620b4e860"),
     ("su21-rplane", "toledo", "text"): (0, "d76882432fef7a9020022050c109143e4a0075a7ad80a0e69d55dd99ae421fa8"),
-    ("su21-rplane", "balanced", "json"): (0, "cd88499bc06fcefbe038d78157f1f5ab4b0b929ba77f66346cf7e00ea36b9ea6"),
+    ("su21-rplane", "balanced", "json"): (0, "173d7322d94c2612e77eff1a7d231ffc952feb50d954ea8b00ecfdf29c87c39a"),
     ("su21-rplane", "balanced", "text"): (0, "4ff62c6f0dc2b6d6518d275268d777c6d9022635790ab428ebc91c7cfa61bd4d"),
-    ("su21-rplane", "verdict", "json"): (0, "08e3da753c0bc001b0a3b48a82b00425e24acc2cb426ad9e1fa66116c5c8ba7a"),
+    ("su21-rplane", "verdict", "json"): (0, "c0415a8aa17d5e1d7bb7b658ea84fbaef787dfcb02d591d533160b0b6bff9a5b"),
     ("su21-rplane", "verdict", "text"): (0, "fae395f6af604e8a72d9850fe1a0d89eed4b61e6f65b45f0749ae0f3d62432c7"),
-    ("su21-cline", "decompose", "json"): (0, "baa593217ab6ecaab6040c72ef079fb9b2ff37e216c3c64fb5cee8b9cb0c481f"),
+    ("su21-cline", "decompose", "json"): (0, "ef40e8737ae3f93b86b70ad0820f8b08e8a04c41d07cb422f0975851aa109138"),
     ("su21-cline", "decompose", "text"): (0, "2659b5a253d2723925e7302f2404927fe671304076b4411e38d35d8fa5776e1e"),
-    ("su21-cline", "cohomology", "json"): (0, "55a6e5b049ec650248c988c90913f46cb6aeaeef6ba63f9e6d9a0a37fe379ea8"),
+    ("su21-cline", "cohomology", "json"): (0, "b6d8117c49fad4a363bfe27bcd0e3f3cb8c34d678310818b4348592c92fa4d52"),
     ("su21-cline", "cohomology", "text"): (0, "7b1235c0babc022fb7be0ae4f73e169164f87cd4ff1b343e12a5f15729fbdcd2"),
-    ("su21-cline", "toledo", "json"): (0, "14879626fe0c63d89a6ddda1ff4e7c32674779560bbeaa5de4bfa44c427776e5"),
-    ("su21-cline", "toledo", "text"): (0, "615038b622c4efb21fd8a9ff7222121760ef306623b6cdac4046f56087213399"),
-    ("su21-cline", "balanced", "json"): (0, "8dcc9fa35667bc8f2faf21cf4c38a209ff4a624f81a771e0e2cb2990ed312448"),
+    ("su21-cline", "toledo", "json"): (0, "cec326d310bb9495234073f4b2ab1807707d04a2111b89205216460f2b80a38a"),
+    ("su21-cline", "toledo", "text"): (0, "d658b0b3c374584be42ae78032a548d8cc5f96ad3ca5d62d06477a9c032ca8d7"),
+    ("su21-cline", "balanced", "json"): (0, "047cd548ffe561aed03c953ed54bd55f879591b6aedfa7acc7b97a26c5814f3a"),
     ("su21-cline", "balanced", "text"): (0, "337d1e621639b62ce6038fcc5488e17e50d4dc13e5ca297268c95184f0876d0a"),
-    ("su21-cline", "verdict", "json"): (10, "4ed691a97be70ef06c21ec60dab17934638c7684dc0b0d8011bd3a59aa370462"),
+    ("su21-cline", "verdict", "json"): (10, "cdfe3816635e0296635156bdb62ba0e06a7ab584bc556373fe49d84909fee960"),
     ("su21-cline", "verdict", "text"): (10, "554bf90adc6f831fc7faace80fcfd92447b75f83ad4875d8fdc6d96e2fd15a62"),
-    ("su31-rplane", "decompose", "json"): (0, "7d7995ef5a76542e085bc97c5455d840688955d541b69b7afd8a2a975f742720"),
+    ("su31-rplane", "decompose", "json"): (0, "4a48a7532e9c37593f36632d59fbbef480eea7c254aa752feb6f877ef31f3750"),
     ("su31-rplane", "decompose", "text"): (0, "22df9c95102eb3fd6e0afe81682622fb09728e26bf350c501eac2d0cc4396c0c"),
-    ("su31-rplane", "cohomology", "json"): (0, "fa1f42d4157e91342d00096b6a33fe6ad34e9f845f5159eca18cf1249cf81048"),
+    ("su31-rplane", "cohomology", "json"): (0, "d3b1fddcd8f06ec3fa4b79336362c692c5aadc2144f1c2f9744d7166f2c56a54"),
     ("su31-rplane", "cohomology", "text"): (0, "2b3c9a0a635f7dee0fab35dcaa12b298a328e38d597ac1ed77a9ec7ac5dc16a4"),
-    ("su31-rplane", "toledo", "json"): (0, "180eeed59da11df7ea0df0053afff196397f9bdaad13a23a5574da943e22b752"),
-    ("su31-rplane", "toledo", "text"): (0, "28135761ee807f99e89322e9a46607be2ccf70b1b68842f0c9ede6712cb0c71f"),
-    ("su31-rplane", "balanced", "json"): (0, "c297332b3294dea51ebc569a6cc9439c844c42a55a998c07f8a4bfa17962c17a"),
+    ("su31-rplane", "toledo", "json"): (0, "bdb3d9ac6cc83d6a04e790eaa6c17bb43f94481207738303aa7be386d9163231"),
+    ("su31-rplane", "toledo", "text"): (0, "1479c0fddec228e1c98b154dbaefeb3ecaf83a1a7a0d2c286694225f0c65641d"),
+    ("su31-rplane", "balanced", "json"): (0, "860b96fc8fdd8d8c5a4125be815b599db557fc631f3d8e342b8e57263d210d6f"),
     ("su31-rplane", "balanced", "text"): (0, "7fdbb8116b2769d1ba91486e95e4ee3aae3be7a5973969b669308af61a4494f2"),
-    ("su31-rplane", "verdict", "json"): (0, "a21fced1e4de7de24f6f395c80fcdeddba65eef75169bffab51a908ed85e923b"),
+    ("su31-rplane", "verdict", "json"): (0, "82f3812a0a0df1bf168d0d21caea8d825243c4d859a68b35453587b24a6cf217"),
     ("su31-rplane", "verdict", "text"): (0, "4cec6d5fccfb1296d2bf0f5d069c8b33aa3633d4aa9af73234e43bc85dc508a3"),
-    ("su31-cline", "decompose", "json"): (0, "9a8467eec53aa050ff823ddf57b7d8b910e047679fb071051d29a1bfe5e9e854"),
+    ("su31-cline", "decompose", "json"): (0, "faa2706ba29d83a4225d06aa0701c3db120ef4bc097f91606d820af6385300c5"),
     ("su31-cline", "decompose", "text"): (0, "57d2b94f5359d462fe8340e4a18bf237a3b83a729f6e9bc5ffa52b63e892a11f"),
-    ("su31-cline", "cohomology", "json"): (0, "b60682c396f07821209a75e8fed187dda8309d6c6d349ef0e65018f9e3c73b9f"),
+    ("su31-cline", "cohomology", "json"): (0, "c99a5a589e7e1ec2327f534e834533c0f3672df142acbe7eb9d41c0440d7eca5"),
     ("su31-cline", "cohomology", "text"): (0, "798039ceb14f771b969e3e6156be8df19c2aa60b265edd695dc2bd72cf98e76c"),
-    ("su31-cline", "toledo", "json"): (0, "d65c4010480f03e1812f0aa06e820bbf7411fc727c764110bf663eaea6880914"),
-    ("su31-cline", "toledo", "text"): (0, "6ee930b16aabd66b1fec0c7a414eb6b1ed4d560388f5c7b05d20f1fae4f416c6"),
-    ("su31-cline", "balanced", "json"): (0, "c43c67fc5ae2fe31da25777f10eb3a1fc2f4d1c46f9e36b9e4c55691cb5f9f2d"),
+    ("su31-cline", "toledo", "json"): (0, "e0750181dbb69e2b7da7aabfa4d47a6e9df079dd82ca473966af67c34e12a15b"),
+    ("su31-cline", "toledo", "text"): (0, "17934a660d8b91fdff5e16dce2af38e451b246f828029ab7cdda1e2574e72fa9"),
+    ("su31-cline", "balanced", "json"): (0, "3c5f1fb234e9644e19359cbda61eefc8bbb6ed4b7e1f4091f7da8ebab604ed18"),
     ("su31-cline", "balanced", "text"): (0, "e8ede38f57caec0257ee5cf62058070e4c48711723420e9d0a445e9248dce65b"),
-    ("su31-cline", "verdict", "json"): (10, "d7b7285d4adac5eee4065792d5758f541d040f171c9f42adac34b14a0c62b848"),
+    ("su31-cline", "verdict", "json"): (10, "ebfbf0ee24d505901e7b70416046b56b40b8b9a5d614f5dae3b82c33ee49bf27"),
     ("su31-cline", "verdict", "text"): (10, "fcdc91c722139f6707d661829dccf0f7143f103194fcba30478a03d28a609d58"),
-    ("su41-rplane", "decompose", "json"): (0, "b4a0e8f6681bc16dc9bbf7d28865739f4e599412820c32e5a67ccfce39e8782b"),
+    ("su41-rplane", "decompose", "json"): (0, "6e5ea205ce61ba564c09d537954485a67d894d793a856b7a5dc6cdafc90af90a"),
     ("su41-rplane", "decompose", "text"): (0, "c91df25644d86b4ae0aa75b054dbc79f9f5e112bf0b18b3879876be7c0d5c600"),
-    ("su41-rplane", "cohomology", "json"): (0, "3a5326e191dd3c0ca524b527d8e7ecef2bae4afe1b104b669a8184b1286da972"),
+    ("su41-rplane", "cohomology", "json"): (0, "6d84e3b4da5240d688f207ff4c72f53c11fff222f954a2e5945498fdc6221b8f"),
     ("su41-rplane", "cohomology", "text"): (0, "cc8038cf94689562abacbf6f9eeb47f34e428e91e791b2e5e7638e9afadf5c70"),
-    ("su41-rplane", "toledo", "json"): (0, "813cbdf3076c95149fa336ab567e8b8e5fe75ee87966b8b8a9cbb66b8b0e9582"),
-    ("su41-rplane", "toledo", "text"): (0, "4f9b652c921e1b3092f57cc54bba4a7732fb03d89a9512c92ef43ba18370d363"),
-    ("su41-rplane", "balanced", "json"): (0, "b4243fae2d6d2cd71f0a95a0125b11dbe28768d01cb4f18d4377c476ee55e5c6"),
+    ("su41-rplane", "toledo", "json"): (0, "8d83a7b28488d0d05257b915da84f8a2c07a4472a788a2087ccd684d887a325a"),
+    ("su41-rplane", "toledo", "text"): (0, "51d4b679ec2adf712778914794a40a8645da62eef4c2598cd5ae9afa11eb49d2"),
+    ("su41-rplane", "balanced", "json"): (0, "1226def83a5abe62b66e522f197ba917a07e70e134cf67206f49d31d1f7a24b9"),
     ("su41-rplane", "balanced", "text"): (0, "a31a28261f4978b1e0ed2d71d70f4e7a7be73b773b2f126a548fbd28c98b9a4c"),
-    ("su41-rplane", "verdict", "json"): (0, "57c3997ec93f2eb21f9c9cc9449b08a270b9578add9bc8e053e6260a49801650"),
+    ("su41-rplane", "verdict", "json"): (0, "4277975ed59895ad94051d31b4f275a91aa5333959b746f206b8fa7b5510673a"),
     ("su41-rplane", "verdict", "text"): (0, "d448eacecfbec407c0a2cdbce6b05c06e1f379d0a39ffd3f6aa83fb55600f03f"),
-    ("su41-cline", "decompose", "json"): (0, "4e4917f0ac7c5fb3fde5945ff7fe286fa4313009336ed90b5bb990ed415cc09b"),
+    ("su41-cline", "decompose", "json"): (0, "2527017ebf3a691a4807ad2d862f3324e25d21bc030b601f0d2dc25523aadc4c"),
     ("su41-cline", "decompose", "text"): (0, "ea4b2de53d5c1e459a892933705adfece320d5aabed9deb1c64cbcaca638112f"),
-    ("su41-cline", "cohomology", "json"): (0, "9f68f28bb4e2ec04da3d3052210942e39e4c4e0764c51fdff05e1b8f73d84d11"),
+    ("su41-cline", "cohomology", "json"): (0, "e383db972809f842d0581698764f1af03a6b22ab7722069f19734fa72f4182b9"),
     ("su41-cline", "cohomology", "text"): (0, "0312c9f707315ac1a35d009632a963893812826364c723258fd957679f328d5a"),
-    ("su41-cline", "toledo", "json"): (0, "32015460366163fcc768ad926f86eaf4fed97f2c3fa6a99841c99352785c0a89"),
-    ("su41-cline", "toledo", "text"): (0, "9ed683b03e56d204db2bb1c1e7a264c1560df67ee0fd7a6332f8bf2946c1fb79"),
-    ("su41-cline", "balanced", "json"): (0, "37af2b0c8323df407b82413899e1b652fd56b021d51418f806d8a2f905c2a700"),
+    ("su41-cline", "toledo", "json"): (0, "06a98b67b71ba1b1d9f4107c0b61c358ded6975f7686f9ce6e4f5facf5dbe7b1"),
+    ("su41-cline", "toledo", "text"): (0, "f695059def64c851f46d471f91666f0d3f1fa280a5f80a4fa1a6bd92cf1b0b5c"),
+    ("su41-cline", "balanced", "json"): (0, "a735694267e9adcaf8cc69920a16c173486204597d62f39c159bc58e45a08984"),
     ("su41-cline", "balanced", "text"): (0, "08542e34cb2906cd4f0c3d07e0e5610ebc101c3dd96864b61b579a8be5df8094"),
-    ("su41-cline", "verdict", "json"): (10, "fa519ae0d357d17413c89136d94dbbb9d81576bc09814e2fdc9d65a7cb0b634f"),
+    ("su41-cline", "verdict", "json"): (10, "49c608b7563453a707f66af50256c0590764c182e31d14bea021837928da31c1"),
     ("su41-cline", "verdict", "text"): (10, "5c774cf8bff174c21d5c6cf9c06e7619c3bed46ee8733dcd3b1adb96ba39db42"),
-    ("sp21-rplane", "decompose", "json"): (0, "7727f9fcb94aab35676dbb680c670a007321298a8f14c55d28788a1febc9b91a"),
+    ("sp21-rplane", "decompose", "json"): (0, "ebc0df0577cca18fc6f0ee6a85e735df74d98a5ca593bba28680c7a0bc9f1e55"),
     ("sp21-rplane", "decompose", "text"): (0, "41cff30835329780c1ae49d3429ccf97cf71c30897684e1b555ab5323fd72d6b"),
-    ("sp21-rplane", "cohomology", "json"): (0, "3057c9d9ae92ac92e4917905c3791ffd6ca9db5a97869689d2941ba4d07fc1f4"),
+    ("sp21-rplane", "cohomology", "json"): (0, "a78ef4e1fe393e13043fc6997b47e2fd07b88dd875c2c470a23ea47b572d513e"),
     ("sp21-rplane", "cohomology", "text"): (0, "df7b9009ad47459fd8d70cf85b56e11e51c5f431bca4ebc4f38100a8fef35a79"),
-    ("sp21-rplane", "toledo", "json"): (0, "e5f1dbb24ffc28457618264151016d3e2f7d5c44850582b6ee68f1b4a78f8c47"),
+    ("sp21-rplane", "toledo", "json"): (0, "d530d1a39501617b84d7b111dfa66c83eceb5f2dd98495a4c8626b0cbc01cff3"),
     ("sp21-rplane", "toledo", "text"): (0, "6b56fc8a398e18473efb0a4cc2e994a0677bda93f5a0eb221fc4c3f44c9a6db4"),
-    ("sp21-rplane", "balanced", "json"): (0, "beba7609fd870488e815f55861a758bf303889eea9a91f199c9b84c93494bc58"),
+    ("sp21-rplane", "balanced", "json"): (0, "8a0d942e977bebedc233c98dd2577d969a951873fd76cdcf9831564357b35d31"),
     ("sp21-rplane", "balanced", "text"): (0, "7763b19215b0ea49cf158becb2429b15421b7f57e975679743b9da4e828cbae1"),
-    ("sp21-rplane", "verdict", "json"): (0, "b17d546519a244369b161e83132c5b448e18f40ac38eca831d6cd380e33efa9c"),
+    ("sp21-rplane", "verdict", "json"): (0, "46b4edc548d8936aaedf72ade6f69a2d3065bfa401218ae65931cca7a8db3252"),
     ("sp21-rplane", "verdict", "text"): (0, "56cbadae16354664e41c2b64798db8e82c7c68aefc7071f34a06a335c0a1c560"),
-    ("sp21-cline", "decompose", "json"): (0, "9e41c5a3d2dbf4b35f877d951e61e89ba4eb5ec58a8a2a7cec6e0aa5a311f5ca"),
+    ("sp21-cline", "decompose", "json"): (0, "4ee6f279ceb65f2933299a770b16700482e15ea3a04c39be484a614d5fb964cf"),
     ("sp21-cline", "decompose", "text"): (0, "20f782b1dd0150e60af8d9515ac56fde0b94d0c279a0c689c12e395e8ef339c7"),
-    ("sp21-cline", "cohomology", "json"): (0, "b2874328962a4cd4c541f1c3b993f6e10698f8e88241c49ec82c5ac06254ec0e"),
+    ("sp21-cline", "cohomology", "json"): (0, "3e12b79b482ea8aea3e4e72827bf0203c84ceef7d2a00ae64fab31f7725d9da4"),
     ("sp21-cline", "cohomology", "text"): (0, "fde9ad59af5763ff47d7013921f2164aa35fd606e500266fe684cbf8fffc98a4"),
-    ("sp21-cline", "toledo", "json"): (0, "a2131af05b57b656ec659a6f64ab139f9612ff01aa37377725d31704735e3574"),
-    ("sp21-cline", "toledo", "text"): (0, "9f209f4416028b9a90bc075993f0f68e4a77feb5f43457016ab3df7bdb93afc9"),
-    ("sp21-cline", "balanced", "json"): (0, "419586b54c5e97e1ed068a39be8c26ddaaed03eeae2a281c7f6a4da7cc53c1d3"),
+    ("sp21-cline", "toledo", "json"): (0, "c7e6c9252d5f04b1ee2d8df0ed01595bc80699627167af79d2309091984e7ce0"),
+    ("sp21-cline", "toledo", "text"): (0, "d5641d0a3a1c50e9c42c6123b3d1f1d463c43c3ee3c4e7f598e90907d5cbcf29"),
+    ("sp21-cline", "balanced", "json"): (0, "42eb8246e6d096d5a9218cd26fa3d1e2d0ad5ef0d842bdd93f04c5ee7fd0610e"),
     ("sp21-cline", "balanced", "text"): (0, "99f83f833d551fd11bc39d551b6b379cd132b6a6494334a34282f902b028f4be"),
-    ("sp21-cline", "verdict", "json"): (0, "758676745593d03184747f9fdf3ff545af90b80af81e19058a5d5165b6edc51f"),
+    ("sp21-cline", "verdict", "json"): (0, "e934630f3b96f6449f9ef71227c505e08314f8ac99aba17e98c2d3cfa5bc4b8e"),
     ("sp21-cline", "verdict", "text"): (0, "5687dc31cf5f2e0232b98822e95a8f172f3cd141ec0ab538b7790ba4f1b1b623"),
-    ("sp31-rplane", "decompose", "json"): (0, "aa4fa752b99d32f5068ce0adecb12b2fd6971becba430517cc7ca356da38d988"),
+    ("sp31-rplane", "decompose", "json"): (0, "cd948b0a701bd154dab86bdc657b0373de310562b5e46504ea94ec5faac3e87d"),
     ("sp31-rplane", "decompose", "text"): (0, "6bbd9f7926ff68ae7a17828f614b80aa0357e651d6d57a90503457c13e48d8e4"),
-    ("sp31-rplane", "cohomology", "json"): (0, "518bbfb5434826237d5e46c28b38d80d787508dfcce2e1059842adfa5cc44cf5"),
+    ("sp31-rplane", "cohomology", "json"): (0, "18959487f19e32fe1bab7b3dfaf3ded331eb1f84b8177583717da70d39e97d02"),
     ("sp31-rplane", "cohomology", "text"): (0, "8e6cad817f94e3dedab55f8a88b94faf308e14a5ee2a4bf0b5305b2e88af22e9"),
-    ("sp31-rplane", "toledo", "json"): (0, "1a96acd009a0a4aa463d0440b61f8d90d72f0b2f1ea7ee2db5e59b0f3082277c"),
+    ("sp31-rplane", "toledo", "json"): (0, "02999ed80c329292766aba0f516473dea129c0df46abc4bd0610e20d20085b05"),
     ("sp31-rplane", "toledo", "text"): (0, "86959cde8c34c4cc69ea1b40e8beeb0342889bdf19a0ba227151f849179d8ee8"),
-    ("sp31-rplane", "balanced", "json"): (0, "33cfa26899b241524b2ada31f4791bb736f69d5f85d33ee0616223519d3279a5"),
+    ("sp31-rplane", "balanced", "json"): (0, "6bc9c1b55b7760107435d40bd28280aac018e81cbf3687e1b4f56b4275acb331"),
     ("sp31-rplane", "balanced", "text"): (0, "4ea70506838caf1c739781d3e084ffe43c999a9b7218d3a4f62349406a198f88"),
-    ("sp31-rplane", "verdict", "json"): (0, "08fd30e1d1723934a2314966826f340bb5523c17a008d2ad3ff865ec7d50c87f"),
+    ("sp31-rplane", "verdict", "json"): (0, "ccaba9ce8b9717367f1746a13dc3817a647df90f16e9f744dcaca854b5c9e21f"),
     ("sp31-rplane", "verdict", "text"): (0, "d6e8b051af1d4729812415f5576baf8f9426292152afeaad6dc594f3d8bd0648"),
-    ("sp31-cline", "decompose", "json"): (0, "77c1460511fbb31e87162f117cbeb34f9693fbd95f6cdaf9145a271773d9a176"),
+    ("sp31-cline", "decompose", "json"): (0, "c61e67412dfc89e2a56ee8636fb13e30225196c3988f3c7f7b6bd66caef612b1"),
     ("sp31-cline", "decompose", "text"): (0, "ef754380c356cce54c86fffcc96801bf09012c32de39edc562a1cce09877e734"),
-    ("sp31-cline", "cohomology", "json"): (0, "9de2d43c9b6ce69592b662bdaf74cfe0a723ba65b1b6f7632ebd784bb2d54753"),
+    ("sp31-cline", "cohomology", "json"): (0, "985e5f3f477f3e6536544436ebf5daa61056d494bed29f99383b15cf241bc82d"),
     ("sp31-cline", "cohomology", "text"): (0, "c4dcb5366029f84c3317e91dd77cf52d03395f46868f84d558aa373c14eb6fa5"),
-    ("sp31-cline", "toledo", "json"): (0, "9447fbf42eece9d1f83ec002c4a53bb6d8dc374164bc9734fea4e6e4ed74ec66"),
-    ("sp31-cline", "toledo", "text"): (0, "82dc50ab9f616f1db26ca530314263e1afa8079a27168df11381401a2d9c4e21"),
-    ("sp31-cline", "balanced", "json"): (0, "ee251f504534db199df6dc071e663242404b3dbc4151e0709fb75f9019267297"),
+    ("sp31-cline", "toledo", "json"): (0, "0fd8ac869008dd5a3a6db5851cf7451294eea16e1729844582ab237f78c8531c"),
+    ("sp31-cline", "toledo", "text"): (0, "df8e892daab7bd7d86bce5816ff4c273895129a40eec85c1e4623372293a4506"),
+    ("sp31-cline", "balanced", "json"): (0, "77b51df873f2d5e02b6d6f88f7c452ff8becf842b8c1b20b4cec99e5c7f19f0c"),
     ("sp31-cline", "balanced", "text"): (0, "ae84d87d930f9d619e6b2cd07141c38fbfd3bb28430cd91710de4c062da23adb"),
-    ("sp31-cline", "verdict", "json"): (0, "7ce5a7fd5c89ad585d0a5fcae30eec697bbdaa8485bcdacdc743d572a95104e4"),
+    ("sp31-cline", "verdict", "json"): (0, "a23f7af37d19aa8fd2ae4e4585dc3cc25beafbb9a6316773dec41623606f279b"),
     ("sp31-cline", "verdict", "text"): (0, "f6567ae098fbc1d2f8db5f333cbaf8ec826df22b5f4ec89d31445bdb10b88982"),
 }
 
@@ -158,21 +164,21 @@ def test_catalog_report_bytes(capsys, case, command, fmt):
 # (source, subcommand and options, format): a source is a catalog case or
 # the name of a matrix input built by _input_generators
 GOLDEN_RUNS = {
-    ("sp21-cline", "toledo --root 0", "json"): (0, "066bfdcbd90f65db4b704fedb9ac2424b88494e96fc454437640c7a7f2fdd2af"),
-    ("sp21-cline", "toledo --root 0", "text"): (0, "daa0141832dac02731780ff1244ff8ce17514fcb9656284152378b964e39bc55"),
-    ("sp21-cline", "toledo --root 1", "json"): (0, "5489d952aa48aa485f387c9b5858d7d37d978e71a05faaefb613f33f3ebb1e5b"),
-    ("sp21-cline", "toledo --root 1", "text"): (0, "5859ce45d7e7411aaf58200a0113ab2bef870e164d65a040e567abf6579e79d4"),
-    ("sp31-cline", "toledo --root 0", "json"): (0, "3256d87ddce7f4aa998b5b77d4276dea8a6b5283468b1ebd6b276fbe5279b886"),
-    ("sp31-cline", "toledo --root 0", "text"): (0, "92ec7c2c27de7804613a8a52685f3c295f6dd74d8540bc1edc8616efa151720e"),
-    ("sp31-cline", "toledo --root 1", "json"): (0, "771c19137101afd426583f74efb90aa512f6f811d9fd3120e0f97955bdad7fce"),
-    ("sp31-cline", "toledo --root 1", "text"): (0, "7114f6835cec6078367a973b03f2147d6f5c8b39c493748103977ee58ff6733b"),
-    ("octagon", "toledo --standard-module", "json"): (0, "ceec1695399b5c01f8001708d3c6f178c330733b52f80439c17a79ef15aff087"),
+    ("sp21-cline", "toledo --root 0", "json"): (0, "b2c446dafaf33628c91245a6cb464f3a5f636b677887162c51532348183411b1"),
+    ("sp21-cline", "toledo --root 0", "text"): (0, "b2a7d7b0b5d32727d88fc78ed0d41822fc23182afe5b3b1696e40c894a8a8978"),
+    ("sp21-cline", "toledo --root 1", "json"): (0, "112df9d8852a183d5c1d6c803a3feaf1183c370e68259e15d0cba2bad6014206"),
+    ("sp21-cline", "toledo --root 1", "text"): (0, "15b4b136a712e124a5d84dbb1653e29a1577b4ef380b6b098385a194e024425f"),
+    ("sp31-cline", "toledo --root 0", "json"): (0, "71fa6497c664c453a36f1f92f08553d03f66d61c198fdb740acc1d05da57c20b"),
+    ("sp31-cline", "toledo --root 0", "text"): (0, "21a95d84a956407af41d7fe5652541ac1616b86f475e3dc209804c15d8cc1dff"),
+    ("sp31-cline", "toledo --root 1", "json"): (0, "03577c2d078255103818ffa4c78a0515e6865e907a2d9c09d447908884d9badd"),
+    ("sp31-cline", "toledo --root 1", "text"): (0, "7a628a7b6f09f0f6b7b86c02ad3c40cb93b3a89708e827a3ff76d6f7d0fe5345"),
+    ("octagon", "toledo --standard-module", "json"): (0, "50205ce64784abe2bd1e94c244c6af6e6713156bd2cc1b74cf80833f82daa8de"),
     ("octagon", "toledo --standard-module", "text"): (0, "c95ce60eab038709d7b92b17175518a477c7f229198a7b3ac10af9fbb2729b3a"),
-    ("identity", "toledo --standard-module", "json"): (0, "bd5d208060426366911572098f097e7db6adf7177e5529ed517a4b9fa1768788"),
+    ("identity", "toledo --standard-module", "json"): (0, "0e21b3bea476a8b8aead221d75bbf7fd07434c0ed1aee557452069ead72753da"),
     ("identity", "toledo --standard-module", "text"): (0, "e4110992f289995da0ce5352c2d6d373d17f9b89a012bccbab158843072fa080"),
-    ("parabolic", "toledo --standard-module", "json"): (0, "93c744b0a53262c28f5e337028b4e635a50ed2c7c8efc3aa85df9aed1fc0b38f"),
+    ("parabolic", "toledo --standard-module", "json"): (0, "3bf4cd9bbeb9cc8498e00b199426b1da848ad5eb33e44e24d1c403e27a5cb88a"),
     ("parabolic", "toledo --standard-module", "text"): (0, "0730e0a51746e45caaaf3e5edbda8e564fa4ffd0ee05df623d14bbe1db037366"),
-    ("parabolic", "verdict", "json"): (11, "45fb457f983da679d4cb2ff45e4e075cfa72f491717005c215a0b01788b36145"),
+    ("parabolic", "verdict", "json"): (11, "303791bc3e02afa1ecb63180f6bd4d00615a9b31a932f155e566807532627b3d"),
     ("parabolic", "verdict", "text"): (11, "e3f5f858e993bc8a98f1998c570b124a69f8619ea495c92d8c8f2f97a6696313"),
 }
 

@@ -7,7 +7,7 @@ from conftest import bent_genus2, fuchsian_sum
 from flexcheck.catalog import build_case_representation, default_cases
 from flexcheck.config import TOLEDO_LIFT, NumericalAbort, Tolerances
 from flexcheck.engine import Pipeline
-from flexcheck.liealg import centralizer, subalgebra_from_matrices
+from flexcheck.liealg import build_classical, centralizer, subalgebra_from_matrices
 from flexcheck.roots import MIXED, check_in_g0, decompose
 from flexcheck.surface import (
     adjoint_module,
@@ -18,10 +18,12 @@ from flexcheck.surface import (
     standard_presentation,
     surface_representation,
 )
-from flexcheck.toledo import lifted_toledo, root_form, symplectic_form_report
-from reference import (coboundaries, cocycles, components, gram_toledo, invariant_vectors,
-                       lagrangian_pair_check, scan_invariant_lagrangians, signature, splitso)
+from flexcheck.toledo import lifted_toledo, root_form, standard_form
+from reference import (coboundaries, cocycles, components, gram_signature_toledo, gram_toledo,
+                       invariant_vectors, lagrangian_pair_check, scan_invariant_lagrangians,
+                       signature, splitso)
 from test_engine import FUCHSIAN_SUMS
+from test_golden import _input_generators
 
 
 def test_fuchsian_standard_module_signature(fuchsian):
@@ -35,18 +37,14 @@ def test_fuchsian_standard_module_signature(fuchsian):
             gram[i, j] = cup_pairing(ws, omega, h[:, i], h[:, j])
     sig = signature(0.5 * (gram + gram.T))
     assert abs(sig) == 4          # |T| = 1 = genus - 1
-    # the reader the roots use gives the same signature, and nulls when degenerate
-    form = symplectic_form_report(ws, omega)
+    # the lifted relator gives the same signature
+    form = standard_form(fuchsian, omega)
     assert (form.signature, form.toledo, form.definite, form.milnor_wood_slack) == (sig, sig // 4, True, 0)
-    degenerate = symplectic_form_report(ws, omega, Tolerances(gram=1.0))
-    assert degenerate.status == "degenerate"
-    assert degenerate.signature is degenerate.toledo is degenerate.milnor_wood_slack is None
 
 
 def test_a_standard_module_report_has_no_root_class(fuchsian):
     # the standard module is not a root space: no class, and never in P
-    ws = cohomology(fuchsian, fuchsian.images)
-    form = symplectic_form_report(ws, np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    form = standard_form(fuchsian, np.array([[0.0, 1.0], [-1.0, 0.0]]))
     assert form.root is None and form.classification is None and form.in_P is False
 
 
@@ -80,7 +78,6 @@ def test_real_root_toledo_vanishes(models):
     assert len(dec.roots) == 1 and dec.roots[0].classification == "real"
     rr = root_form(rep, adjoint_module(rep), dec.roots[0])
     assert rr.toledo == 0
-    assert rr.status == "ok"
 
 
 def test_root_form_rejects_noncentralized_torus(fuchsian, models):
@@ -242,16 +239,6 @@ def test_root_form_rejects_invariant_vectors(models):
     assert invariant_vectors(restricted_module(adj, dec.roots[0].real_basis)).shape[1] > 0
     with pytest.raises(NumericalAbort, match="H\\^0 is nonzero"):
         check_in_g0(torus, centralizer(m, adj))
-
-
-def test_classify_PN_aborts_on_degenerate_report(case_pipeline):
-    from dataclasses import replace
-    from flexcheck.engine import classify_PN
-    rep, z, c, dec = case_pipeline("su21-cline")
-    rr = root_form(rep, adjoint_module(rep), dec.roots[0])
-    degenerate = replace(rr, status="degenerate", toledo=None)
-    with pytest.raises(NumericalAbort):
-        classify_PN([degenerate])
 
 
 def test_root_form_invariant_under_basis_rotation(case_pipeline, rng):
@@ -432,8 +419,40 @@ def test_lifted_toledo_of_the_octagon_standard_module(genus):
     # the pinched octagon group is maximal at genus 2: T = -1 at every genus
     rep = _pinched(fuchsian_genus2(), genus)
     toledo, margin = lifted_toledo(rep.images, STANDARD_OMEGA, rep.presentation)
-    gram = symplectic_form_report(cohomology(rep, rep.images), STANDARD_OMEGA)
-    assert toledo == gram.toledo == -1 and margin <= 1e-12
+    gram = gram_signature_toledo(cohomology(rep, rep.images), STANDARD_OMEGA)
+    assert toledo == gram == -1 and margin <= 1e-12
+
+
+def _golden_input(name: str):
+    """The SL(2,R) representation of one of the golden report inputs."""
+    images = np.array(_input_generators(name))[..., 0]
+    return surface_representation(standard_presentation(2), build_classical("sl", 2), images)
+
+
+def _diagonal_sp4():
+    """The octagon group diagonally in Sp(4,R), g acting on each (e_i, f_i) plane."""
+    images = np.zeros((4, 4, 4))
+    for i in (0, 1):
+        images[:, [[i], [i + 2]], [i, i + 2]] = fuchsian_genus2().images
+    return surface_representation(standard_presentation(2), build_classical("spr", 2), images)
+
+
+STANDARD_MODULES = {
+    **{name: functools.partial(_golden_input, name) for name in ("octagon", "identity", "parabolic")},
+    "octagon in sp(4,R)": _diagonal_sp4,
+    **{f"octagon at genus {g}": lambda g=g: _pinched(fuchsian_genus2(), g) for g in range(3, 7)},
+}
+
+
+@pytest.mark.parametrize("build", STANDARD_MODULES.values(), ids=STANDARD_MODULES)
+def test_standard_form_matches_fox_calculus_and_the_gram(build):
+    # h1 by the count 2 h0 - chi m is Fox calculus's, and T the Gram signature's
+    rep = build()
+    omega = rep.model.form if rep.model.family == "spr" else STANDARD_OMEGA
+    form = standard_form(rep, omega)
+    ws = cohomology(rep, rep.images)
+    assert (form.h1_dim, form.toledo) == (ws.h1_dim, gram_signature_toledo(ws, omega))
+    assert form.milnor_wood_slack >= 0 and form.lift_margin <= 1e-9
 
 
 def test_lift_matches_the_circle_rotation_number(fuchsian):
