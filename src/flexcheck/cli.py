@@ -402,10 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name)
         _add_common(sub)
         if name == "toledo":
-            sub.add_argument("--root", type=int, default=None,
-                             help="root index (default: all roots)")
-            sub.add_argument("--standard-module", action="store_true",
-                             help="Toledo invariant of the standard symplectic module")
+            view = sub.add_mutually_exclusive_group()
+            view.add_argument("--root", type=int, default=None,
+                              help="root index (default: all roots)")
+            view.add_argument("--standard-module", action="store_true",
+                              help="Toledo invariant of the standard symplectic module")
     cat = subs.add_parser("catalog")
     cat.add_argument("--format", choices=("text", "json"), default="text")
     return parser

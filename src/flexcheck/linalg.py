@@ -98,22 +98,6 @@ def nullspace(a: np.ndarray, tol: float = DEFAULT.rank, scale: float = 0.0) -> n
     return vh[singular_rank(s, tol, scale):].conj().T
 
 
-def span_and_kernel(a: np.ndarray, tol: float = DEFAULT.rank,
-                    scale: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of the column span and of the kernel of a tall matrix.
-
-    Both come from one thin SVD, with the cutoff of :func:`nullspace` and
-    :func:`orthonormal_columns`: the left vectors above it span the
-    image, the right vectors below it the kernel.
-    """
-    a = _matrix(a)
-    if a.shape[0] < a.shape[1] or a.shape[1] == 0:
-        raise NumericalAbort("span_and_kernel needs a tall, nonempty matrix")
-    u, s, vh = _svd(a, full_matrices=False)
-    keep = singular_rank(s, tol, scale)
-    return u[:, :keep], vh[keep:].conj().T
-
-
 def orthonormal_columns(vectors: np.ndarray, tol: float = DEFAULT.rank,
                         scale: float = 0.0) -> np.ndarray:
     """Orthonormal basis for the column span of ``vectors``.

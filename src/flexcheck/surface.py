@@ -12,22 +12,37 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .config import (DEFAULT, FORM_INVARIANCE, OCTAGON_NORMALIZER, RELATOR_CORRECTION,
                      FlexcheckError, NumericalAbort, Tolerances)
 from .liealg import LieAlgebraModel, build_classical
-from .linalg import (nullspace, rank, relative_residual, residual_scale, span_and_kernel,
+from .linalg import (nullspace, orthonormal_columns, rank, relative_residual, residual_scale,
                      spectral_norms)
 
 
 @dataclass(frozen=True)
 class SurfaceGroupPresentation:
-    """Standard presentation <a1,b1,...,ag,bg | prod [ai,bi]>."""
+    """Standard presentation <a1,b1,...,ag,bg | prod [ai,bi]>, set by an integer genus >= 2."""
 
     genus: int
-    letters: tuple[tuple[int, int], ...]   # (generator index, +-1), length 4g
+
+    def __post_init__(self):
+        try:
+            genus = operator.index(self.genus)
+        except TypeError:
+            raise FlexcheckError(f"genus must be an integer, got {self.genus!r}") from None
+        if genus < 2:
+            raise FlexcheckError("closed surface of genus >= 2 required")
+        object.__setattr__(self, "genus", genus)
+
+    @cached_property
+    def letters(self) -> tuple[tuple[int, int], ...]:
+        """The relator as (generator index, +-1) pairs: ai bi ai^-1 bi^-1 per handle, 4g in all."""
+        return tuple((2 * i + j, sign) for i in range(self.genus)
+                     for sign in (1, -1) for j in (0, 1))
 
     @property
     def generator_count(self) -> int:
@@ -39,17 +54,7 @@ class SurfaceGroupPresentation:
 
 
 def standard_presentation(genus: int) -> SurfaceGroupPresentation:
-    try:
-        genus = operator.index(genus)
-    except TypeError:
-        raise FlexcheckError(f"genus must be an integer, got {genus!r}") from None
-    if genus < 2:
-        raise FlexcheckError("closed surface of genus >= 2 required")
-    letters = []
-    for i in range(genus):
-        a, b = 2 * i, 2 * i + 1
-        letters += [(a, 1), (b, 1), (a, -1), (b, -1)]
-    return SurfaceGroupPresentation(genus, tuple(letters))
+    return SurfaceGroupPresentation(genus)
 
 
 @dataclass(frozen=True)
@@ -107,14 +112,12 @@ def _fox_calculus(presentation: SurfaceGroupPresentation, acts: np.ndarray):
     ngen, m = presentation.generator_count, acts.shape[-1]
     prefixes = np.array(relator_prefixes(presentation, acts))
     # letter k's Fox block is P_k for a generator and -P_k L^-1 = -P_{k+1}
-    # for an inverse; the relator map sums them per generator, whose two
-    # letters in a surface relator come in letter order
-    gens, signs = np.array(presentation.letters).T
-    if np.any(np.bincount(gens, minlength=ngen) != 2):
-        raise FlexcheckError("each generator must occur twice in the relator")
-    fox = np.where((signs > 0)[:, None, None], prefixes[:-1], -prefixes[1:])
-    first, second = np.argsort(gens, kind="stable").reshape(ngen, 2).T
-    relator_map = np.swapaxes(fox[first] + fox[second], 0, 1).reshape(m, ngen * m)
+    # for an inverse; the relator map sums each generator's two.  In the
+    # standard word the generator letters, like the inverse letters, come
+    # in generator order
+    positive = np.array(presentation.letters)[:, 1] > 0
+    fox = np.where(positive[:, None, None], prefixes[:-1], -prefixes[1:])
+    relator_map = np.swapaxes(fox[positive] + fox[~positive], 0, 1).reshape(m, ngen * m)
     return prefixes, fox, relator_map
 
 
@@ -322,9 +325,10 @@ def cohomology(rep: SurfaceRepresentation, actions,
     prefixes, fox, relator_map = _fox_calculus(pres, actions)
     scale = check_module_relator(prefixes, tol)
 
-    # one thin SVD of the coboundary map v -> ((A_s - 1) v)_s: its left
-    # vectors span B^1, its right null vectors span H^0
-    b1, fixed = span_and_kernel((actions - eye).reshape(ngen * m, m), tol.rank, scale=1.0)
+    # B^1 is the span and H^0 the kernel of the coboundary map v -> ((A_s - 1) v)_s
+    coboundary = (actions - eye).reshape(ngen * m, m)
+    b1 = orthonormal_columns(coboundary, tol.rank, scale=1.0)
+    fixed = nullspace(coboundary, tol.rank, scale=1.0)
     worst = relative_residual(relator_map @ b1, scale)
     if worst > tol.cocycle_check:
         raise NumericalAbort(f"coboundaries fail the cocycle condition ({worst:.3e})")
@@ -383,9 +387,8 @@ def cup_pairing(
     m = ws.module_dim
     if omega.ndim not in (2, 3) or omega.shape[-2:] != (m, m):
         raise FlexcheckError(f"omega must be ({m}, {m}) or (K, {m}, {m}), got {omega.shape}")
-    same = v is u                      # a Gram matrix: check and build u's blocks once
     # the cocycles first: cocycle_residual raises FlexcheckError on a wrong shape
-    for w in (u,) if same else (u, v):
+    for w in (u, v):
         if np.any(ws.cocycle_residual(w) > tol.cocycle_check):
             raise NumericalAbort("cup_pairing arguments must be cocycles")
     check_invariant_form(ws.actions, omega)
@@ -399,7 +402,7 @@ def cup_pairing(
         return blocks, ws.fox_blocks @ blocks[gens]
 
     ublocks, yu = letter_blocks(u)
-    vblocks, yv = (ublocks, yu) if same else letter_blocks(v)
+    vblocks, yv = letter_blocks(v)
     # exclusive prefix sums X_k = sum_{j<k} Y_j(u); X_0 = 0
     xu = np.zeros_like(yu)
     np.cumsum(yu[:-1], axis=0, out=xu[1:])

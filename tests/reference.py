@@ -29,7 +29,7 @@ import numpy as np
 
 from flexcheck.config import DEFAULT, ExcludedFamilyError, FlexcheckError, NumericalAbort, Tolerances
 from flexcheck.liealg import _form_matrix, _indefinite_basis
-from flexcheck.linalg import nullspace, orthonormal_columns, rank, span_and_kernel
+from flexcheck.linalg import nullspace, orthonormal_columns, rank
 from flexcheck.roots import REAL, RootDatum
 from flexcheck.scalars import Field, realify
 from flexcheck.surface import CohomologyWorkspace, cohomology, cup_pairing, restricted_module
@@ -69,20 +69,19 @@ def root_eigenspace(torus, values, tol: float = 1e-8) -> np.ndarray:
     return nullspace(shifted.reshape(-1, model.dim), tol)
 
 
-def _coboundary_svd(actions: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """B^1 and H^0 from the stacked coboundary map v -> ((A_s - 1) v)_s, cut as in ``cohomology``."""
-    cob = np.vstack([a - np.eye(actions.shape[-1]) for a in actions])
-    return span_and_kernel(cob, tol.rank, scale=1.0)
+def _coboundary(actions: np.ndarray) -> np.ndarray:
+    """The stacked coboundary map v -> ((A_s - 1) v)_s, whose span is B^1 and kernel H^0."""
+    return np.vstack([a - np.eye(actions.shape[-1]) for a in actions])
 
 
 def invariant_vectors(actions: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Orthonormal basis of H^0, the vectors every action fixes."""
-    return _coboundary_svd(actions, tol)[1]
+    """Orthonormal basis of H^0, the vectors every action fixes, cut as in ``cohomology``."""
+    return nullspace(_coboundary(actions), tol.rank, scale=1.0)
 
 
 def coboundaries(ws: CohomologyWorkspace, tol: Tolerances = DEFAULT) -> np.ndarray:
     """Orthonormal columns spanning B^1, the ones ``cohomology`` takes H^1 orthogonal to."""
-    return _coboundary_svd(ws.actions, tol)[0]
+    return orthonormal_columns(_coboundary(ws.actions), tol.rank, scale=1.0)
 
 
 def cocycles(ws: CohomologyWorkspace, tol: Tolerances = DEFAULT) -> np.ndarray:

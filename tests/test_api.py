@@ -35,7 +35,7 @@ from flexcheck.config import DEFAULT, FlexcheckError, NumericalAbort, ParseError
 from flexcheck.engine import NON_REDUCTIVE_MESSAGE, BalanceProblem, Pipeline, _phase1, balanced
 from flexcheck.liealg import (LieAlgebraModel, SubalgebraHandle, build_classical, centralizer,
                               conjugation_limit, killing_restriction_nondegenerate)
-from flexcheck.linalg import nullspace, orthonormal_columns, rank, span_and_kernel
+from flexcheck.linalg import nullspace, orthonormal_columns, rank
 from flexcheck.roots import decompose
 from flexcheck.surface import (cohomology, correct_relator, cup_pairing, fuchsian_genus2,
                                relator_prefixes, restricted_module, standard_presentation,
@@ -625,7 +625,6 @@ SHAPE_ERRORS = {
     "rank-vector": lambda: rank(np.ones(3)),
     "orthonormal_columns-vector": lambda: orthonormal_columns(np.ones(3)),
     "nullspace-vector": lambda: nullspace(np.ones(3)),
-    "span_and_kernel-vector": lambda: span_and_kernel(np.ones(3)),
     "cohomology-non-square-actions": lambda: cohomology(fuchsian_genus2(), np.zeros((4, 2, 3))),
     **{f"lifted_toledo-{name}": call for name, call in LIFT_SHAPE_ERRORS.items()},
 }

@@ -174,6 +174,16 @@ def test_seed_flag_is_gone(capsys):
     assert exc.value.code == 2 and "--seed" in capsys.readouterr().err
 
 
+def test_root_and_standard_module_exclude_each_other(tmp_path, capsys):
+    from flexcheck.surface import fuchsian_genus2
+    path = _real_problem(tmp_path, "sl", [2], fuchsian_genus2().images)
+    with pytest.raises(SystemExit) as exc:
+        main(["toledo", "--input", str(path), "--standard-module", "--root", "7"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "not allowed with argument" in err
+    assert "--root" in err and "--standard-module" in err
+
+
 def test_catalog_listing(capsys):
     code, out, _ = run_cli(capsys, "catalog")
     assert code == 0
@@ -517,6 +527,16 @@ def test_a_problem_without_genus_takes_the_genus_flag(tmp_path, capsys):
     assert code == 0 and json.loads(out)["genus"] == 2     # --genus defaults to 2
     code, _, err = run_cli(capsys, "verdict", "--input", str(path), "--genus", "3")
     assert code == 2 and "need 6 generator images, got 4" in err
+
+
+def test_a_problem_files_tolerances_override_the_flags(tmp_path, capsys):
+    # as its genus overrides --genus; a key the file leaves out keeps the flag
+    path = tmp_path / "tolerances.json"
+    path.write_text(json.dumps({**_IDENTITY, "tolerances": {"rank": 1e-7}}))
+    code, out, _ = run_cli(capsys, "decompose", "--input", str(path), "--format", "json",
+                           "--tol-rank", "1e-10", "--tol-cluster", "1e-5")
+    tolerances = json.loads(out)["provenance"]["tolerances"]
+    assert code == 0 and (tolerances["rank"], tolerances["cluster"]) == (1e-7, 1e-5)
 
 
 def test_linalg_error_exit_code(capsys, monkeypatch):

@@ -11,7 +11,6 @@ from flexcheck.linalg import (
     orthonormal_columns,
     rank,
     relative_residual,
-    span_and_kernel,
     spectral_norms,
 )
 from flexcheck.liealg import build_classical
@@ -198,17 +197,6 @@ def test_wide_nullspace_keeps_the_full_kernel(rng):
     a = rng.standard_normal((3, 8))
     ker = nullspace(a)
     assert ker.shape == (8, 5) and np.abs(a @ ker).max() < 1e-12
-
-
-def test_span_and_kernel_match_orthonormal_columns_and_nullspace(rng):
-    for a, scale in _tall_stacks(rng):
-        span, kern = span_and_kernel(a, scale=scale)
-        ref_span, ref_kern = orthonormal_columns(a, scale=scale), _full_svd_nullspace(a, scale=scale)
-        assert span.shape == ref_span.shape and kern.shape == ref_kern.shape
-        assert np.abs(span @ span.T - ref_span @ ref_span.T).max(initial=0.0) <= 1e-12
-        assert np.abs(kern @ kern.T - ref_kern @ ref_kern.T).max(initial=0.0) <= 1e-12
-    with pytest.raises(NumericalAbort):
-        span_and_kernel(rng.standard_normal((2, 5)))
 
 
 def test_rank_scale_floor(rng):

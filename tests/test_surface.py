@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from flexcheck.linalg import nullspace, orthonormal_columns
 from flexcheck.roots import decompose
 from flexcheck.scalars import Field, realify
 from flexcheck.surface import (
+    SurfaceGroupPresentation,
     _expm,
     _fox_calculus,
     adjoint_module,
@@ -33,11 +36,30 @@ def test_standard_presentation():
     for s, sign in p2.letters:
         counts[(s, sign)] = counts.get((s, sign), 0) + 1
     assert all(v == 1 for v in counts.values()) and len(counts) == 8
-    with pytest.raises(FlexcheckError):
-        standard_presentation(1)
-    with pytest.raises(FlexcheckError, match="genus must be an integer, got 2.5"):
-        standard_presentation(2.5)
+    for build in (standard_presentation, SurfaceGroupPresentation):
+        with pytest.raises(FlexcheckError, match="closed surface of genus >= 2 required"):
+            build(1)
+        with pytest.raises(FlexcheckError, match="genus must be an integer, got 2.5"):
+            build(2.5)
     assert standard_presentation(np.int64(2)) == p2
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4, 5])
+def test_a_presentation_is_its_genus(genus):
+    pres = SurfaceGroupPresentation(genus)
+    word = []
+    for i in range(genus):
+        a, b = 2 * i, 2 * i + 1
+        word += [(a, 1), (b, 1), (a, -1), (b, -1)]
+    assert pres.letters == tuple(word)
+    same = SurfaceGroupPresentation(np.int64(genus))
+    assert same == pres == standard_presentation(genus) and hash(same) == hash(pres)
+    assert type(same.genus) is int
+    assert [f.name for f in fields(pres)] == ["genus"]
+    with pytest.raises(TypeError):
+        SurfaceGroupPresentation(genus, pres.letters)
+    with pytest.raises(TypeError):
+        SurfaceGroupPresentation(genus, letters=pres.letters)
 
 
 def test_fuchsian_relator_and_traces(fuchsian):
@@ -611,16 +633,6 @@ def test_cocycles_match_the_relator_map_kernel(fuchsian, case_pipeline):
             assert np.abs(ws_z1 @ ws_z1.T - z1 @ z1.T).max(initial=0.0) < 1e-7
             assert np.abs(ws_z1.T @ ws_z1 - np.eye(z1.shape[1])).max(initial=0.0) < 1e-12
             assert np.abs(ws.h1.T @ coboundaries(ws)).max(initial=0.0) < 1e-12
-
-
-def test_cohomology_needs_two_letters_per_generator(fuchsian):
-    # the relator map pairs each generator's two letters
-    from dataclasses import replace
-    letters = fuchsian.presentation.letters
-    bad = replace(fuchsian, presentation=replace(
-        fuchsian.presentation, letters=((1, 1),) + letters[1:]))
-    with pytest.raises(FlexcheckError, match="occur twice"):
-        cohomology(bad, np.stack([np.eye(2) for _ in fuchsian.images]))
 
 
 def test_relator_check_is_relative_to_the_prefix_scale(fuchsian):
