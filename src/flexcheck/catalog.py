@@ -178,4 +178,4 @@ def build_case_representation(
     model, embedding = embed_base(case, tol)
     base = fuchsian_genus2(tol)
     images = [embedding(g) for g in base.images]
-    return surface_representation(standard_presentation(2), model, images, tol=tol)
+    return surface_representation(standard_presentation(2), model, images)

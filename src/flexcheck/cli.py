@@ -19,7 +19,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .config import DEFAULT, FlexcheckError, Inconclusive, NumericalAbort, ParseError
+from .config import DEFAULT, RELATOR, FlexcheckError, Inconclusive, NumericalAbort, ParseError
 from .catalog import build_case_representation, default_cases
 from .engine import Pipeline, verdict
 from .liealg import build_classical
@@ -126,7 +126,7 @@ def load_problem(args) -> tuple[Pipeline, str]:
     if args.catalog and args.input:
         raise ParseError("give either --catalog or --input, not both")
     if args.catalog:
-        rep = build_case_representation(args.catalog, genus=args.genus, tol=tol)
+        rep = build_case_representation(args.catalog, tol=tol)
         return Pipeline(rep, tol), f"catalog:{args.catalog}"
     if not args.input:
         raise ParseError("a problem is required: --catalog NAME or --input FILE")
@@ -149,19 +149,20 @@ def load_problem(args) -> tuple[Pipeline, str]:
     for key, value in doc.get("tolerances", {}).items():
         tol = replace(tol, **{key: float(value)})
     family = doc["group"]["family"]
-    genus = int(doc.get("genus", args.genus))
+    repdoc = doc["representation"]
+    # without a genus key, half the generator count; surface_representation rejects an odd one
+    genus = int(doc.get("genus", len(repdoc["generators"]) // 2))
     try:
         model = build_classical(family, *map(int, doc["group"].get("params", [])), tol=tol)
     except FlexcheckError as exc:
         raise ParseError(str(exc))
-    repdoc = doc["representation"]
     field = repdoc.get("field", model.field.value)
     if field != model.field.value:
         raise ParseError(f"field {field} does not match group family {family}")
     images = [_parse_matrix(g, model.field, f"representation.generators[{i}]")
               for i, g in enumerate(repdoc["generators"])]
     rep = surface_representation(standard_presentation(genus), model, images,
-                                 central_lift=repdoc.get("central_lift", False), tol=tol)
+                                 central_lift=repdoc.get("central_lift", False))
     return Pipeline(rep, tol), "matrices"
 
 
@@ -177,7 +178,7 @@ def _header(pipe, source: str) -> dict:
             "version": __version__,
             "source": source,
             "tolerances": {"rank": round12(tol.rank), "cluster": round12(tol.cluster),
-                           "relator": round12(tol.relator)},
+                           "relator": round12(RELATOR)},
         },
         "group": pipe.rep.model.name,
         "genus": pipe.rep.presentation.genus,
@@ -385,7 +386,6 @@ def render_text(command: str, report: dict) -> str:
 def _add_common(sub):
     sub.add_argument("--catalog", help="catalog case name (see `flexcheck catalog`)")
     sub.add_argument("--input", help="problem description JSON file")
-    sub.add_argument("--genus", type=int, default=2)
     sub.add_argument("--tol-rank", type=float, default=None)
     sub.add_argument("--tol-cluster", type=float, default=None)
     sub.add_argument("--format", choices=("text", "json"), default="text")

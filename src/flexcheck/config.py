@@ -1,8 +1,9 @@
 """Shared tolerances and error types.
 
-The only module that knows a numerical threshold: a caller sets the
-``Tolerances`` fields, its properties derive the checks that follow a
-field, and the module constants are the checks no caller reaches.
+The only module that knows a numerical threshold.  ``Tolerances`` holds
+the two a caller may set, the rank cut and the root-value clustering; the
+module constants are the checks no caller varies, each with the reason
+for its value.
 """
 
 from __future__ import annotations
@@ -20,50 +21,44 @@ TOLERANCE_FLOOR = 100 * sys.float_info.epsilon
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds used across the pipeline.
+    """The two numerical decisions a caller may move.
 
-    All cutoffs are relative: ``rank`` against the largest singular value,
-    ``cluster`` against the largest operator norm, the rest against the
-    natural scale of the quantity they gate.  Every field must be finite
-    and at least ``TOLERANCE_FLOOR``; any other value raises ``FlexcheckError``.
+    Both cutoffs are relative: ``rank`` against the largest singular value,
+    ``cluster`` against the largest operator norm.  Each must be a finite
+    real number (not a bool), at least ``TOLERANCE_FLOOR``; any other value
+    raises ``FlexcheckError``.
     """
 
     rank: float = 1e-9          # singular values below rank * sigma_max count as zero
     cluster: float = 1e-7       # joint eigenvalues closer than this merge
-    closure: float = 1e-9       # bracket-closure residual for subalgebras
-    membership: float = 1e-8    # group defining-relation residual
-    relator: float = 1e-8       # surface relator residual
-    cocycle: float = 1e-8       # relator-map residual for cocycles
 
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if not (isinstance(value, numbers.Real)
+            if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
                     and TOLERANCE_FLOOR <= value < math.inf):       # NaN fails too
                 raise FlexcheckError(
                     f"tolerance {f.name} = {value!r} must be a finite number, not below the "
                     f"floor {TOLERANCE_FLOOR:.1e} (100 units of double rounding)")
 
-    # Checks derived from a field, each with the reason for its factor.
-    @property
-    def image_membership(self) -> float:
-        """Generator images: rounded entry by entry, and the relation is quadratic in g."""
-        return self.membership * 100
-
-    @property
-    def subspace_invariance(self) -> float:
-        """Invariant subspaces of a module: projecting onto one cut at ``rank`` costs a digit."""
-        return self.membership * 10
-
-    @property
-    def cocycle_check(self) -> float:
-        """Module relator, coboundaries, cup-pairing arguments: sums over the 4g letters."""
-        return self.cocycle * 10
-
 
 DEFAULT = Tolerances()
 
-# Checks that no caller's Tolerances reaches, each with the reason it is fixed.
+# Checks that no caller varies, each with the reason for its value.
+
+# Bracket-closure residual of a subalgebra's span, and of a torus's brackets.
+SUBALGEBRA_CLOSURE = 1e-9
+# Group defining-relation residual of exact model arithmetic; also where
+# conjugation_limit reads a growing entry as zero.
+MEMBERSHIP = 1e-8
+# Generator images: rounded entry by entry, and the relation is quadratic in g.
+IMAGE_MEMBERSHIP = MEMBERSHIP * 100
+# Invariant subspaces of a module: projecting onto one cut at ``rank`` costs a digit.
+SUBSPACE_INVARIANCE = MEMBERSHIP * 10
+# Surface relator residual, relative to the prefix scale; every report prints it.
+RELATOR = 1e-8
+# Module relator, coboundaries, cup-pairing arguments: sums over the 4g letters.
+COCYCLE_CHECK = 1e-8 * 10
 
 # Form invariance, for the cup pairing and the lifted Toledo invariant:
 # |a^T omega a - omega| relative to |omega| |a|^2, for every module action
@@ -71,7 +66,7 @@ DEFAULT = Tolerances()
 # module's symplectic form and the Killing-valued forms on the adjoint
 # module are invariant by construction, up to round-off and the rank
 # cutoff of H^0.  Root-module forms are invariant only up to the
-# root-space restriction's acceptance, subspace_invariance = 1e-7, which
+# root-space restriction's acceptance, SUBSPACE_INVARIANCE = 1e-7, which
 # moves a^T omega a by about twice that; 1e-6 sits about 5x above every case.
 FORM_INVARIANCE = 1e-6
 
@@ -79,7 +74,7 @@ FORM_INVARIANCE = 1e-6
 # which can reach 1/2.  An exact representation gives 0, and rounding in the
 # 4g-letter relator leaves 3e-12 at most on the genus-2 catalog and 5.3e-6 on
 # perfbench's conjugates (su41-rplane at scale 1.0), except 5.4e-4 on the one
-# whose root-module relator misses cocycle_check (su41-rplane at 0.7).  1e-3
+# whose root-module relator misses COCYCLE_CHECK (su41-rplane at 0.7).  1e-3
 # accepts them all.  Not a Tolerances field: every report prints its
 # tolerances, so a new field would move their bytes.
 TOLEDO_LIFT = 1e-3
@@ -109,7 +104,7 @@ SIMPLEX_SEPARATION = 1e-9
 CONJUGATION_SYMMETRY = 1e-10
 # The genus-2 octagon's normalizer: closed-form arithmetic on O(1) numbers, no input.
 OCTAGON_NORMALIZER = 1e-9
-# correct_relator's stop: four digits under DEFAULT.relator, so the result passes.
+# correct_relator's stop: four digits under RELATOR, so the result passes.
 RELATOR_CORRECTION = 1e-12
 
 

@@ -90,8 +90,9 @@ def _phase1(a: np.ndarray, b: np.ndarray):
 def balanced(problem: BalanceProblem, tol: Tolerances = DEFAULT) -> BalanceResult:
     """Decide the interior-point criterion with a certificate."""
     r = problem.dim
-    if any(np.shape(v) != (r,) for v in problem.p_vectors + problem.n_vectors):
-        raise FlexcheckError(f"every P- and N-vector of a balance problem must have length {r}")
+    if not (isinstance(r, (int, np.integer)) and r >= 0) or any(
+            np.shape(v) != (r,) for v in problem.p_vectors + problem.n_vectors):
+        raise FlexcheckError("a balance problem needs dim >= 0 and P- and N-vectors of length dim")
     if not all(np.isfinite(v).all() for v in problem.p_vectors + problem.n_vectors):
         raise NumericalAbort("balance problem has a non-finite P- or N-vector")
     if r == 0:
@@ -212,7 +213,7 @@ class Pipeline:
     @cached_property
     def reductivity(self) -> tuple[bool, float]:
         """Killing-form nondegeneracy on the centralizer and its condition number."""
-        return killing_restriction_nondegenerate(self.rep.model, self.z, self.tol)
+        return killing_restriction_nondegenerate(self.z, self.tol)
 
     @cached_property
     def center(self) -> SubalgebraHandle:
@@ -226,7 +227,7 @@ class Pipeline:
         """The roots of the center, once the centralizer lies in g_0: every root
         module then has H^0 = H^2 = 0, so h1 = -chi dim (``roots.check_in_g0``)."""
         check_in_g0(self.center, self.z, self.tol)
-        return decompose(self.rep.model, self.center, self.tol)
+        return decompose(self.center, self.tol)
 
     @cached_property
     def adjoint(self) -> np.ndarray:

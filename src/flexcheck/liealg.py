@@ -19,14 +19,17 @@ from .config import (
     ADJOINT_SPAN,
     CONJUGATION_SYMMETRY,
     DEFAULT,
+    MEMBERSHIP,
     MODEL_CLOSURE,
     MODEL_SPAN,
+    SUBALGEBRA_CLOSURE,
     ExcludedFamilyError,
     FlexcheckError,
     NumericalAbort,
     Tolerances,
 )
-from .linalg import matrix_scale, nullspace, orthonormal_columns, relative_residual, singular_rank
+from .linalg import (matrix_scale, nullspace, numeric_array, orthonormal_columns, relative_residual,
+                     singular_rank)
 from .scalars import Field, realified_entry_block, right_multiplication_operator
 
 # _finish_model holds the brackets of all dim^2 pairs of N x N basis matrices
@@ -68,17 +71,19 @@ class LieAlgebraModel:
 
     def matrix(self, coords: np.ndarray) -> np.ndarray:
         """Matrix of a coordinate vector; a (k, dim) block gives a (k, N, N) stack."""
-        if np.shape(coords)[-1:] != (self.dim,):
-            raise FlexcheckError(f"coordinates on {self.name} have length {self.dim}, "
-                                 f"got shape {np.shape(coords)}")
-        return np.tensordot(coords, self.basis, axes=(-1, 0))
+        return np.tensordot(self._array(coords, "coordinates", (self.dim,), "biufc"),
+                            self.basis, axes=(-1, 0))
+
+    def _array(self, values, what: str, tail: tuple, kinds: str = "biuf") -> np.ndarray:
+        """``values`` as numbers whose last axes have the shape ``tail``, or FlexcheckError."""
+        out = numeric_array(values, f"{what} on {self.name}", kinds)
+        if out.shape[-len(tail):] != tail:
+            raise FlexcheckError(f"{what} on {self.name} must end in shape {tail}, got {out.shape}")
+        return out
 
     def coords(self, mat: np.ndarray, tol: float = MODEL_SPAN) -> np.ndarray:
         """Coordinates of a matrix; a (k, N, N) stack gives a (k, dim) block."""
-        mat = np.asarray(mat)
-        n = self.realified_size
-        if mat.shape[-2:] != (n, n):
-            raise FlexcheckError(f"matrices of {self.name} are {n} x {n}, got {mat.shape}")
+        mat = self._array(mat, "matrices", self.basis.shape[1:])
         if not np.isfinite(mat).all():
             raise NumericalAbort("a matrix with a NaN or inf entry has no model coordinates")
         vec = mat.reshape(*mat.shape[:-2], -1)
@@ -93,7 +98,7 @@ class LieAlgebraModel:
         A (k, dim) block of coordinates gives the (k, dim, dim) stack, in one
         matmul against the structure constants: entry (l, j) is sum_i x_i c[i, j, l].
         """
-        coords = np.asarray(coords)
+        coords = self._array(coords, "coordinates", (self.dim,), "biufc")
         flat = coords @ self.structure.reshape(self.dim, -1)
         return np.swapaxes(flat.reshape(*coords.shape[:-1], self.dim, self.dim), -1, -2)
 
@@ -109,10 +114,8 @@ class LieAlgebraModel:
         element, or one with a NaN or inf entry, aborts; one that is not
         N x N raises FlexcheckError.
         """
-        g = np.asarray(g)
+        g = self._array(g, "group elements", self.basis.shape[1:])
         n = self.realified_size
-        if g.ndim < 2 or g.shape[-2:] != (n, n):
-            raise FlexcheckError(f"group elements of {self.name} are {n} x {n}, got {g.shape}")
         if not np.isfinite(g).all():
             raise NumericalAbort("Ad of a group element with a NaN or inf entry is undefined")
         stack = g.reshape(-1, n, n)
@@ -147,8 +150,9 @@ class LieAlgebraModel:
         far from 1 but whose kappa is large.  A singular g, or one whose scale
         overflows, is rejected with an infinite residual.  A (K, N, N) stack
         gives a length-K array, one residual per image, from one batched SVD.
+        Anything but real N x N matrices raises FlexcheckError.
         """
-        g = np.asarray(g)
+        g = self._array(g, "group elements", self.basis.shape[1:])
         sv = np.linalg.svd(g, compute_uv=False)
         norm = sv[..., 0]
         if self.form is not None:
@@ -189,9 +193,13 @@ class SubalgebraHandle:
     coords: np.ndarray          # (k, dim)
 
     def __post_init__(self) -> None:
-        if np.ndim(self.coords) != 2 or np.shape(self.coords)[1] != self.model.dim:
+        coords = numeric_array(self.coords, f"subalgebra coordinates on {self.model.name}")
+        if coords.ndim != 2 or coords.shape[1] != self.model.dim:
             raise FlexcheckError(f"subalgebra coordinates on {self.model.name} must be (k, "
-                                 f"{self.model.dim}), got shape {np.shape(self.coords)}")
+                                 f"{self.model.dim}), got shape {coords.shape}")
+        if not np.isfinite(coords).all():
+            raise NumericalAbort(f"subalgebra coordinates on {self.model.name} must be finite")
+        object.__setattr__(self, "coords", coords)      # a nested list becomes an array
 
     @property
     def dim(self) -> int:
@@ -396,21 +404,16 @@ def subalgebra_from_matrices(
 ) -> SubalgebraHandle:
     """Orthonormalize a spanning set into a SubalgebraHandle.
 
-    Aborts unless the span is bracket-closed to within ``tol.closure``.
+    Aborts unless the span is bracket-closed to within ``SUBALGEBRA_CLOSURE``.
     """
     n = model.realified_size
     if len(mats) == 0:
         return SubalgebraHandle(model, np.zeros((0, model.dim)))
-    try:
-        shape = np.shape(mats)
-    except ValueError:  # ragged nesting
-        shape = "ragged"
-    if shape[1:] != (n, n):
-        raise FlexcheckError(f"matrices of {model.name} are {n} x {n}, got shape {shape}")
-    on = orthonormal_columns(np.reshape(mats, (len(mats), -1)).T, tol.rank)
+    mats = model._array(mats, "matrices", (n, n)).reshape(-1, n, n)
+    on = orthonormal_columns(mats.reshape(len(mats), -1).T, tol.rank)
     matrices = on.T.reshape(-1, n, n)
     resid = _closure_residual(matrices, on)
-    if resid > tol.closure:
+    if resid > SUBALGEBRA_CLOSURE:
         raise NumericalAbort(f"span is not bracket-closed (residual {resid:.3e})")
     return SubalgebraHandle(model, model.coords(matrices))
 
@@ -464,7 +467,7 @@ def center_of(sub: SubalgebraHandle, tol: Tolerances = DEFAULT) -> SubalgebraHan
 
 
 def killing_restriction_nondegenerate(
-    model: LieAlgebraModel, sub: SubalgebraHandle, tol: Tolerances = DEFAULT
+    sub: SubalgebraHandle, tol: Tolerances = DEFAULT
 ) -> tuple[bool, float]:
     """Reductivity proxy: is the ambient Killing form nondegenerate on sub?
 
@@ -472,7 +475,7 @@ def killing_restriction_nondegenerate(
     """
     if sub.dim == 0:
         return True, 1.0
-    gram = sub.coords @ model.killing @ sub.coords.T
+    gram = sub.coords @ sub.model.killing @ sub.coords.T
     s = np.linalg.svd(gram, compute_uv=False)
     cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
     return singular_rank(s, tol.rank) == sub.dim, cond
@@ -488,12 +491,10 @@ def conjugation_limit(
     e^{t(mu_j - mu_i)}; decaying entries are zeroed, growing ones must
     vanish or the limit diverges.
     """
-    u, g = np.asarray(u), np.asarray(g)
+    u, g = (numeric_array(x, "conjugation_limit's g and u") for x in (u, g))
     if u.ndim != 2 or g.shape != u.shape or u.shape[0] != u.shape[1]:
         raise FlexcheckError(f"conjugation_limit needs square g and u of one size, got "
                              f"{g.shape} and {u.shape}")
-    if g.dtype.kind not in "biuf" or u.dtype.kind not in "biuf":
-        raise FlexcheckError(f"conjugation_limit needs real g and u, got {g.dtype} and {u.dtype}")
     if not (np.isfinite(u).all() and np.isfinite(g).all()):
         raise NumericalAbort("conjugation_limit needs finite g and u")
     if np.abs(u - u.T).max(initial=0.0) > CONJUGATION_SYMMETRY * max(matrix_scale(u), 1.0):
@@ -507,7 +508,7 @@ def conjugation_limit(
         gap = vals[j] - vals[i]
         if abs(gap) <= tol.cluster * scale:
             continue
-        if gap > 0 and abs(h[i, j]) > tol.membership * gscale:
+        if gap > 0 and abs(h[i, j]) > MEMBERSHIP * gscale:
             raise NumericalAbort(
                 f"conjugation limit diverges: growing entry ({i},{j}) = {h[i, j]:.3e}")
         out[i, j] = 0.0

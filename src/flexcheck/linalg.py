@@ -55,9 +55,22 @@ def singular_rank(s: np.ndarray, tol: float = DEFAULT.rank, scale: float = 0.0) 
     return int(np.count_nonzero(s > tol * max(float(s[0]) if s.size else 0.0, scale)))
 
 
+def numeric_array(values, what: str, kinds: str = "biuf") -> np.ndarray:
+    """``values`` as an array of dtype kind in ``kinds``, real numbers by default; a
+    ragged nesting or other entries raise FlexcheckError naming ``what``."""
+    try:
+        out = np.asarray(values)
+    except ValueError:  # ragged nesting
+        raise FlexcheckError(f"{what} must be an array, got a ragged nesting") from None
+    if out.dtype.kind not in kinds:
+        raise FlexcheckError(f"{what} must be {'' if 'c' in kinds else 'real '}numbers, "
+                             f"got {out.dtype}")
+    return out
+
+
 def _matrix(a) -> np.ndarray:
-    """``a`` as an array; one that is not a matrix raises FlexcheckError."""
-    a = np.asarray(a)
+    """``a`` as an array; one that is not a matrix of numbers raises FlexcheckError."""
+    a = numeric_array(a, "singular values' input", "biufc")
     if a.ndim != 2:
         raise FlexcheckError(f"singular values need a matrix, got an array of shape {a.shape}")
     return a
@@ -73,7 +86,8 @@ def _svd(a: np.ndarray, **kwargs):
 
 def rank(a: np.ndarray, tol: float = DEFAULT.rank, scale: float = 0.0) -> int:
     """Numerical rank from the singular values alone; ``scale`` floors the cutoff as in nullspace."""
-    if np.size(a) == 0:
+    a = numeric_array(a, "singular values' input", "biufc")
+    if a.size == 0:
         return 0
     return singular_rank(_svd(a, compute_uv=False), tol, scale)
 
@@ -105,7 +119,7 @@ def orthonormal_columns(vectors: np.ndarray, tol: float = DEFAULT.rank,
     As in :func:`nullspace`, ``scale`` puts an absolute floor under the
     cutoff so an all-noise input yields an empty basis.
     """
-    v = np.asarray(vectors)
+    v = numeric_array(vectors, "singular values' input", "biufc")
     if v.size == 0:
         return v.reshape(v.shape[0] if v.ndim == 2 else 0, 0)
     u, s, _ = _svd(v, full_matrices=False)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, NumericalAbort, Tolerances
-from .liealg import LieAlgebraModel, SubalgebraHandle
+from .config import DEFAULT, SUBALGEBRA_CLOSURE, FlexcheckError, NumericalAbort, Tolerances
+from .liealg import SubalgebraHandle
 from .linalg import (joint_eigenspace, joint_eigenvalues, rank, relative_residual,
                      singular_rank, value_keys)
 
@@ -42,10 +42,8 @@ class TorusRootDecomposition:
     roots: tuple[RootDatum, ...]     # one representative per orbit
 
 
-def decompose(
-    model: LieAlgebraModel, torus: SubalgebraHandle, tol: Tolerances = DEFAULT
-) -> TorusRootDecomposition:
-    """Split the model into g_0 and realified root spaces under the torus.
+def decompose(torus: SubalgebraHandle, tol: Tolerances = DEFAULT) -> TorusRootDecomposition:
+    """Split the torus's model into g_0 and realified root spaces under the torus.
 
     One SVD of the stacked torus ad's gives every cutoff's scale and dim
     g_0, their joint kernel, which must match the zero clusters' widths.
@@ -55,6 +53,7 @@ def decompose(
     is 0, decided here only: classification and the N-vectors read it.
     """
     r = torus.dim
+    model = torus.model
     dim = model.dim
     if r == 0:
         return TorusRootDecomposition(dim, ())
@@ -67,7 +66,7 @@ def decompose(
             # [t_i, t_j] = ad(t_i) t_j is at most scale |t_j|; relative to that
             # size, the brackets of an abelian torus are closure residuals
             size = max(scale * float(np.linalg.norm(torus.coords[j])), 1.0)
-            if np.abs(ads[i] @ torus.coords[j]).max() > tol.closure * size:
+            if np.abs(ads[i] @ torus.coords[j]).max() > SUBALGEBRA_CLOSURE * size:
                 raise NumericalAbort("torus is not abelian")
 
     gram = torus.coords @ model.killing @ torus.coords.T
@@ -134,8 +133,10 @@ def check_in_g0(torus: SubalgebraHandle, sub: SubalgebraHandle,
     so does H^2, dual to H^0 through the Killing form, which pairs g_lambda
     with g_-lambda inside the module.  One product gives every bracket
     [t_i, z_j]; the cut's floor is the Frobenius norm of the stacked
-    ad(t), as in ``center_of``.
+    ad(t), as in ``center_of``.  Handles of two models raise FlexcheckError.
     """
+    if torus.model.name != sub.model.name:
+        raise FlexcheckError(f"torus on {torus.model.name} but subalgebra on {sub.model.name}")
     ads = torus.model.ad(torus.coords)
     brackets = (ads @ sub.coords.T).reshape(torus.dim * sub.model.dim, sub.dim)
     if rank(brackets, tol.rank, scale=max(float(np.linalg.norm(ads)), 1.0)):

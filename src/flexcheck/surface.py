@@ -16,11 +16,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import (DEFAULT, FORM_INVARIANCE, OCTAGON_NORMALIZER, RELATOR_CORRECTION,
+from .config import (COCYCLE_CHECK, DEFAULT, FORM_INVARIANCE, IMAGE_MEMBERSHIP,
+                     OCTAGON_NORMALIZER, RELATOR, RELATOR_CORRECTION, SUBSPACE_INVARIANCE,
                      FlexcheckError, NumericalAbort, Tolerances)
 from .liealg import LieAlgebraModel, build_classical
-from .linalg import (nullspace, orthonormal_columns, rank, relative_residual, residual_scale,
-                     spectral_norms)
+from .linalg import (nullspace, numeric_array, orthonormal_columns, rank, relative_residual,
+                     residual_scale, spectral_norms)
 
 
 @dataclass(frozen=True)
@@ -71,17 +72,11 @@ def action_stack(actions, count: int | None = None) -> np.ndarray:
     Any other shape, a ragged nesting or entries that are not real
     numbers raise FlexcheckError.
     """
-    try:
-        stack = np.asarray(actions)
-    except ValueError:  # ragged nesting
-        raise FlexcheckError("generator actions must be equal-sized square matrices, "
-                             "got a ragged nesting") from None
+    stack = numeric_array(actions, "generator actions")
     shape = stack.shape
     if len(shape) != 3 or shape[1] != shape[2] or count not in (None, shape[0]):
         raise FlexcheckError(f"need a ({count or 'K'}, m, m) stack of generator actions, "
                              f"got shape {shape}")
-    if stack.dtype.kind not in "biuf":
-        raise FlexcheckError(f"generator actions must be real numbers, got {stack.dtype}")
     return stack.astype(float, copy=False)
 
 
@@ -132,17 +127,11 @@ def _image_stack(presentation: SurfaceGroupPresentation, model: LieAlgebraModel,
     if count != ngen:
         raise FlexcheckError(f"need {ngen} generator images, got {count}")
     for i, g in enumerate(images):
-        try:
-            shape = np.shape(g)
-        except ValueError:  # ragged rows
-            shape = "ragged"
+        shape = numeric_array(g, f"generator image {i}").shape
         if shape != (n, n):
             raise FlexcheckError(f"generator image {i} has shape {shape}, not the "
                                  f"realified size {(n, n)} of {model.name}")
-    images = np.array(images)
-    if images.dtype.kind not in "biuf":
-        raise FlexcheckError(f"generator images must be real numbers, got {images.dtype}")
-    return images.astype(float, copy=False)
+    return np.array(images, dtype=float)
 
 
 def surface_representation(
@@ -150,7 +139,6 @@ def surface_representation(
     model: LieAlgebraModel,
     images,
     central_lift: bool = False,
-    tol: Tolerances = DEFAULT,
 ) -> SurfaceRepresentation:
     """Validate generator images and the relator, then freeze the data.
 
@@ -167,7 +155,7 @@ def surface_representation(
     if bad.size:
         raise NumericalAbort(f"generator image {bad[0]} has a non-finite entry")
     residuals = model.group_membership_residual(images)
-    bad = np.flatnonzero(~(residuals <= tol.image_membership))     # NaN is bad too
+    bad = np.flatnonzero(~(residuals <= IMAGE_MEMBERSHIP))     # NaN is bad too
     if bad.size:
         i = bad[0]
         raise NumericalAbort(
@@ -175,10 +163,10 @@ def surface_representation(
     prefixes = relator_prefixes(presentation, images)
     res_plus, res_minus = (relative_residual(prefixes[-1] - s * np.eye(n), prefixes)
                            for s in (1, -1))
-    res = res_minus if central_lift and res_plus > tol.relator else res_plus
-    if not res <= tol.relator:                                      # NaN fails too
+    res = res_minus if central_lift and res_plus > RELATOR else res_plus
+    if not res <= RELATOR:                                      # NaN fails too
         raise NumericalAbort(
-            f"relator residual {min(res_plus, res_minus):.3e} exceeds {tol.relator:.1e}"
+            f"relator residual {min(res_plus, res_minus):.3e} exceeds {RELATOR:.1e}"
             + ("" if central_lift else " (relator = -identity requires central_lift=True)"))
     return SurfaceRepresentation(presentation, model, images, res)
 
@@ -240,7 +228,7 @@ def fuchsian_genus2(tol: Tolerances = DEFAULT) -> SurfaceRepresentation:
     g_d = pairing(7, 5)
     images = [g_c, np.linalg.inv(g_d), g_a, np.linalg.inv(g_b)]
     model = build_classical("sl", 2, tol=tol)
-    return surface_representation(standard_presentation(2), model, images, tol=tol)
+    return surface_representation(standard_presentation(2), model, images)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +240,7 @@ def adjoint_module(rep: SurfaceRepresentation) -> np.ndarray:
     return rep.model.adjoint_group_matrix(rep.images)
 
 
-def restricted_module(actions, basis: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
+def restricted_module(actions, basis: np.ndarray) -> np.ndarray:
     """Restrict a (2g, m, m) action stack to an invariant subspace with orthonormal basis columns."""
     actions = action_stack(actions)
     if np.ndim(basis) != 2 or len(basis) != actions.shape[-1]:
@@ -261,7 +249,7 @@ def restricted_module(actions, basis: np.ndarray, tol: Tolerances = DEFAULT) -> 
     moved = actions @ basis
     small = basis.T @ moved
     resid = relative_residual(moved - basis @ small, moved, axis=(1, 2))
-    if np.any(resid > tol.subspace_invariance):
+    if np.any(resid > SUBSPACE_INVARIANCE):
         raise NumericalAbort(
             f"subspace is not invariant under the module action (residual {resid.max():.3e})")
     return small
@@ -271,11 +259,11 @@ def restricted_module(actions, basis: np.ndarray, tol: Tolerances = DEFAULT) -> 
 # Cohomology workspace
 # ---------------------------------------------------------------------------
 
-def check_module_relator(prefixes, tol: Tolerances = DEFAULT) -> float:
+def check_module_relator(prefixes) -> float:
     """Abort unless a module's relator, the last of its ``relator_prefixes``, acts as I;
     return the prefixes' ``residual_scale``, the one its residual is relative to."""
     scale = residual_scale(prefixes)
-    if relative_residual(prefixes[-1] - np.eye(len(prefixes[-1])), scale) > tol.cocycle_check:
+    if relative_residual(prefixes[-1] - np.eye(len(prefixes[-1])), scale) > COCYCLE_CHECK:
         raise NumericalAbort(
             "module action does not kill the relator "
             "(central lift with a module that sees the center?)")
@@ -323,14 +311,14 @@ def cohomology(rep: SurfaceRepresentation, actions,
     eye = np.eye(m)
 
     prefixes, fox, relator_map = _fox_calculus(pres, actions)
-    scale = check_module_relator(prefixes, tol)
+    scale = check_module_relator(prefixes)
 
     # B^1 is the span and H^0 the kernel of the coboundary map v -> ((A_s - 1) v)_s
     coboundary = (actions - eye).reshape(ngen * m, m)
     b1 = orthonormal_columns(coboundary, tol.rank, scale=1.0)
     fixed = nullspace(coboundary, tol.rank, scale=1.0)
     worst = relative_residual(relator_map @ b1, scale)
-    if worst > tol.cocycle_check:
+    if worst > COCYCLE_CHECK:
         raise NumericalAbort(f"coboundaries fail the cocycle condition ({worst:.3e})")
     # H^1 = ker [J / scale; B^1^T]: scaled, J's rows share the orthonormal B^1^T
     # rows' cutoff tol.rank * max(sigma_max, 1), the one ker J alone gets
@@ -369,7 +357,6 @@ def cup_pairing(
     omega: np.ndarray,
     u: np.ndarray,
     v: np.ndarray,
-    tol: Tolerances = DEFAULT,
 ):
     """Evaluate <omega(u cup v), [Sigma]> for cocycles u, v.
 
@@ -389,7 +376,7 @@ def cup_pairing(
         raise FlexcheckError(f"omega must be ({m}, {m}) or (K, {m}, {m}), got {omega.shape}")
     # the cocycles first: cocycle_residual raises FlexcheckError on a wrong shape
     for w in (u, v):
-        if np.any(ws.cocycle_residual(w) > tol.cocycle_check):
+        if np.any(ws.cocycle_residual(w) > COCYCLE_CHECK):
             raise NumericalAbort("cup_pairing arguments must be cocycles")
     check_invariant_form(ws.actions, omega)
 

@@ -180,7 +180,7 @@ def root_form(
     bound aborts.  A mixed root is never in P: it enters the balanced test
     through its values alone, so its report has no T.
     """
-    module = restricted_module(adjoint, root.real_basis, tol)
+    module = restricted_module(adjoint, root.real_basis)
     h1 = -rep.presentation.euler_characteristic * root.real_dim
     report = RootFormReport(root=root, real_dim=root.real_dim, h1_dim=h1, milnor_wood_bound=h1)
     if root.classification == MIXED:
@@ -206,7 +206,7 @@ def standard_form(
     """
     pres = rep.presentation
     acts = action_stack(rep.images, pres.generator_count)
-    check_module_relator(relator_prefixes(pres, acts), tol)
+    check_module_relator(relator_prefixes(pres, acts))
     m = acts.shape[-1]
     h0 = m - rank((acts - np.eye(m)).reshape(-1, m), tol.rank, scale=1.0)
     bound = -pres.euler_characteristic * m

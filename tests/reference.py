@@ -94,20 +94,19 @@ def cocycles(ws: CohomologyWorkspace, tol: Tolerances = DEFAULT) -> np.ndarray:
 GRAM_SEPARATION = 1e-6
 
 
-def gram_matrix(ws: CohomologyWorkspace, omega: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
+def gram_matrix(ws: CohomologyWorkspace, omega: np.ndarray) -> np.ndarray:
     """Symmetrized Gram matrix of the omega-valued cup pairing on H^1."""
-    gram = cup_pairing(ws, omega, ws.h1, ws.h1, tol)
+    gram = cup_pairing(ws, omega, ws.h1, ws.h1)
     return 0.5 * (gram + gram.T)
 
 
-def gram_signature_toledo(ws: CohomologyWorkspace, omega: np.ndarray,
-                          tol: Tolerances = DEFAULT) -> int:
+def gram_signature_toledo(ws: CohomologyWorkspace, omega: np.ndarray) -> int:
     """T as a quarter of the signature of omega's cup form on ``ws.h1``.
 
     A Gram within ``GRAM_SEPARATION`` of singular, or a signature that 4
     does not divide, aborts.
     """
-    gram = gram_matrix(ws, omega, tol)
+    gram = gram_matrix(ws, omega)
     ev = np.linalg.eigvalsh(gram)
     if ev.size and np.abs(ev).min() <= GRAM_SEPARATION * max(np.abs(gram).max(), 1.0):
         raise NumericalAbort("the cup form on H^1 is degenerate")
@@ -120,22 +119,22 @@ def gram_signature_toledo(ws: CohomologyWorkspace, omega: np.ndarray,
 def root_cohomology(rep, adjoint: np.ndarray, root: RootDatum,
                     tol: Tolerances = DEFAULT) -> CohomologyWorkspace:
     """H^* of the realified root space of ``root`` under the (2g, dim, dim) adjoint actions."""
-    return cohomology(rep, restricted_module(adjoint, root.real_basis, tol), tol)
+    return cohomology(rep, restricted_module(adjoint, root.real_basis), tol)
 
 
 def _root_omega(root: RootDatum) -> np.ndarray:
     return root.omega.real if root.classification == REAL else root.omega.imag
 
 
-def root_gram(ws: CohomologyWorkspace, root: RootDatum, tol: Tolerances = DEFAULT) -> np.ndarray:
+def root_gram(ws: CohomologyWorkspace, root: RootDatum) -> np.ndarray:
     """The cup-form Gram matrix on a real or imaginary root's H^1, with signature 4T."""
-    return gram_matrix(ws, _root_omega(root), tol)
+    return gram_matrix(ws, _root_omega(root))
 
 
 def gram_toledo(rep, adjoint: np.ndarray, root: RootDatum, tol: Tolerances = DEFAULT):
     """T of a real or imaginary root read off the Gram signature, and the module's H^1 dimension."""
     ws = root_cohomology(rep, adjoint, root, tol)
-    return gram_signature_toledo(ws, _root_omega(root), tol), ws.h1_dim
+    return gram_signature_toledo(ws, _root_omega(root)), ws.h1_dim
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +271,7 @@ def lagrangian_pair_check(
         if np.abs(sub.T @ omega @ sub).max(initial=0.0) > 1e-8 * scale:
             return False
         try:
-            restricted_module(actions, orthonormal_columns(sub, tol.rank), tol)
+            restricted_module(actions, orthonormal_columns(sub, tol.rank))
         except NumericalAbort:
             return False
     return True
@@ -332,4 +331,4 @@ def cup_square(ws: CohomologyWorkspace, u: np.ndarray, tol: Tolerances = DEFAULT
     model = ws.rep.model
     h0 = invariant_vectors(ws.actions, tol)
     forms = np.einsum("ijk,kl->lij", model.structure, model.killing @ h0)
-    return cup_pairing(ws, forms, u, u, tol)
+    return cup_pairing(ws, forms, u, u)

@@ -30,16 +30,16 @@ import flexcheck
 from flexcheck import config
 from flexcheck.catalog import build_case_representation
 from flexcheck.liealg import subalgebra_from_matrices
-from flexcheck.cli import _JSON_TYPES, _validate
+from flexcheck.cli import _JSON_TYPES, _validate, build_parser
 from flexcheck.config import DEFAULT, FlexcheckError, NumericalAbort, ParseError, Tolerances
 from flexcheck.engine import NON_REDUCTIVE_MESSAGE, BalanceProblem, Pipeline, _phase1, balanced
-from flexcheck.liealg import (LieAlgebraModel, SubalgebraHandle, build_classical, centralizer,
-                              conjugation_limit, killing_restriction_nondegenerate)
+from flexcheck.liealg import (LieAlgebraModel, SubalgebraHandle, build_classical, center_of,
+                              centralizer, conjugation_limit, killing_restriction_nondegenerate)
 from flexcheck.linalg import nullspace, orthonormal_columns, rank
-from flexcheck.roots import decompose
-from flexcheck.surface import (cohomology, correct_relator, cup_pairing, fuchsian_genus2,
-                               relator_prefixes, restricted_module, standard_presentation,
-                               surface_representation)
+from flexcheck.roots import check_in_g0, decompose
+from flexcheck.surface import (check_module_relator, cohomology, correct_relator, cup_pairing,
+                               fuchsian_genus2, relator_prefixes, restricted_module,
+                               standard_presentation, surface_representation)
 from flexcheck.toledo import lifted_toledo
 
 PACKAGE = Path(flexcheck.__file__).parent
@@ -333,6 +333,9 @@ def test_the_benchmark_library_checks_read_live_members():
 # ---------------------------------------------------------------------------
 
 THRESHOLD_FIELDS = {f.name for f in dataclasses.fields(Tolerances)}
+# config's named thresholds, such as FORM_INVARIANCE: a literal may not scale them either
+THRESHOLD_CONSTANTS = {name for name, value in vars(config).items()
+                       if name.isupper() and isinstance(value, float)}
 
 
 def _numeric(node: ast.AST) -> bool:
@@ -356,15 +359,17 @@ def _threshold_literals(tree: ast.AST) -> list[str]:
             found.append(f"line {node.lineno}: literal {node.value!r}")
         if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
             chain = _product_chain(node)
-            fields_ = [op.attr for op in chain
-                       if isinstance(op, ast.Attribute) and op.attr in THRESHOLD_FIELDS]
-            if fields_ and any(_numeric(op) for op in chain):
+            named = [op for op in chain
+                     if isinstance(op, ast.Attribute) and op.attr in THRESHOLD_FIELDS | THRESHOLD_CONSTANTS
+                     or isinstance(op, ast.Name) and op.id in THRESHOLD_CONSTANTS]
+            if named and any(_numeric(op) for op in chain):
                 found.append(f"line {node.lineno}: {ast.unparse(node)}")
     return found
 
 
 def test_no_threshold_outside_config():
-    """No small float literal, and no Tolerances field scaled by a literal, outside config.py."""
+    """No small float literal, and no Tolerances field or config threshold scaled by a
+    literal, outside config.py."""
     found = [f"{path.name} {hit}"
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "config.py"
              for hit in _threshold_literals(ast.parse(path.read_text(), filename=str(path)))]
@@ -373,9 +378,10 @@ def test_no_threshold_outside_config():
 
 @pytest.mark.parametrize("source", [
     "x = 1e-9 * scale",
-    "bad = resid > tol.cocycle * scale * 10",
-    "bad = resid > -(tol.membership / 10) * scale",
+    "bad = resid > tol.rank * scale * 10",
+    "bad = resid > -(RELATOR * 10) * scale",
     "stop = 100 * DEFAULT.rank",
+    "x = config.FORM_INVARIANCE / 2",
 ])
 def test_the_threshold_guard_catches(source):
     assert _threshold_literals(ast.parse(source))
@@ -383,6 +389,7 @@ def test_the_threshold_guard_catches(source):
 
 @pytest.mark.parametrize("source", [
     "x = tol.cocycle_check * scale",
+    "x = COCYCLE_CHECK * scale",
     "x = tol.cluster ** 0.5 * max(scale, 1.0)",
     "x = 2.0 * scale",
     "x = root.dim * 10",
@@ -391,8 +398,8 @@ def test_the_threshold_guard_passes(source):
     assert not _threshold_literals(ast.parse(source))
 
 
-# Each named threshold at DEFAULT, against the literal it replaced; the
-# derived ones as the arithmetic they replaced, so the bits are the same.
+# Each named threshold against the literal it replaced; the derived ones
+# as the arithmetic they replaced, so the bits are the same.
 PINNED = {
     "SIMPLEX_PIVOT": 1e-11,
     "SIMPLEX_FEASIBLE": 1e-9,
@@ -407,11 +414,12 @@ PINNED = {
     "TOLEDO_LIFT": 1e-3,
     "MODEL_CLOSURE": 1e-12,
     "TOLERANCE_FLOOR": 100 * 2.0 ** -52,
-}
-PINNED_DERIVED = {
-    "image_membership": 1e-8 * 100,
-    "subspace_invariance": 1e-8 * 10,
-    "cocycle_check": 1e-8 * 10,
+    "SUBALGEBRA_CLOSURE": 1e-9,
+    "MEMBERSHIP": 1e-8,
+    "IMAGE_MEMBERSHIP": 1e-8 * 100,
+    "SUBSPACE_INVARIANCE": 1e-8 * 10,
+    "RELATOR": 1e-8,
+    "COCYCLE_CHECK": 1e-8 * 10,
 }
 
 
@@ -419,10 +427,7 @@ def test_named_thresholds_keep_their_values():
     constants = {name: value for name, value in vars(config).items()
                  if name.isupper() and isinstance(value, float)}
     assert constants == PINNED
-    derived = {name for name, value in vars(Tolerances).items() if isinstance(value, property)}
-    assert derived == set(PINNED_DERIVED)
-    for name, value in PINNED_DERIVED.items():
-        assert getattr(config.DEFAULT, name) == value, name
+    assert not [name for name, value in vars(Tolerances).items() if isinstance(value, property)]
     assert inspect.signature(LieAlgebraModel.coords).parameters["tol"].default == 1e-8
     # correct_relator stops at RELATOR_CORRECTION itself, with no stop, cap or sign to pass
     assert list(inspect.signature(correct_relator).parameters) == [
@@ -430,14 +435,18 @@ def test_named_thresholds_keep_their_values():
 
 
 def test_tolerances_keep_their_fields_and_adjoint_takes_none():
-    assert [f.name for f in dataclasses.fields(Tolerances)] == [
-        "rank", "cluster", "closure", "membership", "relator", "cocycle"]
+    assert [f.name for f in dataclasses.fields(Tolerances)] == ["rank", "cluster"]
+    # the fixed checks read config constants, and a handle carries its model
+    for func in (surface_representation, restricted_module, check_module_relator, cup_pairing):
+        assert "tol" not in inspect.signature(func).parameters, func.__name__
+    for func in (decompose, killing_restriction_nondegenerate):
+        assert "model" not in inspect.signature(func).parameters, func.__name__
     assert list(inspect.signature(LieAlgebraModel.adjoint_group_matrix).parameters) == ["self", "g"]
     assert list(inspect.signature(_phase1).parameters) == ["a", "b"]
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"rank": 1e-15}, {"cluster": 1e-20}, {"closure": 0.0}, {"cocycle": -1.0}, {"rank": float("nan")},
+    {"rank": 1e-15}, {"cluster": 1e-20}, {"cluster": 0.0}, {"rank": -1.0}, {"rank": float("nan")},
 ])
 def test_tolerances_below_the_floor_raise(kwargs):
     with pytest.raises(FlexcheckError, match="below the floor"):
@@ -456,6 +465,15 @@ def test_infinite_tolerances_raise(name, value):
 
 def test_the_floor_itself_is_a_valid_tolerance():
     assert Tolerances(rank=config.TOLERANCE_FLOOR).rank == config.TOLERANCE_FLOOR
+
+
+def test_the_tolerances_are_the_schema_keys_and_the_cli_flags():
+    schema = json.loads((PACKAGE / "schema" / "problem_spec.schema.json").read_text())
+    keys = set(schema["properties"]["tolerances"]["properties"])
+    (verdict_parser,) = [a.choices["verdict"] for a in build_parser()._actions if a.dest == "command"]
+    flags = {s.removeprefix("--tol-") for a in verdict_parser._actions for s in a.option_strings
+             if s.startswith("--tol-")}
+    assert THRESHOLD_FIELDS == keys == flags == {"rank", "cluster"}
 
 
 def test_the_schema_states_the_floor():
@@ -569,6 +587,24 @@ LIFT_SHAPE_ERRORS = {
     "complex-omega": lambda: lifted_toledo([_I2] * 4, 1j * _J2, standard_presentation(2)),
 }
 
+_STRINGS = np.array(["a", "b", "c"])
+_RAGGED = [[1.0, 2.0], [3.0]]
+# malformed input that once let numpy's own exception out
+MALFORMED = {
+    "check_in_g0-two-models": lambda: check_in_g0(SubalgebraHandle(_sl2(), np.eye(3)[:1]),
+                                                  SubalgebraHandle(build_classical("sl", 3),
+                                                                   np.eye(8)[:1])),
+    "SubalgebraHandle-strings": lambda: SubalgebraHandle(_sl2(), [_STRINGS]),
+    "rank-ragged": lambda: rank(_RAGGED),
+    "nullspace-ragged": lambda: nullspace(_RAGGED),
+    "orthonormal_columns-ragged": lambda: orthonormal_columns(_RAGGED),
+    "balanced-negative-dim": lambda: balanced(BalanceProblem(-1, (), ())),
+    "matrix-strings": lambda: _sl2().matrix(_STRINGS),
+    "ad-wrong-length": lambda: _sl2().ad(np.ones(2)),
+    "ad-strings": lambda: _sl2().ad(_STRINGS),
+    "group_membership_residual-string": lambda: _sl2().group_membership_residual("a"),
+}
+
 NUMPY_ERRORS = {
     "balanced-short-vector": lambda: balanced(BalanceProblem(2, (np.array([1.0]),), ())),
     "conjugation_limit-size-mismatch": lambda: conjugation_limit(np.eye(3), np.eye(2)),
@@ -584,12 +620,12 @@ NUMPY_ERRORS = {
     "nullspace-inf": lambda: nullspace(np.array([[np.inf, 1.0], [1.0, 1.0]])),
     "rank-nan": lambda: rank(np.array([[np.nan, 1.0], [1.0, 1.0]])),
     "rank-inf": lambda: rank(np.array([[np.inf, 1.0], [1.0, 1.0]])),
-    "decompose-wrong-width": lambda: decompose(_sl2(), SubalgebraHandle(_sl2(), np.ones((1, 2)))),
+    "decompose-wrong-width": lambda: decompose(SubalgebraHandle(_sl2(), np.ones((1, 2)))),
     "surface_representation-strings": lambda: _images([[["a", "b"], ["c", "d"]]] * 4),
     "surface_representation-ragged": lambda: _images([[[1.0, 0.0], [0.0]]] * 4),
     "surface_representation-complex": lambda: _images([np.eye(2) * 1j] * 4),
     "killing_restriction_nondegenerate-wrong-width": lambda: killing_restriction_nondegenerate(
-        _sl2(), SubalgebraHandle(_sl2(), np.ones((1, 2)))),
+        SubalgebraHandle(_sl2(), np.ones((1, 2)))),
     "centralizer-wrong-size": lambda: centralizer(_sl2(), np.zeros((2, 4, 4))),
     "coords-wrong-size": lambda: _sl2().coords(np.ones((3, 3))),
     "matrix-wrong-length": lambda: _sl2().matrix(np.ones(2)),
@@ -617,6 +653,12 @@ NUMPY_ERRORS = {
                                                              [_I2, _I3, _I2, _I2]),
     "subalgebra_from_matrices-ragged-list": lambda: subalgebra_from_matrices(_sl2(), [_I2, _I3]),
     **{f"lifted_toledo-{name}": call for name, call in LIFT_SHAPE_ERRORS.items()},
+    **MALFORMED,
+    "decompose-nan": lambda: decompose(SubalgebraHandle(_sl2(), [[np.nan, 0.0, 0.0]])),
+    "decompose-inf": lambda: decompose(SubalgebraHandle(_sl2(), [[np.inf, 0.0, 0.0]])),
+    "killing_restriction_nondegenerate-nan": lambda: killing_restriction_nondegenerate(
+        SubalgebraHandle(_sl2(), [[np.nan, 0.0, 0.0]])),
+    "Tolerances-bool": lambda: Tolerances(rank=True),
 }
 
 # Malformed input is an input error, not a numerical abort: a caller that
@@ -627,6 +669,7 @@ SHAPE_ERRORS = {
     "nullspace-vector": lambda: nullspace(np.ones(3)),
     "cohomology-non-square-actions": lambda: cohomology(fuchsian_genus2(), np.zeros((4, 2, 3))),
     **{f"lifted_toledo-{name}": call for name, call in LIFT_SHAPE_ERRORS.items()},
+    **MALFORMED,
 }
 
 
@@ -637,6 +680,8 @@ def test_lists_of_actions_are_stacks():
     assert (listed.h0_dim, listed.h1_dim, listed.h2_dim) == (0, 4, 0)
     assert np.array_equal(listed.h1, stacked.h1)
     assert np.array_equal(restricted_module([np.eye(2)] * 4, np.eye(2)), np.stack([np.eye(2)] * 4))
+    # and a nested list of coordinates is a handle like the array it stacks into
+    assert center_of(SubalgebraHandle(_sl2(), [[1.0, 0.0, 0.0]])).dim == 1
 
 
 @pytest.mark.parametrize("call", NUMPY_ERRORS.values(), ids=NUMPY_ERRORS)

@@ -518,19 +518,31 @@ def test_the_readme_documents_the_parser():
     assert {f for f in named if f.startswith("--")} - options == set(), "flags that do not exist"
 
 
-def test_a_problem_without_genus_takes_the_genus_flag(tmp_path, capsys):
+def test_a_problem_without_genus_takes_half_its_generator_count(tmp_path, capsys):
     with open(schema_path()) as fh:
         assert "genus" not in json.load(fh)["required"]
+    identity = _IDENTITY["representation"]["generators"][0]
     path = tmp_path / "no-genus.json"
-    path.write_text(json.dumps({k: v for k, v in _IDENTITY.items() if k != "genus"}))
-    code, out, _ = run_cli(capsys, "verdict", "--input", str(path), "--format", "json")
-    assert code == 0 and json.loads(out)["genus"] == 2     # --genus defaults to 2
-    code, _, err = run_cli(capsys, "verdict", "--input", str(path), "--genus", "3")
-    assert code == 2 and "need 6 generator images, got 4" in err
+
+    def run(count: int):
+        doc = _with_generators([identity] * count)
+        del doc["genus"]
+        path.write_text(json.dumps(doc))
+        return run_cli(capsys, "verdict", "--input", str(path), "--format", "json")
+
+    for count, genus in ((4, 2), (6, 3)):
+        code, out, _ = run(count)
+        assert code == 0 and json.loads(out)["genus"] == genus
+    code, _, err = run(5)
+    assert code == 2 and "need 4 generator images, got 5" in err
+    # the genus is the file's or its generators', never a flag's
+    with pytest.raises(SystemExit) as exc:
+        main(["verdict", "--input", str(path), "--genus", "3"])
+    assert exc.value.code == 2 and "--genus" in capsys.readouterr().err
 
 
 def test_a_problem_files_tolerances_override_the_flags(tmp_path, capsys):
-    # as its genus overrides --genus; a key the file leaves out keeps the flag
+    # a key the file leaves out keeps the flag
     path = tmp_path / "tolerances.json"
     path.write_text(json.dumps({**_IDENTITY, "tolerances": {"rank": 1e-7}}))
     code, out, _ = run_cli(capsys, "decompose", "--input", str(path), "--format", "json",

@@ -355,7 +355,7 @@ def test_verdict_stable_under_tolerance_scaling():
                     continue
                 assert got == want, (case.name, name, factor)
                 outcomes["same"] += 1
-    assert sum(outcomes.values()) == 12 * len(fields) * 2 == 144
+    assert sum(outcomes.values()) == 12 * len(fields) * 2 == 48
 
 
 def test_verdict_nonreductive_inconclusive():

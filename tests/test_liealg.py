@@ -273,16 +273,16 @@ def test_center_of_idempotent(case_pipeline):
 def test_killing_restriction_flags(models):
     m = models["sl2"]
     full = subalgebra_from_matrices(m, list(m.basis))
-    ok, cond = killing_restriction_nondegenerate(m, full)
+    ok, cond = killing_restriction_nondegenerate(full)
     assert ok and np.isfinite(cond)
     nilp = subalgebra_from_matrices(m, [np.array([[0.0, 1.0], [0.0, 0.0]])])
-    bad, _ = killing_restriction_nondegenerate(m, nilp)
+    bad, _ = killing_restriction_nondegenerate(nilp)
     assert not bad
 
 
 def test_killing_restriction_so41_centralizer(case_pipeline):
     rep, z, c, dec = case_pipeline("so41-rplane")
-    ok, _ = killing_restriction_nondegenerate(rep.model, z)
+    ok, _ = killing_restriction_nondegenerate(z)
     assert ok
     gram = z.coords @ rep.model.killing @ z.coords.T
     assert gram[0, 0] < 0  # compact direction

@@ -55,7 +55,7 @@ def test_decompose_snap_is_the_zero_rule():
     model = build_classical("sl", 3)
     x = np.array([[0.1, 0.3, 0.0], [-0.3, 0.1, 0.0], [0.0, 0.0, -0.2]])
     torus = subalgebra_from_matrices(model, [x])
-    dec = decompose(model, torus, dataclasses.replace(DEFAULT, cluster=0.1))
+    dec = decompose(torus, dataclasses.replace(DEFAULT, cluster=0.1))
     assert dec.g0_dim == 2
     imag, mixed = dec.roots
     assert imag.classification == "imaginary" and imag.values.real[0] == 0.0
@@ -65,7 +65,7 @@ def test_decompose_snap_is_the_zero_rule():
     # at 0.4 the snap 0.4 sigma_max ~ 0.775 takes both parts (0.612) of the
     # mixed root, but its modulus (0.866) keeps the cluster out of g_0
     with pytest.raises(NumericalAbort, match="every part within the cluster cutoff"):
-        decompose(model, torus, dataclasses.replace(DEFAULT, cluster=0.4))
+        decompose(torus, dataclasses.replace(DEFAULT, cluster=0.4))
 
 
 def _value_at(torus, root, mat) -> complex:
@@ -103,7 +103,7 @@ def test_so41_decomposition(case_pipeline):
 def test_empty_torus(models):
     m = models["su21"]
     empty = subalgebra_from_matrices(m, [])
-    dec = decompose(m, empty)
+    dec = decompose(empty)
     assert dec.g0_dim == m.dim
     assert dec.roots == ()
 
@@ -162,7 +162,7 @@ def test_real_roots_on_sl2(models):
     m = models["sl2"]
     h = np.array([[1.0, 0.0], [0.0, -1.0]])
     torus = subalgebra_from_matrices(m, [h])
-    dec = decompose(m, torus)
+    dec = decompose(torus)
     assert len(dec.roots) == 1
     r = dec.roots[0]
     assert r.classification == "real"
@@ -180,7 +180,7 @@ def test_mixed_roots_on_so31(models):
     rot = np.zeros((4, 4)); rot[0, 1], rot[1, 0] = -1.0, 1.0
     boost = np.zeros((4, 4)); boost[2, 3], boost[3, 2] = 1.0, 1.0
     torus = subalgebra_from_matrices(m, [rot + boost])
-    dec = decompose(m, torus)
+    dec = decompose(torus)
     assert dec.roots, "expected nonzero roots"
     kinds = {r.classification for r in dec.roots}
     assert "imaginary" not in kinds          # complex Lie algebra: no imaginary roots
@@ -194,7 +194,7 @@ def test_nonabelian_torus_rejected(models):
     e = np.array([[0.0, 1.0], [0.0, 0.0]])
     bad = subalgebra_from_matrices(m, [h, e])
     with pytest.raises(NumericalAbort, match="torus is not abelian"):
-        decompose(m, bad)
+        decompose(bad)
 
 
 def _coords_in_span(basis, vectors):
@@ -229,7 +229,7 @@ def test_omega_conjugate_for_mixed(models):
     rot = np.zeros((4, 4)); rot[0, 1], rot[1, 0] = -1.0, 1.0
     boost = np.zeros((4, 4)); boost[2, 3], boost[3, 2] = 1.0, 1.0
     torus = subalgebra_from_matrices(m, [rot + boost])
-    dec = decompose(m, torus)
+    dec = decompose(torus)
     r = [rr for rr in dec.roots if rr.classification == "mixed"][0]
     # g_l, g_-l, g_conj(l), g_-conj(l)
     spaces = [root_eigenspace(torus, v) for v in (r.values, -r.values, r.values.conj(),
@@ -252,7 +252,7 @@ def test_defective_torus_rejected(models):
     e = np.array([[0.0, 1.0], [0.0, 0.0]])
     sub = subalgebra_from_matrices(m, [e])
     with pytest.raises(NumericalAbort):
-        decompose(m, sub)
+        decompose(sub)
 
 
 @pytest.mark.parametrize("name", ["su21-cline", "su31-cline", "su41-cline"])
@@ -278,6 +278,6 @@ def test_decompose_factorization_count(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, fname, counted)
-    dec = decompose(pipe.rep.model, center)
+    dec = decompose(center)
     assert [r.classification for r in dec.roots] == ["imaginary", "imaginary"]
     assert calls["lstsq"] == 0 and calls["svd"] <= 1 + 2 * len(dec.roots) == 5

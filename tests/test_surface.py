@@ -285,7 +285,7 @@ def _abelian_root(model, x, kind):
     n = model.realified_size
     images = [_expm(0.3 * x), _expm(0.2 * x), np.eye(n), np.eye(n)]
     rep = surface_representation(standard_presentation(2), model, images)
-    dec = decompose(model, subalgebra_from_matrices(model, [x]))
+    dec = decompose(subalgebra_from_matrices(model, [x]))
     root = next(r for r in dec.roots if r.classification == kind)
     return root_cohomology(rep, adjoint_module(rep), root), root.omega
 

@@ -74,7 +74,7 @@ def test_real_root_toledo_vanishes(models):
     images = [_expm(0.7 * h), np.eye(2), np.eye(2), np.eye(2)]
     rep = surface_representation(standard_presentation(2), m, images)
     torus = subalgebra_from_matrices(m, [h])
-    dec = decompose(m, torus)
+    dec = decompose(torus)
     assert len(dec.roots) == 1 and dec.roots[0].classification == "real"
     rr = root_form(rep, adjoint_module(rep), dec.roots[0])
     assert rr.toledo == 0
@@ -85,7 +85,7 @@ def test_root_form_rejects_noncentralized_torus(fuchsian, models):
     m = models["sl2"]
     h = np.array([[1.0, 0.0], [0.0, -1.0]])
     torus = subalgebra_from_matrices(m, [h])
-    dec = decompose(m, torus)
+    dec = decompose(torus)
     with pytest.raises(NumericalAbort):
         root_form(fuchsian, adjoint_module(fuchsian), dec.roots[0])
 
@@ -232,7 +232,7 @@ def test_root_form_rejects_invariant_vectors(models):
     from flexcheck.scalars import Field, realify
     z = realify(components(np.diag([-2j, 1j, 1j])), Field.COMPLEX)
     torus = subalgebra_from_matrices(m, [z])
-    dec = decompose(m, torus)
+    dec = decompose(torus)
     rep = surface_representation(standard_presentation(2), m,
                                  [np.eye(m.realified_size)] * 4)
     adj = adjoint_module(rep)
