@@ -165,16 +165,12 @@ def embed_base(case: CatalogCase, tol: Tolerances = DEFAULT):
 
 def build_case_representation(
     case: CatalogCase | str,
-    genus: int = 2,
+    *,
     tol: Tolerances = DEFAULT,
 ) -> SurfaceRepresentation:
     """Fuchsian genus-2 group composed with the case's block embedding."""
     if not isinstance(case, CatalogCase):      # a name; find_case rejects any other value
         case = find_case(case)
-    if genus != 2:
-        raise FlexcheckError(
-            "catalog representations are built at genus 2 (octagon construction); "
-            "supply explicit generator matrices for other genera")
     model, embedding = embed_base(case, tol)
     base = fuchsian_genus2(tol)
     images = [embedding(g) for g in base.images]

@@ -19,7 +19,7 @@ import numpy as np
 from .config import (DEFAULT, SIMPLEX_FEASIBLE, SIMPLEX_MULTIPLIERS, SIMPLEX_PIVOT,
                      SIMPLEX_SEPARATION, FlexcheckError, Inconclusive, NumericalAbort, Tolerances)
 from .liealg import SubalgebraHandle, center_of, centralizer, killing_restriction_nondegenerate
-from .linalg import nullspace, orthonormal_columns, rank
+from .linalg import nullspace, numeric_array, orthonormal_columns, rank
 from .roots import MIXED, TorusRootDecomposition, check_in_g0, decompose
 from .surface import SurfaceRepresentation, adjoint_module
 from .toledo import RootFormReport, root_form
@@ -90,11 +90,11 @@ def _phase1(a: np.ndarray, b: np.ndarray):
 def balanced(problem: BalanceProblem, tol: Tolerances = DEFAULT) -> BalanceResult:
     """Decide the interior-point criterion with a certificate."""
     r = problem.dim
-    if not (isinstance(r, (int, np.integer)) and r >= 0) or any(
-            np.shape(v) != (r,) for v in problem.p_vectors + problem.n_vectors):
-        raise FlexcheckError("a balance problem needs dim >= 0 and P- and N-vectors of length dim")
-    if not all(np.isfinite(v).all() for v in problem.p_vectors + problem.n_vectors):
-        raise NumericalAbort("balance problem has a non-finite P- or N-vector")
+    if not (isinstance(r, (int, np.integer)) and r >= 0):
+        raise FlexcheckError(f"a balance problem needs an integer dim >= 0, got {r!r}")
+    vectors = [numeric_array(v, "a P- or N-vector", (r,))
+               for v in problem.p_vectors + problem.n_vectors]
+    numeric_array(vectors, "the P- and N-vectors", finite=True)        # after every shape
     if r == 0:
         return BalanceResult(True, None, None, 0)
     nmat = np.stack(problem.n_vectors, axis=1) if problem.n_vectors else np.zeros((r, 0))

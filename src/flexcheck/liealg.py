@@ -71,24 +71,16 @@ class LieAlgebraModel:
 
     def matrix(self, coords: np.ndarray) -> np.ndarray:
         """Matrix of a coordinate vector; a (k, dim) block gives a (k, N, N) stack."""
-        return np.tensordot(self._array(coords, "coordinates", (self.dim,), "biufc"),
-                            self.basis, axes=(-1, 0))
+        return np.tensordot(numeric_array(coords, f"coordinates on {self.name}",
+                                          (..., self.dim), "biufc"), self.basis, axes=(-1, 0))
 
-    def _array(self, values, what: str, tail: tuple, kinds: str = "biuf") -> np.ndarray:
-        """``values`` as numbers whose last axes have the shape ``tail``, or FlexcheckError."""
-        out = numeric_array(values, f"{what} on {self.name}", kinds)
-        if out.shape[-len(tail):] != tail:
-            raise FlexcheckError(f"{what} on {self.name} must end in shape {tail}, got {out.shape}")
-        return out
-
-    def coords(self, mat: np.ndarray, tol: float = MODEL_SPAN) -> np.ndarray:
+    def coords(self, mat: np.ndarray) -> np.ndarray:
         """Coordinates of a matrix; a (k, N, N) stack gives a (k, dim) block."""
-        mat = self._array(mat, "matrices", self.basis.shape[1:])
-        if not np.isfinite(mat).all():
-            raise NumericalAbort("a matrix with a NaN or inf entry has no model coordinates")
+        mat = numeric_array(mat, f"matrices on {self.name}", (..., *self.basis.shape[1:]),
+                            finite=True)
         vec = mat.reshape(*mat.shape[:-2], -1)
         c = vec @ self._pinv.T
-        if np.any(relative_residual(c @ self._flat.T - vec, vec, axis=-1) > tol):
+        if np.any(relative_residual(c @ self._flat.T - vec, vec, axis=-1) > MODEL_SPAN):
             raise NumericalAbort("matrix does not lie in the model span")
         return c
 
@@ -98,7 +90,7 @@ class LieAlgebraModel:
         A (k, dim) block of coordinates gives the (k, dim, dim) stack, in one
         matmul against the structure constants: entry (l, j) is sum_i x_i c[i, j, l].
         """
-        coords = self._array(coords, "coordinates", (self.dim,), "biufc")
+        coords = numeric_array(coords, f"coordinates on {self.name}", (..., self.dim), "biufc")
         flat = coords @ self.structure.reshape(self.dim, -1)
         return np.swapaxes(flat.reshape(*coords.shape[:-1], self.dim, self.dim), -1, -2)
 
@@ -114,10 +106,9 @@ class LieAlgebraModel:
         element, or one with a NaN or inf entry, aborts; one that is not
         N x N raises FlexcheckError.
         """
-        g = self._array(g, "group elements", self.basis.shape[1:])
+        g = numeric_array(g, f"group elements on {self.name}", (..., *self.basis.shape[1:]),
+                          finite=True)
         n = self.realified_size
-        if not np.isfinite(g).all():
-            raise NumericalAbort("Ad of a group element with a NaN or inf entry is undefined")
         stack = g.reshape(-1, n, n)
         out = np.empty((len(stack), self.dim, self.dim))
         step = max(1, BLOCK_ENTRIES // (self.dim * n * n))
@@ -152,7 +143,7 @@ class LieAlgebraModel:
         gives a length-K array, one residual per image, from one batched SVD.
         Anything but real N x N matrices raises FlexcheckError.
         """
-        g = self._array(g, "group elements", self.basis.shape[1:])
+        g = numeric_array(g, f"group elements on {self.name}", (..., *self.basis.shape[1:]))
         sv = np.linalg.svd(g, compute_uv=False)
         norm = sv[..., 0]
         if self.form is not None:
@@ -193,12 +184,8 @@ class SubalgebraHandle:
     coords: np.ndarray          # (k, dim)
 
     def __post_init__(self) -> None:
-        coords = numeric_array(self.coords, f"subalgebra coordinates on {self.model.name}")
-        if coords.ndim != 2 or coords.shape[1] != self.model.dim:
-            raise FlexcheckError(f"subalgebra coordinates on {self.model.name} must be (k, "
-                                 f"{self.model.dim}), got shape {coords.shape}")
-        if not np.isfinite(coords).all():
-            raise NumericalAbort(f"subalgebra coordinates on {self.model.name} must be finite")
+        coords = numeric_array(self.coords, f"subalgebra coordinates on {self.model.name}",
+                               (None, self.model.dim), finite=True)
         object.__setattr__(self, "coords", coords)      # a nested list becomes an array
 
     @property
@@ -409,7 +396,7 @@ def subalgebra_from_matrices(
     n = model.realified_size
     if len(mats) == 0:
         return SubalgebraHandle(model, np.zeros((0, model.dim)))
-    mats = model._array(mats, "matrices", (n, n)).reshape(-1, n, n)
+    mats = numeric_array(mats, f"matrices on {model.name}", (..., n, n)).reshape(-1, n, n)
     on = orthonormal_columns(mats.reshape(len(mats), -1).T, tol.rank)
     matrices = on.T.reshape(-1, n, n)
     resid = _closure_residual(matrices, on)
@@ -442,12 +429,13 @@ def centralizer(
     coordinates, as ``adjoint_group_matrix`` returns it; an empty stack
     gives the whole algebra.
     """
-    if np.size(adjoint) and np.shape(adjoint)[-2:] != (model.dim, model.dim):
-        raise FlexcheckError(f"Ad matrices on {model.name} are {model.dim} x {model.dim}, "
-                             f"got shape {np.shape(adjoint)}")
-    ops = np.reshape(adjoint, (-1, model.dim, model.dim)) - np.eye(model.dim)
+    what, d = f"Ad matrices on {model.name}", model.dim
+    adjoint = numeric_array(adjoint, what)
+    if adjoint.size:                                # an empty stack, [] too, constrains nothing
+        adjoint = numeric_array(adjoint, what, (..., d, d))
+    ops = adjoint.reshape(-1, d, d) - np.eye(d)
     # sigma_max of the stacked operator bounds each operator's, so only the floor 1 is left
-    kern = nullspace(np.reshape(ops, (-1, model.dim)), tol.rank, scale=1.0)
+    kern = nullspace(ops.reshape(-1, d), tol.rank, scale=1.0)
     return subalgebra_from_matrices(model, model.matrix(kern.T), tol)
 
 
@@ -491,12 +479,11 @@ def conjugation_limit(
     e^{t(mu_j - mu_i)}; decaying entries are zeroed, growing ones must
     vanish or the limit diverges.
     """
-    u, g = (numeric_array(x, "conjugation_limit's g and u") for x in (u, g))
-    if u.ndim != 2 or g.shape != u.shape or u.shape[0] != u.shape[1]:
+    g, u = (numeric_array(x, "conjugation_limit's g and u", (None, None)) for x in (g, u))
+    if g.shape != u.shape or len(u) != u.shape[1]:
         raise FlexcheckError(f"conjugation_limit needs square g and u of one size, got "
                              f"{g.shape} and {u.shape}")
-    if not (np.isfinite(u).all() and np.isfinite(g).all()):
-        raise NumericalAbort("conjugation_limit needs finite g and u")
+    numeric_array((g, u), "conjugation_limit's g and u", finite=True)   # after every shape
     if np.abs(u - u.T).max(initial=0.0) > CONJUGATION_SYMMETRY * max(matrix_scale(u), 1.0):
         raise NumericalAbort("conjugation_limit needs a symmetric direction u")
     vals, vecs = np.linalg.eigh(u)

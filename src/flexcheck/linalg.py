@@ -55,9 +55,17 @@ def singular_rank(s: np.ndarray, tol: float = DEFAULT.rank, scale: float = 0.0) 
     return int(np.count_nonzero(s > tol * max(float(s[0]) if s.size else 0.0, scale)))
 
 
-def numeric_array(values, what: str, kinds: str = "biuf") -> np.ndarray:
-    """``values`` as an array of dtype kind in ``kinds``, real numbers by default; a
-    ragged nesting or other entries raise FlexcheckError naming ``what``."""
+def numeric_array(values, what: str, shape: tuple | None = None, kinds: str = "biuf",
+                  finite: bool = False) -> np.ndarray:
+    """``values`` as an array of dtype kind in ``kinds`` (real numbers by default) and of ``shape``.
+
+    The one input contract of the package.  In ``shape`` an int fixes an
+    axis and None leaves it free; a leading ``...`` admits any leading
+    axes.  A ragged nesting, entries of another kind or another shape raise
+    FlexcheckError naming ``what``.  Then, with ``finite``, a NaN or inf
+    entry raises NumericalAbort: LAPACK fails to converge on NaN and gives
+    NaN on inf.
+    """
     try:
         out = np.asarray(values)
     except ValueError:  # ragged nesting
@@ -65,31 +73,25 @@ def numeric_array(values, what: str, kinds: str = "biuf") -> np.ndarray:
     if out.dtype.kind not in kinds:
         raise FlexcheckError(f"{what} must be {'' if 'c' in kinds else 'real '}numbers, "
                              f"got {out.dtype}")
+    if shape is not None:
+        lead = shape[:1] == (...,)
+        axes = shape[1:] if lead else shape
+        if (out.ndim < len(axes) if lead else out.ndim != len(axes)) or any(
+                a is not None and a != b for a, b in zip(axes, out.shape[out.ndim - len(axes):])):
+            spec = ", ".join("..." if a is ... else "*" if a is None else str(a) for a in shape)
+            raise FlexcheckError(f"{what} must have shape ({spec}), got {out.shape}")
+    if finite and not np.isfinite(out).all():
+        raise NumericalAbort(f"non-finite entry in {what}")
     return out
-
-
-def _matrix(a) -> np.ndarray:
-    """``a`` as an array; one that is not a matrix of numbers raises FlexcheckError."""
-    a = numeric_array(a, "singular values' input", "biufc")
-    if a.ndim != 2:
-        raise FlexcheckError(f"singular values need a matrix, got an array of shape {a.shape}")
-    return a
-
-
-def _svd(a: np.ndarray, **kwargs):
-    """``np.linalg.svd`` of a finite matrix: it fails to converge on NaN, gives NaN on inf."""
-    a = _matrix(a)
-    if not np.isfinite(a).all():
-        raise NumericalAbort("the singular values of a non-finite matrix are undefined")
-    return np.linalg.svd(a, **kwargs)
 
 
 def rank(a: np.ndarray, tol: float = DEFAULT.rank, scale: float = 0.0) -> int:
     """Numerical rank from the singular values alone; ``scale`` floors the cutoff as in nullspace."""
-    a = numeric_array(a, "singular values' input", "biufc")
-    if a.size == 0:
+    a = numeric_array(a, "singular values' input", kinds="biufc")
+    if a.size == 0:                                 # of any shape, [] too
         return 0
-    return singular_rank(_svd(a, compute_uv=False), tol, scale)
+    a = numeric_array(a, "singular values' input", (None, None), "biufc", finite=True)
+    return singular_rank(np.linalg.svd(a, compute_uv=False), tol, scale)
 
 
 def nullspace(a: np.ndarray, tol: float = DEFAULT.rank, scale: float = 0.0) -> np.ndarray:
@@ -101,12 +103,12 @@ def nullspace(a: np.ndarray, tol: float = DEFAULT.rank, scale: float = 0.0) -> n
     A thin SVD serves tall and square input; wide input, such as a
     relator map, needs the full V for its kernel.
     """
-    a = _matrix(a)
+    a = numeric_array(a, "singular values' input", (None, None), "biufc", finite=True)
     if a.shape[1] == 0:
         raise NumericalAbort("nullspace of an empty operator is undefined")
     if a.shape[0] == 0:
         return np.eye(a.shape[1])
-    _, s, vh = _svd(a, full_matrices=a.shape[0] < a.shape[1])
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     if max(s[0], scale) == 0.0:
         return np.eye(a.shape[1], dtype=a.dtype)
     return vh[singular_rank(s, tol, scale):].conj().T
@@ -119,10 +121,10 @@ def orthonormal_columns(vectors: np.ndarray, tol: float = DEFAULT.rank,
     As in :func:`nullspace`, ``scale`` puts an absolute floor under the
     cutoff so an all-noise input yields an empty basis.
     """
-    v = numeric_array(vectors, "singular values' input", "biufc")
+    v = numeric_array(vectors, "singular values' input", (None, None), "biufc", finite=True)
     if v.size == 0:
-        return v.reshape(v.shape[0] if v.ndim == 2 else 0, 0)
-    u, s, _ = _svd(v, full_matrices=False)
+        return v[:, :0]
+    u, s, _ = np.linalg.svd(v, full_matrices=False)
     return u[:, :singular_rank(s, tol, scale)]
 
 

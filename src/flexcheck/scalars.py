@@ -21,7 +21,7 @@ import enum
 
 import numpy as np
 
-from .config import FlexcheckError
+from .linalg import numeric_array
 
 
 class Field(enum.Enum):
@@ -55,16 +55,7 @@ def realify(parts, field: Field) -> np.ndarray:
     FlexcheckError.
     """
     d = field.dim
-    try:
-        x = np.asarray(parts)
-    except ValueError:  # ragged rows
-        x = np.empty(0)
-    if x.ndim != 3 or x.shape[2] != d:
-        raise FlexcheckError(f"realify expects an (n, k, {d}) array of components over "
-                             f"{field.value}")
-    if x.dtype.kind not in "biuf":
-        raise FlexcheckError(f"realify: the components over {field.value} must be real numbers, "
-                             f"got {x.dtype}")
+    x = numeric_array(parts, f"realify: the components over {field.value}", (None, None, d))
     n, k = x.shape[:2]
     return _blocks(_LEFT, x).transpose(0, 2, 1, 3).reshape(d * n, d * k)
 

@@ -72,11 +72,9 @@ def action_stack(actions, count: int | None = None) -> np.ndarray:
     Any other shape, a ragged nesting or entries that are not real
     numbers raise FlexcheckError.
     """
-    stack = numeric_array(actions, "generator actions")
-    shape = stack.shape
-    if len(shape) != 3 or shape[1] != shape[2] or count not in (None, shape[0]):
-        raise FlexcheckError(f"need a ({count or 'K'}, m, m) stack of generator actions, "
-                             f"got shape {shape}")
+    stack = numeric_array(actions, "generator actions", (count, None, None))
+    if stack.shape[1] != stack.shape[2]:
+        raise FlexcheckError(f"generator actions must be square, got shape {stack.shape}")
     return stack.astype(float, copy=False)
 
 
@@ -243,9 +241,7 @@ def adjoint_module(rep: SurfaceRepresentation) -> np.ndarray:
 def restricted_module(actions, basis: np.ndarray) -> np.ndarray:
     """Restrict a (2g, m, m) action stack to an invariant subspace with orthonormal basis columns."""
     actions = action_stack(actions)
-    if np.ndim(basis) != 2 or len(basis) != actions.shape[-1]:
-        raise FlexcheckError(f"need a basis of {actions.shape[-1]} rows, "
-                             f"got shape {np.shape(basis)}")
+    basis = numeric_array(basis, "a module basis", (actions.shape[-1], None))
     moved = actions @ basis
     small = basis.T @ moved
     resid = relative_residual(moved - basis @ small, moved, axis=(1, 2))
@@ -262,6 +258,7 @@ def restricted_module(actions, basis: np.ndarray) -> np.ndarray:
 def check_module_relator(prefixes) -> float:
     """Abort unless a module's relator, the last of its ``relator_prefixes``, acts as I;
     return the prefixes' ``residual_scale``, the one its residual is relative to."""
+    prefixes = action_stack(prefixes)
     scale = residual_scale(prefixes)
     if relative_residual(prefixes[-1] - np.eye(len(prefixes[-1])), scale) > COCYCLE_CHECK:
         raise NumericalAbort(
@@ -292,9 +289,8 @@ class CohomologyWorkspace:
         gives a length-k array, one residual per column.  Any other shape
         raises FlexcheckError.
         """
-        u, width = np.asarray(u), self.relator_map.shape[1]
-        if u.ndim not in (1, 2) or len(u) != width:
-            raise FlexcheckError(f"cochains must be ({width},) or ({width}, k), got {u.shape}")
+        u, width = numeric_array(u, "cochains", kinds="biufc"), self.relator_map.shape[1]
+        numeric_array(u, "cochains", (width,) if u.ndim < 2 else (width, None), "biufc")
         return relative_residual(self.relator_map @ u, u, axis=0)
 
 
@@ -339,10 +335,11 @@ def cohomology(rep: SurfaceRepresentation, actions,
 
 
 def check_invariant_form(actions: np.ndarray, omega: np.ndarray) -> None:
-    """Abort unless every slice of ``omega`` ((m, m) or (F, m, m)) is invariant under the
+    """Abort unless every slice of an (..., m, m) ``omega`` is invariant under the
     (K, m, m) ``actions``: a^T omega a = omega, relative to |omega| |a|^2."""
+    actions = action_stack(actions)
     m = actions.shape[-1]
-    forms = omega.reshape(-1, m, m)
+    forms = numeric_array(omega, "the form", (..., m, m), "biufc").reshape(-1, m, m)
     acts = actions[:, None]                                 # (K, 1, m, m) against (F, m, m)
     resid = relative_residual(np.swapaxes(acts, -1, -2) @ forms @ acts - forms, forms, (-2, -1))
     if np.all(resid <= FORM_INVARIANCE):        # the bound is at least FORM_INVARIANCE
@@ -361,23 +358,22 @@ def cup_pairing(
     """Evaluate <omega(u cup v), [Sigma]> for cocycles u, v.
 
     omega may be a single (m, m) bilinear form (real or complex) or a
-    stack (K, m, m).  u and v are (2g m,) cocycles or (2g m, k) blocks of
+    stack (..., m, m).  u and v are (2g m,) cocycles or (2g m, k) blocks of
     cocycle columns.  The pairing is bilinear: the result is u^T C v for
     the cochain-level cup matrix C = I (x) omega + sum_k S_k^T omega A_k
     (A_k the letter-k Fox block, S_k the sum of the A_j with j < k),
-    evaluated without forming C.  A vector pair gives a scalar (length-K
-    vector for a stack), a block pair a (ku, kv) matrix ((K, ku, kv)); a
+    evaluated without forming C.  A vector pair gives a scalar, a block
+    pair a (ku, kv) matrix, each behind the stack's leading axes; a
     vector on one side drops that side's axis.  Any other shape raises
     FlexcheckError.
     """
-    omega, u, v = np.asarray(omega), np.asarray(u), np.asarray(v)
     m = ws.module_dim
-    if omega.ndim not in (2, 3) or omega.shape[-2:] != (m, m):
-        raise FlexcheckError(f"omega must be ({m}, {m}) or (K, {m}, {m}), got {omega.shape}")
-    # the cocycles first: cocycle_residual raises FlexcheckError on a wrong shape
+    omega = numeric_array(omega, "omega", (..., m, m), "biufc")
+    # cocycle_residual raises FlexcheckError on a wrong kind or shape
     for w in (u, v):
         if np.any(ws.cocycle_residual(w) > COCYCLE_CHECK):
             raise NumericalAbort("cup_pairing arguments must be cocycles")
+    u, v = np.asarray(u), np.asarray(v)
     check_invariant_form(ws.actions, omega)
 
     pres = ws.rep.presentation

@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import (DEFAULT, FORM_INVARIANCE, TOLEDO_LIFT, FlexcheckError, NumericalAbort,
                      Tolerances)
-from .linalg import rank, relative_residual, singular_rank
+from .linalg import numeric_array, rank, relative_residual, singular_rank
 from .roots import IMAGINARY, MIXED, REAL, RootDatum
 from .surface import (
     SurfaceGroupPresentation,
@@ -124,10 +124,9 @@ def lifted_toledo(
     """
     acts = action_stack(actions, presentation.generator_count)
     m = acts.shape[-1]
-    omega = np.asarray(omega)
-    if omega.shape != (m, m) or m % 2 or omega.dtype.kind not in "biuf":
-        raise FlexcheckError(f"need a real ({m}, {m}) form on an even-dimensional module, "
-                             f"got {omega.dtype} of shape {omega.shape}")
+    omega = numeric_array(omega, "the module's symplectic form", (m, m))
+    if m % 2:
+        raise FlexcheckError(f"a symplectic module is even-dimensional, got dimension {m}")
     if relative_residual(omega + omega.T, omega) > FORM_INVARIANCE:
         raise NumericalAbort("the lifted Toledo invariant needs an alternating form")
     check_invariant_form(acts, omega)

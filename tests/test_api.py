@@ -37,10 +37,12 @@ from flexcheck.liealg import (LieAlgebraModel, SubalgebraHandle, build_classical
                               centralizer, conjugation_limit, killing_restriction_nondegenerate)
 from flexcheck.linalg import nullspace, orthonormal_columns, rank
 from flexcheck.roots import check_in_g0, decompose
-from flexcheck.surface import (check_module_relator, cohomology, correct_relator, cup_pairing,
+from flexcheck.scalars import Field, realify
+from flexcheck.surface import (CohomologyWorkspace, adjoint_module, check_invariant_form,
+                               check_module_relator, cohomology, correct_relator, cup_pairing,
                                fuchsian_genus2, relator_prefixes, restricted_module,
                                standard_presentation, surface_representation)
-from flexcheck.toledo import lifted_toledo
+from flexcheck.toledo import lifted_toledo, root_form, standard_form
 
 PACKAGE = Path(flexcheck.__file__).parent
 
@@ -428,7 +430,8 @@ def test_named_thresholds_keep_their_values():
                  if name.isupper() and isinstance(value, float)}
     assert constants == PINNED
     assert not [name for name, value in vars(Tolerances).items() if isinstance(value, property)]
-    assert inspect.signature(LieAlgebraModel.coords).parameters["tol"].default == 1e-8
+    # coords projects at MODEL_SPAN itself, with no tolerance to pass
+    assert list(inspect.signature(LieAlgebraModel.coords).parameters) == ["self", "mat"]
     # correct_relator stops at RELATOR_CORRECTION itself, with no stop, cap or sign to pass
     assert list(inspect.signature(correct_relator).parameters) == [
         "images", "presentation", "model"]
@@ -581,28 +584,125 @@ _J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 # lifted_toledo's malformed input: a wrong stack, an odd module, a form of another size
 LIFT_SHAPE_ERRORS = {
     "wrong-count": lambda: lifted_toledo([_I2] * 3, _J2, standard_presentation(2)),
-    "ragged": lambda: lifted_toledo([_I2, _I3, _I2, _I2], _J2, standard_presentation(2)),
     "odd-module": lambda: lifted_toledo([_I3] * 4, np.zeros((3, 3)), standard_presentation(2)),
     "mismatched-omega": lambda: lifted_toledo([_I2] * 4, np.zeros((4, 4)), standard_presentation(2)),
     "complex-omega": lambda: lifted_toledo([_I2] * 4, 1j * _J2, standard_presentation(2)),
 }
 
+
+def _octagon_workspace():
+    rep = fuchsian_genus2()
+    return cohomology(rep, rep.images)
+
+
+def _su21_workspace():
+    """The adjoint module of su21-cline: m = 8, cochains of length 2g m = 32."""
+    rep = build_case_representation("su21-cline")
+    return cohomology(rep, adjoint_module(rep))
+
+
+def _su21_root_form_args():
+    pipe = Pipeline(build_case_representation("su21-cline"))
+    return pipe.rep, pipe.adjoint, pipe.decomposition.roots[0]
+
+
+def _balanced_p(p):
+    return balanced(BalanceProblem(3, (p,), ()))
+
+
+def _balanced_n(n):
+    return balanced(BalanceProblem(3, (), (n,)))
+
+
+def _cup_args():
+    return _octagon_workspace(), _J2, np.zeros(8), np.zeros(8)
+
+
+# (public function, a valid call's arguments, the position of one array
+# argument in them): MALFORMED puts each malformed array below there
+ARRAY_ARGUMENTS = {
+    "realify": (realify, lambda: (np.zeros((1, 1, 2)), Field.COMPLEX), 0),
+    "rank": (rank, lambda: (_I2,), 0),
+    "nullspace": (nullspace, lambda: (_I2,), 0),
+    "orthonormal_columns": (orthonormal_columns, lambda: (_I2,), 0),
+    "matrix": (LieAlgebraModel.matrix, lambda: (_sl2(), np.ones(3)), 1),
+    "coords": (LieAlgebraModel.coords, lambda: (_sl2(), np.diag([1.0, -1.0])), 1),
+    "ad": (LieAlgebraModel.ad, lambda: (_sl2(), np.ones(3)), 1),
+    "adjoint_group_matrix": (LieAlgebraModel.adjoint_group_matrix, lambda: (_sl2(), _I2), 1),
+    "group_membership_residual": (LieAlgebraModel.group_membership_residual,
+                                  lambda: (_sl2(), _I2), 1),
+    "SubalgebraHandle": (SubalgebraHandle, lambda: (_sl2(), _I3), 1),
+    "subalgebra_from_matrices": (subalgebra_from_matrices, lambda: (_sl2(), [_J2]), 1),
+    "centralizer": (centralizer, lambda: (_sl2(), _I3[None]), 1),
+    "conjugation_limit": (conjugation_limit, lambda: (_I2, _I2), 0),
+    "conjugation_limit-u": (conjugation_limit, lambda: (_I2, _I2), 1),
+    "surface_representation": (surface_representation, lambda: (
+        standard_presentation(2), _sl2(), fuchsian_genus2().images), 2),
+    "correct_relator": (correct_relator, lambda: (
+        fuchsian_genus2().images, standard_presentation(2), _sl2()), 0),
+    "relator_prefixes": (relator_prefixes, lambda: (standard_presentation(2), [_I2] * 4), 1),
+    "cohomology": (cohomology, lambda: (fuchsian_genus2(), fuchsian_genus2().images), 1),
+    "restricted_module": (restricted_module, lambda: ([_I2] * 4, _I2), 0),
+    "restricted_module-basis": (restricted_module, lambda: ([_I2] * 4, _I2), 1),
+    "check_module_relator": (check_module_relator, lambda: ([_I2] * 9,), 0),
+    "check_invariant_form": (check_invariant_form, lambda: ([_I2] * 4, _J2), 0),
+    "check_invariant_form-omega": (check_invariant_form, lambda: ([_I2] * 4, _J2), 1),
+    "cocycle_residual": (CohomologyWorkspace.cocycle_residual,
+                         lambda: (_octagon_workspace(), np.zeros(8)), 1),
+    "cup_pairing-omega": (cup_pairing, _cup_args, 1),
+    "cup_pairing-u": (cup_pairing, _cup_args, 2),
+    "cup_pairing-v": (cup_pairing, _cup_args, 3),
+    "lifted_toledo": (lifted_toledo, lambda: ([_I2] * 4, _J2, standard_presentation(2)), 0),
+    "lifted_toledo-omega": (lifted_toledo, lambda: ([_I2] * 4, _J2, standard_presentation(2)), 1),
+    "standard_form": (standard_form, lambda: (fuchsian_genus2(), _J2), 1),
+    "root_form": (root_form, _su21_root_form_args, 1),
+    "balanced-P": (_balanced_p, lambda: (np.ones(3),), 0),
+    "balanced-N": (_balanced_n, lambda: (np.ones(3),), 0),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_ARGUMENTS)
+def test_the_array_probe_starts_from_valid_calls(name):
+    # each probe call differs from a call that works in one argument only
+    func, args, _ = ARRAY_ARGUMENTS[name]
+    func(*args())
+
+
+def _with(name: str, bad):
+    """ARRAY_ARGUMENTS' call ``name`` with ``bad`` at its array argument's position."""
+    func, args, position = ARRAY_ARGUMENTS[name]
+
+    def call():
+        values = list(args())
+        values[position] = bad
+        return func(*values)
+    return call
+
+
 _STRINGS = np.array(["a", "b", "c"])
 _RAGGED = [[1.0, 2.0], [3.0]]
-# malformed input that once let numpy's own exception out
+# malformed input that once let numpy's own exception out, or could: strings
+# and a ragged nesting at every array argument of ARRAY_ARGUMENTS, then single finds
 MALFORMED = {
+    **{f"{name}-{kind}": _with(name, bad) for name in ARRAY_ARGUMENTS
+       for kind, bad in (("strings", _STRINGS), ("ragged", _RAGGED))},
     "check_in_g0-two-models": lambda: check_in_g0(SubalgebraHandle(_sl2(), np.eye(3)[:1]),
                                                   SubalgebraHandle(build_classical("sl", 3),
                                                                    np.eye(8)[:1])),
-    "SubalgebraHandle-strings": lambda: SubalgebraHandle(_sl2(), [_STRINGS]),
-    "rank-ragged": lambda: rank(_RAGGED),
-    "nullspace-ragged": lambda: nullspace(_RAGGED),
-    "orthonormal_columns-ragged": lambda: orthonormal_columns(_RAGGED),
     "balanced-negative-dim": lambda: balanced(BalanceProblem(-1, (), ())),
-    "matrix-strings": lambda: _sl2().matrix(_STRINGS),
     "ad-wrong-length": lambda: _sl2().ad(np.ones(2)),
-    "ad-strings": lambda: _sl2().ad(_STRINGS),
     "group_membership_residual-string": lambda: _sl2().group_membership_residual("a"),
+    "centralizer-mixed-sizes": lambda: centralizer(build_classical("su", 2, 1),
+                                                   [np.eye(8), np.eye(7)]),
+    "centralizer-string-stack": lambda: centralizer(build_classical("su", 2, 1),
+                                                    np.full((1, 8, 8), "a")),
+    "restricted_module-string-basis": lambda: restricted_module(
+        adjoint_module(build_case_representation("su21-cline")), np.full((8, 2), "a")),
+    "balanced-string-vector": lambda: balanced(BalanceProblem(1, (np.array(["a"]),), ())),
+    "cocycle_residual-string-cochain": lambda: _su21_workspace().cocycle_residual(
+        np.full(32, "a")),
+    "cup_pairing-string-omega": lambda: cup_pairing(ws := _su21_workspace(), np.full((8, 8), "a"),
+                                                    ws.h1, ws.h1),
 }
 
 NUMPY_ERRORS = {
@@ -645,7 +745,6 @@ NUMPY_ERRORS = {
                                                               np.ones((3, 1))),
     "cocycle_residual-wrong-length": lambda: cohomology(
         fuchsian_genus2(), fuchsian_genus2().images).cocycle_residual(np.ones(3)),
-    "conjugation_limit-strings": lambda: conjugation_limit("a", "b"),
     "cohomology-ragged-list": lambda: cohomology(fuchsian_genus2(), [_I2, _I3, _I2, _I2]),
     "cohomology-too-few-actions": lambda: cohomology(fuchsian_genus2(), [_I2] * 3),
     "restricted_module-ragged-list": lambda: restricted_module([_I2, _I3], _I2),

@@ -141,8 +141,11 @@ def test_sp_cline_has_vanishing_toledo_root(case_pipeline):
 
 
 def test_catalog_rejects_other_genus():
-    with pytest.raises(FlexcheckError):
-        build_case_representation("su21-cline", genus=3)
+    # a catalog case is the genus-2 octagon group: the builder takes no genus at all
+    for call in (lambda: build_case_representation("su21-cline", genus=2),
+                 lambda: build_case_representation("su21-cline", 3)):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_unknown_case():

@@ -313,7 +313,7 @@ def test_conjugation_limit_divergence():
     (np.eye(2), np.diag([np.nan, -1.0])),
 ])
 def test_conjugation_limit_rejects_non_finite_input(g, u):
-    with pytest.raises(NumericalAbort, match="needs finite g and u"):
+    with pytest.raises(NumericalAbort, match="non-finite entry in conjugation_limit's g and u"):
         conjugation_limit(g, u)
 
 

@@ -1,13 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
 from flexcheck.catalog import build_case_representation
-from flexcheck.config import DEFAULT, NumericalAbort
+from flexcheck.config import DEFAULT, FlexcheckError, NumericalAbort
 from flexcheck.linalg import (
     joint_eigenspace,
     joint_eigenvalues,
     matrix_scale,
     nullspace,
+    numeric_array,
     orthonormal_columns,
     rank,
     relative_residual,
@@ -208,3 +211,50 @@ def test_rank_and_nullspace_take_nested_lists():
     # like numpy's own linear algebra, the entry points take any array-like
     assert rank([[1.0, 2.0], [2.0, 4.0]]) == 1 and rank([]) == 0
     assert nullspace([[1.0, 2.0], [2.0, 4.0]]).shape == (2, 1)
+
+
+# the input contract: kind, then shape, then (on request) finiteness
+@pytest.mark.parametrize("shape, good, bad", [
+    ((2, 3), np.zeros((2, 3)), np.zeros((3, 2))),
+    ((None, 3), np.zeros((5, 3)), np.zeros((5, 4))),
+    ((..., 2, 2), np.zeros((4, 3, 2, 2)), np.zeros((2, 3, 2))),
+    ((..., 2, 2), np.zeros((2, 2)), np.zeros(2)),
+    ((None, None), np.zeros((0, 4)), np.zeros(4)),
+    ((3,), [1, 2, 3], [[1, 2, 3]]),
+    ((), 1.5, [1.5]),
+], ids=["fixed", "free", "leading", "no-leading", "rank", "nested-list", "scalar"])
+def test_numeric_array_states_each_axis(shape, good, bad):
+    assert numeric_array(good, "x", shape).shape == np.shape(good)
+    with pytest.raises(FlexcheckError, match=r"^x must have shape \(.*\), got \(") as exc:
+        numeric_array(bad, "x", shape)
+    assert not isinstance(exc.value, NumericalAbort)
+
+
+def test_numeric_array_names_the_shape_it_wants():
+    with pytest.raises(FlexcheckError, match=re.escape("x must have shape (..., *, 2), got (3,)")):
+        numeric_array(np.zeros(3), "x", (..., None, 2))
+    assert numeric_array(np.zeros((1, 2, 3)), "x").shape == (1, 2, 3)     # no shape, no rule
+
+
+def test_numeric_array_rejects_ragged_input_and_other_kinds():
+    with pytest.raises(FlexcheckError, match="x must be an array, got a ragged nesting"):
+        numeric_array([[1.0, 2.0], [3.0]], "x", (None, None))
+    with pytest.raises(FlexcheckError, match="x must be real numbers, got <U1"):
+        numeric_array(["a", "b"], "x", (2,))
+    with pytest.raises(FlexcheckError, match="x must be real numbers, got complex128"):
+        numeric_array([1j], "x")
+    with pytest.raises(FlexcheckError, match="x must be numbers, got object"):
+        numeric_array([None], "x", kinds="biufc")
+    assert numeric_array([1j, True, 2], "x", (3,), "biufc").dtype.kind == "c"
+
+
+def test_numeric_array_checks_finiteness_after_the_shape():
+    nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    assert numeric_array(nan, "x", (2, 2)) is nan                   # finite is opt-in
+    for value in (nan, np.array([[np.inf, 0.0], [0.0, 1.0]])):
+        with pytest.raises(NumericalAbort, match="non-finite entry in x"):
+            numeric_array(value, "x", (2, 2), finite=True)
+    # a malformed array is an input error even when it is non-finite too
+    with pytest.raises(FlexcheckError) as exc:
+        numeric_array(nan, "x", (3, 3), finite=True)
+    assert not isinstance(exc.value, NumericalAbort)

@@ -98,7 +98,8 @@ def test_realify_quaternion_block_count():
 def test_realify_rejects_non_matrix_shapes(field):
     one = [1.0] * field.dim
     for parts in ([one], [[one], [one, one]], [[one + [0.0]]], [[1.0]], 1.0):
-        with pytest.raises(FlexcheckError, match=rf"\(n, k, {field.dim}\) array"):
+        with pytest.raises(FlexcheckError, match=rf"components over {field.value} must "
+                           rf"(have shape \(\*, \*, {field.dim}\)|be an array)"):
             realify(parts, field)
 
 

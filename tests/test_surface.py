@@ -365,6 +365,10 @@ def test_cup_pairing_shapes(fuchsian, case_pipeline):
     forms = _killing_forms(adj)
     stacked = cup_pairing(adj, forms, adj.h1[:, 0], adj.h1[:, 1])
     assert stacked.shape == (adj.h0_dim,)
+    # a stack with more leading axes pairs each slice, its axes first
+    nested = cup_pairing(adj, np.stack([forms, 2 * forms]), adj.h1[:, 0], adj.h1[:, 1])
+    assert nested.shape == (2, adj.h0_dim)
+    assert np.allclose(nested, [stacked, 2 * stacked], rtol=1e-12, atol=1e-12)
     assert cup_pairing(adj, forms, adj.h1, adj.h1).shape == (adj.h0_dim,) + (adj.h1_dim,) * 2
 
 
@@ -466,7 +470,7 @@ def test_fox_relator_map_is_the_relator_derivative(case_pipeline, fuchsian, rng,
 
     h = 1e-6
     diff = (relator(h) - relator(-h)) @ np.linalg.inv(relator(0.0)) / (2 * h)
-    fd = model.coords(diff, tol=1e-6)
+    fd = model._pinv @ diff.reshape(-1)         # projected onto the model span
     assert np.abs(jac @ x.reshape(-1) - fd).max() < 1e-6 * np.abs(fd).max()
 
 
