@@ -16,6 +16,7 @@ import numpy as np
 
 from .config import DEFAULT, ExcludedFamilyError, FlexcheckError, Tolerances
 from .liealg import build_classical
+from .linalg import object_argument
 from .scalars import Field, realify
 from .surface import (
     SurfaceRepresentation,
@@ -124,7 +125,7 @@ _CAYLEY = np.array([[1.0, -1.0j], [1.0, 1.0j]])
 _CAYLEY_INV = np.linalg.inv(_CAYLEY)
 
 
-def sl2_to_so21(m: np.ndarray) -> np.ndarray:
+def _sl2_to_so21(m: np.ndarray) -> np.ndarray:
     """Adjoint image of SL(2,R) in SO(2,1), basis with trace form diag(1,1,-1)."""
     minv = np.linalg.inv(m)
     out = np.zeros((3, 3))
@@ -134,13 +135,14 @@ def sl2_to_so21(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def sl2_to_su11(m: np.ndarray) -> np.ndarray:
+def _sl2_to_su11(m: np.ndarray) -> np.ndarray:
     """Cayley conjugation SL(2,R) -> SU(1,1)."""
     return _CAYLEY @ m.astype(complex) @ _CAYLEY_INV
 
 
 def embed_base(case: CatalogCase, tol: Tolerances = DEFAULT):
     """(model, embedding) for a catalog case; embedding maps SL(2,R) matrices."""
+    object_argument(case, CatalogCase, "case")
     if not case.computable:
         raise ExcludedFamilyError(f"{case.name}: {case.note}")
     m = case.m
@@ -148,11 +150,11 @@ def embed_base(case: CatalogCase, tol: Tolerances = DEFAULT):
     model = build_classical(case.family, m, 1, tol=tol)
     n = m + 1
     if case.stabilized == "rplane":
-        corner, to_block = 3, sl2_to_so21
+        corner, to_block = 3, _sl2_to_so21
     elif fld is Field.REAL:
         raise FlexcheckError("the complex-line case needs F = C or H")
     else:
-        corner, to_block = 2, sl2_to_su11
+        corner, to_block = 2, _sl2_to_su11
 
     def embedding(g: np.ndarray) -> np.ndarray:
         image = np.eye(n, dtype=complex)
@@ -169,6 +171,7 @@ def build_case_representation(
     tol: Tolerances = DEFAULT,
 ) -> SurfaceRepresentation:
     """Fuchsian genus-2 group composed with the case's block embedding."""
+    object_argument(tol, Tolerances, "tol")
     if not isinstance(case, CatalogCase):      # a name; find_case rejects any other value
         case = find_case(case)
     model, embedding = embed_base(case, tol)

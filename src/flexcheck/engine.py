@@ -19,7 +19,7 @@ import numpy as np
 from .config import (DEFAULT, SIMPLEX_FEASIBLE, SIMPLEX_MULTIPLIERS, SIMPLEX_PIVOT,
                      SIMPLEX_SEPARATION, FlexcheckError, Inconclusive, NumericalAbort, Tolerances)
 from .liealg import SubalgebraHandle, center_of, centralizer, killing_restriction_nondegenerate
-from .linalg import nullspace, numeric_array, orthonormal_columns, rank
+from .linalg import nullspace, numeric_array, object_argument, orthonormal_columns, rank
 from .roots import MIXED, TorusRootDecomposition, check_in_g0, decompose
 from .surface import SurfaceRepresentation, adjoint_module
 from .toledo import RootFormReport, root_form
@@ -89,6 +89,8 @@ def _phase1(a: np.ndarray, b: np.ndarray):
 
 def balanced(problem: BalanceProblem, tol: Tolerances = DEFAULT) -> BalanceResult:
     """Decide the interior-point criterion with a certificate."""
+    object_argument(problem, BalanceProblem, "problem")
+    object_argument(tol, Tolerances, "tol")
     r = problem.dim
     if not (isinstance(r, (int, np.integer)) and r >= 0):
         raise FlexcheckError(f"a balance problem needs an integer dim >= 0, got {r!r}")
@@ -262,6 +264,8 @@ class Pipeline:
 
 def verdict(rep: SurfaceRepresentation, tol: Tolerances = DEFAULT) -> FlexibilityReport:
     """Full pipeline: centralizer, center, roots, P/N, balanced, verdict."""
+    object_argument(rep, SurfaceRepresentation, "rep")
+    object_argument(tol, Tolerances, "tol")
     genus = rep.presentation.genus
     threshold = 2 * rep.model.dim ** 2
     caveats = []

@@ -28,8 +28,8 @@ from .config import (
     NumericalAbort,
     Tolerances,
 )
-from .linalg import (matrix_scale, nullspace, numeric_array, orthonormal_columns, relative_residual,
-                     singular_rank)
+from .linalg import (matrix_scale, nullspace, numeric_array, object_argument, orthonormal_columns,
+                     relative_residual, singular_rank)
 from .scalars import Field, realified_entry_block, right_multiplication_operator
 
 # _finish_model holds the brackets of all dim^2 pairs of N x N basis matrices
@@ -184,6 +184,7 @@ class SubalgebraHandle:
     coords: np.ndarray          # (k, dim)
 
     def __post_init__(self) -> None:
+        object_argument(self.model, LieAlgebraModel, "model")
         coords = numeric_array(self.coords, f"subalgebra coordinates on {self.model.name}",
                                (None, self.model.dim), finite=True)
         object.__setattr__(self, "coords", coords)      # a nested list becomes an array
@@ -302,6 +303,7 @@ def build_classical(family: str, *params: int, tol: Tolerances = DEFAULT) -> Lie
     """
     if not isinstance(family, str):
         raise FlexcheckError(f"the family must be a string tag, got {family!r}")
+    object_argument(tol, Tolerances, "tol")
     family = family.lower()
     if family in ("f4", "g2", "spin7", "o"):
         raise ExcludedFamilyError(
@@ -393,6 +395,8 @@ def subalgebra_from_matrices(
 
     Aborts unless the span is bracket-closed to within ``SUBALGEBRA_CLOSURE``.
     """
+    object_argument(model, LieAlgebraModel, "model")
+    object_argument(tol, Tolerances, "tol")
     n = model.realified_size
     if len(mats) == 0:
         return SubalgebraHandle(model, np.zeros((0, model.dim)))
@@ -429,6 +433,8 @@ def centralizer(
     coordinates, as ``adjoint_group_matrix`` returns it; an empty stack
     gives the whole algebra.
     """
+    object_argument(model, LieAlgebraModel, "model")
+    object_argument(tol, Tolerances, "tol")
     what, d = f"Ad matrices on {model.name}", model.dim
     adjoint = numeric_array(adjoint, what)
     if adjoint.size:                                # an empty stack, [] too, constrains nothing
@@ -441,6 +447,8 @@ def centralizer(
 
 def center_of(sub: SubalgebraHandle, tol: Tolerances = DEFAULT) -> SubalgebraHandle:
     """Center {x in z : [x, z] = 0} of a subalgebra."""
+    object_argument(sub, SubalgebraHandle, "sub")
+    object_argument(tol, Tolerances, "tol")
     k = sub.dim
     if k == 0:
         return sub
@@ -461,6 +469,8 @@ def killing_restriction_nondegenerate(
 
     Returns (verdict, condition number of the restricted Killing matrix).
     """
+    object_argument(sub, SubalgebraHandle, "sub")
+    object_argument(tol, Tolerances, "tol")
     if sub.dim == 0:
         return True, 1.0
     gram = sub.coords @ sub.model.killing @ sub.coords.T
@@ -479,6 +489,7 @@ def conjugation_limit(
     e^{t(mu_j - mu_i)}; decaying entries are zeroed, growing ones must
     vanish or the limit diverges.
     """
+    object_argument(tol, Tolerances, "tol")
     g, u = (numeric_array(x, "conjugation_limit's g and u", (None, None)) for x in (g, u))
     if g.shape != u.shape or len(u) != u.shape[1]:
         raise FlexcheckError(f"conjugation_limit needs square g and u of one size, got "

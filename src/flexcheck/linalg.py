@@ -85,6 +85,13 @@ def numeric_array(values, what: str, shape: tuple | None = None, kinds: str = "b
     return out
 
 
+def object_argument(value, kind: type, what: str) -> None:
+    """Raise FlexcheckError naming ``what`` unless ``value`` is an instance of ``kind``: the
+    contract of a public function's object arguments, beside ``numeric_array``'s for arrays."""
+    if not isinstance(value, kind):
+        raise FlexcheckError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
+
+
 def rank(a: np.ndarray, tol: float = DEFAULT.rank, scale: float = 0.0) -> int:
     """Numerical rank from the singular values alone; ``scale`` floors the cutoff as in nullspace."""
     a = numeric_array(a, "singular values' input", kinds="biufc")

@@ -16,8 +16,8 @@ import numpy as np
 
 from .config import DEFAULT, SUBALGEBRA_CLOSURE, FlexcheckError, NumericalAbort, Tolerances
 from .liealg import SubalgebraHandle
-from .linalg import (joint_eigenspace, joint_eigenvalues, rank, relative_residual,
-                     singular_rank, value_keys)
+from .linalg import (joint_eigenspace, joint_eigenvalues, object_argument, rank,
+                     relative_residual, singular_rank, value_keys)
 
 REAL, IMAGINARY, MIXED = "real", "imaginary", "mixed"
 
@@ -52,6 +52,8 @@ def decompose(torus: SubalgebraHandle, tol: Tolerances = DEFAULT) -> TorusRootDe
     its real basis and Omega.  A part within tol.cluster * max(sigma_max, 1)
     is 0, decided here only: classification and the N-vectors read it.
     """
+    object_argument(torus, SubalgebraHandle, "torus")
+    object_argument(tol, Tolerances, "tol")
     r = torus.dim
     model = torus.model
     dim = model.dim
@@ -135,6 +137,9 @@ def check_in_g0(torus: SubalgebraHandle, sub: SubalgebraHandle,
     [t_i, z_j]; the cut's floor is the Frobenius norm of the stacked
     ad(t), as in ``center_of``.  Handles of two models raise FlexcheckError.
     """
+    object_argument(torus, SubalgebraHandle, "torus")
+    object_argument(sub, SubalgebraHandle, "sub")
+    object_argument(tol, Tolerances, "tol")
     if torus.model.name != sub.model.name:
         raise FlexcheckError(f"torus on {torus.model.name} but subalgebra on {sub.model.name}")
     ads = torus.model.ad(torus.coords)

@@ -21,7 +21,7 @@ import enum
 
 import numpy as np
 
-from .linalg import numeric_array
+from .linalg import numeric_array, object_argument
 
 
 class Field(enum.Enum):
@@ -54,6 +54,7 @@ def realify(parts, field: Field) -> np.ndarray:
     are not real numbers (complex values or strings, say), raise
     FlexcheckError.
     """
+    object_argument(field, Field, "field")
     d = field.dim
     x = numeric_array(parts, f"realify: the components over {field.value}", (None, None, d))
     n, k = x.shape[:2]

@@ -20,8 +20,8 @@ from .config import (COCYCLE_CHECK, DEFAULT, FORM_INVARIANCE, IMAGE_MEMBERSHIP,
                      OCTAGON_NORMALIZER, RELATOR, RELATOR_CORRECTION, SUBSPACE_INVARIANCE,
                      FlexcheckError, NumericalAbort, Tolerances)
 from .liealg import LieAlgebraModel, build_classical
-from .linalg import (nullspace, numeric_array, orthonormal_columns, rank, relative_residual,
-                     residual_scale, spectral_norms)
+from .linalg import (nullspace, numeric_array, object_argument, orthonormal_columns, rank,
+                     relative_residual, residual_scale, spectral_norms)
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,11 @@ class SurfaceGroupPresentation:
         """The relator as (generator index, +-1) pairs: ai bi ai^-1 bi^-1 per handle, 4g in all."""
         return tuple((2 * i + j, sign) for i in range(self.genus)
                      for sign in (1, -1) for j in (0, 1))
+
+    @property
+    def letter_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The relator's generator indices and signs, as two length-4g int arrays."""
+        return tuple(np.array(self.letters).T)
 
     @property
     def generator_count(self) -> int:
@@ -78,21 +83,24 @@ def action_stack(actions, count: int | None = None) -> np.ndarray:
     return stack.astype(float, copy=False)
 
 
-def relator_prefixes(presentation: SurfaceGroupPresentation, images) -> list:
-    """Products of the relator's first k letters, k = 0..4g; the last is the relator.
-
-    ``images`` is the (2g, m, m) stack of generator actions; any other
-    shape raises FlexcheckError.
-    """
+def relator_prefixes(presentation: SurfaceGroupPresentation, images, inverses=None) -> np.ndarray:
+    """The (4g + 1, m, m) stack of products of the relator's first k letters, k = 0..4g,
+    the last the relator: the package's one walk of the relator word.  ``images`` is the
+    (2g, m, m) stack of generator actions; an inverse letter multiplies by ``inverses``,
+    a stack of that shape, or by ``np.linalg.inv`` of its image, which aborts if singular.
+    Any other shape raises FlexcheckError."""
+    object_argument(presentation, SurfaceGroupPresentation, "presentation")
     images = action_stack(images, presentation.generator_count)
-    try:
-        invs = np.linalg.inv(images)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalAbort(f"a generator image cannot be inverted: {exc}") from exc
-    prefixes = [np.eye(invs.shape[-1])]
+    if inverses is None:
+        try:
+            inverses = np.linalg.inv(images)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalAbort(f"a generator image cannot be inverted: {exc}") from exc
+    inverses = numeric_array(inverses, "inverse actions", images.shape)
+    prefixes = [np.eye(images.shape[-1])]
     for s, sign in presentation.letters:
-        prefixes.append(prefixes[-1] @ (images[s] if sign > 0 else invs[s]))
-    return prefixes
+        prefixes.append(prefixes[-1] @ (images[s] if sign > 0 else inverses[s]))
+    return np.array(prefixes)
 
 
 def _fox_calculus(presentation: SurfaceGroupPresentation, acts: np.ndarray):
@@ -103,12 +111,12 @@ def _fox_calculus(presentation: SurfaceGroupPresentation, acts: np.ndarray):
     the (m, 2g m) relator map, the sum of each generator's two blocks.
     """
     ngen, m = presentation.generator_count, acts.shape[-1]
-    prefixes = np.array(relator_prefixes(presentation, acts))
+    prefixes = relator_prefixes(presentation, acts)
     # letter k's Fox block is P_k for a generator and -P_k L^-1 = -P_{k+1}
     # for an inverse; the relator map sums each generator's two.  In the
     # standard word the generator letters, like the inverse letters, come
     # in generator order
-    positive = np.array(presentation.letters)[:, 1] > 0
+    positive = presentation.letter_columns[1] > 0
     fox = np.where(positive[:, None, None], prefixes[:-1], -prefixes[1:])
     relator_map = np.swapaxes(fox[positive] + fox[~positive], 0, 1).reshape(m, ngen * m)
     return prefixes, fox, relator_map
@@ -117,6 +125,8 @@ def _fox_calculus(presentation: SurfaceGroupPresentation, acts: np.ndarray):
 def _image_stack(presentation: SurfaceGroupPresentation, model: LieAlgebraModel,
                  images) -> np.ndarray:
     """The images copied into one (2g, N, N) float stack; a wrong count, shape or type raises."""
+    object_argument(presentation, SurfaceGroupPresentation, "presentation")
+    object_argument(model, LieAlgebraModel, "model")
     ngen, n = presentation.generator_count, model.realified_size
     try:
         count = len(images)
@@ -146,8 +156,8 @@ def surface_representation(
     prefix products (at least 1), the rounding scale of the product, as in
     ``cohomology``: conjugating the images leaves it about the same.
     """
-    n = model.realified_size
     images = _image_stack(presentation, model, images)
+    n = model.realified_size
     images.flags.writeable = False
     bad = np.flatnonzero(~np.isfinite(images).all(axis=(-2, -1)))
     if bad.size:
@@ -208,6 +218,7 @@ def fuchsian_genus2(tol: Tolerances = DEFAULT) -> SurfaceRepresentation:
     of the pairing system is exactly [A1,B1][A2,B2] = 1 for the generators
     chosen below; all four are hyperbolic of trace 2 + sqrt(2).
     """
+    object_argument(tol, Tolerances, "tol")
     circum = np.arccosh(3.0 + 2.0 * np.sqrt(2.0))
     verts = [_disk_point(circum, k * np.pi / 4.0 + np.pi / 8.0) for k in range(8)]
 
@@ -215,15 +226,10 @@ def fuchsian_genus2(tol: Tolerances = DEFAULT) -> SurfaceRepresentation:
         return (verts[(k - 1) % 8], verts[k % 8])
 
     def pairing(src_k: int, dst_k: int) -> np.ndarray:
-        u1, u2 = side(src_k)
-        v1, v2 = side(dst_k)
-        return _pair_map((u1, u2), (v2, v1))   # endpoint-reversing gluing
+        return _pair_map(side(src_k), side(dst_k)[::-1])   # endpoint-reversing gluing
 
-    # boundary labels: s0..s7 = a b a^-1 b^-1 c d c^-1 d^-1
-    g_a = pairing(2, 0)
-    g_b = pairing(3, 1)
-    g_c = pairing(6, 4)
-    g_d = pairing(7, 5)
+    # boundary labels: s0..s7 = a b a^-1 b^-1 c d c^-1 d^-1; side k is glued to side k - 2
+    g_a, g_b, g_c, g_d = (pairing(k, k - 2) for k in (2, 3, 6, 7))
     images = [g_c, np.linalg.inv(g_d), g_a, np.linalg.inv(g_b)]
     model = build_classical("sl", 2, tol=tol)
     return surface_representation(standard_presentation(2), model, images)
@@ -235,6 +241,7 @@ def fuchsian_genus2(tol: Tolerances = DEFAULT) -> SurfaceRepresentation:
 
 def adjoint_module(rep: SurfaceRepresentation) -> np.ndarray:
     """The (2g, dim, dim) stack of Ad of every generator image, from one batched call."""
+    object_argument(rep, SurfaceRepresentation, "rep")
     return rep.model.adjoint_group_matrix(rep.images)
 
 
@@ -301,6 +308,8 @@ def cohomology(rep: SurfaceRepresentation, actions,
     ``actions`` is the (2g, m, m) stack of the module's generator actions
     (``action_stack``).
     """
+    object_argument(rep, SurfaceRepresentation, "rep")
+    object_argument(tol, Tolerances, "tol")
     pres = rep.presentation
     actions = action_stack(actions, pres.generator_count)
     ngen, m = pres.generator_count, actions.shape[-1]
@@ -367,6 +376,7 @@ def cup_pairing(
     vector on one side drops that side's axis.  Any other shape raises
     FlexcheckError.
     """
+    object_argument(ws, CohomologyWorkspace, "ws")
     m = ws.module_dim
     omega = numeric_array(omega, "omega", (..., m, m), "biufc")
     # cocycle_residual raises FlexcheckError on a wrong kind or shape
@@ -377,7 +387,7 @@ def cup_pairing(
     check_invariant_form(ws.actions, omega)
 
     pres = ws.rep.presentation
-    gens = np.array(pres.letters)[:, 0]
+    gens = pres.letter_columns[0]
 
     def letter_blocks(w):
         """Y_k = A_k w_{s_k}: each letter's Fox block applied to its generator's value."""
@@ -402,12 +412,10 @@ def cup_pairing(
 
 def _expm(x: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring of the Taylor series."""
-    n = x.shape[0]
     norm = float(np.abs(x).max(initial=0.0))
     squarings = int(np.ceil(np.log2(max(norm, 0.25) / 0.25)))
     y = x / (2.0 ** squarings)
-    out = np.eye(n)
-    term = np.eye(n)
+    out = term = np.eye(x.shape[0])
     for k in range(1, 20):
         term = term @ y / k
         out = out + term
@@ -440,9 +448,10 @@ def correct_relator(
     eye = np.eye(gens.shape[-1])
     try:
         with np.errstate(over="raise", invalid="raise"):
-            scale = residual_scale(relator_prefixes(presentation, gens))
             for step in range(60):
                 prefixes = relator_prefixes(presentation, gens)
+                if step == 0:           # the caller's own images set the scale
+                    scale = residual_scale(prefixes)
                 if not np.isfinite(prefixes).all():
                     raise NumericalAbort("relator correction diverged: non-finite generator images")
                 rel = prefixes[-1]

@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import (DEFAULT, FORM_INVARIANCE, TOLEDO_LIFT, FlexcheckError, NumericalAbort,
                      Tolerances)
-from .linalg import numeric_array, rank, relative_residual, singular_rank
+from .linalg import numeric_array, object_argument, rank, relative_residual, singular_rank
 from .roots import IMAGINARY, MIXED, REAL, RootDatum
 from .surface import (
     SurfaceGroupPresentation,
@@ -112,8 +112,9 @@ def lifted_toledo(
     then I + X = (P_M^H P_M)^-1 is positive definite, eta(M, M^-1) = 0,
     and each generator's own phase cancels its inverse's.  So
     2 pi T = sum_k eta(R_(k-1), L_k) over the relator's letters L_k,
-    k = 2..4g, with R_k the product of the first k: one loop over the
-    prefixes, one batched ``solve`` and one batched ``eigvals``.
+    k = 2..4g, with R_k the product of the first k from
+    ``surface.relator_prefixes`` with these inverses: one walk of the
+    relator, one batched ``solve`` and one batched ``eigvals``.
 
     The margin is |T - round T|, 0 for an exact representation; one above
     ``TOLEDO_LIFT`` aborts.  A wrong stack shape, an odd module dimension
@@ -122,6 +123,8 @@ def lifted_toledo(
     do not preserve aborts, and so does a degenerate one, where ``eigh``
     does not give n eigenvalues of each sign clear of the rank cut.
     """
+    object_argument(presentation, SurfaceGroupPresentation, "presentation")
+    object_argument(tol, Tolerances, "tol")
     acts = action_stack(actions, presentation.generator_count)
     m = acts.shape[-1]
     omega = numeric_array(omega, "the module's symplectic form", (m, m))
@@ -139,11 +142,9 @@ def lifted_toledo(
     j0 = np.eye(m, k=n) - np.eye(m, k=-n)
     gens = j0.T @ (darboux.T @ omega) @ acts @ darboux      # S^-1 A S, as J0^-1 = J0^T
     invs = j0.T @ np.swapaxes(gens, 1, 2) @ j0
-    index, signs = np.array(presentation.letters).T
+    index, signs = presentation.letter_columns
     letters = np.where((signs > 0)[:, None, None], gens[index], invs[index])
-    prefixes = [letters[0]]                               # R_1 .. R_(4g-1)
-    for letter in letters[1:-1]:
-        prefixes.append(prefixes[-1] @ letter)
+    prefixes = relator_prefixes(presentation, gens, invs)[1:-1]     # R_1 .. R_(4g-1)
     p, q = _complex_picture(np.concatenate([prefixes, letters[1:]]), n)
     k = len(prefixes)
     try:
@@ -179,6 +180,9 @@ def root_form(
     bound aborts.  A mixed root is never in P: it enters the balanced test
     through its values alone, so its report has no T.
     """
+    object_argument(rep, SurfaceRepresentation, "rep")
+    object_argument(root, RootDatum, "root")
+    object_argument(tol, Tolerances, "tol")
     module = restricted_module(adjoint, root.real_basis)
     h1 = -rep.presentation.euler_characteristic * root.real_dim
     report = RootFormReport(root=root, real_dim=root.real_dim, h1_dim=h1, milnor_wood_bound=h1)
@@ -203,6 +207,8 @@ def standard_form(
     T is ``lifted_toledo``'s, and a violated Milnor-Wood bound aborts.
     The report's root is None.
     """
+    object_argument(rep, SurfaceRepresentation, "rep")
+    object_argument(tol, Tolerances, "tol")
     pres = rep.presentation
     acts = action_stack(rep.images, pres.generator_count)
     check_module_relator(relator_prefixes(pres, acts))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flexcheck.catalog import build_case_representation, find_case, sl2_to_su11
+from flexcheck.catalog import _sl2_to_su11, build_case_representation, find_case
 from flexcheck.engine import Pipeline
 from flexcheck.liealg import build_classical
 from flexcheck.scalars import Field, realify
@@ -48,7 +48,7 @@ def fuchsian_sum(p: int, q: int, blocks, scale: float = 0.0, seed: int = 0):
         name = block.removesuffix("bar")
         gens = (a1 @ np.linalg.matrix_power(b1, {"F": 0, "T": 1, "T2": 2}[name]), b1, a2, b2)
         for image, g in zip(images, gens):
-            h = sl2_to_su11(g)
+            h = _sl2_to_su11(g)
             image[np.ix_([i, p + i], [i, p + i])] = h if name == block else h.conj()
     model = build_classical("su", p, q)
     g = _expm(model.matrix(scale * np.random.default_rng(seed).standard_normal(model.dim)))

@@ -28,7 +28,7 @@ import pytest
 
 import flexcheck
 from flexcheck import config
-from flexcheck.catalog import build_case_representation
+from flexcheck.catalog import build_case_representation, embed_base
 from flexcheck.liealg import subalgebra_from_matrices
 from flexcheck.cli import _JSON_TYPES, _validate, build_parser
 from flexcheck.config import DEFAULT, FlexcheckError, NumericalAbort, ParseError, Tolerances
@@ -641,6 +641,8 @@ ARRAY_ARGUMENTS = {
     "correct_relator": (correct_relator, lambda: (
         fuchsian_genus2().images, standard_presentation(2), _sl2()), 0),
     "relator_prefixes": (relator_prefixes, lambda: (standard_presentation(2), [_I2] * 4), 1),
+    "relator_prefixes-inverses": (relator_prefixes, lambda: (
+        standard_presentation(2), [_I2] * 4, [_I2] * 4), 2),
     "cohomology": (cohomology, lambda: (fuchsian_genus2(), fuchsian_genus2().images), 1),
     "restricted_module": (restricted_module, lambda: ([_I2] * 4, _I2), 0),
     "restricted_module-basis": (restricted_module, lambda: ([_I2] * 4, _I2), 1),
@@ -705,6 +707,61 @@ MALFORMED = {
                                                     ws.h1, ws.h1),
 }
 
+def _su21_adjoint():
+    return adjoint_module(build_case_representation("su21-cline"))
+
+
+# an object of the wrong type at each representation, presentation, model,
+# handle, problem, workspace, root, field and tol argument of a public function:
+# each raised AttributeError before linalg.object_argument
+WRONG_TYPES = {
+    "surface_representation-presentation": lambda: surface_representation(
+        2, _sl2(), fuchsian_genus2().images),
+    "surface_representation-model": lambda: surface_representation(
+        standard_presentation(2), "sl", fuchsian_genus2().images),
+    "adjoint_module-rep": lambda: adjoint_module(3),
+    "verdict-tol": lambda: flexcheck.verdict(fuchsian_genus2(), "x"),
+    "verdict-rep": lambda: flexcheck.verdict(3),
+    "centralizer-model": lambda: centralizer(3, _su21_adjoint()),
+    "centralizer-tol": lambda: centralizer(build_classical("su", 2, 1), _su21_adjoint(), 3),
+    "decompose-torus": lambda: decompose(3),
+    "decompose-tol": lambda: decompose(SubalgebraHandle(_sl2(), [[1.0, 0.0, 0.0]]), 3),
+    "balanced-problem": lambda: balanced(3),
+    "balanced-tol": lambda: balanced(BalanceProblem(1, (np.ones(1),), ()), 3),
+    "cohomology-rep": lambda: cohomology(3, _su21_adjoint()),
+    "cohomology-tol": lambda: cohomology(fuchsian_genus2(), fuchsian_genus2().images, 3),
+    "build_classical-tol": lambda: build_classical("su", 2, 1, tol=3),
+    "build_case_representation-tol": lambda: build_case_representation("su21-cline", tol=3),
+    "embed_base-case": lambda: embed_base("su21-cline"),
+    "fuchsian_genus2-tol": lambda: fuchsian_genus2(3),
+    "SubalgebraHandle-model": lambda: SubalgebraHandle(3, [[1.0, 0.0, 0.0]]),
+    "subalgebra_from_matrices-model": lambda: subalgebra_from_matrices(3, [_J2]),
+    "subalgebra_from_matrices-tol": lambda: subalgebra_from_matrices(_sl2(), [_J2, _J2.T], 3),
+    "center_of-sub": lambda: center_of(3),
+    "center_of-tol": lambda: center_of(SubalgebraHandle(_sl2(), [[1.0, 0.0, 0.0]]), 3),
+    "killing_restriction_nondegenerate-sub": lambda: killing_restriction_nondegenerate(3),
+    "killing_restriction_nondegenerate-tol": lambda: killing_restriction_nondegenerate(
+        SubalgebraHandle(_sl2(), [[1.0, 0.0, 0.0]]), 3),
+    "conjugation_limit-tol": lambda: conjugation_limit(_I2, np.diag([1.0, -1.0]), 3),
+    "check_in_g0-torus": lambda: check_in_g0(3, SubalgebraHandle(_sl2(), [[1.0, 0.0, 0.0]])),
+    "check_in_g0-sub": lambda: check_in_g0(SubalgebraHandle(_sl2(), [[1.0, 0.0, 0.0]]), 3),
+    "check_in_g0-tol": lambda: check_in_g0(SubalgebraHandle(_sl2(), [[1.0, 0.0, 0.0]]),
+                                           SubalgebraHandle(_sl2(), [[1.0, 0.0, 0.0]]), 3),
+    "relator_prefixes-presentation": lambda: relator_prefixes(2, [_I2] * 4),
+    "correct_relator-presentation": lambda: correct_relator(fuchsian_genus2().images, 2, _sl2()),
+    "correct_relator-model": lambda: correct_relator(fuchsian_genus2().images,
+                                                     standard_presentation(2), "sl"),
+    "cup_pairing-ws": lambda: cup_pairing(3, _J2, np.zeros(8), np.zeros(8)),
+    "lifted_toledo-presentation": lambda: lifted_toledo([_I2] * 4, _J2, 2),
+    "lifted_toledo-tol": lambda: lifted_toledo([_I2] * 4, _J2, standard_presentation(2), 3),
+    "root_form-rep": lambda: root_form(3, *_su21_root_form_args()[1:]),
+    "root_form-root": lambda: root_form(*_su21_root_form_args()[:2], 3),
+    "root_form-tol": lambda: root_form(*_su21_root_form_args(), 3),
+    "standard_form-rep": lambda: standard_form(3, _J2),
+    "standard_form-tol": lambda: standard_form(fuchsian_genus2(), _J2, 3),
+    "realify-field": lambda: realify(np.zeros((1, 1, 2)), "C"),
+}
+
 NUMPY_ERRORS = {
     "balanced-short-vector": lambda: balanced(BalanceProblem(2, (np.array([1.0]),), ())),
     "conjugation_limit-size-mismatch": lambda: conjugation_limit(np.eye(3), np.eye(2)),
@@ -753,6 +810,7 @@ NUMPY_ERRORS = {
     "subalgebra_from_matrices-ragged-list": lambda: subalgebra_from_matrices(_sl2(), [_I2, _I3]),
     **{f"lifted_toledo-{name}": call for name, call in LIFT_SHAPE_ERRORS.items()},
     **MALFORMED,
+    **{f"wrong-type-{name}": call for name, call in WRONG_TYPES.items()},
     "decompose-nan": lambda: decompose(SubalgebraHandle(_sl2(), [[np.nan, 0.0, 0.0]])),
     "decompose-inf": lambda: decompose(SubalgebraHandle(_sl2(), [[np.inf, 0.0, 0.0]])),
     "killing_restriction_nondegenerate-nan": lambda: killing_restriction_nondegenerate(
@@ -769,6 +827,7 @@ SHAPE_ERRORS = {
     "cohomology-non-square-actions": lambda: cohomology(fuchsian_genus2(), np.zeros((4, 2, 3))),
     **{f"lifted_toledo-{name}": call for name, call in LIFT_SHAPE_ERRORS.items()},
     **MALFORMED,
+    **{f"wrong-type-{name}": call for name, call in WRONG_TYPES.items()},
 }
 
 

@@ -70,6 +70,42 @@ def test_fuchsian_relator_and_traces(fuchsian):
         assert abs(np.trace(g)) > 2.0   # hyperbolic
 
 
+@pytest.mark.parametrize("genus", range(2, 9))
+def test_the_walk_is_the_product_of_the_letters(genus):
+    # the stack is the left-to-right product of the letters, with LU inverses
+    # by default; caller inverses that are no inverses at all show that
+    # those, not LU's, are what the inverse letters multiply by
+    rng = np.random.default_rng(genus)
+    pres = standard_presentation(genus)
+    images = np.eye(3) + 0.3 * rng.standard_normal((2 * genus, 3, 3))
+    others = rng.standard_normal(images.shape)
+    for inverses, expected in ((None, np.linalg.inv(images)), (others, others)):
+        prefixes = relator_prefixes(pres, images, inverses)
+        assert prefixes.shape == (4 * genus + 1, 3, 3)
+        product = np.eye(3)
+        assert np.array_equal(prefixes[0], product)
+        for k, (s, sign) in enumerate(pres.letters):
+            product = product @ (images[s] if sign > 0 else expected[s])
+            assert np.array_equal(prefixes[k + 1], product)
+    assert not np.allclose(relator_prefixes(pres, images, others)[-1],
+                           relator_prefixes(pres, images)[-1])
+
+
+def test_the_walk_reads_exact_inverses_and_aborts_on_a_singular_image(fuchsian):
+    pres, images = fuchsian.presentation, fuchsian.images
+    # SL(2)'s adjugate is its exact inverse: the walk matches LU's to rounding
+    adjugates = np.stack([[[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]] for g in images])
+    exact = relator_prefixes(pres, images, adjugates)
+    assert np.abs(exact - relator_prefixes(pres, images)).max() < 1e-12
+    singular = [np.zeros((2, 2))] + list(images[1:])
+    with pytest.raises(NumericalAbort, match="^a generator image cannot be inverted: "):
+        relator_prefixes(pres, singular)
+    # with the caller's inverses no LU runs, so nothing aborts
+    assert relator_prefixes(pres, singular, adjugates).shape == (9, 2, 2)
+    with pytest.raises(FlexcheckError, match=r"inverse actions must have shape \(4, 2, 2\)"):
+        relator_prefixes(pres, images, adjugates[:3])
+
+
 def test_fuchsian_irreducible(fuchsian):
     ws = cohomology(fuchsian, adjoint_module(fuchsian))
     assert ws.h0_dim == 0
