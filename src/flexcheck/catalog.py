@@ -175,6 +175,6 @@ def build_case_representation(
     if not isinstance(case, CatalogCase):      # a name; find_case rejects any other value
         case = find_case(case)
     model, embedding = embed_base(case, tol)
-    base = fuchsian_genus2(tol)
+    base = fuchsian_genus2()
     images = [embedding(g) for g in base.images]
     return surface_representation(standard_presentation(2), model, images)

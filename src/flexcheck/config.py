@@ -72,11 +72,11 @@ FORM_INVARIANCE = 1e-6
 
 # The lifted relator's distance from an integer Toledo invariant, |T - round T|,
 # which can reach 1/2.  An exact representation gives 0, and rounding in the
-# 4g-letter relator leaves 3e-12 at most on the genus-2 catalog and 5.3e-6 on
-# perfbench's conjugates (su41-rplane at scale 1.0), except 5.4e-4 on the one
-# whose root-module relator misses COCYCLE_CHECK (su41-rplane at 0.7).  1e-3
-# accepts them all.  Not a Tolerances field: every report prints its
-# tolerances, so a new field would move their bytes.
+# 4g-letter relator leaves 2.1e-12 at most on the genus-2 catalog and 9.6e-6 on
+# perfbench's conjugates (su41-rplane at scale 1.0), except 8.9e-5 (su31-rplane
+# at 1.0) and 3.5e-5 (su41-rplane at 0.7), whose root-module relators miss
+# COCYCLE_CHECK.  1e-3 accepts them all.  Not a Tolerances field: every report
+# prints its tolerances, so a new field would move their bytes.
 TOLEDO_LIFT = 1e-3
 
 # Model construction: bracket-closure residual of a classical basis,
@@ -102,8 +102,6 @@ SIMPLEX_MULTIPLIERS = 1e-7
 SIMPLEX_SEPARATION = 1e-9
 # conjugation_limit's symmetry check on the caller's direction u, not a pipeline decision.
 CONJUGATION_SYMMETRY = 1e-10
-# The genus-2 octagon's normalizer: closed-form arithmetic on O(1) numbers, no input.
-OCTAGON_NORMALIZER = 1e-9
 # correct_relator's stop: four digits under RELATOR, so the result passes.
 RELATOR_CORRECTION = 1e-12
 

@@ -11,6 +11,7 @@ certifies failure.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -30,6 +31,12 @@ class BalanceProblem:
     dim: int                                  # dimension of c*
     p_vectors: tuple[np.ndarray, ...]         # Im(lambda) for definite imaginary roots
     n_vectors: tuple[np.ndarray, ...]         # Re/Im parts of all other roots
+
+    def __post_init__(self):
+        if not (isinstance(self.dim, (int, np.integer)) and self.dim >= 0):
+            raise FlexcheckError(f"a balance problem needs an integer dim >= 0, got {self.dim!r}")
+        object_argument(self.p_vectors, tuple, "p_vectors")
+        object_argument(self.n_vectors, tuple, "n_vectors")
 
 
 @dataclass(frozen=True)
@@ -92,8 +99,6 @@ def balanced(problem: BalanceProblem, tol: Tolerances = DEFAULT) -> BalanceResul
     object_argument(problem, BalanceProblem, "problem")
     object_argument(tol, Tolerances, "tol")
     r = problem.dim
-    if not (isinstance(r, (int, np.integer)) and r >= 0):
-        raise FlexcheckError(f"a balance problem needs an integer dim >= 0, got {r!r}")
     vectors = [numeric_array(v, "a P- or N-vector", (r,))
                for v in problem.p_vectors + problem.n_vectors]
     numeric_array(vectors, "the P- and N-vectors", finite=True)        # after every shape
@@ -140,12 +145,14 @@ def classify_PN(
     nonzero and a mixed one has nonzero real and imaginary parts); and
     the assembled balance problem.
     """
+    object_argument(reports, Sequence, "reports")
     selected: list[RootFormReport] = []
     n_values: list[np.ndarray] = []
     p_vectors: list[np.ndarray] = []
     n_vectors: list[np.ndarray] = []
     dim = None
     for rep in reports:
+        object_argument(rep, RootFormReport, "a root report")
         root = rep.root
         dim = len(root.values)
         if rep.in_P:

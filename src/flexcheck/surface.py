@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import (COCYCLE_CHECK, DEFAULT, FORM_INVARIANCE, IMAGE_MEMBERSHIP,
-                     OCTAGON_NORMALIZER, RELATOR, RELATOR_CORRECTION, SUBSPACE_INVARIANCE,
+                     RELATOR, RELATOR_CORRECTION, SUBSPACE_INVARIANCE,
                      FlexcheckError, NumericalAbort, Tolerances)
 from .liealg import LieAlgebraModel, build_classical
 from .linalg import (nullspace, numeric_array, object_argument, orthonormal_columns, rank,
@@ -183,56 +183,31 @@ def surface_representation(
 # Fuchsian genus-2 representation: regular hyperbolic octagon side pairing
 # ---------------------------------------------------------------------------
 
-def _mobius(m: np.ndarray, z: complex) -> complex:
-    return (m[0, 0] * z + m[0, 1]) / (m[1, 0] * z + m[1, 1])
-
-def _disk_point(r: float, phi: float) -> complex:
-    """Point at hyperbolic distance r from the center in direction phi (UHP)."""
-    w = np.tanh(r / 2.0) * np.exp(1j * phi)
-    return 1j * (1 + w) / (1 - w)
-
-def _normalizer(p1: complex, p2: complex) -> np.ndarray:
-    """SL(2,R) map with p1 -> i and p2 -> the imaginary axis above i."""
-    shift = np.array([[1.0, -p1.real], [0.0, 1.0]])
-    scale = np.diag([1.0 / np.sqrt(p1.imag), np.sqrt(p1.imag)])
-    s = scale @ shift
-    z2 = _mobius(s, p2)
-    theta = -np.angle((z2 - 1j) / (z2 + 1j))
-    t = theta / 2.0
-    rot = np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
-    out = rot @ s
-    z2r = _mobius(out, p2)
-    if abs(z2r.real) > OCTAGON_NORMALIZER or z2r.imag <= 1.0:
-        raise NumericalAbort("octagon normalizer failed")
-    return out
-
-def _pair_map(src: tuple[complex, complex], dst: tuple[complex, complex]) -> np.ndarray:
-    return np.linalg.inv(_normalizer(*dst)) @ _normalizer(*src)
+def _rotation(theta: float) -> np.ndarray:
+    """The SL(2,R) rotation by theta about i."""
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    return np.array([[c, s], [-s, c]])
 
 
-def fuchsian_genus2(tol: Tolerances = DEFAULT) -> SurfaceRepresentation:
+def fuchsian_genus2() -> SurfaceRepresentation:
     """Discrete cocompact genus-2 representation into SL(2,R).
 
-    Side-pairing maps of the regular hyperbolic octagon (all vertex angles
-    pi/4, one vertex cycle of total angle 2 pi).  The vertex-cycle relation
-    of the pairing system is exactly [A1,B1][A2,B2] = 1 for the generators
-    chosen below; all four are hyperbolic of trace 2 + sqrt(2).
+    Side pairings of the regular hyperbolic octagon, n = 8 sides with all
+    vertex angles pi/4: side s goes to side d by
+    R(2 pi d/n) diag(e^r, e^-r) R(pi - 2 pi s/n), cosh r = cot(pi/n).
+    Handle i is (pair(4i+2, 4i), pair(4i+3, 4i+1)^-1), with the handles
+    in the order 1, 0; then [A1,B1][A2,B2] = 1, and all four generators
+    are hyperbolic of trace 2 + sqrt(2).
     """
-    object_argument(tol, Tolerances, "tol")
-    circum = np.arccosh(3.0 + 2.0 * np.sqrt(2.0))
-    verts = [_disk_point(circum, k * np.pi / 4.0 + np.pi / 8.0) for k in range(8)]
+    n = 8
+    r = np.arccosh(1.0 / np.tan(np.pi / n))
+    stretch = np.diag([np.exp(r), np.exp(-r)])
 
-    def side(k: int) -> tuple[complex, complex]:
-        return (verts[(k - 1) % 8], verts[k % 8])
+    def pair(s: int, d: int) -> np.ndarray:
+        return _rotation(2 * np.pi * d / n) @ stretch @ _rotation(np.pi - 2 * np.pi * s / n)
 
-    def pairing(src_k: int, dst_k: int) -> np.ndarray:
-        return _pair_map(side(src_k), side(dst_k)[::-1])   # endpoint-reversing gluing
-
-    # boundary labels: s0..s7 = a b a^-1 b^-1 c d c^-1 d^-1; side k is glued to side k - 2
-    g_a, g_b, g_c, g_d = (pairing(k, k - 2) for k in (2, 3, 6, 7))
-    images = [g_c, np.linalg.inv(g_d), g_a, np.linalg.inv(g_b)]
-    model = build_classical("sl", 2, tol=tol)
-    return surface_representation(standard_presentation(2), model, images)
+    images = [pair(6, 4), np.linalg.inv(pair(7, 5)), pair(2, 0), np.linalg.inv(pair(3, 1))]
+    return surface_representation(standard_presentation(2), build_classical("sl", 2), images)
 
 
 # ---------------------------------------------------------------------------

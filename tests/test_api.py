@@ -32,7 +32,8 @@ from flexcheck.catalog import build_case_representation, embed_base
 from flexcheck.liealg import subalgebra_from_matrices
 from flexcheck.cli import _JSON_TYPES, _validate, build_parser
 from flexcheck.config import DEFAULT, FlexcheckError, NumericalAbort, ParseError, Tolerances
-from flexcheck.engine import NON_REDUCTIVE_MESSAGE, BalanceProblem, Pipeline, _phase1, balanced
+from flexcheck.engine import (NON_REDUCTIVE_MESSAGE, BalanceProblem, Pipeline, _phase1, balanced,
+                              classify_PN)
 from flexcheck.liealg import (LieAlgebraModel, SubalgebraHandle, build_classical, center_of,
                               centralizer, conjugation_limit, killing_restriction_nondegenerate)
 from flexcheck.linalg import nullspace, orthonormal_columns, rank
@@ -410,7 +411,6 @@ PINNED = {
     "MODEL_SPAN": 1e-8,
     "ADJOINT_SPAN": 1e-7,
     "CONJUGATION_SYMMETRY": 1e-10,
-    "OCTAGON_NORMALIZER": 1e-9,
     "RELATOR_CORRECTION": 1e-12,
     "FORM_INVARIANCE": 1e-6,
     "TOLEDO_LIFT": 1e-3,
@@ -712,8 +712,9 @@ def _su21_adjoint():
 
 
 # an object of the wrong type at each representation, presentation, model,
-# handle, problem, workspace, root, field and tol argument of a public function:
-# each raised AttributeError before linalg.object_argument
+# handle, problem, workspace, root, field and tol argument of a public function,
+# at a balance problem's vector tuples and at classify_PN's sequence and its
+# entries: each raised AttributeError or TypeError before linalg.object_argument
 WRONG_TYPES = {
     "surface_representation-presentation": lambda: surface_representation(
         2, _sl2(), fuchsian_genus2().images),
@@ -728,12 +729,15 @@ WRONG_TYPES = {
     "decompose-tol": lambda: decompose(SubalgebraHandle(_sl2(), [[1.0, 0.0, 0.0]]), 3),
     "balanced-problem": lambda: balanced(3),
     "balanced-tol": lambda: balanced(BalanceProblem(1, (np.ones(1),), ()), 3),
+    "BalanceProblem-p_vectors": lambda: balanced(BalanceProblem(2, 3, ())),
+    "BalanceProblem-n_vectors": lambda: balanced(BalanceProblem(2, (), 5)),
+    "classify_PN-reports": lambda: classify_PN(3),
+    "classify_PN-entry": lambda: classify_PN([3]),
     "cohomology-rep": lambda: cohomology(3, _su21_adjoint()),
     "cohomology-tol": lambda: cohomology(fuchsian_genus2(), fuchsian_genus2().images, 3),
     "build_classical-tol": lambda: build_classical("su", 2, 1, tol=3),
     "build_case_representation-tol": lambda: build_case_representation("su21-cline", tol=3),
     "embed_base-case": lambda: embed_base("su21-cline"),
-    "fuchsian_genus2-tol": lambda: fuchsian_genus2(3),
     "SubalgebraHandle-model": lambda: SubalgebraHandle(3, [[1.0, 0.0, 0.0]]),
     "subalgebra_from_matrices-model": lambda: subalgebra_from_matrices(3, [_J2]),
     "subalgebra_from_matrices-tol": lambda: subalgebra_from_matrices(_sl2(), [_J2, _J2.T], 3),

@@ -24,6 +24,12 @@ each one's new bytes are the old ones less the JSON provenance line
 ``"gram": 1e-06`` and each root's ``"status": "ok"``, each with the
 comma before it, or less each text root line's `` (ok)``; no exit code
 moved.
+The 9 hashes other than ``balanced``-text were re-pinned when the octagon
+group's images came from closed-form side pairings: the bent input moved
+by at most 5e-15, and the SVD's basis of the 2-dimensional center came out
+rotated (ROADMAP item 17).  Each new report is the old one with every root
+value, t_lambda, P- and N-vector turned by one orthogonal 2x2 Q (41.6
+degrees, fit 3e-13); every other byte and every exit code is unchanged.
 """
 
 import hashlib
@@ -35,16 +41,16 @@ from conftest import bent_genus2
 from flexcheck.cli import main
 
 GOLDEN = {
-    ("decompose", "json"): (0, "5bf7af1349614b12a893945dccc60263ea1cad1cd6d8abd0eec7709a5775085f"),
-    ("decompose", "text"): (0, "23999af76575abd7bd0ad7fb589ff957e8a023ee5a65ccdfa72f5f17aff4ff34"),
-    ("cohomology", "json"): (0, "c8573781e2f2b48ae407a9a2a7f49c566f7160fadfb30ea9d1b23e765b397095"),
-    ("cohomology", "text"): (0, "7d04a6c1854effecdc849abc302192920fba18b6f1b889ac39e223ad9c279552"),
-    ("toledo", "json"): (0, "5375858475236de5232fe542bd61cfc40d10beb2715f99e91bfdb8a22d160c1a"),
-    ("toledo", "text"): (0, "9de03d20170b11ae44ef410d2ce4b48736b11061780ee3f04e8e4697c610af66"),
-    ("balanced", "json"): (0, "9dc062b5672c7e9ccdcad72f4ab5cddefefca9addc5793d519e298af79a6b20e"),
+    ("decompose", "json"): (0, "feb16ed2a7b98b822534f821b10d62268029d715fd23cdfbc5befe5238ec8dd8"),
+    ("decompose", "text"): (0, "6dd4816fafc55309f97d1c73a2aebe22cedf218a1d6dbafe11392f972e99970f"),
+    ("cohomology", "json"): (0, "108c6b605af79376af66cfd1019de5aae0679d522170388012d6a59cbaa27925"),
+    ("cohomology", "text"): (0, "516af7656cb5b6ff65c3f0538ac1060f68057592c203009a12ce806d34feb9d1"),
+    ("toledo", "json"): (0, "9d84840d3d7b92dfde1a3644326ee5f59da117dae2e5c756f4f682c6322071d6"),
+    ("toledo", "text"): (0, "239c37b041c5ece01d5f09e1f776ea2fd4815c85f95ac9908814c4e459032256"),
+    ("balanced", "json"): (0, "28d31d6fce0adbc4f55e7af26d7cc6be0bc17dc0e54ccc1c31c277f1c775df84"),
     ("balanced", "text"): (0, "867712ebead894546ecf57b40f80d49f2e6312824da719e29b5758e4b44a7487"),
-    ("verdict", "json"): (0, "4bfc14ee6bc293612a12c89b18384079c4bdf965fe2f3832c1ac4a1b01a6aa7f"),
-    ("verdict", "text"): (0, "82c3b79394bced64c61f1c955f2f4484ba622efe63e69f56a98345561a928ef7"),
+    ("verdict", "json"): (0, "82e81f98b4457716a21b5409ee9f50e3db7799fad1de4c6a2f533c05b8ee224e"),
+    ("verdict", "text"): (0, "3e9b82f3b3a81b01e7e0a29158be1f7e171ab22bc2e3f00b156324437ab56085"),
 }
 
 

@@ -70,6 +70,27 @@ def test_fuchsian_relator_and_traces(fuchsian):
         assert abs(np.trace(g)) > 2.0   # hyperbolic
 
 
+# The group's four images as the octagon's normalizer construction built them
+# (disk points, a normalizer and Mobius maps), at 17 significant digits.
+OCTAGON_IMAGES = np.array([
+    [[1.5333280715651076e-01, 1.5333280715650990e-01],
+     [-3.2608807552165833e+00, 3.2608807552165819e+00]],
+    [[3.9044750081221729e+00, -1.7071067811865490e+00],
+     [1.7071067811865497e+00, -4.9026144574907327e-01]],
+    [[3.2608807552165842e+00, 3.2608807552165837e+00],
+     [-1.5333280715651026e-01, 1.5333280715651018e-01]],
+    [[-4.9026144574907232e-01, -1.7071067811865477e+00],
+     [1.7071067811865468e+00, 3.9044750081221666e+00]],
+])
+
+
+def test_closed_form_pairings_are_the_octagon_group(fuchsian):
+    # a flipped rotation sign or handle order moves the images by 6.5 or 4.4
+    assert np.abs(fuchsian.images - OCTAGON_IMAGES).max() <= 1e-14
+    assert fuchsian.relator_residual <= 1e-14
+    assert np.abs(np.trace(fuchsian.images, axis1=1, axis2=2) - (2 + np.sqrt(2))).max() <= 1e-14
+
+
 @pytest.mark.parametrize("genus", range(2, 9))
 def test_the_walk_is_the_product_of_the_letters(genus):
     # the stack is the left-to-right product of the letters, with LU inverses
@@ -428,11 +449,12 @@ def test_central_lift_flag():
 
 def test_uninvertible_and_non_finite_images_abort(case_pipeline, capfd):
     rep = case_pipeline("so31-rplane")[0]
-    # rewrite the first handle five times, a -> ab and b -> ba in turn: the
+    # rewrite the first handle six times, a -> ab and b -> ba in turn: the
     # relator is kept exactly and the images stay in the group, but their
-    # entries reach 3.3e9 and inv finds them singular
+    # entries reach 1.3e15 and inv finds them singular (at five, 3.3e9, inv
+    # succeeds and the relator check aborts first)
     images = list(rep.images)
-    for step in range(5):
+    for step in range(6):
         if step % 2 == 0:
             images[0] = images[0] @ images[1]
         else:
