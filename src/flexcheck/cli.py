@@ -13,13 +13,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from importlib import resources
 
 import numpy as np
 
 from . import __version__
-from .config import DEFAULT, RELATOR, FlexcheckError, Inconclusive, NumericalAbort, ParseError
+from .config import (DEFAULT, RELATOR, FlexcheckError, Inconclusive, NumericalAbort, ParseError,
+                     Tolerances)
 from .catalog import build_case_representation, default_cases
 from .engine import Pipeline, verdict
 from .liealg import build_classical
@@ -57,7 +57,6 @@ def _cnum(z: complex) -> list[float]:
 _JSON_TYPES = {
     "object": ("a JSON object", lambda v: isinstance(v, dict)),
     "array": ("an array", lambda v: isinstance(v, list)),
-    "boolean": ("a boolean", lambda v: isinstance(v, bool)),
     "integer": ("an integer", lambda v: (isinstance(v, int) and not isinstance(v, bool))
                 or (isinstance(v, float) and v.is_integer())),
     "number": ("a finite number", lambda v: isinstance(v, (int, float))
@@ -117,12 +116,7 @@ def _parse_matrix(rows: list, field: Field, where: str) -> np.ndarray:
 
 def load_problem(args) -> tuple[Pipeline, str]:
     """Resolve CLI flags / input file into the problem's pipeline and its source."""
-    tol = DEFAULT
-    if args.tol_rank is not None:
-        tol = replace(tol, rank=args.tol_rank)
-    if args.tol_cluster is not None:
-        tol = replace(tol, cluster=args.tol_cluster)
-
+    tol = Tolerances(args.tol_rank, args.tol_cluster)
     if args.catalog and args.input:
         raise ParseError("give either --catalog or --input, not both")
     if args.catalog:
@@ -146,8 +140,6 @@ def load_problem(args) -> tuple[Pipeline, str]:
         _validate(doc, json.load(fh))
 
     # the schema holds from here on; what follows are the rules it cannot state
-    for key, value in doc.get("tolerances", {}).items():
-        tol = replace(tol, **{key: float(value)})
     family = doc["group"]["family"]
     repdoc = doc["representation"]
     # without a genus key, half the generator count; surface_representation rejects an odd one
@@ -161,8 +153,7 @@ def load_problem(args) -> tuple[Pipeline, str]:
         raise ParseError(f"field {field} does not match group family {family}")
     images = [_parse_matrix(g, model.field, f"representation.generators[{i}]")
               for i, g in enumerate(repdoc["generators"])]
-    rep = surface_representation(standard_presentation(genus), model, images,
-                                 central_lift=repdoc.get("central_lift", False))
+    rep = surface_representation(standard_presentation(genus), model, images)
     return Pipeline(rep, tol), "matrices"
 
 
@@ -221,15 +212,7 @@ def _root_entry(rr, *keys: str) -> dict:
 
 def _toledo_report(pipe, args) -> dict:
     if args.standard_module:            # T of the standard symplectic module
-        model = pipe.rep.model
-        if model.family == "sl" and model.ambient == 2:
-            omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        elif model.family == "spr":
-            omega = model.form
-        else:
-            raise ParseError(
-                "--standard-module needs an sl(2,R) or sp(2n,R) ambient group")
-        form = standard_form(pipe.rep, omega, pipe.tol)
+        form = standard_form(pipe.rep, pipe.tol)
         return {
             "module": "standard",
             "h1_dim": form.h1_dim,
@@ -386,8 +369,8 @@ def render_text(command: str, report: dict) -> str:
 def _add_common(sub):
     sub.add_argument("--catalog", help="catalog case name (see `flexcheck catalog`)")
     sub.add_argument("--input", help="problem description JSON file")
-    sub.add_argument("--tol-rank", type=float, default=None)
-    sub.add_argument("--tol-cluster", type=float, default=None)
+    sub.add_argument("--tol-rank", type=float, default=DEFAULT.rank)
+    sub.add_argument("--tol-cluster", type=float, default=DEFAULT.cluster)
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
 

@@ -68,7 +68,7 @@ class SurfaceRepresentation:
     presentation: SurfaceGroupPresentation
     model: LieAlgebraModel
     images: np.ndarray               # (2g, N, N) read-only generator images
-    relator_residual: float          # relative to the prefix scale; against -I if lifted
+    relator_residual: float          # relative to the prefix scale; against I or -I, the nearer
 
 
 def action_stack(actions, count: int | None = None) -> np.ndarray:
@@ -146,7 +146,6 @@ def surface_representation(
     presentation: SurfaceGroupPresentation,
     model: LieAlgebraModel,
     images,
-    central_lift: bool = False,
 ) -> SurfaceRepresentation:
     """Validate generator images and the relator, then freeze the data.
 
@@ -154,7 +153,9 @@ def surface_representation(
     model's realified size; a wrong count or shape raises FlexcheckError.
     The relator residual is relative to the largest entry of the relator's
     prefix products (at least 1), the rounding scale of the product, as in
-    ``cohomology``: conjugating the images leaves it about the same.
+    ``cohomology``: conjugating the images leaves it about the same.  It is
+    taken against I and against -I, and the smaller is kept: Ad does not
+    see -I, and a module that does checks its own (``check_module_relator``).
     """
     images = _image_stack(presentation, model, images)
     n = model.realified_size
@@ -169,13 +170,9 @@ def surface_representation(
         raise NumericalAbort(
             f"generator image {i} violates the group relations (residual {residuals[i]:.3e})")
     prefixes = relator_prefixes(presentation, images)
-    res_plus, res_minus = (relative_residual(prefixes[-1] - s * np.eye(n), prefixes)
-                           for s in (1, -1))
-    res = res_minus if central_lift and res_plus > RELATOR else res_plus
+    res = min(relative_residual(prefixes[-1] - s * np.eye(n), prefixes) for s in (1, -1))
     if not res <= RELATOR:                                      # NaN fails too
-        raise NumericalAbort(
-            f"relator residual {min(res_plus, res_minus):.3e} exceeds {RELATOR:.1e}"
-            + ("" if central_lift else " (relator = -identity requires central_lift=True)"))
+        raise NumericalAbort(f"relator residual {res:.3e} exceeds {RELATOR:.1e}")
     return SurfaceRepresentation(presentation, model, images, res)
 
 

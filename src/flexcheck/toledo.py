@@ -193,13 +193,11 @@ def root_form(
     return _within_milnor_wood(replace(report, toledo=toledo, lift_margin=margin))
 
 
-def standard_form(
-    rep: SurfaceRepresentation,
-    omega: np.ndarray,
-    tol: Tolerances = DEFAULT,
-) -> RootFormReport:
-    """T of the standard module of ``rep``, which preserves ``omega``, with h1 by a count.
+def standard_form(rep: SurfaceRepresentation, tol: Tolerances = DEFAULT) -> RootFormReport:
+    """T of the standard module of ``rep``, against its group's own form, with h1 by a count.
 
+    The form omega is the model's: J2 = [[0, 1], [-1, 0]] for sl(2,R) and
+    ``model.form`` for sp(2n,R); any other group raises FlexcheckError.
     The module's relator must act as I (``check_module_relator``): the
     lift cannot tell a relator of -I, a central lift's, from I.  h0 is
     the nullity of the stacked A_s - I, cut as in ``surface.cohomology``;
@@ -209,6 +207,14 @@ def standard_form(
     """
     object_argument(rep, SurfaceRepresentation, "rep")
     object_argument(tol, Tolerances, "tol")
+    model = rep.model
+    if model.family == "spr":
+        omega = model.form
+    elif model.family == "sl" and model.ambient == 2:
+        omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    else:
+        raise FlexcheckError(
+            f"the standard module needs an sl(2,R) or sp(2n,R) ambient group, got {model.name}")
     pres = rep.presentation
     acts = action_stack(rep.images, pres.generator_count)
     check_module_relator(relator_prefixes(pres, acts))

@@ -39,10 +39,10 @@ from flexcheck.liealg import (LieAlgebraModel, SubalgebraHandle, build_classical
 from flexcheck.linalg import nullspace, orthonormal_columns, rank
 from flexcheck.roots import check_in_g0, decompose
 from flexcheck.scalars import Field, realify
-from flexcheck.surface import (CohomologyWorkspace, adjoint_module, check_invariant_form,
-                               check_module_relator, cohomology, correct_relator, cup_pairing,
-                               fuchsian_genus2, relator_prefixes, restricted_module,
-                               standard_presentation, surface_representation)
+from flexcheck.surface import (CohomologyWorkspace, SurfaceRepresentation, adjoint_module,
+                               check_invariant_form, check_module_relator, cohomology,
+                               correct_relator, cup_pairing, fuchsian_genus2, relator_prefixes,
+                               restricted_module, standard_presentation, surface_representation)
 from flexcheck.toledo import lifted_toledo, root_form, standard_form
 
 PACKAGE = Path(flexcheck.__file__).parent
@@ -445,6 +445,10 @@ def test_tolerances_keep_their_fields_and_adjoint_takes_none():
     for func in (decompose, killing_restriction_nondegenerate):
         assert "model" not in inspect.signature(func).parameters, func.__name__
     assert list(inspect.signature(LieAlgebraModel.adjoint_group_matrix).parameters) == ["self", "g"]
+    # the relator's sign and the standard module's form come from the input
+    assert list(inspect.signature(surface_representation).parameters) == [
+        "presentation", "model", "images"]
+    assert list(inspect.signature(standard_form).parameters) == ["rep", "tol"]
     assert list(inspect.signature(_phase1).parameters) == ["a", "b"]
 
 
@@ -470,20 +474,14 @@ def test_the_floor_itself_is_a_valid_tolerance():
     assert Tolerances(rank=config.TOLERANCE_FLOOR).rank == config.TOLERANCE_FLOOR
 
 
-def test_the_tolerances_are_the_schema_keys_and_the_cli_flags():
+def test_the_tolerances_are_the_cli_flags_and_no_schema_key():
+    # a problem file states the problem; the --tol-* flags alone set the tolerances
     schema = json.loads((PACKAGE / "schema" / "problem_spec.schema.json").read_text())
-    keys = set(schema["properties"]["tolerances"]["properties"])
+    assert "tolerances" not in schema["properties"]
     (verdict_parser,) = [a.choices["verdict"] for a in build_parser()._actions if a.dest == "command"]
-    flags = {s.removeprefix("--tol-") for a in verdict_parser._actions for s in a.option_strings
-             if s.startswith("--tol-")}
-    assert THRESHOLD_FIELDS == keys == flags == {"rank", "cluster"}
-
-
-def test_the_schema_states_the_floor():
-    schema = json.loads((PACKAGE / "schema" / "problem_spec.schema.json").read_text())
-    keys = schema["properties"]["tolerances"]["properties"]
-    assert {k: v["minimum"] for k, v in keys.items()} == {
-        "rank": config.TOLERANCE_FLOOR, "cluster": config.TOLERANCE_FLOOR}
+    flags = {s.removeprefix("--tol-"): a.default for a in verdict_parser._actions
+             for s in a.option_strings if s.startswith("--tol-")}
+    assert flags == dataclasses.asdict(DEFAULT)
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +612,12 @@ def _balanced_n(n):
     return balanced(BalanceProblem(3, (), (n,)))
 
 
+def _standard_form_of(images):
+    """standard_form of a representation built without surface_representation's checks."""
+    rep = fuchsian_genus2()
+    return standard_form(SurfaceRepresentation(rep.presentation, rep.model, images, 0.0))
+
+
 def _cup_args():
     return _octagon_workspace(), _J2, np.zeros(8), np.zeros(8)
 
@@ -656,7 +660,7 @@ ARRAY_ARGUMENTS = {
     "cup_pairing-v": (cup_pairing, _cup_args, 3),
     "lifted_toledo": (lifted_toledo, lambda: ([_I2] * 4, _J2, standard_presentation(2)), 0),
     "lifted_toledo-omega": (lifted_toledo, lambda: ([_I2] * 4, _J2, standard_presentation(2)), 1),
-    "standard_form": (standard_form, lambda: (fuchsian_genus2(), _J2), 1),
+    "standard_form": (_standard_form_of, lambda: (fuchsian_genus2().images,), 0),
     "root_form": (root_form, _su21_root_form_args, 1),
     "balanced-P": (_balanced_p, lambda: (np.ones(3),), 0),
     "balanced-N": (_balanced_n, lambda: (np.ones(3),), 0),
@@ -761,8 +765,8 @@ WRONG_TYPES = {
     "root_form-rep": lambda: root_form(3, *_su21_root_form_args()[1:]),
     "root_form-root": lambda: root_form(*_su21_root_form_args()[:2], 3),
     "root_form-tol": lambda: root_form(*_su21_root_form_args(), 3),
-    "standard_form-rep": lambda: standard_form(3, _J2),
-    "standard_form-tol": lambda: standard_form(fuchsian_genus2(), _J2, 3),
+    "standard_form-rep": lambda: standard_form(3),
+    "standard_form-tol": lambda: standard_form(fuchsian_genus2(), 3),
     "realify-field": lambda: realify(np.zeros((1, 1, 2)), "C"),
 }
 
@@ -868,15 +872,15 @@ KEYWORD_CASES = [
     ({"properties": {"k": {}}, "additionalProperties": False}, {"k": 1}, {"j": 1},
      "x: unknown key 'j'; known keys are k"),
     ({"required": ["k"]}, {"k": 1}, {}, "x needs the key 'k'"),
-    ({"properties": {"k": {"type": "boolean"}}}, {"k": False}, {"k": 0},
-     "x.k must be a boolean, got 0"),
+    ({"properties": {"k": {"type": "object"}}}, {"k": {}}, {"k": []},
+     "x.k must be a JSON object, got []"),
     ({"items": {"type": "number"}}, [1, 2.5], [1, float("inf")],
      "x[1] must be a finite number, got inf"),
     ({"minItems": 1}, [0], [], "x must have at least 1 item(s), got 0"),
     ({"maxItems": 1}, [0], [0, 0], "x must have at most 1 item(s), got 2"),
 ]
 VALIDATED = {keyword for schema, *_ in KEYWORD_CASES for keyword in schema}
-ANNOTATIONS = {"$schema", "$id", "title", "description", "default"}
+ANNOTATIONS = {"$schema", "$id", "title", "description"}
 
 
 @pytest.mark.parametrize("schema, good, bad, says", KEYWORD_CASES)

@@ -213,7 +213,7 @@ def test_explicit_matrix_input_matches_catalog(tmp_path, capsys):
     assert parsed["adjoint"]["z1"] == 9 and parsed["adjoint"]["h0"] == 0
 
 
-def _field_problem(tmp_path, case: str, family: str, images=None, tolerances=None):
+def _field_problem(tmp_path, case: str, family: str, images=None):
     """A problem file of a catalog case's group, with its images (the case's own by default)."""
     # each realified d x d block is left multiplication by an entry whose
     # components are the block's first column
@@ -225,30 +225,26 @@ def _field_problem(tmp_path, case: str, family: str, images=None, tolerances=Non
     doc = {"group": {"family": family, "params": [find_case(case).m, 1]}, "genus": 2,
            "representation": {"source": "matrices", "field": rep.model.field.value,
                               "generators": gens}}
-    if tolerances:
-        doc["tolerances"] = tolerances
     path = tmp_path / f"{case}.json"
     path.write_text(json.dumps(doc))
     return path
 
 
-@pytest.mark.parametrize("case,family,tolerances", [
-    ("su21-cline", "su", None), ("sp21-cline", "sp", None), ("so41-rplane", "so", None),
-    ("su21-cline", "su", {"rank": 1e-10, "cluster": 1e-8}),
+@pytest.mark.parametrize("case,family,flags", [
+    ("su21-cline", "su", []), ("sp21-cline", "sp", []), ("so41-rplane", "so", []),
+    ("su21-cline", "su", ["--tol-rank", "1e-10", "--tol-cluster", "1e-8"]),
 ], ids=["su21-cline-su", "sp21-cline-sp", "so41-rplane-so", "su21-cline-su-tolerances"])
-def test_field_matrix_input_matches_catalog(tmp_path, capsys, case, family, tolerances):
-    path = _field_problem(tmp_path, case, family, tolerances=tolerances)
-    code, out, _ = run_cli(capsys, "verdict", "--input", str(path), "--format", "json")
-    want_code, want, _ = run_cli(capsys, "verdict", "--catalog", case, "--format", "json")
+def test_field_matrix_input_matches_catalog(tmp_path, capsys, case, family, flags):
+    # the flags' tolerances reach a file's run as they reach a catalog case's
+    path = _field_problem(tmp_path, case, family)
+    code, out, _ = run_cli(capsys, "verdict", "--input", str(path), "--format", "json", *flags)
+    want_code, want, _ = run_cli(capsys, "verdict", "--catalog", case, "--format", "json", *flags)
     got, want = json.loads(out), json.loads(want)
     assert got["provenance"].pop("source") == "matrices"
     assert want["provenance"].pop("source") == f"catalog:{case}"
-    if tolerances:
-        # the file's tolerances reach the run, and the decision stays the default run's
-        assert got["provenance"]["tolerances"] == {**want["provenance"]["tolerances"], **tolerances}
-        assert code == want_code and got["verdict"] == want["verdict"]
-    else:
-        assert code == want_code and got == want
+    assert code == want_code and got == want
+    if flags:
+        assert got["provenance"]["tolerances"]["rank"] == 1e-10
 
 
 def test_cohomology_of_a_conjugated_input_reads_the_centralizer(tmp_path, capsys):
@@ -362,11 +358,11 @@ def test_a_central_lift_through_the_standard_module_aborts(tmp_path, capsys):
     omega = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
     assert lifted_toledo(images, omega, standard_presentation(2)) == (0, 0.0)
     path = _real_problem(tmp_path, "spr", [2], images)
-    doc = json.loads(path.read_text())
-    doc["representation"]["central_lift"] = True
-    path.write_text(json.dumps(doc))
     code, _, err = run_cli(capsys, "toledo", "--input", str(path), "--standard-module")
     assert code == 3 and "module action does not kill the relator" in err
+    # the file states no sign: Ad does not see -I, so the verdict reads it as it is
+    code, out, _ = run_cli(capsys, "verdict", "--input", str(path))
+    assert code == 0 and "verdict: flexible" in out
 
 
 _IDENTITY = {
@@ -388,8 +384,8 @@ def _with_generators(generators):
      "group.params must have at least 1 item(s), got 0"),
     ({**_IDENTITY, "seed": "abc"}, "unknown key 'seed'"),
     ({**_IDENTITY, "genus": "two"}, "genus must be an integer"),
-    ({**_IDENTITY, "tolerances": {"rank": -1.0}},
-     "tolerances.rank must be at least 2.220446049250313e-14, got -1.0"),
+    # a file states no tolerances: the --tol-* flags set them
+    ({**_IDENTITY, "tolerances": {"rank": -1.0}}, "problem: unknown key 'tolerances'"),
     ({**_IDENTITY, "representation": {**_IDENTITY["representation"], "generators": [
         [[[float("nan")], [0.0]], [[0.0], [1.0]]]] * 4}},
      "representation.generators[0][0][0][0] must be a finite number, got nan"),
@@ -405,14 +401,14 @@ def _with_generators(generators):
     ({**_IDENTITY, "seed": False}, "unknown key 'seed'"),
     ({**_IDENTITY, "group": {"family": "su", "params": [2, True]}},
      "group.params[1] must be an integer, got True"),
-    # the schema's boolean is a JSON boolean, and a tolerance is not one
+    # the relator is read against I and -I, with no key to say which
     ({**_IDENTITY, "representation": {**_IDENTITY["representation"], "central_lift": "false"}},
-     "central_lift must be a boolean"),
-    ({**_IDENTITY, "tolerances": {"cluster": True}}, "tolerances.cluster must be a finite number"),
-    ({**_IDENTITY, "tolerances": {"rank": True}}, "tolerances.rank must be a finite number"),
+     "representation: unknown key 'central_lift'"),
+    ({**_IDENTITY, "tolerances": {"cluster": True}}, "problem: unknown key 'tolerances'"),
+    ({**_IDENTITY, "tolerances": {"rank": True}}, "problem: unknown key 'tolerances'"),
     # a key the loader does not read would be an input that changes nothing
     ({**_IDENTITY, "seed": 0}, "unknown key 'seed'"),
-    ({**_IDENTITY, "tolerances": {"gram": 1e-3}}, "tolerances: unknown key 'gram'"),
+    ({**_IDENTITY, "tolerances": {"gram": 1e-3}}, "problem: unknown key 'tolerances'"),
     ({**_IDENTITY, "tolerance": {"rank": 1e-6}}, "unknown key 'tolerance'"),
     # a catalog case comes from --catalog only: the file's group would go unread
     ({**_IDENTITY, "representation": {"source": "catalog", "case": "su21-cline"}},
@@ -472,7 +468,7 @@ def test_malformed_problem_is_a_parse_error(tmp_path, capsys, doc, says):
     (["toledo", "--catalog", "su21-cline", "--root", "-1"],
      "--root -1 out of range; decomposition has 1 root(s)"),
     (["toledo", "--input", "{so}", "--standard-module"],
-     "--standard-module needs an sl(2,R) or sp(2n,R) ambient group"),
+     "the standard module needs an sl(2,R) or sp(2n,R) ambient group, got so(2,1)"),
     (["verdict", "--catalog", "su21-cline", "--tol-rank", "nan"],
      "tolerance rank = nan must be a finite number"),
     (["verdict", "--catalog", "su21-cline", "--tol-rank", "inf"],
@@ -541,16 +537,6 @@ def test_a_problem_without_genus_takes_half_its_generator_count(tmp_path, capsys
     assert exc.value.code == 2 and "--genus" in capsys.readouterr().err
 
 
-def test_a_problem_files_tolerances_override_the_flags(tmp_path, capsys):
-    # a key the file leaves out keeps the flag
-    path = tmp_path / "tolerances.json"
-    path.write_text(json.dumps({**_IDENTITY, "tolerances": {"rank": 1e-7}}))
-    code, out, _ = run_cli(capsys, "decompose", "--input", str(path), "--format", "json",
-                           "--tol-rank", "1e-10", "--tol-cluster", "1e-5")
-    tolerances = json.loads(out)["provenance"]["tolerances"]
-    assert code == 0 and (tolerances["rank"], tolerances["cluster"]) == (1e-7, 1e-5)
-
-
 def test_linalg_error_exit_code(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
@@ -615,16 +601,11 @@ def test_coarse_tol_cluster_exits_3(capsys):
 @pytest.mark.parametrize("where", ["flag", "file"])
 def test_tolerance_below_the_floor_exits_2(tmp_path, capsys, where):
     # at rank 1e-18 the rigid su21-cline case read flexible (exit 0)
-    if where == "flag":
-        argv = ["--catalog", "su21-cline", "--tol-rank", "1e-18"]
-    else:
-        path = tmp_path / "tiny.json"
-        doc = json.loads(_write_parabolic(tmp_path).read_text())
-        path.write_text(json.dumps(dict(doc, tolerances={"rank": 1e-18})))
-        argv = ["--input", str(path)]
-    code, out, err = run_cli(capsys, "verdict", *argv)
-    says = "below the floor" if where == "flag" else "tolerances.rank must be at least"
-    assert code == 2 and out == "" and says in err
+    # the flag holds a problem file to the floor as it holds a catalog case
+    problem = (["--catalog", "su21-cline"] if where == "flag"
+               else ["--input", str(_write_parabolic(tmp_path))])
+    code, out, err = run_cli(capsys, "verdict", *problem, "--tol-rank", "1e-18")
+    assert code == 2 and out == "" and "below the floor" in err
 
 
 def test_overflowing_image_exits_3_without_warnings(tmp_path):

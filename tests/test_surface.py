@@ -429,8 +429,9 @@ def test_cup_pairing_shapes(fuchsian, case_pipeline):
     assert cup_pairing(adj, forms, adj.h1, adj.h1).shape == (adj.h0_dim,) + (adj.h1_dim,) * 2
 
 
-def test_central_lift_flag():
-    # [i, j] = -1 in the unit quaternions realized inside SU(2) = su(2,0)-group
+def test_a_minus_identity_relator_needs_no_flag():
+    # [i, j] = -1 in the unit quaternions realized inside SU(2) = su(2,0)-group:
+    # Ad does not see -I, so the relator is read against I and -I alike
     model = build_classical("su", 2, 0)
     qi = realify(components([[1j, 0], [0, -1j]]), Field.COMPLEX)
     qj = realify(components([[0.0, 1.0], [-1.0, 0.0]]), Field.COMPLEX)
@@ -438,10 +439,8 @@ def test_central_lift_flag():
     images = [qi, qj, eye, eye]
     rel = relator_prefixes(standard_presentation(2), images)[-1]
     assert np.abs(rel + np.eye(4)).max() < 1e-12
-    with pytest.raises(NumericalAbort):
-        surface_representation(standard_presentation(2), model, images)
-    rep = surface_representation(standard_presentation(2), model, images, central_lift=True)
-    assert np.abs(relator_prefixes(rep.presentation, rep.images)[-1] + eye).max() < 1e-12
+    rep = surface_representation(standard_presentation(2), model, images)
+    assert rep.relator_residual < 1e-12
     ws = cohomology(rep, adjoint_module(rep))   # adjoint kills the center
     assert ws.h0_dim == 0                        # nothing commutes with both i and j
     assert ws.h1_dim == 6

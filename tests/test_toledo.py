@@ -5,7 +5,7 @@ import pytest
 
 from conftest import bent_genus2, fuchsian_sum
 from flexcheck.catalog import build_case_representation, default_cases
-from flexcheck.config import TOLEDO_LIFT, NumericalAbort, Tolerances
+from flexcheck.config import TOLEDO_LIFT, FlexcheckError, NumericalAbort, Tolerances
 from flexcheck.engine import Pipeline
 from flexcheck.liealg import build_classical, centralizer, subalgebra_from_matrices
 from flexcheck.roots import MIXED, check_in_g0, decompose
@@ -38,13 +38,13 @@ def test_fuchsian_standard_module_signature(fuchsian):
     sig = signature(0.5 * (gram + gram.T))
     assert abs(sig) == 4          # |T| = 1 = genus - 1
     # the lifted relator gives the same signature
-    form = standard_form(fuchsian, omega)
+    form = standard_form(fuchsian)
     assert (form.signature, form.toledo, form.definite, form.milnor_wood_slack) == (sig, sig // 4, True, 0)
 
 
 def test_a_standard_module_report_has_no_root_class(fuchsian):
     # the standard module is not a root space: no class, and never in P
-    form = standard_form(fuchsian, np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    form = standard_form(fuchsian)
     assert form.root is None and form.classification is None and form.in_P is False
 
 
@@ -448,9 +448,10 @@ STANDARD_MODULES = {
 @pytest.mark.parametrize("build", STANDARD_MODULES.values(), ids=STANDARD_MODULES)
 def test_standard_form_matches_fox_calculus_and_the_gram(build):
     # h1 by the count 2 h0 - chi m is Fox calculus's, and T the Gram signature's
+    # the Gram is taken against sp(m,R)'s form, which is J2 = STANDARD_OMEGA at m = 2
     rep = build()
-    omega = rep.model.form if rep.model.family == "spr" else STANDARD_OMEGA
-    form = standard_form(rep, omega)
+    form = standard_form(rep)
+    omega = build_classical("spr", rep.model.realified_size // 2).form
     ws = cohomology(rep, rep.images)
     assert (form.h1_dim, form.toledo) == (ws.h1_dim, gram_signature_toledo(ws, omega))
     assert form.milnor_wood_slack >= 0 and form.lift_margin <= 1e-9
@@ -507,3 +508,11 @@ def test_lift_margin_trips_the_bound(fuchsian, monkeypatch):
         lifted_toledo(images, STANDARD_OMEGA, fuchsian.presentation)
     monkeypatch.setattr(toledo, "TOLEDO_LIFT", 0.5)
     assert lifted_toledo(images, STANDARD_OMEGA, fuchsian.presentation)[1] > 0.01
+
+
+@pytest.mark.parametrize("case", ["su21-cline", "so41-rplane"])
+def test_the_standard_module_needs_a_symplectic_group(case):
+    # the form is the group's own, so a group with none is an input error, not an abort
+    with pytest.raises(FlexcheckError, match="needs an sl.2,R. or sp.2n,R. ambient group") as exc:
+        standard_form(build_case_representation(case))
+    assert not isinstance(exc.value, NumericalAbort)
