@@ -10,6 +10,7 @@ the test suite.  Octonionic rows are documentation only.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,15 @@ class CatalogCase:
 
 
 def expected_table(family: str, stabilized: str, m: int) -> CatalogCase:
-    """Static expectations for the centralizer, its center, and the verdict."""
+    """Static expectations for the centralizer, its center, and the verdict.
+
+    ``m`` is an integer >= 1 (``operator.index``), or FlexcheckError."""
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise FlexcheckError(f"m must be an integer, got {m!r}") from None
+    if m < 1:
+        raise FlexcheckError(f"m must be at least 1, got {m}")
     if family == "so":
         if stabilized != "rplane":
             raise FlexcheckError("so(m,1) only has the real-plane case")

@@ -102,8 +102,6 @@ def balanced(problem: BalanceProblem, tol: Tolerances = DEFAULT) -> BalanceResul
     vectors = [numeric_array(v, "a P- or N-vector", (r,))
                for v in problem.p_vectors + problem.n_vectors]
     numeric_array(vectors, "the P- and N-vectors", finite=True)        # after every shape
-    if r == 0:
-        return BalanceResult(True, None, None, 0)
     nmat = np.stack(problem.n_vectors, axis=1) if problem.n_vectors else np.zeros((r, 0))
     span_n = orthonormal_columns(nmat, tol.rank)
     k = r - span_n.shape[1]

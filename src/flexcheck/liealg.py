@@ -134,32 +134,30 @@ class LieAlgebraModel:
     def group_membership_residual(self, g: np.ndarray):
         """Residual of the defining relations of the ambient group at g.
 
-        Relative to max(|g|^2, 1) for the form, to min(kappa(g), max(|g|^2, 1))
-        with kappa(g) = sigma_max / sigma_min for the determinant, and to
-        max(|g|, 1) for the imaginary units.  Against |g|^2 alone diag(1e9, 1)
+        The form relation |g^T F g - F| and the determinant |det g - 1| are
+        relative to min(kappa(g), max(|g|^2, 1)), kappa(g) = sigma_max / sigma_min,
+        and the imaginary units to max(|g|, 1).  Against |g|^2 alone diag(1e9, 1)
         would pass; against kappa alone so would diag(1, 1e-7), whose det is
-        far from 1 but whose kappa is large.  A singular g, or one whose scale
-        overflows, is rejected with an infinite residual.  A (K, N, N) stack
-        gives a length-K array, one residual per image, from one batched SVD.
-        Anything but real N x N matrices raises FlexcheckError.
+        far from 1 but whose kappa is large.  A member of O(F), U(F) or Sp(F),
+        F orthogonal, has singular values in pairs sigma, 1/sigma, so there
+        kappa = |g|^2.  A singular g, or one whose scale overflows, is rejected
+        with an infinite residual.  A (K, N, N) stack gives a length-K array,
+        one residual per image, from one batched SVD.  Anything but real
+        N x N matrices raises FlexcheckError.
         """
         g = numeric_array(g, f"group elements on {self.name}", (..., *self.basis.shape[1:]))
         sv = np.linalg.svd(g, compute_uv=False)
         norm = sv[..., 0]
-        if self.form is not None:
-            with np.errstate(over="ignore", invalid="ignore"):  # inf, or nan from inf - inf
+        regular = sv[..., -1] > 0
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, or nan from inf - inf
+            kappa = np.divide(norm, sv[..., -1], out=np.full_like(norm, np.inf), where=regular)
+            scale = np.minimum(kappa, np.maximum(norm ** 2, 1.0))
+            if self.form is not None:
                 res = np.abs(np.swapaxes(g, -1, -2) @ self.form @ g - self.form).max(axis=(-2, -1))
-                scale = np.maximum(norm ** 2, 1.0)
-            judged = np.isfinite(res) & np.isfinite(scale)
-            res = np.divide(res, scale, out=np.full_like(norm, np.inf), where=judged)
-        else:
-            regular = sv[..., -1] > 0
-            with np.errstate(over="ignore"):        # what overflows is inf: rejected below
-                kappa = np.divide(norm, sv[..., -1], out=np.full_like(norm, np.inf), where=regular)
-                scale = np.minimum(kappa, np.maximum(norm ** 2, 1.0))
-                det = np.linalg.det(g)
-            judged = regular & np.isfinite(scale)
-            res = np.divide(np.abs(det - 1.0), scale, out=np.full_like(norm, np.inf), where=judged)
+            else:
+                res = np.abs(np.linalg.det(g) - 1.0)
+        judged = regular & np.isfinite(res) & np.isfinite(scale)
+        res = np.divide(res, scale, out=np.full_like(norm, np.inf), where=judged)
         for r in _unit_operators(self.field, self.ambient):
             with np.errstate(over="ignore", invalid="ignore"):
                 units = np.abs(g @ r - r @ g).max(axis=(-2, -1)) / np.maximum(norm, 1.0)

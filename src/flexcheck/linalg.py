@@ -12,6 +12,8 @@ operator norms.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .config import DEFAULT, FlexcheckError, NumericalAbort, Tolerances
@@ -92,8 +94,18 @@ def object_argument(value, kind: type, what: str) -> None:
         raise FlexcheckError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
 
 
+def _cut(tol, scale) -> list:
+    """The rank cut's ``tol`` and ``scale`` of ``rank``, ``nullspace`` and
+    ``orthonormal_columns``: finite real scalars, or FlexcheckError."""
+    cut = numeric_array((tol, scale), "the rank cut's tol and scale", (2,), "iuf").tolist()
+    if not all(map(math.isfinite, cut)):
+        raise FlexcheckError(f"the rank cut's tol and scale must be finite, got {cut}")
+    return cut
+
+
 def rank(a: np.ndarray, tol: float = DEFAULT.rank, scale: float = 0.0) -> int:
     """Numerical rank from the singular values alone; ``scale`` floors the cutoff as in nullspace."""
+    tol, scale = _cut(tol, scale)
     a = numeric_array(a, "singular values' input", kinds="biufc")
     if a.size == 0:                                 # of any shape, [] too
         return 0
@@ -110,6 +122,7 @@ def nullspace(a: np.ndarray, tol: float = DEFAULT.rank, scale: float = 0.0) -> n
     A thin SVD serves tall and square input; wide input, such as a
     relator map, needs the full V for its kernel.
     """
+    tol, scale = _cut(tol, scale)
     a = numeric_array(a, "singular values' input", (None, None), "biufc", finite=True)
     if a.shape[1] == 0:
         raise NumericalAbort("nullspace of an empty operator is undefined")
@@ -128,6 +141,7 @@ def orthonormal_columns(vectors: np.ndarray, tol: float = DEFAULT.rank,
     As in :func:`nullspace`, ``scale`` puts an absolute floor under the
     cutoff so an all-noise input yields an empty basis.
     """
+    tol, scale = _cut(tol, scale)
     v = numeric_array(vectors, "singular values' input", (None, None), "biufc", finite=True)
     if v.size == 0:
         return v[:, :0]

@@ -28,7 +28,7 @@ import pytest
 
 import flexcheck
 from flexcheck import config
-from flexcheck.catalog import build_case_representation, embed_base
+from flexcheck.catalog import build_case_representation, embed_base, expected_table
 from flexcheck.liealg import subalgebra_from_matrices
 from flexcheck.cli import _JSON_TYPES, _validate, build_parser
 from flexcheck.config import DEFAULT, FlexcheckError, NumericalAbort, ParseError, Tolerances
@@ -768,6 +768,15 @@ WRONG_TYPES = {
     "standard_form-rep": lambda: standard_form(3),
     "standard_form-tol": lambda: standard_form(fuchsian_genus2(), 3),
     "realify-field": lambda: realify(np.zeros((1, 1, 2)), "C"),
+    # a scalar argument: the rank cut's tol and scale, and a catalog case's m
+    "rank-tol": lambda: rank(_I2, DEFAULT),
+    "rank-scale": lambda: rank(_I2, 1e-9, "x"),
+    "nullspace-tol": lambda: nullspace(_I2, None),
+    "nullspace-scale": lambda: nullspace(_I2, 1e-9, "x"),
+    "nullspace-nan-tol": lambda: nullspace(_I2, float("nan")),
+    "expected_table-string-m": lambda: expected_table("su", "rplane", "3"),
+    "expected_table-none-m": lambda: expected_table("su", "rplane", None),
+    "expected_table-fractional-m": lambda: expected_table("su", "rplane", 3.5),
 }
 
 NUMPY_ERRORS = {

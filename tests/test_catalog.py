@@ -71,6 +71,14 @@ def test_expected_table_formulas():
     assert row.centralizer_dim == 1 + 10 and row.expected_verdict == "flexible"
 
 
+def test_expected_table_names_the_integer_m():
+    # m goes through operator.index: True was named "soTrue1-rplane", and m = 0 was accepted
+    assert expected_table("so", "rplane", True).name == "so11-rplane"
+    assert expected_table("su", "rplane", np.int64(3)) == expected_table("su", "rplane", 3)
+    with pytest.raises(FlexcheckError, match="m must be at least 1, got 0"):
+        expected_table("su", "rplane", 0)
+
+
 def test_octonionic_rows_are_documented_not_computed():
     f4 = find_case("f4-rplane")
     assert not f4.computable

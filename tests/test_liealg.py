@@ -346,7 +346,8 @@ def test_group_membership(models, fuchsian):
 _UNIPOTENT = [np.array([[1.0, t], [0.0, 1.0]]) for t in (1.0, 2.0, 3.0, 5.0)]
 
 
-@pytest.mark.parametrize("images, accepted", [
+# SL(2,R) images at scales where |g|^2 and kappa(g) part, with whether each is accepted
+SCALED_SL2 = [
     ([np.diag([1e7, 1.0])] * 4, False),
     ([np.diag([1e9, 1.0])] * 4, False),
     ([np.diag([1e308, 1.0])] * 4, False),
@@ -358,17 +359,47 @@ _UNIPOTENT = [np.array([[1.0, t], [0.0, 1.0]]) for t in (1.0, 2.0, 3.0, 5.0)]
     ([np.diag([1e200, 1e-200])] * 4, False),
     ([np.diag([1e8, 1e-8])] * 4, True),
     (_UNIPOTENT, True),
-], ids=["1e7", "1e9", "1e308", "singular", "singular-1e8", "1e-7", "-1e-7", "1e-310",
-        "overflowing-scale", "1e8-1e-8", "unipotent"])
+]
+SCALED_SL2_IDS = ["1e7", "1e9", "1e308", "singular", "singular-1e8", "1e-7", "-1e-7", "1e-310",
+                  "overflowing-scale", "1e8-1e-8", "unipotent"]
+
+
+def _judged(model, images, accepted):
+    if accepted:
+        surface_representation(standard_presentation(2), model, images)
+    else:
+        with pytest.raises(NumericalAbort, match="violates the group relations"):
+            surface_representation(standard_presentation(2), model, images)
+
+
+@pytest.mark.parametrize("images, accepted", SCALED_SL2, ids=SCALED_SL2_IDS)
 def test_sl_determinant_is_judged_against_the_condition_number(models, images, accepted):
     # against |g|^2 alone, det(diag(1e9, 1)) = 1e9 would pass as 1, and past
     # 1e154 the square overflows to a zero residual; against kappa alone,
     # det(diag(1, 1e-7)) = 1e-7 would pass as 1
-    if accepted:
-        surface_representation(standard_presentation(2), models["sl2"], images)
-    else:
-        with pytest.raises(NumericalAbort, match="violates the group relations"):
-            surface_representation(standard_presentation(2), models["sl2"], images)
+    _judged(models["sl2"], images, accepted)
+
+
+@pytest.mark.parametrize("images, accepted", SCALED_SL2, ids=SCALED_SL2_IDS)
+def test_sp2_form_is_judged_as_the_sl2_determinant(images, accepted):
+    # SL(2,R) = Sp(2,R) and g^T J g = det(g) J, so the form relation must judge
+    # each image as the determinant does; against |g|^2 alone diag(1e7, 1)
+    # read 1e-7 and passed, and every later check let it through
+    _judged(build_classical("spr", 1), images, accepted)
+
+
+def test_a_null_scaling_in_so21_is_judged_against_the_condition_number():
+    # u = (1, 0, 1) and v = (1, 0, -1) are null for diag(1, 1, -1), and F(u, v) = 2.
+    # The boost u -> s u, v -> v / s is in SO(2,1); scaling u alone moves F(u, v)
+    # to 2 s, which read 1e-6 against |g|^2 = 1e12 and passed IMAGE_MEMBERSHIP
+    so21 = build_classical("so", 2, 1)
+    basis = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, -1.0]]).T   # u, e2, v
+    boost, scaling = (basis @ np.diag(d) @ np.linalg.inv(basis)
+                      for d in ([1e6, 1.0, 1e-6], [1e6, 1.0, 1.0]))
+    assert so21.group_membership_residual(boost) < 1e-12
+    assert so21.group_membership_residual(scaling) > 0.1
+    _judged(so21, [boost, np.eye(3), np.eye(3), np.eye(3)], True)
+    _judged(so21, [scaling, np.eye(3), np.eye(3), np.eye(3)], False)
 
 
 @pytest.mark.parametrize("family, params, g", [
@@ -393,15 +424,13 @@ def _adjoint_reference(model, g):
 
 def _membership_reference(model, g):
     """The membership residual with one 2-norm and one kron per imaginary unit."""
-    res = 0.0
-    scale = max(matrix_scale(g) ** 2, 1.0)
+    scale = min(np.linalg.cond(g), max(matrix_scale(g) ** 2, 1.0))
+    regular = np.linalg.svd(g, compute_uv=False)[-1] > 0
     if model.form is not None:
-        res = max(res, float(np.abs(g.T @ model.form @ g - model.form).max()) / scale)
+        res = float(np.abs(g.T @ model.form @ g - model.form).max())
     else:
-        det_scale = min(np.linalg.cond(g), scale)
-        regular = np.linalg.svd(g, compute_uv=False)[-1] > 0
-        res = (abs(float(np.linalg.det(g)) - 1.0) / det_scale
-               if regular and np.isfinite(det_scale) else np.inf)
+        res = abs(float(np.linalg.det(g)) - 1.0)
+    res = res / scale if regular and np.isfinite(scale) else np.inf
     for unit in np.eye(model.field.dim)[1:]:
         r = right_multiplication_operator(model.field, model.ambient, unit)
         res = max(res, float(np.abs(g @ r - r @ g).max()) / max(matrix_scale(g), 1.0))
