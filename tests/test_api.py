@@ -768,7 +768,8 @@ WRONG_TYPES = {
     "standard_form-rep": lambda: standard_form(3),
     "standard_form-tol": lambda: standard_form(fuchsian_genus2(), 3),
     "realify-field": lambda: realify(np.zeros((1, 1, 2)), "C"),
-    # a scalar argument: the rank cut's tol and scale, and a catalog case's m
+    # a scalar argument, the rank cut's tol and scale or a catalog case's m: each raised
+    # TypeError or numpy's UFuncTypeError, except a NaN tol and m = 3.5, which passed
     "rank-tol": lambda: rank(_I2, DEFAULT),
     "rank-scale": lambda: rank(_I2, 1e-9, "x"),
     "nullspace-tol": lambda: nullspace(_I2, None),
